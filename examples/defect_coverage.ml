@@ -38,9 +38,7 @@ let () =
   Format.printf "circuit: %a@.@."
     Iddq_netlist.Circuit.pp_stats
     (Iddq_netlist.Circuit.stats circuit);
-  let config =
-    { Iddq.Pipeline.default_config with library = leaky_library () }
-  in
+  let config = Iddq.Pipeline.config ~library:(leaky_library ()) () in
   let result = Iddq.Pipeline.run ~config Iddq.Pipeline.Evolution circuit in
   let ch = result.Iddq.Pipeline.charac in
   Format.printf "partitioned design:@.%a@." Iddq.Report.pp_pipeline result;

@@ -51,13 +51,10 @@ let () =
     | Error e -> failwith e
   in
   let config =
-    {
-      Iddq.Pipeline.default_config with
-      library;
-      module_size = Some 3;
-      es_params =
-        { Es.default_params with max_generations = 200; stall_generations = 40 };
-    }
+    Iddq.Pipeline.config ~library ~module_size:3
+      ~es_params:
+        { Es.default_params with max_generations = 200; stall_generations = 40 }
+      ()
   in
   let ch = Charac.make ~library:config.Iddq.Pipeline.library circuit in
   let rng = Iddq_util.Rng.create config.Iddq.Pipeline.seed in

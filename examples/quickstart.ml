@@ -29,7 +29,7 @@ let () =
     Iddq_netlist.Circuit.pp_stats
     (Iddq_netlist.Circuit.stats circuit);
   (* force a 2-module partition so the tiny demo actually partitions *)
-  let config = { Iddq.Pipeline.default_config with module_size = Some 4 } in
+  let config = Iddq.Pipeline.config ~module_size:4 () in
   let result = Iddq.Pipeline.run ~config Iddq.Pipeline.Evolution circuit in
   Format.printf "@.synthesis result:@.%a" Iddq.Report.pp_pipeline result;
   Format.printf "@.partition detail:@.%a" Partition.pp result.Iddq.Pipeline.partition;

@@ -19,7 +19,7 @@ val strategy_of_string : string -> strategy option
 
 (** {1 Configuration} *)
 
-type config = {
+type config = private {
   max_backtracks : int;  (** Per-target PODEM backtrack limit. *)
   budget : int option;
       (** Cap on PODEM target attempts; [None] = unlimited.  A run
@@ -29,11 +29,8 @@ type config = {
   seed : int;  (** Drives the random vectors and don't-care filling. *)
   random_vectors : int;  (** Random vectors before the PODEM top-up. *)
 }
-(** @deprecated Building or updating this record directly
-    ([{ default_config with ... }]) is deprecated in favour of the
-    {!val-config} builder: record updates break silently when a field
-    is added, while the builder keeps every omitted field at its
-    default.  The type stays exposed so existing callers compile. *)
+(** Read-only outside this module: build one with the {!val-config}
+    builder, which keeps every omitted field at its default. *)
 
 val config :
   ?max_backtracks:int ->

@@ -272,60 +272,3 @@ let generate ?(max_backtracks = 2000) c fault =
 
 let concretize ~rng cube =
   Array.map (function Some v -> v | None -> Rng.bool rng) cube
-
-type set_result = {
-  vectors : bool array array;
-  coverage : float;
-  efficiency : float;
-  generated : int;
-  untestable : int;
-  aborted : int;
-}
-
-let complete_set ?max_backtracks ~rng ?(initial = [||]) c faults =
-  let live = ref faults in
-  let vectors = ref (Array.to_list initial) in
-  (* drop faults the initial set already catches *)
-  live := Stuck_at.undetected c ~vectors:initial ~faults:!live;
-  let generated = ref 0 and untestable = ref 0 and aborted = ref 0 in
-  let rec work () =
-    match !live with
-    | [] -> ()
-    | fault :: rest -> begin
-      match generate ?max_backtracks c fault with
-      | Untestable ->
-        incr untestable;
-        live := rest;
-        work ()
-      | Aborted ->
-        incr aborted;
-        live := rest;
-        work ()
-      | Test cube ->
-        let vector = concretize ~rng cube in
-        incr generated;
-        vectors := !vectors @ [ vector ];
-        (* fault-drop the whole remaining list against the new vector *)
-        live :=
-          List.filter (fun f -> not (Stuck_at.detects c f vector)) rest;
-        work ()
-    end
-  in
-  work ();
-  let vector_arr = Array.of_list !vectors in
-  let total = List.length faults in
-  let final = Stuck_at.fault_simulate c ~vectors:vector_arr ~faults in
-  {
-    vectors = vector_arr;
-    coverage =
-      (if total = 0 then 1.0
-       else float_of_int final.Stuck_at.detected /. float_of_int total);
-    efficiency =
-      (if total = 0 then 1.0
-       else
-         float_of_int (final.Stuck_at.detected + !untestable)
-         /. float_of_int total);
-    generated = !generated;
-    untestable = !untestable;
-    aborted = !aborted;
-  }

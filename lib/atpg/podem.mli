@@ -28,36 +28,3 @@ val generate :
 
 val concretize : rng:Iddq_util.Rng.t -> bool option array -> bool array
 (** Fill the don't-cares randomly. *)
-
-type set_result = {
-  vectors : bool array array;  (** Final ordered test set. *)
-  coverage : float;  (** Detected / total. *)
-  efficiency : float;
-      (** (Detected + proven untestable) / total — the standard ATPG
-          efficiency; 1.0 means every fault was either tested or
-          proven redundant. *)
-  generated : int;  (** Vectors contributed by PODEM. *)
-  untestable : int;
-  aborted : int;
-}
-
-val complete_set :
-  ?max_backtracks:int ->
-  rng:Iddq_util.Rng.t ->
-  ?initial:bool array array ->
-  Iddq_netlist.Circuit.t ->
-  Iddq_defects.Stuck_at.fault list ->
-  set_result
-(** Fault-simulate the [initial] vectors (default: none) with
-    dropping, then call {!generate} for each remaining fault,
-    fault-simulating each new vector against the survivors.  The
-    result's coverage counts untestable faults as undetected.
-
-    @deprecated This raw positional entry point is deprecated in
-    favour of the {!Atpg} facade ({!Atpg.generate_result} /
-    {!Atpg.run_result}): the facade validates faults against the
-    circuit (this function raises [Invalid_argument] on e.g. a pin
-    fault naming an input node), returns structured errors, supports a
-    target budget, and hands back the detection matrix for
-    minimization.  The function stays exposed so existing callers
-    compile, and as the oracle the facade's tests compare against. *)

@@ -39,14 +39,8 @@ let job_config (spec : Spec.t) (job : Spec.job) ~reference_sizes ~metrics =
     | None -> Es.default_params
     | Some g -> { Es.default_params with Es.max_generations = g }
   in
-  {
-    Pipeline.default_config with
-    Pipeline.seed = derived_seed job;
-    module_size = job.Spec.module_size;
-    reference_sizes;
-    es_params;
-    metrics;
-  }
+  Pipeline.config ~seed:(derived_seed job) ?module_size:job.Spec.module_size
+    ?reference_sizes ~es_params ~metrics ()
 
 let execute (spec : Spec.t) ~resolve (job : Spec.job) ~reference_sizes =
   let metrics = Metrics.create () in
@@ -184,11 +178,11 @@ let run_validated ~domains ~resolve ~on_result ~store spec =
     to_run;
   let pool = Stdlib.max 1 (Stdlib.min domains (List.length to_run)) in
   let work = worker state spec ~resolve ~store ~on_result in
-  if state.pending > 0 then begin
-    let spawned = List.init (pool - 1) (fun _ -> Domain.spawn work) in
-    work ();
-    List.iter Domain.join spawned
-  end;
+  (* Each pool chunk is one worker loop; a loop returns only once no
+     job is pending, so the barrier closes when the campaign is done. *)
+  if state.pending > 0 then
+    Iddq_util.Domain_pool.with_pool ~domains:pool (fun p ->
+        ignore (Iddq_util.Domain_pool.run p ~chunks:pool (fun _ -> work ())));
   let results =
     List.map (fun (j : Spec.job) -> Hashtbl.find state.results j.Spec.id) jobs
   in

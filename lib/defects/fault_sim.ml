@@ -15,13 +15,6 @@ let equal a b =
   && Array.length a.rows = Array.length b.rows
   && Array.for_all2 Bitvec.equal a.rows b.rows
 
-let activation_word fault ~good =
-  match fault with
-  | Fault.Bridge (a, b) -> Int64.logxor good.(a) good.(b)
-  | Fault.Gate_oxide_short (id, polarity) ->
-    if polarity then good.(id) else Int64.lognot good.(id)
-  | Fault.Floating_gate _ -> Int64.minus_one
-
 let measurable p (inj : Fault.injected) =
   let ch = Partition.charac p in
   let c = Charac.circuit ch in
@@ -30,35 +23,6 @@ let measurable p (inj : Fault.injected) =
   Partition.leakage p m +. inj.Fault.defect_current
   >= tech.Technology.iddq_threshold
 
-let parallel_ranges ~domains n f =
-  let d = Stdlib.max 1 (Stdlib.min domains n) in
-  if d <= 1 then begin
-    if n > 0 then f 0 n
-  end
-  else begin
-    let per = (n + d - 1) / d in
-    let spawned =
-      List.init (d - 1) (fun i ->
-          let lo = (i + 1) * per in
-          let hi = Stdlib.min n (lo + per) in
-          Domain.spawn (fun () -> if lo < hi then f lo hi))
-    in
-    f 0 (Stdlib.min n per);
-    List.iter Domain.join spawned
-  end
-
-let good_values ?(domains = 1) ?metrics c packed =
-  let nb = P.num_blocks packed in
-  let goods = Array.make nb [||] in
-  parallel_ranges ~domains nb (fun lo hi ->
-      for b = lo to hi - 1 do
-        goods.(b) <- P.eval c (P.block packed b)
-      done);
-  Option.iter
-    (fun m -> Metrics.record_fault_sim m ~blocks:nb ~fault_blocks:0 ~dropped:0)
-    metrics;
-  goods
-
 (* Good-machine words for every block in one flat GC-opaque buffer,
    {e node-major}: node [id]'s word for block [b] at
    [id * num_blocks + b].  The striped levelized kernel fills it [W]
@@ -66,19 +30,13 @@ let good_values ?(domains = 1) ?metrics c packed =
    fault sweep below a contiguous per-row scan.  Stripes (and level
    slices) write disjoint regions — the shared buffer is each
    domain's scratch. *)
-let good_values_flat ?(domains = 1) ?metrics ?pool ?stripe c packed =
+let good_values ?metrics ~pool c packed =
   let nb = P.num_blocks packed in
-  let n = Circuit.num_nodes c in
   let goods : P.ba =
-    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (nb * n)
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
+      (nb * Circuit.num_nodes c)
   in
-  (match pool with
-  | Some pool -> P.eval_all_into ~pool ?stripe c packed ~dst:goods
-  | None ->
-    if domains <= 1 then P.eval_all_into ?stripe c packed ~dst:goods
-    else
-      Domain_pool.with_pool ~domains (fun pool ->
-          P.eval_all_into ~pool ?stripe c packed ~dst:goods));
+  P.eval_all_into ~pool c packed ~dst:goods;
   Option.iter
     (fun m -> Metrics.record_fault_sim m ~blocks:nb ~fault_blocks:0 ~dropped:0)
     metrics;
@@ -125,11 +83,15 @@ let sweep_floating_row row ~nb ~masks =
 (* Faults are scheduled as round-robin chunks over the pool rather
    than fixed per-domain ranges: fault dropping (and the measurable
    filter) makes per-fault cost wildly uneven, and a domain whose
-   static range emptied early used to idle.  Chunks small enough to
+   static range emptied early would idle.  Chunks small enough to
    rebalance, large enough that one atomic claim amortizes. *)
 let fault_chunk = 64
 
-let chunk_count nf = (nf + fault_chunk - 1) / fault_chunk
+let run_fault_chunks pool nf f =
+  Domain_pool.run pool ~chunks:((nf + fault_chunk - 1) / fault_chunk)
+    (fun ch ->
+      let lo = ch * fault_chunk in
+      f lo (Stdlib.min nf (lo + fault_chunk)))
 
 (* Full matrix: every measurable fault visits every block (no
    dropping — callers want the complete detection sets).  Writes are
@@ -138,7 +100,7 @@ let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
     ~faults =
   Domain_pool.with_pool ~domains @@ fun pool ->
   let packed = P.pack_all vectors in
-  let goods = good_values_flat ~pool ?metrics c packed in
+  let goods = good_values ?metrics ~pool c packed in
   let faults = Array.of_list faults in
   let nf = Array.length faults in
   let nb = P.num_blocks packed in
@@ -147,9 +109,7 @@ let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
   let rows = Array.init nf (fun _ -> Bitvec.create nv) in
   let fault_blocks = Atomic.make 0 in
   let steals =
-    Domain_pool.run pool ~chunks:(chunk_count nf) (fun ch ->
-        let lo = ch * fault_chunk in
-        let hi = Stdlib.min nf (lo + fault_chunk) in
+    run_fault_chunks pool nf (fun lo hi ->
         let fb = ref 0 in
         for f = lo to hi - 1 do
           let inj = faults.(f) in
@@ -179,7 +139,7 @@ let first_detections_with ?(domains = 1) ?metrics c ~measurable ~vectors
     ~faults =
   Domain_pool.with_pool ~domains @@ fun pool ->
   let packed = P.pack_all vectors in
-  let goods = good_values_flat ~pool ?metrics c packed in
+  let goods = good_values ?metrics ~pool c packed in
   let faults = Array.of_list faults in
   let nf = Array.length faults in
   let nb = P.num_blocks packed in
@@ -206,9 +166,7 @@ let first_detections_with ?(domains = 1) ?metrics c ~measurable ~vectors
   let first = Array.make nf (-1) in
   let fault_blocks = Atomic.make 0 and dropped = Atomic.make 0 in
   let steals =
-    Domain_pool.run pool ~chunks:(chunk_count nf) (fun ch ->
-        let lo = ch * fault_chunk in
-        let hi = Stdlib.min nf (lo + fault_chunk) in
+    run_fault_chunks pool nf (fun lo hi ->
         let fb = ref 0 and dr = ref 0 in
         for f = lo to hi - 1 do
           let inj = faults.(f) in
@@ -237,40 +195,22 @@ let first_detections_with ?(domains = 1) ?metrics c ~measurable ~vectors
     metrics;
   first
 
-(* The pre-CSR packed engine, verbatim: boxed per-block node words via
-   {!P.eval}, one [activation_word] per (fault, block).  Kept as the
-   oracle the flat kernel is differentially pinned to (tests and the
-   [kernels] bench). *)
-let detection_matrix_boxed_with ?(domains = 1) ?metrics c ~measurable ~vectors
-    ~faults =
-  let packed = P.pack_all vectors in
-  let goods = good_values ~domains ?metrics c packed in
-  let faults = Array.of_list faults in
-  let nf = Array.length faults in
-  let nb = P.num_blocks packed in
-  let nv = P.n_vectors packed in
-  let rows = Array.init nf (fun _ -> Bitvec.create nv) in
-  parallel_ranges ~domains nf (fun lo hi ->
-      let fault_blocks = ref 0 in
-      for f = lo to hi - 1 do
-        let inj = faults.(f) in
-        if measurable inj then begin
-          let row = rows.(f) in
-          for b = 0 to nb - 1 do
-            Bitvec.set_word row b
-              (Int64.logand
-                 (activation_word inj.Fault.fault ~good:goods.(b))
-                 (P.block_mask packed b))
-          done;
-          fault_blocks := !fault_blocks + nb
-        end
-      done;
-      Option.iter
-        (fun m ->
-          Metrics.record_fault_sim m ~blocks:0 ~fault_blocks:!fault_blocks
-            ~dropped:0)
-        metrics);
-  { n_vectors = nv; rows }
+(* The original vector-at-a-time path, verbatim semantics: one full
+   logic simulation per vector, one activation query per (fault,
+   vector).  The differential tests pin the packed engine to this. *)
+let detection_matrix_scalar_with c ~measurable ~vectors ~faults =
+  let evaluated = Array.map (Logic_sim.eval c) vectors in
+  let nv = Array.length vectors in
+  let row (inj : Fault.injected) =
+    let row = Bitvec.create nv in
+    if measurable inj then
+      Array.iteri
+        (fun v values ->
+          if Fault.activated c inj.Fault.fault values then Bitvec.set row v)
+        evaluated;
+    row
+  in
+  { n_vectors = nv; rows = Array.of_list (List.map row faults) }
 
 let circuit_of p = Charac.circuit (Partition.charac p)
 
@@ -278,31 +218,9 @@ let detection_matrix ?domains ?metrics p ~vectors ~faults =
   detection_matrix_with ?domains ?metrics (circuit_of p)
     ~measurable:(measurable p) ~vectors ~faults
 
-let detection_matrix_boxed ?domains ?metrics p ~vectors ~faults =
-  detection_matrix_boxed_with ?domains ?metrics (circuit_of p)
-    ~measurable:(measurable p) ~vectors ~faults
-
 let first_detections ?domains ?metrics p ~vectors ~faults =
   first_detections_with ?domains ?metrics (circuit_of p)
     ~measurable:(measurable p) ~vectors ~faults
 
-(* The original vector-at-a-time path, verbatim semantics: one full
-   logic simulation per vector, one activation query per (fault,
-   vector).  The differential tests pin the packed engine to this. *)
-let detection_matrix_scalar p ~vectors ~faults =
-  let c = circuit_of p in
-  let evaluated = Array.map (Logic_sim.eval c) vectors in
-  let nv = Array.length vectors in
-  let rows =
-    List.map
-      (fun (inj : Fault.injected) ->
-        let row = Bitvec.create nv in
-        if measurable p inj then
-          Array.iteri
-            (fun v values ->
-              if Fault.activated c inj.Fault.fault values then Bitvec.set row v)
-            evaluated;
-        row)
-      faults
-  in
-  { n_vectors = nv; rows = Array.of_list rows }
+let detection_matrix_scalar p =
+  detection_matrix_scalar_with (circuit_of p) ~measurable:(measurable p)

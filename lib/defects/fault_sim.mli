@@ -9,24 +9,26 @@
 
     - the vector set is packed {e once} into 64-wide blocks
       ({!Iddq_patterns.Parallel_sim.pack_all});
-    - the {e good machine} is evaluated once per block and shared
-      across all faults — IDDQ activation needs no faulty
-      re-simulation, every defect model reduces to pure [Int64] word
-      operations over good-machine node words (a bridge activates
-      where the two nets differ: one [XOR]; a gate-oxide short where
-      the node carries the short's polarity: the node word or its
-      complement; a floating gate everywhere: the block mask);
+    - the {e good machine} is evaluated once for all blocks by the
+      striped levelized kernel into one node-major buffer
+      ({!good_values}) and shared across all faults — IDDQ activation
+      needs no faulty re-simulation, every defect model reduces to
+      pure [Int64] word operations over good-machine node words (a
+      bridge activates where the two nets differ: one [XOR]; a
+      gate-oxide short where the node carries the short's polarity:
+      the node word or its complement; a floating gate everywhere: the
+      block mask);
     - {e fault dropping}: a detected fault never touches another
       block;
     - fault chunks are claimed round-robin off one atomic index by a
       reusable {!Iddq_util.Domain_pool} (work stealing: dropping makes
-      per-fault cost uneven, and a domain whose static range emptied
-      early used to idle — the rebalanced chunks are counted as
+      per-fault cost uneven — the rebalanced chunks are counted as
       [steals] in {!Metrics}), the good machine being shared
       read-only.
 
-    The scalar path survives as {!detection_matrix_scalar}, the
-    reference oracle for the differential tests. *)
+    This flat engine is the only packed one.  The vector-at-a-time
+    path survives as {!detection_matrix_scalar_with}, the reference
+    oracle for the differential tests. *)
 
 module Bitvec = Iddq_util.Bitvec
 module Metrics = Iddq_util.Metrics
@@ -40,43 +42,32 @@ type matrix = {
 
 val equal : matrix -> matrix -> bool
 
-val activation_word : Fault.t -> good:int64 array -> int64
-(** Bit [k] set iff the defect draws current under vector [k] of the
-    block, given the good-machine node words.  The caller masks with
-    the block's active mask. *)
-
 val measurable : Iddq_core.Partition.t -> Fault.injected -> bool
 (** Does the defect current, on top of its module's fault-free
     leakage, reach the technology's IDDQ threshold at that module's
     sensor? *)
 
 val good_values :
-  ?domains:int ->
   ?metrics:Metrics.t ->
-  Iddq_netlist.Circuit.t ->
-  Iddq_patterns.Parallel_sim.packed ->
-  int64 array array
-(** Good-machine node words for every block, evaluated in parallel
-    over the [Domain] pool, in the boxed pre-CSR representation.
-    Shared read-only by all fault chunks (also by
-    {!Stuck_at.fault_simulate}). *)
-
-val good_values_flat :
-  ?domains:int ->
-  ?metrics:Metrics.t ->
-  ?pool:Iddq_util.Domain_pool.t ->
-  ?stripe:int ->
+  pool:Iddq_util.Domain_pool.t ->
   Iddq_netlist.Circuit.t ->
   Iddq_patterns.Parallel_sim.packed ->
   Iddq_patterns.Parallel_sim.ba
-(** The flat-kernel good machine: one GC-opaque {e node-major} buffer
-    holding node [id]'s word for block [b] at [id * num_blocks + b],
-    filled by the striped levelized kernel
-    ({!Iddq_patterns.Parallel_sim.eval_all_into} — [stripe] words per
-    gate visit, levels split over [pool] when given, else over a
-    transient [domains]-wide pool).  The layout makes every fault
-    sweep a contiguous per-node row scan.  What {!detection_matrix}
-    and {!first_detections} run on. *)
+(** The good machine: one GC-opaque {e node-major} buffer holding
+    node [id]'s word for block [b] at [id * num_blocks + b], filled by
+    the striped levelized kernel
+    ({!Iddq_patterns.Parallel_sim.eval_all_into}, levels or stripes
+    split over [pool]).  The layout makes every fault sweep a
+    contiguous per-node row scan.  What {!detection_matrix},
+    {!first_detections} and {!Stuck_at.fault_simulate} run on. *)
+
+val run_fault_chunks :
+  Iddq_util.Domain_pool.t -> int -> (int -> int -> unit) -> int
+(** [run_fault_chunks pool n f] runs [f lo hi] over [0 .. n - 1] cut
+    into fixed-size fault chunks claimed round-robin by [pool]'s
+    participants, and returns {!Iddq_util.Domain_pool.run}'s steal
+    count.  [f] must only write state disjoint per chunk.  The fault
+    scheduler of this module and of {!Stuck_at}. *)
 
 (** {1 Partition-thresholded entry points}
 
@@ -128,44 +119,24 @@ val first_detections_with :
   faults:Fault.injected list ->
   int array
 
-(** {1 Reference oracles} *)
+(** {1 Reference oracle} *)
 
-val detection_matrix_boxed :
-  ?domains:int ->
-  ?metrics:Metrics.t ->
-  Iddq_core.Partition.t ->
-  vectors:bool array array ->
-  faults:Fault.injected list ->
-  matrix
-(** The pre-CSR packed engine, verbatim: boxed per-block node words,
-    {!activation_word} per (fault, block).  Bit-identical to
-    {!detection_matrix} by construction — kept as the differential
-    oracle and the [bench kernels] baseline. *)
-
-val detection_matrix_boxed_with :
-  ?domains:int ->
-  ?metrics:Metrics.t ->
+val detection_matrix_scalar_with :
   Iddq_netlist.Circuit.t ->
   measurable:(Fault.injected -> bool) ->
   vectors:bool array array ->
   faults:Fault.injected list ->
   matrix
-(** {!detection_matrix_boxed} under an arbitrary measurability
-    predicate (the circuit-level form the [kernels] bench times the
-    flat engine against). *)
+(** Vector-at-a-time {!Iddq_patterns.Logic_sim.eval} +
+    {!Fault.activated} under an arbitrary measurability predicate —
+    bit-for-bit what the packed engine must reproduce: the
+    differential-test oracle, also checked against by the [kernels]
+    experiment and timed against by [faultsim]. *)
 
 val detection_matrix_scalar :
   Iddq_core.Partition.t ->
   vectors:bool array array ->
   faults:Fault.injected list ->
   matrix
-(** Vector-at-a-time {!Iddq_patterns.Logic_sim.eval} +
-    {!Fault.activated} — bit-for-bit what the packed engine must
-    reproduce.  Kept (and benchmarked against, see the [faultsim]
-    experiment) as the differential-test oracle. *)
-
-val parallel_ranges : domains:int -> int -> (int -> int -> unit) -> unit
-(** [parallel_ranges ~domains n f] splits [0..n-1] into contiguous
-    chunks and runs [f lo hi] on each, one chunk per [Domain] (the
-    calling domain takes the first).  [f] must only write disjoint
-    state per chunk.  Exposed for {!Stuck_at} and the benches. *)
+(** {!detection_matrix_scalar_with} under the partition's
+    {!measurable}. *)

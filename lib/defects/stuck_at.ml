@@ -87,51 +87,69 @@ type sim_result = {
   first_vector : int array;
 }
 
-(* Bit-parallel (64 vectors per pass) serial fault simulation with
-   fault dropping: the vector set is packed once, the good machine is
-   shared across all faults ({!Fault_sim.good_values}), and fault
-   chunks are distributed over a [Domain] pool. *)
-let fault_simulate ?(domains = 1) ?metrics c ~vectors ~faults =
+(* Bit-parallel (64 vectors per pass) serial fault simulation: the
+   vector set is packed once, the node-major good machine is built
+   once on the pool ({!Fault_sim.good_values}) and shared read-only,
+   and fault chunks are claimed off the same pool
+   ({!Fault_sim.run_fault_chunks}).  Each fault re-simulates its
+   faulty machine per block; [visit f diff] walks fault [f]'s blocks
+   through [diff b] — the block's output-difference word, masked to
+   its real vectors — and returns the blocks it visited and whether
+   it dropped the fault. *)
+let simulate ?(domains = 1) ?metrics c ~vectors ~faults visit =
   let module P = Iddq_patterns.Parallel_sim in
   let module Metrics = Iddq_util.Metrics in
-  let fault_arr = Array.of_list faults in
-  let nf = Array.length fault_arr in
-  let first_vector = Array.make nf (-1) in
+  let faults = Array.of_list faults in
+  Iddq_util.Domain_pool.with_pool ~domains @@ fun pool ->
   let packed = P.pack_all vectors in
   let nb = P.num_blocks packed in
-  let goods = Fault_sim.good_values ~domains ?metrics c packed in
-  Fault_sim.parallel_ranges ~domains nf (fun lo hi ->
-      let fault_blocks = ref 0 and dropped = ref 0 in
-      for f = lo to hi - 1 do
-        let fault = fault_arr.(f) in
-        (* dropping: stop at the first detecting block *)
-        let rec scan b =
-          if b < nb then begin
-            incr fault_blocks;
-            let words = P.block packed b in
-            let bad =
-              match fault with
-              | Stem (node, value) -> P.eval_with_stuck_node c ~node ~value words
-              | Pin { gate; pin; value } ->
-                P.eval_with_stuck_pin c ~gate ~pin ~value words
-            in
-            let diff =
-              Int64.logand (P.output_diff c goods.(b) bad) (P.block_mask packed b)
-            in
-            if diff <> 0L then begin
-              first_vector.(f) <- (b * 64) + Iddq_util.Bitvec.ctz64 diff;
-              incr dropped
-            end
-            else scan (b + 1)
+  let goods = Fault_sim.good_values ?metrics ~pool c packed in
+  let diff fault b =
+    let words = P.block packed b in
+    let bad =
+      match fault with
+      | Stem (node, value) -> P.eval_with_stuck_node c ~node ~value words
+      | Pin { gate; pin; value } ->
+        P.eval_with_stuck_pin c ~gate ~pin ~value words
+    in
+    Int64.logand
+      (P.output_diff c ~good:goods ~stride:nb ~block:b bad)
+      (P.block_mask packed b)
+  in
+  let fault_blocks = Atomic.make 0 and dropped = Atomic.make 0 in
+  let steals =
+    Fault_sim.run_fault_chunks pool (Array.length faults) (fun lo hi ->
+        let fb = ref 0 and dr = ref 0 in
+        for f = lo to hi - 1 do
+          let visited, drop = visit f ~nb (diff faults.(f)) in
+          fb := !fb + visited;
+          if drop then incr dr
+        done;
+        ignore (Atomic.fetch_and_add fault_blocks !fb);
+        ignore (Atomic.fetch_and_add dropped !dr))
+  in
+  Option.iter
+    (fun m ->
+      Metrics.record_fault_sim ~steals m ~blocks:0
+        ~fault_blocks:(Atomic.get fault_blocks) ~dropped:(Atomic.get dropped))
+    metrics
+
+(* Fault dropping: stop at the first detecting block. *)
+let fault_simulate ?domains ?metrics c ~vectors ~faults =
+  let nf = List.length faults in
+  let first_vector = Array.make nf (-1) in
+  simulate ?domains ?metrics c ~vectors ~faults (fun f ~nb diff ->
+      let rec scan b =
+        if b >= nb then (nb, false)
+        else
+          let d = diff b in
+          if d <> 0L then begin
+            first_vector.(f) <- (b * 64) + Iddq_util.Bitvec.ctz64 d;
+            (b + 1, true)
           end
-        in
-        scan 0
-      done;
-      Option.iter
-        (fun m ->
-          Metrics.record_fault_sim m ~blocks:0 ~fault_blocks:!fault_blocks
-            ~dropped:!dropped)
-        metrics);
+          else scan (b + 1)
+      in
+      scan 0);
   let detected =
     Array.fold_left (fun acc v -> if v >= 0 then acc + 1 else acc) 0 first_vector
   in
@@ -149,38 +167,15 @@ let undetected ?domains ?metrics c ~vectors ~faults =
 (* The full matrix (no dropping — every detecting vector of every
    fault), the stuck-at counterpart of {!Fault_sim.detection_matrix}:
    what the test-set minimizers ({!Coverage}) run on. *)
-let detection_matrix ?(domains = 1) ?metrics c ~vectors ~faults =
-  let module P = Iddq_patterns.Parallel_sim in
-  let module Metrics = Iddq_util.Metrics in
-  let fault_arr = Array.of_list faults in
-  let nf = Array.length fault_arr in
+let detection_matrix ?domains ?metrics c ~vectors ~faults =
   let nv = Array.length vectors in
-  let rows = Array.init nf (fun _ -> Iddq_util.Bitvec.create nv) in
-  let packed = P.pack_all vectors in
-  let nb = P.num_blocks packed in
-  let goods = Fault_sim.good_values ~domains ?metrics c packed in
-  Fault_sim.parallel_ranges ~domains nf (fun lo hi ->
-      let fault_blocks = ref 0 in
-      for f = lo to hi - 1 do
-        let fault = fault_arr.(f) in
-        for b = 0 to nb - 1 do
-          incr fault_blocks;
-          let words = P.block packed b in
-          let bad =
-            match fault with
-            | Stem (node, value) -> P.eval_with_stuck_node c ~node ~value words
-            | Pin { gate; pin; value } ->
-              P.eval_with_stuck_pin c ~gate ~pin ~value words
-          in
-          let diff =
-            Int64.logand (P.output_diff c goods.(b) bad) (P.block_mask packed b)
-          in
-          if diff <> 0L then Iddq_util.Bitvec.set_word rows.(f) b diff
-        done
+  let rows =
+    Array.of_list (List.map (fun _ -> Iddq_util.Bitvec.create nv) faults)
+  in
+  simulate ?domains ?metrics c ~vectors ~faults (fun f ~nb diff ->
+      for b = 0 to nb - 1 do
+        let d = diff b in
+        if d <> 0L then Iddq_util.Bitvec.set_word rows.(f) b d
       done;
-      Option.iter
-        (fun m ->
-          Metrics.record_fault_sim m ~blocks:0 ~fault_blocks:!fault_blocks
-            ~dropped:0)
-        metrics);
+      (nb, false));
   { Fault_sim.n_vectors = nv; rows }

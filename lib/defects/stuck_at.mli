@@ -49,9 +49,11 @@ val fault_simulate :
   faults:fault list ->
   sim_result
 (** 64-way bit-parallel serial fault simulation with fault dropping (a
-    detected fault is not re-simulated): vectors packed once, the good
-    machine shared across faults, fault chunks over [domains] (default
-    1) [Domain]s. *)
+    detected fault is not re-simulated): vectors packed once, the
+    node-major good machine ({!Fault_sim.good_values}) shared across
+    faults, the faulty machine re-simulated per (fault, block), fault
+    chunks claimed over a [domains]-wide (default 1)
+    {!Iddq_util.Domain_pool}. *)
 
 val undetected :
   ?domains:int ->

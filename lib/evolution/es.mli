@@ -21,7 +21,8 @@ type params = {
           best cost ("until the results converged", §5.1). *)
   domains : int;
       (** Domains used to evaluate offspring costs in parallel (the
-          μ·(λ+χ) candidates of a generation are independent).  All
+          μ·(λ+χ) candidates of a generation are independent), on one
+          {!Iddq_util.Domain_pool} opened for the whole run.  All
           rng draws (copying and mutating) stay on the calling domain
           in a fixed order, so the run is deterministic and identical
           for every value of [domains].  With [domains > 1] the

@@ -34,7 +34,7 @@ type t = {
 
 (** {1 Configuration} *)
 
-type config = {
+type config = private {
   library : Iddq_celllib.Library.t;
   weights : Iddq_core.Cost.weights;
   es_params : Iddq_evolution.Es.params;
@@ -52,11 +52,8 @@ type config = {
           concurrent campaign its own instance so its counters are not
           polluted by jobs running in other domains. *)
 }
-(** @deprecated Building or updating this record directly
-    ([{ default_config with ... }]) is deprecated in favour of the
-    {!val-config} builder: record updates break silently when a field
-    is added, while the builder keeps every omitted field at its
-    default.  The type stays exposed so existing callers compile. *)
+(** Read-only outside this module: build one with the {!val-config}
+    builder, which keeps every omitted field at its default. *)
 
 val config :
   ?library:Iddq_celllib.Library.t ->

@@ -90,7 +90,7 @@ let eval_word kind words =
   | Gate.Buff -> words.(0)
 
 (* ------------------------------------------------------------------ *)
-(* Boxed evaluation (reference path)                                   *)
+(* Boxed evaluation (test reference, stuck-at faulty machine)         *)
 (* ------------------------------------------------------------------ *)
 
 let eval_internal c packed_inputs ~stuck ~stuck_pin =
@@ -130,123 +130,17 @@ let eval_with_stuck_node c ~node ~value packed_inputs =
 let eval_with_stuck_pin c ~gate ~pin ~value packed_inputs =
   eval_internal c packed_inputs ~stuck:None ~stuck_pin:(Some (gate, pin, value))
 
-let output_diff c good bad =
+let output_diff c ~(good : ba) ~stride ~block bad =
   Array.fold_left
-    (fun acc id -> Int64.logor acc (Int64.logxor good.(id) bad.(id)))
+    (fun acc id ->
+      Int64.logor acc
+        (Int64.logxor
+           (Bigarray.Array1.get good ((id * stride) + block))
+           bad.(id)))
     0L (Circuit.outputs c)
 
 (* ------------------------------------------------------------------ *)
-(* Flat CSR evaluation (hot path)                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The whole loop is fused loads / [Int64] intrinsics / stores in
-   single expressions: on the non-flambda compiler that is what keeps
-   every intermediate word unboxed, so one block costs zero minor
-   words (asserted by the kernel tests).  Gate dispatch is a byte read
-   from the CSR kind array; fanin folds are read-modify-write against
-   the destination cell.
-
-   The gate loop walks the circuit's levelized [order] (level-major,
-   any topological order is equivalent serially) rather than raw id
-   order: the same traversal the striped and domain-parallel drivers
-   below slice up, so all flat kernels share one schedule. *)
-let eval_block_order_into c ~order p ~block ~(dst : ba) ~off =
-  if block < 0 || block >= Array.length p.blocks then
-    invalid_arg "Parallel_sim.eval_block_into: bad block";
-  let n = Circuit.num_nodes c in
-  let ni = Circuit.num_inputs c in
-  if p.n_inputs <> ni then
-    invalid_arg "Parallel_sim.eval_block_into: input word count mismatch";
-  if off < 0 || off + n > Bigarray.Array1.dim dst then
-    invalid_arg "Parallel_sim.eval_block_into: destination too small";
-  let words = p.words in
-  let base = block * ni in
-  for i = 0 to ni - 1 do
-    Bigarray.Array1.unsafe_set dst (off + i)
-      (Bigarray.Array1.unsafe_get words (base + i))
-  done;
-  let kinds = Circuit.Csr.kinds c in
-  let offsets = Circuit.Csr.fanin_offsets c in
-  let targets = Circuit.Csr.fanin_targets c in
-  for g = 0 to Array.length order - 1 do
-    let id = Array.unsafe_get order g in
-    let s = Array.unsafe_get offsets id in
-    let e = Array.unsafe_get offsets (id + 1) in
-    let code = Char.code (Bytes.unsafe_get kinds id) in
-    (* a zero-fanin gate would make the fold read out of bounds (the
-       boxed [eval_word] rejects it as a bad arity) *)
-    if e <= s then
-      invalid_arg "Parallel_sim.eval_block_into: gate with no fanins";
-    (match code with
-    | 0 | 1 ->
-      (* And / Nand *)
-      Bigarray.Array1.unsafe_set dst (off + id)
-        (Bigarray.Array1.unsafe_get dst (off + Array.unsafe_get targets s));
-      for k = s + 1 to e - 1 do
-        Bigarray.Array1.unsafe_set dst (off + id)
-          (Int64.logand
-             (Bigarray.Array1.unsafe_get dst (off + id))
-             (Bigarray.Array1.unsafe_get dst
-                (off + Array.unsafe_get targets k)))
-      done
-    | 2 | 3 ->
-      (* Or / Nor *)
-      Bigarray.Array1.unsafe_set dst (off + id)
-        (Bigarray.Array1.unsafe_get dst (off + Array.unsafe_get targets s));
-      for k = s + 1 to e - 1 do
-        Bigarray.Array1.unsafe_set dst (off + id)
-          (Int64.logor
-             (Bigarray.Array1.unsafe_get dst (off + id))
-             (Bigarray.Array1.unsafe_get dst
-                (off + Array.unsafe_get targets k)))
-      done
-    | 4 | 5 ->
-      (* Xor / Xnor *)
-      Bigarray.Array1.unsafe_set dst (off + id)
-        (Bigarray.Array1.unsafe_get dst (off + Array.unsafe_get targets s));
-      for k = s + 1 to e - 1 do
-        Bigarray.Array1.unsafe_set dst (off + id)
-          (Int64.logxor
-             (Bigarray.Array1.unsafe_get dst (off + id))
-             (Bigarray.Array1.unsafe_get dst
-                (off + Array.unsafe_get targets k)))
-      done
-    | 6 ->
-      (* Not *)
-      Bigarray.Array1.unsafe_set dst (off + id)
-        (Int64.lognot
-           (Bigarray.Array1.unsafe_get dst (off + Array.unsafe_get targets s)))
-    | _ ->
-      (* Buff *)
-      Bigarray.Array1.unsafe_set dst (off + id)
-        (Bigarray.Array1.unsafe_get dst (off + Array.unsafe_get targets s)));
-    (* the inverting kinds share the fold above; flip in place *)
-    if code = 1 || code = 3 || code = 5 then
-      Bigarray.Array1.unsafe_set dst (off + id)
-        (Int64.lognot (Bigarray.Array1.unsafe_get dst (off + id)))
-  done
-
-let eval_block_into c p ~block ~(dst : ba) ~off =
-  let sched = Level_schedule.of_circuit c in
-  eval_block_order_into c ~order:(Level_schedule.order sched) p ~block ~dst ~off
-
-type scratch = { values : ba; order : int array }
-
-let create_scratch c =
-  {
-    values = ba_create (Circuit.num_nodes c);
-    order = Level_schedule.order (Level_schedule.of_circuit c);
-  }
-
-let scratch_values s = s.values
-
-let eval_block c s p ~block =
-  if Bigarray.Array1.dim s.values < Circuit.num_nodes c then
-    invalid_arg "Parallel_sim.eval_block: scratch sized for another circuit";
-  eval_block_order_into c ~order:s.order p ~block ~dst:s.values ~off:0
-
-(* ------------------------------------------------------------------ *)
-(* Striped levelized evaluation                                        *)
+(* Flat striped levelized evaluation (hot path)                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Node-major striping: the value matrix holds [stride] consecutive
@@ -254,8 +148,11 @@ let eval_block c s p ~block =
    visit evaluates [width] consecutive blocks.  One CSR traversal —
    dispatch byte, fanin indices, bounds — is amortized over [width]
    words, and every fanin read is a contiguous [width]-word run: at
-   width 8 exactly one 64-byte cache line, fully used, where the
-   block-at-a-time kernel uses 8 bytes per line touched. *)
+   width 8 exactly one 64-byte cache line, fully used, where a
+   width-1 stripe uses 8 bytes per line touched.  The loops are fused
+   loads / [Int64] intrinsics / stores in single expressions: on the
+   non-flambda compiler that is what keeps every intermediate word
+   unboxed, so an evaluation costs zero minor words. *)
 
 let seed_inputs_striped c p ~block0 ~width ~stride ~(dst : ba) =
   let ni = Circuit.num_inputs c in

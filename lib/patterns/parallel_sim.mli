@@ -51,11 +51,13 @@ val block_mask : packed -> int -> int64
 (** {1 Flat GC-free kernel}
 
     The hot path: packed blocks live in one block-major [Bigarray] of
-    [int64] words, gate evaluation walks the circuit's CSR arrays, and
-    a preallocated scratch holds the node words — a block evaluates
-    with {e zero} minor-heap allocation (asserted by the kernel
-    tests).  Scratch ownership: one scratch per domain; the engine
-    never shares a scratch across concurrent evaluations. *)
+    [int64] words, and the striped levelized kernels below walk the
+    circuit's CSR arrays in {!Iddq_netlist.Level_schedule} order,
+    writing node words into a caller-owned node-major [Bigarray] — a
+    full evaluation allocates {e zero} minor-heap words (asserted by
+    the kernel tests).  The boxed {!eval} below stays as the reference
+    the kernels are tested against and as the stuck-at faulty
+    machine. *)
 
 type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The word-buffer type every flat kernel trades in. *)
@@ -64,30 +66,6 @@ val packed_words : packed -> ba
 (** The packed input words, flattened block-major: block [b]'s word
     for input [i] sits at [b * num_inputs + i].  Borrowed — do not
     mutate. *)
-
-val eval_block_into : Iddq_netlist.Circuit.t -> packed -> block:int -> dst:ba -> off:int -> unit
-(** [eval_block_into c p ~block ~dst ~off] evaluates one packed block
-    and writes one word per node into [dst.(off) ..
-    dst.(off + num_nodes - 1)].  Gates are visited in the circuit's
-    cached {!Iddq_netlist.Level_schedule} order (one cache probe per
-    call; the gate loop itself is allocation-free).  Raises
-    [Invalid_argument] on a bad block index, an input-width mismatch,
-    a too-small destination, or a zero-fanin gate. *)
-
-type scratch
-(** Preallocated per-domain node-word buffer (plus the circuit's
-    levelized order, resolved once at creation). *)
-
-val create_scratch : Iddq_netlist.Circuit.t -> scratch
-val eval_block : Iddq_netlist.Circuit.t -> scratch -> packed -> block:int -> unit
-(** {!eval_block_into} at offset 0 of the scratch's buffer.
-    Allocation-free: the scratch carries the schedule, so no cache
-    probe. *)
-
-val scratch_values : scratch -> ba
-(** The scratch buffer (one word per node after {!eval_block}).
-    Borrowed — valid until the next {!eval_block} on the same
-    scratch. *)
 
 (** {1 Striped levelized kernels}
 
@@ -194,6 +172,17 @@ val eval_with_stuck_pin :
 (** Faulty evaluation with one gate input pin stuck ([gate] is the
     node id of the reading gate). *)
 
-val output_diff : Iddq_netlist.Circuit.t -> int64 array -> int64 array -> int64
-(** OR over the primary outputs of (good XOR faulty): bit [k] set iff
-    vector [k] exposes a difference at some output. *)
+val output_diff :
+  Iddq_netlist.Circuit.t ->
+  good:ba ->
+  stride:int ->
+  block:int ->
+  int64 array ->
+  int64
+(** [output_diff c ~good ~stride ~block bad] is the OR over the primary
+    outputs of (good XOR faulty) for one block: the good words come
+    from the node-major matrix [good] (node [id] at
+    [id * stride + block], as {!eval_all_into} fills it with [stride =
+    num_blocks]), the faulty ones from [bad] (one word per node, as
+    {!eval_with_stuck_node} returns).  Bit [k] set iff vector [k] of
+    the block exposes a difference at some output. *)

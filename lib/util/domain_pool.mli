@@ -1,16 +1,18 @@
 (** A small reusable pool of worker domains with work-stealing chunk
-    scheduling.
+    scheduling — the library's one compute scheduler.
 
-    [Fault_sim] used to split work into [domains] fixed-size
-    contiguous ranges, one [Domain.spawn] per range per call — fine
-    for one balanced sweep, wasteful for a levelized evaluation that
-    needs a barrier per circuit level (a spawn per level) and unfair
-    for fault sweeps where fault dropping empties some ranges early.
-    This pool spawns its workers {e once}; each {!run} publishes a job
+    The pool spawns its workers {e once}; each {!run} publishes a job
     of [chunks] indivisible chunks that the caller and every worker
-    claim round-robin off one [Atomic] index until none remain, which
-    is both the per-level barrier (a {!run} per level) and the
-    work-stealing fault scheduler (a chunk per fault batch).
+    claim round-robin off one [Atomic] index until none remain.  That
+    one primitive serves every parallel loop: the per-level barrier of
+    the levelized good machine (a {!run} per level), the
+    work-stealing fault scheduler of the IDDQ and stuck-at fault
+    simulators (a chunk per fault batch — fault dropping makes
+    per-fault cost uneven, so fixed ranges would idle), the offspring
+    costs of one evolution-strategy generation (a pool per run, a
+    {!run} per generation), and long-lived worker crews (the campaign
+    runner and the server: one {!run} whose chunks are the worker
+    loops).
 
     A pool is owned by one orchestrating caller: concurrent {!run}
     calls on the same pool are not allowed.  The job function must

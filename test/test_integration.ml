@@ -8,14 +8,12 @@ module Charac = Iddq_analysis.Charac
 module Iscas = Iddq_netlist.Iscas
 module Circuit = Iddq_netlist.Circuit
 module Es = Iddq_evolution.Es
-module Rng = Iddq_util.Rng
 
 let fast_config =
-  {
-    Pipeline.default_config with
-    Pipeline.es_params =
-      { Es.default_params with Es.max_generations = 30; stall_generations = 30 };
-  }
+  Pipeline.config
+    ~es_params:
+      { Es.default_params with Es.max_generations = 30; stall_generations = 30 }
+    ()
 
 let test_pipeline_partition_io_cost_stable () =
   (* synthesize -> save -> reload -> identical cost *)
@@ -64,9 +62,11 @@ let test_resynth_composes_with_pipeline () =
 
 let test_atpg_vectors_feed_iddq_sim () =
   let circuit = Iscas.c17 () in
-  let rng = Rng.create 7 in
-  let faults = Iddq_defects.Stuck_at.collapsed_fault_list circuit in
-  let atpg = Iddq_atpg.Podem.complete_set ~rng circuit faults in
+  let atpg =
+    Iddq_atpg.Atpg.run_exn
+      ~config:(Iddq_atpg.Atpg.config ~seed:7 ~random_vectors:0 ())
+      circuit
+  in
   let ch = Charac.make ~library:Iddq_celllib.Library.default circuit in
   let p = Partition.create ch ~assignment:[| 0; 1; 0; 1; 0; 1 |] in
   let defects =
@@ -80,7 +80,7 @@ let test_atpg_vectors_feed_iddq_sim () =
     ]
   in
   let r =
-    Iddq_defects.Iddq_sim.run_partitioned p ~vectors:atpg.Iddq_atpg.Podem.vectors
+    Iddq_defects.Iddq_sim.run_partitioned p ~vectors:atpg.Iddq_atpg.Atpg.vectors
       ~faults:defects
   in
   Alcotest.(check (float 0.0)) "floating gate caught by the ATPG set" 1.0

@@ -1,9 +1,9 @@
 (* The flat-kernel invariants: Bigarray-backed Bitvec against a
    bool-array model (word boundaries included), the CSR circuit
    against its own boxed view, the zero-allocation guarantee of the
-   packed evaluation loop, the flat fault-sim engine against the boxed
-   oracle, and the incremental c3 bookkeeping against full
-   recomputation. *)
+   striped evaluation loop, the flat IDDQ and stuck-at fault-sim
+   engines against their scalar oracles, and the incremental c3
+   bookkeeping against full recomputation. *)
 
 module Bitvec = Iddq_util.Bitvec
 module Rng = Iddq_util.Rng
@@ -17,6 +17,7 @@ module P = Iddq_patterns.Parallel_sim
 module Pattern_gen = Iddq_patterns.Pattern_gen
 module Fault = Iddq_defects.Fault
 module Fault_sim = Iddq_defects.Fault_sim
+module Stuck_at = Iddq_defects.Stuck_at
 module Charac = Iddq_analysis.Charac
 module Library = Iddq_celllib.Library
 module Partition = Iddq_core.Partition
@@ -177,29 +178,6 @@ let qcheck_csr_circuit_consistent =
 
 (* ---------------- zero-allocation packed evaluation ------------------ *)
 
-let test_eval_block_allocation_free () =
-  let rng = Rng.create 99 in
-  let c =
-    Generator.layered_dag ~rng ~name:"alloc" ~num_inputs:32 ~num_outputs:16
-      ~num_gates:2_000 ~depth:30 ()
-  in
-  let vectors = Pattern_gen.random ~rng c ~count:128 in
-  let packed = P.pack_all vectors in
-  let scratch = P.create_scratch c in
-  (* warm up: first call may fault pages / fill the scratch *)
-  for b = 0 to P.num_blocks packed - 1 do
-    P.eval_block c scratch packed ~block:b
-  done;
-  let before = Gc.minor_words () in
-  for _ = 1 to 50 do
-    for b = 0 to P.num_blocks packed - 1 do
-      P.eval_block c scratch packed ~block:b
-    done
-  done;
-  let delta = Gc.minor_words () -. before in
-  Alcotest.(check (float 0.0)) "minor words allocated across 100 block evals"
-    0.0 delta
-
 let test_eval_stripe_allocation_free () =
   let rng = Rng.create 77 in
   let c =
@@ -224,7 +202,7 @@ let test_eval_stripe_allocation_free () =
   Alcotest.(check (float 0.0))
     "minor words allocated across 50 striped full-matrix evals" 0.0 delta
 
-(* ---------------- striped / domain kernels vs per-block -------------- *)
+(* ---------------- striped / domain kernels vs boxed eval ------------- *)
 
 (* The vector counts cover the edge geometry: an empty set (zero
    blocks), exactly one full block, one block plus a one-vector tail,
@@ -239,9 +217,9 @@ let striped_gen =
       triple (int_range 10 120) (int_range 1 1_000_000)
         (int_range 0 (Array.length stripe_vec_counts - 1)))
 
-let qcheck_striped_matches_blockwise =
+let qcheck_striped_matches_boxed =
   QCheck.Test.make
-    ~name:"striped and domain eval_all_into = per-block kernel" ~count:30
+    ~name:"striped and domain eval_all_into = boxed P.eval" ~count:30
     striped_gen (fun (gates, seed, vi) ->
       let rng = Rng.create seed in
       let c =
@@ -252,13 +230,8 @@ let qcheck_striped_matches_blockwise =
       let p = P.pack_all vectors in
       let n = Circuit.num_nodes c in
       let nb = P.num_blocks p in
-      (* reference: the levelized per-block kernel, block-major *)
-      let reference : P.ba =
-        Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * nb)
-      in
-      for b = 0 to nb - 1 do
-        P.eval_block_into c p ~block:b ~dst:reference ~off:(b * n)
-      done;
+      (* reference: the boxed evaluator, one node-word array per block *)
+      let reference = Array.init nb (fun b -> P.eval c (P.block p b)) in
       let dst : P.ba =
         Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * nb)
       in
@@ -267,8 +240,7 @@ let qcheck_striped_matches_blockwise =
         for id = 0 to n - 1 do
           for b = 0 to nb - 1 do
             if
-              Bigarray.Array1.get dst ((id * nb) + b)
-              <> Bigarray.Array1.get reference ((b * n) + id)
+              Bigarray.Array1.get dst ((id * nb) + b) <> reference.(b).(id)
             then ok := false
           done
         done;
@@ -296,9 +268,9 @@ let qcheck_striped_matches_blockwise =
       in
       serial_ok && domain_ok)
 
-let qcheck_domain_faultsim_matches_boxed =
+let qcheck_domain_faultsim_matches_scalar =
   QCheck.Test.make
-    ~name:"multi-domain detection matrix and first detections = boxed oracle"
+    ~name:"multi-domain detection matrix and first detections = scalar oracle"
     ~count:15 striped_gen (fun (gates, seed, vi) ->
       let rng = Rng.create seed in
       let c =
@@ -310,8 +282,8 @@ let qcheck_domain_faultsim_matches_boxed =
         Fault.random_population ~rng c ~count:40 ~defect_current:2e-6
       in
       let measurable _ = true in
-      let boxed =
-        Fault_sim.detection_matrix_boxed_with c ~measurable ~vectors ~faults
+      let scalar =
+        Fault_sim.detection_matrix_scalar_with c ~measurable ~vectors ~faults
       in
       List.for_all
         (fun domains ->
@@ -323,7 +295,7 @@ let qcheck_domain_faultsim_matches_boxed =
             Fault_sim.first_detections_with ~domains c ~measurable ~vectors
               ~faults
           in
-          Fault_sim.equal flat boxed
+          Fault_sim.equal flat scalar
           && Array.for_all Fun.id
                (Array.mapi
                   (fun f first_v ->
@@ -331,10 +303,10 @@ let qcheck_domain_faultsim_matches_boxed =
                   first))
         [ 1; 3 ])
 
-(* ---------------- flat engine vs boxed oracle (qcheck) --------------- *)
+(* ---------------- flat engine vs scalar oracle (qcheck) -------------- *)
 
-let qcheck_flat_matches_boxed =
-  QCheck.Test.make ~name:"flat detection matrix = boxed oracle" ~count:30
+let qcheck_flat_matches_scalar =
+  QCheck.Test.make ~name:"flat detection matrix = scalar oracle" ~count:30
     dag_gen (fun (gates, seed) ->
       let rng = Rng.create seed in
       let c =
@@ -349,8 +321,8 @@ let qcheck_flat_matches_boxed =
       let flat =
         Fault_sim.detection_matrix_with c ~measurable ~vectors ~faults
       in
-      let boxed =
-        Fault_sim.detection_matrix_boxed_with c ~measurable ~vectors ~faults
+      let scalar =
+        Fault_sim.detection_matrix_scalar_with c ~measurable ~vectors ~faults
       in
       let first =
         Fault_sim.first_detections_with c ~measurable ~vectors ~faults
@@ -362,7 +334,41 @@ let qcheck_flat_matches_boxed =
              (fun f first_v -> first_v = Bitvec.first_set flat.Fault_sim.rows.(f))
              first)
       in
-      Fault_sim.equal flat boxed && first_ok)
+      Fault_sim.equal flat scalar && first_ok)
+
+(* ---------------- packed stuck-at vs scalar detects (qcheck) --------- *)
+
+let qcheck_stuck_at_matches_detects =
+  QCheck.Test.make
+    ~name:"stuck-at matrix and first vectors = scalar detects" ~count:15
+    striped_gen (fun (gates, seed, vi) ->
+      let rng = Rng.create seed in
+      let c =
+        Generator.layered_dag ~rng ~name:"k" ~num_inputs:6 ~num_outputs:3
+          ~num_gates:gates ~depth:(1 + (gates / 6)) ()
+      in
+      let vectors = Pattern_gen.random ~rng c ~count:stripe_vec_counts.(vi) in
+      (* every fifth fault keeps the scalar side cheap while still mixing
+         stem and pin faults of both polarities *)
+      let faults =
+        List.filteri (fun i _ -> i mod 5 = 0) (Stuck_at.full_fault_list c)
+      in
+      List.for_all
+        (fun domains ->
+          let m = Stuck_at.detection_matrix ~domains c ~vectors ~faults in
+          let sim = Stuck_at.fault_simulate ~domains c ~vectors ~faults in
+          List.for_all Fun.id
+            (List.mapi
+               (fun f fault ->
+                 let row = m.Fault_sim.rows.(f) in
+                 sim.Stuck_at.first_vector.(f) = Bitvec.first_set row
+                 && Array.for_all Fun.id
+                      (Array.mapi
+                         (fun v vector ->
+                           Bitvec.get row v = Stuck_at.detects c fault vector)
+                         vectors))
+               faults))
+        [ 1; 3 ])
 
 (* ---------------- incremental c3 vs full recomputation --------------- *)
 
@@ -403,15 +409,14 @@ let tests =
       test_word_bounds_multiple_of_64;
     Alcotest.test_case "bitvec set_word masks tail" `Quick
       test_set_word_masks_tail;
-    Alcotest.test_case "eval_block allocation-free" `Quick
-      test_eval_block_allocation_free;
     Alcotest.test_case "eval_stripe allocation-free" `Quick
       test_eval_stripe_allocation_free;
     QCheck_alcotest.to_alcotest qcheck_bitvec_matches_model;
     QCheck_alcotest.to_alcotest qcheck_bitvec_set_word_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_csr_circuit_consistent;
-    QCheck_alcotest.to_alcotest qcheck_striped_matches_blockwise;
-    QCheck_alcotest.to_alcotest qcheck_domain_faultsim_matches_boxed;
-    QCheck_alcotest.to_alcotest qcheck_flat_matches_boxed;
+    QCheck_alcotest.to_alcotest qcheck_striped_matches_boxed;
+    QCheck_alcotest.to_alcotest qcheck_domain_faultsim_matches_scalar;
+    QCheck_alcotest.to_alcotest qcheck_flat_matches_scalar;
+    QCheck_alcotest.to_alcotest qcheck_stuck_at_matches_detects;
     QCheck_alcotest.to_alcotest qcheck_incremental_c3_exact;
   ]

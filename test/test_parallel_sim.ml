@@ -69,9 +69,27 @@ let test_stuck_pin_matches_scalar () =
 let test_output_diff () =
   let c = Iscas.c17 () in
   let vectors = Pattern_gen.exhaustive c in
-  let packed = P.pack vectors ~start:0 in
-  let good = P.eval c packed in
-  Alcotest.(check int64) "no diff against itself" 0L (P.output_diff c good good)
+  let packed = P.pack_all vectors in
+  let good : P.ba =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
+      (Circuit.num_nodes c * P.num_blocks packed)
+  in
+  P.eval_all_into c packed ~dst:good;
+  let diff bad =
+    Int64.logand (P.block_mask packed 0)
+      (P.output_diff c ~good ~stride:1 ~block:0 bad)
+  in
+  Alcotest.(check int64) "no diff against the boxed good machine" 0L
+    (diff (P.eval c (P.block packed 0)));
+  (* output 22 stuck-at-1 shows exactly where the good output is 0 *)
+  let node22 = Option.get (Circuit.node_id_of_name c "22") in
+  let bad =
+    P.eval_with_stuck_node c ~node:node22 ~value:true (P.block packed 0)
+  in
+  Alcotest.(check int64) "stuck output differs where it was 0"
+    (Int64.logand (P.block_mask packed 0)
+       (Int64.lognot (Bigarray.Array1.get good node22)))
+    (diff bad)
 
 let test_fault_simulate_matches_scalar_detects () =
   (* the packed fault simulator agrees with per-vector detection *)

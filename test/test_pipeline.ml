@@ -6,12 +6,10 @@ module Constraints = Iddq_core.Constraints
 module Iscas = Iddq_netlist.Iscas
 module Es = Iddq_evolution.Es
 
-let fast_config =
-  {
-    Pipeline.default_config with
-    Pipeline.es_params =
-      { Es.default_params with Es.max_generations = 40; stall_generations = 40 };
-  }
+let fast_es =
+  { Es.default_params with Es.max_generations = 40; stall_generations = 40 }
+
+let fast_config = Pipeline.config ~es_params:fast_es ()
 
 let test_method_string_roundtrip () =
   List.iter
@@ -126,7 +124,7 @@ let test_compare_methods_equals_seeded_run () =
         (Partition.size evo.Pipeline.partition)
         (Partition.module_ids evo.Pipeline.partition)
     in
-    let config = { fast_config with Pipeline.reference_sizes = Some sizes } in
+    let config = Pipeline.config ~es_params:fast_es ~reference_sizes:sizes () in
     let direct = Pipeline.run ~config Pipeline.Standard circuit in
     Alcotest.(check bool) "same partition as a directly seeded run" true
       (Partition.assignment std.Pipeline.partition
@@ -141,7 +139,7 @@ let test_deterministic_given_seed () =
     = Partition.assignment r2.Pipeline.partition)
 
 let test_module_size_config () =
-  let config = { fast_config with Pipeline.module_size = Some 20 } in
+  let config = Pipeline.config ~es_params:fast_es ~module_size:20 () in
   let r = Pipeline.run ~config Pipeline.Standard (Iscas.c432_like ()) in
   Alcotest.(check int) "160/20 = 8 modules" 8
     (Partition.num_modules r.Pipeline.partition)
@@ -161,8 +159,6 @@ let test_config_builder_defaults () =
     (c.Pipeline.library == Pipeline.default_config.Pipeline.library
     && c.Pipeline.weights = Pipeline.default_config.Pipeline.weights
     && c.Pipeline.reference_sizes = None)
-
-let fast_es = fast_config.Pipeline.es_params
 
 let test_run_result_ok_matches_run () =
   let config = Pipeline.config ~es_params:fast_es ~seed:42 () in

@@ -1,4 +1,6 @@
 module Podem = Iddq_atpg.Podem
+module Atpg = Iddq_atpg.Atpg
+module Testset = Iddq_atpg.Testset
 module Stuck_at = Iddq_defects.Stuck_at
 module Iscas = Iddq_netlist.Iscas
 module Circuit = Iddq_netlist.Circuit
@@ -77,41 +79,57 @@ let test_dont_cares_marked () =
       (Array.exists (fun x -> x <> None) cube)
   | Podem.Untestable | Podem.Aborted -> Alcotest.fail "no test for 22/sa1"
 
-let test_complete_set_c17 () =
-  let rng = Rng.create 13 in
-  let faults = Stuck_at.collapsed_fault_list c17 in
-  let r = Podem.complete_set ~rng c17 faults in
-  Alcotest.(check (float 1e-9)) "full coverage" 1.0 r.Podem.coverage;
-  Alcotest.(check (float 1e-9)) "full efficiency" 1.0 r.Podem.efficiency;
-  Alcotest.(check int) "nothing untestable" 0 r.Podem.untestable;
-  Alcotest.(check int) "nothing aborted" 0 r.Podem.aborted;
-  Alcotest.(check bool) "set is small" true (Array.length r.Podem.vectors <= 16)
+(* Complete test sets: the Atpg facade's generation loop (random
+   vectors, PODEM top-up, fault dropping) over these PODEM cubes. *)
 
-let test_complete_set_tops_up_random () =
-  let rng = Rng.create 17 in
+let generate_ok ?config c faults =
+  match Atpg.generate_result ?config c faults with
+  | Ok r -> r
+  | Error e -> Alcotest.fail (Atpg.error_to_string e)
+
+let test_atpg_set_c17 () =
+  let config = Atpg.config ~seed:13 ~random_vectors:0 () in
+  let r = generate_ok ~config c17 (Stuck_at.collapsed_fault_list c17) in
+  Alcotest.(check (float 1e-9)) "full coverage" 1.0 r.Atpg.coverage;
+  Alcotest.(check (float 1e-9)) "full efficiency" 1.0 r.Atpg.efficiency;
+  Alcotest.(check int) "nothing untestable" 0 r.Atpg.stats.Testset.untestable;
+  Alcotest.(check int) "nothing aborted" 0 r.Atpg.stats.Testset.aborted;
+  Alcotest.(check bool) "set is small" true (r.Atpg.vectors_before <= 16)
+
+let test_atpg_set_tops_up_random () =
   let circuit = Iscas.c432_like () in
   let faults = Stuck_at.collapsed_fault_list circuit in
-  let initial = Iddq_patterns.Pattern_gen.random ~rng circuit ~count:32 in
+  (* the facade draws its random vectors first from an rng seeded with
+     [seed]: the same 32 vectors as this baseline *)
+  let initial =
+    Iddq_patterns.Pattern_gen.random ~rng:(Rng.create 17) circuit ~count:32
+  in
   let random_only = Stuck_at.fault_simulate circuit ~vectors:initial ~faults in
-  let r = Podem.complete_set ~rng ~initial circuit faults in
+  let config = Atpg.config ~seed:17 ~random_vectors:32 () in
+  let r = generate_ok ~config circuit faults in
   Alcotest.(check bool)
     (Printf.sprintf "topped up %.1f%% -> %.1f%%"
        (100.0 *. random_only.Stuck_at.coverage)
-       (100.0 *. r.Podem.coverage))
+       (100.0 *. r.Atpg.coverage))
     true
-    (r.Podem.coverage > random_only.Stuck_at.coverage);
+    (r.Atpg.coverage > random_only.Stuck_at.coverage);
   Alcotest.(check bool)
-    (Printf.sprintf "high ATPG efficiency (%.1f%%)" (100.0 *. r.Podem.efficiency))
+    (Printf.sprintf "high ATPG efficiency (%.1f%%)" (100.0 *. r.Atpg.efficiency))
     true
-    (r.Podem.efficiency > 0.9);
+    (r.Atpg.efficiency > 0.9);
   Alcotest.(check bool) "initial vectors kept" true
-    (Array.length r.Podem.vectors >= 32)
+    (Array.length r.Atpg.all_vectors >= 32
+    && Array.sub r.Atpg.all_vectors 0 32 = initial)
 
-let test_complete_set_empty_faults () =
-  let rng = Rng.create 1 in
-  let r = Podem.complete_set ~rng c17 [] in
-  Alcotest.(check (float 0.0)) "vacuous" 1.0 r.Podem.coverage;
-  Alcotest.(check int) "no vectors" 0 (Array.length r.Podem.vectors)
+let test_atpg_set_empty_faults () =
+  (* the loop is vacuous on no faults; the facade reports it *)
+  let gen = Testset.generate ~rng:(Rng.create 1) c17 [] in
+  Alcotest.(check (float 0.0)) "vacuous" 1.0 gen.Testset.coverage;
+  Alcotest.(check int) "no vectors" 0 (Array.length gen.Testset.vectors);
+  match Atpg.generate_result c17 [] with
+  | Error Atpg.Empty_fault_list -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Atpg.error_to_string e)
+  | Ok _ -> Alcotest.fail "expected Empty_fault_list"
 
 let tests =
   [
@@ -122,8 +140,7 @@ let tests =
       test_redundant_fault_untestable;
     Alcotest.test_case "xor propagation" `Quick test_xor_propagation;
     Alcotest.test_case "don't cares" `Quick test_dont_cares_marked;
-    Alcotest.test_case "complete set c17" `Quick test_complete_set_c17;
-    Alcotest.test_case "complete set top-up" `Slow
-      test_complete_set_tops_up_random;
-    Alcotest.test_case "complete set empty" `Quick test_complete_set_empty_faults;
+    Alcotest.test_case "complete set c17" `Quick test_atpg_set_c17;
+    Alcotest.test_case "complete set top-up" `Slow test_atpg_set_tops_up_random;
+    Alcotest.test_case "complete set empty" `Quick test_atpg_set_empty_faults;
   ]

@@ -225,23 +225,22 @@ let test_facade_exn_wrappers () =
   let r = Atpg.run_exn c17 in
   Alcotest.(check (float 1e-9)) "run_exn succeeds" 1.0 r.Atpg.coverage
 
-let test_facade_matches_deprecated_oracle () =
-  (* same seed discipline as Podem.complete_set: random vectors from
-     the rng, then top-up; coverage must agree *)
+let test_facade_matrix_matches_detects () =
+  (* the packed matrix the minimizers run on, bit for bit against the
+     scalar single-vector oracle *)
   let config = Atpg.config ~seed:3 ~random_vectors:16 () in
   let r = run_ok ~config c17 in
-  let rng = Rng.create 3 in
-  let initial = Iddq_patterns.Pattern_gen.random ~rng c17 ~count:16 in
-  let oracle =
-    Iddq_atpg.Podem.complete_set ~rng ~initial c17
-      (Stuck_at.collapsed_fault_list c17)
-  in
-  Alcotest.(check (float 1e-9))
-    "facade coverage = complete_set coverage" oracle.Iddq_atpg.Podem.coverage
-    r.Atpg.coverage;
-  Alcotest.(check int) "same vector count"
-    (Array.length oracle.Iddq_atpg.Podem.vectors)
-    r.Atpg.vectors_before
+  let faults = Stuck_at.collapsed_fault_list c17 in
+  List.iteri
+    (fun f fault ->
+      Array.iteri
+        (fun v vector ->
+          Alcotest.(check bool)
+            (Printf.sprintf "fault %d, vector %d" f v)
+            (Stuck_at.detects c17 fault vector)
+            (Bitvec.get r.Atpg.matrix.Fault_sim.rows.(f) v))
+        r.Atpg.all_vectors)
+    faults
 
 let tests =
   [
@@ -263,6 +262,6 @@ let tests =
     Alcotest.test_case "facade: budget exhaustion" `Quick
       test_facade_budget_exhaustion;
     Alcotest.test_case "facade: _exn wrappers" `Quick test_facade_exn_wrappers;
-    Alcotest.test_case "facade vs deprecated complete_set" `Quick
-      test_facade_matches_deprecated_oracle;
+    Alcotest.test_case "facade matrix = Stuck_at.detects" `Quick
+      test_facade_matrix_matches_detects;
   ]
