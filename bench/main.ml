@@ -954,11 +954,12 @@ let run_perf () =
              Iddq_defects.Stuck_at.fault_simulate circuit ~vectors:vs
                ~faults:
                  [ Iddq_defects.Stuck_at.Stem (Circuit.node_of_gate circuit 50, false) ]));
-      Test.make ~name:"podem_one_fault"
-        (Staged.stage (fun () ->
-             Iddq_atpg.Podem.generate circuit
-               (Iddq_defects.Stuck_at.Stem
-                  (Circuit.node_of_gate circuit 100, true))));
+      (let podem = Iddq_atpg.Podem.prepare circuit in
+       Test.make ~name:"podem_one_fault"
+         (Staged.stage (fun () ->
+              Iddq_atpg.Podem.generate podem
+                (Iddq_defects.Stuck_at.Stem
+                   (Circuit.node_of_gate circuit 100, true)))));
     ]
   in
   let ols =

@@ -19,12 +19,20 @@ type result =
   | Untestable  (** Search space exhausted: the fault is redundant. *)
   | Aborted  (** Backtrack limit hit. *)
 
-val generate :
-  ?max_backtracks:int ->
-  Iddq_netlist.Circuit.t ->
-  Iddq_defects.Stuck_at.fault ->
-  result
-(** Default backtrack limit: 2000. *)
+type t
+(** A circuit prepared for PODEM: SCOAP controllabilities computed
+    once as flat arrays, the circuit's CSR views borrowed, and the
+    search's scratch — good/faulty three-valued node values, the
+    X-path DFS marks and stack, the decision stack — owned.  Every
+    {!generate} call reuses the scratch, so a [t] must not be shared
+    across domains: prepare one per domain. *)
+
+val prepare : Iddq_netlist.Circuit.t -> t
+
+val generate : ?max_backtracks:int -> t -> Iddq_defects.Stuck_at.fault -> result
+(** Default backtrack limit: 2000.  Raises [Invalid_argument] on a
+    fault naming a node out of range, a pin fault on an input node or
+    a pin the gate does not have. *)
 
 val concretize : rng:Iddq_util.Rng.t -> bool option array -> bool array
 (** Fill the don't-cares randomly. *)

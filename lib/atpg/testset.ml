@@ -37,14 +37,16 @@ type gen = {
 
 (* The fault-dropping generation loop: simulate what the current set
    already catches (packed, {!Stuck_at.fault_simulate} under
-   {!Stuck_at.undetected}), then PODEM each survivor; every generated
-   cube is concretized and the {e concrete} vector re-simulated
-   against the whole remaining list, so one vector can drop many
-   faults beyond its target. *)
+   {!Stuck_at.undetected}), then PODEM each survivor on one prepared
+   context; every generated cube is concretized and the {e concrete}
+   vector re-simulated against the whole remaining list (the same
+   packed path, one vector), so one vector can drop many faults
+   beyond its target. *)
 let generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
     faults =
+  let podem = Podem.prepare c in
   let live = ref (Stuck_at.undetected c ~vectors:initial ~faults) in
-  let vectors = ref (Array.to_list initial) in
+  let added = ref [] in
   let generated = ref 0
   and untestable = ref 0
   and aborted = ref 0
@@ -55,7 +57,7 @@ let generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
     | _ when !targeted >= budget -> ()
     | fault :: rest -> begin
       incr targeted;
-      match Podem.generate ?max_backtracks c fault with
+      match Podem.generate ?max_backtracks podem fault with
       | Podem.Untestable ->
         incr untestable;
         live := rest;
@@ -67,13 +69,13 @@ let generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
       | Podem.Test cube ->
         let vector = Podem.concretize ~rng cube in
         incr generated;
-        vectors := !vectors @ [ vector ];
-        live := List.filter (fun f -> not (Stuck_at.detects c f vector)) rest;
+        added := vector :: !added;
+        live := Stuck_at.undetected c ~vectors:[| vector |] ~faults:rest;
         work ()
     end
   in
   work ();
-  let vector_arr = Array.of_list !vectors in
+  let vector_arr = Array.append initial (Array.of_list (List.rev !added)) in
   let total = List.length faults in
   let matrix = Stuck_at.detection_matrix c ~vectors:vector_arr ~faults in
   let detected = Coverage.num_detectable matrix in

@@ -11,8 +11,9 @@
     random set leaves undetected, and {e fault dropping} throughout —
     the packed {!Iddq_defects.Stuck_at.fault_simulate} drops what the
     initial set catches, and each concretized PODEM vector is
-    re-simulated against the whole remaining list so one vector can
-    drop many faults.  Minimization then operates on the packed
+    re-simulated against the whole remaining list (the same packed
+    simulator on a one-vector set) so one vector can drop many
+    faults.  PODEM runs on one {!Podem.prepare}d context per call.  Minimization then operates on the packed
     stuck-at detection matrix
     ({!Iddq_defects.Stuck_at.detection_matrix}) via the bit-parallel
     {!Iddq_defects.Coverage} minimizers. *)

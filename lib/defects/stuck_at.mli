@@ -51,9 +51,21 @@ val fault_simulate :
 (** 64-way bit-parallel serial fault simulation with fault dropping (a
     detected fault is not re-simulated): vectors packed once, the
     node-major good machine ({!Fault_sim.good_values}) shared across
-    faults, the faulty machine re-simulated per (fault, block), fault
-    chunks claimed over a [domains]-wide (default 1)
-    {!Iddq_util.Domain_pool}. *)
+    faults, fault chunks claimed over a [domains]-wide (default 1)
+    {!Iddq_util.Domain_pool}.
+
+    The faulty machine is cone-restricted.  Per (fault, block) it
+    computes the site word (the stuck value of a stem, or the reading
+    gate with only the faulty pin overridden) and stops at once when
+    that word equals the good one on every real vector.  Otherwise it
+    re-evaluates, in ascending id order, only the gates with a fanin
+    whose faulty word differs, up to the last fanout of any differing
+    node, and ORs the differences at the outputs.  Its scratch is one
+    n-word [Bigarray] and one [int] stamp array, used by one fault
+    chunk at a time and reused by the next; a sweep makes at most one
+    per pool participant and allocates a few words per fault.  Raises
+    [Invalid_argument] on a fault naming a node out of range, a pin
+    fault off a gate, or a pin the gate does not have. *)
 
 val undetected :
   ?domains:int ->

@@ -90,54 +90,18 @@ let eval_word kind words =
   | Gate.Buff -> words.(0)
 
 (* ------------------------------------------------------------------ *)
-(* Boxed evaluation (test reference, stuck-at faulty machine)         *)
+(* Boxed evaluation (the kernels' test reference)                     *)
 (* ------------------------------------------------------------------ *)
 
-let eval_internal c packed_inputs ~stuck ~stuck_pin =
+let eval c packed_inputs =
   if Array.length packed_inputs <> Circuit.num_inputs c then
     invalid_arg "Parallel_sim.eval: input word count mismatch";
   let values = Array.make (Circuit.num_nodes c) 0L in
   Array.blit packed_inputs 0 values 0 (Array.length packed_inputs);
-  (match stuck with
-  | Some (node, value) when Circuit.is_input c node ->
-    values.(node) <- (if value then Int64.minus_one else 0L)
-  | Some _ | None -> ());
   Circuit.iter_gates c (fun g kind fanins ->
-      let id = Circuit.node_of_gate c g in
-      let words =
-        Array.mapi
-          (fun pin src ->
-            match stuck_pin with
-            | Some (gate, p, value) when gate = id && p = pin ->
-              if value then Int64.minus_one else 0L
-            | Some _ | None -> values.(src))
-          fanins
-      in
-      let word = eval_word kind words in
-      values.(id) <-
-        (match stuck with
-        | Some (node, value) when node = id ->
-          if value then Int64.minus_one else 0L
-        | Some _ | None -> word));
+      values.(Circuit.node_of_gate c g) <-
+        eval_word kind (Array.map (fun src -> values.(src)) fanins));
   values
-
-let eval c packed_inputs =
-  eval_internal c packed_inputs ~stuck:None ~stuck_pin:None
-
-let eval_with_stuck_node c ~node ~value packed_inputs =
-  eval_internal c packed_inputs ~stuck:(Some (node, value)) ~stuck_pin:None
-
-let eval_with_stuck_pin c ~gate ~pin ~value packed_inputs =
-  eval_internal c packed_inputs ~stuck:None ~stuck_pin:(Some (gate, pin, value))
-
-let output_diff c ~(good : ba) ~stride ~block bad =
-  Array.fold_left
-    (fun acc id ->
-      Int64.logor acc
-        (Int64.logxor
-           (Bigarray.Array1.get good ((id * stride) + block))
-           bad.(id)))
-    0L (Circuit.outputs c)
 
 (* ------------------------------------------------------------------ *)
 (* Flat striped levelized evaluation (hot path)                        *)

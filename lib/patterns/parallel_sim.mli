@@ -55,9 +55,11 @@ val block_mask : packed -> int -> int64
     circuit's CSR arrays in {!Iddq_netlist.Level_schedule} order,
     writing node words into a caller-owned node-major [Bigarray] — a
     full evaluation allocates {e zero} minor-heap words (asserted by
-    the kernel tests).  The boxed {!eval} below stays as the reference
-    the kernels are tested against and as the stuck-at faulty
-    machine. *)
+    the kernel tests).  The stuck-at faulty machine
+    ({!Iddq_defects.Stuck_at}) reads the same node-major good matrix
+    and re-evaluates only a fault's differing cone in per-chunk
+    [Bigarray] scratch.  The boxed {!eval} below stays only as the
+    reference the kernels are tested against. *)
 
 type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The word-buffer type every flat kernel trades in. *)
@@ -157,32 +159,3 @@ val eval_word : Iddq_netlist.Gate.kind -> int64 array -> int64
 val eval : Iddq_netlist.Circuit.t -> int64 array -> int64 array
 (** [eval c packed_inputs] returns one word per node.  The input array
     must have [num_inputs] words. *)
-
-val eval_with_stuck_node :
-  Iddq_netlist.Circuit.t -> node:int -> value:bool -> int64 array -> int64 array
-(** Faulty evaluation with a stem stuck-at. *)
-
-val eval_with_stuck_pin :
-  Iddq_netlist.Circuit.t ->
-  gate:int ->
-  pin:int ->
-  value:bool ->
-  int64 array ->
-  int64 array
-(** Faulty evaluation with one gate input pin stuck ([gate] is the
-    node id of the reading gate). *)
-
-val output_diff :
-  Iddq_netlist.Circuit.t ->
-  good:ba ->
-  stride:int ->
-  block:int ->
-  int64 array ->
-  int64
-(** [output_diff c ~good ~stride ~block bad] is the OR over the primary
-    outputs of (good XOR faulty) for one block: the good words come
-    from the node-major matrix [good] (node [id] at
-    [id * stride + block], as {!eval_all_into} fills it with [stride =
-    num_blocks]), the faulty ones from [bad] (one word per node, as
-    {!eval_with_stuck_node} returns).  Bit [k] set iff vector [k] of
-    the block exposes a difference at some output. *)

@@ -34,62 +34,65 @@ let test_eval_matches_scalar_c17 () =
     done
   done
 
+(* The stuck-at faulty machine lives in {!Stuck_at}: its packed
+   detection matrix must agree with the scalar [detects] oracle on
+   every vector. *)
+let check_matrix_matches_detects c vectors faults =
+  let m = Stuck_at.detection_matrix c ~vectors ~faults in
+  List.iteri
+    (fun f fault ->
+      let row = m.Iddq_defects.Fault_sim.rows.(f) in
+      Array.iteri
+        (fun k v ->
+          Alcotest.(check bool)
+            (Format.asprintf "%a vector %d" (Stuck_at.pp_fault c) fault k)
+            (Stuck_at.detects c fault v)
+            (Iddq_util.Bitvec.get row k))
+        vectors)
+    faults
+
 let test_stuck_node_matches_scalar () =
   let c = Iscas.c17 () in
   let node = Option.get (Circuit.node_id_of_name c "16") in
-  let fault = Stuck_at.Stem (node, true) in
-  let vectors = Pattern_gen.exhaustive c in
-  let packed = P.pack vectors ~start:0 in
-  let words = P.eval_with_stuck_node c ~node ~value:true packed in
-  for k = 0 to 31 do
-    let scalar = Stuck_at.faulty_eval c fault vectors.(k) in
-    for id = 0 to Circuit.num_nodes c - 1 do
-      Alcotest.(check bool)
-        (Printf.sprintf "node %d vector %d" id k)
-        scalar.(id) (bit words.(id) k)
-    done
-  done
+  let stems =
+    List.filter
+      (function Stuck_at.Stem _ -> true | Stuck_at.Pin _ -> false)
+      (Stuck_at.full_fault_list c)
+  in
+  check_matrix_matches_detects c (Pattern_gen.exhaustive c)
+    (Stuck_at.Stem (node, true) :: stems)
 
 let test_stuck_pin_matches_scalar () =
   let c = Iscas.c17 () in
   let gate = Option.get (Circuit.node_id_of_name c "22") in
-  let fault = Stuck_at.Pin { gate; pin = 1; value = false } in
-  let vectors = Pattern_gen.exhaustive c in
-  let packed = P.pack vectors ~start:0 in
-  let words = P.eval_with_stuck_pin c ~gate ~pin:1 ~value:false packed in
-  for k = 0 to 31 do
-    let scalar = Stuck_at.faulty_eval c fault vectors.(k) in
-    for id = 0 to Circuit.num_nodes c - 1 do
-      Alcotest.(check bool)
-        (Printf.sprintf "node %d vector %d" id k)
-        scalar.(id) (bit words.(id) k)
-    done
-  done
+  let pins =
+    List.filter
+      (function Stuck_at.Pin _ -> true | Stuck_at.Stem _ -> false)
+      (Stuck_at.full_fault_list c)
+  in
+  check_matrix_matches_detects c (Pattern_gen.exhaustive c)
+    (Stuck_at.Pin { gate; pin = 1; value = false } :: pins)
 
-let test_output_diff () =
+let test_stuck_output_word () =
+  (* output 22 stuck-at-1 differs exactly where the good output is 0,
+     and never on the 32 padding bits of the one partial block *)
   let c = Iscas.c17 () in
   let vectors = Pattern_gen.exhaustive c in
-  let packed = P.pack_all vectors in
-  let good : P.ba =
-    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
-      (Circuit.num_nodes c * P.num_blocks packed)
-  in
-  P.eval_all_into c packed ~dst:good;
-  let diff bad =
-    Int64.logand (P.block_mask packed 0)
-      (P.output_diff c ~good ~stride:1 ~block:0 bad)
-  in
-  Alcotest.(check int64) "no diff against the boxed good machine" 0L
-    (diff (P.eval c (P.block packed 0)));
-  (* output 22 stuck-at-1 shows exactly where the good output is 0 *)
   let node22 = Option.get (Circuit.node_id_of_name c "22") in
-  let bad =
-    P.eval_with_stuck_node c ~node:node22 ~value:true (P.block packed 0)
+  let m =
+    Stuck_at.detection_matrix c ~vectors ~faults:[ Stuck_at.Stem (node22, true) ]
   in
-  Alcotest.(check int64) "stuck output differs where it was 0"
-    (Int64.logand (P.block_mask packed 0)
-       (Int64.lognot (Bigarray.Array1.get good node22)))
-    (diff bad)
+  let row = m.Iddq_defects.Fault_sim.rows.(0) in
+  Array.iteri
+    (fun k v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "vector %d" k)
+        (not (Logic_sim.eval c v).(node22))
+        (Iddq_util.Bitvec.get row k))
+    vectors;
+  Alcotest.(check int64) "no padding bits" 0L
+    (Int64.logand (Iddq_util.Bitvec.word row 0)
+       (Int64.lognot (P.active_mask vectors ~start:0)))
 
 let test_fault_simulate_matches_scalar_detects () =
   (* the packed fault simulator agrees with per-vector detection *)
@@ -233,7 +236,7 @@ let tests =
       test_stuck_node_matches_scalar;
     Alcotest.test_case "stuck pin matches scalar" `Quick
       test_stuck_pin_matches_scalar;
-    Alcotest.test_case "output diff" `Quick test_output_diff;
+    Alcotest.test_case "output diff" `Quick test_stuck_output_word;
     Alcotest.test_case "zero-fanin rejected" `Quick test_zero_fanin_rejected;
     Alcotest.test_case "fault sim matches scalar" `Quick
       test_fault_simulate_matches_scalar_detects;

@@ -9,6 +9,7 @@ module Gate = Iddq_netlist.Gate
 module Rng = Iddq_util.Rng
 
 let c17 = Iscas.c17 ()
+let generate c fault = Podem.generate (Podem.prepare c) fault
 let node name = Option.get (Circuit.node_id_of_name c17 name)
 
 let check_cube_detects c fault = function
@@ -26,16 +27,16 @@ let test_c17_all_faults_testable () =
   (* C17 is fully testable: PODEM must find a test for every fault *)
   List.iter
     (fun fault ->
-      check_cube_detects c17 fault (Podem.generate c17 fault))
+      check_cube_detects c17 fault (generate c17 fault))
     (Stuck_at.full_fault_list c17)
 
 let test_stem_fault_on_input () =
   let fault = Stuck_at.Stem (node "3", false) in
-  check_cube_detects c17 fault (Podem.generate c17 fault)
+  check_cube_detects c17 fault (generate c17 fault)
 
 let test_pin_fault () =
   let fault = Stuck_at.Pin { gate = node "16"; pin = 1; value = true } in
-  check_cube_detects c17 fault (Podem.generate c17 fault)
+  check_cube_detects c17 fault (generate c17 fault)
 
 let test_redundant_fault_untestable () =
   (* y = OR(a, NOT a) == 1: y/sa1 is undetectable *)
@@ -46,13 +47,13 @@ let test_redundant_fault_untestable () =
   Builder.add_output b "y";
   let c = Builder.freeze_exn b in
   let y = Option.get (Circuit.node_id_of_name c "y") in
-  (match Podem.generate c (Stuck_at.Stem (y, true)) with
+  (match generate c (Stuck_at.Stem (y, true)) with
   | Podem.Untestable -> ()
   | Podem.Test _ -> Alcotest.fail "redundant fault got a test"
   | Podem.Aborted -> Alcotest.fail "tiny circuit aborted");
   (* ... and y/sa0 is easy *)
   check_cube_detects c (Stuck_at.Stem (y, false))
-    (Podem.generate c (Stuck_at.Stem (y, false)))
+    (generate c (Stuck_at.Stem (y, false)))
 
 let test_xor_propagation () =
   (* propagation through XOR requires no side values: exercise the
@@ -67,17 +68,68 @@ let test_xor_propagation () =
   let c = Builder.freeze_exn b in
   let a = Option.get (Circuit.node_id_of_name c "a") in
   check_cube_detects c (Stuck_at.Stem (a, true))
-    (Podem.generate c (Stuck_at.Stem (a, true)))
+    (generate c (Stuck_at.Stem (a, true)))
 
 let test_dont_cares_marked () =
   (* a fault deep on one side should leave unrelated inputs as X *)
   let fault = Stuck_at.Stem (node "22", true) in
-  match Podem.generate c17 fault with
+  match generate c17 fault with
   | Podem.Test cube ->
     Alcotest.(check int) "cube width" 5 (Array.length cube);
     Alcotest.(check bool) "at least one assignment" true
       (Array.exists (fun x -> x <> None) cube)
   | Podem.Untestable | Podem.Aborted -> Alcotest.fail "no test for 22/sa1"
+
+let test_malformed_faults_rejected () =
+  let podem = Podem.prepare c17 in
+  List.iter
+    (fun (what, fault) ->
+      Alcotest.(check bool) what true
+        (try
+           ignore (Podem.generate podem fault);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("stem out of range", Stuck_at.Stem (Circuit.num_nodes c17, true));
+      ("pin on an input", Stuck_at.Pin { gate = node "3"; pin = 0; value = true });
+      ("missing pin", Stuck_at.Pin { gate = node "22"; pin = 2; value = true });
+    ];
+  (* the context is still usable after a rejected fault *)
+  check_cube_detects c17 (Stuck_at.Stem (node "22", true))
+    (Podem.generate podem (Stuck_at.Stem (node "22", true)))
+
+(* PODEM against the scalar oracle on small random circuits, every
+   collapsed fault: a [Test] cube detects under any fill of its
+   don't-cares, and [Untestable] means no vector of the exhaustive
+   input space detects the fault. *)
+let qcheck_podem_matches_detects =
+  QCheck.Test.make ~name:"PODEM verdicts = exhaustive Stuck_at.detects"
+    ~count:25
+    QCheck.(triple (int_range 2 12) (int_range 4 30) (int_range 1 100000))
+    (fun (num_inputs, gates, seed) ->
+      let rng = Rng.create seed in
+      let c =
+        Iddq_netlist.Generator.layered_dag ~rng ~name:"q" ~num_inputs
+          ~num_outputs:(1 + (gates mod 3)) ~num_gates:gates
+          ~depth:(1 + (gates / 6)) ()
+      in
+      let podem = Podem.prepare c in
+      let space = Iddq_patterns.Pattern_gen.exhaustive c in
+      List.for_all
+        (fun fault ->
+          match Podem.generate podem fault with
+          | Podem.Test cube ->
+            let fill b = Array.map (Option.value ~default:b) cube in
+            Stuck_at.detects c fault (fill false)
+            && Stuck_at.detects c fault (fill true)
+            && List.for_all
+                 (fun _ ->
+                   Stuck_at.detects c fault (Podem.concretize ~rng cube))
+                 [ 1; 2; 3 ]
+          | Podem.Untestable ->
+            not (Array.exists (Stuck_at.detects c fault) space)
+          | Podem.Aborted -> true)
+        (Stuck_at.collapsed_fault_list c))
 
 (* Complete test sets: the Atpg facade's generation loop (random
    vectors, PODEM top-up, fault dropping) over these PODEM cubes. *)
@@ -140,6 +192,9 @@ let tests =
       test_redundant_fault_untestable;
     Alcotest.test_case "xor propagation" `Quick test_xor_propagation;
     Alcotest.test_case "don't cares" `Quick test_dont_cares_marked;
+    Alcotest.test_case "malformed faults rejected" `Quick
+      test_malformed_faults_rejected;
+    QCheck_alcotest.to_alcotest qcheck_podem_matches_detects;
     Alcotest.test_case "complete set c17" `Quick test_atpg_set_c17;
     Alcotest.test_case "complete set top-up" `Slow test_atpg_set_tops_up_random;
     Alcotest.test_case "complete set empty" `Quick test_atpg_set_empty_faults;

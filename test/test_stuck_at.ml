@@ -192,6 +192,42 @@ let qcheck_logic_implies_iddq =
         || Bridge_logic.iddq_detects c ~a ~b v
       end)
 
+(* The cone-restricted faulty machine works in per-chunk Bigarray
+   scratch: the whole matrix costs a few words per fault (its row and
+   list cells), where a boxed whole-circuit evaluation costs about a
+   word per node per (fault, block). *)
+let test_detection_matrix_allocation () =
+  let c = Iscas.c880_like () in
+  let vectors = Pattern_gen.random ~rng:(Rng.create 5) c ~count:256 in
+  let faults = Stuck_at.collapsed_fault_list c in
+  let nf = List.length faults in
+  ignore (Stuck_at.detection_matrix c ~vectors ~faults);
+  let before = Gc.minor_words () in
+  let m = Stuck_at.detection_matrix c ~vectors ~faults in
+  let per_fault = (Gc.minor_words () -. before) /. float_of_int nf in
+  Alcotest.(check int) "one row per fault" nf
+    (Array.length m.Iddq_defects.Fault_sim.rows);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per fault < 64" per_fault)
+    true (per_fault < 64.0)
+
+(* The packed kernels index CSR arrays unchecked, so a fault naming
+   a node or pin the circuit does not have is rejected up front. *)
+let test_malformed_faults_rejected () =
+  let vectors = Pattern_gen.exhaustive c17 in
+  List.iter
+    (fun (what, fault) ->
+      Alcotest.(check bool) what true
+        (try
+           ignore (Stuck_at.fault_simulate c17 ~vectors ~faults:[ fault ]);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("stem out of range", Stuck_at.Stem (Circuit.num_nodes c17, true));
+      ("pin on an input", Stuck_at.Pin { gate = node "3"; pin = 0; value = true });
+      ("missing pin", Stuck_at.Pin { gate = node "22"; pin = 2; value = true });
+    ]
+
 let tests =
   [
     Alcotest.test_case "fault list sizes" `Quick test_fault_list_sizes;
@@ -209,5 +245,9 @@ let tests =
     Alcotest.test_case "bridge forced values" `Quick
       test_bridge_faulty_eval_forced_values;
     Alcotest.test_case "new iscas stand-ins" `Quick test_iscas_new_standins;
+    Alcotest.test_case "matrix allocation per fault" `Quick
+      test_detection_matrix_allocation;
+    Alcotest.test_case "malformed faults rejected" `Quick
+      test_malformed_faults_rejected;
     QCheck_alcotest.to_alcotest qcheck_logic_implies_iddq;
   ]

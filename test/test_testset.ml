@@ -242,6 +242,49 @@ let test_facade_matrix_matches_detects () =
         r.Atpg.all_vectors)
     faults
 
+(* The generation loop's whole trajectory — which faults PODEM
+   targets, what it decides, what each vector drops — pinned on two
+   stand-ins: any change to the search or to the drop filter shows up
+   in the counts or in the digest of the vectors. *)
+let vectors_digest vectors =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun v ->
+      Array.iter (fun x -> Buffer.add_char b (if x then '1' else '0')) v;
+      Buffer.add_char b '\n')
+    vectors;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_generate_trajectory_pinned () =
+  List.iter
+    (fun (name, c, (generated, untestable, aborted, targeted), n, digest) ->
+      let rng = Rng.create 42 in
+      let initial = Iddq_patterns.Pattern_gen.random ~rng c ~count:32 in
+      let g =
+        Testset.generate ~max_backtracks:16 ~rng ~initial c
+          (Stuck_at.collapsed_fault_list c)
+      in
+      let s = g.Testset.stats in
+      Alcotest.(check (list int))
+        (name ^ " random/generated/untestable/aborted/targeted")
+        [ 32; generated; untestable; aborted; targeted ]
+        [ s.random; s.generated; s.untestable; s.aborted; s.targeted ];
+      Alcotest.(check int) (name ^ " vectors") n (Array.length g.Testset.vectors);
+      Alcotest.(check string) (name ^ " vectors digest") digest
+        (vectors_digest g.Testset.vectors))
+    [
+      ( "c432_like",
+        Iscas.c432_like (),
+        (31, 76, 195, 302),
+        63,
+        "79c70d253b96586e134830e022afdc45" );
+      ( "c880_like",
+        Iscas.c880_like (),
+        (55, 75, 593, 723),
+        87,
+        "c5587e05f04678864e48c546235e4ac0" );
+    ]
+
 let tests =
   [
     Alcotest.test_case "greedy provably non-optimal matrix" `Quick
@@ -264,4 +307,6 @@ let tests =
     Alcotest.test_case "facade: _exn wrappers" `Quick test_facade_exn_wrappers;
     Alcotest.test_case "facade matrix = Stuck_at.detects" `Quick
       test_facade_matrix_matches_detects;
+    Alcotest.test_case "generate trajectory pinned" `Quick
+      test_generate_trajectory_pinned;
   ]
