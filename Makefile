@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-smoke campaign-smoke faultsim-smoke kernels-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke ci examples doc clean
+.PHONY: all build test bench bench-quick bench-smoke campaign-smoke faultsim-smoke kernels-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke perfbench-smoke ci examples doc clean
 
 all: build
 
@@ -117,11 +117,19 @@ loadgen-smoke:
 	  | grep -q "loadgen: PASS"
 	@echo "loadgen-smoke: 64 clients, zero failed/shed, floor cleared - PASS"
 
+# The benchmark harness's check of itself: BENCHMARK.json against its
+# limits, then every workload at reduced size, untraced and traced, as
+# a child process, with each result line, record and trace file
+# checked (seconds).
+perfbench-smoke:
+	bash perfbench/run.sh smoke | grep -q "smoke: PASS"
+	@echo "perfbench-smoke: spec, records and traces of every workload - PASS"
+
 # What a per-PR check runs: build, tests, evaluation-count smoke,
 # campaign resume smoke, packed fault-sim speedup gate, flat-kernel
 # gate, diagnosis accuracy gate, mutation fuzz, resident-service
-# smoke, event-loop load gate.
-ci: build test bench-smoke campaign-smoke faultsim-smoke kernels-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke
+# smoke, event-loop load gate, benchmark-harness self-check.
+ci: build test bench-smoke campaign-smoke faultsim-smoke kernels-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke perfbench-smoke
 
 examples:
 	dune exec examples/quickstart.exe

@@ -1276,7 +1276,7 @@ let run_kernels () =
         Fault_sim.detection_matrix_with ~domains:4 ~metrics:metrics4 circuit
           ~measurable ~vectors ~faults)
   in
-  let steals4 = (Iddq_util.Metrics.snapshot metrics4).Iddq_util.Metrics.sim_steals in
+  let steals4 = Iddq_util.Metrics.(get (snapshot metrics4) sim_steals) in
   let same = Fault_sim.equal scalar flat && Fault_sim.equal scalar flat4 in
   let gxv = float_of_int num_gates *. float_of_int n_vectors /. t_flat in
   let min_gxv = 1e8 in

@@ -35,7 +35,7 @@ type t = {
   test_time_per_vector : float;
   min_discriminability : float;
   metrics : Iddq_util.Metrics.snapshot;
-      (** This job's evaluation counters ([seconds_*] are timing
+      (** This job's counters (the [Seconds] ones are timing
           fields). *)
 }
 

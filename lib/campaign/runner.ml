@@ -1,5 +1,6 @@
 module Rng = Iddq_util.Rng
 module Metrics = Iddq_util.Metrics
+module Clock = Iddq_util.Clock
 module Pipeline = Iddq.Pipeline
 module Es = Iddq_evolution.Es
 
@@ -46,9 +47,9 @@ let execute (spec : Spec.t) ~resolve (job : Spec.job) ~reference_sizes =
   let metrics = Metrics.create () in
   let config = job_config spec job ~reference_sizes ~metrics in
   let derived_seed = config.Pipeline.seed in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let finish k =
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = Clock.seconds_since t0 in
     k ~elapsed ~metrics:(Metrics.snapshot metrics)
   in
   match

@@ -102,7 +102,7 @@ let of_components ?(weights = paper_weights) ~sensors ~bic_delay ~nominal_delay
   }
 
 let evaluate ?weights ?(metrics = Iddq_util.Metrics.global) p =
-  let t0 = Sys.time () in
+  let t0 = Iddq_util.Clock.now_ns () in
   let ch = Partition.charac p in
   let sensors = Partition.sensors p in
   let nominal_delay = Timing.nominal_delay ch in
@@ -126,7 +126,7 @@ let evaluate ?weights ?(metrics = Iddq_util.Metrics.global) p =
   in
   let b = of_components ?weights ~sensors ~bic_delay ~nominal_delay p in
   Iddq_util.Metrics.record_full metrics ~gates:(Charac.num_gates ch)
-    ~seconds:(Sys.time () -. t0);
+    ~seconds:(Iddq_util.Clock.seconds_since t0);
   b
 
 let pp_breakdown fmt b =

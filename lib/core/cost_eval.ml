@@ -3,6 +3,7 @@ module Timing = Iddq_analysis.Timing
 module Technology = Iddq_celllib.Technology
 module Sensor = Iddq_bic.Sensor
 module Metrics = Iddq_util.Metrics
+module Clock = Iddq_util.Clock
 
 type t = {
   p : Partition.t;
@@ -61,7 +62,7 @@ let move t ~gate ~target =
     t.dirty.(src) <- true;
     t.dirty.(target) <- true;
     t.cached <- None;
-    Metrics.record_move t.metrics
+    Metrics.add t.metrics Metrics.moves 1
   end
 
 (* Identical sizing call to [Partition.sensors] so cached and freshly
@@ -73,7 +74,7 @@ let size_sensor p m =
     ~module_rail_capacitance:(Partition.rail_capacitance p m)
 
 let refresh t =
-  let t0 = Sys.time () in
+  let t0 = Clock.now_ns () in
   let p = t.p in
   let ch = Partition.charac p in
   let vdd = (Charac.technology ch).Technology.vdd in
@@ -122,7 +123,7 @@ let refresh t =
   Array.fill t.dirty 0 k false;
   t.all_dirty <- false;
   t.cached <- Some b;
-  let seconds = Sys.time () -. t0 in
+  let seconds = Clock.seconds_since t0 in
   if was_full then Metrics.record_full t.metrics ~gates:n ~seconds
   else Metrics.record_delta t.metrics ~gates:!recomputed ~seconds;
   b
@@ -130,7 +131,7 @@ let refresh t =
 let breakdown t =
   match t.cached with
   | Some b ->
-    Metrics.record_hit t.metrics;
+    Metrics.add t.metrics Metrics.eval_cache_hits 1;
     b
   | None -> refresh t
 

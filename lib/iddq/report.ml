@@ -79,41 +79,39 @@ let table rows =
     rows;
   t
 
+(* The search and fault-simulation counters; the server's stay in the
+   [metrics] reply. *)
+let metrics_columns =
+  Iddq_util.Metrics.
+    [
+      full_evals;
+      delta_evals;
+      eval_cache_hits;
+      moves;
+      gates_full;
+      gates_delta;
+      sim_blocks;
+      sim_fault_blocks;
+      sim_faults_dropped;
+      sim_steals;
+    ]
+
 let metrics_table (s : Iddq_util.Metrics.snapshot) =
+  let module M = Iddq_util.Metrics in
   let t =
     Table.create
-      [
-        ("evaluations", Table.Right);
-        ("full", Table.Right);
-        ("delta", Table.Right);
-        ("cached", Table.Right);
-        ("moves", Table.Right);
-        ("gate work full", Table.Right);
-        ("gate work delta", Table.Right);
-        ("eval-equivalents", Table.Right);
-        ("speedup", Table.Right);
-        ("sim blocks", Table.Right);
-        ("sim fault-blocks", Table.Right);
-        ("sim dropped", Table.Right);
-        ("sim steals", Table.Right);
-      ]
+      (List.map
+         (fun h -> (h, Table.Right))
+         (("evaluations" :: List.map M.name metrics_columns)
+         @ [ "eval-equivalents"; "speedup" ]))
   in
   Table.add_row t
-    [
-      string_of_int (Iddq_util.Metrics.evaluations s);
-      string_of_int s.Iddq_util.Metrics.full_evals;
-      string_of_int s.Iddq_util.Metrics.delta_evals;
-      string_of_int s.Iddq_util.Metrics.cache_hits;
-      string_of_int s.Iddq_util.Metrics.moves;
-      string_of_int s.Iddq_util.Metrics.gates_full;
-      string_of_int s.Iddq_util.Metrics.gates_delta;
-      Printf.sprintf "%.1f" (Iddq_util.Metrics.equivalent_evals s);
-      Printf.sprintf "%.1fx" (Iddq_util.Metrics.speedup s);
-      string_of_int s.Iddq_util.Metrics.sim_blocks;
-      string_of_int s.Iddq_util.Metrics.sim_fault_blocks;
-      string_of_int s.Iddq_util.Metrics.sim_faults_dropped;
-      string_of_int s.Iddq_util.Metrics.sim_steals;
-    ];
+    ((string_of_int (M.evaluations s)
+     :: List.map (fun c -> string_of_int (M.get s c)) metrics_columns)
+    @ [
+        Printf.sprintf "%.1f" (M.equivalent_evals s);
+        Printf.sprintf "%.1fx" (M.speedup s);
+      ]);
   t
 
 let pp_metrics fmt s =

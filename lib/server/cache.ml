@@ -96,14 +96,13 @@ let memo t table key compute =
   locked t (fun () ->
       match Lru.find_opt table key with
       | Some v ->
-        Metrics.record_server_cache t.metrics ~hit:true;
+        Metrics.add t.metrics Metrics.cache_hits 1;
         v
       | None ->
-        Metrics.record_server_cache t.metrics ~hit:false;
+        Metrics.add t.metrics Metrics.cache_misses 1;
         let v = compute () in
         let evicted = Lru.insert table key v in
-        if evicted > 0 then
-          Metrics.record_cache_eviction ~count:evicted t.metrics;
+        Metrics.add t.metrics Metrics.cache_evictions evicted;
         v)
 
 let add_circuit t c =

@@ -1,6 +1,7 @@
 module Json = Iddq_util.Json
 module Rng = Iddq_util.Rng
 module Stats = Iddq_util.Stats
+module Clock = Iddq_util.Clock
 
 type config = {
   socket : string;
@@ -133,7 +134,7 @@ type cl = {
   dec : Frame.decoder;
   out : Netbuf.t;
   rng : Rng.t;
-  sent_at : (int, float) Hashtbl.t;  (* request id -> send time *)
+  sent_at : (int, int) Hashtbl.t;  (* request id -> send time, Clock ns *)
   mutable sent : int;
   mutable answered : int;
 }
@@ -167,7 +168,7 @@ let top_up (cfg : config) ~handle ~campaign c =
     let id = c.sent in
     let r = pick c.rng ~handle ~campaign in
     Netbuf.append_string c.out (Frame.encode (Protocol.request_to_json ~id r));
-    Hashtbl.replace c.sent_at id (Unix.gettimeofday ());
+    Hashtbl.replace c.sent_at id (Clock.now_ns ());
     c.sent <- c.sent + 1
   done
 
@@ -190,7 +191,7 @@ let measure (cfg : config) ~handle ~campaign =
   let answered_total = ref 0 in
   let rbuf = Bytes.create 65536 in
   let consume_response c j =
-    let now = Unix.gettimeofday () in
+    let now = Clock.now_ns () in
     (match Protocol.response_id j with
     | None -> raise (Fail "loadgen: response without an id")
     | Some id -> begin
@@ -198,7 +199,7 @@ let measure (cfg : config) ~handle ~campaign =
       | None -> raise (Fail (Printf.sprintf "loadgen: unknown response id %d" id))
       | Some t0 ->
         Hashtbl.remove c.sent_at id;
-        latencies := (now -. t0) *. 1000.0 :: !latencies
+        latencies := float_of_int (now - t0) /. 1e6 :: !latencies
     end);
     (match Protocol.response_payload j with
     | Ok _ -> incr ok
@@ -232,8 +233,7 @@ let measure (cfg : config) ~handle ~campaign =
     | exception Unix.Unix_error (err, _, _) ->
       raise (Fail ("loadgen: read: " ^ Unix.error_message err))
   in
-  let started = Unix.gettimeofday () in
-  let deadline = started +. cfg.deadline in
+  let started = Clock.now_ns () in
   Fun.protect
     ~finally:(fun () ->
       List.iter
@@ -241,7 +241,7 @@ let measure (cfg : config) ~handle ~campaign =
         clients)
     (fun () ->
       while !answered_total < total do
-        if Unix.gettimeofday () > deadline then
+        if Clock.seconds_since started > cfg.deadline then
           raise
             (Fail
                (Printf.sprintf
@@ -266,7 +266,7 @@ let measure (cfg : config) ~handle ~campaign =
           clients;
         List.iter (fun c -> if List.memq c.fd readable then read_in c) clients
       done;
-      let elapsed = Unix.gettimeofday () -. started in
+      let elapsed = Clock.seconds_since started in
       let lat = Array.of_list !latencies in
       let pct p = if Array.length lat = 0 then 0.0 else Stats.percentile lat p in
       {

@@ -124,4 +124,4 @@ val response_id : Iddq_util.Json.t -> int option
 
 val snapshot_json : Iddq_util.Metrics.snapshot -> Iddq_util.Json.t
 (** The counter set as a JSON object (the [metrics] response payload
-    core). *)
+    core): {!Iddq_util.Metrics.to_json}. *)

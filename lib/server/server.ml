@@ -1,5 +1,6 @@
 module Json = Iddq_util.Json
 module Metrics = Iddq_util.Metrics
+module Clock = Iddq_util.Clock
 module Domain_pool = Iddq_util.Domain_pool
 
 (* ------------------------------------------------------------------ *)
@@ -224,13 +225,13 @@ type loop_state = {
   conns : (Unix.file_descr, conn) Hashtbl.t;
   mutable accepting : bool;
   mutable stopping : bool;
-  mutable drain_deadline : float;  (* meaningful once stopping *)
+  mutable drain_started : int;  (* Clock ns; meaningful once stopping *)
   mutable admitted : int;  (* requests admitted, completions not drained *)
 }
 
 let queue_out t conn bytes =
   Netbuf.append_string conn.wbuf bytes;
-  Metrics.record_wbuf t.metrics (Netbuf.length conn.wbuf)
+  Metrics.peak t.metrics Metrics.wbuf_peak (Netbuf.length conn.wbuf)
 
 let kill t st conn =
   if conn.alive then begin
@@ -255,7 +256,7 @@ let maybe_close t st conn =
   then kill t st conn
 
 let shed_response t conn j =
-  Metrics.record_shed t.metrics;
+  Metrics.add t.metrics Metrics.sheds 1;
   let id = Protocol.response_id j in
   queue_out t conn
     (Frame.encode
@@ -278,7 +279,7 @@ let admit t st conn j =
     st.admitted <- st.admitted + 1;
     Queue.push j conn.pending;
     t.queued <- t.queued + 1;
-    Metrics.record_queue_depth t.metrics t.queued;
+    Metrics.peak t.metrics Metrics.queue_peak t.queued;
     if (not conn.executing) && Queue.length conn.pending = 1 then begin
       Queue.push conn t.ring;
       Condition.signal t.work_cv
@@ -373,7 +374,7 @@ let rec accept_all t st =
 let initiate_stop t st =
   if not st.stopping then begin
     st.stopping <- true;
-    st.drain_deadline <- Unix.gettimeofday () +. t.drain_timeout;
+    st.drain_started <- Clock.now_ns ();
     if st.accepting then begin
       st.accepting <- false;
       try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
@@ -437,7 +438,7 @@ let run t =
       conns = Hashtbl.create 64;
       accepting = true;
       stopping = false;
-      drain_deadline = infinity;
+      drain_started = 0;
       admitted = 0;
     }
   in
@@ -465,7 +466,8 @@ let run t =
       in
       let timeout =
         if st.stopping then
-          Stdlib.max 0.01 (Stdlib.min 0.1 (st.drain_deadline -. Unix.gettimeofday ()))
+          let left = t.drain_timeout -. Clock.seconds_since st.drain_started in
+          Stdlib.max 0.01 (Stdlib.min 0.1 left)
         else -1.0
       in
       let readable, writable, _ =
@@ -489,7 +491,8 @@ let run t =
         readable;
       if st.accepting && List.memq t.listen_fd readable then accept_all t st;
       (* a client that never reads must not wedge shutdown *)
-      if st.stopping && Unix.gettimeofday () > st.drain_deadline then begin
+      if st.stopping && Clock.seconds_since st.drain_started > t.drain_timeout
+      then begin
         let snapshot = Hashtbl.fold (fun _ c acc -> c :: acc) st.conns [] in
         List.iter (fun conn -> kill t st conn) snapshot
       end

@@ -1,5 +1,6 @@
 module Json = Iddq_util.Json
 module Metrics = Iddq_util.Metrics
+module Clock = Iddq_util.Clock
 module Rng = Iddq_util.Rng
 module Io_error = Iddq_util.Io_error
 module Circuit = Iddq_netlist.Circuit
@@ -492,7 +493,7 @@ let dispatch t (req : Protocol.request) =
   | Protocol.Shutdown -> Ok (Json.Obj [ ("shutting_down", Json.Bool true) ])
 
 let handle t j =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let id, result, stop =
     match Protocol.request_of_json j with
     | Error (id, err) -> (id, Error err, false)
@@ -506,7 +507,7 @@ let handle t j =
       in
       (id, result, req = Protocol.Shutdown)
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Clock.seconds_since t0 in
   let result =
     match t.budget, result with
     | Some limit, Ok _ when elapsed > limit && not stop ->

@@ -1,209 +1,175 @@
-type t = {
-  full_evals : int Atomic.t;
-  delta_evals : int Atomic.t;
-  cache_hits : int Atomic.t;
-  moves : int Atomic.t;
-  gates_full : int Atomic.t;
-  gates_delta : int Atomic.t;
-  seconds_full : float Atomic.t;
-  seconds_delta : float Atomic.t;
-  sim_blocks : int Atomic.t;
-  sim_fault_blocks : int Atomic.t;
-  sim_faults_dropped : int Atomic.t;
-  sim_steals : int Atomic.t;
-  requests : int Atomic.t;
-  requests_failed : int Atomic.t;
-  seconds_requests : float Atomic.t;
-  server_cache_hits : int Atomic.t;
-  server_cache_misses : int Atomic.t;
-  server_cache_evictions : int Atomic.t;
-  server_sheds : int Atomic.t;
-  server_queue_peak : int Atomic.t;
-  server_wbuf_peak : int Atomic.t;
+type kind = Count | Seconds | Peak
+
+type counter = {
+  index : int;
+  name : string;
+  kind : kind;
+  legacy : string option;
+      (* the key an older campaign store wrote this counter under *)
 }
 
-let create () =
-  {
-    full_evals = Atomic.make 0;
-    delta_evals = Atomic.make 0;
-    cache_hits = Atomic.make 0;
-    moves = Atomic.make 0;
-    gates_full = Atomic.make 0;
-    gates_delta = Atomic.make 0;
-    seconds_full = Atomic.make 0.0;
-    seconds_delta = Atomic.make 0.0;
-    sim_blocks = Atomic.make 0;
-    sim_fault_blocks = Atomic.make 0;
-    sim_faults_dropped = Atomic.make 0;
-    sim_steals = Atomic.make 0;
-    requests = Atomic.make 0;
-    requests_failed = Atomic.make 0;
-    seconds_requests = Atomic.make 0.0;
-    server_cache_hits = Atomic.make 0;
-    server_cache_misses = Atomic.make 0;
-    server_cache_evictions = Atomic.make 0;
-    server_sheds = Atomic.make 0;
-    server_queue_peak = Atomic.make 0;
-    server_wbuf_peak = Atomic.make 0;
-  }
+(* Declaration order is registry order: the order of [to_json], [pp]
+   and [counters].  Only this module declares. *)
+let declared = ref []
 
+let declare ?legacy name kind =
+  let c = { index = List.length !declared; name; kind; legacy } in
+  declared := c :: !declared;
+  c
+
+(* cost evaluation *)
+let full_evals = declare "full_evals" Count ~legacy:"full"
+let delta_evals = declare "delta_evals" Count ~legacy:"delta"
+let eval_cache_hits = declare "eval_cache_hits" Count ~legacy:"hits"
+let moves = declare "moves" Count
+let gates_full = declare "gates_full" Count
+let gates_delta = declare "gates_delta" Count
+let seconds_full = declare "seconds_full" Seconds ~legacy:"sec_full"
+let seconds_delta = declare "seconds_delta" Seconds ~legacy:"sec_delta"
+
+(* packed fault simulation *)
+let sim_blocks = declare "sim_blocks" Count
+let sim_fault_blocks = declare "sim_fault_blocks" Count
+let sim_faults_dropped = declare "sim_faults_dropped" Count ~legacy:"sim_dropped"
+let sim_steals = declare "sim_steals" Count
+
+(* resident service *)
+let requests = declare "requests" Count
+let requests_failed = declare "requests_failed" Count
+let seconds_requests = declare "seconds_requests" Seconds ~legacy:"sec_requests"
+let cache_hits = declare "cache_hits" Count ~legacy:"srv_hits"
+let cache_misses = declare "cache_misses" Count ~legacy:"srv_misses"
+let cache_evictions = declare "cache_evictions" Count ~legacy:"srv_evictions"
+let sheds = declare "sheds" Count ~legacy:"srv_sheds"
+let queue_peak = declare "queue_peak" Peak ~legacy:"srv_queue_peak"
+let wbuf_peak = declare "wbuf_peak" Peak ~legacy:"srv_wbuf_peak"
+
+let registry = Array.of_list (List.rev !declared)
+let counters = Array.to_list registry
+let name c = c.name
+let kind c = c.kind
+
+(* ------------------------------------------------------------------ *)
+(* Recording                                                           *)
+(* ------------------------------------------------------------------ *)
+
+type t = int Atomic.t array
+
+let create () = Array.map (fun _ -> Atomic.make 0) registry
 let global = create ()
-
-(* lock-free add for the float accumulators *)
-let rec add_float cell x =
-  let cur = Atomic.get cell in
-  if not (Atomic.compare_and_set cell cur (cur +. x)) then add_float cell x
-
-let record_full t ~gates ~seconds =
-  ignore (Atomic.fetch_and_add t.full_evals 1);
-  ignore (Atomic.fetch_and_add t.gates_full gates);
-  add_float t.seconds_full seconds
-
-let record_delta t ~gates ~seconds =
-  ignore (Atomic.fetch_and_add t.delta_evals 1);
-  ignore (Atomic.fetch_and_add t.gates_delta gates);
-  add_float t.seconds_delta seconds
-
-let record_hit t = ignore (Atomic.fetch_and_add t.cache_hits 1)
-let record_move t = ignore (Atomic.fetch_and_add t.moves 1)
-
-let record_fault_sim ?(steals = 0) t ~blocks ~fault_blocks ~dropped =
-  ignore (Atomic.fetch_and_add t.sim_blocks blocks);
-  ignore (Atomic.fetch_and_add t.sim_fault_blocks fault_blocks);
-  ignore (Atomic.fetch_and_add t.sim_faults_dropped dropped);
-  ignore (Atomic.fetch_and_add t.sim_steals steals)
-
-let record_request t ~ok ~seconds =
-  ignore (Atomic.fetch_and_add t.requests 1);
-  if not ok then ignore (Atomic.fetch_and_add t.requests_failed 1);
-  add_float t.seconds_requests seconds
-
-let record_server_cache t ~hit =
-  if hit then ignore (Atomic.fetch_and_add t.server_cache_hits 1)
-  else ignore (Atomic.fetch_and_add t.server_cache_misses 1)
-
-let record_cache_eviction ?(count = 1) t =
-  ignore (Atomic.fetch_and_add t.server_cache_evictions count)
+let add (t : t) c n = ignore (Atomic.fetch_and_add t.(c.index) n)
 
 (* lock-free max for the high-water marks *)
-let rec max_int_atomic cell x =
-  let cur = Atomic.get cell in
-  if x > cur && not (Atomic.compare_and_set cell cur x) then
-    max_int_atomic cell x
+let peak (t : t) c x =
+  let cell = t.(c.index) in
+  let rec go () =
+    let cur = Atomic.get cell in
+    if x > cur && not (Atomic.compare_and_set cell cur x) then go ()
+  in
+  go ()
 
-let record_shed t = ignore (Atomic.fetch_and_add t.server_sheds 1)
-let record_queue_depth t depth = max_int_atomic t.server_queue_peak depth
-let record_wbuf t bytes = max_int_atomic t.server_wbuf_peak bytes
+let ns_of_seconds s = Float.to_int (Float.round (s *. 1e9))
 
-type snapshot = {
-  full_evals : int;
-  delta_evals : int;
-  cache_hits : int;
-  moves : int;
-  gates_full : int;
-  gates_delta : int;
-  seconds_full : float;
-  seconds_delta : float;
-  sim_blocks : int;
-  sim_fault_blocks : int;
-  sim_faults_dropped : int;
-  sim_steals : int;
-  requests : int;
-  requests_failed : int;
-  seconds_requests : float;
-  server_cache_hits : int;
-  server_cache_misses : int;
-  server_cache_evictions : int;
-  server_sheds : int;
-  server_queue_peak : int;
-  server_wbuf_peak : int;
-}
+let record_full t ~gates ~seconds =
+  add t full_evals 1;
+  add t gates_full gates;
+  add t seconds_full (ns_of_seconds seconds)
 
-let snapshot (t : t) =
-  {
-    full_evals = Atomic.get t.full_evals;
-    delta_evals = Atomic.get t.delta_evals;
-    cache_hits = Atomic.get t.cache_hits;
-    moves = Atomic.get t.moves;
-    gates_full = Atomic.get t.gates_full;
-    gates_delta = Atomic.get t.gates_delta;
-    seconds_full = Atomic.get t.seconds_full;
-    seconds_delta = Atomic.get t.seconds_delta;
-    sim_blocks = Atomic.get t.sim_blocks;
-    sim_fault_blocks = Atomic.get t.sim_fault_blocks;
-    sim_faults_dropped = Atomic.get t.sim_faults_dropped;
-    sim_steals = Atomic.get t.sim_steals;
-    requests = Atomic.get t.requests;
-    requests_failed = Atomic.get t.requests_failed;
-    seconds_requests = Atomic.get t.seconds_requests;
-    server_cache_hits = Atomic.get t.server_cache_hits;
-    server_cache_misses = Atomic.get t.server_cache_misses;
-    server_cache_evictions = Atomic.get t.server_cache_evictions;
-    server_sheds = Atomic.get t.server_sheds;
-    server_queue_peak = Atomic.get t.server_queue_peak;
-    server_wbuf_peak = Atomic.get t.server_wbuf_peak;
-  }
+let record_delta t ~gates ~seconds =
+  add t delta_evals 1;
+  add t gates_delta gates;
+  add t seconds_delta (ns_of_seconds seconds)
 
-let reset (t : t) =
-  Atomic.set t.full_evals 0;
-  Atomic.set t.delta_evals 0;
-  Atomic.set t.cache_hits 0;
-  Atomic.set t.moves 0;
-  Atomic.set t.gates_full 0;
-  Atomic.set t.gates_delta 0;
-  Atomic.set t.seconds_full 0.0;
-  Atomic.set t.seconds_delta 0.0;
-  Atomic.set t.sim_blocks 0;
-  Atomic.set t.sim_fault_blocks 0;
-  Atomic.set t.sim_faults_dropped 0;
-  Atomic.set t.sim_steals 0;
-  Atomic.set t.requests 0;
-  Atomic.set t.requests_failed 0;
-  Atomic.set t.seconds_requests 0.0;
-  Atomic.set t.server_cache_hits 0;
-  Atomic.set t.server_cache_misses 0;
-  Atomic.set t.server_cache_evictions 0;
-  Atomic.set t.server_sheds 0;
-  Atomic.set t.server_queue_peak 0;
-  Atomic.set t.server_wbuf_peak 0
+let record_fault_sim ?(steals = 0) t ~blocks ~fault_blocks ~dropped =
+  add t sim_blocks blocks;
+  add t sim_fault_blocks fault_blocks;
+  add t sim_faults_dropped dropped;
+  add t sim_steals steals
 
-let diff after before =
-  {
-    full_evals = after.full_evals - before.full_evals;
-    delta_evals = after.delta_evals - before.delta_evals;
-    cache_hits = after.cache_hits - before.cache_hits;
-    moves = after.moves - before.moves;
-    gates_full = after.gates_full - before.gates_full;
-    gates_delta = after.gates_delta - before.gates_delta;
-    seconds_full = after.seconds_full -. before.seconds_full;
-    seconds_delta = after.seconds_delta -. before.seconds_delta;
-    sim_blocks = after.sim_blocks - before.sim_blocks;
-    sim_fault_blocks = after.sim_fault_blocks - before.sim_fault_blocks;
-    sim_faults_dropped = after.sim_faults_dropped - before.sim_faults_dropped;
-    sim_steals = after.sim_steals - before.sim_steals;
-    requests = after.requests - before.requests;
-    requests_failed = after.requests_failed - before.requests_failed;
-    seconds_requests = after.seconds_requests -. before.seconds_requests;
-    server_cache_hits = after.server_cache_hits - before.server_cache_hits;
-    server_cache_misses = after.server_cache_misses - before.server_cache_misses;
-    server_cache_evictions =
-      after.server_cache_evictions - before.server_cache_evictions;
-    server_sheds = after.server_sheds - before.server_sheds;
-    (* high-water marks, not counters: the later mark is the answer *)
-    server_queue_peak = after.server_queue_peak;
-    server_wbuf_peak = after.server_wbuf_peak;
-  }
+let record_request t ~ok ~seconds =
+  add t requests 1;
+  if not ok then add t requests_failed 1;
+  add t seconds_requests (ns_of_seconds seconds)
 
-let evaluations s = s.full_evals + s.delta_evals + s.cache_hits
+let reset (t : t) = Array.iter (fun cell -> Atomic.set cell 0) t
+
+(* ------------------------------------------------------------------ *)
+(* Snapshots                                                           *)
+(* ------------------------------------------------------------------ *)
+
+type snapshot = int array
+
+let snapshot (t : t) : snapshot = Array.map Atomic.get t
+let get (s : snapshot) c = s.(c.index)
+let seconds s c = float_of_int (get s c) /. 1e9
+
+let diff after before : snapshot =
+  Array.map
+    (fun c ->
+      match c.kind with
+      | Count | Seconds -> get after c - get before c
+      (* a high-water mark is not an increment: the later mark is the answer *)
+      | Peak -> get after c)
+    registry
+
+let strip_timing s : snapshot =
+  Array.map (fun c -> if c.kind = Seconds then 0 else get s c) registry
+
+(* ------------------------------------------------------------------ *)
+(* Codec                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let to_json s =
+  Json.Obj
+    (List.map
+       (fun c ->
+         ( c.name,
+           match c.kind with
+           | Count | Peak -> Json.Int (get s c)
+           | Seconds -> Json.Float (seconds s c) ))
+       counters)
+
+(* a timing outside +-30 years is no timing this library recorded *)
+let decode c v =
+  match c.kind with
+  | Count | Peak -> Json.to_int v
+  | Seconds ->
+    Option.bind (Json.to_float v) (fun x ->
+        if Float.abs x < 1e9 then Some (ns_of_seconds x) else None)
+
+let of_json j =
+  let lookup c =
+    match (Json.member c.name j, c.legacy) with
+    | None, Some key -> Json.member key j
+    | v, _ -> v
+  in
+  let rec go acc = function
+    | [] -> Ok (Array.of_list (List.rev acc))
+    | c :: rest -> (
+      match lookup c with
+      | None -> go (0 :: acc) rest (* absent means zero *)
+      | Some v -> (
+        match decode c v with
+        | Some x -> go (x :: acc) rest
+        | None -> Error (Printf.sprintf "metrics: bad counter %S" c.name)))
+  in
+  match j with
+  | Json.Obj _ -> go [] counters
+  | _ -> Error "metrics: not an object"
+
+(* ------------------------------------------------------------------ *)
+(* Derived measures                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let evaluations s = get s full_evals + get s delta_evals + get s eval_cache_hits
 
 let equivalent_evals s =
-  if s.full_evals = 0 then float_of_int (s.full_evals + s.delta_evals)
+  let full = get s full_evals and delta = get s delta_evals in
+  if full = 0 then float_of_int (full + delta)
   else begin
-    let gates_per_full =
-      float_of_int s.gates_full /. float_of_int s.full_evals
-    in
-    if gates_per_full <= 0.0 then float_of_int (s.full_evals + s.delta_evals)
-    else float_of_int s.full_evals +. (float_of_int s.gates_delta /. gates_per_full)
+    let gates_per_full = float_of_int (get s gates_full) /. float_of_int full in
+    if gates_per_full <= 0.0 then float_of_int (full + delta)
+    else float_of_int full +. (float_of_int (get s gates_delta) /. gates_per_full)
   end
 
 let speedup s =
@@ -212,15 +178,11 @@ let speedup s =
 
 let pp fmt s =
   Format.fprintf fmt
-    "evaluations=%d (full=%d delta=%d cached=%d) moves=%d@ gate recomputes: \
-     full=%d delta=%d@ evaluate-equivalents=%.1f (%.1fx fewer than naive)@ cpu: \
-     full=%.3fs delta=%.3fs@ fault sim: blocks=%d fault-blocks=%d dropped=%d steals=%d@ \
-     server: requests=%d (failed=%d, %.3fs) cache hits=%d misses=%d \
-     evictions=%d@ \
-     server load: sheds=%d queue-peak=%d wbuf-peak=%dB"
-    (evaluations s) s.full_evals s.delta_evals s.cache_hits s.moves s.gates_full
-    s.gates_delta (equivalent_evals s) (speedup s) s.seconds_full
-    s.seconds_delta s.sim_blocks s.sim_fault_blocks s.sim_faults_dropped
-    s.sim_steals s.requests s.requests_failed s.seconds_requests s.server_cache_hits
-    s.server_cache_misses s.server_cache_evictions s.server_sheds
-    s.server_queue_peak s.server_wbuf_peak
+    "evaluations=%d@ evaluate-equivalents=%.1f (%.1fx fewer than naive)"
+    (evaluations s) (equivalent_evals s) (speedup s);
+  List.iter
+    (fun c ->
+      match c.kind with
+      | Count | Peak -> Format.fprintf fmt "@ %s=%d" c.name (get s c)
+      | Seconds -> Format.fprintf fmt "@ %s=%.3fs" c.name (seconds s c))
+    counters

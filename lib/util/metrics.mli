@@ -1,16 +1,120 @@
-(** Search-observability counters for the cost evaluators.
+(** Search-observability counters: one registry of named counters.
 
     Every optimizer in the library spends essentially all of its time
     in cost evaluation, so the counters below make search throughput
     (and regressions in it) visible: how many evaluations ran, how many
     were full recomputations versus cache-assisted delta updates, how
     many were served straight from a cache, and how much per-gate
-    degradation work each kind performed.
+    degradation work each kind performed.  Packed fault simulation and
+    the resident service record here too.
 
-    Counters are {!Stdlib.Atomic} values: evaluators running in
+    Each counter is declared once, in this module, with its canonical
+    name and a {!kind}; everything else — {!create}, {!snapshot},
+    {!diff}, {!strip_timing}, {!pp} and the {!to_json}/{!of_json}
+    codec — is a loop over the registry, so adding a counter is one
+    declaration.  The canonical names are the keys of the service's
+    [metrics] reply and of the campaign store's ["metrics"] object.
+
+    Cells are {!Stdlib.Atomic} integers: evaluators running in
     parallel [Domain]s (the ES offspring evaluation) may record into
-    one shared instance without tearing.  Timings are CPU seconds from
-    [Sys.time]. *)
+    one shared instance without tearing.  Timings are integer
+    nanoseconds of the monotonic {!Clock}, so offspring costed on
+    parallel domains do not inflate each other's seconds. *)
+
+(** {1 The registry} *)
+
+type kind =
+  | Count  (** An event count; summed. *)
+  | Seconds
+      (** A duration, stored as integer nanoseconds and encoded as
+          seconds; summed, and zeroed by {!strip_timing}. *)
+  | Peak  (** A high-water mark; {!diff} keeps the later value. *)
+
+type counter
+(** One declared counter. *)
+
+val name : counter -> string
+(** The canonical name: the counter's JSON key. *)
+
+val kind : counter -> kind
+
+val counters : counter list
+(** Every counter, in registry order. *)
+
+(** Cost evaluation. *)
+
+val full_evals : counter
+(** Complete recomputations. *)
+
+val delta_evals : counter
+(** Cache-assisted recomputations. *)
+
+val eval_cache_hits : counter
+(** Evaluations served from a valid cache. *)
+
+val moves : counter
+(** Gate moves applied through incremental evaluators. *)
+
+val gates_full : counter
+(** Per-gate degradation recomputations done by full evaluations (the
+    sum of circuit sizes over {!full_evals}). *)
+
+val gates_delta : counter
+(** Per-gate degradation recomputations done by delta evaluations. *)
+
+val seconds_full : counter
+(** Time spent in full evaluations. *)
+
+val seconds_delta : counter
+(** Time spent in delta evaluations. *)
+
+(** Packed fault simulation ([Iddq_defects.Fault_sim]). *)
+
+val sim_blocks : counter
+(** Good-machine 64-vector blocks evaluated. *)
+
+val sim_fault_blocks : counter
+(** Per-fault block passes (word operations) performed. *)
+
+val sim_faults_dropped : counter
+(** Faults dropped (detected, never re-simulated). *)
+
+val sim_steals : counter
+(** Fault chunks executed beyond an even static split by the
+    round-robin scheduler (idle-domain work rebalanced). *)
+
+(** The resident service ([Iddq_server]). *)
+
+val requests : counter
+(** Requests answered (ok or error). *)
+
+val requests_failed : counter
+(** Requests answered with a protocol error. *)
+
+val seconds_requests : counter
+(** Time spent answering requests. *)
+
+val cache_hits : counter
+(** Session-cache lookups served (a parsed circuit, characterization
+    or packed vector set reused). *)
+
+val cache_misses : counter
+(** Session-cache lookups computed and stored. *)
+
+val cache_evictions : counter
+(** Session-cache entries evicted by the LRU size bound. *)
+
+val sheds : counter
+(** Requests refused with [overloaded] by admission control
+    (pipeline-depth or queue-depth limit hit). *)
+
+val queue_peak : counter
+(** High-water mark of the server's pending-request queue. *)
+
+val wbuf_peak : counter
+(** High-water mark of any connection's write buffer, bytes. *)
+
+(** {1 Recording} *)
 
 type t
 (** A mutable counter set. *)
@@ -23,7 +127,13 @@ val global : t
     (unless given an explicit instance) [Iddq_core.Cost_eval] record
     here, so snapshots around a phase measure the whole library. *)
 
-(** {1 Recording} *)
+val add : t -> counter -> int -> unit
+(** [add t c n] adds [n] to a [Count] counter ([n] nanoseconds to a
+    [Seconds] one). *)
+
+val peak : t -> counter -> int -> unit
+(** [peak t c x] raises the [Peak] counter [c] to [x] if [x] is
+    higher. *)
 
 val record_full : t -> gates:int -> seconds:float -> unit
 (** One complete cost evaluation that recomputed the degradation of
@@ -33,103 +143,57 @@ val record_delta : t -> gates:int -> seconds:float -> unit
 (** One cache-assisted evaluation that recomputed only [gates] gates
     (the modules touched since the previous evaluation). *)
 
-val record_hit : t -> unit
-(** One evaluation served entirely from a valid cache. *)
-
-val record_move : t -> unit
-(** One gate move applied through an incremental evaluator. *)
-
 val record_fault_sim :
   ?steals:int -> t -> blocks:int -> fault_blocks:int -> dropped:int -> unit
-(** One packed fault-simulation run ([Iddq_defects.Fault_sim]):
-    [blocks] good-machine 64-vector block evaluations, [fault_blocks]
-    per-fault word-operation block passes, [dropped] faults removed
-    from further simulation by fault dropping, and [steals] fault
-    chunks a pool participant executed beyond an even static split
-    (work the round-robin scheduler rebalanced; default [0]). *)
+(** One packed fault-simulation run: [blocks] good-machine 64-vector
+    block evaluations, [fault_blocks] per-fault word-operation block
+    passes, [dropped] faults removed from further simulation by fault
+    dropping, and [steals] fault chunks a pool participant executed
+    beyond an even static split (default [0]). *)
 
 val record_request : t -> ok:bool -> seconds:float -> unit
-(** One service request ([Iddq_server.Service]): outcome and
-    wall-clock latency.  [ok] is false for requests answered with a
-    protocol error. *)
+(** One service request: outcome and latency.  [ok] is false for
+    requests answered with a protocol error. *)
 
-val record_server_cache : t -> hit:bool -> unit
-(** One session-cache lookup by the resident service: a [hit] reused a
-    parsed circuit, characterization, or packed vector set; a miss
-    computed and stored it. *)
-
-val record_cache_eviction : ?count:int -> t -> unit
-(** [count] (default 1) session-cache entries evicted by the
-    size-bounded LRU policy to make room for new ones. *)
-
-val record_shed : t -> unit
-(** One request refused with the [overloaded] error by the server's
-    load-shedding admission control (pipeline-depth or queue-depth
-    limit hit). *)
-
-val record_queue_depth : t -> int -> unit
-(** Observe the server's global pending-request queue depth; keeps the
-    high-water mark ({!field-server_queue_peak}). *)
-
-val record_wbuf : t -> int -> unit
-(** Observe one connection's write-buffer size in bytes; keeps the
-    high-water mark ({!field-server_wbuf_peak}). *)
+val reset : t -> unit
 
 (** {1 Snapshots} *)
 
-type snapshot = {
-  full_evals : int;  (** Complete recomputations. *)
-  delta_evals : int;  (** Cache-assisted recomputations. *)
-  cache_hits : int;  (** Evaluations served from a valid cache. *)
-  moves : int;  (** Moves applied through incremental evaluators. *)
-  gates_full : int;
-      (** Per-gate degradation recomputations done by full evaluations
-          (the sum of circuit sizes over {!field-full_evals}). *)
-  gates_delta : int;
-      (** Per-gate degradation recomputations done by delta
-          evaluations. *)
-  seconds_full : float;  (** CPU seconds spent in full evaluations. *)
-  seconds_delta : float;  (** CPU seconds spent in delta evaluations. *)
-  sim_blocks : int;
-      (** Good-machine 64-vector blocks evaluated by the packed fault
-          simulator. *)
-  sim_fault_blocks : int;
-      (** Per-fault block passes (word operations) performed by the
-          packed fault simulator. *)
-  sim_faults_dropped : int;
-      (** Faults dropped (detected, never re-simulated) by the packed
-          fault simulator. *)
-  sim_steals : int;
-      (** Fault chunks executed beyond an even static split by the
-          work-stealing scheduler (idle-domain work rebalanced). *)
-  requests : int;  (** Service requests answered (ok or error). *)
-  requests_failed : int;  (** Requests answered with a protocol error. *)
-  seconds_requests : float;
-      (** Wall-clock seconds spent answering requests (a timing
-          field). *)
-  server_cache_hits : int;  (** Session-cache lookups served. *)
-  server_cache_misses : int;  (** Session-cache lookups computed. *)
-  server_cache_evictions : int;
-      (** Session-cache entries evicted by the LRU size bound. *)
-  server_sheds : int;
-      (** Requests refused with [overloaded] by admission control. *)
-  server_queue_peak : int;
-      (** High-water mark of the server's pending-request queue. *)
-  server_wbuf_peak : int;
-      (** High-water mark of any connection's write buffer, bytes. *)
-}
+type snapshot
+(** An immutable copy of a counter set.  Structural equality compares
+    every counter. *)
 
 val snapshot : t -> snapshot
 (** A consistent-enough copy of the counters (each counter is read
     atomically; the set is not read under one lock). *)
 
-val reset : t -> unit
+val get : snapshot -> counter -> int
+(** A counter's value; nanoseconds for a [Seconds] counter. *)
+
+val seconds : snapshot -> counter -> float
+(** A [Seconds] counter's value in seconds. *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff after before] — counter increments between two snapshots of
-    the same instance.  The high-water marks
-    ([server_queue_peak]/[server_wbuf_peak]) are not increments; the
-    diff carries [after]'s mark. *)
+    the same instance.  [Peak] counters are not increments; the diff
+    carries [after]'s mark. *)
+
+val strip_timing : snapshot -> snapshot
+(** Every [Seconds] counter zeroed; what is left is deterministic for a
+    deterministic computation. *)
+
+(** {1 Codec} *)
+
+val to_json : snapshot -> Json.t
+(** One object with every counter under its canonical name: an [Int]
+    for [Count] and [Peak], a [Float] of seconds for [Seconds]. *)
+
+val of_json : Json.t -> (snapshot, string) result
+(** Inverse of {!to_json}.  A counter absent from the object is zero; a
+    counter is looked up under its canonical name, then under the
+    short key older campaign stores wrote ([full], [hits], [sec_full],
+    [sim_dropped], [srv_hits], ...).  A non-object, or a counter of the
+    wrong JSON type, is an error. *)
 
 (** {1 Derived measures} *)
 
@@ -150,4 +214,5 @@ val speedup : snapshot -> float
     recompute-everything evaluator answering the same queries. *)
 
 val pp : Format.formatter -> snapshot -> unit
-(** One-paragraph summary of a snapshot. *)
+(** One-paragraph summary of a snapshot: the derived measures, then
+    every counter as [name=value]. *)

@@ -6,6 +6,7 @@ module Job_result = Iddq_campaign.Job_result
 module Store = Iddq_campaign.Store
 module Runner = Iddq_campaign.Runner
 module Summary = Iddq_campaign.Summary
+module Metrics = Iddq_util.Metrics
 
 let with_temp_store f =
   let path = Filename.temp_file "iddq-campaign-test" ".jsonl" in
@@ -226,6 +227,126 @@ let test_result_bad_lines () =
         (Result.is_error (Job_result.of_line line)))
     [ ""; "{}"; "[1,2]"; "{\"job\":\"x\""; "not json at all" ]
 
+(* Stores written before the counters had one registry spell the
+   metrics object with short keys; the newest of those stores carries
+   all 21, the oldest only the eight cost-evaluation ones. *)
+let legacy_metrics =
+  "{\"full\":3,\"delta\":5,\"hits\":2,\"moves\":7,\"gates_full\":90,\
+   \"gates_delta\":11,\"sec_full\":0.5,\"sec_delta\":0.25,\"sim_blocks\":4,\
+   \"sim_fault_blocks\":6,\"sim_dropped\":1,\"sim_steals\":2,\"requests\":9,\
+   \"requests_failed\":1,\"sec_requests\":0.125,\"srv_hits\":8,\
+   \"srv_misses\":3,\"srv_evictions\":1,\"srv_sheds\":2,\
+   \"srv_queue_peak\":5,\"srv_wbuf_peak\":4096}"
+
+let oldest_metrics =
+  "{\"full\":1,\"delta\":0,\"hits\":4,\"moves\":0,\"gates_full\":6,\
+   \"gates_delta\":0,\"sec_full\":0.001,\"sec_delta\":0.0}"
+
+(* [r]'s line with its metrics object replaced by [metrics] (JSON text) *)
+let line_with_metrics r metrics =
+  match (Job_result.to_json r, Json.parse metrics) with
+  | Json.Obj kvs, Ok m ->
+    Json.to_string
+      (Json.Obj
+         (List.map (fun (k, v) -> if k = "metrics" then (k, m) else (k, v)) kvs))
+  | _, Error e -> Alcotest.fail e
+  | _ -> Alcotest.fail "record is not an object"
+
+let decoded_metrics line =
+  match Job_result.of_line line with
+  | Ok r -> r.Job_result.metrics
+  | Error e -> Alcotest.failf "legacy line rejected: %s" e
+
+let test_result_legacy_metrics () =
+  let r =
+    Job_result.failure ~job:(sample_job ()) ~derived_seed:3 ~elapsed:0.5
+      ~metrics:(sample_metrics ()) "old"
+  in
+  let m = decoded_metrics (line_with_metrics r legacy_metrics) in
+  List.iter
+    (fun (c, want) ->
+      Alcotest.(check int) (Metrics.name c) want (Metrics.get m c))
+    Metrics.
+      [
+        (full_evals, 3);
+        (delta_evals, 5);
+        (eval_cache_hits, 2);
+        (moves, 7);
+        (gates_full, 90);
+        (gates_delta, 11);
+        (sim_blocks, 4);
+        (sim_fault_blocks, 6);
+        (sim_faults_dropped, 1);
+        (sim_steals, 2);
+        (requests, 9);
+        (requests_failed, 1);
+        (cache_hits, 8);
+        (cache_misses, 3);
+        (cache_evictions, 1);
+        (sheds, 2);
+        (queue_peak, 5);
+        (wbuf_peak, 4096);
+      ];
+  List.iter
+    (fun (c, want) ->
+      Alcotest.(check (float 0.0)) (Metrics.name c) want (Metrics.seconds m c))
+    Metrics.
+      [ (seconds_full, 0.5); (seconds_delta, 0.25); (seconds_requests, 0.125) ];
+  let old = decoded_metrics (line_with_metrics r oldest_metrics) in
+  Alcotest.(check int) "oldest: full" 1 (Metrics.get old Metrics.full_evals);
+  Alcotest.(check int) "oldest: hits" 4 (Metrics.get old Metrics.eval_cache_hits);
+  Alcotest.(check (float 0.0)) "oldest: seconds" 0.001
+    (Metrics.seconds old Metrics.seconds_full);
+  List.iter
+    (fun c ->
+      Alcotest.(check int)
+        ("oldest: absent " ^ Metrics.name c)
+        0 (Metrics.get old c))
+    Metrics.
+      [
+        sim_blocks;
+        sim_fault_blocks;
+        sim_faults_dropped;
+        sim_steals;
+        requests;
+        requests_failed;
+        seconds_requests;
+        cache_hits;
+        cache_misses;
+        cache_evictions;
+        sheds;
+        queue_peak;
+        wbuf_peak;
+      ];
+  (* a legacy record re-encodes under the canonical names, losslessly *)
+  let legacy =
+    Result.get_ok (Job_result.of_line (line_with_metrics r legacy_metrics))
+  in
+  Alcotest.(check bool) "legacy record re-encodes losslessly" true
+    (Job_result.of_line (Job_result.to_line legacy) = Ok legacy)
+
+let test_result_bad_metrics () =
+  let r =
+    Job_result.failure ~job:(sample_job ()) ~derived_seed:3 ~elapsed:0.5
+      ~metrics:(sample_metrics ()) "bad"
+  in
+  List.iter
+    (fun metrics ->
+      Alcotest.(check bool) (Printf.sprintf "metrics %s rejected" metrics) true
+        (Result.is_error (Job_result.of_line (line_with_metrics r metrics))))
+    [
+      "[1,2]";
+      "5";
+      "null";
+      "\"full\"";
+      "{\"full\":\"three\"}";
+      "{\"full_evals\":1.5}";
+      "{\"moves\":true}";
+      "{\"sec_full\":\"soon\"}";
+      "{\"seconds_full\":[0.5]}";
+      "{\"srv_queue_peak\":2.0}";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -346,12 +467,16 @@ let qcheck_store_torn_tail =
               (fun acc ch -> if ch = '\n' then acc + 1 else acc)
               0 truncated
           in
-          let partial = cut > 0 && truncated.[cut - 1] <> '\n' in
+          (* a cut just before a newline leaves the last record intact,
+             and the store keeps it *)
+          let intact_tail = cut < size && content.[cut] = '\n' in
+          let partial = cut > 0 && truncated.[cut - 1] <> '\n' && not intact_tail in
           let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
           Unix.ftruncate fd cut;
           Unix.close fd;
           let s = open_store path in
-          let survived = Store.count s = full_lines in
+          let kept = full_lines + if intact_tail then 1 else 0 in
+          let survived = Store.count s = kept in
           let counted = Store.dropped s = if partial then 1 else 0 in
           (* the torn tail must never swallow a subsequent append *)
           Store.append s (record fresh_job "appended");
@@ -363,7 +488,7 @@ let qcheck_store_torn_tail =
               m = "appended"
             | _ -> false
           in
-          let recount = Store.count s = full_lines + 1 in
+          let recount = Store.count s = kept + 1 in
           Store.close s;
           survived && counted && appended_back && recount))
 
@@ -532,6 +657,71 @@ let test_runner_rejects_invalid_spec () =
                in
                contains 0)))
 
+(* Legacy spelling of a canonical metrics object: the keys stores
+   wrote before the counters had one registry. *)
+let legacy_keys =
+  [
+    ("full_evals", "full");
+    ("delta_evals", "delta");
+    ("eval_cache_hits", "hits");
+    ("seconds_full", "sec_full");
+    ("seconds_delta", "sec_delta");
+    ("sim_faults_dropped", "sim_dropped");
+    ("seconds_requests", "sec_requests");
+    ("cache_hits", "srv_hits");
+    ("cache_misses", "srv_misses");
+    ("cache_evictions", "srv_evictions");
+    ("sheds", "srv_sheds");
+    ("queue_peak", "srv_queue_peak");
+    ("wbuf_peak", "srv_wbuf_peak");
+  ]
+
+let to_legacy_metrics = function
+  | Json.Obj kvs ->
+    Json.Obj
+      (List.map
+         (fun (k, v) ->
+           (Option.value ~default:k (List.assoc_opt k legacy_keys), v))
+         kvs)
+  | j -> j
+
+let test_runner_resumes_mixed_format_store () =
+  with_temp_store (fun path ->
+      let spec = { tiny_spec with Spec.circuits = [ "C17" ] } in
+      let first = run_spec ~domains:2 path spec in
+      Alcotest.(check int) "all executed" 4 first.Runner.executed;
+      (* rewrite every other line in the old key spelling *)
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      let rewritten =
+        List.mapi
+          (fun i line ->
+            if i mod 2 = 1 then line
+            else
+              match Json.parse line with
+              | Ok (Json.Obj kvs) ->
+                Json.to_string
+                  (Json.Obj
+                     (List.map
+                        (fun (k, v) ->
+                          if k = "metrics" then (k, to_legacy_metrics v) else (k, v))
+                        kvs))
+              | _ -> Alcotest.fail "store line is not an object")
+          lines
+      in
+      Alcotest.(check bool) "some lines rewritten" true (rewritten <> lines);
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) rewritten);
+      let again = run_spec ~domains:2 path spec in
+      Alcotest.(check int) "resume executes nothing" 0 again.Runner.executed;
+      Alcotest.(check int) "resume skips all" 4 again.Runner.skipped;
+      Alcotest.(check (list string)) "mixed store decodes to the same results"
+        (signature first.Runner.results)
+        (signature again.Runner.results))
+
 let tests =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -565,4 +755,8 @@ let tests =
       test_runner_timeout_records_and_reruns;
     Alcotest.test_case "runner rejects invalid spec" `Quick
       test_runner_rejects_invalid_spec;
+    Alcotest.test_case "result legacy metrics" `Quick test_result_legacy_metrics;
+    Alcotest.test_case "result bad metrics" `Quick test_result_bad_metrics;
+    Alcotest.test_case "runner resumes mixed-format store" `Slow
+      test_runner_resumes_mixed_format_store;
   ]

@@ -175,26 +175,28 @@ let test_cost_eval_counters () =
   Alcotest.(check (float 0.0)) "cache returns same value" b1.Cost.penalized
     b2.Cost.penalized;
   let s = Metrics.snapshot metrics in
-  Alcotest.(check int) "one full eval" 1 s.Metrics.full_evals;
-  Alcotest.(check int) "one cache hit" 1 s.Metrics.cache_hits;
-  Alcotest.(check int) "full eval visited every gate" 6 s.Metrics.gates_full;
+  Alcotest.(check int) "one full eval" 1 (Metrics.get s Metrics.full_evals);
+  Alcotest.(check int) "one cache hit" 1 (Metrics.get s Metrics.eval_cache_hits);
+  Alcotest.(check int) "full eval visited every gate" 6
+    (Metrics.get s Metrics.gates_full);
   Cost_eval.move eval ~gate:0 ~target:1;
   ignore (Cost_eval.penalized eval);
   let s = Metrics.snapshot metrics in
-  Alcotest.(check int) "one move" 1 s.Metrics.moves;
-  Alcotest.(check int) "one delta eval" 1 s.Metrics.delta_evals;
+  Alcotest.(check int) "one move" 1 (Metrics.get s Metrics.moves);
+  Alcotest.(check int) "one delta eval" 1 (Metrics.get s Metrics.delta_evals);
   Alcotest.(check (result unit string)) "delta matches full" (Ok ())
     (Cost_eval.self_check eval);
   (* moving a gate to its own module is a no-op: nothing recorded *)
   Cost_eval.move eval ~gate:0 ~target:(Partition.module_of_gate p 0);
   ignore (Cost_eval.breakdown eval);
   let s' = Metrics.snapshot metrics in
-  Alcotest.(check int) "no-op move not counted" s.Metrics.moves s'.Metrics.moves;
+  Alcotest.(check int) "no-op move not counted" (Metrics.get s Metrics.moves)
+    (Metrics.get s' Metrics.moves);
   Cost_eval.invalidate eval;
   ignore (Cost_eval.breakdown eval);
   let s'' = Metrics.snapshot metrics in
   Alcotest.(check int) "invalidate forces a full recompute" 2
-    s''.Metrics.full_evals
+    (Metrics.get s'' Metrics.full_evals)
 
 let test_cost_eval_copy_independent () =
   let ch = make (Iscas.c17 ()) in

@@ -175,10 +175,11 @@ let test_metrics_counters () =
   let s = Metrics.snapshot metrics in
   let expected_blocks = (Array.length vectors + 63) / 64 in
   Alcotest.(check int) "good-machine blocks" expected_blocks
-    s.Metrics.sim_blocks;
+    (Metrics.get s Metrics.sim_blocks);
   Alcotest.(check bool) "fault-block passes recorded" true
-    (s.Metrics.sim_fault_blocks > 0);
-  Alcotest.(check int) "full matrix never drops" 0 s.Metrics.sim_faults_dropped;
+    (Metrics.get s Metrics.sim_fault_blocks > 0);
+  Alcotest.(check int) "full matrix never drops" 0
+    (Metrics.get s Metrics.sim_faults_dropped);
   let metrics = Metrics.create () in
   let first = Fault_sim.first_detections ~metrics p ~vectors ~faults in
   let s = Metrics.snapshot metrics in
@@ -186,7 +187,7 @@ let test_metrics_counters () =
     Array.fold_left (fun a v -> if v >= 0 then a + 1 else a) 0 first
   in
   Alcotest.(check int) "dropped = detected" detected
-    s.Metrics.sim_faults_dropped
+    (Metrics.get s Metrics.sim_faults_dropped)
 
 let test_empty_cases () =
   let _, p, vectors, _ = random_case 2 in

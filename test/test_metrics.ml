@@ -1,21 +1,23 @@
 module Metrics = Iddq_util.Metrics
+module Json = Iddq_util.Json
 
 let test_record_and_snapshot () =
   let m = Metrics.create () in
   Metrics.record_full m ~gates:100 ~seconds:0.5;
   Metrics.record_full m ~gates:100 ~seconds:0.25;
   Metrics.record_delta m ~gates:10 ~seconds:0.01;
-  Metrics.record_hit m;
-  Metrics.record_move m;
-  Metrics.record_move m;
+  Metrics.add m Metrics.eval_cache_hits 1;
+  Metrics.add m Metrics.moves 1;
+  Metrics.add m Metrics.moves 1;
   let s = Metrics.snapshot m in
-  Alcotest.(check int) "full" 2 s.Metrics.full_evals;
-  Alcotest.(check int) "delta" 1 s.Metrics.delta_evals;
-  Alcotest.(check int) "hits" 1 s.Metrics.cache_hits;
-  Alcotest.(check int) "moves" 2 s.Metrics.moves;
-  Alcotest.(check int) "gates full" 200 s.Metrics.gates_full;
-  Alcotest.(check int) "gates delta" 10 s.Metrics.gates_delta;
-  Alcotest.(check (float 1e-12)) "seconds full" 0.75 s.Metrics.seconds_full;
+  Alcotest.(check int) "full" 2 (Metrics.get s Metrics.full_evals);
+  Alcotest.(check int) "delta" 1 (Metrics.get s Metrics.delta_evals);
+  Alcotest.(check int) "hits" 1 (Metrics.get s Metrics.eval_cache_hits);
+  Alcotest.(check int) "moves" 2 (Metrics.get s Metrics.moves);
+  Alcotest.(check int) "gates full" 200 (Metrics.get s Metrics.gates_full);
+  Alcotest.(check int) "gates delta" 10 (Metrics.get s Metrics.gates_delta);
+  Alcotest.(check (float 1e-12)) "seconds full" 0.75
+    (Metrics.seconds s Metrics.seconds_full);
   Alcotest.(check int) "evaluations" 4 (Metrics.evaluations s)
 
 let test_equivalent_evals () =
@@ -45,15 +47,15 @@ let test_diff_and_reset () =
   Metrics.record_full m ~gates:5 ~seconds:0.0;
   let before = Metrics.snapshot m in
   Metrics.record_delta m ~gates:2 ~seconds:0.0;
-  Metrics.record_hit m;
+  Metrics.add m Metrics.eval_cache_hits 1;
   let d = Metrics.diff (Metrics.snapshot m) before in
-  Alcotest.(check int) "full increment" 0 d.Metrics.full_evals;
-  Alcotest.(check int) "delta increment" 1 d.Metrics.delta_evals;
-  Alcotest.(check int) "hit increment" 1 d.Metrics.cache_hits;
+  Alcotest.(check int) "full increment" 0 (Metrics.get d Metrics.full_evals);
+  Alcotest.(check int) "delta increment" 1 (Metrics.get d Metrics.delta_evals);
+  Alcotest.(check int) "hit increment" 1 (Metrics.get d Metrics.eval_cache_hits);
   Metrics.reset m;
   let z = Metrics.snapshot m in
   Alcotest.(check int) "reset evals" 0 (Metrics.evaluations z);
-  Alcotest.(check int) "reset gates" 0 z.Metrics.gates_full
+  Alcotest.(check int) "reset gates" 0 (Metrics.get z Metrics.gates_full)
 
 let test_domain_safe_recording () =
   (* concurrent recording from several domains loses nothing *)
@@ -62,7 +64,7 @@ let test_domain_safe_recording () =
   let worker () =
     for _ = 1 to per_domain do
       Metrics.record_delta m ~gates:3 ~seconds:1e-6;
-      Metrics.record_move m
+      Metrics.add m Metrics.moves 1
     done
   in
   let domains = Array.init 3 (fun _ -> Domain.spawn worker) in
@@ -70,13 +72,14 @@ let test_domain_safe_recording () =
   Array.iter Domain.join domains;
   let s = Metrics.snapshot m in
   Alcotest.(check int) "all deltas counted" (4 * per_domain)
-    s.Metrics.delta_evals;
-  Alcotest.(check int) "all moves counted" (4 * per_domain) s.Metrics.moves;
+    (Metrics.get s Metrics.delta_evals);
+  Alcotest.(check int) "all moves counted" (4 * per_domain)
+    (Metrics.get s Metrics.moves);
   Alcotest.(check int) "all gates counted" (12 * per_domain)
-    s.Metrics.gates_delta;
+    (Metrics.get s Metrics.gates_delta);
   Alcotest.(check (float 1e-9)) "all seconds accumulated"
     (4.0e-6 *. float_of_int per_domain)
-    s.Metrics.seconds_delta
+    (Metrics.seconds s Metrics.seconds_delta)
 
 let test_pp_smoke () =
   let m = Metrics.create () in
@@ -85,6 +88,104 @@ let test_pp_smoke () =
   let str = Format.asprintf "%a" Metrics.pp s in
   Alcotest.(check bool) "mentions evaluations" true
     (String.length str > 0 && String.index_opt str '=' <> None)
+
+(* One recording step: a registry counter bumped directly, or one of
+   the helpers that tie several counters together.  Timings are whole
+   microseconds so every recording is exact in nanoseconds. *)
+type op =
+  | Bump of int * int  (* registry index, amount (or mark) *)
+  | Full of int * int  (* gates, microseconds *)
+  | Delta of int * int
+  | Request of bool * int
+  | Fault_sim of int * int * int * int
+
+let registry = Array.of_list Metrics.counters
+
+let apply m = function
+  | Bump (i, n) -> (
+    let c = registry.(i) in
+    match Metrics.kind c with
+    | Metrics.Peak -> Metrics.peak m c n
+    | Metrics.Count | Metrics.Seconds -> Metrics.add m c n)
+  | Full (gates, us) ->
+    Metrics.record_full m ~gates ~seconds:(float_of_int us *. 1e-6)
+  | Delta (gates, us) ->
+    Metrics.record_delta m ~gates ~seconds:(float_of_int us *. 1e-6)
+  | Request (ok, us) ->
+    Metrics.record_request m ~ok ~seconds:(float_of_int us *. 1e-6)
+  | Fault_sim (blocks, fault_blocks, dropped, steals) ->
+    Metrics.record_fault_sim ~steals m ~blocks ~fault_blocks ~dropped
+
+let print_op = function
+  | Bump (i, n) -> Printf.sprintf "Bump(%s,%d)" (Metrics.name registry.(i)) n
+  | Full (g, us) -> Printf.sprintf "Full(%d,%dus)" g us
+  | Delta (g, us) -> Printf.sprintf "Delta(%d,%dus)" g us
+  | Request (ok, us) -> Printf.sprintf "Request(%b,%dus)" ok us
+  | Fault_sim (a, b, c, d) -> Printf.sprintf "Fault_sim(%d,%d,%d,%d)" a b c d
+
+let ops_arb =
+  let open QCheck.Gen in
+  let small = int_range 0 100_000 and us = int_range 0 10_000_000 in
+  let op =
+    oneof
+      [
+        map2 (fun i n -> Bump (i, n)) (int_bound (Array.length registry - 1)) small;
+        map2 (fun g t -> Full (g, t)) small us;
+        map2 (fun g t -> Delta (g, t)) small us;
+        map2 (fun ok t -> Request (ok, t)) bool us;
+        map4 (fun a b c d -> Fault_sim (a, b, c, d)) small small small small;
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair (list print_op) (list print_op))
+    (pair (list_size (int_bound 30) op) (list_size (int_bound 30) op))
+
+let qcheck_codec_roundtrip =
+  QCheck.Test.make ~name:"of_json (to_json s) = Ok s" ~count:300 ops_arb
+    (fun (first, second) ->
+      let m = Metrics.create () in
+      List.iter (apply m) (first @ second);
+      let s = Metrics.snapshot m in
+      let through_text =
+        Result.bind
+          (Json.parse (Json.to_string (Metrics.to_json s)))
+          Metrics.of_json
+      in
+      Metrics.of_json (Metrics.to_json s) = Ok s && through_text = Ok s)
+
+let qcheck_diff_law =
+  QCheck.Test.make ~name:"diff after before = the second half alone" ~count:300
+    ops_arb (fun (first, second) ->
+      let m = Metrics.create () in
+      List.iter (apply m) first;
+      let before = Metrics.snapshot m in
+      List.iter (apply m) second;
+      let after = Metrics.snapshot m in
+      let d = Metrics.diff after before in
+      let fresh = Metrics.create () in
+      List.iter (apply fresh) second;
+      let alone = Metrics.snapshot fresh in
+      List.for_all
+        (fun c ->
+          match Metrics.kind c with
+          | Metrics.Count | Metrics.Seconds -> Metrics.get d c = Metrics.get alone c
+          | Metrics.Peak -> Metrics.get d c = Metrics.get after c)
+        Metrics.counters)
+
+let test_strip_timing () =
+  let m = Metrics.create () in
+  Metrics.record_full m ~gates:10 ~seconds:0.5;
+  Metrics.record_request m ~ok:false ~seconds:0.25;
+  Metrics.peak m Metrics.queue_peak 3;
+  let s = Metrics.strip_timing (Metrics.snapshot m) in
+  List.iter
+    (fun c ->
+      if Metrics.kind c = Metrics.Seconds then
+        Alcotest.(check int) (Metrics.name c) 0 (Metrics.get s c))
+    Metrics.counters;
+  Alcotest.(check int) "counts kept" 1 (Metrics.get s Metrics.full_evals);
+  Alcotest.(check int) "failures kept" 1 (Metrics.get s Metrics.requests_failed);
+  Alcotest.(check int) "peaks kept" 3 (Metrics.get s Metrics.queue_peak)
 
 let tests =
   [
@@ -95,4 +196,7 @@ let tests =
     Alcotest.test_case "diff and reset" `Quick test_diff_and_reset;
     Alcotest.test_case "domain-safe recording" `Quick test_domain_safe_recording;
     Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
+    QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_diff_law;
+    Alcotest.test_case "strip timing" `Quick test_strip_timing;
   ]
