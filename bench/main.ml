@@ -1,15 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation, plus the ablations of DESIGN.md §4 and Bechamel
-   micro-benchmarks of the estimators.
+   paper's evaluation, plus the ablations of DESIGN.md §4.
 
      dune exec bench/main.exe             # everything
      dune exec bench/main.exe table1      # one experiment
      dune exec bench/main.exe quick       # table1 on a small stand-in
 
-   Experiments: table1 fig2 c17 fig1 ablation-opt ablation-weights
-   ablation-es ablation-resynth validation tradeoff variants
-   logic-vs-iddq schedule routing testset sizing stability cooptimize
-   faultsim kernels diagnose perf smoke campaign *)
+   The experiments are listed once, in [experiments] at the end.
+   [testset] and [diagnose] check their results: on FAIL the process
+   exits 1 once every requested experiment has run. *)
 
 module Table = Iddq_util.Table
 module Rng = Iddq_util.Rng
@@ -26,10 +24,9 @@ module Es = Iddq_evolution.Es
 module Seeds = Iddq_evolution.Seeds
 module Part_iddq = Iddq_evolution.Part_iddq
 module Standard = Iddq_baseline.Standard
-module Annealing = Iddq_baseline.Annealing
-module Metrics = Iddq_util.Metrics
 module Pipeline = Iddq.Pipeline
 module Report = Iddq.Report
+module Clock = Iddq_util.Clock
 
 let section title =
   Printf.printf "\n==== %s ====\n\n%!" title
@@ -38,6 +35,9 @@ let bench_es_params =
   { Es.default_params with Es.max_generations = 250; stall_generations = 50 }
 
 let bench_config = Pipeline.config ~es_params:bench_es_params ()
+
+(* Set by a checked experiment whose check fails. *)
+let failed = ref false
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: standard vs evolution on the ISCAS85 suite                 *)
@@ -904,669 +904,6 @@ let run_cooptimize () =
      the new current profile - the paper's 6 loop, closed.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let run_perf () =
-  section "Bechamel micro-benchmarks (ns per run)";
-  let open Bechamel in
-  let circuit = Iscas.c1908_like () in
-  let ch = Charac.make ~library:Library.default circuit in
-  let n = Charac.num_gates ch in
-  let p = Partition.create ch ~assignment:(Array.init n (fun g -> g mod 4)) in
-  let rng = Rng.create 1 in
-  let u = Charac.undirected ch in
-  let vectors = Iddq_patterns.Pattern_gen.random ~rng circuit ~count:1 in
-  let tests =
-    [
-      Test.make ~name:"charac_make_c1908"
-        (Staged.stage (fun () -> Charac.make ~library:Library.default circuit));
-      Test.make ~name:"cost_evaluate_c1908"
-        (Staged.stage (fun () -> Cost.evaluate p));
-      Test.make ~name:"move_gate_roundtrip"
-        (Staged.stage (fun () ->
-             Partition.move_gate p 0 1;
-             Partition.move_gate p 0 0));
-      Test.make ~name:"separations_from"
-        (Staged.stage (fun () ->
-             Iddq_netlist.Graph_algo.separations_from u ~cutoff:6 17));
-      Test.make ~name:"boundary_gates"
-        (Staged.stage (fun () -> Partition.boundary_gates p 0));
-      Test.make ~name:"logic_sim_eval_c1908"
-        (Staged.stage (fun () ->
-             Iddq_patterns.Logic_sim.eval circuit vectors.(0)));
-      Test.make ~name:"chain_seed_partition"
-        (Staged.stage (fun () ->
-             Seeds.chain_partition ~rng:(Rng.create 5) ch));
-      Test.make ~name:"es_mutate"
-        (Staged.stage (fun () -> Part_iddq.mutate (Rng.create 9) ~step:4 p));
-      Test.make ~name:"scoap_c1908"
-        (Staged.stage (fun () -> Iddq_analysis.Scoap.compute circuit));
-      Test.make ~name:"signal_probabilities"
-        (Staged.stage (fun () ->
-             Iddq_analysis.Probability.signal_probabilities circuit));
-      Test.make ~name:"placement_c1908"
-        (Staged.stage (fun () -> Iddq_layout.Placement.place circuit));
-      Test.make ~name:"fault_sim_64_vectors"
-        (Staged.stage (fun () ->
-             let rng2 = Rng.create 2 in
-             let vs = Iddq_patterns.Pattern_gen.random ~rng:rng2 circuit ~count:64 in
-             Iddq_defects.Stuck_at.fault_simulate circuit ~vectors:vs
-               ~faults:
-                 [ Iddq_defects.Stuck_at.Stem (Circuit.node_of_gate circuit 50, false) ]));
-      (let podem = Iddq_atpg.Podem.prepare circuit in
-       Test.make ~name:"podem_one_fault"
-         (Staged.stage (fun () ->
-              Iddq_atpg.Podem.generate podem
-                (Iddq_defects.Stuck_at.Stem
-                   (Circuit.node_of_gate circuit 100, true)))));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"iddq" ~fmt:"%s/%s" tests)
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Table.create [ ("benchmark", Table.Left); ("time per run", Table.Right) ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> est
-        | Some [] | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
-        else if ns > 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
-        else Printf.sprintf "%.1f ns" ns
-      in
-      Table.add_row t [ name; pretty ])
-    (List.sort compare !rows);
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
-(* Smoke: delta vs full cost evaluation accounting (make bench-smoke)  *)
-(* ------------------------------------------------------------------ *)
-
-(* Runs the same annealing search twice with the same rng seed — once
-   through the full Cost.evaluate per proposal, once through the
-   incremental Cost_eval — and reports the Metrics counters of each.
-   Because delta evaluation reproduces the full evaluation exactly,
-   the two runs visit the same states and must end at the same cost;
-   the difference is the work accounted. *)
-let run_smoke () =
-  section "Smoke: incremental vs full cost evaluation (C7552 stand-in)";
-  let circuit = Iscas.c7552_like () in
-  let ch = Charac.make ~library:Library.default circuit in
-  let start = Seeds.chain_partition ~rng:(Rng.create 42) ~module_size:8 ch in
-  let params = { Annealing.default_params with Annealing.steps = 2_000 } in
-  Printf.printf "annealing: %d gates, %d start modules, %d steps\n\n"
-    (Circuit.num_gates circuit)
-    (Partition.num_modules start)
-    params.Annealing.steps;
-  let measured f =
-    let before = Metrics.snapshot Metrics.global in
-    let result = f () in
-    (result, Metrics.diff (Metrics.snapshot Metrics.global) before)
-  in
-  let (_, full_best), full_stats =
-    measured (fun () ->
-        Annealing.optimize ~params ~full_eval:true ~rng:(Rng.create 7) start)
-  in
-  let (_, delta_best), delta_stats =
-    measured (fun () -> Annealing.optimize ~params ~rng:(Rng.create 7) start)
-  in
-  print_endline "full-eval mode:";
-  Table.print (Report.metrics_table full_stats);
-  print_endline "\ndelta mode:";
-  Table.print (Report.metrics_table delta_stats);
-  let full_work = Metrics.equivalent_evals full_stats in
-  let delta_work = Metrics.equivalent_evals delta_stats in
-  let ratio = full_work /. delta_work in
-  Printf.printf
-    "\nfinal penalized cost: full=%.6f delta=%.6f (%s)\n"
-    full_best.Cost.penalized delta_best.Cost.penalized
-    (if delta_best.Cost.penalized <= full_best.Cost.penalized then
-       "delta equal or better"
-     else "REGRESSION");
-  Printf.printf
-    "evaluate-equivalents: full-mode %.1f, delta-mode %.1f -> %.1fx fewer (%s)\n"
-    full_work delta_work ratio
-    (if ratio >= 5.0 then "PASS >= 5x" else "FAIL < 5x");
-  (* a short ES run with parallel offspring evaluation, same counters *)
-  let es_params =
-    {
-      Es.default_params with
-      Es.max_generations = 15;
-      stall_generations = 15;
-      domains = 2;
-    }
-  in
-  let rng = Rng.create 11 in
-  let starts = Seeds.population ~rng ~module_size:8 ~count:4 ch in
-  let (best, _), es_stats =
-    measured (fun () ->
-        Part_iddq.optimize ~params:es_params ~rng ~starts ())
-  in
-  Printf.printf
-    "\nES (%d domains, %d generations): best cost %.6f\n"
-    es_params.Es.domains es_params.Es.max_generations best.Es.cost;
-  Table.print (Report.metrics_table es_stats)
-
-(* ------------------------------------------------------------------ *)
-(* faultsim: scalar vs 64-way packed (PPSFP) IDDQ fault simulation     *)
-(* ------------------------------------------------------------------ *)
-
-(* The campaign grid re-runs IDDQ fault simulation thousands of times;
-   this experiment measures what the packed engine buys on one run:
-   the same detection matrix, scalar vector-at-a-time vs 64 vectors
-   per word with a shared good machine.  Equality of the two matrices
-   is asserted (the bench doubles as a coarse differential test); the
-   per-circuit numbers land in BENCH_faultsim.json so successive PRs
-   can track the perf trajectory. *)
-let faultsim_json = "BENCH_faultsim.json"
-
-let run_faultsim () =
-  section "faultsim: scalar vs 64-way packed (PPSFP) IDDQ fault simulation";
-  let module Coverage = Iddq_defects.Coverage in
-  let module Fault_sim = Iddq_defects.Fault_sim in
-  let module Fault = Iddq_defects.Fault in
-  let module Json = Iddq_util.Json in
-  let time_best f =
-    (* best of 3 shaves scheduler noise off wall-clock *)
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let t =
-    Table.create
-      [
-        ("circuit", Table.Left);
-        ("gates", Table.Right);
-        ("vectors", Table.Right);
-        ("faults", Table.Right);
-        ("scalar", Table.Right);
-        ("packed", Table.Right);
-        ("speedup", Table.Right);
-        ("packed 4-dom", Table.Right);
-        ("drop (1st det)", Table.Right);
-        ("equal", Table.Left);
-      ]
-  in
-  let ms s = Printf.sprintf "%.2f ms" (1000.0 *. s) in
-  let all_pass = ref true in
-  let min_speedup = ref infinity in
-  let records =
-    List.map
-      (fun (name, circuit) ->
-        let n_vectors = 1024 and n_faults = 600 in
-        let ch = Charac.make ~library:Library.default circuit in
-        let n = Charac.num_gates ch in
-        let p =
-          Partition.create ch ~assignment:(Array.init n (fun g -> g mod 8))
-        in
-        let rng = Rng.create 42 in
-        let faults =
-          Fault.random_population ~rng circuit ~count:n_faults
-            ~defect_current:2e-6
-        in
-        let vectors =
-          Iddq_patterns.Pattern_gen.random ~rng circuit ~count:n_vectors
-        in
-        let scalar, t_scalar =
-          time_best (fun () ->
-              Coverage.detection_matrix_scalar p ~vectors ~faults)
-        in
-        let packed, t_packed =
-          time_best (fun () -> Coverage.detection_matrix p ~vectors ~faults)
-        in
-        let _, t_packed4 =
-          time_best (fun () ->
-              Coverage.detection_matrix ~domains:4 p ~vectors ~faults)
-        in
-        let _, t_drop =
-          time_best (fun () -> Fault_sim.first_detections p ~vectors ~faults)
-        in
-        let same = Coverage.equal scalar packed in
-        let speedup = t_scalar /. t_packed in
-        let gated = n >= 1000 in
-        if gated then min_speedup := Stdlib.min !min_speedup speedup;
-        let pass = same && ((not gated) || speedup >= 10.0) in
-        if not pass then all_pass := false;
-        Table.add_row t
-          [
-            name;
-            string_of_int n;
-            string_of_int n_vectors;
-            string_of_int n_faults;
-            ms t_scalar;
-            ms t_packed;
-            Printf.sprintf "%.1fx" speedup;
-            ms t_packed4;
-            ms t_drop;
-            (if same then "yes" else "NO");
-          ];
-        Json.Obj
-          [
-            ("circuit", Json.String name);
-            ("gates", Json.Int n);
-            ("vectors", Json.Int n_vectors);
-            ("faults", Json.Int n_faults);
-            ("scalar_s", Json.Float t_scalar);
-            ("packed_s", Json.Float t_packed);
-            ("packed_domains4_s", Json.Float t_packed4);
-            ("first_detections_s", Json.Float t_drop);
-            ("speedup", Json.Float speedup);
-            ("matrices_equal", Json.Bool same);
-            ("pass", Json.Bool pass);
-          ])
-      [ ("C1908", Iscas.c1908_like ()); ("C3540", Iscas.c3540_like ()) ]
-  in
-  Table.print t;
-  let doc =
-    Json.Obj
-      [
-        ("experiment", Json.String "faultsim");
-        ("records", Json.List records);
-        ("pass", Json.Bool !all_pass);
-      ]
-  in
-  (match Iddq_util.Io.write_file_atomic faultsim_json (Json.to_string doc ^ "\n") with
-  | Ok () -> Printf.printf "\nwrote %s\n" faultsim_json
-  | Error e ->
-    Printf.printf "\nFAILED writing %s: %s\n" faultsim_json
-      (Iddq_util.Io_error.to_string e));
-  Printf.printf "faultsim: min speedup %.1fx on >=1k-gate circuits -> %s\n"
-    (if !min_speedup = infinity then 0.0 else !min_speedup)
-    (if !all_pass then "PASS >= 10x, matrices identical"
-     else "FAIL (needs >= 10x with identical matrices)")
-
-(* ------------------------------------------------------------------ *)
-(* kernels: the flat striped levelized engine at 100k gates             *)
-(* ------------------------------------------------------------------ *)
-
-(* The million-gate question: what does the flattened data layout buy
-   once the circuit no longer fits hot in cache?  A generated
-   100k-gate DAG is fault-simulated by the levelized striped engine at
-   one and four domains; both matrices must be bit-identical to the
-   scalar oracle ([detection_matrix_scalar_with]) and the one-domain
-   run must clear a gates*vectors/s floor.  The good-machine kernel is
-   then swept along two axes — striping width W in {1,2,4,8} at one
-   domain, and 1/2/4/8 domains at W=8 — every point checked
-   word-identical against the boxed [P.eval] and timed against the
-   W=1 stripe, with the levelized kernel's zero-allocation property
-   asserted via [Gc.minor_words].  The same run checks the incremental c3
-   bookkeeping: a few hundred random partition moves, then every
-   module's cached separation total is recomputed from scratch with
-   [Graph_algo.module_separation] and must match exactly.  Finally
-   [Charac.make] is profiled at one million gates to locate the next
-   hotspot.  Numbers land in BENCH_kernels.json. *)
-let kernels_json = "BENCH_kernels.json"
-
-let run_kernels () =
-  section "kernels: levelized striped fault-sim kernels at 100k gates";
-  let module Fault_sim = Iddq_defects.Fault_sim in
-  let module Fault = Iddq_defects.Fault in
-  let module Graph_algo = Iddq_netlist.Graph_algo in
-  let module Level_schedule = Iddq_netlist.Level_schedule in
-  let module Domain_pool = Iddq_util.Domain_pool in
-  let module P = Iddq_patterns.Parallel_sim in
-  let module Json = Iddq_util.Json in
-  let time_best f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  (* --- throughput: 100k gates, generated in linear time --- *)
-  let num_gates = 100_000 and n_vectors = 512 and n_faults = 200 in
-  let t0 = Unix.gettimeofday () in
-  let rng = Rng.create 42 in
-  let circuit =
-    Generator.layered_dag ~rng ~name:"K100k" ~num_inputs:256 ~num_outputs:128
-      ~num_gates ~depth:60 ()
-  in
-  let t_gen = Unix.gettimeofday () -. t0 in
-  let sched = Level_schedule.of_circuit circuit in
-  Printf.printf "generated %d gates in %.2f s (%d levels, widest %d)\n%!"
-    num_gates t_gen
-    (Level_schedule.num_levels sched)
-    (Level_schedule.max_level_width sched);
-  let faults =
-    Fault.random_population ~rng circuit ~count:n_faults ~defect_current:2e-6
-  in
-  let vectors =
-    Iddq_patterns.Pattern_gen.random ~rng circuit ~count:n_vectors
-  in
-  let measurable _ = true in
-  let scalar =
-    Fault_sim.detection_matrix_scalar_with circuit ~measurable ~vectors ~faults
-  in
-  let flat, t_flat =
-    time_best (fun () ->
-        Fault_sim.detection_matrix_with circuit ~measurable ~vectors ~faults)
-  in
-  let metrics4 = Iddq_util.Metrics.create () in
-  let flat4, t_flat4 =
-    time_best (fun () ->
-        Fault_sim.detection_matrix_with ~domains:4 ~metrics:metrics4 circuit
-          ~measurable ~vectors ~faults)
-  in
-  let steals4 = Iddq_util.Metrics.(get (snapshot metrics4) sim_steals) in
-  let same = Fault_sim.equal scalar flat && Fault_sim.equal scalar flat4 in
-  let gxv = float_of_int num_gates *. float_of_int n_vectors /. t_flat in
-  let min_gxv = 1e8 in
-  Printf.printf
-    "flat %.1f ms (4 domains %.1f ms, %d chunk steals): %.3g gates*vectors/s, \
-     matrices %s the scalar oracle\n%!"
-    (1000.0 *. t_flat) (1000.0 *. t_flat4) steals4 gxv
-    (if same then "identical to" else "DIFFER from");
-  (* --- good-machine kernel curves: striping width and domains --- *)
-  let packed = P.pack_all vectors in
-  let n = Iddq_netlist.Circuit.num_nodes circuit in
-  let nb = P.num_blocks packed in
-  let reference = Array.init nb (fun b -> P.eval circuit (P.block packed b)) in
-  let dst : P.ba =
-    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * nb)
-  in
-  let matrix_matches () =
-    let ok = ref true in
-    for id = 0 to n - 1 do
-      for b = 0 to nb - 1 do
-        if Bigarray.Array1.get dst ((id * nb) + b) <> reference.(b).(id) then
-          ok := false
-      done
-    done;
-    !ok
-  in
-  let curves_ok = ref true in
-  let stripe_rows =
-    List.map
-      (fun w ->
-        Bigarray.Array1.fill dst 0L;
-        let (), t =
-          time_best (fun () -> P.eval_all_into ~stripe:w circuit packed ~dst)
-        in
-        let ok = matrix_matches () in
-        if not ok then curves_ok := false;
-        Printf.printf "  striped W=%d, 1 domain: %.1f ms%s\n%!" w
-          (1000.0 *. t)
-          (if ok then "" else "  MATRICES DIFFER");
-        (w, t))
-      [ 1; 2; 4; 8 ]
-  in
-  (* baseline: the single-word stripe, one domain *)
-  let t_w1 = List.assoc 1 stripe_rows in
-  let t_best_stripe =
-    List.fold_left (fun acc (_, t) -> Stdlib.min acc t) infinity stripe_rows
-  in
-  let striping_gain = t_w1 /. t_best_stripe in
-  let domain_rows =
-    List.map
-      (fun d ->
-        Domain_pool.with_pool ~domains:d (fun pool ->
-            Bigarray.Array1.fill dst 0L;
-            let (), t =
-              time_best (fun () -> P.eval_all_into ~pool circuit packed ~dst)
-            in
-            let ok = matrix_matches () in
-            if not ok then curves_ok := false;
-            Printf.printf
-              "  striped W=%d, %d domains: %.1f ms (%.2fx vs W=1)%s\n%!"
-              P.default_stripe d (1000.0 *. t) (t_w1 /. t)
-              (if ok then "" else "  MATRICES DIFFER");
-            (d, t)))
-      [ 1; 2; 4; 8 ]
-  in
-  let domains4_gain =
-    match List.assoc_opt 4 domain_rows with
-    | Some t -> t_w1 /. t
-    | None -> 0.0
-  in
-  (* --- allocation-free levelized kernel (Gc.minor_words delta) --- *)
-  P.eval_stripe_into circuit sched packed ~block0:0 ~width:nb ~stride:nb ~dst;
-  let words_before = Gc.minor_words () in
-  for _ = 1 to 3 do
-    P.eval_stripe_into circuit sched packed ~block0:0 ~width:nb ~stride:nb ~dst
-  done;
-  let alloc_words = Gc.minor_words () -. words_before in
-  let alloc_free = alloc_words = 0.0 in
-  Printf.printf
-    "levelized kernel allocation: %.0f minor words across 3 full-matrix evals\n%!"
-    alloc_words;
-  (* --- incremental c3: random moves vs full recomputation --- *)
-  let rng_c3 = Rng.create 7 in
-  let small =
-    Generator.layered_dag ~rng:rng_c3 ~name:"Kc3" ~num_inputs:32
-      ~num_outputs:16 ~num_gates:1_500 ~depth:25 ()
-  in
-  let ch = Charac.make ~library:Library.default small in
-  let n = Charac.num_gates ch in
-  let k = 12 in
-  let p = Partition.create ch ~assignment:(Array.init n (fun g -> g mod k)) in
-  let n_moves = 400 in
-  let t1 = Unix.gettimeofday () in
-  for _ = 1 to n_moves do
-    let g = Rng.int rng_c3 n in
-    let target = Rng.int rng_c3 k in
-    if Partition.size p target > 0 && Partition.size p (Partition.module_of_gate p g) > 1
-    then Partition.move_gate p g target
-  done;
-  let t_moves = Unix.gettimeofday () -. t1 in
-  let u = Charac.undirected ch in
-  let cutoff = Charac.separation_cutoff ch in
-  let c3_ok =
-    List.for_all
-      (fun m ->
-        Partition.separation_total p m
-        = Graph_algo.module_separation u ~cutoff (Partition.members p m))
-      (Partition.module_ids p)
-  in
-  Printf.printf
-    "incremental c3: %d moves on %d gates in %.1f ms, cached totals vs full \
-     recomputation: %s\n%!"
-    n_moves n (1000.0 *. t_moves)
-    (if c3_ok then "bit-identical" else "MISMATCH");
-  (* --- Charac.make at one million gates: where does the time go? --- *)
-  let m_gates = 1_000_000 in
-  let rng_m = Rng.create 11 in
-  let t2 = Unix.gettimeofday () in
-  let big =
-    Generator.layered_dag ~rng:rng_m ~name:"K1M" ~num_inputs:512
-      ~num_outputs:256 ~num_gates:m_gates ~depth:60 ()
-  in
-  let t_big_gen = Unix.gettimeofday () -. t2 in
-  (* warm both phases once: the first touch pays heap growth and page
-     faults that would otherwise be misattributed to whichever phase
-     runs first *)
-  ignore (Graph_algo.gate_depths big);
-  ignore (Graph_algo.undirected_of_circuit big);
-  (* a full collection before each timed phase keeps the previous
-     phase's garbage from being collected on this phase's clock *)
-  Gc.full_major ();
-  let t2 = Unix.gettimeofday () in
-  ignore (Graph_algo.gate_depths big);
-  let t_depths = Unix.gettimeofday () -. t2 in
-  Gc.full_major ();
-  let t2 = Unix.gettimeofday () in
-  ignore (Graph_algo.undirected_of_circuit big);
-  let t_undirected = Unix.gettimeofday () -. t2 in
-  Gc.full_major ();
-  let t2 = Unix.gettimeofday () in
-  ignore (Charac.make ~library:Library.default big);
-  let t_charac = Unix.gettimeofday () -. t2 in
-  let t_rest = t_charac -. t_depths -. t_undirected in
-  Printf.printf
-    "Charac.make at %d gates: %.2f s total (generate %.2f s) — gate_depths \
-     %.2f s, undirected graph %.2f s, times-bitsets + cells %.2f s\n%!"
-    m_gates t_charac t_big_gen t_depths t_undirected t_rest;
-  let pass =
-    same && !curves_ok && gxv >= min_gxv && domains4_gain >= 2.0
-    && striping_gain >= 1.2 && alloc_free && c3_ok
-  in
-  let curve rows label value =
-    Json.List
-      (List.map
-         (fun (x, t) ->
-           Json.Obj
-             [
-               (label, Json.Int x);
-               (value, Json.Float t);
-               ("speedup_vs_1", Json.Float (t_w1 /. t));
-             ])
-         rows)
-  in
-  let doc =
-    Json.Obj
-      [
-        ("experiment", Json.String "kernels");
-        ( "throughput",
-          Json.Obj
-            [
-              ("gates", Json.Int num_gates);
-              ("vectors", Json.Int n_vectors);
-              ("faults", Json.Int n_faults);
-              ("generate_s", Json.Float t_gen);
-              ("flat_s", Json.Float t_flat);
-              ("flat_domains4_s", Json.Float t_flat4);
-              ("domains4_steals", Json.Int steals4);
-              ("gates_vectors_per_s", Json.Float gxv);
-              ("matrices_equal", Json.Bool same);
-            ] );
-        ( "good_machine",
-          Json.Obj
-            [
-              ("levels", Json.Int (Level_schedule.num_levels sched));
-              ("max_level_width", Json.Int (Level_schedule.max_level_width sched));
-              ("w1_s", Json.Float t_w1);
-              ("striping", curve stripe_rows "stripe" "seconds");
-              ("domain_scaling", curve domain_rows "domains" "seconds");
-              ("striping_gain", Json.Float striping_gain);
-              ("domains4_gain", Json.Float domains4_gain);
-              ("alloc_minor_words", Json.Float alloc_words);
-              ("curves_identical", Json.Bool !curves_ok);
-            ] );
-        ( "incremental_c3",
-          Json.Obj
-            [
-              ("gates", Json.Int n);
-              ("modules", Json.Int k);
-              ("moves", Json.Int n_moves);
-              ("moves_s", Json.Float t_moves);
-              ("totals_exact", Json.Bool c3_ok);
-            ] );
-        ( "charac_1m",
-          Json.Obj
-            [
-              ("gates", Json.Int m_gates);
-              ("generate_s", Json.Float t_big_gen);
-              ("charac_make_s", Json.Float t_charac);
-              ("gate_depths_s", Json.Float t_depths);
-              ("undirected_s", Json.Float t_undirected);
-              ("times_bitsets_and_cells_s", Json.Float t_rest);
-            ] );
-        ("pass", Json.Bool pass);
-      ]
-  in
-  (match
-     Iddq_util.Io.write_file_atomic kernels_json (Json.to_string doc ^ "\n")
-   with
-  | Ok () -> Printf.printf "wrote %s\n" kernels_json
-  | Error e ->
-    Printf.printf "FAILED writing %s: %s\n" kernels_json
-      (Iddq_util.Io_error.to_string e));
-  Printf.printf "kernels: %s\n"
-    (if pass then
-       "PASS gates*vectors/s floor, >= 2x @ 4 domains, striping >= 1.2x, \
-        alloc-free, matrices = scalar, c3 exact"
-     else
-       "FAIL (needs the gates*vectors/s floor, >= 2x @ 4 domains, >= 1.2x \
-        striping, alloc-free levelized kernel, matrices = scalar, exact c3)")
-
-(* ------------------------------------------------------------------ *)
-(* Campaign: Table 1 through the resumable job runner                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The same Table-1 suite as [run_table1], but executed as a campaign:
-   every (circuit, method, seed) is an isolated job on a domain pool,
-   results land in an append-only JSONL store, and re-running the
-   experiment resumes from whatever the store already holds.  Kill it
-   mid-run and run it again: only the missing jobs execute. *)
-let campaign_store = "bench-campaign.jsonl"
-
-let run_campaign () =
-  section "Campaign: Table 1 via the resumable domain-pool runner";
-  let module Spec = Iddq_campaign.Spec in
-  let module Store = Iddq_campaign.Store in
-  let module Runner = Iddq_campaign.Runner in
-  let module Summary = Iddq_campaign.Summary in
-  let module Job_result = Iddq_campaign.Job_result in
-  let spec =
-    {
-      Spec.default with
-      Spec.seeds = [ 1; 7; 42 ];
-      max_generations = Some bench_es_params.Es.max_generations;
-    }
-  in
-  let store =
-    match Store.open_ campaign_store with
-    | Ok s -> s
-    | Error e ->
-      failwith ("campaign store: " ^ Iddq_util.Io_error.to_string e)
-  in
-  let total = List.length (Spec.jobs spec) in
-  if Store.dropped store > 0 then
-    Printf.printf "note: skipped %d corrupt line(s) in %s\n%!"
-      (Store.dropped store) campaign_store;
-  let seen = ref 0 in
-  let on_result (job : Spec.job) (r : Job_result.t) ~fresh =
-    incr seen;
-    Printf.printf "[%d/%d] %-28s %s%s\n%!" !seen total job.Spec.id
-      (match r.Job_result.status with
-      | Job_result.Done -> Printf.sprintf "ok (%.2f s)" r.Job_result.elapsed
-      | Job_result.Failed msg -> "failed: " ^ msg
-      | Job_result.Timeout l -> Printf.sprintf "timeout (> %.1f s)" l)
-      (if fresh then "" else "  [stored]")
-  in
-  let outcome =
-    match Runner.run ~domains:2 ~on_result ~store spec with
-    | Ok o -> o
-    | Error e -> failwith (Runner.error_to_string e)
-  in
-  Store.close store;
-  print_newline ();
-  Format.printf "%a" Summary.pp outcome.Runner.results;
-  Printf.printf
-    "\ncampaign: %d jobs, executed %d, skipped %d (resume) -> %s\n\
-     (delete %s to start fresh)\n"
-    total outcome.Runner.executed outcome.Runner.skipped campaign_store
-    campaign_store
-
-(* ------------------------------------------------------------------ *)
 (* diagnose: signature-based localization accuracy vs module count     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1704,7 +1041,8 @@ let run_diagnose () =
     (if !exact_ok then "1.00 everywhere" else "BELOW 1.0")
     eps top_k noisy_rate
     (if pass then "PASS exact localization, noisy top-k >= 0.9"
-     else "FAIL (needs exact top-1 class 1.0 and noisy top-k >= 0.9)")
+     else "FAIL (needs exact top-1 class 1.0 and noisy top-k >= 0.9)");
+  if not pass then failed := true
 
 (* ------------------------------------------------------------------ *)
 (* ATPG test-set generation + minimization (the Atpg facade loop)      *)
@@ -1760,13 +1098,13 @@ let run_testset () =
         Atpg.config ~max_backtracks ~seed ~random_vectors
           ~strategy:Atpg.Greedy ()
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now_ns () in
       let r =
         match Atpg.run_result ~config circuit with
         | Ok r -> r
         | Error e -> failwith (Atpg.error_to_string e)
       in
-      let gen_seconds = Unix.gettimeofday () -. t0 in
+      let gen_seconds = Clock.seconds_since t0 in
       if r.Atpg.coverage < random_only.Iddq_defects.Stuck_at.coverage -. 1e-9
       then cov_ok := false;
       (* determinism under a fixed seed (smallest circuit only — the
@@ -1791,13 +1129,13 @@ let run_testset () =
       let minimized =
         List.map
           (fun (s, sname) ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Clock.now_ns () in
             let sel =
               match Atpg.minimize_result ~strategy:s r.Atpg.matrix with
               | Ok sel -> sel
               | Error e -> failwith (Atpg.error_to_string e)
             in
-            let dt = Unix.gettimeofday () -. t0 in
+            let dt = Clock.seconds_since t0 in
             if
               Float.abs
                 (Coverage.coverage_of_selection r.Atpg.matrix sel -. full_cov)
@@ -1922,74 +1260,54 @@ let run_testset () =
     (if !refined_ok then "everywhere" else "VIOLATED")
     (if !det_ok then "yes" else "NO")
     (if pass then "PASS coverage kept, sets shrink, runs reproduce"
-     else "FAIL (see BENCH_testset.json)")
+     else "FAIL (see BENCH_testset.json)");
+  if not pass then failed := true
 
 (* ------------------------------------------------------------------ *)
 
 let quick_suite () = [ ("C432", Iscas.c432_like ()) ]
 
-let run_all ~quick =
-  let suite = if quick then quick_suite () else Iscas.table1_suite () in
-  run_table1 suite;
-  run_fig2 ();
-  run_c17 ();
-  run_fig1 ();
-  run_ablation_opt ();
-  run_ablation_weights ();
-  run_ablation_es ();
-  run_ablation_resynth ();
-  run_validation_activity ();
-  run_tradeoff ();
-  run_variants ();
-  run_logic_vs_iddq ();
-  run_schedule ();
-  run_routing ();
-  run_testset ();
-  run_sizing ();
-  run_stability ();
-  run_cooptimize ();
-  run_faultsim ();
-  run_kernels ();
-  run_diagnose ();
-  run_perf ()
+(* The full evaluation, in run order. *)
+let experiments =
+  [
+    ("table1", fun () -> run_table1 (Iscas.table1_suite ()));
+    ("fig2", run_fig2);
+    ("c17", run_c17);
+    ("fig1", run_fig1);
+    ("ablation-opt", run_ablation_opt);
+    ("ablation-weights", run_ablation_weights);
+    ("ablation-es", run_ablation_es);
+    ("ablation-resynth", run_ablation_resynth);
+    ("validation", run_validation_activity);
+    ("tradeoff", run_tradeoff);
+    ("variants", run_variants);
+    ("logic-vs-iddq", run_logic_vs_iddq);
+    ("schedule", run_schedule);
+    ("routing", run_routing);
+    ("testset", run_testset);
+    ("sizing", run_sizing);
+    ("stability", run_stability);
+    ("cooptimize", run_cooptimize);
+    ("diagnose", run_diagnose);
+  ]
+
+let run_all () = List.iter (fun (_, run) -> run ()) experiments
+
+let commands =
+  experiments
+  @ [ ("quick", fun () -> run_table1 (quick_suite ())); ("all", run_all) ]
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: [] -> run_all ~quick:false
-  | _ :: args ->
+  (match List.tl (Array.to_list Sys.argv) with
+  | [] -> run_all ()
+  | args ->
     List.iter
-      (function
-        | "all" -> run_all ~quick:false
-        | "quick" -> run_table1 (quick_suite ())
-        | "table1" -> run_table1 (Iscas.table1_suite ())
-        | "fig2" -> run_fig2 ()
-        | "c17" -> run_c17 ()
-        | "fig1" -> run_fig1 ()
-        | "ablation-opt" -> run_ablation_opt ()
-        | "ablation-weights" -> run_ablation_weights ()
-        | "ablation-es" -> run_ablation_es ()
-        | "ablation-resynth" -> run_ablation_resynth ()
-        | "validation" -> run_validation_activity ()
-        | "tradeoff" -> run_tradeoff ()
-        | "variants" -> run_variants ()
-        | "logic-vs-iddq" -> run_logic_vs_iddq ()
-        | "schedule" -> run_schedule ()
-        | "routing" -> run_routing ()
-        | "testset" -> run_testset ()
-        | "sizing" -> run_sizing ()
-        | "stability" -> run_stability ()
-        | "cooptimize" -> run_cooptimize ()
-        | "perf" -> run_perf ()
-        | "smoke" -> run_smoke ()
-        | "faultsim" -> run_faultsim ()
-        | "kernels" -> run_kernels ()
-        | "diagnose" -> run_diagnose ()
-        | "campaign" -> run_campaign ()
-        | other ->
-          Printf.eprintf
-            "unknown experiment %S (try: table1 fig2 c17 fig1 ablation-opt \
-             ablation-weights ablation-es ablation-resynth validation tradeoff variants logic-vs-iddq schedule routing testset sizing stability cooptimize faultsim kernels diagnose perf smoke campaign quick all)\n"
-            other;
+      (fun name ->
+        match List.assoc_opt name commands with
+        | Some run -> run ()
+        | None ->
+          Printf.eprintf "unknown experiment %S (try: %s)\n" name
+            (String.concat " " (List.map fst commands));
           exit 1)
-      args
-  | [] -> run_all ~quick:false
+      args);
+  if !failed then exit 1

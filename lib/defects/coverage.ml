@@ -2,11 +2,6 @@ module Bitvec = Iddq_util.Bitvec
 
 type detection_matrix = Fault_sim.matrix
 
-let detection_matrix ?domains ?metrics p ~vectors ~faults =
-  Fault_sim.detection_matrix ?domains ?metrics p ~vectors ~faults
-
-let detection_matrix_scalar = Fault_sim.detection_matrix_scalar
-let equal = Fault_sim.equal
 let num_faults (m : detection_matrix) = Array.length m.Fault_sim.rows
 let num_vectors (m : detection_matrix) = m.Fault_sim.n_vectors
 

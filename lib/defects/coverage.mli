@@ -7,10 +7,10 @@
     test-application-time metric, since every dropped vector saves
     [D_BIC + Delta(tau)].
 
-    The matrix is built by the 64-way bit-parallel {!Fault_sim} engine
-    and stored packed (one {!Iddq_util.Bitvec} row per fault); every
-    query below runs on word [AND]/popcount passes rather than boxed
-    bool scans. *)
+    The matrix is built by the 64-way bit-parallel engine
+    ({!Fault_sim.detection_matrix}) and stored packed (one
+    {!Iddq_util.Bitvec} row per fault); every query below runs on word
+    [AND]/popcount passes rather than boxed bool scans. *)
 
 type detection_matrix = Fault_sim.matrix
 (** For each fault, the packed set of vectors that detect it
@@ -19,27 +19,6 @@ type detection_matrix = Fault_sim.matrix
     the stuck-at matrix {!Stuck_at.detection_matrix} that the ATPG
     test-set minimizer runs on — share these queries and minimizers
     without conversion. *)
-
-val detection_matrix :
-  ?domains:int ->
-  ?metrics:Iddq_util.Metrics.t ->
-  Iddq_core.Partition.t ->
-  vectors:bool array array ->
-  faults:Fault.injected list ->
-  detection_matrix
-(** Built by {!Fault_sim.detection_matrix}: good machine once per
-    64-vector block, IDDQ activation as word operations, fault chunks
-    over [domains] (default 1). *)
-
-val detection_matrix_scalar :
-  Iddq_core.Partition.t ->
-  vectors:bool array array ->
-  faults:Fault.injected list ->
-  detection_matrix
-(** The original vector-at-a-time path — the reference oracle the
-    differential tests hold {!detection_matrix} to. *)
-
-val equal : detection_matrix -> detection_matrix -> bool
 
 val num_detectable : detection_matrix -> int
 val num_faults : detection_matrix -> int

@@ -221,6 +221,3 @@ let detection_matrix ?domains ?metrics p ~vectors ~faults =
 let first_detections ?domains ?metrics p ~vectors ~faults =
   first_detections_with ?domains ?metrics (circuit_of p)
     ~measurable:(measurable p) ~vectors ~faults
-
-let detection_matrix_scalar p =
-  detection_matrix_scalar_with (circuit_of p) ~measurable:(measurable p)

@@ -130,13 +130,6 @@ val detection_matrix_scalar_with :
 (** Vector-at-a-time {!Iddq_patterns.Logic_sim.eval} +
     {!Fault.activated} under an arbitrary measurability predicate —
     bit-for-bit what the packed engine must reproduce: the
-    differential-test oracle, also checked against by the [kernels]
-    experiment and timed against by [faultsim]. *)
-
-val detection_matrix_scalar :
-  Iddq_core.Partition.t ->
-  vectors:bool array array ->
-  faults:Fault.injected list ->
-  matrix
-(** {!detection_matrix_scalar_with} under the partition's
-    {!measurable}. *)
+    differential-test oracle.  For a partition [p] of circuit [c], the
+    oracle of {!detection_matrix} is
+    [detection_matrix_scalar_with c ~measurable:(measurable p)]. *)

@@ -222,11 +222,6 @@ let run_result ?(config = default_config) ?require_feasible method_ circuit =
   | exception Not_found ->
     Error (Characterization_failed "cell lookup failed for a gate kind")
 
-let run_charac ?(config = default_config) method_ ch =
-  match run_charac_result ~config method_ ch with
-  | Ok r -> r
-  | Error e -> invalid_arg ("Pipeline.run: " ^ error_to_string e)
-
 let run ?(config = default_config) method_ circuit =
   match run_result ~config method_ circuit with
   | Ok r -> r

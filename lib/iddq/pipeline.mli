@@ -12,8 +12,8 @@
       only the fields a request carries;
     - call {!run_result} / {!run_charac_result} /
       {!compare_methods_result} and match on the structured {!error};
-    - {!run}, {!run_charac} and {!compare_methods} remain as thin
-      raising wrappers for interactive callers and compatibility. *)
+    - {!run} and {!compare_methods} remain as thin raising wrappers
+      for interactive callers and compatibility. *)
 
 type method_ = Evolution | Standard | Random | Annealing | Refined_standard
 (** Partitioning methods: the paper's contribution ([Evolution]), its
@@ -157,9 +157,6 @@ val c4_of_vectors : t -> vectors:int -> float
 val run : ?config:config -> method_ -> Iddq_netlist.Circuit.t -> t
 (** {!run_result}, raising [Invalid_argument] with the rendered
     {!error} on failure. *)
-
-val run_charac : ?config:config -> method_ -> Iddq_analysis.Charac.t -> t
-(** {!run_charac_result}, raising [Invalid_argument] on failure. *)
 
 val compare_methods :
   ?config:config -> Iddq_netlist.Circuit.t -> method_ list -> (method_ * t) list

@@ -79,44 +79,6 @@ let table rows =
     rows;
   t
 
-(* The search and fault-simulation counters; the server's stay in the
-   [metrics] reply. *)
-let metrics_columns =
-  Iddq_util.Metrics.
-    [
-      full_evals;
-      delta_evals;
-      eval_cache_hits;
-      moves;
-      gates_full;
-      gates_delta;
-      sim_blocks;
-      sim_fault_blocks;
-      sim_faults_dropped;
-      sim_steals;
-    ]
-
-let metrics_table (s : Iddq_util.Metrics.snapshot) =
-  let module M = Iddq_util.Metrics in
-  let t =
-    Table.create
-      (List.map
-         (fun h -> (h, Table.Right))
-         (("evaluations" :: List.map M.name metrics_columns)
-         @ [ "eval-equivalents"; "speedup" ]))
-  in
-  Table.add_row t
-    ((string_of_int (M.evaluations s)
-     :: List.map (fun c -> string_of_int (M.get s c)) metrics_columns)
-    @ [
-        Printf.sprintf "%.1f" (M.equivalent_evals s);
-        Printf.sprintf "%.1fx" (M.speedup s);
-      ]);
-  t
-
-let pp_metrics fmt s =
-  Format.fprintf fmt "@[<hov 2>%a@]" Iddq_util.Metrics.pp s
-
 let pp_pipeline fmt (r : Pipeline.t) =
   Format.fprintf fmt "method=%s modules=%d generations=%d@."
     (Pipeline.method_to_string r.Pipeline.method_used)

@@ -25,13 +25,3 @@ val table : row list -> Iddq_util.Table.t
 
 val pp_pipeline : Format.formatter -> Pipeline.t -> unit
 (** Per-run summary: method, modules, cost breakdown, sensors. *)
-
-val metrics_table : Iddq_util.Metrics.snapshot -> Iddq_util.Table.t
-(** One-row table of the evaluation counters (see
-    {!Iddq_util.Metrics}): how many cost queries ran, how many were
-    full recomputations versus delta refreshes versus cache hits, the
-    per-gate degradation work of each kind, and the resulting speedup
-    over a recompute-everything evaluator. *)
-
-val pp_metrics : Format.formatter -> Iddq_util.Metrics.snapshot -> unit
-(** Prose one-liner of the same counters. *)

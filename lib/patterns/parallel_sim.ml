@@ -236,6 +236,7 @@ let eval_stripe_into c sched p ~block0 ~width ~stride ~(dst : ba) =
   eval_order_range_striped c ~order ~lo:0 ~hi:(Array.length order) ~block0
     ~width ~stride ~dst
 
+(* Words evaluated per gate visit unless overridden: one cache line. *)
 let default_stripe = 8
 
 (* Below this many gates a level is evaluated inline by the caller:

@@ -127,10 +127,6 @@ val eval_stripe_into :
     schedule comes in explicitly — resolve it once with
     {!Iddq_netlist.Level_schedule.of_circuit} and reuse). *)
 
-val default_stripe : int
-(** Words evaluated per gate visit by {!eval_all_into} unless
-    overridden: [8], one cache line. *)
-
 val eval_all_into :
   ?pool:Iddq_util.Domain_pool.t ->
   ?stripe:int ->
@@ -141,13 +137,13 @@ val eval_all_into :
 (** Evaluate {e every} packed block into the node-major matrix [dst]
     (node [id], block [b] at [id * num_blocks p + b]; [dst] must hold
     [num_nodes * num_blocks] words).  Work is cut into stripes of
-    [stripe] blocks (clamped to the block count; default
-    {!default_stripe}).  Without a [pool] (or with a 1-domain pool)
-    the stripes evaluate serially on the caller.  With a pool, whole
-    stripes are distributed when there are at least as many stripes as
-    domains; otherwise each level of each stripe is split across the
-    pool with a barrier per level, narrow levels (under ~1k gates)
-    running inline because the job-publish cost would dominate.
+    [stripe] blocks (clamped to the block count; default [8], one
+    cache line of words per gate visit).  Without a [pool] (or with a
+    1-domain pool) the stripes evaluate serially on the caller.  With a
+    pool, whole stripes are distributed when there are at least as many
+    stripes as domains; otherwise each level of each stripe is split
+    across the pool with a barrier per level, narrow levels (under ~1k
+    gates) running inline because the job-publish cost would dominate.
     Raises [Invalid_argument] on a bad [stripe], a too-small [dst], or
     a zero-fanin gate. *)
 

@@ -8,6 +8,8 @@ module Refine = Iddq_baseline.Refine
 module Iscas = Iddq_netlist.Iscas
 module Library = Iddq_celllib.Library
 module Rng = Iddq_util.Rng
+module Metrics = Iddq_util.Metrics
+module Seeds = Iddq_evolution.Seeds
 
 let make circuit = Charac.make ~library:Library.default circuit
 
@@ -128,18 +130,45 @@ let test_annealing_no_self_moves () =
 
 let test_annealing_delta_equals_full_eval () =
   (* the incremental evaluator reproduces Cost.evaluate exactly, so
-     both modes follow the same trajectory from the same rng seed *)
+     both modes follow the same trajectory from the same rng seed; the
+     work each mode accounts (Metrics.equivalent_evals, in units of
+     one full evaluation) is where they differ *)
+  let run ~full_eval ~params ~seed start =
+    let before = Metrics.snapshot Metrics.global in
+    let _, best =
+      Annealing.optimize ~params ~full_eval ~rng:(Rng.create seed) start
+    in
+    let work =
+      Metrics.equivalent_evals
+        (Metrics.diff (Metrics.snapshot Metrics.global) before)
+    in
+    (best.Cost.penalized, work)
+  in
+  let check name ~start ~steps ~seed ~min_speedup =
+    let params = { Annealing.default_params with Annealing.steps } in
+    let full, full_work = run ~full_eval:true ~params ~seed start in
+    let delta, delta_work = run ~full_eval:false ~params ~seed start in
+    Alcotest.(check (float 0.0)) (name ^ ": identical final cost") full delta;
+    Option.iter
+      (fun min_speedup ->
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "%s: evaluate-equivalents full %.1f, delta %.1f (>= %.0fx fewer)"
+             name full_work delta_work min_speedup)
+          true
+          (full_work >= min_speedup *. delta_work))
+      min_speedup
+  in
   let ch = make (Iscas.c432_like ()) in
-  let start =
-    Random_part.partition ~rng:(Rng.create 43) ch ~num_modules:5
-  in
-  let params = { Annealing.default_params with Annealing.steps = 1000 } in
-  let _, full =
-    Annealing.optimize ~params ~full_eval:true ~rng:(Rng.create 5) start
-  in
-  let _, delta = Annealing.optimize ~params ~rng:(Rng.create 5) start in
-  Alcotest.(check (float 0.0)) "identical final cost" full.Cost.penalized
-    delta.Cost.penalized
+  check "C432"
+    ~start:(Random_part.partition ~rng:(Rng.create 43) ch ~num_modules:5)
+    ~steps:1000 ~seed:5 ~min_speedup:None;
+  (* the C7552 stand-in cut into 8-gate chain modules: a delta step
+     re-evaluates two small modules of a large circuit *)
+  let ch = make (Iscas.c7552_like ()) in
+  check "C7552"
+    ~start:(Seeds.chain_partition ~rng:(Rng.create 42) ~module_size:8 ch)
+    ~steps:2000 ~seed:7 ~min_speedup:(Some 5.0)
 
 let test_refine_monotone () =
   let rng = Rng.create 29 in

@@ -1,4 +1,5 @@
 module Coverage = Iddq_defects.Coverage
+module Fault_sim = Iddq_defects.Fault_sim
 module Fault = Iddq_defects.Fault
 module Variants = Iddq_bic.Variants
 module Sensor = Iddq_bic.Sensor
@@ -28,7 +29,7 @@ let some_faults () =
 
 let test_matrix_basics () =
   let m =
-    Coverage.detection_matrix (partition ())
+    Fault_sim.detection_matrix (partition ())
       ~vectors:(Pattern_gen.exhaustive c17)
       ~faults:(some_faults ())
   in
@@ -37,7 +38,7 @@ let test_matrix_basics () =
 
 let test_curve_monotone_and_final () =
   let m =
-    Coverage.detection_matrix (partition ())
+    Fault_sim.detection_matrix (partition ())
       ~vectors:(Pattern_gen.exhaustive c17)
       ~faults:(some_faults ())
   in
@@ -51,7 +52,7 @@ let test_curve_monotone_and_final () =
 
 let test_first_detection_consistent () =
   let m =
-    Coverage.detection_matrix (partition ())
+    Fault_sim.detection_matrix (partition ())
       ~vectors:(Pattern_gen.exhaustive c17)
       ~faults:(some_faults ())
   in
@@ -72,7 +73,7 @@ let test_compaction_preserves_coverage () =
     Fault.random_population ~rng circuit ~count:120 ~defect_current:2e-6
   in
   let vectors = Pattern_gen.random ~rng circuit ~count:96 in
-  let m = Coverage.detection_matrix p ~vectors ~faults in
+  let m = Fault_sim.detection_matrix p ~vectors ~faults in
   let kept = Coverage.compact m in
   Alcotest.(check bool)
     (Printf.sprintf "compacted %d -> %d vectors" 96 (Array.length kept))
@@ -90,7 +91,7 @@ let test_compaction_preserves_coverage () =
 
 let test_empty_faults () =
   let m =
-    Coverage.detection_matrix (partition ())
+    Fault_sim.detection_matrix (partition ())
       ~vectors:(Pattern_gen.exhaustive c17)
       ~faults:[]
   in
@@ -101,7 +102,7 @@ let test_empty_faults () =
 (* ------------- selection / sentinel edge behaviour ------------- *)
 
 let exhaustive_matrix () =
-  Coverage.detection_matrix (partition ())
+  Fault_sim.detection_matrix (partition ())
     ~vectors:(Pattern_gen.exhaustive c17)
     ~faults:(some_faults ())
 
@@ -171,7 +172,7 @@ let qcheck_first_detection_matches_naive =
         @ Fault.random_population ~rng circuit ~count:5 ~defect_current:1e-12
       in
       let vectors = Pattern_gen.random ~rng circuit ~count:nv in
-      let m = Coverage.detection_matrix p ~vectors ~faults in
+      let m = Fault_sim.detection_matrix p ~vectors ~faults in
       let naive f =
         let rec scan v =
           if v >= nv then -1

@@ -40,29 +40,32 @@ let random_case seed =
 
 let test_matrix_matches_scalar () =
   for seed = 1 to 12 do
-    let _, p, vectors, faults = random_case seed in
-    let packed = Coverage.detection_matrix p ~vectors ~faults in
-    let scalar = Coverage.detection_matrix_scalar p ~vectors ~faults in
+    let c, p, vectors, faults = random_case seed in
+    let packed = Fault_sim.detection_matrix p ~vectors ~faults in
+    let scalar =
+      Fault_sim.detection_matrix_scalar_with c
+        ~measurable:(Fault_sim.measurable p) ~vectors ~faults
+    in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: packed = scalar" seed)
       true
-      (Coverage.equal packed scalar)
+      (Fault_sim.equal packed scalar)
   done
 
 let test_matrix_domains_invariant () =
   for seed = 1 to 6 do
     let _, p, vectors, faults = random_case seed in
-    let one = Coverage.detection_matrix ~domains:1 p ~vectors ~faults in
-    let three = Coverage.detection_matrix ~domains:3 p ~vectors ~faults in
+    let one = Fault_sim.detection_matrix ~domains:1 p ~vectors ~faults in
+    let three = Fault_sim.detection_matrix ~domains:3 p ~vectors ~faults in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: domains=3 = domains=1" seed)
-      true (Coverage.equal one three)
+      true (Fault_sim.equal one three)
   done
 
 let test_first_detections_match_matrix () =
   for seed = 1 to 8 do
     let _, p, vectors, faults = random_case seed in
-    let m = Coverage.detection_matrix p ~vectors ~faults in
+    let m = Fault_sim.detection_matrix p ~vectors ~faults in
     let from_matrix = Coverage.first_detection m in
     let dropped = Fault_sim.first_detections ~domains:2 p ~vectors ~faults in
     Alcotest.(check (array int))
@@ -108,7 +111,7 @@ let naive_compact m =
 let test_compact_matches_naive_greedy () =
   for seed = 1 to 8 do
     let _, p, vectors, faults = random_case seed in
-    let m = Coverage.detection_matrix p ~vectors ~faults in
+    let m = Fault_sim.detection_matrix p ~vectors ~faults in
     let packed = Coverage.compact m in
     let naive = naive_compact m in
     Alcotest.(check int)
@@ -126,7 +129,7 @@ let test_compact_matches_naive_greedy () =
 
 let test_curve_matches_first_detections () =
   let _, p, vectors, faults = random_case 5 in
-  let m = Coverage.detection_matrix p ~vectors ~faults in
+  let m = Fault_sim.detection_matrix p ~vectors ~faults in
   let nf = Coverage.num_faults m in
   let first = Coverage.first_detection m in
   let curve = Coverage.coverage_curve m in
@@ -171,7 +174,7 @@ let test_stuck_at_domains_invariant () =
 let test_metrics_counters () =
   let _, p, vectors, faults = random_case 3 in
   let metrics = Metrics.create () in
-  let _ = Coverage.detection_matrix ~metrics p ~vectors ~faults in
+  let _ = Fault_sim.detection_matrix ~metrics p ~vectors ~faults in
   let s = Metrics.snapshot metrics in
   let expected_blocks = (Array.length vectors + 63) / 64 in
   Alcotest.(check int) "good-machine blocks" expected_blocks
@@ -192,13 +195,13 @@ let test_metrics_counters () =
 let test_empty_cases () =
   let _, p, vectors, _ = random_case 2 in
   (* no faults *)
-  let m = Coverage.detection_matrix p ~vectors ~faults:[] in
+  let m = Fault_sim.detection_matrix p ~vectors ~faults:[] in
   Alcotest.(check int) "no rows" 0 (Coverage.num_faults m);
   Alcotest.(check int) "compact empty" 0 (Array.length (Coverage.compact m));
   (* no vectors *)
   let c, p, _, faults = random_case 4 in
   ignore c;
-  let m = Coverage.detection_matrix p ~vectors:[||] ~faults in
+  let m = Fault_sim.detection_matrix p ~vectors:[||] ~faults in
   Alcotest.(check int) "no detectable" 0 (Coverage.num_detectable m);
   let first = Fault_sim.first_detections p ~vectors:[||] ~faults in
   Array.iter (fun v -> Alcotest.(check int) "all -1" (-1) v) first

@@ -217,6 +217,62 @@ let striped_gen =
       triple (int_range 10 120) (int_range 1 1_000_000)
         (int_range 0 (Array.length stripe_vec_counts - 1)))
 
+(* A wide, shallow circuit: its levels hold well over
+   [Parallel_sim]'s 1024-gate split threshold, so with fewer stripes
+   than domains each level is cut across the pool behind a barrier —
+   the path multi-domain [Fault_sim.good_values] takes on large
+   circuits.  130 vectors are 3 blocks: one stripe at the default
+   width, under the 3-domain pools below. *)
+let wide_case rng =
+  let c =
+    Generator.layered_dag ~rng ~name:"wide" ~num_inputs:32 ~num_outputs:16
+      ~num_gates:3_000 ~depth:2 ()
+  in
+  if Level_schedule.max_level_width (Level_schedule.of_circuit c) < 1024 then
+    QCheck.Test.fail_reportf "wide case: no level reaches the split width";
+  (c, Pattern_gen.random ~rng c ~count:130)
+
+let striped_eval_ok c vectors =
+  let p = P.pack_all vectors in
+  let n = Circuit.num_nodes c in
+  let nb = P.num_blocks p in
+  (* reference: the boxed evaluator, one node-word array per block *)
+  let reference = Array.init nb (fun b -> P.eval c (P.block p b)) in
+  let dst : P.ba =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * nb)
+  in
+  let matches () =
+    let ok = ref true in
+    for id = 0 to n - 1 do
+      for b = 0 to nb - 1 do
+        if Bigarray.Array1.get dst ((id * nb) + b) <> reference.(b).(id) then
+          ok := false
+      done
+    done;
+    !ok
+  in
+  (* serial striping at widths dividing and not dividing nb *)
+  let serial_ok =
+    List.for_all
+      (fun w ->
+        Bigarray.Array1.fill dst Int64.minus_one;
+        P.eval_all_into ~stripe:w c p ~dst;
+        nb = 0 || matches ())
+      [ 1; 2; 3; 8 ]
+  in
+  (* domain paths: more stripes than domains (whole-stripe chunks)
+     and fewer (per-level splitting) *)
+  let domain_ok =
+    Domain_pool.with_pool ~domains:3 (fun pool ->
+        List.for_all
+          (fun w ->
+            Bigarray.Array1.fill dst Int64.minus_one;
+            P.eval_all_into ~pool ~stripe:w c p ~dst;
+            nb = 0 || matches ())
+          [ 1; Stdlib.max 1 nb ])
+  in
+  serial_ok && domain_ok
+
 let qcheck_striped_matches_boxed =
   QCheck.Test.make
     ~name:"striped and domain eval_all_into = boxed P.eval" ~count:30
@@ -227,46 +283,29 @@ let qcheck_striped_matches_boxed =
           ~num_gates:gates ~depth:(1 + (gates / 6)) ()
       in
       let vectors = Pattern_gen.random ~rng c ~count:stripe_vec_counts.(vi) in
-      let p = P.pack_all vectors in
-      let n = Circuit.num_nodes c in
-      let nb = P.num_blocks p in
-      (* reference: the boxed evaluator, one node-word array per block *)
-      let reference = Array.init nb (fun b -> P.eval c (P.block p b)) in
-      let dst : P.ba =
-        Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * nb)
+      let wide, wide_vectors = wide_case rng in
+      striped_eval_ok c vectors && striped_eval_ok wide wide_vectors)
+
+let domain_faultsim_ok ~rng c vectors =
+  let faults = Fault.random_population ~rng c ~count:40 ~defect_current:2e-6 in
+  let measurable _ = true in
+  let scalar =
+    Fault_sim.detection_matrix_scalar_with c ~measurable ~vectors ~faults
+  in
+  List.for_all
+    (fun domains ->
+      let flat =
+        Fault_sim.detection_matrix_with ~domains c ~measurable ~vectors ~faults
       in
-      let matches () =
-        let ok = ref true in
-        for id = 0 to n - 1 do
-          for b = 0 to nb - 1 do
-            if
-              Bigarray.Array1.get dst ((id * nb) + b) <> reference.(b).(id)
-            then ok := false
-          done
-        done;
-        !ok
+      let first =
+        Fault_sim.first_detections_with ~domains c ~measurable ~vectors ~faults
       in
-      (* serial striping at widths dividing and not dividing nb *)
-      let serial_ok =
-        List.for_all
-          (fun w ->
-            Bigarray.Array1.fill dst Int64.minus_one;
-            P.eval_all_into ~stripe:w c p ~dst;
-            nb = 0 || matches ())
-          [ 1; 2; 3; 8 ]
-      in
-      (* domain paths: more stripes than domains (whole-stripe chunks)
-         and fewer (per-level splitting) *)
-      let domain_ok =
-        Domain_pool.with_pool ~domains:3 (fun pool ->
-            List.for_all
-              (fun w ->
-                Bigarray.Array1.fill dst Int64.minus_one;
-                P.eval_all_into ~pool ~stripe:w c p ~dst;
-                nb = 0 || matches ())
-              [ 1; Stdlib.max 1 nb ])
-      in
-      serial_ok && domain_ok)
+      Fault_sim.equal flat scalar
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun f first_v -> first_v = Bitvec.first_set flat.Fault_sim.rows.(f))
+              first))
+    [ 1; 3 ]
 
 let qcheck_domain_faultsim_matches_scalar =
   QCheck.Test.make
@@ -278,30 +317,9 @@ let qcheck_domain_faultsim_matches_scalar =
           ~num_gates:gates ~depth:(1 + (gates / 6)) ()
       in
       let vectors = Pattern_gen.random ~rng c ~count:stripe_vec_counts.(vi) in
-      let faults =
-        Fault.random_population ~rng c ~count:40 ~defect_current:2e-6
-      in
-      let measurable _ = true in
-      let scalar =
-        Fault_sim.detection_matrix_scalar_with c ~measurable ~vectors ~faults
-      in
-      List.for_all
-        (fun domains ->
-          let flat =
-            Fault_sim.detection_matrix_with ~domains c ~measurable ~vectors
-              ~faults
-          in
-          let first =
-            Fault_sim.first_detections_with ~domains c ~measurable ~vectors
-              ~faults
-          in
-          Fault_sim.equal flat scalar
-          && Array.for_all Fun.id
-               (Array.mapi
-                  (fun f first_v ->
-                    first_v = Bitvec.first_set flat.Fault_sim.rows.(f))
-                  first))
-        [ 1; 3 ])
+      let narrow_ok = domain_faultsim_ok ~rng c vectors in
+      let wide, wide_vectors = wide_case rng in
+      narrow_ok && domain_faultsim_ok ~rng wide wide_vectors)
 
 (* ---------------- flat engine vs scalar oracle (qcheck) -------------- *)
 
