@@ -65,6 +65,106 @@ let test_standard_clusters_connected_gates () =
     true
     (total std < total rnd)
 
+(* The standard partitioner as first written: a dense separation array
+   per added gate and per tie candidate.  Slow oracle for the
+   O(visited) [Standard.partition]; returns the assignment. *)
+let standard_oracle ch ~module_sizes =
+  let n = Charac.num_gates ch in
+  let u = Charac.undirected ch in
+  let cutoff = Charac.separation_cutoff ch in
+  let sep_from = Test_graph_algo.separations_from u ~cutoff in
+  let assignment = Array.make n (-1) in
+  let free g = assignment.(g) < 0 in
+  let dist_sum = Array.make n 0 in
+  let seed_gate () =
+    let best = ref (-1) and best_depth = ref max_int in
+    for g = 0 to n - 1 do
+      if free g && Charac.gate_depth ch g < !best_depth then begin
+        best := g;
+        best_depth := Charac.gate_depth ch g
+      end
+    done;
+    !best
+  in
+  let add_to_module m g =
+    assignment.(g) <- m;
+    let sep = sep_from g in
+    for h = 0 to n - 1 do
+      if free h then dist_sum.(h) <- dist_sum.(h) + sep.(h)
+    done
+  in
+  let next_gate () =
+    let best = ref (-1) and best_sum = ref max_int in
+    let ties = ref [] in
+    for g = 0 to n - 1 do
+      if free g then begin
+        if dist_sum.(g) < !best_sum then begin
+          best := g;
+          best_sum := dist_sum.(g);
+          ties := [ g ]
+        end
+        else if dist_sum.(g) = !best_sum then ties := g :: !ties
+      end
+    done;
+    match !ties with
+    | [] -> !best
+    | [ g ] -> g
+    | candidates ->
+      let candidates = List.filteri (fun i _ -> i < 16) (List.rev candidates) in
+      let score g =
+        let sep = sep_from g in
+        let total = ref 0 in
+        Array.iteri (fun h s -> if free h && h <> g then total := !total + s) sep;
+        !total
+      in
+      let rec argmax best best_score = function
+        | [] -> best
+        | g :: rest ->
+          let s = score g in
+          if s > best_score then argmax g s rest else argmax best best_score rest
+      in
+      argmax !best min_int candidates
+  in
+  List.iteri
+    (fun m size ->
+      Array.fill dist_sum 0 n 0;
+      add_to_module m (seed_gate ());
+      for _ = 2 to size do
+        add_to_module m (next_gate ())
+      done)
+    module_sizes;
+  assignment
+
+(* A random split of [n] gates into 1..[max_k] positive sizes. *)
+let size_split_gen n ~max_k =
+  let open QCheck.Gen in
+  int_range 1 max_k >>= fun k ->
+  list_repeat (k - 1) (int_range 1 (n - 1)) >|= fun cuts ->
+  let cuts = List.sort_uniq compare cuts in
+  let bounds = (0 :: cuts) @ [ n ] in
+  let rec sizes = function
+    | a :: (b :: _ as rest) -> (b - a) :: sizes rest
+    | _ -> []
+  in
+  sizes bounds
+
+let qcheck_standard_matches_oracle =
+  let circuits =
+    [ ("c432_like", make (Iscas.c432_like ())); ("c880_like", make (Iscas.c880_like ())) ]
+  in
+  let gen =
+    QCheck.Gen.(
+      oneofl circuits >>= fun (name, ch) ->
+      size_split_gen (Charac.num_gates ch) ~max_k:8 >|= fun sizes -> (name, ch, sizes))
+  in
+  let print (name, _, sizes) =
+    Printf.sprintf "%s [%s]" name (String.concat "; " (List.map string_of_int sizes))
+  in
+  QCheck.Test.make ~name:"standard = oracle" ~count:40 (QCheck.make ~print gen)
+    (fun (_, ch, module_sizes) ->
+      Partition.assignment (Standard.partition ch ~module_sizes)
+      = standard_oracle ch ~module_sizes)
+
 let test_random_partition () =
   let rng = Rng.create 17 in
   let ch = make (Iscas.c432_like ()) in
@@ -198,6 +298,7 @@ let tests =
     Alcotest.test_case "standard validation" `Quick test_standard_validation;
     Alcotest.test_case "standard deterministic" `Quick test_standard_deterministic;
     Alcotest.test_case "standard uniform" `Quick test_standard_uniform;
+    QCheck_alcotest.to_alcotest qcheck_standard_matches_oracle;
     Alcotest.test_case "standard clusters connected" `Quick
       test_standard_clusters_connected_gates;
     Alcotest.test_case "random partition" `Quick test_random_partition;

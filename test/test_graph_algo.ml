@@ -18,9 +18,14 @@ let diamond () =
 let gate_of c name =
   Circuit.gate_of_node c (Option.get (Circuit.node_id_of_name c name))
 
-(* per-pair separation via the single-source API (the per-pair entry
-   point is gone: hot paths must go through the reusable BFS) *)
-let separation u ~cutoff g h = (Graph_algo.separations_from u ~cutoff g).(h)
+(* Dense single-source separations through the reusable BFS: the slow
+   oracle the O(visited) library paths are compared against. *)
+let separations_from u ~cutoff source =
+  let b = Graph_algo.make_bfs u in
+  Graph_algo.bfs_from u b ~cutoff source;
+  Array.init (Graph_algo.num_gates u) (Graph_algo.bfs_separation b ~cutoff)
+
+let separation u ~cutoff g h = (separations_from u ~cutoff g).(h)
 
 let test_depths () =
   let c = diamond () in

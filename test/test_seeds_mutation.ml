@@ -114,6 +114,71 @@ let test_optimize_feasible_result () =
   let best, _ = Part_iddq.optimize ~params ~rng ~starts () in
   Alcotest.(check bool) "feasible" true (Constraints.satisfied best.Es.solution)
 
+let assignment_digest p =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (Array.to_list (Array.map string_of_int (Partition.assignment p)))))
+
+(* Bit-for-bit pins of the seeding and of whole ES runs on two Table-1
+   stand-ins: the start population (every assignment and every S(M)),
+   and each generation's best cost plus the final assignment at one
+   and two domains. *)
+let test_seed_population_pinned () =
+  List.iter
+    (fun (name, c, module_size, digest) ->
+      let ch = make c in
+      let pop = Seeds.population ~rng:(Rng.create 7) ?module_size ~count:4 ch in
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun p ->
+          Array.iter (fun m -> Buffer.add_string b (string_of_int m ^ ",")) (Partition.assignment p);
+          List.iter
+            (fun m -> Printf.bprintf b "|%d:%d" m (Partition.separation_total p m))
+            (Partition.module_ids p);
+          Buffer.add_char b '\n')
+        pop;
+      Alcotest.(check string) (name ^ " population digest") digest
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      ("c880_like", Iscas.c880_like (), Some 60, "5af68808affa9c976e318a4afd4850e7");
+      ("c1908_like", Iscas.c1908_like (), None, "79d454b40da96afa6e6433493f528eac");
+    ]
+
+let test_es_trajectory_pinned () =
+  List.iter
+    (fun (name, c, module_size, best_costs, digest) ->
+      let ch = make c in
+      List.iter
+        (fun domains ->
+          let rng = Rng.create 1 in
+          let starts = Seeds.population ~rng ?module_size ~count:4 ch in
+          let params =
+            { Es.default_params with Es.max_generations = 8; stall_generations = 8; domains }
+          in
+          let best, trace = Part_iddq.optimize ~params ~rng ~starts () in
+          let label = Printf.sprintf "%s domains=%d" name domains in
+          Alcotest.(check (list string)) (label ^ " best cost per generation") best_costs
+            (List.map (fun (r : Es.generation_report) -> Printf.sprintf "%h" r.Es.best_cost) trace);
+          Alcotest.(check string) (label ^ " final assignment") digest
+            (assignment_digest best.Es.solution))
+        [ 1; 2 ])
+    [
+      ( "c880_like",
+        Iscas.c880_like (),
+        Some 60,
+        [ "0x1.cfd24a13f0d7bp+7"; "0x1.cf696f35f42b3p+7"; "0x1.cee243e9904f8p+7";
+          "0x1.ce9bce611de84p+7"; "0x1.cd98b4a55805bp+7"; "0x1.ccfae4f38599dp+7";
+          "0x1.cca0a4727d89bp+7"; "0x1.cc8d54cf8b621p+7" ],
+        "25700c23db64fbaa2a4843e00da88515" );
+      ( "c1908_like",
+        Iscas.c1908_like (),
+        None,
+        [ "0x1.79beb3d2f2c82p+7"; "0x1.79a39501a90d2p+7"; "0x1.794f1d5ec00ebp+7";
+          "0x1.78f7fcbdf17e5p+7"; "0x1.78f1f706698cbp+7"; "0x1.78dbaae1efd1ap+7";
+          "0x1.78d55244b0911p+7"; "0x1.78a09edb0ba81p+7" ],
+        "fb31808fec200c242b9427ff3600a23b" );
+    ]
+
 let qcheck_seed_feasibility =
   QCheck.Test.make
     ~name:"chain seeds at the estimated size are feasible" ~count:15
@@ -142,4 +207,6 @@ let tests =
     Alcotest.test_case "optimize improves" `Slow test_optimize_improves;
     Alcotest.test_case "optimize feasible" `Slow test_optimize_feasible_result;
     QCheck_alcotest.to_alcotest qcheck_seed_feasibility;
+    Alcotest.test_case "seed population pinned" `Quick test_seed_population_pinned;
+    Alcotest.test_case "ES trajectory pinned" `Quick test_es_trajectory_pinned;
   ]
