@@ -402,7 +402,9 @@ let atpg_cmd =
       | Ok r ->
         let stats = r.Iddq_atpg.Atpg.stats in
         Format.printf
-          "%s: %d collapsed stuck-at faults@.%d vectors (%d random + %d          generated)@.coverage %.1f%%, efficiency %.1f%% (%d untestable, %d          aborted)@."
+          "%s: %d collapsed stuck-at faults@.%d vectors (%d random + %d \
+           generated)@.coverage %.1f%%, efficiency %.1f%% (%d untestable, \
+           %d aborted)@."
           (Circuit.name c)
           (Iddq_defects.Coverage.num_faults r.Iddq_atpg.Atpg.matrix)
           (Array.length r.Iddq_atpg.Atpg.all_vectors)

@@ -2,13 +2,15 @@ module Charac = Iddq_analysis.Charac
 module Graph_algo = Iddq_netlist.Graph_algo
 module Partition = Iddq_core.Partition
 
-(* Summed separation from [g] to every gate satisfying [keep]. *)
-let summed_separation u ~cutoff g ~keep =
-  let sep = Graph_algo.separations_from u ~cutoff g in
-  let total = ref 0 in
-  Array.iteri (fun h s -> if keep h then total := !total + s) sep;
-  !total
+(* Every gate beyond a member's BFS horizon sits at exactly [cutoff],
+   so the summed separation from a free gate [h] to the module [M]
+   under construction is
 
+     dist_sum h = cutoff * |M| - adj h,
+     adj h = sum over members g with h in g's ball of (cutoff - sep g h)
+
+   and adding a member touches only its ball.  Minimal [dist_sum] is
+   maximal [adj]; each visited gate adds at least 1 to [adj]. *)
 let partition ch ~module_sizes =
   let n = Charac.num_gates ch in
   if List.exists (fun s -> s <= 0) module_sizes then
@@ -17,16 +19,16 @@ let partition ch ~module_sizes =
     invalid_arg "Standard.partition: sizes must sum to the gate count";
   let u = Charac.undirected ch in
   let cutoff = Charac.separation_cutoff ch in
+  let b = Graph_algo.make_bfs u in
   let assignment = Array.make n (-1) in
-  let free g = assignment.(g) < 0 in
-  (* dist_sum.(g): summed separation from free gate g to the gates
-     already clustered into the module under construction *)
-  let dist_sum = Array.make n 0 in
+  let free_count = ref n in
+  (* adj.(h) for free h; -1 marks a clustered gate, below every free one *)
+  let adj = Array.make n 0 in
   let seed_gate () =
     (* free gate as near to a primary input as possible *)
     let best = ref (-1) and best_depth = ref max_int in
     for g = 0 to n - 1 do
-      if free g && Charac.gate_depth ch g < !best_depth then begin
+      if adj.(g) >= 0 && Charac.gate_depth ch g < !best_depth then begin
         best := g;
         best_depth := Charac.gate_depth ch g
       end
@@ -35,58 +37,67 @@ let partition ch ~module_sizes =
   in
   let add_to_module m g =
     assignment.(g) <- m;
-    (* the new member contributes its distances to all still-free gates *)
-    let sep = Graph_algo.separations_from u ~cutoff g in
-    for h = 0 to n - 1 do
-      if free h then dist_sum.(h) <- dist_sum.(h) + sep.(h)
+    adj.(g) <- -1;
+    decr free_count;
+    Graph_algo.bfs_from u b ~cutoff g;
+    for i = 1 to Graph_algo.bfs_visited_count b - 1 do
+      let h = Graph_algo.bfs_visited b i in
+      if adj.(h) >= 0 then
+        adj.(h) <- adj.(h) + cutoff - Graph_algo.bfs_visited_separation b i
     done
   in
+  (* Tie-break score: summed separation from [g] to the other free
+     gates, by the same horizon identity over [g]'s ball. *)
+  let score g =
+    Graph_algo.bfs_from u b ~cutoff g;
+    let near = ref 0 in
+    for i = 1 to Graph_algo.bfs_visited_count b - 1 do
+      let h = Graph_algo.bfs_visited b i in
+      if adj.(h) >= 0 then
+        near := !near + cutoff - Graph_algo.bfs_visited_separation b i
+    done;
+    (cutoff * (!free_count - 1)) - !near
+  in
+  (* Huge tie sets arise while everything is beyond the cutoff; only
+     the first [max_ties] in gate order are scored. *)
+  let max_ties = 16 in
+  let ties = Array.make max_ties 0 in
   let next_gate () =
-    let best = ref (-1) and best_sum = ref max_int in
-    let ties = ref [] in
+    let best_adj = ref (-1) and n_ties = ref 0 in
     for g = 0 to n - 1 do
-      if free g then begin
-        if dist_sum.(g) < !best_sum then begin
-          best := g;
-          best_sum := dist_sum.(g);
-          ties := [ g ]
-        end
-        else if dist_sum.(g) = !best_sum then ties := g :: !ties
+      let a = adj.(g) in
+      if a > !best_adj then begin
+        best_adj := a;
+        ties.(0) <- g;
+        n_ties := 1
+      end
+      else if a = !best_adj && a >= 0 && !n_ties < max_ties then begin
+        ties.(!n_ties) <- g;
+        incr n_ties
       end
     done;
-    match !ties with
-    | [] -> !best
-    | [ g ] -> g
-    | candidates ->
-      (* tie-break: maximal summed path length to the unclustered.
-         Huge tie sets arise while everything is beyond the cutoff;
-         scoring a bounded, deterministic sample keeps this O(1) BFS
-         per addition without changing the typical choice. *)
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      let candidates = take 16 (List.rev candidates) in
-      let score g =
-        summed_separation u ~cutoff g ~keep:(fun h -> free h && h <> g)
-      in
-      let rec argmax best best_score = function
-        | [] -> best
-        | g :: rest ->
-          let s = score g in
-          if s > best_score then argmax g s rest else argmax best best_score rest
-      in
-      argmax !best min_int candidates
+    (* tie-break: maximal summed path length to the unclustered *)
+    let best = ref ties.(0) in
+    if !n_ties > 1 then begin
+      let best_score = ref min_int in
+      for i = 0 to !n_ties - 1 do
+        let s = score ties.(i) in
+        if s > !best_score then begin
+          best := ties.(i);
+          best_score := s
+        end
+      done
+    end;
+    !best
   in
   List.iteri
     (fun m size ->
-      Array.fill dist_sum 0 n 0;
-      let seed = seed_gate () in
-      add_to_module m seed;
+      for g = 0 to n - 1 do
+        if adj.(g) > 0 then adj.(g) <- 0
+      done;
+      add_to_module m (seed_gate ());
       for _ = 2 to size do
-        let g = next_gate () in
-        add_to_module m g
+        add_to_module m (next_gate ())
       done)
     module_sizes;
   Partition.create ch ~assignment

@@ -19,18 +19,25 @@ type t = {
   assignment : int array;
   mutable mods : module_state array;
   mutable live_count : int;
-  mutable scratch : Graph_algo.bfs option;
-      (* lazily created BFS workspace for incremental moves; never
-         shared across partitions ([copy] drops it) so domain-parallel
-         offspring costing stays race-free *)
 }
 
+(* One BFS workspace per domain for incremental moves, replaced only
+   when a circuit of another size comes along: partitions moved on one
+   domain (ES offspring built on a pool, say) share it instead of each
+   holding their own.  Sharing is safe because a move is done with the
+   workspace before the next move starts, and no two threads run on
+   one domain here. *)
+let move_bfs : (int * Graph_algo.bfs) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
 let scratch_bfs t =
-  match t.scratch with
-  | Some b -> b
-  | None ->
-    let b = Graph_algo.make_bfs (Charac.undirected t.ch) in
-    t.scratch <- Some b;
+  let u = Charac.undirected t.ch in
+  let n = Graph_algo.num_gates u in
+  match Domain.DLS.get move_bfs with
+  | Some (size, b) when size = n -> b
+  | _ ->
+    let b = Graph_algo.make_bfs u in
+    Domain.DLS.set move_bfs (Some (n, b));
     b
 
 let empty_module depth =
@@ -73,9 +80,11 @@ let remove_gate_aggregates ch st g =
       st.current_profile.(slot) <- st.current_profile.(slot) -. ipk;
       st.count_profile.(slot) <- st.count_profile.(slot) - 1)
 
-(* Full S(M) from scratch for every module of an assignment.  Any gate
+(* Full S(M) from scratch for every module of several assignments in
+   one sweep: the truncated BFS from gate [g] depends only on the
+   graph, so one traversal per gate serves every assignment.  Any gate
    outside the BFS horizon sits at exactly [cutoff], so the sum over
-   partners [h > g] in module [m] is
+   partners [h > g] in [g]'s module [m] is
 
      cutoff * |{h > g : assignment h = m}|
        - sum over *visited* such h of (cutoff - sep h)
@@ -83,31 +92,53 @@ let remove_gate_aggregates ch st g =
    — identical integer arithmetic to summing [sep h] over a dense
    array, but touching only the visited set.  [rem] counts the
    partners still ahead of [g], maintained decrementally. *)
-let separation_totals ch assignment k =
+let separation_totals ch assignments ks =
   let u = Charac.undirected ch in
   let cutoff = Charac.separation_cutoff ch in
-  let totals = Array.make k 0 in
-  let rem = Array.make k 0 in
-  Array.iter (fun m -> rem.(m) <- rem.(m) + 1) assignment;
+  let n = Charac.num_gates ch in
+  let a = Array.length assignments in
+  (* gate-major module ids: the [a] ids of one gate sit side by side *)
+  let ids = Array.make (n * a) 0 in
+  Array.iteri
+    (fun j asg -> Array.iteri (fun g m -> ids.((g * a) + j) <- m) asg)
+    assignments;
+  let totals = Array.map (fun k -> Array.make k 0) ks in
+  let rem = Array.map (fun k -> Array.make k 0) ks in
+  Array.iteri
+    (fun j asg -> Array.iter (fun m -> rem.(j).(m) <- rem.(j).(m) + 1) asg)
+    assignments;
+  let own = Array.make a 0 and adjust = Array.make a 0 in
   let b = Graph_algo.make_bfs u in
-  let n = Array.length assignment in
   for g = 0 to n - 1 do
-    let m = assignment.(g) in
-    rem.(m) <- rem.(m) - 1;
-    Graph_algo.bfs_from u b ~cutoff g;
-    let adjust = ref 0 in
-    for i = 0 to Graph_algo.bfs_visited_count b - 1 do
-      let h = Graph_algo.bfs_visited b i in
-      if h > g && assignment.(h) = m then
-        adjust := !adjust + (cutoff - Graph_algo.bfs_separation b ~cutoff h)
+    for j = 0 to a - 1 do
+      let m = ids.((g * a) + j) in
+      own.(j) <- m;
+      adjust.(j) <- 0;
+      rem.(j).(m) <- rem.(j).(m) - 1
     done;
-    totals.(m) <- totals.(m) + (cutoff * rem.(m)) - !adjust
+    Graph_algo.bfs_from u b ~cutoff g;
+    for i = 1 to Graph_algo.bfs_visited_count b - 1 do
+      let h = Graph_algo.bfs_visited b i in
+      if h > g then begin
+        let near = cutoff - Graph_algo.bfs_visited_separation b i in
+        let base = h * a in
+        for j = 0 to a - 1 do
+          if Array.unsafe_get ids (base + j) = Array.unsafe_get own j then
+            Array.unsafe_set adjust j (Array.unsafe_get adjust j + near)
+        done
+      end
+    done;
+    for j = 0 to a - 1 do
+      let m = own.(j) in
+      totals.(j).(m) <- totals.(j).(m) + (cutoff * rem.(j).(m)) - adjust.(j)
+    done
   done;
   totals
 
-let create ch ~assignment =
-  let n = Charac.num_gates ch in
-  if Array.length assignment <> n then
+(* Validates one assignment and builds its modules' aggregates, all but
+   S(M). *)
+let modules_of ch assignment =
+  if Array.length assignment <> Charac.num_gates ch then
     invalid_arg "Partition.create: assignment length mismatch";
   let k =
     Array.fold_left (fun acc m -> Stdlib.max acc (m + 1)) 0 assignment
@@ -126,9 +157,30 @@ let create ch ~assignment =
     assignment;
   if Array.exists (fun st -> not st.live) mods then
     invalid_arg "Partition.create: module ids must be dense (no empty id)";
-  let totals = separation_totals ch assignment k in
-  Array.iteri (fun m s -> mods.(m).sep_total <- s) totals;
-  { ch; assignment = Array.copy assignment; mods; live_count = k; scratch = None }
+  mods
+
+let create_many ch ~assignments =
+  let assignments = Array.of_list (List.map Array.copy assignments) in
+  let mods = Array.map (modules_of ch) assignments in
+  let totals =
+    separation_totals ch assignments (Array.map Array.length mods)
+  in
+  Array.to_list
+    (Array.mapi
+       (fun j assignment ->
+         Array.iteri (fun m s -> mods.(j).(m).sep_total <- s) totals.(j);
+         {
+           ch;
+           assignment;
+           mods = mods.(j);
+           live_count = Array.length mods.(j);
+         })
+       assignments)
+
+let create ch ~assignment =
+  match create_many ch ~assignments:[ assignment ] with
+  | [ t ] -> t
+  | _ -> assert false
 
 let copy t =
   {
@@ -136,7 +188,6 @@ let copy t =
     assignment = Array.copy t.assignment;
     mods = Array.map copy_module t.mods;
     live_count = t.live_count;
-    scratch = None;
   }
 
 let charac t = t.ch
@@ -181,10 +232,10 @@ let move_gate t g target =
       if h <> g then begin
         let m = t.assignment.(h) in
         if m = src then
-          lost_adj := !lost_adj + (cutoff - Graph_algo.bfs_separation b ~cutoff h)
+          lost_adj := !lost_adj + (cutoff - Graph_algo.bfs_visited_separation b i)
         else if m = target then
           gained_adj :=
-            !gained_adj + (cutoff - Graph_algo.bfs_separation b ~cutoff h)
+            !gained_adj + (cutoff - Graph_algo.bfs_visited_separation b i)
       end
     done;
     let lost = (cutoff * (src_st.gate_count - 1)) - !lost_adj in
@@ -212,14 +263,22 @@ let boundary_gates t m =
   done;
   Array.of_list !out
 
-let neighbour_modules t g =
-  let u = Charac.undirected t.ch in
-  let own = t.assignment.(g) in
-  let seen = Hashtbl.create 4 in
-  Graph_algo.iter_neighbours u g (fun h ->
-      let m = t.assignment.(h) in
-      if m <> own then Hashtbl.replace seen m ());
-  List.sort Stdlib.compare (Hashtbl.fold (fun m () acc -> m :: acc) seen [])
+let neighbour_modules ?module_of t g =
+  let module_of =
+    match module_of with Some f -> f | None -> Array.get t.assignment
+  in
+  let own = module_of g in
+  (* insertion into an ascending list: degrees are small *)
+  let rec insert m = function
+    | [] -> [ m ]
+    | x :: _ as l when m < x -> m :: l
+    | x :: rest as l -> if m = x then l else x :: insert m rest
+  in
+  let found = ref [] in
+  Graph_algo.iter_neighbours (Charac.undirected t.ch) g (fun h ->
+      let m = module_of h in
+      if m <> own then found := insert m !found);
+  !found
 
 let leakage t m = t.mods.(m).m_leakage
 

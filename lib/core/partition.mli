@@ -13,7 +13,15 @@ type t
 val create : Iddq_analysis.Charac.t -> assignment:int array -> t
 (** [create ch ~assignment] builds a partition from a gate→module map.
     Module ids must be dense [0 .. k-1] with every id non-empty.
-    Raises [Invalid_argument] otherwise. *)
+    Raises [Invalid_argument] otherwise.  The one-assignment case of
+    {!create_many}. *)
+
+val create_many :
+  Iddq_analysis.Charac.t -> assignments:int array list -> t list
+(** [create_many ch ~assignments] is [List.map (create ch) assignments]
+    in one sweep: the S(M) totals take one truncated BFS per gate
+    shared by every assignment, not one per gate and assignment.  Each
+    assignment is validated as in {!create}. *)
 
 val copy : t -> t
 (** Deep copy; the copy mutates independently. *)
@@ -48,9 +56,12 @@ val boundary_gates : t -> int -> int array
 (** Gates of the module with at least one (undirected) neighbour gate
     outside the module. *)
 
-val neighbour_modules : t -> int -> int list
+val neighbour_modules : ?module_of:(int -> int) -> t -> int -> int list
 (** Live modules other than the gate's own that contain an undirected
-    neighbour of the gate. *)
+    neighbour of the gate, ascending.  [module_of] overrides the
+    gate→module map the answer reads (default {!module_of_gate}): a
+    mutation planner passes the partition seen through its pending
+    moves. *)
 
 (** {1 Aggregates} (per live module id) *)
 

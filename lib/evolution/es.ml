@@ -29,8 +29,8 @@ let default_params =
 type 'a problem = {
   copy : 'a -> 'a;
   cost : 'a -> float;
-  mutate : Iddq_util.Rng.t -> step:int -> 'a -> unit;
-  monte_carlo : Iddq_util.Rng.t -> 'a -> unit;
+  mutate : Iddq_util.Rng.t -> step:int -> 'a -> 'a -> unit;
+  monte_carlo : Iddq_util.Rng.t -> 'a -> 'a -> unit;
 }
 
 type 'a individual = { solution : 'a; cost : float; age : int; step : int }
@@ -83,36 +83,42 @@ let run ?(on_generation = fun _ -> ()) params rng (problem : _ problem) starts =
   Domain_pool.with_pool ~domains:params.domains @@ fun domain_pool ->
   while !continue_ && !generation < params.max_generations do
     incr generation;
-    (* Build every child first (all rng draws happen here, in the same
-       order whatever [domains] is), then evaluate the costs — the only
-       expensive, rng-free part — in parallel. *)
+    (* Plan every child first: all rng draws happen here, on the
+       calling domain, in the same order whatever [domains] is.  Each
+       plan is a build step replayed on a copy of its parent. *)
     let specs = ref [] in
     List.iter
       (fun parent ->
         for _ = 1 to params.lambda do
-          let sol = problem.copy parent.solution in
           let step = child_step rng params parent.step in
-          problem.mutate rng ~step sol;
-          specs := (sol, step) :: !specs
+          let build = problem.mutate rng ~step parent.solution in
+          specs := (parent.solution, build, step) :: !specs
         done;
         for _ = 1 to params.chi do
-          let sol = problem.copy parent.solution in
-          problem.monte_carlo rng sol;
+          let build = problem.monte_carlo rng parent.solution in
           let step = child_step rng params parent.step in
-          specs := (sol, step) :: !specs
+          specs := (parent.solution, build, step) :: !specs
         done)
       !population;
     (* [!specs] is in reverse creation order, matching the list an
-       interleaved cons loop would have produced. *)
+       interleaved cons loop would have produced.  Copying, building
+       and costing are rng-free and run on the pool; parents are only
+       read. *)
     let spec_arr = Array.of_list !specs in
+    (* slot [i] holds child [i]'s parent until the pool replaces it *)
+    let sols = Array.map (fun (parent, _, _) -> parent) spec_arr in
     let costs = Array.make (Array.length spec_arr) 0.0 in
     ignore
       (Domain_pool.run domain_pool ~chunks:(Array.length spec_arr) (fun i ->
-           costs.(i) <- problem.cost (fst spec_arr.(i))));
+           let _, build, _ = spec_arr.(i) in
+           let sol = problem.copy sols.(i) in
+           build sol;
+           sols.(i) <- sol;
+           costs.(i) <- problem.cost sol));
     let children = ref [] in
     for i = Array.length spec_arr - 1 downto 0 do
-      let sol, step = spec_arr.(i) in
-      children := { solution = sol; cost = costs.(i); age = 0; step } :: !children
+      let _, _, step = spec_arr.(i) in
+      children := { solution = sols.(i); cost = costs.(i); age = 0; step } :: !children
     done;
     let aged_parents =
       List.filter_map

@@ -20,14 +20,17 @@ type params = {
       (** Stop after this many generations without improvement of the
           best cost ("until the results converged", §5.1). *)
   domains : int;
-      (** Domains used to evaluate offspring costs in parallel (the
+      (** Domains used to build and cost offspring in parallel (the
           μ·(λ+χ) candidates of a generation are independent), on one
-          {!Iddq_util.Domain_pool} opened for the whole run.  All
-          rng draws (copying and mutating) stay on the calling domain
-          in a fixed order, so the run is deterministic and identical
-          for every value of [domains].  With [domains > 1] the
-          problem's [cost] must be safe to call concurrently on
-          distinct solutions.  Default 1 (fully sequential). *)
+          {!Iddq_util.Domain_pool} opened for the whole run.  The
+          draws stay serial: every child's plan ([mutate] /
+          [monte_carlo]) runs on the calling domain in a fixed order.
+          Copying the parent, replaying the plan on the copy and
+          costing it run on the pool, so the run is deterministic and
+          identical for every value of [domains].  With [domains > 1]
+          the problem's [copy] must be safe to call concurrently on one
+          parent, and [cost] and the build steps on distinct
+          solutions.  Default 1 (fully sequential). *)
 }
 
 val default_params : params
@@ -39,10 +42,13 @@ type 'a problem = {
   cost : 'a -> float;
       (** Smaller is better; constraint violations must already be
           folded in (penalty). *)
-  mutate : Iddq_util.Rng.t -> step:int -> 'a -> unit;
-      (** In-place neighbourhood mutation with the given step width. *)
-  monte_carlo : Iddq_util.Rng.t -> 'a -> unit;
-      (** In-place large random jump. *)
+  mutate : Iddq_util.Rng.t -> step:int -> 'a -> 'a -> unit;
+      (** [mutate rng ~step parent] plans a neighbourhood mutation with
+          the given step width: it makes every rng draw, only reads
+          [parent], and returns the build step that applies the
+          mutation in place to a copy of [parent]. *)
+  monte_carlo : Iddq_util.Rng.t -> 'a -> 'a -> unit;
+      (** Plans a large random jump, same convention as [mutate]. *)
 }
 
 type 'a individual = {

@@ -3,15 +3,16 @@ module Partition = Iddq_core.Partition
 module Cost = Iddq_core.Cost
 module Cost_eval = Iddq_core.Cost_eval
 
+type journal = (int * int) array
+
 let random_live_module rng p =
   Rng.choose_list rng (Partition.module_ids p)
 
-(* The mutation cores are written against a read view [p] and a [move]
-   callback so the same logic drives both a bare partition and an
-   incremental evaluator (which must observe every move to stay
-   coherent). *)
-let mutate_with ~move rng ~step p =
-  if Partition.num_modules p >= 2 then begin
+(* The planners make every draw and no move: they return the moves an
+   in-place mutation of [p] would make, in order. *)
+let mutate rng ~step p =
+  if Partition.num_modules p < 2 then [||]
+  else begin
     (* a source with boundary gates exists whenever K >= 2 and the
        partition covers a connected circuit; retry a few picks *)
     let rec pick_source tries =
@@ -24,21 +25,31 @@ let mutate_with ~move rng ~step p =
       end
     in
     match pick_source 8 with
-    | None -> ()
+    | None -> [||]
     | Some boundary ->
       let bound = Stdlib.min step (Array.length boundary) in
       let m_move = 1 + Rng.int rng bound in
       let chosen = Rng.sample_without_replacement rng m_move boundary in
+      (* later picks see [p] through the moves planned so far (newest
+         first), as they would after moving in place *)
+      let pending = ref [] in
+      let module_of h =
+        match List.assoc_opt h !pending with
+        | Some m -> m
+        | None -> Partition.module_of_gate p h
+      in
       Array.iter
         (fun g ->
-          match Partition.neighbour_modules p g with
+          match Partition.neighbour_modules ~module_of p g with
           | [] -> ()
-          | targets -> move g (Rng.choose_list rng targets))
-        chosen
+          | targets -> pending := (g, Rng.choose_list rng targets) :: !pending)
+        chosen;
+      Array.of_list (List.rev !pending)
   end
 
-let monte_carlo_with ~move rng p =
-  if Partition.num_modules p >= 2 then begin
+let monte_carlo rng p =
+  if Partition.num_modules p < 2 then [||]
+  else begin
     let src = random_live_module rng p in
     let target =
       let rec pick () =
@@ -50,26 +61,19 @@ let monte_carlo_with ~move rng p =
     let gates = Partition.members p src in
     let count = 1 + Rng.int rng (Array.length gates) in
     let chosen = Rng.sample_without_replacement rng count gates in
-    Array.iter (fun g -> move g target) chosen
+    Array.map (fun g -> (g, target)) chosen
   end
 
-let mutate rng ~step p = mutate_with ~move:(Partition.move_gate p) rng ~step p
-let monte_carlo rng p = monte_carlo_with ~move:(Partition.move_gate p) rng p
+(* The build step: replay a planned journal on a copy of its parent. *)
+let replay journal child =
+  Array.iter (fun (gate, target) -> Cost_eval.move child ~gate ~target) journal
 
 let problem () =
   {
     Es.copy = Cost_eval.copy;
     cost = Cost_eval.penalized;
-    mutate =
-      (fun rng ~step e ->
-        mutate_with
-          ~move:(fun gate target -> Cost_eval.move e ~gate ~target)
-          rng ~step (Cost_eval.partition e));
-    monte_carlo =
-      (fun rng e ->
-        monte_carlo_with
-          ~move:(fun gate target -> Cost_eval.move e ~gate ~target)
-          rng (Cost_eval.partition e));
+    mutate = (fun rng ~step e -> replay (mutate rng ~step (Cost_eval.partition e)));
+    monte_carlo = (fun rng e -> replay (monte_carlo rng (Cost_eval.partition e)));
   }
 
 let optimize ?weights ?metrics ?(params = Es.default_params) ?on_generation

@@ -8,45 +8,43 @@
     when emptied — a larger jump that keeps the search out of local
     minima.
 
-    The ES evolves {!Iddq_core.Cost_eval.t} individuals: every move a
-    mutation makes flows through the evaluator, so a child's cost is a
-    delta evaluation touching only the modules the mutation changed
-    (one refresh per child, however many gates moved) instead of a
-    full {!Iddq_core.Cost.evaluate}.  Offspring evaluators are fully
+    The ES evolves {!Iddq_core.Cost_eval.t} individuals.  Planning a
+    child ({!mutate}, {!monte_carlo}) makes every rng draw on the
+    calling domain and only reads the parent; it yields a {!journal}
+    of moves.  Building the child — copying the parent evaluator and
+    replaying the journal through {!Iddq_core.Cost_eval.move}, one
+    truncated separation BFS per moved gate — and costing it run on
+    the pool ({!Es.params.domains}).  A child's cost is a delta
+    evaluation touching only the modules its moves changed (one
+    refresh per child, however many gates moved) instead of a full
+    {!Iddq_core.Cost.evaluate}.  Offspring evaluators are fully
     independent (deep-copied partitions and caches; the shared
-    {!Iddq_util.Metrics.t} is atomic), so offspring costs may be
-    computed on parallel domains via {!Es.params.domains}. *)
+    {!Iddq_util.Metrics.t} is atomic). *)
 
-val mutate : Iddq_util.Rng.t -> step:int -> Iddq_core.Partition.t -> unit
-(** No-op when the partition has a single module or the chosen source
-    has no boundary gates after a few retries. *)
+type journal = (int * int) array
+(** Planned [(gate, target)] moves, in the order they apply; replaying
+    them with {!Iddq_core.Partition.move_gate} (or
+    {!Iddq_core.Cost_eval.move}) on the planned partition performs the
+    mutation. *)
 
-val monte_carlo : Iddq_util.Rng.t -> Iddq_core.Partition.t -> unit
+val mutate : Iddq_util.Rng.t -> step:int -> Iddq_core.Partition.t -> journal
+(** Plans a mutation of [p] without moving anything.  Each chosen
+    boundary gate picks its target with
+    {!Iddq_core.Partition.neighbour_modules} over [p] seen through the
+    moves planned before it, so the plan equals an in-place mutation
+    move for move and draw for draw.  Empty when the partition has a
+    single module or the chosen source has no boundary gates after a
+    few retries. *)
 
-val mutate_with :
-  move:(int -> int -> unit) ->
-  Iddq_util.Rng.t ->
-  step:int ->
-  Iddq_core.Partition.t ->
-  unit
-(** Core of {!mutate} against an explicit [move gate target] effect;
-    [p] is only read.  {!mutate} instantiates it with
-    {!Iddq_core.Partition.move_gate}, the ES problem with
-    {!Iddq_core.Cost_eval.move} so the evaluator observes every
-    move. *)
-
-val monte_carlo_with :
-  move:(int -> int -> unit) ->
-  Iddq_util.Rng.t ->
-  Iddq_core.Partition.t ->
-  unit
-(** Core of {!monte_carlo}, same convention as {!mutate_with}. *)
+val monte_carlo : Iddq_util.Rng.t -> Iddq_core.Partition.t -> journal
+(** Plans a Monte-Carlo jump; same convention as {!mutate}. *)
 
 val problem : unit -> Iddq_core.Cost_eval.t Es.problem
 (** The {!Es.problem} instance over incremental evaluators: [cost] is
-    {!Iddq_core.Cost_eval.penalized}; weights and metrics are carried
-    by each evaluator (set at {!Iddq_core.Cost_eval.create}, inherited
-    by copies). *)
+    {!Iddq_core.Cost_eval.penalized}, and the build steps replay the
+    planned journal through {!Iddq_core.Cost_eval.move}; weights and
+    metrics are carried by each evaluator (set at
+    {!Iddq_core.Cost_eval.create}, inherited by copies). *)
 
 val optimize :
   ?weights:Iddq_core.Cost.weights ->

@@ -23,7 +23,7 @@ let target_module_size ?(margin = 0.75) ch =
    when a chain dies, reseed from a free gate adjacent to the module
    (keeping it connected), else from the free gate closest to the
    primary inputs. *)
-let chain_partition ~rng ?module_size ch =
+let chain_assignment ~rng ?module_size ch =
   let n = Charac.num_gates ch in
   let size_cap =
     match module_size with Some s -> Stdlib.max 1 s | None -> target_module_size ch
@@ -102,7 +102,13 @@ let chain_partition ~rng ?module_size ch =
     in
     follow seed
   done;
-  Partition.create ch ~assignment
+  assignment
 
+let chain_partition ~rng ?module_size ch =
+  Partition.create ch ~assignment:(chain_assignment ~rng ?module_size ch)
+
+(* Every rng draw first, in the order [count] [chain_partition] calls
+   would make them; then one separation sweep for all assignments. *)
 let population ~rng ?module_size ~count ch =
-  List.init count (fun _ -> chain_partition ~rng ?module_size ch)
+  let assignments = List.init count (fun _ -> chain_assignment ~rng ?module_size ch) in
+  Partition.create_many ch ~assignments

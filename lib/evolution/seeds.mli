@@ -31,4 +31,7 @@ val population :
   count:int ->
   Iddq_analysis.Charac.t ->
   Iddq_core.Partition.t list
-(** [count] start partitions with independent tie-breaking. *)
+(** [count] start partitions with independent tie-breaking: the same
+    partitions, from the same rng draws, as [count] successive
+    {!chain_partition} calls, but built by one
+    {!Iddq_core.Partition.create_many} sweep. *)

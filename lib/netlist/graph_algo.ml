@@ -115,6 +115,7 @@ type bfs = {
   stamp : int array; (* stamp.(g) = epoch when g was last discovered *)
   dist : int array; (* BFS distance, valid where stamp.(g) = epoch *)
   queue : int array; (* discovery order; doubles as the visited list *)
+  queue_dist : int array; (* queue_dist.(i) = dist.(queue.(i)) *)
   mutable epoch : int;
   mutable n_visited : int;
 }
@@ -125,6 +126,7 @@ let make_bfs u =
     stamp = Array.make n 0;
     dist = Array.make n 0;
     queue = Array.make (Stdlib.max n 1) 0;
+    queue_dist = Array.make (Stdlib.max n 1) 0;
     epoch = 0;
     n_visited = 0;
   }
@@ -138,31 +140,44 @@ let bfs_from u b ~cutoff source =
     invalid_arg "Graph_algo.bfs_from: workspace sized for another graph";
   b.epoch <- b.epoch + 1;
   let epoch = b.epoch in
-  b.stamp.(source) <- epoch;
-  b.dist.(source) <- 0;
-  b.queue.(0) <- source;
-  b.n_visited <- 1;
+  let stamp = b.stamp and dist = b.dist in
+  let queue = b.queue and queue_dist = b.queue_dist in
+  let offsets = u.offsets and targets = u.targets in
+  stamp.(source) <- epoch;
+  dist.(source) <- 0;
+  queue.(0) <- source;
+  queue_dist.(0) <- 0;
+  let tail = ref 1 in
   let head = ref 0 in
-  while !head < b.n_visited do
-    let v = Array.unsafe_get b.queue !head in
+  while !head < !tail do
+    let v = Array.unsafe_get queue !head in
+    let d = Array.unsafe_get queue_dist !head in
     incr head;
-    let d = Array.unsafe_get b.dist v in
     (* a node at BFS distance d+1 has separation d; only expand while
        the next separation would still be below the cutoff *)
     if d < cutoff then
-      for k = u.offsets.(v) to u.offsets.(v + 1) - 1 do
-        let w = Array.unsafe_get u.targets k in
-        if Array.unsafe_get b.stamp w <> epoch then begin
-          Array.unsafe_set b.stamp w epoch;
-          Array.unsafe_set b.dist w (d + 1);
-          Array.unsafe_set b.queue b.n_visited w;
-          b.n_visited <- b.n_visited + 1
+      for k = Array.unsafe_get offsets v to Array.unsafe_get offsets (v + 1) - 1 do
+        let w = Array.unsafe_get targets k in
+        if Array.unsafe_get stamp w <> epoch then begin
+          Array.unsafe_set stamp w epoch;
+          Array.unsafe_set dist w (d + 1);
+          Array.unsafe_set queue !tail w;
+          Array.unsafe_set queue_dist !tail (d + 1);
+          incr tail
         end
       done
-  done
+  done;
+  b.n_visited <- !tail
 
 let bfs_visited_count b = b.n_visited
 let bfs_visited b i = b.queue.(i)
+
+(* Every visited gate lies within the horizon, so its separation is
+   its distance less one (the source's is 0); read in discovery order,
+   with no lookup by gate. *)
+let[@inline] bfs_visited_separation b i =
+  let d = b.queue_dist.(i) in
+  if d = 0 then 0 else d - 1
 
 let bfs_separation b ~cutoff g =
   if b.stamp.(g) = b.epoch then begin
@@ -170,11 +185,6 @@ let bfs_separation b ~cutoff g =
     if d = 0 then 0 else Stdlib.min cutoff (d - 1)
   end
   else cutoff
-
-let separations_from u ~cutoff source =
-  let b = make_bfs u in
-  bfs_from u b ~cutoff source;
-  Array.init (num_gates u) (fun g -> bfs_separation b ~cutoff g)
 
 let module_separation u ~cutoff gates =
   let k = Array.length gates in

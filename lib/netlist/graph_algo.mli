@@ -69,18 +69,17 @@ val bfs_visited : bfs -> int -> int
 (** The gates discovered by the last {!bfs_from}, in discovery order
     ([bfs_visited b 0] is the source). *)
 
+val bfs_visited_separation : bfs -> int -> int
+(** [bfs_visited_separation b i] is the separation from the source to
+    [bfs_visited b i] — what {!bfs_separation} returns for that gate,
+    read in discovery order without a lookup by gate. *)
+
 val bfs_separation : bfs -> cutoff:int -> int -> int
 (** Separation from the last traversal's source to a gate: the
     paper's [S(g_i,g_j)] — intermediate-node count on a shortest
     undirected path, 0 for the source itself and for adjacent gates,
     the forced value [cutoff] beyond the horizon.  Every gate {e not}
     in the visited set is at [cutoff]. *)
-
-val separations_from : undirected -> cutoff:int -> int -> int array
-(** Single-source BFS truncated at [cutoff]; entry [g] is the
-    separation from the source to [g] (sources at 0), [cutoff] where
-    unreachable within the horizon.  Allocates a fresh workspace and a
-    dense array — use the {!bfs} API on hot paths. *)
 
 val module_separation : undirected -> cutoff:int -> int array -> int
 (** [module_separation u ~cutoff gates] is [S(M)]: the sum of

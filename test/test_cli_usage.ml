@@ -77,8 +77,21 @@ let test_unknown_subcommand_enumerates () =
         true (contains name))
     expected_commands
 
+let test_atpg_summary_single_spaced () =
+  let lines = String.split_on_char '\n' (run_capture [ "atpg"; "-c"; "C17" ]) in
+  Alcotest.(check (list string))
+    "atpg summary lines"
+    [
+      "c17: 34 collapsed stuck-at faults";
+      "33 vectors (32 random + 1 generated)";
+      "coverage 100.0%, efficiency 100.0% (0 untestable, 0 aborted)";
+    ]
+    (List.filter (fun l -> l <> "") lines)
+
 let tests =
   [
+    Alcotest.test_case "atpg summary single-spaced" `Quick
+      test_atpg_summary_single_spaced;
     Alcotest.test_case "synopsis = dispatch table" `Quick
       test_synopsis_matches_dispatch;
     Alcotest.test_case "unknown subcommand enumerates" `Quick

@@ -3,21 +3,25 @@ module Rng = Iddq_util.Rng
 
 (* Toy problem: minimize the sum of absolute values of an int vector.
    Mutation nudges up to [step] coordinates by +-1; Monte-Carlo
-   rerolls one coordinate entirely. *)
+   rerolls one coordinate entirely.  Planning draws; the build step
+   applies the drawn edits to the child. *)
 let toy_problem =
   {
     Es.copy = Array.copy;
     cost = (fun v -> Array.fold_left (fun acc x -> acc +. Float.abs (float_of_int x)) 0.0 v);
     mutate =
       (fun rng ~step v ->
-        for _ = 1 to Stdlib.max 1 (Stdlib.min step (Array.length v)) do
-          let i = Rng.int rng (Array.length v) in
-          v.(i) <- v.(i) + if Rng.bool rng then 1 else -1
-        done);
+        let nudges =
+          List.init (Stdlib.max 1 (Stdlib.min step (Array.length v))) (fun _ ->
+              let i = Rng.int rng (Array.length v) in
+              (i, if Rng.bool rng then 1 else -1))
+        in
+        fun child -> List.iter (fun (i, d) -> child.(i) <- child.(i) + d) nudges);
     monte_carlo =
       (fun rng v ->
         let i = Rng.int rng (Array.length v) in
-        v.(i) <- Rng.int_in_range rng ~min:(-50) ~max:50);
+        let x = Rng.int_in_range rng ~min:(-50) ~max:50 in
+        fun child -> child.(i) <- x);
   }
 
 let start () = [ [| 17; -23; 5; 40; -9 |]; [| -30; 30; -30; 30; -30 |] ]

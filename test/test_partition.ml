@@ -193,6 +193,35 @@ let qcheck_cover_preserved =
       in
       total = gates)
 
+let qcheck_shared_sweep =
+  QCheck.Test.make
+    ~name:"one sweep over many assignments = one create per assignment"
+    ~count:25
+    QCheck.(triple (int_range 20 80) (int_range 1 5) (int_range 1 100000))
+    (fun (gates, count, seed) ->
+      let rng = Rng.create seed in
+      let circuit =
+        Generator.layered_dag ~rng ~name:"q" ~num_inputs:6 ~num_outputs:3
+          ~num_gates:gates ~depth:(1 + (gates / 8)) ()
+      in
+      let ch = make circuit in
+      let assignments =
+        List.init count (fun _ ->
+            let k = Rng.int_in_range rng ~min:1 ~max:8 in
+            let a = Array.init gates (fun g -> g mod k) in
+            Rng.shuffle_in_place rng a;
+            a)
+      in
+      let swept = Partition.create_many ch ~assignments in
+      List.for_all2
+        (fun assignment p ->
+          let alone = Partition.create ch ~assignment in
+          Partition.assignment p = assignment
+          && List.map (Partition.separation_total p) (Partition.module_ids p)
+             = List.map (Partition.separation_total alone) (Partition.module_ids alone)
+          && Partition.check_consistent p = Ok ())
+        assignments swept)
+
 let tests =
   [
     Alcotest.test_case "create basic" `Quick test_create_basic;
@@ -208,4 +237,5 @@ let tests =
     Alcotest.test_case "sensors per module" `Quick test_sensors_per_live_module;
     QCheck_alcotest.to_alcotest qcheck_incremental_consistency;
     QCheck_alcotest.to_alcotest qcheck_cover_preserved;
+    QCheck_alcotest.to_alcotest qcheck_shared_sweep;
   ]

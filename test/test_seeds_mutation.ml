@@ -11,6 +11,9 @@ module Rng = Iddq_util.Rng
 
 let make circuit = Charac.make ~library:Library.default circuit
 
+(* Replays a planned mutation in place. *)
+let apply p journal = Array.iter (fun (g, target) -> Partition.move_gate p g target) journal
+
 let test_target_module_size () =
   let ch = make (Iscas.c432_like ()) in
   let s = Seeds.target_module_size ch in
@@ -55,7 +58,7 @@ let test_mutate_preserves_invariants () =
   let ch = make (Iscas.c432_like ()) in
   let p = Seeds.chain_partition ~rng ~module_size:20 ch in
   for _ = 1 to 50 do
-    Part_iddq.mutate rng ~step:4 p
+    apply p (Part_iddq.mutate rng ~step:4 p)
   done;
   Alcotest.(check (result unit string)) "still consistent" (Ok ())
     (Partition.check_consistent p);
@@ -70,7 +73,7 @@ let test_monte_carlo_preserves_invariants () =
   let ch = make (Iscas.c432_like ()) in
   let p = Seeds.chain_partition ~rng ~module_size:20 ch in
   for _ = 1 to 25 do
-    Part_iddq.monte_carlo rng p
+    apply p (Part_iddq.monte_carlo rng p)
   done;
   Alcotest.(check (result unit string)) "still consistent" (Ok ())
     (Partition.check_consistent p)
@@ -79,9 +82,49 @@ let test_mutate_single_module_noop () =
   let ch = make (Iscas.c17 ()) in
   let p = Partition.create ch ~assignment:(Array.make 6 0) in
   let rng = Rng.create 1 in
-  Part_iddq.mutate rng ~step:3 p;
-  Part_iddq.monte_carlo rng p;
+  apply p (Part_iddq.mutate rng ~step:3 p);
+  apply p (Part_iddq.monte_carlo rng p);
   Alcotest.(check int) "still one module" 1 (Partition.num_modules p)
+
+(* The in-place mutation as first written: each move lands before the
+   next chosen gate picks its target.  Oracle for the planner, which
+   sees those moves only through its pending view. *)
+let mutate_in_place rng ~step p =
+  let moves = ref [] in
+  (if Partition.num_modules p >= 2 then
+     let rec pick_source tries =
+       if tries = 0 then None
+       else
+         let boundary =
+           Partition.boundary_gates p (Rng.choose_list rng (Partition.module_ids p))
+         in
+         if Array.length boundary > 0 then Some boundary else pick_source (tries - 1)
+     in
+     match pick_source 8 with
+     | None -> ()
+     | Some boundary ->
+       let m_move = 1 + Rng.int rng (Stdlib.min step (Array.length boundary)) in
+       Array.iter
+         (fun g ->
+           match Partition.neighbour_modules p g with
+           | [] -> ()
+           | targets ->
+             let target = Rng.choose_list rng targets in
+             Partition.move_gate p g target;
+             moves := (g, target) :: !moves)
+         (Rng.sample_without_replacement rng m_move boundary));
+  Array.of_list (List.rev !moves)
+
+let qcheck_plan_matches_in_place =
+  let ch = make (Iscas.c432_like ()) in
+  QCheck.Test.make ~name:"planned mutation = in-place mutation" ~count:40
+    QCheck.(pair (int_range 1 100000) (int_range 1 40))
+    (fun (seed, step) ->
+      let p = Seeds.chain_partition ~rng:(Rng.create seed) ~module_size:12 ch in
+      let before = Partition.assignment p in
+      let planned = Part_iddq.mutate (Rng.create seed) ~step p in
+      let reference = mutate_in_place (Rng.create seed) ~step (Partition.copy p) in
+      planned = reference && Partition.assignment p = before)
 
 let test_optimize_improves () =
   let rng = Rng.create 42 in
@@ -179,6 +222,24 @@ let test_es_trajectory_pinned () =
         "fb31808fec200c242b9427ff3600a23b" );
     ]
 
+let test_optimize_domains_equivalent () =
+  (* children are planned serially and built and costed on the pool,
+     so the PART-IDDQ run is identical whatever the domain count *)
+  let ch = make (Iscas.c880_like ()) in
+  let run domains =
+    let rng = Rng.create 5 in
+    let starts = Seeds.population ~rng ~module_size:50 ~count:3 ch in
+    let params =
+      { Es.default_params with Es.max_generations = 6; stall_generations = 6; domains }
+    in
+    let best, trace = Part_iddq.optimize ~params ~rng ~starts () in
+    (best.Es.cost, Partition.assignment best.Es.solution, trace)
+  in
+  let c1, a1, t1 = run 1 and c3, a3, t3 = run 3 in
+  Alcotest.(check (float 0.0)) "same best cost" c1 c3;
+  Alcotest.(check bool) "same best assignment" true (a1 = a3);
+  Alcotest.(check bool) "same trace" true (t1 = t3)
+
 let qcheck_seed_feasibility =
   QCheck.Test.make
     ~name:"chain seeds at the estimated size are feasible" ~count:15
@@ -207,6 +268,8 @@ let tests =
     Alcotest.test_case "optimize improves" `Slow test_optimize_improves;
     Alcotest.test_case "optimize feasible" `Slow test_optimize_feasible_result;
     QCheck_alcotest.to_alcotest qcheck_seed_feasibility;
+    QCheck_alcotest.to_alcotest qcheck_plan_matches_in_place;
     Alcotest.test_case "seed population pinned" `Quick test_seed_population_pinned;
     Alcotest.test_case "ES trajectory pinned" `Quick test_es_trajectory_pinned;
+    Alcotest.test_case "domains equivalent" `Quick test_optimize_domains_equivalent;
   ]
