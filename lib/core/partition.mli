@@ -48,7 +48,10 @@ val members : t -> int -> int array
 val move_gate : t -> int -> int -> unit
 (** [move_gate t g target] reassigns gate [g]; [target] must be a live
     module id (moving to the gate's own module is a no-op).  All
-    aggregates are updated incrementally. *)
+    aggregates are updated incrementally.  The separation BFS runs on
+    a workspace kept per domain: distinct partitions may move on
+    distinct domains at once, but not from two threads of one
+    domain. *)
 
 (** {1 Mutation support} *)
 
