@@ -55,15 +55,19 @@ let invalidate t =
   t.all_dirty <- true;
   t.cached <- None
 
-let move t ~gate ~target =
-  let src = Partition.module_of_gate t.p gate in
-  if src <> target then begin
-    Partition.move_gate t.p gate target;
+let move_gates t gates ~target =
+  if Array.length gates > 0 then begin
+    let src = Partition.module_of_gate t.p gates.(0) in
+    Partition.move_gates t.p gates ~target;
     t.dirty.(src) <- true;
     t.dirty.(target) <- true;
     t.cached <- None;
-    Metrics.add t.metrics Metrics.moves 1
+    Metrics.add t.metrics Metrics.moves (Array.length gates)
   end
+
+let move t ~gate ~target =
+  if Partition.module_of_gate t.p gate <> target then
+    move_gates t [| gate |] ~target
 
 (* Identical sizing call to [Partition.sensors] so cached and freshly
    computed sensors agree exactly. *)

@@ -4,17 +4,18 @@
 
     A full {!Cost.evaluate} re-sizes every module's sensor and re-runs
     the degradation model over {e every} gate for each longest-path
-    query, even though a single {!Partition.move_gate} perturbs the
+    query, even though a {!Partition.move_gates} batch perturbs the
     aggregates of exactly two modules.  [Cost_eval] wraps a partition
     and caches the expensive per-module and per-gate intermediates:
 
     - the sized {!Iddq_bic.Sensor.t} of each live module;
     - the degraded delay [d(g) · Δ(g)] of each gate.
 
-    A {!move} marks only the source and target modules dirty; the next
-    {!breakdown} re-sizes just those sensors, recomputes the degraded
-    delay of just their member gates, and reruns the (cheap, additive)
-    longest-path pass over the cached delays.  The O(K)-module sums
+    A {!move} or {!move_gates} marks only the source and target
+    modules dirty; the next {!breakdown} re-sizes just those sensors,
+    recomputes the degraded delay of just their member gates, and
+    reruns the (cheap, additive) longest-path pass over the cached
+    delays.  The O(K)-module sums
     (area, separation, test time, deficit) are reassembled from scratch
     each refresh through {!Cost.of_components} — the same function the
     full evaluator uses, in the same order — so an up-to-date evaluator
@@ -50,11 +51,21 @@ val copy : t -> t
     the copy moves and evaluates independently (ES offspring).  The
     metrics instance is shared. *)
 
+val move_gates : t -> int array -> target:int -> unit
+(** [move_gates t gates ~target] is {!Partition.move_gates} on the
+    wrapped partition: the gates of one module move to [target] as one
+    batch, with one multi-source separation BFS per
+    {!Iddq_netlist.Graph_algo.multi_width} gates.  Marks the two
+    touched modules dirty and the cached breakdown stale, and records
+    one [moves] per gate, exactly as moving the gates one by one with
+    {!move} does.  An empty batch is a no-op.  Raises like
+    {!Partition.move_gates}, before any state changes. *)
+
 val move : t -> gate:int -> target:int -> unit
-(** Move a gate to a live module, marking the two touched modules
-    dirty and the cached breakdown stale.  Moving a gate to its own
-    module is a no-op (nothing dirtied, nothing recorded).  Raises
-    like {!Partition.move_gate} on a dead/invalid target. *)
+(** Move a gate to a live module: the one-gate case of {!move_gates}.
+    Moving a gate to its own module is a no-op (nothing dirtied,
+    nothing recorded).  Raises like {!Partition.move_gate} on a
+    dead/invalid target. *)
 
 val breakdown : t -> Cost.breakdown
 (** The cost of the current partition.  Served from cache when no move

@@ -4,8 +4,8 @@
     recomputed just for the modified modules").
 
     A partition always covers every gate (each gate belongs to exactly
-    one module), so the only mutation is {!move_gate}: reassigning a
-    gate to another module.  A module whose last gate moves away dies;
+    one module), so the only mutation is {!move_gates}: reassigning
+    gates of one module to another module.  A module whose last gate moves away dies;
     dead module ids are never reused within one partition value. *)
 
 type t
@@ -45,13 +45,27 @@ val size : t -> int -> int
 val members : t -> int -> int array
 (** Gates of a module, ascending.  O(num_gates). *)
 
+val move_gates : t -> int array -> target:int -> unit
+(** [move_gates t gates ~target] moves every gate of [gates] — distinct
+    gates that all sit in one module [A] — into the live module
+    [target <> A], with the same result as moving them one by one with
+    {!move_gate} in array order: the assignment, liveness, live count,
+    S(M) totals and the float aggregates (updated gate by gate in that
+    order) all match bit for bit.  [A] dies when the batch empties it.
+    The S(M) deltas take one multi-source truncated BFS
+    ({!Iddq_netlist.Graph_algo.multi_bfs_from}) per
+    {!Iddq_netlist.Graph_algo.multi_width} gates, on a workspace kept
+    per domain: distinct partitions may move on distinct domains at
+    once, but not from two threads of one domain.  An empty batch is
+    a no-op.  Raises [Invalid_argument], before any state changes, on
+    a gate out of range, a duplicate gate, gates of several modules, a
+    target equal to their module, or a target that is not a live
+    module. *)
+
 val move_gate : t -> int -> int -> unit
-(** [move_gate t g target] reassigns gate [g]; [target] must be a live
-    module id (moving to the gate's own module is a no-op).  All
-    aggregates are updated incrementally.  The separation BFS runs on
-    a workspace kept per domain: distinct partitions may move on
-    distinct domains at once, but not from two threads of one
-    domain. *)
+(** [move_gate t g target] reassigns gate [g]: the one-gate case of
+    {!move_gates}, except that moving a gate to its own module is a
+    no-op. *)
 
 (** {1 Mutation support} *)
 

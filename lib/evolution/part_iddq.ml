@@ -64,16 +64,25 @@ let monte_carlo rng p =
     Array.map (fun g -> (g, target)) chosen
   end
 
-(* The build step: replay a planned journal on a copy of its parent. *)
+(* The build steps: replay a planned journal on a copy of its parent.
+   A mutation moves its gates one by one; a Monte-Carlo jump moves
+   gates of one module into one target, so it goes over as one
+   batch. *)
 let replay journal child =
   Array.iter (fun (gate, target) -> Cost_eval.move child ~gate ~target) journal
+
+let replay_batch journal child =
+  if Array.length journal > 0 then
+    Cost_eval.move_gates child (Array.map fst journal)
+      ~target:(snd journal.(0))
 
 let problem () =
   {
     Es.copy = Cost_eval.copy;
     cost = Cost_eval.penalized;
     mutate = (fun rng ~step e -> replay (mutate rng ~step (Cost_eval.partition e)));
-    monte_carlo = (fun rng e -> replay (monte_carlo rng (Cost_eval.partition e)));
+    monte_carlo =
+      (fun rng e -> replay_batch (monte_carlo rng (Cost_eval.partition e)));
   }
 
 let optimize ?weights ?metrics ?(params = Es.default_params) ?on_generation

@@ -12,9 +12,12 @@
     child ({!mutate}, {!monte_carlo}) makes every rng draw on the
     calling domain and only reads the parent; it yields a {!journal}
     of moves.  Building the child — copying the parent evaluator and
-    replaying the journal through {!Iddq_core.Cost_eval.move}, one
-    truncated separation BFS per moved gate — and costing it run on
-    the pool ({!Es.params.domains}).  A child's cost is a delta
+    replaying the journal — and costing it run on the pool
+    ({!Es.params.domains}).  A mutation's journal replays move by
+    move through {!Iddq_core.Cost_eval.move}; a Monte-Carlo journal
+    (gates of one module into one target) replays as one
+    {!Iddq_core.Cost_eval.move_gates} batch, one multi-source
+    separation BFS per 63 moved gates.  A child's cost is a delta
     evaluation touching only the modules its moves changed (one
     refresh per child, however many gates moved) instead of a full
     {!Iddq_core.Cost.evaluate}.  Offspring evaluators are fully
@@ -42,8 +45,9 @@ val monte_carlo : Iddq_util.Rng.t -> Iddq_core.Partition.t -> journal
 val problem : unit -> Iddq_core.Cost_eval.t Es.problem
 (** The {!Es.problem} instance over incremental evaluators: [cost] is
     {!Iddq_core.Cost_eval.penalized}, and the build steps replay the
-    planned journal through {!Iddq_core.Cost_eval.move}; weights and
-    metrics are carried by each evaluator (set at
+    planned journal (mutations through {!Iddq_core.Cost_eval.move},
+    Monte-Carlo jumps through {!Iddq_core.Cost_eval.move_gates});
+    weights and metrics are carried by each evaluator (set at
     {!Iddq_core.Cost_eval.create}, inherited by copies). *)
 
 val optimize :

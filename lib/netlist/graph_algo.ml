@@ -186,6 +186,123 @@ let bfs_separation b ~cutoff g =
   end
   else cutoff
 
+(* Multi-source truncated BFS (Then et al., "The More the Merrier",
+   VLDB 2014): up to [multi_width] traversals run as one, source [i]
+   owning bit [i] of a native int.  Per gate, [seen] holds the bits of
+   every source that reached it, [frontier] the bits that reached it
+   at the current level and [next] those reaching it at the next one;
+   a level ORs each frontier gate's bits into its neighbours.  A gate
+   is listed once per level it receives new bits on, so a pass costs
+   the union of the balls, not their sum.  [touched] lists every gate
+   with a nonzero [seen]; the next traversal clears exactly those.
+   [frontier] needs no clearing: a gate's entry is written whenever it
+   joins a level list, and read only while it is on one. *)
+let multi_width = Sys.int_size
+
+type multi_bfs = {
+  seen : int array;
+  frontier : int array;
+  next : int array;
+  level : int array; (* gates with frontier bits *)
+  next_level : int array; (* gates with next bits *)
+  touched : int array;
+  mutable n_touched : int;
+}
+
+let make_multi_bfs u =
+  let n = num_gates u in
+  {
+    seen = Array.make n 0;
+    frontier = Array.make n 0;
+    next = Array.make n 0;
+    level = Array.make n 0;
+    next_level = Array.make n 0;
+    touched = Array.make n 0;
+    n_touched = 0;
+  }
+
+let[@inline] popcount x =
+  (* SWAR over the 63 bits of a native int: the byte sums fit in the
+     top 7 bits, so the product's bit 63 is never needed *)
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let m2 = 0x3333_3333_3333_3333 in
+  let x = (x land m2) + ((x lsr 2) land m2) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+let multi_bfs_from u b ~cutoff sources ~pos ~len f =
+  if Array.length b.seen <> num_gates u then
+    invalid_arg "Graph_algo.multi_bfs_from: workspace sized for another graph";
+  if len < 0 || len > multi_width || pos < 0 || pos > Array.length sources - len
+  then invalid_arg "Graph_algo.multi_bfs_from: bad source range";
+  let seen = b.seen and frontier = b.frontier and next = b.next in
+  let touched = b.touched in
+  for i = 0 to b.n_touched - 1 do
+    let g = Array.unsafe_get touched i in
+    Array.unsafe_set seen g 0;
+    Array.unsafe_set next g 0
+  done;
+  b.n_touched <- 0;
+  let offsets = u.offsets and targets = u.targets in
+  let nt = ref 0 in
+  let level = ref b.level and next_level = ref b.next_level in
+  let width = ref 0 in
+  for i = 0 to len - 1 do
+    let g = sources.(pos + i) in
+    if seen.(g) = 0 then begin
+      touched.(!nt) <- g;
+      incr nt;
+      !level.(!width) <- g;
+      incr width
+    end;
+    seen.(g) <- seen.(g) lor (1 lsl i);
+    frontier.(g) <- seen.(g)
+  done;
+  b.n_touched <- !nt;
+  for i = 0 to !width - 1 do
+    let g = !level.(i) in
+    f g 0 frontier.(g)
+  done;
+  let d = ref 0 in
+  while !width > 0 && !d < cutoff do
+    let cur = !level and nxt = !next_level in
+    let reached = ref 0 in
+    for i = 0 to !width - 1 do
+      let v = Array.unsafe_get cur i in
+      let bits = Array.unsafe_get frontier v in
+      for k = Array.unsafe_get offsets v to Array.unsafe_get offsets (v + 1) - 1 do
+        let w = Array.unsafe_get targets k in
+        let sw = Array.unsafe_get seen w in
+        let fresh = bits land lnot sw in
+        if fresh <> 0 then begin
+          if sw = 0 then begin
+            Array.unsafe_set touched !nt w;
+            incr nt
+          end;
+          let nw = Array.unsafe_get next w in
+          if nw = 0 then begin
+            Array.unsafe_set nxt !reached w;
+            incr reached
+          end;
+          Array.unsafe_set seen w (sw lor fresh);
+          Array.unsafe_set next w (nw lor fresh)
+        end
+      done
+    done;
+    b.n_touched <- !nt;
+    incr d;
+    for i = 0 to !reached - 1 do
+      let w = Array.unsafe_get nxt i in
+      let bits = Array.unsafe_get next w in
+      Array.unsafe_set next w 0;
+      Array.unsafe_set frontier w bits;
+      f w !d bits
+    done;
+    level := nxt;
+    next_level := cur;
+    width := !reached
+  done
+
 let module_separation u ~cutoff gates =
   let k = Array.length gates in
   if k < 2 then 0

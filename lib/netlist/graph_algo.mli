@@ -49,7 +49,7 @@ val exists_neighbour : undirected -> int -> (int -> bool) -> bool
     The workspace below makes each traversal O(visited): visited marks
     are epoch stamps (starting a traversal clears nothing) and the
     discovery queue doubles as the visited list, which is what lets
-    partition moves touch only the BFS horizon instead of every gate.
+    S(M) sweeps touch only the BFS horizon instead of every gate.
     One workspace per owner — never share across concurrent users. *)
 
 type bfs
@@ -80,6 +80,53 @@ val bfs_separation : bfs -> cutoff:int -> int -> int
     undirected path, 0 for the source itself and for adjacent gates,
     the forced value [cutoff] beyond the horizon.  Every gate {e not}
     in the visited set is at [cutoff]. *)
+
+(** {2 Multi-source truncated BFS}
+
+    Up to {!multi_width} truncated traversals in one pass, one source
+    per bit of a native int (Then et al., "The More the Merrier",
+    VLDB 2014).  Each gate keeps the bitmask of the sources that have
+    reached it; a level ORs each frontier gate's new bits over its
+    neighbours, so sources with overlapping balls share the work and
+    a pass costs O(union of the balls).  The workspace clears only
+    the gates the previous pass touched.  One workspace per owner, as
+    for {!bfs}. *)
+
+val multi_width : int
+(** Sources per pass: the bits of a native int (63 on 64-bit
+    platforms). *)
+
+type multi_bfs
+(** A reusable multi-source BFS workspace sized for one graph: six
+    int arrays of one word per gate. *)
+
+val make_multi_bfs : undirected -> multi_bfs
+
+val multi_bfs_from :
+  undirected ->
+  multi_bfs ->
+  cutoff:int ->
+  int array ->
+  pos:int ->
+  len:int ->
+  (int -> int -> int -> unit) ->
+  unit
+(** [multi_bfs_from u b ~cutoff sources ~pos ~len f] runs the
+    truncated BFS of {!bfs_from} from each of [sources.(pos) ..
+    sources.(pos + len - 1)] at once; source [pos + i] owns bit [i].
+    Every time a gate is reached by sources that had not reached it
+    before, [f gate distance bits] is called with the BFS distance
+    (0 for the sources themselves) and the bitmask of those sources —
+    so each (source, gate) pair within the horizon is reported
+    exactly once, at the distance {!bfs_from} would find, and the
+    separation is [distance - 1] for [distance >= 1].  Gates are
+    reported level by level.  Duplicate sources share a gate and are
+    reported together at distance 0.  Raises [Invalid_argument] if
+    the workspace was sized for a different graph, or the range is
+    out of bounds or wider than {!multi_width}. *)
+
+val popcount : int -> int
+(** Number of set bits of a native int (all 63 of them). *)
 
 val module_separation : undirected -> cutoff:int -> int array -> int
 (** [module_separation u ~cutoff gates] is [S(M)]: the sum of

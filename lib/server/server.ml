@@ -221,9 +221,17 @@ let worker_loop t =
 (* Event loop                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Seconds a descriptor-starved listener sits out of the select set
+   when no connection closes meanwhile. *)
+let starved_retry = 0.5
+
 type loop_state = {
   conns : (Unix.file_descr, conn) Hashtbl.t;
   mutable accepting : bool;
+  mutable starved : bool;
+      (* accept hit EMFILE/ENFILE: the listener sits out of the select
+         set until a connection closes or [starved_retry] passes *)
+  mutable starved_at : int;  (* Clock ns; meaningful while starved *)
   mutable stopping : bool;
   mutable drain_started : int;  (* Clock ns; meaningful once stopping *)
   mutable admitted : int;  (* requests admitted, completions not drained *)
@@ -244,6 +252,7 @@ let kill t st conn =
     Mutex.unlock t.m;
     st.admitted <- st.admitted - dropped;
     Hashtbl.remove st.conns conn.fd;
+    st.starved <- false;
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   end
 
@@ -367,7 +376,10 @@ let rec accept_all t st =
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
       accept_all t st
     | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-      ()  (* descriptor pressure: let the loop retry after some close *)
+      (* descriptor pressure: the refused client stays in the backlog,
+         so the listener stays readable; selecting on it would spin *)
+      st.starved <- true;
+      st.starved_at <- Clock.now_ns ()
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
       st.accepting <- false
 
@@ -437,6 +449,8 @@ let run t =
     {
       conns = Hashtbl.create 64;
       accepting = true;
+      starved = false;
+      starved_at = 0;
       stopping = false;
       drain_started = 0;
       admitted = 0;
@@ -450,10 +464,15 @@ let run t =
     let stop_asked = t.stop_requested in
     Mutex.unlock t.m;
     if stop_asked then initiate_stop t st;
+    (* descriptors freed elsewhere than a connection close (a handler's
+       file, say) are picked up by a periodic retry *)
+    if st.starved && Clock.seconds_since st.starved_at >= starved_retry then
+      st.starved <- false;
     if not (finished ()) then begin
+      let listening = st.accepting && not st.starved in
       let reads =
         t.wake_r
-        :: (if st.accepting then [ t.listen_fd ] else [])
+        :: (if listening then [ t.listen_fd ] else [])
         @ Hashtbl.fold
             (fun fd conn acc -> if conn.read_open then fd :: acc else acc)
             st.conns []
@@ -468,6 +487,7 @@ let run t =
         if st.stopping then
           let left = t.drain_timeout -. Clock.seconds_since st.drain_started in
           Stdlib.max 0.01 (Stdlib.min 0.1 left)
+        else if st.starved then starved_retry
         else -1.0
       in
       let readable, writable, _ =
@@ -489,7 +509,7 @@ let run t =
             | Some conn -> if conn.read_open then read_conn t st conn rbuf
             | None -> ())
         readable;
-      if st.accepting && List.memq t.listen_fd readable then accept_all t st;
+      if listening && List.memq t.listen_fd readable then accept_all t st;
       (* a client that never reads must not wedge shutdown *)
       if st.stopping && Clock.seconds_since st.drain_started > t.drain_timeout
       then begin

@@ -77,6 +77,21 @@ let test_unknown_subcommand_enumerates () =
         true (contains name))
     expected_commands
 
+(* The exit status of a run, its output discarded. *)
+let run_status args =
+  let cmd = Filename.quote_command exe args ^ " >/dev/null 2>&1" in
+  Sys.command cmd
+
+let test_loadgen_floor_exits_nonzero () =
+  (* CI gates on loadgen's exit status, not on its output *)
+  Alcotest.(check int) "reachable floor passes" 0
+    (run_status
+       [ "loadgen"; "--clients"; "2"; "--requests"; "3"; "--floor"; "0" ]);
+  Alcotest.(check bool) "unreachable floor exits non-zero" true
+    (run_status
+       [ "loadgen"; "--clients"; "2"; "--requests"; "3"; "--floor"; "1e12" ]
+     <> 0)
+
 let test_atpg_summary_single_spaced () =
   let lines = String.split_on_char '\n' (run_capture [ "atpg"; "-c"; "C17" ]) in
   Alcotest.(check (list string))
@@ -96,4 +111,6 @@ let tests =
       test_synopsis_matches_dispatch;
     Alcotest.test_case "unknown subcommand enumerates" `Quick
       test_unknown_subcommand_enumerates;
+    Alcotest.test_case "loadgen floor sets the exit status" `Quick
+      test_loadgen_floor_exits_nonzero;
   ]

@@ -260,6 +260,88 @@ let qcheck_delta_equals_full =
       done;
       !ok && Cost_eval.self_check eval = Ok ())
 
+let qcheck_batched_cost_eval =
+  QCheck.Test.make
+    ~name:"Cost_eval.move_gates = sequential Cost_eval.move" ~count:15
+    QCheck.(pair (int_range 80 240) (int_range 1 100000))
+    (fun (gates, seed) ->
+      let rng = Rng.create seed in
+      let circuit =
+        Generator.layered_dag ~rng ~name:"q" ~num_inputs:6 ~num_outputs:3
+          ~num_gates:gates ~depth:(1 + (gates / 10)) ()
+      in
+      let ch = make circuit in
+      let k = Rng.int_in_range rng ~min:2 ~max:4 in
+      let assignment = Array.init gates (fun g -> g mod k) in
+      Rng.shuffle_in_place rng assignment;
+      let mb = Metrics.create () and ms = Metrics.create () in
+      let batched =
+        Cost_eval.create ~metrics:mb (Partition.create ch ~assignment)
+      in
+      let sequential =
+        Cost_eval.create ~metrics:ms
+          (Partition.copy (Cost_eval.partition batched))
+      in
+      ignore (Cost_eval.penalized batched);
+      ignore (Cost_eval.penalized sequential);
+      let ok = ref true in
+      for _ = 1 to 3 do
+        let p = Cost_eval.partition batched in
+        if Partition.num_modules p >= 2 then begin
+          let src = Rng.choose_list rng (Partition.module_ids p) in
+          let members = Partition.members p src in
+          let n = Array.length members in
+          let count =
+            if Rng.bool rng then n
+            else Stdlib.min n (Rng.choose rng [| 1; 63; 64; 100 |])
+          in
+          let moved = Rng.sample_without_replacement rng count members in
+          let target =
+            Rng.choose_list rng
+              (List.filter (( <> ) src) (Partition.module_ids p))
+          in
+          Cost_eval.move_gates batched moved ~target;
+          Array.iter (fun gate -> Cost_eval.move sequential ~gate ~target) moved;
+          let bits e = Int64.bits_of_float (Cost_eval.penalized e) in
+          ok :=
+            !ok
+            && bits batched = bits sequential
+            && Partition.assignment p
+               = Partition.assignment (Cost_eval.partition sequential)
+            && Cost_eval.self_check batched = Ok ()
+        end
+      done;
+      let moves m = Metrics.get (Metrics.snapshot m) Metrics.moves in
+      !ok && moves mb = moves ms && moves mb > 0)
+
+let test_cost_eval_move_gates_rejects () =
+  let ch = make (Iscas.c17 ()) in
+  let p = Partition.create ch ~assignment:[| 0; 0; 0; 1; 1; 1 |] in
+  let metrics = Metrics.create () in
+  let eval = Cost_eval.create ~metrics p in
+  let before = Cost_eval.penalized eval in
+  Alcotest.(check bool) "mixed sources rejected" true
+    (try
+       Cost_eval.move_gates eval [| 0; 3 |] ~target:1;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "target = source rejected" true
+    (try
+       Cost_eval.move_gates eval [| 0; 1 |] ~target:0;
+       false
+     with Invalid_argument _ -> true);
+  Cost_eval.move_gates eval [||] ~target:1;
+  Alcotest.(check (float 0.0)) "nothing moved" before (Cost_eval.penalized eval);
+  let s = Metrics.snapshot metrics in
+  Alcotest.(check int) "no moves recorded" 0 (Metrics.get s Metrics.moves);
+  Alcotest.(check int) "cache kept" 1 (Metrics.get s Metrics.eval_cache_hits);
+  Cost_eval.move_gates eval [| 0; 1; 2 |] ~target:1;
+  Alcotest.(check int) "one move per gate" 3
+    (Metrics.get (Metrics.snapshot metrics) Metrics.moves);
+  Alcotest.(check int) "source died" 1 (Partition.num_modules p);
+  Alcotest.(check (result unit string)) "delta matches full" (Ok ())
+    (Cost_eval.self_check eval)
+
 let tests =
   [
     Alcotest.test_case "constraints feasible" `Quick test_constraints_feasible_default;
@@ -280,4 +362,7 @@ let tests =
     Alcotest.test_case "cost_eval module death" `Quick
       test_cost_eval_module_death;
     QCheck_alcotest.to_alcotest qcheck_delta_equals_full;
+    QCheck_alcotest.to_alcotest qcheck_batched_cost_eval;
+    Alcotest.test_case "cost_eval batched move rejects" `Quick
+      test_cost_eval_move_gates_rejects;
   ]

@@ -151,6 +151,124 @@ let qcheck_module_separation_matches_bruteforce =
         members;
       Graph_algo.module_separation u ~cutoff members = !brute)
 
+(* Every (source index, gate, distance) triple the multi-source BFS
+   reports, the sources split into passes of [multi_width] as a
+   caller with more sources must split them; one workspace serves
+   every pass. *)
+let multi_triples u b ~cutoff sources =
+  let out = ref [] in
+  let pos = ref 0 in
+  let k = Array.length sources in
+  while !pos < k do
+    let len = Stdlib.min Graph_algo.multi_width (k - !pos) in
+    let base = !pos in
+    Graph_algo.multi_bfs_from u b ~cutoff sources ~pos:base ~len
+      (fun g d bits ->
+        for i = 0 to len - 1 do
+          if bits land (1 lsl i) <> 0 then out := (base + i, g, d) :: !out
+        done);
+    pos := !pos + len
+  done;
+  List.sort compare !out
+
+(* The same triples from one single-source [bfs_from] per source. *)
+let single_triples u ~cutoff sources =
+  let b = Graph_algo.make_bfs u in
+  let out = ref [] in
+  Array.iteri
+    (fun i s ->
+      Graph_algo.bfs_from u b ~cutoff s;
+      for j = 0 to Graph_algo.bfs_visited_count b - 1 do
+        let g = Graph_algo.bfs_visited b j in
+        let sep = Graph_algo.bfs_visited_separation b j in
+        let d = if g = s then 0 else sep + 1 in
+        out := (i, g, d) :: !out
+      done)
+    sources;
+  List.sort compare !out
+
+(* Sources with duplicates and adjacent pairs mixed in: a draw repeats
+   the previous source, takes one of its neighbours, or is fresh. *)
+let draw_sources rng u n count =
+  let sources = Array.make count 0 in
+  for i = 0 to count - 1 do
+    sources.(i) <-
+      (if i = 0 then Iddq_util.Rng.int rng n
+       else
+         let prev = sources.(i - 1) in
+         match Iddq_util.Rng.int rng 4 with
+         | 0 -> prev
+         | 1 -> (
+           match Graph_algo.neighbours u prev with
+           | [||] -> prev
+           | nb -> Iddq_util.Rng.choose rng nb)
+         | _ -> Iddq_util.Rng.int rng n)
+  done;
+  sources
+
+let qcheck_multi_bfs_matches_single =
+  QCheck.Test.make
+    ~name:"multi-source BFS = one bfs_from per source" ~count:30
+    QCheck.(
+      triple
+        (pair (int_range 10 200) (int_range 1 100000))
+        (oneofl [ 1; 62; 63; 64; 130 ])
+        (int_range 1 6))
+    (fun ((gates, seed), count, cutoff) ->
+      let rng = Iddq_util.Rng.create seed in
+      let c =
+        Generator.layered_dag ~rng ~name:"q" ~num_inputs:4 ~num_outputs:2
+          ~num_gates:gates ~depth:(1 + (gates / 8)) ()
+      in
+      let u = Graph_algo.undirected_of_circuit c in
+      let b = Graph_algo.make_multi_bfs u in
+      let n = Graph_algo.num_gates u in
+      let first = draw_sources rng u n count in
+      let second = draw_sources rng u n count in
+      (* the second call on the same workspace sees no stale bits *)
+      multi_triples u b ~cutoff first = single_triples u ~cutoff first
+      && multi_triples u b ~cutoff second = single_triples u ~cutoff second)
+
+let test_multi_bfs_bounds () =
+  let c = Generator.chain ~length:5 () in
+  let u = Graph_algo.undirected_of_circuit c in
+  let b = Graph_algo.make_multi_bfs u in
+  let sources = Array.make (Graph_algo.multi_width + 1) 0 in
+  let rejected ~pos ~len =
+    try
+      Graph_algo.multi_bfs_from u b ~cutoff:3 sources ~pos ~len (fun _ _ _ -> ());
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "wider than a word" true
+    (rejected ~pos:0 ~len:(Graph_algo.multi_width + 1));
+  Alcotest.(check bool) "past the end" true (rejected ~pos:2 ~len:Graph_algo.multi_width);
+  Alcotest.(check bool) "negative position" true (rejected ~pos:(-1) ~len:1);
+  Alcotest.(check bool) "a full word fits" false
+    (rejected ~pos:1 ~len:Graph_algo.multi_width);
+  let other = Graph_algo.undirected_of_circuit (Generator.chain ~length:7 ()) in
+  Alcotest.(check bool) "workspace of another graph" true
+    (try
+       Graph_algo.multi_bfs_from other b ~cutoff:3 [| 0 |] ~pos:0 ~len:1
+         (fun _ _ _ -> ());
+       false
+     with Invalid_argument _ -> true)
+
+let test_popcount () =
+  let naive x =
+    let c = ref 0 in
+    for i = 0 to Sys.int_size - 1 do
+      if x land (1 lsl i) <> 0 then incr c
+    done;
+    !c
+  in
+  List.iter
+    (fun x ->
+      Alcotest.(check int) (Printf.sprintf "popcount %d" x) (naive x)
+        (Graph_algo.popcount x))
+    [ 0; 1; 2; 3; 255; max_int; min_int; -1; min_int + 1; 0x5555_5555;
+      1 lsl 61; (1 lsl 62) lor 1; 0x0f0f_0f0f_0f0f_0f0f ]
+
 let tests =
   [
     Alcotest.test_case "depths" `Quick test_depths;
@@ -166,4 +284,7 @@ let tests =
     Alcotest.test_case "reachability" `Quick test_reachable;
     Alcotest.test_case "transitive fanin" `Quick test_transitive_fanin;
     QCheck_alcotest.to_alcotest qcheck_module_separation_matches_bruteforce;
+    QCheck_alcotest.to_alcotest qcheck_multi_bfs_matches_single;
+    Alcotest.test_case "multi-source BFS bounds" `Quick test_multi_bfs_bounds;
+    Alcotest.test_case "popcount" `Quick test_popcount;
   ]

@@ -222,6 +222,115 @@ let qcheck_shared_sweep =
           && Partition.check_consistent p = Ok ())
         assignments swept)
 
+(* Everything a move updates, floats as their bit patterns, over every
+   module id the partition started with (dead ones included). *)
+let fingerprint ch ids p =
+  let slots = Charac.depth ch + 1 in
+  let bits = Int64.bits_of_float in
+  ( Partition.assignment p,
+    Partition.num_modules p,
+    Partition.module_ids p,
+    List.map
+      (fun m ->
+        ( Partition.size p m,
+          Partition.separation_total p m,
+          bits (Partition.leakage p m),
+          bits (Partition.rail_capacitance p m),
+          Array.map bits (Partition.current_profile p m),
+          List.init slots (Partition.activity p m) ))
+      ids )
+
+(* A random subset of a live module, in random order: sizes around the
+   63-gate word of the multi-source BFS, or the whole module. *)
+let draw_batch rng p =
+  let src = Rng.choose_list rng (Partition.module_ids p) in
+  let members = Partition.members p src in
+  let n = Array.length members in
+  let count =
+    match Rng.int rng 4 with
+    | 0 -> n
+    | 1 -> Stdlib.min n (Rng.choose rng [| 62; 63; 64; 65; 126; 127 |])
+    | _ -> 1 + Rng.int rng n
+  in
+  let target =
+    Rng.choose_list rng (List.filter (( <> ) src) (Partition.module_ids p))
+  in
+  (Rng.sample_without_replacement rng count members, target)
+
+let random_partition_circuit rng gates =
+  let circuit =
+    Generator.layered_dag ~rng ~name:"q" ~num_inputs:6 ~num_outputs:3
+      ~num_gates:gates ~depth:(1 + (gates / 10)) ()
+  in
+  let ch = make circuit in
+  let k = Rng.int_in_range rng ~min:2 ~max:4 in
+  let assignment = Array.init gates (fun g -> g mod k) in
+  Rng.shuffle_in_place rng assignment;
+  (ch, k, Partition.create ch ~assignment)
+
+let qcheck_batched_equals_sequential =
+  QCheck.Test.make ~name:"batched move = sequential moves" ~count:25
+    QCheck.(pair (int_range 80 320) (int_range 1 100000))
+    (fun (gates, seed) ->
+      let rng = Rng.create seed in
+      let ch, k, batched = random_partition_circuit rng gates in
+      let sequential = Partition.copy batched in
+      let ids = List.init k Fun.id in
+      let ok = ref true in
+      (* a few batches in a row, so later ones start from moved state *)
+      for _ = 1 to 3 do
+        if Partition.num_modules batched >= 2 then begin
+          let gates, target = draw_batch rng batched in
+          Partition.move_gates batched gates ~target;
+          Array.iter (fun g -> Partition.move_gate sequential g target) gates;
+          ok :=
+            !ok
+            && fingerprint ch ids batched = fingerprint ch ids sequential
+            && Partition.check_consistent batched = Ok ()
+        end
+      done;
+      !ok)
+
+let test_move_gates_whole_module () =
+  let ch = make (Iscas.c17 ()) in
+  let p = Partition.create ch ~assignment:[| 0; 1; 0; 1; 2; 2 |] in
+  let q = Partition.copy p in
+  Partition.move_gates p [| 3; 1 |] ~target:2;
+  Partition.move_gate q 3 2;
+  Partition.move_gate q 1 2;
+  let ids = [ 0; 1; 2 ] in
+  Alcotest.(check bool) "same state as sequential moves" true
+    (fingerprint ch ids p = fingerprint ch ids q);
+  Alcotest.(check (list int)) "source died" [ 0; 2 ] (Partition.module_ids p);
+  Alcotest.(check int) "dead source S(M)" 0 (Partition.separation_total p 1);
+  Alcotest.(check (result unit string)) "consistent" (Ok ())
+    (Partition.check_consistent p);
+  Partition.move_gates p [||] ~target:1;
+  Alcotest.(check bool) "empty batch is a no-op" true
+    (fingerprint ch ids p = fingerprint ch ids q)
+
+let test_move_gates_rejects () =
+  let ch = make (Iscas.c17 ()) in
+  let p = Partition.create ch ~assignment:[| 0; 0; 0; 1; 1; 2 |] in
+  Partition.move_gate p 5 1;
+  let ids = [ 0; 1; 2 ] in
+  let before = fingerprint ch ids p in
+  let rejected name gates target =
+    Alcotest.(check bool) (name ^ " rejected") true
+      (try
+         Partition.move_gates p gates ~target;
+         false
+       with Invalid_argument _ -> true);
+    Alcotest.(check bool) (name ^ ": state unchanged") true
+      (fingerprint ch ids p = before)
+  in
+  rejected "mixed source modules" [| 0; 1; 3 |] 1;
+  rejected "target = source" [| 0; 1 |] 0;
+  rejected "dead target" [| 0; 1 |] 2;
+  rejected "target out of range" [| 0 |] 7;
+  rejected "duplicate gate" [| 0; 1; 0 |] 1;
+  rejected "gate out of range" [| 0; 6 |] 1
+
 let tests =
   [
     Alcotest.test_case "create basic" `Quick test_create_basic;
@@ -238,4 +347,9 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_incremental_consistency;
     QCheck_alcotest.to_alcotest qcheck_cover_preserved;
     QCheck_alcotest.to_alcotest qcheck_shared_sweep;
+    QCheck_alcotest.to_alcotest qcheck_batched_equals_sequential;
+    Alcotest.test_case "batched move empties its source" `Quick
+      test_move_gates_whole_module;
+    Alcotest.test_case "batched move rejects before moving" `Quick
+      test_move_gates_rejects;
   ]

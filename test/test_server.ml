@@ -743,6 +743,94 @@ let test_disconnect_before_reading_response () =
       | Error e -> Alcotest.failf "server died with the client: %s" e);
       Client.close c2)
 
+(* Descriptor exhaustion.  A server process under a low descriptor
+   limit takes clients until accept fails with EMFILE; the refused
+   client waits in the listen backlog, so the listener stays readable.
+   The server must then sleep until a connection closes, not spin on
+   the listener: its CPU time over a held second stays far below the
+   wall time.  After a client disconnects, a new client is served. *)
+
+(* Seconds of CPU (user + system) a process has used, from
+   /proc/<pid>/stat at the usual 100 clock ticks per second. *)
+let cpu_seconds pid =
+  let line =
+    In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  in
+  (* the command name may hold spaces; the fields after it do not *)
+  let close = String.rindex line ')' in
+  let fields =
+    String.split_on_char ' '
+      (String.sub line (close + 2) (String.length line - close - 2))
+  in
+  (* the state is field 3; utime and stime are fields 14 and 15 *)
+  let field i = float_of_string (List.nth fields (i - 3)) in
+  (field 14 +. field 15) /. 100.0
+
+(* Whether a metrics request is answered within [seconds]. *)
+let ask_within seconds c =
+  Client.send c (Protocol.request_to_json Protocol.Metrics);
+  match Unix.select [ Client.fd c ] [] [] seconds with
+  | [], _, _ -> false
+  | _ -> Result.is_ok (Client.recv c)
+
+let test_emfile_no_busy_spin () =
+  let socket = Filename.temp_file "iddq-test-emfile" ".sock" in
+  Sys.remove socket;
+  let exe = Filename.concat ".." (Filename.concat "bin" "iddq_synth.exe") in
+  let script =
+    Printf.sprintf
+      "ulimit -n 12; exec %s serve --socket %s --workers 1 >/dev/null 2>&1"
+      (Filename.quote exe) (Filename.quote socket)
+  in
+  let pid =
+    Unix.create_process "sh" [| "sh"; "-c"; script |] Unix.stdin Unix.stdout
+      Unix.stderr
+  in
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
+      if Sys.file_exists socket then Sys.remove socket)
+    (fun () ->
+      let rec first_client tries =
+        match Client.connect ~socket with
+        | Ok c -> c
+        | Error e ->
+          if tries = 0 then Alcotest.failf "server never listened: %s" e;
+          Unix.sleepf 0.05;
+          first_client (tries - 1)
+      in
+      (* connect until one client is left unanswered in the backlog *)
+      let rec fill held tries =
+        if tries = 0 then Alcotest.fail "descriptor limit never reached";
+        let c = if held = [] then first_client 100 else connect socket in
+        if ask_within 1.0 c then fill (c :: held) (tries - 1) else (held, c)
+      in
+      let held, waiting = fill [] 20 in
+      Alcotest.(check bool) "some clients served under the limit" true
+        (held <> []);
+      let cpu0 = cpu_seconds pid and wall0 = Unix.gettimeofday () in
+      Unix.sleepf 1.0;
+      let cpu = cpu_seconds pid -. cpu0
+      and wall = Unix.gettimeofday () -. wall0 in
+      if cpu > 0.25 *. wall then
+        Alcotest.failf "server spun at EMFILE: %.2f s CPU in %.2f s" cpu wall;
+      Client.close waiting;
+      Client.close (List.hd held);
+      let fresh = connect socket in
+      Alcotest.(check bool) "a new client is served after a disconnect" true
+        (ask_within 5.0 fresh);
+      (match Client.request fresh Protocol.Shutdown with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "shutdown: %s" e);
+      List.iter Client.close (fresh :: List.tl held);
+      ignore (Unix.waitpid [] pid);
+      reaped := true)
+
 (* A burst beyond the pipeline-depth limit: the excess is answered
    immediately with [overloaded] (ids echoed), the connection stays
    usable, and the sheds are counted. *)
@@ -962,6 +1050,8 @@ let tests =
     Alcotest.test_case "pipelined burst sheds" `Quick
       test_pipelined_burst_sheds;
     Alcotest.test_case "address in use" `Quick test_address_in_use;
+    Alcotest.test_case "descriptor exhaustion does not spin" `Quick
+      test_emfile_no_busy_spin;
     QCheck_alcotest.to_alcotest qcheck_cursor_decoder_equivalent;
     Alcotest.test_case "metrics wire names" `Quick test_metrics_wire_names;
   ]
