@@ -1,21 +1,11 @@
 module Circuit = Iddq_netlist.Circuit
+module Logic_sim = Iddq_patterns.Logic_sim
 
 type t = {
   realized_profile : float array;
   realized_max : float;
   toggles_per_pair : int array;
 }
-
-(* Minimal local evaluation to avoid a dependency cycle with
-   iddq_patterns: plain two-valued simulation. *)
-let eval circuit inputs =
-  let values = Array.make (Circuit.num_nodes circuit) false in
-  Array.blit inputs 0 values 0 (Array.length inputs);
-  Circuit.iter_gates circuit (fun g kind fanins ->
-      let id = Circuit.node_of_gate circuit g in
-      values.(id) <-
-        Iddq_netlist.Gate.eval kind (Array.map (fun src -> values.(src)) fanins));
-  values
 
 let measure ch ~gates ~vectors =
   if Array.length vectors < 2 then
@@ -24,9 +14,11 @@ let measure ch ~gates ~vectors =
   let depth = Charac.depth ch in
   let worst = Array.make (depth + 1) 0.0 in
   let toggles = Array.make (Array.length vectors - 1) 0 in
-  let previous = ref (eval circuit vectors.(0)) in
+  (* node values come from [Logic_sim.eval], the one scalar logic
+     reference; it rejects a vector of the wrong width *)
+  let previous = ref (Logic_sim.eval circuit vectors.(0)) in
   for v = 1 to Array.length vectors - 1 do
-    let current = eval circuit vectors.(v) in
+    let current = Logic_sim.eval circuit vectors.(v) in
     let pair_profile = Array.make (depth + 1) 0.0 in
     let pair_toggles = ref 0 in
     Array.iter

@@ -22,8 +22,8 @@ val measure :
   Charac.t -> gates:int array -> vectors:bool array array -> t
 (** [measure ch ~gates ~vectors] simulates the vector sequence and
     accumulates the realized switching profile of the given gate
-    group.  Needs at least two vectors; raises [Invalid_argument]
-    otherwise. *)
+    group.  Needs at least two vectors, each of [num_inputs] values;
+    raises [Invalid_argument] otherwise. *)
 
 val pessimism_ratio : Charac.t -> gates:int array -> t -> float
 (** Estimated î_DD,max divided by the realized maximum; [infinity]

@@ -70,39 +70,6 @@ let block p b = p.blocks.(b)
 let block_mask p b = p.masks.(b)
 let packed_words p = p.words
 
-let eval_word kind words =
-  (* An [And]/[Nand] fold over zero fanins would silently yield
-     all-ones (and [Or]/[Nor] all-zeros): reject bad arities exactly
-     like the scalar [Gate.eval]. *)
-  if not (Gate.arity_ok kind (Array.length words)) then
-    invalid_arg
-      (Printf.sprintf "Parallel_sim.eval_word: %s with %d inputs"
-         (Gate.to_string kind) (Array.length words));
-  let fold f init = Array.fold_left f init words in
-  match kind with
-  | Gate.And -> fold Int64.logand Int64.minus_one
-  | Gate.Nand -> Int64.lognot (fold Int64.logand Int64.minus_one)
-  | Gate.Or -> fold Int64.logor 0L
-  | Gate.Nor -> Int64.lognot (fold Int64.logor 0L)
-  | Gate.Xor -> fold Int64.logxor 0L
-  | Gate.Xnor -> Int64.lognot (fold Int64.logxor 0L)
-  | Gate.Not -> Int64.lognot words.(0)
-  | Gate.Buff -> words.(0)
-
-(* ------------------------------------------------------------------ *)
-(* Boxed evaluation (the kernels' test reference)                     *)
-(* ------------------------------------------------------------------ *)
-
-let eval c packed_inputs =
-  if Array.length packed_inputs <> Circuit.num_inputs c then
-    invalid_arg "Parallel_sim.eval: input word count mismatch";
-  let values = Array.make (Circuit.num_nodes c) 0L in
-  Array.blit packed_inputs 0 values 0 (Array.length packed_inputs);
-  Circuit.iter_gates c (fun g kind fanins ->
-      values.(Circuit.node_of_gate c g) <-
-        eval_word kind (Array.map (fun src -> values.(src)) fanins));
-  values
-
 (* ------------------------------------------------------------------ *)
 (* Flat striped levelized evaluation (hot path)                        *)
 (* ------------------------------------------------------------------ *)

@@ -58,8 +58,9 @@ val block_mask : packed -> int -> int64
     the kernel tests).  The stuck-at faulty machine
     ({!Iddq_defects.Stuck_at}) reads the same node-major good matrix
     and re-evaluates only a fault's differing cone in per-chunk
-    [Bigarray] scratch.  The boxed {!eval} below stays only as the
-    reference the kernels are tested against. *)
+    [Bigarray] scratch.  The kernels are tested bit by bit against
+    {!Logic_sim.eval}, one vector at a time: the one logic
+    reference. *)
 
 type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The word-buffer type every flat kernel trades in. *)
@@ -146,12 +147,3 @@ val eval_all_into :
     gates) running inline because the job-publish cost would dominate.
     Raises [Invalid_argument] on a bad [stripe], a too-small [dst], or
     a zero-fanin gate. *)
-
-val eval_word : Iddq_netlist.Gate.kind -> int64 array -> int64
-(** One gate over packed fanin words.  Raises [Invalid_argument] when
-    the word count violates the gate's arity (in particular zero
-    fanins, which a silent fold would turn into a constant). *)
-
-val eval : Iddq_netlist.Circuit.t -> int64 array -> int64 array
-(** [eval c packed_inputs] returns one word per node.  The input array
-    must have [num_inputs] words. *)

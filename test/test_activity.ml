@@ -17,6 +17,19 @@ let test_needs_two_vectors () =
         (Activity.measure ch ~gates:[| 0 |]
            ~vectors:[| [| true; true; true; true; true |] |]))
 
+let test_wrong_width_rejected () =
+  (* C17 has five inputs: a vector one input short, or one too long,
+     must be rejected rather than padded or truncated *)
+  let ch = make (Iscas.c17 ()) in
+  let ok = [| true; false; true; false; true |] in
+  let rejects label vectors =
+    Alcotest.check_raises label
+      (Invalid_argument "Logic_sim.eval: input vector length mismatch") (fun () ->
+        ignore (Activity.measure ch ~gates:[| 0; 1 |] ~vectors))
+  in
+  rejects "first vector one input short" [| [| true; false; true; false |]; ok |];
+  rejects "later vector one input long" [| ok; Array.append ok [| true |] |]
+
 let test_chain_full_toggle () =
   (* flipping the single input of a NOT-chain toggles every gate *)
   let circuit = Generator.chain ~length:6 () in
@@ -92,6 +105,7 @@ let qcheck_estimator_upper_bound =
 let tests =
   [
     Alcotest.test_case "needs two vectors" `Quick test_needs_two_vectors;
+    Alcotest.test_case "wrong-width vectors rejected" `Quick test_wrong_width_rejected;
     Alcotest.test_case "chain full toggle" `Quick test_chain_full_toggle;
     Alcotest.test_case "constant vectors" `Quick test_constant_vectors_no_activity;
     Alcotest.test_case "estimator upper bound" `Quick

@@ -14,6 +14,7 @@ module Gate = Iddq_netlist.Gate
 module Generator = Iddq_netlist.Generator
 module Graph_algo = Iddq_netlist.Graph_algo
 module P = Iddq_patterns.Parallel_sim
+module Logic_sim = Iddq_patterns.Logic_sim
 module Pattern_gen = Iddq_patterns.Pattern_gen
 module Fault = Iddq_defects.Fault
 module Fault_sim = Iddq_defects.Fault_sim
@@ -202,7 +203,7 @@ let test_eval_stripe_allocation_free () =
   Alcotest.(check (float 0.0))
     "minor words allocated across 50 striped full-matrix evals" 0.0 delta
 
-(* ---------------- striped / domain kernels vs boxed eval ------------- *)
+(* ---------------- striped / domain kernels vs Logic_sim.eval -------- *)
 
 (* The vector counts cover the edge geometry: an empty set (zero
    blocks), exactly one full block, one block plus a one-vector tail,
@@ -236,19 +237,21 @@ let striped_eval_ok c vectors =
   let p = P.pack_all vectors in
   let n = Circuit.num_nodes c in
   let nb = P.num_blocks p in
-  (* reference: the boxed evaluator, one node-word array per block *)
-  let reference = Array.init nb (fun b -> P.eval c (P.block p b)) in
+  (* reference: [Logic_sim.eval], one vector at a time *)
+  let reference = Array.map (Logic_sim.eval c) vectors in
   let dst : P.ba =
     Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * nb)
   in
   let matches () =
     let ok = ref true in
-    for id = 0 to n - 1 do
-      for b = 0 to nb - 1 do
-        if Bigarray.Array1.get dst ((id * nb) + b) <> reference.(b).(id) then
-          ok := false
-      done
-    done;
+    Array.iteri
+      (fun v scalar ->
+        for id = 0 to n - 1 do
+          let word = Bigarray.Array1.get dst ((id * nb) + (v / 64)) in
+          let bit = Int64.logand (Int64.shift_right_logical word (v mod 64)) 1L = 1L in
+          if bit <> scalar.(id) then ok := false
+        done)
+      reference;
     !ok
   in
   (* serial striping at widths dividing and not dividing nb *)
@@ -273,9 +276,9 @@ let striped_eval_ok c vectors =
   in
   serial_ok && domain_ok
 
-let qcheck_striped_matches_boxed =
+let qcheck_striped_matches_scalar =
   QCheck.Test.make
-    ~name:"striped and domain eval_all_into = boxed P.eval" ~count:30
+    ~name:"striped and domain eval_all_into = Logic_sim.eval" ~count:30
     striped_gen (fun (gates, seed, vi) ->
       let rng = Rng.create seed in
       let c =
@@ -432,7 +435,7 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_bitvec_matches_model;
     QCheck_alcotest.to_alcotest qcheck_bitvec_set_word_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_csr_circuit_consistent;
-    QCheck_alcotest.to_alcotest qcheck_striped_matches_boxed;
+    QCheck_alcotest.to_alcotest qcheck_striped_matches_scalar;
     QCheck_alcotest.to_alcotest qcheck_domain_faultsim_matches_scalar;
     QCheck_alcotest.to_alcotest qcheck_flat_matches_scalar;
     QCheck_alcotest.to_alcotest qcheck_stuck_at_matches_detects;

@@ -9,6 +9,31 @@ module Rng = Iddq_util.Rng
 
 let bit word k = Int64.logand (Int64.shift_right_logical word k) 1L = 1L
 
+(* The striped kernel over the whole set: [word id b] is node [id]'s
+   word in block [b]. *)
+let striped_words c vectors =
+  let p = P.pack_all vectors in
+  let nb = P.num_blocks p in
+  let dst : P.ba =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (Circuit.num_nodes c * nb)
+  in
+  P.eval_all_into c p ~dst;
+  fun id b -> Bigarray.Array1.get dst ((id * nb) + b)
+
+(* Every node of every real vector agrees with [Logic_sim.eval], the
+   one scalar logic reference. *)
+let striped_equals_scalar c vectors =
+  let word = striped_words c vectors in
+  let ok = ref true in
+  Array.iteri
+    (fun v inputs ->
+      let scalar = Logic_sim.eval c inputs in
+      for id = 0 to Circuit.num_nodes c - 1 do
+        if scalar.(id) <> bit (word id (v / 64)) (v mod 64) then ok := false
+      done)
+    vectors;
+  !ok
+
 let test_pack_unpack () =
   let vectors = [| [| true; false |]; [| false; true |]; [| true; true |] |] in
   let packed = P.pack vectors ~start:0 in
@@ -23,14 +48,13 @@ let test_pack_unpack () =
 let test_eval_matches_scalar_c17 () =
   let c = Iscas.c17 () in
   let vectors = Pattern_gen.exhaustive c in
-  let packed = P.pack vectors ~start:0 in
-  let words = P.eval c packed in
+  let word = striped_words c vectors in
   for k = 0 to 31 do
     let scalar = Logic_sim.eval c vectors.(k) in
     for id = 0 to Circuit.num_nodes c - 1 do
       Alcotest.(check bool)
         (Printf.sprintf "node %d vector %d" id k)
-        scalar.(id) (bit words.(id) k)
+        scalar.(id) (bit (word id 0) k)
     done
   done
 
@@ -122,26 +146,34 @@ let test_fault_simulate_matches_scalar_detects () =
 
 let test_zero_fanin_rejected () =
   (* an And/Nand fold over zero fanins would silently yield
-     all-ones/all-zeros; both evaluators must raise instead *)
+     all-ones/all-zeros; every evaluator must raise instead *)
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   let module Gate = Iddq_netlist.Gate in
   List.iter
     (fun kind ->
+      let name = Gate.to_string kind in
       Alcotest.(check bool)
-        (Printf.sprintf "eval_word %s [||] rejected" (Gate.to_string kind))
+        (Printf.sprintf "Gate.eval %s [||] rejected" name)
         true
-        (raises (fun () -> P.eval_word kind [||]));
+        (raises (fun () -> Gate.eval kind [||]));
+      (* a hand-built circuit whose one gate has no fanins *)
+      let c =
+        Circuit.unsafe_make ~name:"zero" ~num_inputs:1
+          ~nodes:[| Circuit.Input; Circuit.Gate (kind, [||]) |]
+          ~node_names:[| "a"; "g" |] ~outputs:[| 1 |]
+      in
+      let dst : P.ba = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 2 in
       Alcotest.(check bool)
-        (Printf.sprintf "Gate.eval %s [||] rejected" (Gate.to_string kind))
+        (Printf.sprintf "striped %s with no fanins rejected" name)
         true
-        (raises (fun () -> Gate.eval kind [||])))
-    Gate.all_kinds;
-  (* unary gates with two words are just as invalid *)
-  Alcotest.(check bool) "binary NOT rejected" true
-    (raises (fun () -> P.eval_word Iddq_netlist.Gate.Not [| 0L; 1L |]));
-  (* valid arities still work *)
-  Alcotest.(check int64) "and word" 4L
-    (P.eval_word Iddq_netlist.Gate.And [| 6L; 12L |])
+        (raises (fun () ->
+             P.eval_order_range_striped c ~order:[| 1 |] ~lo:0 ~hi:1 ~block0:0 ~width:1
+               ~stride:1 ~dst));
+      Alcotest.(check bool)
+        (Printf.sprintf "Logic_sim %s with no fanins rejected" name)
+        true
+        (raises (fun () -> Logic_sim.eval c [| true |])))
+    Gate.all_kinds
 
 let qcheck_parallel_equals_scalar =
   QCheck.Test.make ~name:"64-way eval equals scalar eval" ~count:20
@@ -154,15 +186,7 @@ let qcheck_parallel_equals_scalar =
       in
       let vr = Rng.create vseed in
       let vectors = Pattern_gen.random ~rng:vr c ~count:64 in
-      let words = P.eval c (P.pack vectors ~start:0) in
-      let ok = ref true in
-      for k = 0 to 63 do
-        let scalar = Logic_sim.eval c vectors.(k) in
-        for id = 0 to Circuit.num_nodes c - 1 do
-          if scalar.(id) <> bit words.(id) k then ok := false
-        done
-      done;
-      !ok)
+      striped_equals_scalar c vectors)
 
 (* The satellite property: a packed whole-set evaluation agrees
    bit-for-bit with the scalar simulator on random circuits and random
@@ -189,16 +213,9 @@ let qcheck_partial_blocks_equal_scalar =
           if count = 64 then Int64.minus_one
           else Int64.sub (Int64.shift_left 1L count) 1L
         in
-        if P.block_mask packed b <> expected_mask then ok := false;
-        let words = P.eval c (P.block packed b) in
-        for k = 0 to count - 1 do
-          let scalar = Logic_sim.eval c vectors.((b * 64) + k) in
-          for id = 0 to Circuit.num_nodes c - 1 do
-            if scalar.(id) <> bit words.(id) k then ok := false
-          done
-        done
+        if P.block_mask packed b <> expected_mask then ok := false
       done;
-      !ok)
+      !ok && striped_equals_scalar c vectors)
 
 let test_empty_vector_set_is_noop () =
   (* zero-pattern simulation: packing an empty set is a valid no-op,
