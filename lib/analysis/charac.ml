@@ -27,19 +27,23 @@ let make ~library circuit =
   let words = (depth / 8) + 1 in
   let times = Array.init ng (fun _ -> Bytes.make words '\000') in
   (* T(g) = union over fanins of (T(fanin) + 1); inputs switch at 0 *)
-  Circuit.iter_gates circuit (fun g _ fanins ->
-      let mine = times.(g) in
-      Array.iter
-        (fun src ->
-          if Circuit.is_input circuit src then bit_set mine 1
-          else begin
-            let src_g = Circuit.gate_of_node circuit src in
-            let theirs = times.(src_g) in
-            for slot = 1 to gate_depth.(src_g) do
-              if bit_get theirs slot then bit_set mine (slot + 1)
-            done
-          end)
-        fanins);
+  let ni = Circuit.num_inputs circuit in
+  let offsets = Circuit.Csr.fanin_offsets circuit in
+  let targets = Circuit.Csr.fanin_targets circuit in
+  for g = 0 to ng - 1 do
+    let mine = times.(g) in
+    let id = g + ni in
+    for k = offsets.(id) to offsets.(id + 1) - 1 do
+      let src_g = targets.(k) - ni in
+      if src_g < 0 then bit_set mine 1
+      else begin
+        let theirs = times.(src_g) in
+        for slot = 1 to gate_depth.(src_g) do
+          if bit_get theirs slot then bit_set mine (slot + 1)
+        done
+      end
+    done
+  done;
   let cells =
     Array.init ng (fun g ->
         let id = Circuit.node_of_gate circuit g in

@@ -3,32 +3,34 @@ module Gate = Iddq_netlist.Gate
 
 let signal_probabilities c =
   let n = Circuit.num_nodes c in
+  let offsets = Circuit.Csr.fanin_offsets c in
+  let targets = Circuit.Csr.fanin_targets c in
   let p = Array.make n 0.5 in
-  Circuit.iter_gates c (fun g kind fanins ->
-      let id = Circuit.node_of_gate c g in
-      let conj () =
-        Array.fold_left (fun acc src -> acc *. p.(src)) 1.0 fanins
-      in
-      let disj () =
-        1.0
-        -. Array.fold_left (fun acc src -> acc *. (1.0 -. p.(src))) 1.0 fanins
-      in
-      let parity () =
-        (* P(odd number of ones), folded pairwise *)
-        Array.fold_left
-          (fun acc src -> (acc *. (1.0 -. p.(src))) +. ((1.0 -. acc) *. p.(src)))
-          0.0 fanins
-      in
-      p.(id) <-
-        (match kind with
-        | Gate.And -> conj ()
-        | Gate.Nand -> 1.0 -. conj ()
-        | Gate.Or -> disj ()
-        | Gate.Nor -> 1.0 -. disj ()
-        | Gate.Xor -> parity ()
-        | Gate.Xnor -> 1.0 -. parity ()
-        | Gate.Not -> 1.0 -. p.(fanins.(0))
-        | Gate.Buff -> p.(fanins.(0))));
+  for id = Circuit.num_inputs c to n - 1 do
+    (* fanins in stored (CSR) order, so every float fold is reproducible *)
+    let fold f init =
+      let acc = ref init in
+      for k = offsets.(id) to offsets.(id + 1) - 1 do
+        acc := f !acc p.(targets.(k))
+      done;
+      !acc
+    in
+    let conj () = fold (fun acc q -> acc *. q) 1.0 in
+    let disj () = 1.0 -. fold (fun acc q -> acc *. (1.0 -. q)) 1.0 in
+    (* P(odd number of ones), folded pairwise *)
+    let parity () = fold (fun acc q -> (acc *. (1.0 -. q)) +. ((1.0 -. acc) *. q)) 0.0 in
+    let first () = p.(targets.(offsets.(id))) in
+    p.(id) <-
+      (match Circuit.gate_kind c id with
+      | Gate.And -> conj ()
+      | Gate.Nand -> 1.0 -. conj ()
+      | Gate.Or -> disj ()
+      | Gate.Nor -> 1.0 -. disj ()
+      | Gate.Xor -> parity ()
+      | Gate.Xnor -> 1.0 -. parity ()
+      | Gate.Not -> 1.0 -. first ()
+      | Gate.Buff -> first ())
+  done;
   p
 
 let switching_probabilities c =

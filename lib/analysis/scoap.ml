@@ -6,79 +6,79 @@ type t = { cc0 : int array; cc1 : int array; co : int array }
 let unobservable = max_int / 2
 let sat_add a b = if a >= unobservable || b >= unobservable then unobservable else a + b
 
-(* Parity DP for wide XOR/XNOR: cheapest assignment cost reaching even
-   / odd parity over the fanins. *)
-let parity_costs cc0 cc1 fanins =
-  Array.fold_left
-    (fun (even, odd) src ->
-      let c0 = cc0.(src) and c1 = cc1.(src) in
-      ( Stdlib.min (sat_add even c0) (sat_add odd c1),
-        Stdlib.min (sat_add odd c0) (sat_add even c1) ))
-    (0, unobservable) fanins
-
 let compute c =
   let n = Circuit.num_nodes c in
+  let offsets = Circuit.Csr.fanin_offsets c in
+  let targets = Circuit.Csr.fanin_targets c in
   let cc0 = Array.make n 1 and cc1 = Array.make n 1 in
   (* controllability: forward topological pass *)
-  Circuit.iter_gates c (fun g kind fanins ->
-      let id = Circuit.node_of_gate c g in
-      let sum cc = Array.fold_left (fun acc s -> sat_add acc cc.(s)) 0 fanins in
-      let minimum cc =
-        Array.fold_left (fun acc s -> Stdlib.min acc cc.(s)) unobservable fanins
-      in
-      let c0, c1 =
-        match kind with
-        | Gate.And -> (minimum cc0, sum cc1)
-        | Gate.Nand -> (sum cc1, minimum cc0)
-        | Gate.Or -> (sum cc0, minimum cc1)
-        | Gate.Nor -> (minimum cc1, sum cc0)
-        | Gate.Not -> (cc1.(fanins.(0)), cc0.(fanins.(0)))
-        | Gate.Buff -> (cc0.(fanins.(0)), cc1.(fanins.(0)))
-        | Gate.Xor ->
-          let even, odd = parity_costs cc0 cc1 fanins in
-          (even, odd)
-        | Gate.Xnor ->
-          let even, odd = parity_costs cc0 cc1 fanins in
-          (odd, even)
-      in
-      cc0.(id) <- sat_add c0 1;
-      cc1.(id) <- sat_add c1 1);
+  for id = Circuit.num_inputs c to n - 1 do
+    let fold f init =
+      let acc = ref init in
+      for k = offsets.(id) to offsets.(id + 1) - 1 do
+        acc := f !acc targets.(k)
+      done;
+      !acc
+    in
+    let sum cc = fold (fun acc src -> sat_add acc cc.(src)) 0 in
+    let minimum cc = fold (fun acc src -> Stdlib.min acc cc.(src)) unobservable in
+    (* parity DP for wide XOR/XNOR: cheapest assignment cost reaching
+       even / odd parity over the fanins *)
+    let parity () =
+      fold
+        (fun (even, odd) src ->
+          let c0 = cc0.(src) and c1 = cc1.(src) in
+          ( Stdlib.min (sat_add even c0) (sat_add odd c1),
+            Stdlib.min (sat_add odd c0) (sat_add even c1) ))
+        (0, unobservable)
+    in
+    let first () = targets.(offsets.(id)) in
+    let c0, c1 =
+      match Circuit.gate_kind c id with
+      | Gate.And -> (minimum cc0, sum cc1)
+      | Gate.Nand -> (sum cc1, minimum cc0)
+      | Gate.Or -> (sum cc0, minimum cc1)
+      | Gate.Nor -> (minimum cc1, sum cc0)
+      | Gate.Not -> (cc1.(first ()), cc0.(first ()))
+      | Gate.Buff -> (cc0.(first ()), cc1.(first ()))
+      | Gate.Xor -> parity ()
+      | Gate.Xnor ->
+        let even, odd = parity () in
+        (odd, even)
+    in
+    cc0.(id) <- sat_add c0 1;
+    cc1.(id) <- sat_add c1 1
+  done;
   (* observability: reverse topological pass *)
   let co = Array.make n unobservable in
   Array.iter (fun id -> co.(id) <- 0) (Circuit.outputs c);
-  for id = n - 1 downto 0 do
-    if Circuit.is_gate c id then begin
-      let kind = Circuit.gate_kind c id in
-      let fanins =
-        match Circuit.node c id with
-        | Circuit.Input -> [||]
-        | Circuit.Gate (_, fi) -> fi
-      in
-      let side_cost keep_index =
-        (* cost of setting the *other* fanins to the non-controlling
-           (or cheapest, for parity gates) values *)
-        let total = ref 0 in
-        Array.iteri
-          (fun j src ->
-            if j <> keep_index then begin
-              let contribution =
-                match kind with
-                | Gate.And | Gate.Nand -> cc1.(src)
-                | Gate.Or | Gate.Nor -> cc0.(src)
-                | Gate.Not | Gate.Buff -> 0
-                | Gate.Xor | Gate.Xnor -> Stdlib.min cc0.(src) cc1.(src)
-              in
-              total := sat_add !total contribution
-            end)
-          fanins;
-        !total
-      in
-      Array.iteri
-        (fun j src ->
-          let through = sat_add (sat_add co.(id) (side_cost j)) 1 in
-          if through < co.(src) then co.(src) <- through)
-        fanins
-    end
+  for id = n - 1 downto Circuit.num_inputs c do
+    let kind = Circuit.gate_kind c id in
+    let s = offsets.(id) and e = offsets.(id + 1) - 1 in
+    let side_cost keep =
+      (* cost of setting the *other* fanins to the non-controlling
+         (or cheapest, for parity gates) values *)
+      let total = ref 0 in
+      for k = s to e do
+        if k <> keep then begin
+          let src = targets.(k) in
+          let contribution =
+            match kind with
+            | Gate.And | Gate.Nand -> cc1.(src)
+            | Gate.Or | Gate.Nor -> cc0.(src)
+            | Gate.Not | Gate.Buff -> 0
+            | Gate.Xor | Gate.Xnor -> Stdlib.min cc0.(src) cc1.(src)
+          in
+          total := sat_add !total contribution
+        end
+      done;
+      !total
+    in
+    for k = s to e do
+      let src = targets.(k) in
+      let through = sat_add (sat_add co.(id) (side_cost k)) 1 in
+      if through < co.(src) then co.(src) <- through
+    done
   done;
   { cc0; cc1; co }
 

@@ -17,39 +17,47 @@ let out_of_order ~where ~gate ~neighbour =
         Circuit.unsafe_make? use Builder.freeze / Circuit.validate)"
        where gate neighbour)
 
+(* Every pass reads fanins (or fanouts) straight from the CSR arrays,
+   in stored order: [critical_path] keeps the first latest fanin on a
+   tie. *)
 let arrival_times ch ~gate_delay =
   let c = Charac.circuit ch in
+  let ni = Circuit.num_inputs c in
+  let offsets = Circuit.Csr.fanin_offsets c in
+  let targets = Circuit.Csr.fanin_targets c in
   let arr = Array.make (Charac.num_gates ch) 0.0 in
-  Circuit.iter_gates c (fun g _ fanins ->
-      let latest =
-        Array.fold_left
-          (fun acc src ->
-            if Circuit.is_input c src then acc
-            else begin
-              let h = Circuit.gate_of_node c src in
-              if h >= g then
-                out_of_order ~where:"arrival_times" ~gate:g ~neighbour:h;
-              Stdlib.max acc arr.(h)
-            end)
-          0.0 fanins
-      in
-      arr.(g) <- latest +. gate_delay g);
+  for id = ni to Circuit.num_nodes c - 1 do
+    let g = id - ni in
+    let latest = ref 0.0 in
+    for k = offsets.(id) to offsets.(id + 1) - 1 do
+      let h = targets.(k) - ni in
+      if h >= 0 then begin
+        if h >= g then out_of_order ~where:"arrival_times" ~gate:g ~neighbour:h;
+        if not (!latest >= arr.(h)) then latest := arr.(h)
+      end
+    done;
+    arr.(g) <- !latest +. gate_delay g
+  done;
   arr
 
-let longest_path ch ~gate_delay =
-  let c = Charac.circuit ch in
-  let arr = arrival_times ch ~gate_delay in
+(* Latest arrival over the primary outputs that are gates. *)
+let latest_output c arr =
   Array.fold_left
     (fun acc id ->
-      if Circuit.is_gate c id then
-        Stdlib.max acc arr.(Circuit.gate_of_node c id)
+      if Circuit.is_gate c id then Stdlib.max acc arr.(Circuit.gate_of_node c id)
       else acc)
     0.0 (Circuit.outputs c)
+
+let longest_path ch ~gate_delay =
+  latest_output (Charac.circuit ch) (arrival_times ch ~gate_delay)
 
 let nominal_delay ch = longest_path ch ~gate_delay:(Charac.delay ch)
 
 let critical_path ch ~gate_delay =
   let c = Charac.circuit ch in
+  let ni = Circuit.num_inputs c in
+  let offsets = Circuit.Csr.fanin_offsets c in
+  let targets = Circuit.Csr.fanin_targets c in
   let arr = arrival_times ch ~gate_delay in
   (* end of the path: the latest-arriving output gate *)
   let last =
@@ -67,47 +75,41 @@ let critical_path ch ~gate_delay =
   (* walk backwards through the latest-arriving gate fanin each time *)
   let rec walk g acc =
     let acc = g :: acc in
-    let pred =
-      Array.fold_left
-        (fun best h ->
-          match best with
-          | Some b when arr.(b) >= arr.(h) -> best
-          | Some _ | None -> Some h)
-        None
-        (Circuit.gate_fanin_gates c g)
-    in
-    match pred with None -> acc | Some p -> walk p acc
+    let id = g + ni in
+    let pred = ref (-1) in
+    for k = offsets.(id) to offsets.(id + 1) - 1 do
+      let h = targets.(k) - ni in
+      if h >= 0 && (!pred < 0 || not (arr.(!pred) >= arr.(h))) then pred := h
+    done;
+    if !pred < 0 then acc else walk !pred acc
   in
   match last with None -> [] | Some g -> walk g []
 
 let slacks ch ~gate_delay =
   let c = Charac.circuit ch in
   let n = Charac.num_gates ch in
+  let ni = Circuit.num_inputs c in
+  let offsets = Circuit.Csr.fanout_offsets c in
+  let targets = Circuit.Csr.fanout_targets c in
   let arr = arrival_times ch ~gate_delay in
-  let total =
-    Array.fold_left
-      (fun acc id ->
-        if Circuit.is_gate c id then Stdlib.max acc arr.(Circuit.gate_of_node c id)
-        else acc)
-      0.0 (Circuit.outputs c)
-  in
+  let total = latest_output c arr in
   (* required time at each gate's *output*, computed in reverse
      topological order: outputs are required at [total]; an internal
      gate must settle before every reader's required time minus that
-     reader's own delay. *)
+     reader's own delay.  Every fanout of a node is a gate. *)
   let required = Array.make n infinity in
   Array.iter
     (fun id ->
       if Circuit.is_gate c id then required.(Circuit.gate_of_node c id) <- total)
     (Circuit.outputs c);
   for g = n - 1 downto 0 do
-    Array.iter
-      (fun reader ->
-        if reader <= g then
-          out_of_order ~where:"slacks" ~gate:g ~neighbour:reader;
-        let candidate = required.(reader) -. gate_delay reader in
-        if candidate < required.(g) then required.(g) <- candidate)
-      (Circuit.gate_fanout_gates c g)
+    let id = g + ni in
+    for k = offsets.(id) to offsets.(id + 1) - 1 do
+      let reader = targets.(k) - ni in
+      if reader <= g then out_of_order ~where:"slacks" ~gate:g ~neighbour:reader;
+      let candidate = required.(reader) -. gate_delay reader in
+      if candidate < required.(g) then required.(g) <- candidate
+    done
   done;
   Array.init n (fun g ->
       if required.(g) = infinity then

@@ -23,12 +23,16 @@ let faulty_eval c ~a ~b inputs =
     values.(b) <- bridged;
     (* repropagate forward; the bridged nets themselves stay forced
        (at most one of them can be downstream of the other) *)
-    let keep_forced id = id = a || id = b in
-    Circuit.iter_gates c (fun g kind fanins ->
-        let id = Circuit.node_of_gate c g in
-        if not (keep_forced id) then
-          values.(id) <-
-            Gate.eval kind (Array.map (fun src -> values.(src)) fanins));
+    let offsets = Circuit.Csr.fanin_offsets c in
+    let targets = Circuit.Csr.fanin_targets c in
+    for id = Circuit.num_inputs c to Circuit.num_nodes c - 1 do
+      if id <> a && id <> b then begin
+        let s = offsets.(id) in
+        values.(id) <-
+          Gate.eval (Circuit.gate_kind c id)
+            (Array.init (offsets.(id + 1) - s) (fun k -> values.(targets.(s + k))))
+      end
+    done;
     Some values
   end
 

@@ -18,16 +18,17 @@ let full_fault_list c =
   for id = Circuit.num_nodes c - 1 downto 0 do
     stems := Stem (id, false) :: Stem (id, true) :: !stems
   done;
+  (* gates ascending; within a gate, pins descending, sa1 first *)
   let pins = ref [] in
-  Circuit.iter_gates c (fun g _ fanins ->
-      let id = Circuit.node_of_gate c g in
-      for pin = Array.length fanins - 1 downto 0 do
-        pins :=
-          Pin { gate = id; pin; value = false }
-          :: Pin { gate = id; pin; value = true }
-          :: !pins
-      done);
-  !stems @ List.rev !pins
+  for id = Circuit.num_nodes c - 1 downto Circuit.num_inputs c do
+    for pin = 0 to Circuit.fanin_count c id - 1 do
+      pins :=
+        Pin { gate = id; pin; value = true }
+        :: Pin { gate = id; pin; value = false }
+        :: !pins
+    done
+  done;
+  !stems @ !pins
 
 (* A pin fault is equivalent to the gate's output stem fault when the
    pin value is controlling: AND/NAND input sa0, OR/NOR input sa1, and
@@ -64,16 +65,20 @@ let faulty_eval c fault inputs =
   for id = 0 to Circuit.num_inputs c - 1 do
     match stem_override id with Some v -> values.(id) <- v | None -> ()
   done;
-  Circuit.iter_gates c (fun g kind fanins ->
-      let id = Circuit.node_of_gate c g in
-      let read pin src =
-        match fault with
-        | Pin { gate; pin = p; value } when gate = id && p = pin -> value
-        | Pin _ | Stem _ -> values.(src)
-      in
-      let value = Gate.eval kind (Array.mapi read fanins) in
-      values.(id) <-
-        (match stem_override id with Some v -> v | None -> value));
+  let offsets = Circuit.Csr.fanin_offsets c in
+  let targets = Circuit.Csr.fanin_targets c in
+  for id = Circuit.num_inputs c to Circuit.num_nodes c - 1 do
+    let s = offsets.(id) in
+    let read pin =
+      match fault with
+      | Pin { gate; pin = p; value } when gate = id && p = pin -> value
+      | Pin _ | Stem _ -> values.(targets.(s + pin))
+    in
+    let value =
+      Gate.eval (Circuit.gate_kind c id) (Array.init (offsets.(id + 1) - s) read)
+    in
+    values.(id) <- (match stem_override id with Some v -> v | None -> value)
+  done;
   values
 
 let detects c fault inputs =

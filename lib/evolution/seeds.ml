@@ -1,5 +1,6 @@
 module Rng = Iddq_util.Rng
 module Charac = Iddq_analysis.Charac
+module Circuit = Iddq_netlist.Circuit
 module Graph_algo = Iddq_netlist.Graph_algo
 module Technology = Iddq_celllib.Technology
 module Partition = Iddq_core.Partition
@@ -70,12 +71,17 @@ let chain_assignment ~rng ?module_size ch =
       !module_members;
     match !found with [] -> None | l -> Some (Rng.choose_list rng l)
   in
+  let ni = Circuit.num_inputs c in
+  let fo_off = Circuit.Csr.fanout_offsets c in
+  let fo_tgt = Circuit.Csr.fanout_targets c in
+  (* free fanout gates, ascending (every fanout of a node is a gate) *)
   let free_fanout g =
-    let options =
-      Array.to_list (Iddq_netlist.Circuit.gate_fanout_gates c g)
-      |> List.filter (fun h -> assignment.(h) < 0)
-    in
-    match options with [] -> None | l -> Some (Rng.choose_list rng l)
+    let options = ref [] in
+    for k = fo_off.(g + ni + 1) - 1 downto fo_off.(g + ni) do
+      let h = fo_tgt.(k) - ni in
+      if assignment.(h) < 0 then options := h :: !options
+    done;
+    match !options with [] -> None | l -> Some (Rng.choose_list rng l)
   in
   open_module ();
   while !free_count > 0 do

@@ -179,19 +179,19 @@ let position t g = t.positions.(g)
 let dimensions t = (t.width, t.height)
 
 let net_hpwl t g =
-  let readers = Circuit.gate_fanout_gates t.circuit g in
-  if Array.length readers = 0 then 0.0
+  let c = t.circuit in
+  let id = Circuit.node_of_gate c g in
+  if Circuit.fanout_count c id = 0 then 0.0
   else begin
     let x, y = t.positions.(g) in
     let x0 = ref x and x1 = ref x and y0 = ref y and y1 = ref y in
-    Array.iter
-      (fun h ->
-        let hx, hy = t.positions.(h) in
+    (* every fanout of a node is a gate *)
+    Circuit.iter_fanouts c id (fun dst ->
+        let hx, hy = t.positions.(Circuit.gate_of_node c dst) in
         if hx < !x0 then x0 := hx;
         if hx > !x1 then x1 := hx;
         if hy < !y0 then y0 := hy;
-        if hy > !y1 then y1 := hy)
-      readers;
+        if hy > !y1 then y1 := hy);
     !x1 -. !x0 +. (!y1 -. !y0)
   end
 

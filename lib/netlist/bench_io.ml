@@ -97,16 +97,16 @@ let to_string c =
     (fun id ->
       Buffer.add_string buf (Printf.sprintf "OUTPUT(%s)\n" (Circuit.node_name c id)))
     (Circuit.outputs c);
-  Circuit.iter_gates c (fun g kind fanins ->
-      let id = Circuit.node_of_gate c g in
-      let args =
-        Array.to_list fanins
-        |> List.map (Circuit.node_name c)
-        |> String.concat ", "
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s = %s(%s)\n" (Circuit.node_name c id)
-           (Gate.to_string kind) args));
+  for id = Circuit.num_inputs c to Circuit.num_nodes c - 1 do
+    let args =
+      Array.to_list (Circuit.fanins c id)
+      |> List.map (Circuit.node_name c)
+      |> String.concat ", "
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "%s = %s(%s)\n" (Circuit.node_name c id)
+         (Gate.to_string (Circuit.gate_kind c id)) args)
+  done;
   Buffer.contents buf
 
 let write_file path c = Io.write_file_atomic path (to_string c)

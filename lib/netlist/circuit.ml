@@ -154,36 +154,6 @@ let gate_kind c id =
 let node_of_gate c g = c.num_inputs + g
 let gate_of_node c id = id - c.num_inputs
 
-let gate_fanin_gates c g =
-  let id = node_of_gate c g in
-  let out = ref [] in
-  for k = c.fanin_offsets.(id + 1) - 1 downto c.fanin_offsets.(id) do
-    let src = c.fanin_targets.(k) in
-    if is_gate c src then out := gate_of_node c src :: !out
-  done;
-  Array.of_list !out
-
-let gate_fanout_gates c g =
-  let id = node_of_gate c g in
-  let out = ref [] in
-  for k = c.fanout_offsets.(id + 1) - 1 downto c.fanout_offsets.(id) do
-    let dst = c.fanout_targets.(k) in
-    if is_gate c dst then out := gate_of_node c dst :: !out
-  done;
-  Array.of_list !out
-
-let iter_gates c f =
-  for id = c.num_inputs to num_nodes c - 1 do
-    let code = kind_code c id in
-    assert (code <> input_code);
-    f (gate_of_node c id) (Gate.of_code code) (fanins c id)
-  done
-
-let fold_gates c ~init ~f =
-  let acc = ref init in
-  iter_gates c (fun g kind _ -> acc := f !acc g kind);
-  !acc
-
 module Csr = struct
   let kinds c = c.kinds
   let fanin_offsets c = c.fanin_offsets

@@ -9,10 +9,14 @@
 
     Internally the graph is stored in CSR (structure-of-arrays) form:
     gate kinds as one byte per node, fanins and fanouts as flat
-    offsets+targets [int] arrays.  The accessors below are views over
-    that layout; simulation kernels that cannot afford per-node
-    allocation read the flat arrays directly through {!Csr} and
-    {!kind_code}. *)
+    offsets+targets [int] arrays.
+
+    Every pass walks the netlist one way: a
+    [for id = num_inputs c to num_nodes c - 1] loop (gates in
+    topological order) that reads each gate's fanins, in stored order,
+    from the {!Csr} arrays without allocating, or through
+    {!iter_fanins} / {!iter_fanouts}.  The copying views {!node},
+    {!fanins} and {!fanouts} are for the netlist writers and tests. *)
 
 type node = Input | Gate of Gate.kind * int array
 (** A node is a primary input or a gate with its fanin node ids.
@@ -71,22 +75,7 @@ val gate_kind : t -> int -> Gate.kind
 val node_of_gate : t -> int -> int
 val gate_of_node : t -> int -> int
 
-val gate_fanin_gates : t -> int -> int array
-(** [gate_fanin_gates c g] — fanins of gate index [g] that are
-    themselves gates, as gate indices.  Fresh copy. *)
-
-val gate_fanout_gates : t -> int -> int array
-(** Fanouts of gate index [g] that are gates, as gate indices. *)
-
-(** {1 Iteration} *)
-
-val iter_gates : t -> (int -> Gate.kind -> int array -> unit) -> unit
-(** [iter_gates c f] calls [f gate_index kind fanin_node_ids] in
-    topological order.  The fanin array must not be mutated. *)
-
-val fold_gates : t -> init:'a -> f:('a -> int -> Gate.kind -> 'a) -> 'a
-
-(** {1 Flat CSR access (simulation kernels)}
+(** {1 Flat CSR access}
 
     The borrowed arrays are the circuit's own storage: callers MUST
     NOT mutate them (the type system cannot enforce this without

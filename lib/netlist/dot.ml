@@ -49,10 +49,11 @@ let of_circuit ?module_of_gate ?title c =
     Array.iter (fun id -> Buffer.add_string buf (node_decl id)) (Circuit.inputs c);
     (* gates grouped per module *)
     let by_module = Hashtbl.create 8 in
-    Circuit.iter_gates c (fun g _ _ ->
-        let m = f g in
-        let cur = Option.value ~default:[] (Hashtbl.find_opt by_module m) in
-        Hashtbl.replace by_module m (Circuit.node_of_gate c g :: cur));
+    for id = Circuit.num_inputs c to Circuit.num_nodes c - 1 do
+      let m = f (Circuit.gate_of_node c id) in
+      let cur = Option.value ~default:[] (Hashtbl.find_opt by_module m) in
+      Hashtbl.replace by_module m (id :: cur)
+    done;
     let modules =
       Hashtbl.fold (fun m ids acc -> (m, List.rev ids) :: acc) by_module []
       |> List.sort compare

@@ -252,18 +252,19 @@ let to_string c =
     Buffer.add_string buf
       (Printf.sprintf "  wire %s;\n"
          (String.concat ", " (List.map name internal)));
-  Circuit.iter_gates c (fun g kind fanins ->
-      let id = Circuit.node_of_gate c g in
-      let prim =
-        match kind with
-        | Gate.Buff -> "buf"
-        | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor
-        | Gate.Not ->
-          String.lowercase_ascii (Gate.to_string kind)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %s g%d (%s, %s);\n" prim g (name id)
-           (String.concat ", " (List.map name (Array.to_list fanins)))));
+  for id = Circuit.num_inputs c to Circuit.num_nodes c - 1 do
+    let prim =
+      match Circuit.gate_kind c id with
+      | Gate.Buff -> "buf"
+      | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor | Gate.Not)
+        as kind ->
+        String.lowercase_ascii (Gate.to_string kind)
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "  %s g%d (%s, %s);\n" prim (Circuit.gate_of_node c id)
+         (name id)
+         (String.concat ", " (List.map name (Array.to_list (Circuit.fanins c id)))))
+  done;
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
 

@@ -112,17 +112,6 @@ let test_accessors () =
   let gi = Circuit.gate_of_node c g1 in
   Alcotest.(check int) "gate index roundtrip" g1 (Circuit.node_of_gate c gi)
 
-let test_gate_fanin_gates () =
-  let c = Builder.freeze_exn (small ()) in
-  let g1 = Circuit.gate_of_node c (Option.get (Circuit.node_id_of_name c "g1")) in
-  let g2 = Circuit.gate_of_node c (Option.get (Circuit.node_id_of_name c "g2")) in
-  Alcotest.(check int) "g1 has no gate fanins" 0
-    (Array.length (Circuit.gate_fanin_gates c g1));
-  Alcotest.(check bool) "g2's gate fanin is g1" true
-    (Circuit.gate_fanin_gates c g2 = [| g1 |]);
-  Alcotest.(check bool) "g1's gate fanout is g2" true
-    (Circuit.gate_fanout_gates c g1 = [| g2 |])
-
 let test_stats () =
   let c = Builder.freeze_exn (small ()) in
   let s = Circuit.stats c in
@@ -144,6 +133,5 @@ let tests =
     Alcotest.test_case "bad arity" `Quick test_bad_arity;
     Alcotest.test_case "duplicate output" `Quick test_duplicate_output_idempotent;
     Alcotest.test_case "accessors" `Quick test_accessors;
-    Alcotest.test_case "gate fanin/fanout gates" `Quick test_gate_fanin_gates;
     Alcotest.test_case "stats" `Quick test_stats;
   ]
