@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick campaign-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke perfbench-smoke ci examples doc clean
+.PHONY: all build test bench bench-quick diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke perfbench-smoke ci examples doc clean
 
 all: build
 
@@ -17,25 +17,6 @@ bench:
 # Table 1 on a small stand-in only.
 bench-quick:
 	dune exec bench/main.exe -- quick
-
-# Checkpoint/resume check: a tiny campaign run twice against the same
-# store.  The first run executes every job on a 2-domain pool; the
-# second must find them all on disk and execute nothing (seconds).
-# The store lives in a mktemp-derived path (a fixed /tmp name made
-# concurrent runs resume from each other's half-written stores) and is
-# cleaned up on any exit via trap.
-campaign-smoke:
-	@store=$$(mktemp /tmp/iddq-campaign-smoke.XXXXXX.jsonl) && \
-	trap 'rm -f "$$store"' EXIT INT TERM && \
-	rm -f "$$store" && \
-	dune exec bin/iddq_synth.exe -- campaign \
-	  --circuits C17,C432 --methods evolution,standard --seeds 1,2 \
-	  --generations 40 --domains 2 --out "$$store" && \
-	dune exec bin/iddq_synth.exe -- campaign \
-	  --circuits C17,C432 --methods evolution,standard --seeds 1,2 \
-	  --generations 40 --domains 2 --out "$$store" \
-	  | grep -q "executed 0, skipped 8"
-	@echo "campaign-smoke: resume executed 0 jobs - PASS"
 
 # Diagnosis gate: signature-based localization across the ISCAS85
 # stand-ins x {2,4,8,16} uniform modules.  Noiseless exact matching
@@ -101,11 +82,10 @@ perfbench-smoke:
 	bash perfbench/run.sh smoke | grep -q "smoke: PASS"
 	@echo "perfbench-smoke: spec, records and traces of every workload - PASS"
 
-# What the CI check runs: build, tests, campaign resume smoke,
-# diagnosis accuracy gate, ATPG test-set gate, mutation fuzz,
-# resident-service smoke, event-loop load gate, benchmark-harness
-# self-check.
-ci: build test campaign-smoke diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke perfbench-smoke
+# What the CI check runs: build, tests, diagnosis accuracy gate, ATPG
+# test-set gate, mutation fuzz, resident-service smoke, event-loop load
+# gate, benchmark-harness self-check.
+ci: build test diagnose-smoke testset-smoke fuzz-smoke serve-smoke loadgen-smoke perfbench-smoke
 
 examples:
 	dune exec examples/quickstart.exe

@@ -92,6 +92,47 @@ let test_loadgen_floor_exits_nonzero () =
        [ "loadgen"; "--clients"; "2"; "--requests"; "3"; "--floor"; "1e12" ]
      <> 0)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Checkpoint/resume through the CLI: a tiny campaign run twice against
+   one store.  The first run records every job; the second finds them
+   all on disk and leaves the store byte-identical. *)
+let test_campaign_resumes_through_cli () =
+  let store = Filename.temp_file "iddq-campaign" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove store)
+    (fun () ->
+      let run () =
+        run_status
+          [ "campaign"; "--circuits"; "C17"; "--methods"; "standard,evolution";
+            "--seeds"; "1,2"; "--generations"; "5"; "--domains"; "2"; "--out"; store ]
+      in
+      Alcotest.(check int) "first run exits 0" 0 (run ());
+      let first = read_file store in
+      let records =
+        List.filter_map
+          (fun line ->
+            if line = "" then None
+            else
+              match Iddq_campaign.Job_result.of_line line with
+              | Ok r -> Some r
+              | Error e -> Alcotest.failf "store line does not decode: %s" e)
+          (String.split_on_char '\n' first)
+      in
+      Alcotest.(check (list string))
+        "one ok record per job"
+        [ "C17:evolution:s1:m-"; "C17:evolution:s2:m-"; "C17:standard:s1:m-";
+          "C17:standard:s2:m-" ]
+        (List.sort compare
+           (List.filter_map
+              (fun r ->
+                if Iddq_campaign.Job_result.is_ok r then
+                  Some r.Iddq_campaign.Job_result.job_id
+                else None)
+              records));
+      Alcotest.(check int) "second run exits 0" 0 (run ());
+      Alcotest.(check string) "resumed store unchanged" first (read_file store))
+
 let test_atpg_summary_single_spaced () =
   let lines = String.split_on_char '\n' (run_capture [ "atpg"; "-c"; "C17" ]) in
   Alcotest.(check (list string))
@@ -113,4 +154,6 @@ let tests =
       test_unknown_subcommand_enumerates;
     Alcotest.test_case "loadgen floor sets the exit status" `Quick
       test_loadgen_floor_exits_nonzero;
+    Alcotest.test_case "campaign resumes through the CLI" `Quick
+      test_campaign_resumes_through_cli;
   ]
