@@ -752,12 +752,11 @@ let campaign_cmd =
       $ generations $ timeout $ out $ domains $ fresh $ quiet)
 
 (* ------------------------------------------------------------------ *)
-(* serve / client / serve-smoke: the resident partition service        *)
+(* serve / client: the resident partition service                      *)
 (* ------------------------------------------------------------------ *)
 
 module Server = Iddq_server.Server
 module Client = Iddq_server.Client
-module Protocol = Iddq_server.Protocol
 module Json = Iddq_util.Json
 
 let socket_arg =
@@ -865,206 +864,6 @@ let client_cmd =
        ~doc:"Send requests to a running service: one JSON request per stdin \
              line, one JSON response per stdout line.")
     Term.(const run $ socket_arg)
-
-let serve_smoke_cmd =
-  let run () =
-    let fail fmt =
-      Format.kasprintf (fun s -> exit_err ("serve-smoke: " ^ s)) fmt
-    in
-    let step s = if Sys.getenv_opt "IDDQ_SMOKE_TRACE" <> None then
-        (Printf.eprintf "serve-smoke: %s\n" s; flush stderr)
-    in
-    let check what = function
-      | Ok v -> v
-      | Error e -> fail "%s: %s" what e
-    in
-    let str_field key payload =
-      match Option.bind (Json.member key payload) Json.to_str with
-      | Some s -> s
-      | None -> fail "response lacks string field %S" key
-    in
-    let counter key payload =
-      match
-        Option.bind (Json.member "counters" payload) (fun c ->
-            Option.bind (Json.member key c) Json.to_int)
-      with
-      | Some n -> n
-      | None -> fail "metrics response lacks counter %S" key
-    in
-    (* warm the domain machinery before counting descriptors, so only
-       the server's own sockets are in the delta *)
-    Domain.join (Domain.spawn (fun () -> ()));
-    let fds_before = Iddq_util.Io.open_fd_count () in
-    let socket = Filename.temp_file "iddq-serve-smoke" ".sock" in
-    step "create";
-    let srv =
-      match Server.create ~socket () with
-      | Ok srv -> srv
-      | Error e -> fail "create: %s" (Server.create_error_to_string e)
-    in
-    let server_domain = Domain.spawn (fun () -> Server.run srv) in
-    step "connect";
-    let a = check "connect" (Client.connect ~socket) in
-    (* load -> partition -> partition (cache hit) -> fault_sim -> metrics *)
-    step "load";
-    let load =
-      check "load_circuit"
-        (Client.request a
-           (Protocol.Load_circuit { name = Some "C432"; bench = None }))
-    in
-    let handle = str_field "handle" load in
-    let partition () =
-      check "partition"
-        (Client.request a
-           (Protocol.Partition
-              {
-                handle;
-                method_ = Pipeline.Evolution;
-                seed = 42;
-                module_size = None;
-                require_feasible = false;
-              }))
-    in
-    step "partition 1";
-    let p1 = partition () in
-    let metrics () =
-      check "metrics" (Client.request a Protocol.Metrics)
-    in
-    step "metrics 1";
-    let hits1 = counter "cache_hits" (metrics ()) in
-    step "partition 2";
-    let p2 = partition () in
-    if Json.to_string p1 <> Json.to_string p2 then
-      fail "repeated partition answers differ";
-    let m2 = metrics () in
-    let hits2 = counter "cache_hits" m2 in
-    if hits2 <= hits1 then
-      fail
-        "second partition did not hit the session cache (hits %d -> %d)"
-        hits1 hits2;
-    step "fault_sim";
-    let sim =
-      check "fault_sim"
-        (Client.request a
-           (Protocol.Fault_sim
-              {
-                handle;
-                method_ = Pipeline.Evolution;
-                seed = 42;
-                vectors = 32;
-                defects = 50;
-                defect_current = 2.0e-6;
-              }))
-    in
-    if
-      Option.bind (Json.member "partitioned" sim) (fun p ->
-          Option.bind (Json.member "coverage" p) Json.to_float)
-      = None
-    then fail "fault_sim response lacks partitioned coverage";
-    (* diagnose twice: the second must reuse the cached engine, and
-       noiseless localization must be exact *)
-    let diagnose () =
-      check "diagnose"
-        (Client.request a
-           (Protocol.Diagnose
-              {
-                handle;
-                method_ = Pipeline.Evolution;
-                seed = 42;
-                vectors = 32;
-                defects = 50;
-                defect_current = 2.0e-6;
-                epsilon = 0.0;
-                trials = 10;
-                top_k = 3;
-              }))
-    in
-    step "diagnose 1";
-    let d1 = diagnose () in
-    (match
-       Option.bind (Json.member "top1_class_accuracy" d1) Json.to_float
-     with
-    | Some a when a = 1.0 -> ()
-    | Some a -> fail "noiseless top-1 ambiguity accuracy %g, expected 1" a
-    | None -> fail "diagnose response lacks top1_class_accuracy");
-    let hits_d1 = counter "cache_hits" (metrics ()) in
-    step "diagnose 2";
-    let d2 = diagnose () in
-    if Json.to_string d1 <> Json.to_string d2 then
-      fail "repeated diagnose answers differ";
-    let hits_d2 = counter "cache_hits" (metrics ()) in
-    if hits_d2 <= hits_d1 then
-      fail "second diagnose did not hit the session cache (hits %d -> %d)"
-        hits_d1 hits_d2;
-    (* a second client misbehaving must not disturb the first: a
-       malformed payload gets a structured error and the stream stays
-       in sync; then it vanishes mid-frame *)
-    step "client b";
-    let b = check "connect(b)" (Client.connect ~socket) in
-    Client.send_raw b (Iddq_server.Frame.encode_payload "{not json");
-    (match Client.recv b with
-    | Ok resp -> begin
-      match Protocol.response_payload resp with
-      | Error { Protocol.code = Protocol.Malformed_frame; _ } -> ()
-      | Error e -> fail "expected malformed_frame, got %s" e.Protocol.message
-      | Ok _ -> fail "malformed frame was answered with ok"
-    end
-    | Error e -> fail "no response to malformed frame: %s" e);
-    step "metrics after malformed";
-    ignore (check "metrics after malformed" (Client.request b Protocol.Metrics));
-    Client.send_raw b "\x00\x00\x00\x10half a frame";
-    Client.close b;
-    (* the first client keeps working after b's mid-frame disconnect *)
-    step "metrics after disconnect";
-    ignore (counter "requests" (metrics ()));
-    (* campaign submit/status round trip *)
-    step "campaign submit";
-    let submit =
-      check "campaign_submit"
-        (Client.request a
-           (Protocol.Campaign_submit
-              {
-                spec = "circuits = C17\nmethods = standard\nseeds = 1\n";
-                domains = 1;
-              }))
-    in
-    let campaign = str_field "campaign" submit in
-    let rec poll tries =
-      if tries = 0 then fail "campaign %s did not finish" campaign;
-      let st =
-        check "campaign_status"
-          (Client.request a (Protocol.Campaign_status { campaign }))
-      in
-      match str_field "state" st with
-      | "running" ->
-        Unix.sleepf 0.05;
-        poll (tries - 1)
-      | "done" -> ()
-      | other -> fail "campaign %s: %s" campaign other
-    in
-    step "campaign poll";
-    poll 200;
-    step "shutdown";
-    ignore
-      (check "shutdown" (Client.request a Protocol.Shutdown));
-    Client.close a;
-    step "join server";
-    Domain.join server_domain;
-    (match (fds_before, Iddq_util.Io.open_fd_count ()) with
-    | Some before, Some after when after > before ->
-      fail "descriptor leak: %d open before, %d after" before after
-    | _ -> ());
-    if Sys.file_exists socket then fail "socket file %s left behind" socket;
-    print_endline "serve-smoke: PASS"
-  in
-  Cmd.v
-    (Cmd.info "serve-smoke"
-       ~doc:"End-to-end service check: scripted client through load, \
-             partition (twice, asserting a session-cache hit), fault_sim, \
-             diagnose (twice, asserting the engine is cached and noiseless \
-             localization is exact), a misbehaving second client, campaign, \
-             shutdown; verifies no descriptor leaks.")
-    Term.(const run $ const ())
 
 let loadgen_cmd =
   let socket_opt =
@@ -1182,7 +981,6 @@ let commands =
     campaign_cmd;
     serve_cmd;
     client_cmd;
-    serve_smoke_cmd;
     loadgen_cmd;
   ]
 

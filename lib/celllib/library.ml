@@ -70,10 +70,6 @@ let with_technology t technology =
   let cells = List.map (fun k -> (k, cell t k)) Gate.all_kinds in
   make ~name:t.name ~technology ~cells ()
 
-let map_cells t ~f =
-  let cells = List.map (fun k -> (k, f k (cell t k))) Gate.all_kinds in
-  make ~name:t.name ~technology:t.technology ~cells ()
-
 (* Representative 1 um / 5 V CMOS values.  Leakage is calibrated so
    that the paper's Table-1 module counts keep discriminability >= 10
    at a 1 uA threshold (~0.15 nA mean gate leakage, see DESIGN.md). *)

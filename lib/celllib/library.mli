@@ -30,8 +30,4 @@ val with_technology : t -> Technology.t -> (t, string) result
 (** Same cells, different technology constants (validated) — used by
     sensor-variant and threshold-sweep experiments. *)
 
-val map_cells : t -> f:(Iddq_netlist.Gate.kind -> Cell.t -> Cell.t) -> (t, string) result
-(** Re-derive every cell (validated) — e.g. scaling leakage for a
-    leakier process corner. *)
-
 val pp : Format.formatter -> t -> unit

@@ -68,7 +68,6 @@ let n_vectors p = p.n_vectors
 let num_blocks p = Array.length p.blocks
 let block p b = p.blocks.(b)
 let block_mask p b = p.masks.(b)
-let packed_words p = p.words
 
 (* ------------------------------------------------------------------ *)
 (* Flat striped levelized evaluation (hot path)                        *)

@@ -65,11 +65,6 @@ val block_mask : packed -> int -> int64
 type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The word-buffer type every flat kernel trades in. *)
 
-val packed_words : packed -> ba
-(** The packed input words, flattened block-major: block [b]'s word
-    for input [i] sits at [b * num_inputs + i].  Borrowed — do not
-    mutate. *)
-
 (** {1 Striped levelized kernels}
 
     The multi-word evaluation engine: node-major value matrices hold

@@ -61,7 +61,6 @@ type t = {
 }
 
 let service t = t.service
-let socket_path t = t.socket
 
 let default_max_pipeline = 8
 let default_max_queue = 256

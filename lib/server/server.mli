@@ -89,7 +89,6 @@ val create :
     configure the {!Service}. *)
 
 val service : t -> Service.t
-val socket_path : t -> string
 
 val run : t -> unit
 (** Drive the event loop until a [shutdown] request (or {!shutdown})

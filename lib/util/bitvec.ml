@@ -64,7 +64,6 @@ let set_word t w bits =
   Bigarray.Array1.unsafe_set t.words w bits
 
 let unsafe_words t = t.words
-let unsafe_tail_mask = tail_mask
 
 let popcount64 x =
   let open Int64 in

@@ -47,14 +47,9 @@ val set_word : t -> int -> int64 -> unit
 val unsafe_words : t -> (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The backing word buffer, borrowed.  For allocation-free kernels
     that fuse loads, [Int64] ops and stores in single expressions; a
-    writer must preserve the tail invariant itself (mask the final
-    word with {!unsafe_tail_mask}).  Everyone else wants
+    writer must preserve the tail invariant itself (clear the final
+    word's bits beyond [length]).  Everyone else wants
     {!word}/{!set_word}. *)
-
-val unsafe_tail_mask : t -> int64
-(** All-ones below [length] in the final word ([-1L] when [length] is
-    a multiple of 64) — the mask a {!unsafe_words} writer must AND
-    into the last word. *)
 
 (** {1 Whole-vector queries} *)
 

@@ -7,15 +7,6 @@ let with_in path f =
     | exception Sys_error m -> Error (Io_error.of_sys_error ~path m)
   end
 
-let with_out path f =
-  match open_out_bin path with
-  | exception Sys_error m -> Error (Io_error.of_sys_error ~path m)
-  | oc -> begin
-    match Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc) with
-    | v -> Ok v
-    | exception Sys_error m -> Error (Io_error.of_sys_error ~path m)
-  end
-
 let read_file path =
   with_in path (fun ic -> really_input_string ic (in_channel_length ic))
 

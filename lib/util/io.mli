@@ -18,11 +18,6 @@
 val with_in : string -> (in_channel -> 'a) -> ('a, Io_error.t) result
 (** Open for reading, run the callback, always close. *)
 
-val with_out : string -> (out_channel -> 'a) -> ('a, Io_error.t) result
-(** Open for (truncating) writing, run the callback, always close.
-    Not atomic — prefer {!with_out_atomic} for artifacts that may
-    already exist. *)
-
 val read_file : string -> (string, Io_error.t) result
 (** Whole-file read. *)
 

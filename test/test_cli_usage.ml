@@ -18,7 +18,6 @@ let expected_commands =
     "campaign";
     "serve";
     "client";
-    "serve-smoke";
     "loadgen";
   ]
 
@@ -133,6 +132,67 @@ let test_campaign_resumes_through_cli () =
       Alcotest.(check int) "second run exits 0" 0 (run ());
       Alcotest.(check string) "resumed store unchanged" first (read_file store))
 
+(* [serve] as a child process and [client] driven through stdin: a load
+   and a shutdown request, each answered with an ok line; both processes
+   exit 0 and the server removes its socket file. *)
+let test_serve_and_client_through_cli () =
+  let socket = Filename.temp_file "iddq-cli-serve" ".sock" in
+  Sys.remove socket;
+  let requests = Filename.temp_file "iddq-cli-requests" ".jsonl" in
+  let responses = Filename.temp_file "iddq-cli-responses" ".jsonl" in
+  Out_channel.with_open_bin requests (fun oc ->
+      output_string oc
+        "{\"op\":\"load_circuit\",\"name\":\"C17\"}\n{\"op\":\"shutdown\"}\n");
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let server =
+    Unix.create_process exe [| exe; "serve"; "--socket"; socket |] devnull
+      devnull devnull
+  in
+  Unix.close devnull;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill server Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] server)
+      end;
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ socket; requests; responses ])
+    (fun () ->
+      let rec wait_listening tries =
+        match Iddq_server.Client.connect ~socket with
+        | Ok c -> Iddq_server.Client.close c
+        | Error e ->
+          if tries = 0 then Alcotest.failf "serve never listened: %s" e;
+          Unix.sleepf 0.05;
+          wait_listening (tries - 1)
+      in
+      wait_listening 100;
+      let client_status =
+        Sys.command
+          (Filename.quote_command exe ~stdin:requests ~stdout:responses
+             [ "client"; "--socket"; socket ])
+      in
+      Alcotest.(check int) "client exits 0" 0 client_status;
+      let server_status = snd (Unix.waitpid [] server) in
+      reaped := true;
+      Alcotest.(check bool) "serve exits 0" true
+        (server_status = Unix.WEXITED 0);
+      let lines =
+        List.filter (fun l -> l <> "")
+          (String.split_on_char '\n' (read_file responses))
+      in
+      Alcotest.(check (list bool)) "two ok response lines" [ true; true ]
+        (List.map
+           (fun l ->
+             match Iddq_util.Json.parse l with
+             | Ok j -> Iddq_util.Json.member "ok" j <> None
+             | Error _ -> false)
+           lines);
+      Alcotest.(check bool) "socket file removed" false
+        (Sys.file_exists socket))
+
 let test_atpg_summary_single_spaced () =
   let lines = String.split_on_char '\n' (run_capture [ "atpg"; "-c"; "C17" ]) in
   Alcotest.(check (list string))
@@ -156,4 +216,6 @@ let tests =
       test_loadgen_floor_exits_nonzero;
     Alcotest.test_case "campaign resumes through the CLI" `Quick
       test_campaign_resumes_through_cli;
+    Alcotest.test_case "serve and client through the CLI" `Quick
+      test_serve_and_client_through_cli;
   ]

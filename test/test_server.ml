@@ -309,9 +309,9 @@ let test_service_cache_hits () =
     && Metrics.seconds s2 Metrics.seconds_requests >= 0.0);
   Service.stop service
 
-(* The benchmark and the serve-smoke check read the [metrics] reply's
-   counters by name and take a missing one as 0, so a rename would pass
-   every other test: the names are pinned here, literally. *)
+(* The benchmark reads the [metrics] reply's counters by name and takes
+   a missing one as 0, so a rename would pass every other test: the
+   names are pinned here, literally. *)
 let test_metrics_wire_names () =
   let service = Service.create ~metrics:(Metrics.create ()) () in
   let reply = ask_ok "metrics" service Protocol.Metrics in
@@ -675,18 +675,79 @@ let test_oversized_frame_closes_connection () =
       | Error e -> Alcotest.failf "server wedged after oversized frame: %s" e);
       Client.close c2)
 
+(* A whole server lifetime over the socket: load, fault_sim, a campaign
+   run to completion, then a shutdown request.  Afterwards the descriptor
+   population is back where it started and the socket file is gone. *)
 let test_shutdown_request_stops_server () =
+  (* warm the domain machinery before counting descriptors, so only the
+     server's own descriptors are in the delta *)
+  Domain.join (Domain.spawn (fun () -> ()));
+  let fds_before = Io.open_fd_count () in
   let socket = Filename.temp_file "iddq-test-shutdown" ".sock" in
   match Server.create ~socket () with
   | Error e -> Alcotest.fail (Server.create_error_to_string e)
   | Ok srv ->
     let running = Domain.spawn (fun () -> Server.run srv) in
     let c = connect socket in
-    (match Client.request c Protocol.Shutdown with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail e);
+    let request what req =
+      match Client.request c req with
+      | Ok p -> p
+      | Error e -> Alcotest.failf "%s: %s" what e
+    in
+    let str_field key p =
+      match Option.bind (Json.member key p) Json.to_str with
+      | Some s -> s
+      | None -> Alcotest.failf "reply lacks string field %S" key
+    in
+    let handle =
+      str_field "handle"
+        (request "load_circuit"
+           (Protocol.Load_circuit { name = Some "C17"; bench = None }))
+    in
+    let sim =
+      request "fault_sim"
+        (Protocol.Fault_sim
+           {
+             handle;
+             method_ = Pipeline.Standard;
+             seed = 42;
+             vectors = 32;
+             defects = 50;
+             defect_current = 2.0e-6;
+           })
+    in
+    Alcotest.(check bool) "fault_sim reply has partitioned.coverage" true
+      (Option.bind (Json.member "partitioned" sim) (fun p ->
+           Option.bind (Json.member "coverage" p) Json.to_float)
+      <> None);
+    let submit =
+      request "campaign_submit"
+        (Protocol.Campaign_submit
+           { spec = "circuits = C17\nmethods = standard\nseeds = 1\n"; domains = 1 })
+    in
+    let campaign = str_field "campaign" submit in
+    let store = str_field "store" submit in
+    let rec poll tries =
+      let state =
+        str_field "state"
+          (request "campaign_status" (Protocol.Campaign_status { campaign }))
+      in
+      if state = "running" && tries > 0 then begin
+        Unix.sleepf 0.05;
+        poll (tries - 1)
+      end
+      else state
+    in
+    Alcotest.(check string) "campaign reaches done" "done" (poll 200);
+    ignore (request "shutdown" Protocol.Shutdown);
     Client.close c;
     Domain.join running;
+    (* the service never deletes a campaign's store *)
+    Sys.remove store;
+    (match (fds_before, Io.open_fd_count ()) with
+    | Some before, Some after ->
+      Alcotest.(check int) "descriptors across the server lifetime" before after
+    | _ -> ());
     Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket)
 
 (* ------------------------------------------------------------------ *)
