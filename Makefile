@@ -72,10 +72,12 @@ perfbench-smoke:
 	bash perfbench/run.sh smoke
 	@echo "perfbench-smoke: spec, records and traces of every workload - PASS"
 
-# What the CI check runs: build, tests, diagnosis accuracy gate, ATPG
-# test-set gate, mutation fuzz, event-loop load gate, benchmark-harness
-# self-check.  Every gate fails through a non-zero exit status.
-ci: build test diagnose-smoke testset-smoke fuzz-smoke loadgen-smoke perfbench-smoke
+# What the CI check runs: build, tests, the examples (the executable
+# documentation of the Result-typed facades), diagnosis accuracy gate,
+# ATPG test-set gate, mutation fuzz, event-loop load gate,
+# benchmark-harness self-check.  Every gate fails through a non-zero
+# exit status.
+ci: build test examples diagnose-smoke testset-smoke fuzz-smoke loadgen-smoke perfbench-smoke
 
 examples:
 	dune exec examples/quickstart.exe

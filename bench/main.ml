@@ -36,6 +36,11 @@ let bench_es_params =
 
 let bench_config = Pipeline.config ~es_params:bench_es_params ()
 
+(* The experiments run fixed inputs, so a pipeline error is a bug. *)
+let ok_or_fail = function
+  | Ok r -> r
+  | Error e -> failwith (Pipeline.error_to_string e)
+
 (* Set by a checked experiment whose check fails. *)
 let failed = ref false
 
@@ -64,8 +69,9 @@ let run_table1 suite =
         Printf.printf "partitioning %s (%d gates)...\n%!" name
           (Circuit.num_gates circuit);
         let results =
-          Pipeline.compare_methods ~config:bench_config circuit
-            [ Pipeline.Evolution; Pipeline.Standard ]
+          ok_or_fail
+            (Pipeline.compare_methods_result ~config:bench_config circuit
+               [ Pipeline.Evolution; Pipeline.Standard ])
         in
         match results with
         | [ (_, evolution); (_, standard) ] ->
@@ -237,7 +243,10 @@ let run_c17 () =
 let run_fig1 () =
   section "Figure 1: BIC sensor detection behaviour (defect injection)";
   let circuit = Iscas.c432_like () in
-  let result = Pipeline.run ~config:bench_config Pipeline.Evolution circuit in
+  let result =
+    ok_or_fail
+      (Pipeline.run_result ~config:bench_config Pipeline.Evolution circuit)
+  in
   let rng = Rng.create 7 in
   let faults =
     Iddq_defects.Fault.random_population ~rng circuit ~count:150
@@ -269,7 +278,10 @@ let run_ablation_opt () =
       Pipeline.Annealing; Pipeline.Random;
     ]
   in
-  let results = Pipeline.compare_methods ~config:bench_config circuit methods in
+  let results =
+    ok_or_fail
+      (Pipeline.compare_methods_result ~config:bench_config circuit methods)
+  in
   let t =
     Table.create
       [
@@ -321,7 +333,9 @@ let run_ablation_weights () =
   List.iter
     (fun (label, weights) ->
       let config = Pipeline.config ~es_params:bench_es_params ~weights () in
-      let r = Pipeline.run ~config Pipeline.Evolution circuit in
+      let r =
+        ok_or_fail (Pipeline.run_result ~config Pipeline.Evolution circuit)
+      in
       let b = r.Pipeline.breakdown in
       Table.add_row t
         [
@@ -365,7 +379,9 @@ let run_ablation_es () =
   List.iter
     (fun (label, es_params) ->
       let config = Pipeline.config ~es_params () in
-      let r = Pipeline.run ~config Pipeline.Evolution circuit in
+      let r =
+        ok_or_fail (Pipeline.run_result ~config Pipeline.Evolution circuit)
+      in
       Table.add_row t
         [
           label;
@@ -395,7 +411,10 @@ let run_ablation_resynth () =
   in
   List.iter
     (fun (name, circuit) ->
-      let r = Pipeline.run ~config:bench_config Pipeline.Evolution circuit in
+      let r =
+        ok_or_fail
+          (Pipeline.run_result ~config:bench_config Pipeline.Evolution circuit)
+      in
       let res =
         Iddq_resynth.Drive_select.optimize ~max_swaps:128 r.Pipeline.partition
       in
@@ -434,7 +453,10 @@ let run_validation_activity () =
   in
   List.iter
     (fun (name, circuit) ->
-      let r = Pipeline.run ~config:bench_config Pipeline.Evolution circuit in
+      let r =
+        ok_or_fail
+          (Pipeline.run_result ~config:bench_config Pipeline.Evolution circuit)
+      in
       let ch = r.Pipeline.charac in
       let rng = Rng.create 11 in
       let vectors = Iddq_patterns.Pattern_gen.random ~rng circuit ~count:128 in
@@ -514,7 +536,10 @@ let run_tradeoff () =
 let run_variants () =
   section "Sensing-device variants on one C1908 partition (paper §1 refs 7-12)";
   let circuit = Iscas.c1908_like () in
-  let base = Pipeline.run ~config:bench_config Pipeline.Evolution circuit in
+  let base =
+    ok_or_fail
+      (Pipeline.run_result ~config:bench_config Pipeline.Evolution circuit)
+  in
   let assignment = Partition.assignment base.Pipeline.partition in
   let t =
     Table.create
@@ -671,8 +696,9 @@ let run_routing () =
   let circuit = Iscas.c1908_like () in
   let placement = Iddq_layout.Placement.place circuit in
   let results =
-    Pipeline.compare_methods ~config:bench_config circuit
-      [ Pipeline.Evolution; Pipeline.Standard ]
+    ok_or_fail
+      (Pipeline.compare_methods_result ~config:bench_config circuit
+         [ Pipeline.Evolution; Pipeline.Standard ])
   in
   let t =
     Table.create
@@ -723,7 +749,10 @@ let run_sizing () =
     "Sensor sizing policy: pessimistic bound vs probabilistic vs realized \
      activity";
   let circuit = Iscas.c1908_like () in
-  let r = Pipeline.run ~config:bench_config Pipeline.Evolution circuit in
+  let r =
+    ok_or_fail
+      (Pipeline.run_result ~config:bench_config Pipeline.Evolution circuit)
+  in
   let ch = r.Pipeline.charac in
   let tech = Charac.technology ch in
   let p = r.Pipeline.partition in
@@ -813,8 +842,9 @@ let run_stability () =
     (fun seed ->
       let config = Pipeline.config ~seed ~es_params:params () in
       let results =
-        Pipeline.compare_methods ~config circuit
-          [ Pipeline.Evolution; Pipeline.Standard ]
+        ok_or_fail
+          (Pipeline.compare_methods_result ~config circuit
+             [ Pipeline.Evolution; Pipeline.Standard ])
       in
       match results with
       | [ (_, evo); (_, std) ] ->

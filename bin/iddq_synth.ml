@@ -94,6 +94,10 @@ let exit_err msg =
   Format.eprintf "error: %s@." msg;
   exit 1
 
+let ok_or_exit = function
+  | Ok r -> r
+  | Error e -> exit_err (Pipeline.error_to_string e)
+
 let dot_arg =
   Arg.(
     value
@@ -123,7 +127,9 @@ let partition_cmd =
       Format.printf "circuit %s: %a@.@." (Circuit.name c) Circuit.pp_stats
         (Circuit.stats c);
       let result =
-        Pipeline.run ~config:(config ~seed ~module_size ~library) method_ c
+        ok_or_exit
+          (Pipeline.run_result ~config:(config ~seed ~module_size ~library)
+             method_ c)
       in
       Format.printf "%a" Report.pp_pipeline result;
       let final_partition =
@@ -170,26 +176,27 @@ let partition_cmd =
       const run $ circuit_arg $ bench_arg $ method_arg $ seed_arg
       $ module_size_arg $ library_arg $ resynth_arg $ dot_arg $ save_arg)
 
+let defects_arg =
+  Arg.(value & opt int 200 & info [ "defects" ] ~docv:"N" ~doc:"Injected defect count.")
+
+let vectors_arg =
+  Arg.(value & opt int 64 & info [ "vectors" ] ~docv:"N" ~doc:"Random test vectors.")
+
+let current_arg =
+  Arg.(
+    value & opt float 2.0
+    & info [ "defect-current" ] ~docv:"UA" ~doc:"Defect current in microamperes.")
+
 let simulate_cmd =
-  let defects =
-    Arg.(value & opt int 200 & info [ "defects" ] ~docv:"N" ~doc:"Injected defect count.")
-  in
-  let vectors =
-    Arg.(value & opt int 64 & info [ "vectors" ] ~docv:"N" ~doc:"Random test vectors.")
-  in
-  let current =
-    Arg.(
-      value & opt float 2.0
-      & info [ "defect-current" ] ~docv:"UA" ~doc:"Defect current in microamperes.")
-  in
   let run circuit bench seed module_size library defects vectors current =
     match load_circuit ~circuit ~bench with
     | Error e -> exit_err e
     | Ok c ->
       let result =
-        Pipeline.run
-          ~config:(config ~seed ~module_size ~library)
-          Pipeline.Evolution c
+        ok_or_exit
+          (Pipeline.run_result
+             ~config:(config ~seed ~module_size ~library)
+             Pipeline.Evolution c)
       in
       let rng = Iddq_util.Rng.create (seed + 1) in
       let faults =
@@ -222,20 +229,9 @@ let simulate_cmd =
        ~doc:"Inject IDDQ defects and compare partitioned vs single-sensor coverage.")
     Term.(
       const run $ circuit_arg $ bench_arg $ seed_arg $ module_size_arg
-      $ library_arg $ defects $ vectors $ current)
+      $ library_arg $ defects_arg $ vectors_arg $ current_arg)
 
 let diagnose_cmd =
-  let defects =
-    Arg.(value & opt int 200 & info [ "defects" ] ~docv:"N" ~doc:"Injected defect count.")
-  in
-  let vectors =
-    Arg.(value & opt int 64 & info [ "vectors" ] ~docv:"N" ~doc:"Random test vectors.")
-  in
-  let current =
-    Arg.(
-      value & opt float 2.0
-      & info [ "defect-current" ] ~docv:"UA" ~doc:"Defect current in microamperes.")
-  in
   let epsilon =
     Arg.(
       value & opt float 0.0
@@ -258,10 +254,16 @@ let diagnose_cmd =
     match load_circuit ~circuit ~bench with
     | Error e -> exit_err e
     | Ok c ->
-      if epsilon < 0.0 || epsilon >= 0.5 then
+      if not (epsilon >= 0.0 && epsilon < 0.5) then
         exit_err "--epsilon must lie in [0, 0.5)";
+      if not (Float.is_finite current && current > 0.0) then
+        exit_err "--defect-current must be finite and positive";
+      if vectors < 1 || defects < 1 || trials < 1 || top_k < 1 then
+        exit_err "--vectors, --defects, --trials and --top-k must be positive";
       let result =
-        Pipeline.run ~config:(config ~seed ~module_size ~library) method_ c
+        ok_or_exit
+          (Pipeline.run_result ~config:(config ~seed ~module_size ~library)
+             method_ c)
       in
       let rng = Iddq_util.Rng.create (seed + 1) in
       let faults =
@@ -331,8 +333,8 @@ let diagnose_cmd =
              accuracy.")
     Term.(
       const run $ circuit_arg $ bench_arg $ method_arg $ seed_arg
-      $ module_size_arg $ library_arg $ defects $ vectors $ current $ epsilon
-      $ trials $ top_k)
+      $ module_size_arg $ library_arg $ defects_arg $ vectors_arg $ current_arg
+      $ epsilon $ trials $ top_k)
 
 let compare_cmd =
   let all_methods =
@@ -356,8 +358,9 @@ let compare_cmd =
         else [ Pipeline.Evolution; Pipeline.Standard ]
       in
       let results =
-        Pipeline.compare_methods ~config:(config ~seed ~module_size ~library) c
-          methods
+        ok_or_exit
+          (Pipeline.compare_methods_result
+             ~config:(config ~seed ~module_size ~library) c methods)
       in
       List.iter
         (fun (_, r) -> Format.printf "%a@." Report.pp_pipeline r)

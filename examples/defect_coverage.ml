@@ -39,7 +39,13 @@ let () =
     Iddq_netlist.Circuit.pp_stats
     (Iddq_netlist.Circuit.stats circuit);
   let config = Iddq.Pipeline.config ~library:(leaky_library ()) () in
-  let result = Iddq.Pipeline.run ~config Iddq.Pipeline.Evolution circuit in
+  let result =
+    match Iddq.Pipeline.run_result ~config Iddq.Pipeline.Evolution circuit with
+    | Ok r -> r
+    | Error e ->
+      prerr_endline ("error: " ^ Iddq.Pipeline.error_to_string e);
+      exit 1
+  in
   let ch = result.Iddq.Pipeline.charac in
   Format.printf "partitioned design:@.%a@." Iddq.Report.pp_pipeline result;
   let rng = Iddq_util.Rng.create 7 in

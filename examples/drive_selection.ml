@@ -17,7 +17,13 @@ let () =
   Format.printf "circuit: %a@.@."
     Iddq_netlist.Circuit.pp_stats
     (Iddq_netlist.Circuit.stats circuit);
-  let result = Iddq.Pipeline.run Iddq.Pipeline.Evolution circuit in
+  let result =
+    match Iddq.Pipeline.run_result Iddq.Pipeline.Evolution circuit with
+    | Ok r -> r
+    | Error e ->
+      prerr_endline ("error: " ^ Iddq.Pipeline.error_to_string e);
+      exit 1
+  in
   Format.printf "partitioned: %d modules, sensor area %.4e@."
     (Partition.num_modules result.Iddq.Pipeline.partition)
     result.Iddq.Pipeline.breakdown.Cost.sensor_area;

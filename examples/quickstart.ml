@@ -30,7 +30,13 @@ let () =
     (Iddq_netlist.Circuit.stats circuit);
   (* force a 2-module partition so the tiny demo actually partitions *)
   let config = Iddq.Pipeline.config ~module_size:4 () in
-  let result = Iddq.Pipeline.run ~config Iddq.Pipeline.Evolution circuit in
+  let result =
+    match Iddq.Pipeline.run_result ~config Iddq.Pipeline.Evolution circuit with
+    | Ok r -> r
+    | Error e ->
+      prerr_endline ("error: " ^ Iddq.Pipeline.error_to_string e);
+      exit 1
+  in
   Format.printf "@.synthesis result:@.%a" Iddq.Report.pp_pipeline result;
   Format.printf "@.partition detail:@.%a" Partition.pp result.Iddq.Pipeline.partition;
   List.iter

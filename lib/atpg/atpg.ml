@@ -176,12 +176,3 @@ let minimize_result ?(strategy = default_config.strategy) m =
   match Testset.minimize strategy m with
   | exception exn -> Error (Internal (Printexc.to_string exn))
   | selected -> Ok selected
-
-let fail_on_error = function
-  | Ok v -> v
-  | Error e -> failwith (error_to_string e)
-
-let generate_exn ?config c faults =
-  fail_on_error (generate_result ?config c faults)
-
-let run_exn ?config c = fail_on_error (run_result ?config c)

@@ -5,8 +5,7 @@
     This module follows the library's facade conventions
     ({!Iddq.Pipeline}): build configurations with the {!val-config}
     builder, call the [*_result] entry points and match on the
-    structured {!error}; the raising [*_exn] wrappers exist only as
-    thin derivatives for interactive callers.  Machine-facing callers
+    structured {!error}; there is no raising variant.  Callers
     (the CLI [testset] subcommand, the server's [testset] request, the
     bench) go through this module — never through the raw {!Podem} /
     {!Testset} entry points, which may raise on malformed input. *)
@@ -110,15 +109,3 @@ val minimize_result :
 (** Re-minimize an existing detection matrix (e.g. {!set_result}
     [.matrix] under a different strategy, or the server's cached
     matrix).  Default strategy: {!default_config}'s. *)
-
-(** {1 Raising wrappers} *)
-
-val generate_exn :
-  ?config:config ->
-  Iddq_netlist.Circuit.t ->
-  Iddq_defects.Stuck_at.fault list ->
-  set_result
-(** [generate_result], raising [Failure (error_to_string e)]. *)
-
-val run_exn : ?config:config -> Iddq_netlist.Circuit.t -> set_result
-(** [run_result], raising [Failure (error_to_string e)]. *)

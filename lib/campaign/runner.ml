@@ -18,21 +18,8 @@ type error = Invalid_spec of string
 let error_to_string = function
   | Invalid_spec msg -> "invalid campaign spec: " ^ msg
 
-(* FNV-1a over the job id: a stable, grid-independent stream index. *)
-let fnv1a64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
 let derived_seed (job : Spec.job) =
-  let stream = Int64.to_int (Int64.shift_right_logical (fnv1a64 job.Spec.id) 2) in
-  let rng = Rng.derive (Rng.create job.Spec.seed) stream in
-  Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) 2)
+  Rng.keyed_seed ~key:job.Spec.id ~seed:job.Spec.seed
 
 let job_config (spec : Spec.t) (job : Spec.job) ~reference_sizes ~metrics =
   let es_params =
@@ -54,19 +41,20 @@ let execute (spec : Spec.t) ~resolve (job : Spec.job) ~reference_sizes =
   in
   match
     match resolve job.Spec.circuit with
-    | Some circuit -> Pipeline.run ~config job.Spec.method_ circuit
-    | None -> failwith (Printf.sprintf "unknown circuit %S" job.Spec.circuit)
+    | Some circuit ->
+      Result.map_error Pipeline.error_to_string
+        (Pipeline.run_result ~config job.Spec.method_ circuit)
+    | None -> Error (Printf.sprintf "unknown circuit %S" job.Spec.circuit)
   with
-  | result ->
+  | Ok result ->
     finish (fun ~elapsed ~metrics ->
         match spec.Spec.timeout with
         | Some limit when elapsed > limit ->
           Job_result.timed_out ~job ~derived_seed ~elapsed ~metrics ~limit
         | _ -> Job_result.of_run ~job ~derived_seed ~elapsed ~metrics result)
+  | Error msg -> finish (Job_result.failure ~job ~derived_seed msg)
   | exception e ->
-    finish (fun ~elapsed ~metrics ->
-        Job_result.failure ~job ~derived_seed ~elapsed ~metrics
-          (Printexc.to_string e))
+    finish (Job_result.failure ~job ~derived_seed (Printexc.to_string e))
 
 (* Scheduler state, guarded by one mutex.  Dependency edges only point
    from Standard/Refined_standard jobs to their Evolution sibling, so

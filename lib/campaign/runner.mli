@@ -8,9 +8,9 @@
       whatever the domain count or scheduling order;
     - records its cost-evaluation counters in a private
       {!Iddq_util.Metrics.t} instance;
-    - is isolated: an exception becomes a [Failed] record, a run past
-      the spec's wall-clock budget a [Timeout] record, and the
-      campaign carries on.  (The budget is checked when the job
+    - is isolated: a pipeline error or an exception becomes a [Failed]
+      record, a run past the spec's wall-clock budget a [Timeout]
+      record, and the campaign carries on.  (The budget is checked when the job
       returns — OCaml domains cannot be preempted — so a hung job
       stalls its worker but never corrupts the store.)
 
@@ -37,7 +37,7 @@ val error_to_string : error -> string
 
 val derived_seed : Spec.job -> int
 (** Non-negative per-job seed: the job's grid seed stream-split by a
-    hash of its id ({!Iddq_util.Rng.derive}).  Depends only on the job
+    hash of its id ({!Iddq_util.Rng.keyed_seed}).  Depends only on the job
     identity — never on the grid shape, scheduling order or store
     contents. *)
 

@@ -2,7 +2,7 @@
 
     A campaign is the cartesian grid circuits × methods × seeds ×
     module sizes; {!jobs} expands it into a deterministic job list.
-    Each job is one {!Iddq.Pipeline.run}.  The expansion (ids, order,
+    Each job is one {!Iddq.Pipeline.run_result}.  The expansion (ids, order,
     dependencies) depends only on the spec, never on how the jobs are
     later scheduled, so a result store written by any domain count can
     resume a campaign run with any other.

@@ -86,38 +86,32 @@ let error_to_string = function
       (method_to_string method_) penalized min_discriminability
   | Internal msg -> "internal error: " ^ msg
 
-(* Catch what the configured passes are documented to raise on bad
-   inputs and turn it into the structured error; anything else is a
-   bug and propagates. *)
+(* The configuration checks made before any pass runs; the first one
+   that fails is the error. *)
 let validate_config ~config method_ ch =
-  let num_gates = Charac.num_gates ch in
   let p = config.es_params in
-  if p.Es.mu < 1 then Error (Bad_config "es_params.mu must be >= 1")
-  else if p.Es.lambda < 1 then Error (Bad_config "es_params.lambda must be >= 1")
+  let bad msg = Error (Bad_config msg) in
+  let reference_sizes =
+    match method_ with
+    | Standard | Refined_standard -> config.reference_sizes
+    | Evolution | Random | Annealing -> None
+  in
+  let sum = List.fold_left ( + ) 0 (Option.value reference_sizes ~default:[]) in
+  if p.Es.mu < 1 then bad "es_params.mu must be >= 1"
+  else if p.Es.lambda < 1 then bad "es_params.lambda must be >= 1"
   else if p.Es.max_generations < 0 then
-    Error (Bad_config "es_params.max_generations must be >= 0")
-  else begin
-    match config.module_size with
-    | Some s when s < 1 ->
-      Error (Bad_config (Printf.sprintf "module size %d is not positive" s))
-    | _ -> begin
-      match method_, config.reference_sizes with
-      | (Standard | Refined_standard), Some sizes ->
-        if List.exists (fun s -> s < 1) sizes then
-          Error (Bad_config "reference sizes must all be positive")
-        else begin
-          let sum = List.fold_left ( + ) 0 sizes in
-          if sum <> num_gates then
-            Error
-              (Bad_config
-                 (Printf.sprintf
-                    "reference sizes sum to %d but the circuit has %d gates"
-                    sum num_gates))
-          else Ok ()
-        end
-      | _ -> Ok ()
-    end
-  end
+    bad "es_params.max_generations must be >= 0"
+  else
+    match config.module_size, reference_sizes with
+    | Some s, _ when s < 1 ->
+      bad (Printf.sprintf "module size %d is not positive" s)
+    | _, Some sizes when List.exists (fun s -> s < 1) sizes ->
+      bad "reference sizes must all be positive"
+    | _, Some _ when sum <> Charac.num_gates ch ->
+      bad
+        (Printf.sprintf "reference sizes sum to %d but the circuit has %d gates"
+           sum (Charac.num_gates ch))
+    | _ -> Ok ()
 
 let finish ~config ~method_used ~generations ch partition =
   {
@@ -200,38 +194,32 @@ let check_feasible ~require_feasible method_ (r : t) =
 let run_charac_result ?(config = default_config) ?(require_feasible = false)
     method_ ch =
   if Charac.num_gates ch = 0 then Error Empty_circuit
-  else begin
-    match validate_config ~config method_ ch with
-    | Error err -> Error err
-    | Ok () -> begin
-      (* The passes validate their own inputs with [Invalid_argument];
-         after the checks above any residual raise is a configuration
-         the validator does not model, still a caller error. *)
-      match run_charac_exn ~config method_ ch with
-      | r -> check_feasible ~require_feasible method_ r
-      | exception Invalid_argument msg -> Error (Bad_config msg)
-      | exception Failure msg -> Error (Internal msg)
-    end
-  end
+  else
+    Result.bind (validate_config ~config method_ ch) @@ fun () ->
+    (* The passes validate their own inputs with [Invalid_argument];
+       after the checks above any residual raise is a configuration
+       the validator does not model, still a caller error. *)
+    match run_charac_exn ~config method_ ch with
+    | r -> check_feasible ~require_feasible method_ r
+    | exception Invalid_argument msg -> Error (Bad_config msg)
+    | exception Failure msg -> Error (Internal msg)
+
+(* [Library.make] guarantees every gate kind has a cell, so
+   [Charac.make] only fails through its own argument checks. *)
+let charac_result ~config circuit =
+  match Charac.make ~library:config.library circuit with
+  | ch -> Ok ch
+  | exception (Invalid_argument msg | Failure msg) ->
+    Error (Characterization_failed msg)
 
 let run_result ?(config = default_config) ?require_feasible method_ circuit =
-  match Charac.make ~library:config.library circuit with
-  | ch -> run_charac_result ~config ?require_feasible method_ ch
-  | exception Invalid_argument msg -> Error (Characterization_failed msg)
-  | exception Failure msg -> Error (Characterization_failed msg)
-  | exception Not_found ->
-    Error (Characterization_failed "cell lookup failed for a gate kind")
-
-let run ?(config = default_config) method_ circuit =
-  match run_result ~config method_ circuit with
-  | Ok r -> r
-  | Error e -> invalid_arg ("Pipeline.run: " ^ error_to_string e)
+  Result.bind (charac_result ~config circuit)
+    (run_charac_result ~config ?require_feasible method_)
 
 let compare_methods_result ?(config = default_config) circuit methods =
-  match Charac.make ~library:config.library circuit with
-  | exception Invalid_argument msg -> Error (Characterization_failed msg)
-  | exception Failure msg -> Error (Characterization_failed msg)
-  | ch ->
+  match charac_result ~config circuit with
+  | Error e -> Error e
+  | Ok ch ->
     let evolution_first =
       if List.mem Evolution methods then
         Evolution :: List.filter (fun m -> m <> Evolution) methods
@@ -259,11 +247,6 @@ let compare_methods_result ?(config = default_config) circuit methods =
         (* restore the caller's method order *)
         List.map (fun m -> (m, List.assoc m results)) methods)
       (go [] evolution_first)
-
-let compare_methods ?(config = default_config) circuit methods =
-  match compare_methods_result ~config circuit methods with
-  | Ok results -> results
-  | Error e -> invalid_arg ("Pipeline.compare_methods: " ^ error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Test-application time for a concrete vector count                   *)

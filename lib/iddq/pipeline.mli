@@ -11,9 +11,9 @@
     - build configurations with the {!val-config} builder, setting
       only the fields a request carries;
     - call {!run_result} / {!run_charac_result} /
-      {!compare_methods_result} and match on the structured {!error};
-    - {!run} and {!compare_methods} remain as thin raising wrappers
-      for interactive callers and compatibility. *)
+      {!compare_methods_result} and match on the structured {!error}.
+      These are the only entry points: a bad input never escapes as
+      an exception. *)
 
 type method_ = Evolution | Standard | Random | Annealing | Refined_standard
 (** Partitioning methods: the paper's contribution ([Evolution]), its
@@ -151,13 +151,3 @@ val c4_of_vectors : t -> vectors:int -> float
 (** The c4-style log-scaled cost of that time,
     [log (test_time / 1ns)] ([0.] when the time is non-positive) —
     comparable across vector counts on one design. *)
-
-(** {1 Raising wrappers (compatibility)} *)
-
-val run : ?config:config -> method_ -> Iddq_netlist.Circuit.t -> t
-(** {!run_result}, raising [Invalid_argument] with the rendered
-    {!error} on failure. *)
-
-val compare_methods :
-  ?config:config -> Iddq_netlist.Circuit.t -> method_ list -> (method_ * t) list
-(** {!compare_methods_result}, raising [Invalid_argument] on failure. *)

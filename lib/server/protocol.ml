@@ -118,220 +118,145 @@ let member_id j = Option.bind (Json.member "id" j) Json.to_int
 
 let request_of_json j =
   let id = member_id j in
-  let fail code msg = Error (id, error code msg) in
-  let str_field name = Option.bind (Json.member name j) Json.to_str in
-  let int_field name ~default =
+  let ( let* ) = Result.bind in
+  let bad msg = Error (id, error Bad_request msg) in
+  (* Every field goes through [opt]: absent is [None], present with the
+     wrong type or value is a bad request, never a silent default. *)
+  let opt name decode ~what =
     match Json.member name j with
-    | None -> Ok default
+    | None -> Ok None
     | Some v -> begin
-      match Json.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S must be an integer" name)
+      match decode v with
+      | Some x -> Ok (Some x)
+      | None -> bad (Printf.sprintf "field %S must be %s" name what)
     end
   in
-  let required_str name k =
-    match str_field name with
-    | Some s -> k s
-    | None -> fail Bad_request (Printf.sprintf "missing string field %S" name)
+  let field name decode ~what ~default =
+    Result.map (Option.value ~default) (opt name decode ~what)
   in
-  let with_int name ~default k =
-    match int_field name ~default with
-    | Ok v -> k v
-    | Error msg -> fail Bad_request msg
+  let str name = opt name Json.to_str ~what:"a string" in
+  let required_str name =
+    let* v = str name in
+    match v with
+    | Some s -> Ok s
+    | None -> bad (Printf.sprintf "missing string field %S" name)
   in
-  let with_method k =
-    match Json.member "method" j with
-    | None -> k Pipeline.Evolution
-    | Some v -> begin
-      match Option.bind (Json.to_str v) Pipeline.method_of_string with
-      | Some m -> k m
-      | None -> fail Bad_request "field \"method\" is not a known method"
+  let int name ~default = field name Json.to_int ~what:"an integer" ~default in
+  let float name ~default = field name Json.to_float ~what:"a number" ~default in
+  let method_ () =
+    field "method"
+      (fun v -> Option.bind (Json.to_str v) Pipeline.method_of_string)
+      ~what:"a known method" ~default:Pipeline.Evolution
+  in
+  (* The six fields [fault_sim] and [diagnose] share. *)
+  let simulation op =
+    let* handle = required_str "handle" in
+    let* method_ = method_ () in
+    let* seed = int "seed" ~default:default_seed in
+    let* vectors = int "vectors" ~default:default_vectors in
+    let* defects = int "defects" ~default:default_defects in
+    let* defect_current =
+      float "defect_current" ~default:default_defect_current
+    in
+    if vectors < 1 || defects < 1 then
+      bad (op ^ " needs positive \"vectors\" and \"defects\"")
+    else if not (Float.is_finite defect_current && defect_current > 0.) then
+      bad "\"defect_current\" must be finite and positive"
+    else Ok (handle, method_, seed, vectors, defects, defect_current)
+  in
+  let* op = required_str "op" in
+  let* request =
+    match op with
+    | "load_circuit" -> begin
+      let* name = str "name" in
+      let* bench = str "bench" in
+      match name, bench with
+      | None, None -> bad "load_circuit needs \"name\" or \"bench\""
+      | Some _, Some _ ->
+        bad "load_circuit takes \"name\" or \"bench\", not both"
+      | _ -> Ok (Load_circuit { name; bench })
     end
+    | "characterize" ->
+      let* handle = required_str "handle" in
+      Ok (Characterize { handle })
+    | "partition" ->
+      let* handle = required_str "handle" in
+      let* method_ = method_ () in
+      let* seed = int "seed" ~default:default_seed in
+      let* module_size = opt "module_size" Json.to_int ~what:"an integer" in
+      let* require_feasible =
+        field "require_feasible" Json.to_bool ~what:"a boolean" ~default:false
+      in
+      Ok (Partition { handle; method_; seed; module_size; require_feasible })
+    | "fault_sim" ->
+      let* handle, method_, seed, vectors, defects, defect_current =
+        simulation op
+      in
+      Ok
+        (Fault_sim { handle; method_; seed; vectors; defects; defect_current })
+    | "diagnose" ->
+      let* handle, method_, seed, vectors, defects, defect_current =
+        simulation op
+      in
+      let* epsilon = float "epsilon" ~default:default_epsilon in
+      let* trials = int "trials" ~default:default_trials in
+      let* top_k = int "top_k" ~default:default_top_k in
+      if trials < 1 || top_k < 1 then
+        bad "diagnose needs positive \"trials\" and \"top_k\""
+      else if not (epsilon >= 0. && epsilon < 0.5) then
+        bad "\"epsilon\" must lie in [0, 0.5)"
+      else
+        Ok
+          (Diagnose
+             {
+               handle;
+               method_;
+               seed;
+               vectors;
+               defects;
+               defect_current;
+               epsilon;
+               trials;
+               top_k;
+             })
+    | "testset" ->
+      let* handle = required_str "handle" in
+      let* seed = int "seed" ~default:default_seed in
+      let* random_vectors =
+        int "random_vectors" ~default:default_random_vectors
+      in
+      let* max_backtracks =
+        int "max_backtracks" ~default:default_max_backtracks
+      in
+      let* budget = int "budget" ~default:0 in
+      let* strategy =
+        field "strategy"
+          (fun v -> Option.bind (Json.to_str v) Iddq_atpg.Atpg.strategy_of_string)
+          ~what:"\"greedy\", \"essential\" or \"refined\""
+          ~default:Iddq_atpg.Atpg.default_config.strategy
+      in
+      if random_vectors < 0 then bad "\"random_vectors\" must be non-negative"
+      else if max_backtracks < 1 then bad "\"max_backtracks\" must be positive"
+      else if budget < 0 then
+        bad "\"budget\" must be positive (or 0 for unlimited)"
+      else
+        let budget = if budget = 0 then None else Some budget in
+        Ok
+          (Testset
+             { handle; seed; random_vectors; max_backtracks; budget; strategy })
+    | "campaign_submit" ->
+      let* spec = required_str "spec" in
+      let* domains = int "domains" ~default:default_domains in
+      if domains < 1 then bad "\"domains\" must be positive"
+      else Ok (Campaign_submit { spec; domains })
+    | "campaign_status" ->
+      let* campaign = required_str "campaign" in
+      Ok (Campaign_status { campaign })
+    | "metrics" -> Ok Metrics
+    | "shutdown" -> Ok Shutdown
+    | op -> Error (id, error Unknown_op (Printf.sprintf "unknown op %S" op))
   in
-  match Json.member "op" j with
-  | None -> fail Bad_request "missing \"op\" field"
-  | Some op_j -> begin
-    match Json.to_str op_j with
-    | None -> fail Bad_request "\"op\" must be a string"
-    | Some op -> begin
-      match op with
-      | "load_circuit" -> begin
-        let name = str_field "name" and bench = str_field "bench" in
-        match name, bench with
-        | None, None ->
-          fail Bad_request "load_circuit needs \"name\" or \"bench\""
-        | Some _, Some _ ->
-          fail Bad_request "load_circuit takes \"name\" or \"bench\", not both"
-        | _ -> Ok (id, Load_circuit { name; bench })
-      end
-      | "characterize" ->
-        required_str "handle" (fun handle -> Ok (id, Characterize { handle }))
-      | "partition" ->
-        required_str "handle" (fun handle ->
-            with_method (fun method_ ->
-                with_int "seed" ~default:default_seed (fun seed ->
-                    let module_size =
-                      Option.bind (Json.member "module_size" j) Json.to_int
-                    in
-                    let require_feasible =
-                      match
-                        Option.bind (Json.member "require_feasible" j)
-                          Json.to_bool
-                      with
-                      | Some b -> b
-                      | None -> false
-                    in
-                    Ok
-                      ( id,
-                        Partition
-                          { handle; method_; seed; module_size; require_feasible }
-                      ))))
-      | "fault_sim" ->
-        required_str "handle" (fun handle ->
-            with_method (fun method_ ->
-                with_int "seed" ~default:default_seed (fun seed ->
-                    with_int "vectors" ~default:default_vectors (fun vectors ->
-                        with_int "defects" ~default:default_defects
-                          (fun defects ->
-                            let defect_current =
-                              match
-                                Option.bind
-                                  (Json.member "defect_current" j)
-                                  Json.to_float
-                              with
-                              | Some c -> c
-                              | None -> default_defect_current
-                            in
-                            if vectors < 1 || defects < 1 then
-                              fail Bad_request
-                                "fault_sim needs positive \"vectors\" and \
-                                 \"defects\""
-                            else
-                              Ok
-                                ( id,
-                                  Fault_sim
-                                    {
-                                      handle;
-                                      method_;
-                                      seed;
-                                      vectors;
-                                      defects;
-                                      defect_current;
-                                    } ))))))
-      | "diagnose" ->
-        required_str "handle" (fun handle ->
-            with_method (fun method_ ->
-                with_int "seed" ~default:default_seed (fun seed ->
-                    with_int "vectors" ~default:default_vectors (fun vectors ->
-                        with_int "defects" ~default:default_defects
-                          (fun defects ->
-                            with_int "trials" ~default:default_trials
-                              (fun trials ->
-                                with_int "top_k" ~default:default_top_k
-                                  (fun top_k ->
-                                    let defect_current =
-                                      match
-                                        Option.bind
-                                          (Json.member "defect_current" j)
-                                          Json.to_float
-                                      with
-                                      | Some c -> c
-                                      | None -> default_defect_current
-                                    in
-                                    let epsilon =
-                                      match
-                                        Option.bind (Json.member "epsilon" j)
-                                          Json.to_float
-                                      with
-                                      | Some e -> e
-                                      | None -> default_epsilon
-                                    in
-                                    if
-                                      vectors < 1 || defects < 1 || trials < 1
-                                      || top_k < 1
-                                    then
-                                      fail Bad_request
-                                        "diagnose needs positive \"vectors\", \
-                                         \"defects\", \"trials\" and \"top_k\""
-                                    else if epsilon < 0. || epsilon >= 0.5 then
-                                      fail Bad_request
-                                        "\"epsilon\" must lie in [0, 0.5)"
-                                    else
-                                      Ok
-                                        ( id,
-                                          Diagnose
-                                            {
-                                              handle;
-                                              method_;
-                                              seed;
-                                              vectors;
-                                              defects;
-                                              defect_current;
-                                              epsilon;
-                                              trials;
-                                              top_k;
-                                            } ))))))))
-      | "testset" ->
-        required_str "handle" (fun handle ->
-            with_int "seed" ~default:default_seed (fun seed ->
-                with_int "random_vectors" ~default:default_random_vectors
-                  (fun random_vectors ->
-                    with_int "max_backtracks" ~default:default_max_backtracks
-                      (fun max_backtracks ->
-                        with_int "budget" ~default:0 (fun budget_raw ->
-                            let budget =
-                              if budget_raw = 0 then None else Some budget_raw
-                            in
-                            let strategy =
-                              match Json.member "strategy" j with
-                              | None ->
-                                Some Iddq_atpg.Atpg.default_config.strategy
-                              | Some v ->
-                                Option.bind (Json.to_str v)
-                                  Iddq_atpg.Atpg.strategy_of_string
-                            in
-                            match strategy with
-                            | None ->
-                              fail Bad_request
-                                "\"strategy\" must be \"greedy\", \
-                                 \"essential\" or \"refined\""
-                            | Some strategy ->
-                              if random_vectors < 0 then
-                                fail Bad_request
-                                  "\"random_vectors\" must be non-negative"
-                              else if max_backtracks < 1 then
-                                fail Bad_request
-                                  "\"max_backtracks\" must be positive"
-                              else if budget_raw < 0 then
-                                fail Bad_request
-                                  "\"budget\" must be positive (or 0 for \
-                                   unlimited)"
-                              else
-                                Ok
-                                  ( id,
-                                    Testset
-                                      {
-                                        handle;
-                                        seed;
-                                        random_vectors;
-                                        max_backtracks;
-                                        budget;
-                                        strategy;
-                                      } ))))))
-      | "campaign_submit" ->
-        required_str "spec" (fun spec ->
-            with_int "domains" ~default:default_domains (fun domains ->
-                if domains < 1 then
-                  fail Bad_request "\"domains\" must be positive"
-                else Ok (id, Campaign_submit { spec; domains })))
-      | "campaign_status" ->
-        required_str "campaign" (fun campaign ->
-            Ok (id, Campaign_status { campaign }))
-      | "metrics" -> Ok (id, Metrics)
-      | "shutdown" -> Ok (id, Shutdown)
-      | op -> fail Unknown_op (Printf.sprintf "unknown op %S" op)
-    end
-  end
+  Ok (id, request)
 
 let request_to_json ?id r =
   let id_field = match id with None -> [] | Some n -> [ ("id", Json.Int n) ] in

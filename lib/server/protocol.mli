@@ -105,7 +105,10 @@ val of_atpg_error : Iddq_atpg.Atpg.error -> error
 val request_of_json :
   Iddq_util.Json.t -> (int option * request, int option * error) result
 (** Decode a request frame.  The [int option] is the request [id],
-    echoed even on errors when it could be read. *)
+    echoed even on errors when it could be read.  An absent optional
+    field takes its default; a present field of the wrong type or out
+    of range (a NaN [epsilon], a non-positive [defect_current]) is
+    [Bad_request]. *)
 
 val request_to_json : ?id:int -> request -> Iddq_util.Json.t
 (** Encode (used by clients and the fuzz corpus);

@@ -50,23 +50,6 @@ let create ?metrics ?library ?budget ?cache_entries () =
 
 let metrics t = t.metrics
 
-(* FNV-1a over the cache key: the campaign runner's stream-derivation
-   discipline applied to requests. *)
-let fnv1a64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
-let derived_seed ~key ~seed =
-  let stream = Int64.to_int (Int64.shift_right_logical (fnv1a64 key) 2) in
-  let rng = Rng.derive (Rng.create seed) stream in
-  Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) 2)
-
 (* ------------------------------------------------------------------ *)
 (* Payload builders                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -158,7 +141,7 @@ let run_partition t ~handle ~method_ ~seed ~module_size ~require_feasible c =
   in
   let config =
     Pipeline.config
-      ~seed:(derived_seed ~key ~seed)
+      ~seed:(Rng.keyed_seed ~key ~seed)
       ?module_size ~metrics:t.metrics ()
   in
   let ch = Cache.charac t.cache ~handle c in
@@ -172,9 +155,9 @@ let fault_sim t ~handle ~method_ ~seed ~vectors ~defects ~defect_current c =
   with
   | Error e -> Error e
   | Ok r ->
-    let vec_seed = derived_seed ~key:(handle ^ ":vectors") ~seed in
+    let vec_seed = Rng.keyed_seed ~key:(handle ^ ":vectors") ~seed in
     let vs, _packed = Cache.vectors t.cache ~handle ~seed:vec_seed ~count:vectors c in
-    let fault_rng = Rng.create (derived_seed ~key:(handle ^ ":faults") ~seed) in
+    let fault_rng = Rng.create (Rng.keyed_seed ~key:(handle ^ ":faults") ~seed) in
     let faults =
       Iddq_defects.Fault.random_population ~rng:fault_rng c ~count:defects
         ~defect_current
@@ -216,14 +199,14 @@ let diagnose t ~handle ~method_ ~seed ~vectors ~defects ~defect_current
     (* Fetched before the diagnosis memo: the cache mutex is not
        re-entrant, so nesting the vectors lookup inside the compute
        closure would self-deadlock. *)
-    let vec_seed = derived_seed ~key:(handle ^ ":vectors") ~seed in
+    let vec_seed = Rng.keyed_seed ~key:(handle ^ ":vectors") ~seed in
     let vs, _packed =
       Cache.vectors t.cache ~handle ~seed:vec_seed ~count:vectors c
     in
     let engine =
       Cache.diagnosis t.cache ~key (fun () ->
           let fault_rng =
-            Rng.create (derived_seed ~key:(handle ^ ":faults") ~seed)
+            Rng.create (Rng.keyed_seed ~key:(handle ^ ":faults") ~seed)
           in
           let faults =
             Iddq_defects.Fault.random_population ~rng:fault_rng c
@@ -238,7 +221,7 @@ let diagnose t ~handle ~method_ ~seed ~vectors ~defects ~defect_current
        cached. *)
     let trial_rng =
       Rng.create
-        (derived_seed
+        (Rng.keyed_seed
            ~key:(Printf.sprintf "%s:trials:%h:%d:%d" key epsilon trials top_k)
            ~seed)
     in
@@ -288,7 +271,7 @@ let testset t ~handle ~seed ~random_vectors ~max_backtracks ~budget ~strategy c
         let config =
           Iddq_atpg.Atpg.config ~max_backtracks ?budget
             ~strategy:Iddq_atpg.Atpg.Greedy
-            ~seed:(derived_seed ~key ~seed) ~random_vectors ()
+            ~seed:(Rng.keyed_seed ~key ~seed) ~random_vectors ()
         in
         Iddq_atpg.Atpg.run_result ~config c)
   in

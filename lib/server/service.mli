@@ -29,12 +29,6 @@ val create :
 
 val metrics : t -> Iddq_util.Metrics.t
 
-val derived_seed : key:string -> seed:int -> int
-(** The per-request seed: the request's [seed] stream-split by a hash
-    of the cache key ([handle:op:...]), exactly the campaign runner's
-    derivation discipline.  Exposed so clients can reproduce a
-    server answer locally. *)
-
 val handle :
   t -> Iddq_util.Json.t -> Iddq_util.Json.t * [ `Continue | `Shutdown ]
 (** Answer one decoded request frame.  Never raises.  [`Shutdown]

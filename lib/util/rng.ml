@@ -32,6 +32,22 @@ let derive t i =
   let key = Int64.add t.state (Int64.mul golden_gamma (Int64.of_int (i + 1))) in
   { state = mix64 (mix64 key) }
 
+(* FNV-1a over the key: a stable, order-independent stream index. *)
+let fnv1a64 s =
+  let prime = 0x100000001B3L in
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h prime)
+    s;
+  !h
+
+let keyed_seed ~key ~seed =
+  let stream = Int64.to_int (Int64.shift_right_logical (fnv1a64 key) 2) in
+  let rng = derive (create seed) stream in
+  Int64.to_int (Int64.shift_right_logical (bits64 rng) 2)
+
 (* Uniform int in [0, n) by rejection on the top of the range, to avoid
    modulo bias.  [n] fits an OCaml int, so working on 62 bits of the
    64-bit output is safe. *)

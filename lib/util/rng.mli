@@ -31,6 +31,13 @@ val derive : t -> int -> t
     Use it to hand the [i]-th job of a campaign its own reproducible
     generator regardless of the order jobs are scheduled in. *)
 
+val keyed_seed : key:string -> seed:int -> int
+(** [keyed_seed ~key ~seed] is a non-negative seed for the stream of
+    [create seed] derived ({!derive}) at an FNV-1a hash of [key].  A
+    pure function of [(key, seed)]: the campaign runner keys it by job
+    id and the service by cache key, so an answer is reproducible
+    whatever the scheduling order. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

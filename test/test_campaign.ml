@@ -211,7 +211,7 @@ let test_result_codec_roundtrip () =
     (Job_result.timed_out ~job ~derived_seed:17 ~elapsed:2.0 ~metrics ~limit:1.5);
   (* a real Done record, through the pipeline *)
   let circuit = Option.get (Iscas.by_name "C17") in
-  let run = Pipeline.run Pipeline.Standard circuit in
+  let run = Result.get_ok (Pipeline.run_result Pipeline.Standard circuit) in
   let done_ =
     Job_result.of_run ~job ~derived_seed:17 ~elapsed:0.1 ~metrics run
   in
@@ -366,7 +366,7 @@ let test_store_latest_wins () =
       let circuit = Option.get (Iscas.by_name "C17") in
       let ok =
         Job_result.of_run ~job ~derived_seed:1 ~elapsed:0.0 ~metrics
-          (Pipeline.run Pipeline.Standard circuit)
+          (Result.get_ok (Pipeline.run_result Pipeline.Standard circuit))
       in
       let s = open_store path in
       Store.append s failed;
@@ -568,7 +568,15 @@ let test_runner_derived_seeds () =
     jobs;
   let seeds = List.map Runner.derived_seed jobs in
   Alcotest.(check int) "all distinct" (List.length jobs)
-    (List.length (List.sort_uniq compare seeds))
+    (List.length (List.sort_uniq compare seeds));
+  (* pinned values: stored campaigns and service answers are keyed by
+     them, so the derivation must never drift *)
+  Alcotest.(check (pair string int)) "pinned job seed"
+    ("C17:evolution:s1:m-", 221771008671138371)
+    (let j = List.hd jobs in
+     (j.Spec.id, Runner.derived_seed j));
+  Alcotest.(check int) "pinned request seed" 1574819211948365740
+    (Iddq_util.Rng.keyed_seed ~key:"C17:vectors" ~seed:1)
 
 let test_runner_isolates_crash_and_recovers () =
   (* a resolver that raises for one circuit: those jobs record Failed,

@@ -60,20 +60,20 @@ let test_synopsis_matches_dispatch () =
       (List.sort compare expected_commands)
       (List.sort compare listed)
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec scan i =
+    i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1))
+  in
+  scan 0
+
 let test_unknown_subcommand_enumerates () =
   let out = run_capture [ "no-such-subcommand" ] in
-  let contains needle =
-    let nl = String.length needle and hl = String.length out in
-    let rec scan i =
-      i + nl <= hl && (String.sub out i nl = needle || scan (i + 1))
-    in
-    scan 0
-  in
   List.iter
     (fun name ->
       Alcotest.(check bool)
         (Printf.sprintf "unknown-command error mentions %S" name)
-        true (contains name))
+        true (contains out name))
     expected_commands
 
 (* The exit status of a run, its output discarded. *)
@@ -92,6 +92,34 @@ let test_loadgen_floor_exits_nonzero () =
      <> 0)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A bad configuration or option value is an [error:] line and exit
+   status 1, never an uncaught exception. *)
+let test_bad_values_exit_1 () =
+  let err = Filename.temp_file "iddq-cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let what = String.concat " " args in
+          let status =
+            Sys.command
+              (Filename.quote_command exe ~stdout:Filename.null ~stderr:err
+                 args)
+          in
+          let stderr = read_file err in
+          Alcotest.(check int) (what ^ ": exit status") 1 status;
+          Alcotest.(check bool) (what ^ ": error line") true
+            (String.starts_with ~prefix:"error:" stderr);
+          Alcotest.(check bool) (what ^ ": no uncaught exception") false
+            (contains stderr "uncaught exception"))
+        [
+          [ "partition"; "-c"; "C17"; "--module-size"; "0" ];
+          [ "compare"; "-c"; "C17"; "--module-size"; "0" ];
+          [ "simulate"; "-c"; "C17"; "--module-size"; "0" ];
+          [ "diagnose"; "-c"; "C17"; "--epsilon"; "nan" ];
+        ])
 
 (* Checkpoint/resume through the CLI: a tiny campaign run twice against
    one store.  The first run records every job; the second finds them
@@ -214,6 +242,7 @@ let tests =
       test_unknown_subcommand_enumerates;
     Alcotest.test_case "loadgen floor sets the exit status" `Quick
       test_loadgen_floor_exits_nonzero;
+    Alcotest.test_case "bad values exit 1" `Quick test_bad_values_exit_1;
     Alcotest.test_case "campaign resumes through the CLI" `Quick
       test_campaign_resumes_through_cli;
     Alcotest.test_case "serve and client through the CLI" `Quick

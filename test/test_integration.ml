@@ -15,9 +15,14 @@ let fast_config =
       { Es.default_params with Es.max_generations = 30; stall_generations = 30 }
     ()
 
+let run m c =
+  match Pipeline.run_result ~config:fast_config m c with
+  | Ok r -> r
+  | Error e -> Alcotest.fail (Pipeline.error_to_string e)
+
 let test_pipeline_partition_io_cost_stable () =
   (* synthesize -> save -> reload -> identical cost *)
-  let r = Pipeline.run ~config:fast_config Pipeline.Evolution (Iscas.c432_like ()) in
+  let r = run Pipeline.Evolution (Iscas.c432_like ()) in
   let text = Partition_io.to_string r.Pipeline.partition in
   match Partition_io.of_string r.Pipeline.charac text with
   | Error e -> Alcotest.failf "reload: %s" (Iddq_util.Io_error.to_string e)
@@ -28,7 +33,7 @@ let test_pipeline_partition_io_cost_stable () =
 
 let test_pipeline_dot_renders () =
   let circuit = Iscas.c17 () in
-  let r = Pipeline.run ~config:fast_config Pipeline.Standard circuit in
+  let r = run Pipeline.Standard circuit in
   let dot =
     Iddq_netlist.Dot.of_circuit
       ~module_of_gate:(Partition.module_of_gate r.Pipeline.partition)
@@ -40,7 +45,7 @@ let test_pipeline_dot_renders () =
 let test_pipeline_schedule_consistent () =
   (* the schedule's parallel policy must reproduce the cost model's
      per-vector test time *)
-  let r = Pipeline.run ~config:fast_config Pipeline.Standard (Iscas.c432_like ()) in
+  let r = run Pipeline.Standard (Iscas.c432_like ()) in
   let tech = Charac.technology r.Pipeline.charac in
   let sched =
     Iddq_bic.Schedule.parallel ~technology:tech
@@ -51,7 +56,7 @@ let test_pipeline_schedule_consistent () =
     sched.Iddq_bic.Schedule.vector_time
 
 let test_resynth_composes_with_pipeline () =
-  let r = Pipeline.run ~config:fast_config Pipeline.Evolution (Iscas.c432_like ()) in
+  let r = run Pipeline.Evolution (Iscas.c432_like ()) in
   let res = Iddq_resynth.Drive_select.optimize ~max_swaps:8 r.Pipeline.partition in
   (* the re-characterized partition still passes every invariant *)
   Alcotest.(check (result unit string)) "consistent" (Ok ())
@@ -63,9 +68,13 @@ let test_resynth_composes_with_pipeline () =
 let test_atpg_vectors_feed_iddq_sim () =
   let circuit = Iscas.c17 () in
   let atpg =
-    Iddq_atpg.Atpg.run_exn
-      ~config:(Iddq_atpg.Atpg.config ~seed:7 ~random_vectors:0 ())
-      circuit
+    match
+      Iddq_atpg.Atpg.run_result
+        ~config:(Iddq_atpg.Atpg.config ~seed:7 ~random_vectors:0 ())
+        circuit
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Iddq_atpg.Atpg.error_to_string e)
   in
   let ch = Charac.make ~library:Iddq_celllib.Library.default circuit in
   let p = Partition.create ch ~assignment:[| 0; 1; 0; 1; 0; 1 |] in
@@ -97,14 +106,13 @@ let test_verilog_bench_pipeline_agree () =
     | Error e -> Alcotest.failf "verilog: %s" (Iddq_util.Io_error.to_string e)
   in
   let cost c =
-    (Pipeline.run ~config:fast_config Pipeline.Standard c).Pipeline.breakdown
-      .Cost.penalized
+    (run Pipeline.Standard c).Pipeline.breakdown.Cost.penalized
   in
   Alcotest.(check (float 1e-9)) "same cost" (cost c_bench) (cost c_verilog)
 
 let test_placement_of_pipeline_modules () =
   let circuit = Iscas.c432_like () in
-  let r = Pipeline.run ~config:fast_config Pipeline.Standard circuit in
+  let r = run Pipeline.Standard circuit in
   let placement = Iddq_layout.Placement.place circuit in
   List.iter
     (fun m ->

@@ -127,10 +127,8 @@ let test_pipeline_rejects_gateless () =
   Iddq_netlist.Builder.add_output b "a";
   let c = Iddq_netlist.Builder.freeze_exn b in
   Alcotest.(check bool) "gateless rejected" true
-    (try
-       ignore (Iddq.Pipeline.run Iddq.Pipeline.Standard c);
-       false
-     with Invalid_argument _ -> true)
+    (Iddq.Pipeline.run_result Iddq.Pipeline.Standard c
+    = Error Iddq.Pipeline.Empty_circuit)
 
 let test_int_in_range_validation () =
   let rng = Rng.create 1 in

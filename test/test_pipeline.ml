@@ -11,6 +11,10 @@ let fast_es =
 
 let fast_config = Pipeline.config ~es_params:fast_es ()
 
+let ok = function
+  | Ok r -> r
+  | Error e -> Alcotest.fail (Pipeline.error_to_string e)
+
 let test_method_string_roundtrip () =
   List.iter
     (fun m ->
@@ -25,7 +29,7 @@ let test_method_string_roundtrip () =
   Alcotest.(check bool) "unknown" true (Pipeline.method_of_string "nope" = None)
 
 let run_method m =
-  Pipeline.run ~config:fast_config m (Iscas.c432_like ())
+  ok (Pipeline.run_result ~config:fast_config m (Iscas.c432_like ()))
 
 let check_result name (r : Pipeline.t) =
   Alcotest.(check (result unit string)) (name ^ " consistent") (Ok ())
@@ -49,8 +53,9 @@ let test_all_methods_run () =
 
 let test_compare_methods_shares_sizes () =
   let results =
-    Pipeline.compare_methods ~config:fast_config (Iscas.c432_like ())
-      [ Pipeline.Evolution; Pipeline.Standard ]
+    ok
+      (Pipeline.compare_methods_result ~config:fast_config (Iscas.c432_like ())
+         [ Pipeline.Evolution; Pipeline.Standard ])
   in
   match results with
   | [ (Pipeline.Evolution, evo); (Pipeline.Standard, std) ] ->
@@ -66,8 +71,9 @@ let test_compare_methods_shares_sizes () =
 let test_evolution_beats_standard_area () =
   (* the paper's headline claim, on the small stand-in *)
   let results =
-    Pipeline.compare_methods ~config:fast_config (Iscas.c432_like ())
-      [ Pipeline.Evolution; Pipeline.Standard ]
+    ok
+      (Pipeline.compare_methods_result ~config:fast_config (Iscas.c432_like ())
+         [ Pipeline.Evolution; Pipeline.Standard ])
   in
   match results with
   | [ (_, evo); (_, std) ] ->
@@ -80,8 +86,9 @@ let test_evolution_beats_standard_area () =
 
 let test_report_row () =
   let results =
-    Pipeline.compare_methods ~config:fast_config (Iscas.c432_like ())
-      [ Pipeline.Evolution; Pipeline.Standard ]
+    ok
+      (Pipeline.compare_methods_result ~config:fast_config (Iscas.c432_like ())
+         [ Pipeline.Evolution; Pipeline.Standard ])
   in
   match results with
   | [ (_, evolution); (_, standard) ] ->
@@ -103,7 +110,9 @@ let test_compare_methods_preserves_order () =
      association list preserves the caller's order *)
   let methods = [ Pipeline.Standard; Pipeline.Evolution; Pipeline.Random ] in
   let results =
-    Pipeline.compare_methods ~config:fast_config (Iscas.c432_like ()) methods
+    ok
+      (Pipeline.compare_methods_result ~config:fast_config (Iscas.c432_like ())
+         methods)
   in
   Alcotest.(check (list string)) "caller order preserved"
     (List.map Pipeline.method_to_string methods)
@@ -114,8 +123,9 @@ let test_compare_methods_equals_seeded_run () =
      run whose reference_sizes are the evolution result's sizes *)
   let circuit = Iscas.c432_like () in
   let results =
-    Pipeline.compare_methods ~config:fast_config circuit
-      [ Pipeline.Evolution; Pipeline.Standard ]
+    ok
+      (Pipeline.compare_methods_result ~config:fast_config circuit
+         [ Pipeline.Evolution; Pipeline.Standard ])
   in
   match results with
   | [ (_, evo); (_, std) ] ->
@@ -125,7 +135,7 @@ let test_compare_methods_equals_seeded_run () =
         (Partition.module_ids evo.Pipeline.partition)
     in
     let config = Pipeline.config ~es_params:fast_es ~reference_sizes:sizes () in
-    let direct = Pipeline.run ~config Pipeline.Standard circuit in
+    let direct = ok (Pipeline.run_result ~config Pipeline.Standard circuit) in
     Alcotest.(check bool) "same partition as a directly seeded run" true
       (Partition.assignment std.Pipeline.partition
       = Partition.assignment direct.Pipeline.partition)
@@ -140,7 +150,9 @@ let test_deterministic_given_seed () =
 
 let test_module_size_config () =
   let config = Pipeline.config ~es_params:fast_es ~module_size:20 () in
-  let r = Pipeline.run ~config Pipeline.Standard (Iscas.c432_like ()) in
+  let r =
+    ok (Pipeline.run_result ~config Pipeline.Standard (Iscas.c432_like ()))
+  in
   Alcotest.(check int) "160/20 = 8 modules" 8
     (Partition.num_modules r.Pipeline.partition)
 
@@ -162,13 +174,15 @@ let test_config_builder_defaults () =
 
 let test_run_result_ok_matches_run () =
   let config = Pipeline.config ~es_params:fast_es ~seed:42 () in
-  match Pipeline.run_result ~config Pipeline.Standard (Iscas.c432_like ()) with
-  | Error e -> Alcotest.fail (Pipeline.error_to_string e)
-  | Ok r ->
-    let direct = Pipeline.run ~config Pipeline.Standard (Iscas.c432_like ()) in
-    Alcotest.(check bool) "run_result agrees with run" true
-      (Partition.assignment r.Pipeline.partition
-      = Partition.assignment direct.Pipeline.partition)
+  let circuit = Iscas.c432_like () in
+  let r = ok (Pipeline.run_result ~config Pipeline.Standard circuit) in
+  let ch =
+    Iddq_analysis.Charac.make ~library:config.Pipeline.library circuit
+  in
+  let direct = ok (Pipeline.run_charac_result ~config Pipeline.Standard ch) in
+  Alcotest.(check bool) "run_result agrees with run_charac_result" true
+    (Partition.assignment r.Pipeline.partition
+    = Partition.assignment direct.Pipeline.partition)
 
 let test_run_result_bad_configs () =
   let circuit = Iscas.c17 () in
@@ -188,14 +202,6 @@ let test_run_result_bad_configs () =
     (Pipeline.config
        ~es_params:{ fast_es with Iddq_evolution.Es.mu = 0 }
        ())
-
-let test_run_raises_what_run_result_returns () =
-  let config = Pipeline.config ~module_size:(-3) () in
-  match Pipeline.run ~config Pipeline.Standard (Iscas.c17 ()) with
-  | _ -> Alcotest.fail "run accepted a bad config"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "message carries the structured error" true
-      (String.length msg > String.length "Pipeline.run: ")
 
 let test_run_result_infeasible_reported () =
   (* C17 in one module of 6 gates is produced regardless; with
@@ -233,8 +239,6 @@ let tests =
     Alcotest.test_case "run_result ok" `Slow test_run_result_ok_matches_run;
     Alcotest.test_case "run_result bad configs" `Quick
       test_run_result_bad_configs;
-    Alcotest.test_case "run raises structured message" `Quick
-      test_run_raises_what_run_result_returns;
     Alcotest.test_case "run_result require_feasible" `Slow
       test_run_result_infeasible_reported;
     Alcotest.test_case "compare_methods_result" `Slow

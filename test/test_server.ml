@@ -235,6 +235,22 @@ let test_protocol_rejects () =
          ("max_backtracks", Json.Int 0);
        ])
     "testset with zero backtracks";
+  (* a present field of the wrong type or out of range is refused,
+     never replaced by its default *)
+  List.iter
+    (fun (op, field, v) ->
+      reject ~code:Protocol.Bad_request
+        (Json.Obj
+           [ ("op", Json.String op); ("handle", Json.String "h"); (field, v) ])
+        (Printf.sprintf "%s with %s = %s" op field (Json.to_string v)))
+    [
+      ("partition", "module_size", Json.String "big");
+      ("partition", "require_feasible", Json.String "yes");
+      ("diagnose", "epsilon", Json.String "0.3");
+      ("diagnose", "epsilon", Json.String "nan");
+      ("fault_sim", "defect_current", Json.String "lots");
+      ("diagnose", "defect_current", Json.Int (-1));
+    ];
   (* the id is echoed even when the request is bad *)
   match
     Protocol.request_of_json

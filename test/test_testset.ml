@@ -214,17 +214,6 @@ let test_facade_budget_exhaustion () =
   | Error e -> Alcotest.failf "wrong error: %s" (Atpg.error_to_string e)
   | Ok _ -> Alcotest.fail "expected Budget_exhausted"
 
-let test_facade_exn_wrappers () =
-  (* the raising derivative renders the same structured error *)
-  (match Atpg.generate_exn c17 [] with
-  | exception Failure msg ->
-    Alcotest.(check string) "message is the rendered error"
-      (Atpg.error_to_string Atpg.Empty_fault_list)
-      msg
-  | _ -> Alcotest.fail "expected Failure");
-  let r = Atpg.run_exn c17 in
-  Alcotest.(check (float 1e-9)) "run_exn succeeds" 1.0 r.Atpg.coverage
-
 let test_facade_matrix_matches_detects () =
   (* the packed matrix the minimizers run on, bit for bit against the
      scalar single-vector oracle *)
@@ -304,7 +293,6 @@ let tests =
       test_facade_error_paths;
     Alcotest.test_case "facade: budget exhaustion" `Quick
       test_facade_budget_exhaustion;
-    Alcotest.test_case "facade: _exn wrappers" `Quick test_facade_exn_wrappers;
     Alcotest.test_case "facade matrix = Stuck_at.detects" `Quick
       test_facade_matrix_matches_detects;
     Alcotest.test_case "generate trajectory pinned" `Quick
