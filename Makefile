@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick diagnose-smoke testset-smoke fuzz-smoke loadgen-smoke perfbench-smoke ci examples doc clean
+.PHONY: all build test bench bench-quick diagnose-smoke testset-smoke fuzz-smoke perfbench-smoke ci examples doc clean
 
 all: build
 
@@ -49,20 +49,6 @@ fuzz-smoke:
 	dune exec fuzz/fuzz_main.exe -- --iterations 1500 --seed 62498
 	@echo "fuzz-smoke: no crashes, no fd leaks - PASS"
 
-# Event-loop load gate: a self-hosted server driven by 64 concurrent
-# synthetic clients (mixed characterize/partition/diagnose/
-# campaign-status/metrics stream, 20 requests each).  Every request
-# must be answered, none shed (pipeline depth 1 is under the server's
-# limit), and throughput must clear a floor conservative enough for
-# a single core; throughput and p50/p95/p99 latency land in
-# BENCH_serve.json.  loadgen exits 1 when any of these fails, and the
-# target gates on that exit status (seconds).
-loadgen-smoke:
-	dune exec bin/iddq_synth.exe -- loadgen \
-	  --clients 64 --requests 20 --pipeline 1 --floor 100 \
-	  --out BENCH_serve.json
-	@echo "loadgen-smoke: 64 clients, zero failed/shed, floor cleared - PASS"
-
 # The benchmark harness's check of itself: BENCHMARK.json against its
 # limits, then every workload at reduced size, untraced and traced, as
 # a child process, with each result line, record and trace file
@@ -72,12 +58,13 @@ perfbench-smoke:
 	bash perfbench/run.sh smoke
 	@echo "perfbench-smoke: spec, records and traces of every workload - PASS"
 
-# What the CI check runs: build, tests, the examples (the executable
+# What the CI check runs: build, tests (the service under 64 concurrent
+# clients is a test_server case), the examples (the executable
 # documentation of the Result-typed facades), diagnosis accuracy gate,
-# ATPG test-set gate, mutation fuzz, event-loop load gate,
-# benchmark-harness self-check.  Every gate fails through a non-zero
-# exit status.
-ci: build test examples diagnose-smoke testset-smoke fuzz-smoke loadgen-smoke perfbench-smoke
+# ATPG test-set gate, mutation fuzz, benchmark-harness self-check.
+# Every gate fails through a non-zero exit status; none gates on a
+# throughput or latency floor.
+ci: build test examples diagnose-smoke testset-smoke fuzz-smoke perfbench-smoke
 
 examples:
 	dune exec examples/quickstart.exe

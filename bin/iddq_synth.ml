@@ -868,105 +868,6 @@ let client_cmd =
              line, one JSON response per stdout line.")
     Term.(const run $ socket_arg)
 
-let loadgen_cmd =
-  let socket_opt =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Socket of a running server to drive.  Default: host a \
-                private server on a temporary socket for the duration of \
-                the run.")
-  in
-  let clients =
-    Arg.(
-      value & opt int 64
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client connections.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 20
-      & info [ "requests" ] ~docv:"N" ~doc:"Requests per client.")
-  in
-  let pipeline =
-    Arg.(
-      value & opt int 1
-      & info [ "pipeline" ] ~docv:"N"
-          ~doc:"Client-side in-flight requests per connection.  Keep at or \
-                below the server's --max-pipeline for a shed-free run.")
-  in
-  let floor =
-    Arg.(
-      value & opt float 0.0
-      & info [ "floor" ] ~docv:"RPS"
-          ~doc:"Fail unless throughput reaches this many responses per \
-                second.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the measured totals as JSON (atomic replace).")
-  in
-  let run socket clients requests pipeline floor out seed =
-    let fail fmt = Format.kasprintf (fun s -> exit_err ("loadgen: " ^ s)) fmt in
-    let hosted, socket, stop =
-      match socket with
-      | Some path -> (false, path, fun () -> ())
-      | None ->
-        let path = Filename.temp_file "iddq-loadgen" ".sock" in
-        let srv =
-          match Server.create ~socket:path () with
-          | Ok srv -> srv
-          | Error e -> fail "%s" (Server.create_error_to_string e)
-        in
-        let d = Domain.spawn (fun () -> Server.run srv) in
-        ( true,
-          path,
-          fun () ->
-            Server.shutdown srv;
-            Domain.join d )
-    in
-    let cfg =
-      Iddq_server.Loadgen.config ~socket ~clients ~requests ~pipeline ~seed ()
-    in
-    let result = Iddq_server.Loadgen.run cfg in
-    stop ();
-    if hosted && Sys.file_exists socket then Sys.remove socket;
-    match result with
-    | Error e -> exit_err e
-    | Ok totals ->
-      Format.printf "%a@." Iddq_server.Loadgen.pp_totals totals;
-      Option.iter
-        (fun path ->
-          match
-            Iddq_util.Io.write_file_atomic path
-              (Json.to_string (Iddq_server.Loadgen.totals_json cfg totals))
-          with
-          | Ok () -> Format.printf "wrote %s@." path
-          | Error e ->
-            fail "writing %s: %s" path (Io_error.to_string e))
-        out;
-      if totals.Iddq_server.Loadgen.failed > 0 then
-        fail "%d requests failed" totals.Iddq_server.Loadgen.failed;
-      if totals.Iddq_server.Loadgen.overloaded > 0 then
-        fail "%d requests shed (pipeline above the server's depth limit?)"
-          totals.Iddq_server.Loadgen.overloaded;
-      if totals.Iddq_server.Loadgen.throughput < floor then
-        fail "throughput %.1f req/s below the %.1f req/s floor"
-          totals.Iddq_server.Loadgen.throughput floor;
-      print_endline "loadgen: PASS"
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:"Drive a server with N concurrent synthetic clients (a mixed \
-             characterize/partition/diagnose/campaign-status request \
-             stream) and report throughput and latency percentiles.")
-    Term.(
-      const run $ socket_opt $ clients $ requests $ pipeline $ floor $ out
-      $ seed_arg)
-
 (* One list drives both the dispatch table and the no-args synopsis, so
    they cannot drift; the cli-usage test parses the "commands:" line
    and compares it against the documented set. *)
@@ -984,7 +885,6 @@ let commands =
     campaign_cmd;
     serve_cmd;
     client_cmd;
-    loadgen_cmd;
   ]
 
 let usage_term =

@@ -1,6 +1,7 @@
 module Rng = Iddq_util.Rng
 module Metrics = Iddq_util.Metrics
 module Clock = Iddq_util.Clock
+module Domain_pool = Iddq_util.Domain_pool
 module Pipeline = Iddq.Pipeline
 module Es = Iddq_evolution.Es
 
@@ -13,10 +14,11 @@ type outcome = {
   timed_out : int;
 }
 
-type error = Invalid_spec of string
+type error = Invalid_spec of string | Pool_unavailable of string
 
 let error_to_string = function
   | Invalid_spec msg -> "invalid campaign spec: " ^ msg
+  | Pool_unavailable msg -> "cannot start the worker pool: " ^ msg
 
 let derived_seed (job : Spec.job) =
   Rng.keyed_seed ~key:job.Spec.id ~seed:job.Spec.seed
@@ -117,6 +119,7 @@ let worker state spec ~resolve ~store ~on_result () =
   loop ()
 
 let run_validated ~domains ~resolve ~on_result ~store spec =
+  let ( let* ) = Result.bind in
   let jobs = Spec.jobs spec in
   let state =
     {
@@ -169,30 +172,39 @@ let run_validated ~domains ~resolve ~on_result ~store spec =
   let work = worker state spec ~resolve ~store ~on_result in
   (* Each pool chunk is one worker loop; a loop returns only once no
      job is pending, so the barrier closes when the campaign is done. *)
-  if state.pending > 0 then
-    Iddq_util.Domain_pool.with_pool ~domains:pool (fun p ->
-        ignore (Iddq_util.Domain_pool.run p ~chunks:pool (fun _ -> work ())));
+  let* () =
+    if state.pending = 0 then Ok ()
+    else
+      match Domain_pool.create ~domains:pool with
+      | exception Failure msg -> Error (Pool_unavailable msg)
+      | p ->
+        Fun.protect
+          ~finally:(fun () -> Domain_pool.shutdown p)
+          (fun () -> ignore (Domain_pool.run p ~chunks:pool (fun _ -> work ())));
+        Ok ()
+  in
   let results =
     List.map (fun (j : Spec.job) -> Hashtbl.find state.results j.Spec.id) jobs
   in
   let count p = List.length (List.filter p results) in
-  {
-    results;
-    executed = state.executed;
-    skipped = !skipped;
-    ok = count Job_result.is_ok;
-    failed =
-      count (fun r ->
-          match r.Job_result.status with Job_result.Failed _ -> true | _ -> false);
-    timed_out =
-      count (fun r ->
-          match r.Job_result.status with
-          | Job_result.Timeout _ -> true
-          | _ -> false);
-  }
+  Ok
+    {
+      results;
+      executed = state.executed;
+      skipped = !skipped;
+      ok = count Job_result.is_ok;
+      failed =
+        count (fun r ->
+            match r.Job_result.status with Job_result.Failed _ -> true | _ -> false);
+      timed_out =
+        count (fun r ->
+            match r.Job_result.status with
+            | Job_result.Timeout _ -> true
+            | _ -> false);
+    }
 
 let run ?(domains = 1) ?(resolve = Iddq_netlist.Iscas.by_name)
     ?(on_result = fun _ _ ~fresh:_ -> ()) ~store spec =
   match Spec.validate spec with
   | Error e -> Error (Invalid_spec e)
-  | Ok () -> Ok (run_validated ~domains ~resolve ~on_result ~store spec)
+  | Ok () -> run_validated ~domains ~resolve ~on_result ~store spec

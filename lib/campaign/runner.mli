@@ -28,10 +28,14 @@ type outcome = {
   timed_out : int;
 }
 
-type error = Invalid_spec of string
-    (** The spec failed {!Spec.validate}; the payload is its
-        diagnostic.  (Job-level failures never surface here — they are
-        isolated into [Failed]/[Timeout] records.) *)
+type error =
+  | Invalid_spec of string
+      (** The spec failed {!Spec.validate}; the payload is its
+          diagnostic.  (Job-level failures never surface here — they
+          are isolated into [Failed]/[Timeout] records.) *)
+  | Pool_unavailable of string
+      (** The worker pool could not be created (the runtime refused a
+          domain, e.g. past its domain limit); no job ran. *)
 
 val error_to_string : error -> string
 
@@ -56,4 +60,5 @@ val run :
     observes every job outcome in completion order, including skipped
     stored results ([fresh:false]); it is called with the scheduler
     lock held from worker domains, so keep it brief.  An invalid spec
-    is [Error (Invalid_spec _)] — never an exception. *)
+    is [Error (Invalid_spec _)] and a pool the runtime cannot spawn is
+    [Error (Pool_unavailable _)] — never an exception. *)

@@ -1,6 +1,5 @@
 (** Synchronous client for the daemon's framed-JSON protocol.  Used by
-    the `iddq_synth client` subcommand, the load generator, and the
-    integration tests. *)
+    the `iddq_synth client` subcommand and the integration tests. *)
 
 type t
 

@@ -10,6 +10,7 @@ module Domain_pool = Iddq_util.Domain_pool
 type create_error =
   | Address_in_use of string
   | Cannot_listen of { socket : string; message : string }
+  | Pool_unavailable of string
 
 let create_error_to_string = function
   | Address_in_use socket ->
@@ -17,6 +18,8 @@ let create_error_to_string = function
       socket
   | Cannot_listen { socket; message } ->
     Printf.sprintf "cannot listen on %s: %s" socket message
+  | Pool_unavailable message ->
+    "cannot start the worker pool: " ^ message
 
 (* ------------------------------------------------------------------ *)
 (* Connection state (owned by the event loop; the [pending] queue and
@@ -106,30 +109,39 @@ let create ~socket ?(max_frame = Frame.default_max_frame) ?(workers = 2)
       Unix.set_nonblock wake_w;
       (fd, wake_r, wake_w)
     with
-    | listen_fd, wake_r, wake_w ->
-      let service = Service.create ?metrics ?budget ?cache_entries () in
-      Ok
-        {
-          listen_fd;
-          socket;
-          service;
-          metrics = Service.metrics service;
-          max_frame;
-          max_pipeline = Stdlib.max 1 max_pipeline;
-          max_queue = Stdlib.max 1 max_queue;
-          drain_timeout;
-          pool = Domain_pool.create ~domains:(Stdlib.max 1 workers);
-          wake_r;
-          wake_w;
-          m = Mutex.create ();
-          work_cv = Condition.create ();
-          ring = Queue.create ();
-          completions = Queue.create ();
-          queued = 0;
-          halt_workers = false;
-          stop_requested = false;
-          wake_open = true;
-        }
+    | listen_fd, wake_r, wake_w -> begin
+      match Domain_pool.create ~domains:(Stdlib.max 1 workers) with
+      | exception Failure message ->
+        List.iter
+          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+          [ listen_fd; wake_r; wake_w ];
+        (try Sys.remove socket with Sys_error _ -> ());
+        Error (Pool_unavailable message)
+      | pool ->
+        let service = Service.create ?metrics ?budget ?cache_entries () in
+        Ok
+          {
+            listen_fd;
+            socket;
+            service;
+            metrics = Service.metrics service;
+            max_frame;
+            max_pipeline = Stdlib.max 1 max_pipeline;
+            max_queue = Stdlib.max 1 max_queue;
+            drain_timeout;
+            pool;
+            wake_r;
+            wake_w;
+            m = Mutex.create ();
+            work_cv = Condition.create ();
+            ring = Queue.create ();
+            completions = Queue.create ();
+            queued = 0;
+            halt_workers = false;
+            stop_requested = false;
+            wake_open = true;
+          }
+    end
     | exception Unix.Unix_error (err, fn, _) ->
       Error
         (Cannot_listen

@@ -60,6 +60,10 @@ type create_error =
   | Cannot_listen of { socket : string; message : string }
       (** bind/listen failed (permissions, path length, missing
           directory, ...). *)
+  | Pool_unavailable of string
+      (** The worker crew could not be spawned (the runtime refused a
+          domain, e.g. past its domain limit).  The listener and the
+          wake-up pipe are closed and the socket file is removed. *)
 
 val create_error_to_string : create_error -> string
 

@@ -329,18 +329,19 @@ let campaign_submit t ~spec ~domains =
         Mutex.unlock t.lock;
         id
       in
+      let run () =
+        match Store.open_ store_path with
+        | Error e -> Error ("store: " ^ Io_error.to_string e)
+        | Ok store ->
+          Fun.protect
+            ~finally:(fun () -> Store.close store)
+            (fun () ->
+              Result.map_error Runner.error_to_string
+                (Runner.run ~domains ~store spec))
+      in
+      (* whatever ends the run, the campaign leaves [Running] *)
       let work () =
-        let outcome =
-          match Store.open_ store_path with
-          | Error e -> Error ("store: " ^ Io_error.to_string e)
-          | Ok store ->
-            Fun.protect
-              ~finally:(fun () -> Store.close store)
-              (fun () ->
-                match Runner.run ~domains ~store spec with
-                | Ok o -> Ok o
-                | Error e -> Error (Runner.error_to_string e))
-        in
+        let outcome = try run () with e -> Error (Printexc.to_string e) in
         Mutex.lock t.lock;
         (state :=
            match outcome with
@@ -349,8 +350,7 @@ let campaign_submit t ~spec ~domains =
         Mutex.unlock t.lock
       in
       let d =
-        try Ok (Domain.spawn (fun () -> try work () with _ -> ()))
-        with e -> Error (Printexc.to_string e)
+        try Ok (Domain.spawn work) with e -> Error (Printexc.to_string e)
       in
       begin
         match d with

@@ -59,6 +59,17 @@ let worker t me =
   in
   loop 0
 
+let shutdown t =
+  Mutex.lock t.m;
+  let already = t.stop in
+  t.stop <- true;
+  Condition.broadcast t.work_cv;
+  Mutex.unlock t.m;
+  if not already then begin
+    Array.iter Domain.join t.workers;
+    t.workers <- [||]
+  end
+
 let create ~domains =
   let size = Stdlib.max 1 domains in
   let t =
@@ -74,8 +85,22 @@ let create ~domains =
       size;
     }
   in
-  t.workers <- Array.init (size - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
-  t
+  let spawned = ref [] in
+  match
+    for i = 1 to size - 1 do
+      spawned := Domain.spawn (fun () -> worker t i) :: !spawned
+    done
+  with
+  | () ->
+    t.workers <- Array.of_list (List.rev !spawned);
+    t
+  | exception e ->
+    (* join the workers already running: a failed pool keeps no domain
+       alive, so it takes no slot of the runtime's domain limit *)
+    let bt = Printexc.get_raw_backtrace () in
+    t.workers <- Array.of_list !spawned;
+    shutdown t;
+    Printexc.raise_with_backtrace e bt
 
 let size t = t.size
 
@@ -116,17 +141,6 @@ let run t ~chunks f =
     Array.fold_left
       (fun acc claimed -> acc + Stdlib.max 0 (claimed - fair))
       0 job.claimed
-  end
-
-let shutdown t =
-  Mutex.lock t.m;
-  let already = t.stop in
-  t.stop <- true;
-  Condition.broadcast t.work_cv;
-  Mutex.unlock t.m;
-  if not already then begin
-    Array.iter Domain.join t.workers;
-    t.workers <- [||]
   end
 
 let with_pool ~domains f =

@@ -23,7 +23,13 @@ type t
 val create : domains:int -> t
 (** A pool of [max 1 domains] participants: the caller plus
     [domains - 1] spawned workers (none for [domains <= 1]).  Workers
-    sleep on a condition variable between jobs. *)
+    sleep on a condition variable between jobs.
+
+    Raises [Failure] when the runtime cannot spawn a worker (past its
+    domain limit, for one).  The workers already spawned are stopped
+    and joined before the exception leaves, so a failed [create]
+    leaks no domain and a smaller pool can still be created after
+    it. *)
 
 val size : t -> int
 (** Participants (caller included). *)

@@ -663,7 +663,8 @@ let test_runner_rejects_invalid_spec () =
                let rec contains i =
                  i + len <= n && (String.sub msg i len = re || contains (i + 1))
                in
-               contains 0)))
+               contains 0)
+          | Error e -> Alcotest.fail (Runner.error_to_string e)))
 
 (* Legacy spelling of a canonical metrics object: the keys stores
    wrote before the counters had one registry. *)

@@ -18,7 +18,6 @@ let expected_commands =
     "campaign";
     "serve";
     "client";
-    "loadgen";
   ]
 
 (* dune runs the suite with cwd _build/default/test; the binary is a
@@ -81,24 +80,23 @@ let run_status args =
   let cmd = Filename.quote_command exe args ^ " >/dev/null 2>&1" in
   Sys.command cmd
 
-let test_loadgen_floor_exits_nonzero () =
-  (* CI gates on loadgen's exit status, not on its output *)
-  Alcotest.(check int) "reachable floor passes" 0
-    (run_status
-       [ "loadgen"; "--clients"; "2"; "--requests"; "3"; "--floor"; "0" ]);
-  Alcotest.(check bool) "unreachable floor exits non-zero" true
-    (run_status
-       [ "loadgen"; "--clients"; "2"; "--requests"; "3"; "--floor"; "1e12" ]
-     <> 0)
-
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* A bad configuration or option value is an [error:] line and exit
-   status 1, never an uncaught exception. *)
+   status 1, never an uncaught exception.  That includes a domain count
+   past the runtime's limit: a campaign pool or a server crew that
+   cannot be spawned. *)
 let test_bad_values_exit_1 () =
   let err = Filename.temp_file "iddq-cli" ".err" in
+  let store = Filename.temp_file "iddq-cli" ".jsonl" in
+  let socket = Filename.temp_file "iddq-cli" ".sock" in
+  Sys.remove socket;
+  let seeds = String.concat "," (List.init 200 (fun i -> string_of_int (i + 1))) in
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ err; store; socket ])
     (fun () ->
       List.iter
         (fun args ->
@@ -119,7 +117,14 @@ let test_bad_values_exit_1 () =
           [ "compare"; "-c"; "C17"; "--module-size"; "0" ];
           [ "simulate"; "-c"; "C17"; "--module-size"; "0" ];
           [ "diagnose"; "-c"; "C17"; "--epsilon"; "nan" ];
-        ])
+          [
+            "campaign"; "--circuits"; "C17"; "--methods"; "standard";
+            "--seeds"; seeds; "--domains"; "400"; "--out"; store; "--quiet";
+          ];
+          [ "serve"; "--socket"; socket; "--workers"; "400" ];
+        ];
+      Alcotest.(check bool) "failed serve leaves no socket file" false
+        (Sys.file_exists socket))
 
 (* Checkpoint/resume through the CLI: a tiny campaign run twice against
    one store.  The first run records every job; the second finds them
@@ -240,8 +245,6 @@ let tests =
       test_synopsis_matches_dispatch;
     Alcotest.test_case "unknown subcommand enumerates" `Quick
       test_unknown_subcommand_enumerates;
-    Alcotest.test_case "loadgen floor sets the exit status" `Quick
-      test_loadgen_floor_exits_nonzero;
     Alcotest.test_case "bad values exit 1" `Quick test_bad_values_exit_1;
     Alcotest.test_case "campaign resumes through the CLI" `Quick
       test_campaign_resumes_through_cli;

@@ -8,6 +8,7 @@ module Charac = Iddq_analysis.Charac
 module Iscas = Iddq_netlist.Iscas
 module Circuit = Iddq_netlist.Circuit
 module Es = Iddq_evolution.Es
+module Report = Iddq.Report
 
 let fast_config =
   Pipeline.config
@@ -122,6 +123,59 @@ let test_placement_of_pipeline_modules () =
         (rail >= 0.0 && Float.is_finite rail))
     (Partition.module_ids r.Pipeline.partition)
 
+(* The paper's headline (EXPERIMENTS "Table 1"): on all six Table-1
+   stand-ins the evolution strategy needs less BIC sensor area than
+   standard partitioning, while the sensors' delay overhead is tiny and
+   about equal for both methods and their test-time overhead is about
+   a percent for both.  Checked at 10 ES generations over seeds 1-3.
+   The bounds leave headroom over what that setting gives: delay at
+   most ~2e-3 %, test time 0.16-1.13 %, and the two methods within a
+   factor 2.3 of each other on both. *)
+let test_table1_headline () =
+  let max_delay_percent = 1e-2
+  and max_test_time_percent = 2.0
+  and max_method_ratio = 3.0 in
+  let es_params = { Es.default_params with Es.max_generations = 10 } in
+  let check_row ~seed (r : Report.row) =
+    let fail fmt =
+      Alcotest.failf ("%s seed %d: " ^^ fmt) r.Report.circuit_name seed
+    in
+    let small_and_equal what ~bound std evo =
+      if Float.max std evo > bound then
+        fail "%s overhead %g / %g %% above %g %%" what std evo bound;
+      if not (std > 0.0 && evo > 0.0
+              && Float.max std evo <= max_method_ratio *. Float.min std evo)
+      then fail "%s overhead %g / %g %% not about equal" what std evo
+    in
+    if not (r.Report.area_evolution < r.Report.area_standard) then
+      fail "evolution area %g not below standard %g" r.Report.area_evolution
+        r.Report.area_standard;
+    small_and_equal "delay" ~bound:max_delay_percent
+      r.Report.delay_overhead_standard_percent
+      r.Report.delay_overhead_evolution_percent;
+    small_and_equal "test-time" ~bound:max_test_time_percent
+      r.Report.test_time_overhead_standard_percent
+      r.Report.test_time_overhead_evolution_percent
+  in
+  List.iter
+    (fun seed ->
+      let config = Pipeline.config ~seed ~es_params () in
+      List.iter
+        (fun (name, circuit) ->
+          match
+            Pipeline.compare_methods_result ~config circuit
+              [ Pipeline.Evolution; Pipeline.Standard ]
+          with
+          | Ok [ (_, evolution); (_, standard) ] ->
+            check_row ~seed
+              (Report.row_of_results ~circuit_name:name ~standard ~evolution)
+          | Ok _ -> Alcotest.fail "expected the two methods' results"
+          | Error e ->
+            Alcotest.failf "%s seed %d: %s" name seed
+              (Pipeline.error_to_string e))
+        (Iscas.table1_suite ()))
+    [ 1; 2; 3 ]
+
 let tests =
   [
     Alcotest.test_case "pipeline -> partition_io -> cost" `Quick
@@ -136,4 +190,6 @@ let tests =
       test_verilog_bench_pipeline_agree;
     Alcotest.test_case "pipeline -> placement" `Quick
       test_placement_of_pipeline_modules;
+    Alcotest.test_case "paper headline: Table 1 shape" `Slow
+      test_table1_headline;
   ]

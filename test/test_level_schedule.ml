@@ -149,6 +149,23 @@ let test_pool_reraises () =
              ignore (Atomic.fetch_and_add ran 1)));
       Alcotest.(check int) "pool reusable after exception" 4 (Atomic.get ran))
 
+(* Past the runtime's domain limit [create] fails; the workers it had
+   spawned are joined, so they do not use up the limit for later
+   pools. *)
+let test_pool_spawn_failure_joins () =
+  (match Domain_pool.create ~domains:10_000 with
+  | pool ->
+    Domain_pool.shutdown pool;
+    Alcotest.fail "10000 domains spawned"
+  | exception Failure _ -> ());
+  Domain_pool.with_pool ~domains:2 (fun pool ->
+      let ran = Atomic.make 0 in
+      ignore
+        (Domain_pool.run pool ~chunks:4 (fun _ ->
+             ignore (Atomic.fetch_and_add ran 1)));
+      Alcotest.(check int) "a 2-domain pool runs after the failure" 4
+        (Atomic.get ran))
+
 let tests =
   [
     QCheck_alcotest.to_alcotest qcheck_schedule_valid;
@@ -161,4 +178,6 @@ let tests =
     Alcotest.test_case "pool serial and post-shutdown inline" `Quick
       test_pool_serial_inline;
     Alcotest.test_case "pool re-raises and survives" `Quick test_pool_reraises;
+    Alcotest.test_case "pool spawn failure joins its workers" `Quick
+      test_pool_spawn_failure_joins;
   ]

@@ -4,6 +4,7 @@
 module Json = Iddq_util.Json
 module Metrics = Iddq_util.Metrics
 module Io = Iddq_util.Io
+module Rng = Iddq_util.Rng
 module Frame = Iddq_server.Frame
 module Protocol = Iddq_server.Protocol
 module Service = Iddq_server.Service
@@ -576,6 +577,47 @@ let connect socket =
   | Ok c -> c
   | Error e -> Alcotest.fail e
 
+let request_ok c what req =
+  match Client.request c req with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+let str_field key p =
+  match Option.bind (Json.member key p) Json.to_str with
+  | Some s -> s
+  | None -> Alcotest.failf "reply lacks string field %S" key
+
+(* Polls a campaign until it leaves [running] (at most ~10 s). *)
+let campaign_state c campaign =
+  let rec poll tries =
+    let state =
+      str_field "state"
+        (request_ok c "campaign_status" (Protocol.Campaign_status { campaign }))
+    in
+    if state = "running" && tries > 0 then begin
+      Unix.sleepf 0.05;
+      poll (tries - 1)
+    end
+    else state
+  in
+  poll 200
+
+(* Once every client has closed, the server reaps their connections
+   and the descriptor count settles back to [fds]. *)
+let check_fds_settle fds =
+  let rec settle tries =
+    let now = Io.open_fd_count () in
+    if now = fds || tries = 0 then now
+    else begin
+      Unix.sleepf 0.02;
+      settle (tries - 1)
+    end
+  in
+  match (fds, settle 100) with
+  | Some before, Some after ->
+    Alcotest.(check int) "no leaked descriptors" before after
+  | _ -> ()
+
 let test_two_clients_interleaved () =
   with_server (fun ~socket ~metrics:_ ->
       let fds = Io.open_fd_count () in
@@ -628,19 +670,7 @@ let test_two_clients_interleaved () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "a disturbed by b's disconnect: %s" e);
       Client.close a;
-      (* allow the server to reap both connections, then check fds *)
-      let rec settle tries =
-        let now = Io.open_fd_count () in
-        if now = fds || tries = 0 then now
-        else begin
-          Unix.sleepf 0.02;
-          settle (tries - 1)
-        end
-      in
-      match (fds, settle 100) with
-      | Some before, Some after ->
-        Alcotest.(check int) "no leaked descriptors" before after
-      | _ -> ())
+      check_fds_settle fds)
 
 let test_future_op_over_socket () =
   with_server (fun ~socket ~metrics:_ ->
@@ -705,16 +735,7 @@ let test_shutdown_request_stops_server () =
   | Ok srv ->
     let running = Domain.spawn (fun () -> Server.run srv) in
     let c = connect socket in
-    let request what req =
-      match Client.request c req with
-      | Ok p -> p
-      | Error e -> Alcotest.failf "%s: %s" what e
-    in
-    let str_field key p =
-      match Option.bind (Json.member key p) Json.to_str with
-      | Some s -> s
-      | None -> Alcotest.failf "reply lacks string field %S" key
-    in
+    let request = request_ok c in
     let handle =
       str_field "handle"
         (request "load_circuit"
@@ -741,20 +762,9 @@ let test_shutdown_request_stops_server () =
         (Protocol.Campaign_submit
            { spec = "circuits = C17\nmethods = standard\nseeds = 1\n"; domains = 1 })
     in
-    let campaign = str_field "campaign" submit in
     let store = str_field "store" submit in
-    let rec poll tries =
-      let state =
-        str_field "state"
-          (request "campaign_status" (Protocol.Campaign_status { campaign }))
-      in
-      if state = "running" && tries > 0 then begin
-        Unix.sleepf 0.05;
-        poll (tries - 1)
-      end
-      else state
-    in
-    Alcotest.(check string) "campaign reaches done" "done" (poll 200);
+    Alcotest.(check string) "campaign reaches done" "done"
+      (campaign_state c (str_field "campaign" submit));
     ignore (request "shutdown" Protocol.Shutdown);
     Client.close c;
     Domain.join running;
@@ -765,6 +775,125 @@ let test_shutdown_request_stops_server () =
       Alcotest.(check int) "descriptors across the server lifetime" before after
     | _ -> ());
     Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket)
+
+(* 64 clients keep one request each in flight (pipeline depth 1, under
+   the server's limit) for 20 lockstep rounds of a mixed stream over a
+   warm session cache: characterize 35 %, partition 25 %, diagnose
+   15 %, campaign_status 15 %, metrics 10 %.  Every request is answered
+   [ok] under its own id, none is shed, and no descriptor leaks. *)
+let test_concurrent_clients_none_shed () =
+  let clients = 64 and rounds = 20 in
+  let store =
+    with_server (fun ~socket ~metrics ->
+        let fds = Io.open_fd_count () in
+        let setup = connect socket in
+        let handle =
+          str_field "handle"
+            (request_ok setup "load_circuit"
+               (Protocol.Load_circuit { name = Some "C17"; bench = None }))
+        in
+        let characterize = Protocol.Characterize { handle }
+        and partition =
+          Protocol.Partition
+            {
+              handle;
+              method_ = Pipeline.Standard;
+              seed = 42;
+              module_size = None;
+              require_feasible = false;
+            }
+        and diagnose =
+          Protocol.Diagnose
+            {
+              handle;
+              method_ = Pipeline.Standard;
+              seed = 42;
+              vectors = 16;
+              defects = 20;
+              defect_current = 2.0e-6;
+              epsilon = 0.0;
+              trials = 8;
+              top_k = 2;
+            }
+        in
+        List.iter
+          (fun (what, r) -> ignore (request_ok setup what r))
+          [
+            ("characterize", characterize);
+            ("partition", partition);
+            ("diagnose", diagnose);
+          ];
+        let submit =
+          request_ok setup "campaign_submit"
+            (Protocol.Campaign_submit
+               {
+                 spec = "circuits = C17\nmethods = standard\nseeds = 42\n";
+                 domains = 1;
+               })
+        in
+        let campaign = str_field "campaign" submit in
+        Client.close setup;
+        let rng = Rng.create 42 in
+        let pick () =
+          let d = Rng.int rng 100 in
+          if d < 35 then characterize
+          else if d < 60 then partition
+          else if d < 75 then diagnose
+          else if d < 90 then Protocol.Campaign_status { campaign }
+          else Protocol.Metrics
+        in
+        let conns = Array.init clients (fun _ -> connect socket) in
+        for round = 0 to rounds - 1 do
+          let id i = (round * clients) + i in
+          Array.iteri
+            (fun i c -> Client.send c (Protocol.request_to_json ~id:(id i) (pick ())))
+            conns;
+          Array.iteri
+            (fun i c ->
+              match Client.recv c with
+              | Error e -> Alcotest.failf "request %d unanswered: %s" (id i) e
+              | Ok resp -> (
+                Alcotest.(check (option int)) "id echoed" (Some (id i))
+                  (Protocol.response_id resp);
+                match Protocol.response_payload resp with
+                | Ok _ -> ()
+                | Error e ->
+                  Alcotest.failf "request %d failed: %s" (id i) e.Protocol.message))
+            conns
+        done;
+        Alcotest.(check int) "none shed" 0
+          (Metrics.get (Metrics.snapshot metrics) Metrics.sheds);
+        Array.iter Client.close conns;
+        check_fds_settle fds;
+        str_field "store" submit)
+  in
+  (* the service never deletes a campaign's store *)
+  Sys.remove store
+
+(* A campaign whose worker pool the runtime cannot spawn (200 jobs over
+   400 domains, past the domain limit) ends [failed]; it never stays
+   [running]. *)
+let test_campaign_pool_failure_fails () =
+  let seeds = String.concat "," (List.init 200 (fun i -> string_of_int (i + 1))) in
+  let store =
+    with_server (fun ~socket ~metrics:_ ->
+        let c = connect socket in
+        let submit =
+          request_ok c "campaign_submit"
+            (Protocol.Campaign_submit
+               {
+                 spec =
+                   Printf.sprintf "circuits = C17\nmethods = standard\nseeds = %s\n"
+                     seeds;
+                 domains = 400;
+               })
+        in
+        Alcotest.(check string) "campaign fails" "failed"
+          (campaign_state c (str_field "campaign" submit));
+        Client.close c;
+        str_field "store" submit)
+  in
+  Sys.remove store
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial clients                                                 *)
@@ -1121,6 +1250,10 @@ let tests =
       test_oversized_frame_closes_connection;
     Alcotest.test_case "shutdown request stops server" `Quick
       test_shutdown_request_stops_server;
+    Alcotest.test_case "64 concurrent clients, none shed" `Quick
+      test_concurrent_clients_none_shed;
+    Alcotest.test_case "campaign past the domain limit fails" `Quick
+      test_campaign_pool_failure_fails;
     Alcotest.test_case "slow-loris client" `Quick test_slow_loris;
     Alcotest.test_case "disconnect before reading response" `Quick
       test_disconnect_before_reading_response;
