@@ -942,12 +942,11 @@ let run_cooptimize () =
    the defect, and how does that resolution grow with module count?
    For each ISCAS85 stand-in and uniform k-module partition we build
    the diagnosis engine, record its ambiguity/diagnosability summary,
-   and Monte-Carlo the localization accuracy — noiseless exact
-   matching must place the true defect in the top ambiguity class on
-   every trial (a structural property: distance 0 iff same class), and
-   with every pass/fail cell flipped at 2% the top-3 module accuracy
-   must stay >= 0.9 in aggregate.  Numbers land in
-   BENCH_diagnose.json. *)
+   and Monte-Carlo the localization accuracy, noiseless and with every
+   pass/fail cell flipped at 2%.  Numbers land in BENCH_diagnose.json;
+   the thresholds on them (exact top-1 class 1.0 on every trial, noisy
+   top-3 module accuracy >= 0.9 in aggregate) are the test_diagnose
+   case "ISCAS85 grid gate". *)
 let diagnose_json = "BENCH_diagnose.json"
 
 let run_diagnose () =
@@ -971,7 +970,6 @@ let run_diagnose () =
         ("noisy top-3 mod", Table.Right);
       ]
   in
-  let exact_ok = ref true in
   let noisy_hits = ref 0 and noisy_trials = ref 0 in
   let records = ref [] in
   List.iter
@@ -994,7 +992,6 @@ let run_diagnose () =
           let noisy =
             Diagnose.measure_accuracy ~rng ~epsilon:eps ~top_k ~trials d
           in
-          if exact.Diagnose.top1_class < 1.0 then exact_ok := false;
           noisy_hits :=
             !noisy_hits
             + int_of_float
@@ -1048,14 +1045,12 @@ let run_diagnose () =
     if !noisy_trials = 0 then 0.0
     else float_of_int !noisy_hits /. float_of_int !noisy_trials
   in
-  let pass = !exact_ok && noisy_rate >= 0.9 in
   let doc =
     Json.Obj
       [
         ("experiment", Json.String "diagnose");
         ("records", Json.List (List.rev !records));
         ("noisy_topk_aggregate", Json.Float noisy_rate);
-        ("pass", Json.Bool pass);
       ]
   in
   (match
@@ -1065,14 +1060,8 @@ let run_diagnose () =
   | Error e ->
     Printf.printf "\nFAILED writing %s: %s\n" diagnose_json
       (Iddq_util.Io_error.to_string e));
-  Printf.printf
-    "diagnose: exact top-1 class %s, eps=%.2f top-%d module %.3f aggregate -> \
-     %s\n"
-    (if !exact_ok then "1.00 everywhere" else "BELOW 1.0")
-    eps top_k noisy_rate
-    (if pass then "PASS exact localization, noisy top-k >= 0.9"
-     else "FAIL (needs exact top-1 class 1.0 and noisy top-k >= 0.9)");
-  if not pass then failed := true
+  Printf.printf "diagnose: eps=%.2f top-%d module %.3f aggregate\n" eps top_k
+    noisy_rate
 
 (* ------------------------------------------------------------------ *)
 (* ATPG test-set generation + minimization (the Atpg facade loop)      *)

@@ -1,5 +1,6 @@
 module Circuit = Iddq_netlist.Circuit
 module Scoap = Iddq_analysis.Scoap
+module Level_schedule = Iddq_netlist.Level_schedule
 module Stuck_at = Iddq_defects.Stuck_at
 module Rng = Iddq_util.Rng
 
@@ -32,40 +33,25 @@ type t = {
   assignment : Bytes.t; (* per primary input *)
   good : Bytes.t;
   faulty : Bytes.t;
+  all_x : Bytes.t; (* good values under the all-X assignment *)
+  level : int array; (* per node; inputs at 0 *)
+  q_base : int array; (* level [l] queues into [queue] from [q_base.(l - 1)] *)
+  q_fill : int array; (* per level: gates queued *)
+  queue : int array;
+  queued : int array; (* enqueue stamps, one epoch per propagation *)
+  mutable q_epoch : int;
+  mutable q_lo : int; (* lowest and highest level queued *)
+  mutable q_hi : int;
+  in_cone : int array; (* fanout-cone marks, one epoch per fault *)
+  mutable cone_epoch : int;
+  cone : int array; (* the fault's fanout cone gates, ascending *)
+  mutable cone_len : int;
   visited : int array; (* X-path DFS marks, one epoch per test *)
   mutable epoch : int;
   dfs : int array;
   decisions : int array; (* assigned primary inputs, oldest first *)
   flipped : Bytes.t; (* per decision: alternative already tried *)
 }
-
-let prepare c =
-  let n = Circuit.num_nodes c and ni = Circuit.num_inputs c in
-  let scoap = Scoap.compute c in
-  let outputs = Circuit.outputs c in
-  let is_output = Bytes.make n '\000' in
-  Array.iter (fun id -> Bytes.set is_output id '\001') outputs;
-  {
-    n;
-    ni;
-    kinds = Circuit.Csr.kinds c;
-    fi_off = Circuit.Csr.fanin_offsets c;
-    fi_tgt = Circuit.Csr.fanin_targets c;
-    fo_off = Circuit.Csr.fanout_offsets c;
-    fo_tgt = Circuit.Csr.fanout_targets c;
-    outputs;
-    is_output;
-    cc0 = Array.init n (Scoap.cc0 scoap);
-    cc1 = Array.init n (Scoap.cc1 scoap);
-    assignment = Bytes.make ni (Char.chr vx);
-    good = Bytes.make n (Char.chr vx);
-    faulty = Bytes.make n (Char.chr vx);
-    visited = Array.make n 0;
-    epoch = 0;
-    dfs = Array.make n 0;
-    decisions = Array.make ni 0;
-    flipped = Bytes.make ni '\000';
-  }
 
 let[@inline] get b i = Char.code (Bytes.unsafe_get b i)
 let[@inline] set b i v = Bytes.unsafe_set b i (Char.unsafe_chr v)
@@ -112,6 +98,54 @@ let eval3 t vals id ~pin ~pin_value =
   if code = nand || code = nor || code = xnor || code = not_ then not3 !r
   else !r
 
+let prepare c =
+  let n = Circuit.num_nodes c and ni = Circuit.num_inputs c in
+  let scoap = Scoap.compute c in
+  let sched = Level_schedule.of_circuit c in
+  let outputs = Circuit.outputs c in
+  let is_output = Bytes.make n '\000' in
+  Array.iter (fun id -> Bytes.set is_output id '\001') outputs;
+  let t =
+    {
+      n;
+      ni;
+      kinds = Circuit.Csr.kinds c;
+      fi_off = Circuit.Csr.fanin_offsets c;
+      fi_tgt = Circuit.Csr.fanin_targets c;
+      fo_off = Circuit.Csr.fanout_offsets c;
+      fo_tgt = Circuit.Csr.fanout_targets c;
+      outputs;
+      is_output;
+      cc0 = Array.init n (Scoap.cc0 scoap);
+      cc1 = Array.init n (Scoap.cc1 scoap);
+      assignment = Bytes.make ni (Char.chr vx);
+      good = Bytes.make n (Char.chr vx);
+      faulty = Bytes.make n (Char.chr vx);
+      all_x = Bytes.make n (Char.chr vx);
+      level = Array.init n (Level_schedule.level_of_node sched);
+      q_base = Level_schedule.offsets sched;
+      q_fill = Array.make (Level_schedule.num_levels sched + 1) 0;
+      queue = Array.make (n - ni) 0;
+      queued = Array.make n 0;
+      q_epoch = 1;
+      q_lo = max_int;
+      q_hi = 0;
+      in_cone = Array.make n 0;
+      cone_epoch = 0;
+      cone = Array.make n 0;
+      cone_len = 0;
+      visited = Array.make n 0;
+      epoch = 0;
+      dfs = Array.make n 0;
+      decisions = Array.make ni 0;
+      flipped = Bytes.make ni '\000';
+    }
+  in
+  for id = ni to n - 1 do
+    set t.all_x id (eval3 t t.all_x id ~pin:(-1) ~pin_value:0)
+  done;
+  t
+
 (* The fault, decoded once: the stuck stem ([stem], [-1] for a pin
    fault) or the faulty pin's CSR slot ([pin], [-1] for a stem fault)
    of reading gate [gate]; the activation objective is [site] carrying
@@ -147,18 +181,116 @@ let decode t fault =
       site_value = 1 - stuck;
     }
 
-(* Good and faulty implication of the current assignment. *)
-let imply t d =
-  Bytes.blit t.assignment 0 t.good 0 t.ni;
-  Bytes.blit t.assignment 0 t.faulty 0 t.ni;
-  if d.stem >= 0 && d.stem < t.ni then set t.faulty d.stem d.stuck;
+(* Node [id]'s faulty value over the values in [vals]: the stuck value
+   on the stem, the reading gate evaluated with its faulty pin
+   overridden, the plain evaluation elsewhere. *)
+let[@inline] faulty_value t d vals id =
+  if id = d.stem then d.stuck
+  else if id = d.gate then eval3 t vals id ~pin:d.pin ~pin_value:d.stuck
+  else eval3 t vals id ~pin:(-1) ~pin_value:0
+
+(* Whole-circuit good and faulty implication of the current assignment
+   into [good] and [faulty]: the oracle {!imply} is checked against. *)
+let imply_full t d ~good ~faulty =
+  Bytes.blit t.assignment 0 good 0 t.ni;
+  Bytes.blit t.assignment 0 faulty 0 t.ni;
+  if d.stem >= 0 && d.stem < t.ni then set faulty d.stem d.stuck;
   for id = t.ni to t.n - 1 do
-    set t.good id (eval3 t t.good id ~pin:(-1) ~pin_value:0);
-    set t.faulty id
-      (if id = d.stem then d.stuck
-       else if id = d.gate then eval3 t t.faulty id ~pin:d.pin ~pin_value:d.stuck
-       else eval3 t t.faulty id ~pin:(-1) ~pin_value:0)
+    set good id (eval3 t good id ~pin:(-1) ~pin_value:0);
+    set faulty id (faulty_value t d faulty id)
   done
+
+(* Queue gate [id] for re-evaluation in its level's bucket, once per
+   propagation. *)
+let enqueue t id =
+  if Array.unsafe_get t.queued id <> t.q_epoch then begin
+    Array.unsafe_set t.queued id t.q_epoch;
+    let l = Array.unsafe_get t.level id in
+    let fill = Array.unsafe_get t.q_fill l in
+    Array.unsafe_set t.queue (Array.unsafe_get t.q_base (l - 1) + fill) id;
+    Array.unsafe_set t.q_fill l (fill + 1);
+    if l < t.q_lo then t.q_lo <- l;
+    if l > t.q_hi then t.q_hi <- l
+  end
+
+let enqueue_fanouts t id =
+  for k = Array.unsafe_get t.fo_off id to Array.unsafe_get t.fo_off (id + 1) - 1
+  do
+    enqueue t (Array.unsafe_get t.fo_tgt k)
+  done
+
+(* Start fault [d]: both machines at the all-X image, the fault forced
+   and the gates it can change queued, and the gates of its fanout
+   cone (the only ones that can see an error on a fanin) listed in
+   ascending id order. *)
+let start t d =
+  Bytes.blit t.all_x 0 t.good 0 t.n;
+  Bytes.blit t.all_x 0 t.faulty 0 t.n;
+  let root =
+    if d.stem >= 0 then begin
+      set t.faulty d.stem d.stuck;
+      enqueue_fanouts t d.stem;
+      d.stem
+    end
+    else begin
+      enqueue t d.gate;
+      d.gate
+    end
+  in
+  t.cone_epoch <- t.cone_epoch + 1;
+  t.cone_len <- 0;
+  Array.unsafe_set t.in_cone root t.cone_epoch;
+  let last = ref root and id = ref root in
+  while !id <= !last do
+    let g = !id in
+    if Array.unsafe_get t.in_cone g = t.cone_epoch then begin
+      if g >= t.ni then begin
+        Array.unsafe_set t.cone t.cone_len g;
+        t.cone_len <- t.cone_len + 1
+      end;
+      for k = Array.unsafe_get t.fo_off g to Array.unsafe_get t.fo_off (g + 1) - 1
+      do
+        let y = Array.unsafe_get t.fo_tgt k in
+        Array.unsafe_set t.in_cone y t.cone_epoch;
+        if y > !last then last := y
+      done
+    end;
+    incr id
+  done
+
+(* Event-driven good and faulty implication of the current assignment:
+   the inputs that changed since the last call queue their fanouts, and
+   the queue drains level by level, a gate queueing its fanouts only
+   when its good or faulty value changes.  Three-valued evaluation
+   reads only fanin values, so every node ends equal to {!imply_full}. *)
+let imply t d =
+  for i = 0 to t.ni - 1 do
+    let a = get t.assignment i in
+    if a <> get t.good i then begin
+      set t.good i a;
+      if i <> d.stem then set t.faulty i a;
+      enqueue_fanouts t i
+    end
+  done;
+  let l = ref t.q_lo in
+  while !l <= t.q_hi do
+    let base = Array.unsafe_get t.q_base (!l - 1) in
+    for k = base to base + Array.unsafe_get t.q_fill !l - 1 do
+      let id = Array.unsafe_get t.queue k in
+      let g = eval3 t t.good id ~pin:(-1) ~pin_value:0 in
+      let f = faulty_value t d t.faulty id in
+      if g <> get t.good id || f <> get t.faulty id then begin
+        set t.good id g;
+        set t.faulty id f;
+        enqueue_fanouts t id
+      end
+    done;
+    Array.unsafe_set t.q_fill !l 0;
+    incr l
+  done;
+  t.q_lo <- max_int;
+  t.q_hi <- 0;
+  t.q_epoch <- t.q_epoch + 1
 
 let[@inline] combined_x t id = get t.good id = vx || get t.faulty id = vx
 
@@ -215,18 +347,19 @@ let x_path t id =
    [-1] means none. *)
 
 (* One scan of the D-frontier (gates with a combined-X output and an
-   error on some input, plus the excited faulty gate of a pin fault),
-   in id order: the objective is the first frontier gate's first X
-   input, set to the gate's non-controlling value (either value for
+   error on some input, plus the excited faulty gate of a pin fault)
+   over the fault's fanout cone in id order — no gate outside the cone
+   can see an error: the objective is the first frontier gate's first
+   X input, set to the gate's non-controlling value (either value for
    parity gates) — provided some frontier gate has an X-path to an
    output.  [-1] when the frontier is empty, has no X-path, or offers
    no X input. *)
 let frontier_objective t d =
   t.epoch <- t.epoch + 1;
   let pick = ref (-1) and path = ref false in
-  let id = ref t.ni in
-  while (!pick < 0 || not !path) && !id < t.n do
-    let g = !id in
+  let i = ref 0 in
+  while (!pick < 0 || not !path) && !i < t.cone_len do
+    let g = Array.unsafe_get t.cone !i in
     if combined_x t g && (g = d.gate || has_error_fanin t g) then begin
       if !pick < 0 then begin
         let e = Array.unsafe_get t.fi_off (g + 1) in
@@ -242,7 +375,7 @@ let frontier_objective t d =
       end;
       if not !path then path := x_path t g
     end;
-    incr id
+    incr i
   done;
   if !path then !pick else -1
 
@@ -276,9 +409,11 @@ let backtrace t objective =
   done;
   !result
 
-let generate ?(max_backtracks = 2000) t fault =
+(* The search, calling [after_imply d] after every implication. *)
+let search ~max_backtracks ~after_imply t fault =
   let d = decode t fault in
   Bytes.fill t.assignment 0 t.ni (Char.chr vx);
+  start t d;
   let depth = ref 0 and backtracks = ref 0 in
   let outcome = ref None in
   (* Undo exhausted decisions and flip the newest open one. *)
@@ -300,6 +435,7 @@ let generate ?(max_backtracks = 2000) t fault =
   in
   while Option.is_none !outcome do
     imply t d;
+    after_imply d;
     if error_at_output t then
       outcome :=
         Some
@@ -329,6 +465,37 @@ let generate ?(max_backtracks = 2000) t fault =
     end
   done;
   Option.get !outcome
+
+let generate ?(max_backtracks = 2000) t fault =
+  search ~max_backtracks ~after_imply:ignore t fault
+
+let generate_checked ?(max_backtracks = 2000) t fault =
+  let good = Bytes.create t.n and faulty = Bytes.create t.n in
+  let step = ref 0 and mismatch = ref None in
+  let after_imply d =
+    if Option.is_none !mismatch then begin
+      imply_full t d ~good ~faulty;
+      let id = ref 0 in
+      while
+        !id < t.n
+        && get good !id = get t.good !id
+        && get faulty !id = get t.faulty !id
+      do
+        incr id
+      done;
+      if !id < t.n then
+        mismatch :=
+          Some
+            (Printf.sprintf
+               "implication %d, node %d: good %d (full %d), faulty %d (full \
+                %d)"
+               !step !id (get t.good !id) (get good !id) (get t.faulty !id)
+               (get faulty !id))
+    end;
+    incr step
+  in
+  let r = search ~max_backtracks ~after_imply t fault in
+  match !mismatch with None -> Ok r | Some m -> Error m
 
 let concretize ~rng cube =
   Array.map (function Some v -> v | None -> Rng.bool rng) cube

@@ -20,12 +20,21 @@ type result =
   | Aborted  (** Backtrack limit hit. *)
 
 type t
-(** A circuit prepared for PODEM: SCOAP controllabilities computed
-    once as flat arrays, the circuit's CSR views borrowed, and the
-    search's scratch — good/faulty three-valued node values, the
-    X-path DFS marks and stack, the decision stack — owned.  Every
-    {!generate} call reuses the scratch, so a [t] must not be shared
-    across domains: prepare one per domain. *)
+(** A circuit prepared for PODEM: SCOAP controllabilities and node
+    levels computed once as flat arrays, the circuit's CSR views
+    borrowed, the good machine's values under the all-X assignment
+    (one full pass), and the search's scratch owned — good/faulty
+    three-valued node values, the level-bucketed implication queue and
+    its enqueue stamps, the fault's fanout-cone list and marks, the
+    X-path DFS marks and stack, the decision stack.
+
+    Implication is event-driven: a fault starts from the all-X image
+    with the fault forced, and each implication re-evaluates, level by
+    level, only the gates downstream of an input the search changed,
+    stopping where neither machine's value changes.  The D-frontier is
+    scanned over the fault's fanout cone only.  Every {!generate} call
+    reuses the scratch, so a [t] must not be shared across domains:
+    prepare one per domain. *)
 
 val prepare : Iddq_netlist.Circuit.t -> t
 
@@ -33,6 +42,17 @@ val generate : ?max_backtracks:int -> t -> Iddq_defects.Stuck_at.fault -> result
 (** Default backtrack limit: 2000.  Raises [Invalid_argument] on a
     fault naming a node out of range, a pin fault on an input node or
     a pin the gate does not have. *)
+
+val generate_checked :
+  ?max_backtracks:int ->
+  t ->
+  Iddq_defects.Stuck_at.fault ->
+  (result, string) Stdlib.result
+(** {!generate}, with the good and faulty values compared after every
+    implication step — decisions and backtracks included — against a
+    whole-circuit re-implication of the same assignment.  [Ok] carries
+    {!generate}'s verdict; [Error] names the first step and node where
+    the two differ.  Test hook; runs a full implication per step. *)
 
 val concretize : rng:Iddq_util.Rng.t -> bool option array -> bool array
 (** Fill the don't-cares randomly. *)

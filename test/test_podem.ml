@@ -131,6 +131,39 @@ let qcheck_podem_matches_detects =
           | Podem.Aborted -> true)
         (Stuck_at.collapsed_fault_list c))
 
+(* The event-driven implication against the whole-circuit oracle on
+   small random circuits: for every fault of the full list and a spread
+   of backtrack limits (so searches end on tests, on exhausted spaces
+   and on aborts), the good and faulty values after every implication
+   step, decisions and backtracks included, equal a full re-implication
+   of the same assignment.  The full list is a superset of the
+   collapsed one: it keeps the pin faults equivalent to their gate's
+   output fault, the ones whose reading gate is already binary in the
+   faulty machine under the all-X assignment.  One context serves
+   every fault, so each fault's start also checks that nothing leaks
+   from the previous search. *)
+let qcheck_event_driven_imply_matches_full =
+  QCheck.Test.make ~name:"event-driven implication = full re-implication"
+    ~count:100
+    QCheck.(triple (int_range 2 12) (int_range 4 40) (int_range 1 100000))
+    (fun (num_inputs, gates, seed) ->
+      let rng = Rng.create seed in
+      let c =
+        Iddq_netlist.Generator.layered_dag ~rng ~name:"q" ~num_inputs
+          ~num_outputs:(1 + (gates mod 3)) ~num_gates:gates
+          ~depth:(1 + (gates / 6)) ()
+      in
+      let podem = Podem.prepare c in
+      List.for_all
+        (fun max_backtracks ->
+          List.for_all
+            (fun fault ->
+              match Podem.generate_checked ~max_backtracks podem fault with
+              | Ok _ -> true
+              | Error m -> QCheck.Test.fail_report m)
+            (Stuck_at.full_fault_list c))
+        [ 1; 2; 3; 5; 8; 13; 20 ])
+
 (* Complete test sets: the Atpg facade's generation loop (random
    vectors, PODEM top-up, fault dropping) over these PODEM cubes. *)
 
@@ -195,6 +228,7 @@ let tests =
     Alcotest.test_case "malformed faults rejected" `Quick
       test_malformed_faults_rejected;
     QCheck_alcotest.to_alcotest qcheck_podem_matches_detects;
+    QCheck_alcotest.to_alcotest qcheck_event_driven_imply_matches_full;
     Alcotest.test_case "complete set c17" `Quick test_atpg_set_c17;
     Alcotest.test_case "complete set top-up" `Slow test_atpg_set_tops_up_random;
     Alcotest.test_case "complete set empty" `Quick test_atpg_set_empty_faults;

@@ -232,8 +232,8 @@ let test_facade_matrix_matches_detects () =
     faults
 
 (* The generation loop's whole trajectory — which faults PODEM
-   targets, what it decides, what each vector drops — pinned on two
-   stand-ins: any change to the search or to the drop filter shows up
+   targets, what it decides, what each vector drops — pinned on the
+   four stand-ins of the ATPG benchmark: any change to the search or to the drop filter shows up
    in the counts or in the digest of the vectors. *)
 let vectors_digest vectors =
   let b = Buffer.create 4096 in
@@ -272,6 +272,16 @@ let test_generate_trajectory_pinned () =
         (55, 75, 593, 723),
         87,
         "c5587e05f04678864e48c546235e4ac0" );
+      ( "c499_like",
+        Iscas.c499_like (),
+        (25, 13, 8, 46),
+        57,
+        "d23e4ae2f89bcefa99e1fb47665efa31" );
+      ( "c1355_like",
+        Iscas.c1355_like (),
+        (109, 13, 140, 262),
+        141,
+        "d896da719f8c3ae110b46bce89e7d4e5" );
     ]
 
 let tests =
