@@ -6,8 +6,9 @@
      dune exec bench/main.exe quick       # table1 on a small stand-in
 
    The experiments are listed once, in [experiments] at the end.
-   [testset] and [diagnose] check their results: on FAIL the process
-   exits 1 once every requested experiment has run. *)
+   They report and never gate: the thresholds on [testset] and
+   [diagnose] are the "ISCAS85 grid gate" cases of test_testset and
+   test_diagnose. *)
 
 module Table = Iddq_util.Table
 module Rng = Iddq_util.Rng
@@ -40,9 +41,6 @@ let bench_config = Pipeline.config ~es_params:bench_es_params ()
 let ok_or_fail = function
   | Ok r -> r
   | Error e -> failwith (Pipeline.error_to_string e)
-
-(* Set by a checked experiment whose check fails. *)
-let failed = ref false
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: standard vs evolution on the ISCAS85 suite                 *)
@@ -1067,6 +1065,10 @@ let run_diagnose () =
 (* ATPG test-set generation + minimization (the Atpg facade loop)      *)
 (* ------------------------------------------------------------------ *)
 
+(* Coverage, vectors before and after each minimization strategy,
+   their runtimes and the c4/test-time delta on the ISCAS85 grid land
+   in BENCH_testset.json; the thresholds on them are the test_testset
+   case "ISCAS85 grid gate". *)
 let testset_json = "BENCH_testset.json"
 
 let run_testset () =
@@ -1095,11 +1097,7 @@ let run_testset () =
       ]
   in
   let records = ref [] in
-  let cov_ok = ref true
-  and preserve_ok = ref true
-  and refined_ok = ref true
-  and det_ok = ref true
-  and shrunk = ref 0 in
+  let shrunk = ref 0 in
   List.iter
     (fun (name, circuit) ->
       (* The random-only baseline is the facade's own initial set: the
@@ -1124,27 +1122,6 @@ let run_testset () =
         | Error e -> failwith (Atpg.error_to_string e)
       in
       let gen_seconds = Clock.seconds_since t0 in
-      if r.Atpg.coverage < random_only.Iddq_defects.Stuck_at.coverage -. 1e-9
-      then cov_ok := false;
-      (* determinism under a fixed seed (smallest circuit only — the
-         rerun doubles the PODEM work) *)
-      if name = "C432" then begin
-        match Atpg.run_result ~config circuit with
-        | Error _ -> det_ok := false
-        | Ok r2 ->
-          if
-            Array.length r2.Atpg.all_vectors
-              <> Array.length r.Atpg.all_vectors
-            || r2.Atpg.coverage <> r.Atpg.coverage
-            || r2.Atpg.selected <> r.Atpg.selected
-          then det_ok := false
-      end;
-      let full_cov =
-        if Coverage.num_faults r.Atpg.matrix = 0 then 1.0
-        else
-          float_of_int (Coverage.num_detectable r.Atpg.matrix)
-          /. float_of_int (Coverage.num_faults r.Atpg.matrix)
-      in
       let minimized =
         List.map
           (fun (s, sname) ->
@@ -1154,13 +1131,7 @@ let run_testset () =
               | Ok sel -> sel
               | Error e -> failwith (Atpg.error_to_string e)
             in
-            let dt = Clock.seconds_since t0 in
-            if
-              Float.abs
-                (Coverage.coverage_of_selection r.Atpg.matrix sel -. full_cov)
-              > 1e-9
-            then preserve_ok := false;
-            (s, sname, sel, dt))
+            (s, sname, sel, Clock.seconds_since t0))
           strategies
       in
       let size s =
@@ -1169,7 +1140,6 @@ let run_testset () =
         in
         Array.length sel
       in
-      if size Atpg.Refined > size Atpg.Greedy then refined_ok := false;
       let best =
         List.fold_left
           (fun acc (_, _, sel, _) -> Stdlib.min acc (Array.length sel))
@@ -1248,9 +1218,6 @@ let run_testset () =
       ("C3540", Iscas.c3540_like ());
     ];
   Table.print t;
-  let pass =
-    !cov_ok && !preserve_ok && !refined_ok && !det_ok && !shrunk >= 3
-  in
   let doc =
     Json.Obj
       [
@@ -1260,8 +1227,6 @@ let run_testset () =
         ("max_backtracks", Json.Int max_backtracks);
         ("records", Json.List (List.rev !records));
         ("minimized_smaller_on", Json.Int !shrunk);
-        ("deterministic", Json.Bool !det_ok);
-        ("pass", Json.Bool pass);
       ]
   in
   (match
@@ -1271,16 +1236,7 @@ let run_testset () =
   | Error e ->
     Printf.printf "\nFAILED writing %s: %s\n" testset_json
       (Iddq_util.Io_error.to_string e));
-  Printf.printf
-    "testset: coverage %s random baseline, minimized smaller on %d/4, \
-     refined <= greedy %s, deterministic %s -> %s\n"
-    (if !cov_ok then ">=" else "BELOW")
-    !shrunk
-    (if !refined_ok then "everywhere" else "VIOLATED")
-    (if !det_ok then "yes" else "NO")
-    (if pass then "PASS coverage kept, sets shrink, runs reproduce"
-     else "FAIL (see BENCH_testset.json)");
-  if not pass then failed := true
+  Printf.printf "testset: minimized smaller on %d/4\n" !shrunk
 
 (* ------------------------------------------------------------------ *)
 
@@ -1328,5 +1284,4 @@ let () =
           Printf.eprintf "unknown experiment %S (try: %s)\n" name
             (String.concat " " (List.map fst commands));
           exit 1)
-      args);
-  if !failed then exit 1
+      args)

@@ -638,23 +638,6 @@ let campaign_cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No per-job progress lines.")
   in
-  let parse_csv parse_one what = function
-    | None -> Ok None
-    | Some s ->
-      let parts =
-        String.split_on_char ',' s |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-      in
-      let rec go acc = function
-        | [] -> Ok (Some (List.rev acc))
-        | x :: tl -> begin
-          match parse_one x with
-          | Some v -> go (v :: acc) tl
-          | None -> Error (Printf.sprintf "invalid %s %S" what x)
-        end
-      in
-      go [] parts
-  in
   let build_spec ~spec_file ~circuits ~methods ~seeds ~sizes ~generations
       ~timeout =
     let ( let* ) = Result.bind in
@@ -664,27 +647,25 @@ let campaign_cmd =
       | Some path ->
         Result.map_error Io_error.to_string (Spec.parse_file path)
     in
-    let* circuits =
-      parse_csv (fun s -> Some (String.uppercase_ascii s)) "circuit" circuits
+    (* a grid flag is the spec-file entry of the same key *)
+    let set key flag spec =
+      match flag with
+      | None -> Ok spec
+      | Some v ->
+        Result.map_error (Printf.sprintf "--%s: %s" key) (Spec.set spec key v)
     in
-    let* methods = parse_csv Pipeline.method_of_string "method" methods in
-    let* seeds = parse_csv int_of_string_opt "seed" seeds in
-    let* sizes =
-      parse_csv
-        (function
-          | "default" | "auto" | "-" -> Some None
-          | s -> Option.map (fun i -> Some i) (int_of_string_opt s))
-        "module size" sizes
-    in
-    let with_ opt f spec = match opt with None -> spec | Some v -> f spec v in
+    let* spec = set "circuits" circuits base in
+    let* spec = set "methods" methods spec in
+    let* spec = set "seeds" seeds spec in
+    let* spec = set "module-sizes" sizes spec in
     let spec =
-      base
-      |> with_ circuits (fun s v -> { s with Spec.circuits = v })
-      |> with_ methods (fun s v -> { s with Spec.methods = v })
-      |> with_ seeds (fun s v -> { s with Spec.seeds = v })
-      |> with_ sizes (fun s v -> { s with Spec.module_sizes = v })
-      |> with_ generations (fun s v -> { s with Spec.max_generations = Some v })
-      |> with_ timeout (fun s v -> { s with Spec.timeout = Some v })
+      {
+        spec with
+        Spec.max_generations =
+          (if generations = None then spec.Spec.max_generations
+           else generations);
+        timeout = (if timeout = None then spec.Spec.timeout else timeout);
+      }
     in
     let* () = Spec.validate spec in
     Ok spec

@@ -14,11 +14,15 @@ type outcome = {
   timed_out : int;
 }
 
-type error = Invalid_spec of string | Pool_unavailable of string
+type error =
+  | Invalid_spec of string
+  | Pool_unavailable of string
+  | Record_failed of string
 
 let error_to_string = function
   | Invalid_spec msg -> "invalid campaign spec: " ^ msg
   | Pool_unavailable msg -> "cannot start the worker pool: " ^ msg
+  | Record_failed msg -> "cannot record a job result: " ^ msg
 
 let derived_seed (job : Spec.job) =
   Rng.keyed_seed ~key:job.Spec.id ~seed:job.Spec.seed
@@ -58,150 +62,109 @@ let execute (spec : Spec.t) ~resolve (job : Spec.job) ~reference_sizes =
   | exception e ->
     finish (Job_result.failure ~job ~derived_seed (Printexc.to_string e))
 
-(* Scheduler state, guarded by one mutex.  Dependency edges only point
-   from Standard/Refined_standard jobs to their Evolution sibling, so
-   every waiting job is released by exactly one completion and the
-   wait graph is acyclic by construction. *)
-type state = {
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  ready : Spec.job Queue.t;
-  waiting : (string, Spec.job list ref) Hashtbl.t;  (* dep id -> blocked jobs *)
-  results : (string, Job_result.t) Hashtbl.t;
-  mutable pending : int;  (* jobs not yet recorded this invocation *)
-  mutable executed : int;
-}
-
-let reference_sizes_of state (job : Spec.job) =
+let reference_sizes_of results (job : Spec.job) =
   match job.Spec.depends_on with
   | None -> None
   | Some dep -> begin
-    match Hashtbl.find_opt state.results dep with
+    match Hashtbl.find_opt results dep with
     | Some r when Job_result.is_ok r && r.Job_result.module_sizes <> [] ->
       Some r.Job_result.module_sizes
     | _ -> None  (* dependency failed: fall back to the default sizes *)
   end
 
-let record state ~store ~on_result (job : Spec.job) result =
-  Hashtbl.replace state.results job.Spec.id result;
-  Store.append store result;
-  state.executed <- state.executed + 1;
-  state.pending <- state.pending - 1;
-  (match Hashtbl.find_opt state.waiting job.Spec.id with
-  | Some blocked ->
-    List.iter (fun j -> Queue.push j state.ready) !blocked;
-    Hashtbl.remove state.waiting job.Spec.id
-  | None -> ());
-  on_result job result ~fresh:true;
-  Condition.broadcast state.nonempty
-
-let worker state spec ~resolve ~store ~on_result () =
-  let rec loop () =
-    Mutex.lock state.lock;
-    while Queue.is_empty state.ready && state.pending > 0 do
-      Condition.wait state.nonempty state.lock
-    done;
-    if Queue.is_empty state.ready then begin
-      Mutex.unlock state.lock;
-      ()
-    end
-    else begin
-      let job = Queue.pop state.ready in
-      let reference_sizes = reference_sizes_of state job in
-      Mutex.unlock state.lock;
-      let result = execute spec ~resolve job ~reference_sizes in
-      Mutex.lock state.lock;
-      record state ~store ~on_result job result;
-      Mutex.unlock state.lock;
-      loop ()
-    end
-  in
-  loop ()
+(* Keep the first exception out of a record ([Store.append] or
+   [on_result]); once one is kept, the remaining chunks return without
+   running their job. *)
+let guard failure f =
+  try f ()
+  with e ->
+    ignore (Atomic.compare_and_set failure None (Some (Printexc.to_string e)))
 
 let run_validated ~domains ~resolve ~on_result ~store spec =
-  let ( let* ) = Result.bind in
   let jobs = Spec.jobs spec in
-  let state =
-    {
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      ready = Queue.create ();
-      waiting = Hashtbl.create 16;
-      results = Hashtbl.create (List.length jobs);
-      pending = 0;
-      executed = 0;
-    }
-  in
-  (* Partition the jobs: stored-Done ones are adopted as-is, the rest
-     run — either immediately or once their dependency completes. *)
+  let results = Hashtbl.create (List.length jobs) in
+  let failure = Atomic.make None in
+  (* Stored-Done jobs are adopted as-is, the rest run. *)
   let skipped = ref 0 in
   let to_run =
     List.filter
       (fun (job : Spec.job) ->
         match Store.find store job.Spec.id with
         | Some r when Job_result.is_ok r ->
-          Hashtbl.replace state.results job.Spec.id r;
+          Hashtbl.replace results job.Spec.id r;
           incr skipped;
-          on_result job r ~fresh:false;
+          guard failure (fun () -> on_result job r ~fresh:false);
           false
         | _ -> true)
       jobs
   in
-  let running_ids =
-    List.fold_left
-      (fun acc (j : Spec.job) -> j.Spec.id :: acc)
-      [] to_run
+  (* Dependency edges only point from Standard/Refined_standard jobs to
+     their Evolution sibling, which depends on nothing: a job whose
+     dependency runs now waits for the first wave's barrier, every
+     other job runs in that wave. *)
+  let runs_now dep = List.exists (fun (j : Spec.job) -> j.Spec.id = dep) to_run in
+  let second, first =
+    List.partition
+      (fun (j : Spec.job) -> Option.fold ~none:false ~some:runs_now j.Spec.depends_on)
+      to_run
   in
-  state.pending <- List.length to_run;
-  List.iter
-    (fun (job : Spec.job) ->
-      match job.Spec.depends_on with
-      | Some dep when List.mem dep running_ids ->
-        let blocked =
-          match Hashtbl.find_opt state.waiting dep with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.add state.waiting dep l;
-            l
-        in
-        blocked := job :: !blocked
-      | _ -> Queue.push job state.ready)
-    to_run;
-  let pool = Stdlib.max 1 (Stdlib.min domains (List.length to_run)) in
-  let work = worker state spec ~resolve ~store ~on_result in
-  (* Each pool chunk is one worker loop; a loop returns only once no
-     job is pending, so the barrier closes when the campaign is done. *)
-  let* () =
-    if state.pending = 0 then Ok ()
+  let lock = Mutex.create () in
+  let executed = ref 0 in
+  let record (job : Spec.job) result =
+    Mutex.protect lock (fun () ->
+        Hashtbl.replace results job.Spec.id result;
+        Store.append store result;
+        incr executed;
+        on_result job result ~fresh:true)
+  in
+  (* One chunk per job.  A wave reads its reference sizes before it
+     starts, so no chunk reads [results] while another writes it. *)
+  let wave pool wave_jobs =
+    let wave_jobs =
+      Array.of_list
+        (List.map (fun j -> (j, reference_sizes_of results j)) wave_jobs)
+    in
+    ignore
+      (Domain_pool.run pool ~chunks:(Array.length wave_jobs) (fun c ->
+           let job, reference_sizes = wave_jobs.(c) in
+           if Atomic.get failure = None then begin
+             let result = execute spec ~resolve job ~reference_sizes in
+             guard failure (fun () -> record job result)
+           end))
+  in
+  let widest = Stdlib.max (List.length first) (List.length second) in
+  let ran =
+    if to_run = [] then Ok ()
     else
-      match Domain_pool.create ~domains:pool with
+      match Domain_pool.create ~domains:(Stdlib.min domains widest) with
       | exception Failure msg -> Error (Pool_unavailable msg)
-      | p ->
+      | pool ->
         Fun.protect
-          ~finally:(fun () -> Domain_pool.shutdown p)
-          (fun () -> ignore (Domain_pool.run p ~chunks:pool (fun _ -> work ())));
+          ~finally:(fun () -> Domain_pool.shutdown pool)
+          (fun () ->
+            wave pool first;
+            wave pool second);
         Ok ()
   in
-  let results =
-    List.map (fun (j : Spec.job) -> Hashtbl.find state.results j.Spec.id) jobs
-  in
-  let count p = List.length (List.filter p results) in
-  Ok
-    {
-      results;
-      executed = state.executed;
-      skipped = !skipped;
-      ok = count Job_result.is_ok;
-      failed =
-        count (fun r ->
-            match r.Job_result.status with Job_result.Failed _ -> true | _ -> false);
-      timed_out =
-        count (fun r ->
-            match r.Job_result.status with
-            | Job_result.Timeout _ -> true
-            | _ -> false);
-    }
+  match (ran, Atomic.get failure) with
+  | Error e, _ -> Error e
+  | Ok (), Some msg -> Error (Record_failed msg)
+  | Ok (), None ->
+    let results =
+      List.map (fun (j : Spec.job) -> Hashtbl.find results j.Spec.id) jobs
+    in
+    let count p =
+      List.length (List.filter (fun r -> p r.Job_result.status) results)
+    in
+    Ok
+      {
+        results;
+        executed = !executed;
+        skipped = !skipped;
+        ok = count (( = ) Job_result.Done);
+        failed = count (function Job_result.Failed _ -> true | _ -> false);
+        timed_out = count (function Job_result.Timeout _ -> true | _ -> false);
+      }
 
 let run ?(domains = 1) ?(resolve = Iddq_netlist.Iscas.by_name)
     ?(on_result = fun _ _ ~fresh:_ -> ()) ~store spec =

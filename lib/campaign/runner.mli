@@ -1,4 +1,5 @@
-(** Work-queue scheduler: a campaign's jobs over a [Domain] pool.
+(** The campaign scheduler: a campaign's jobs as {!Iddq_util.Domain_pool}
+    chunks, one chunk per job.
 
     Jobs whose latest stored result is [Done] are skipped (checkpoint
     /resume); failed and timed-out jobs re-run.  Each executed job
@@ -12,12 +13,16 @@
       record, a run past the spec's wall-clock budget a [Timeout]
       record, and the campaign carries on.  (The budget is checked when the job
       returns — OCaml domains cannot be preempted — so a hung job
-      stalls its worker but never corrupts the store.)
+      stalls its domain but never corrupts the store.)
 
-    [Standard]/[Refined_standard] jobs with an evolution dependency
-    are held back until the dependency's result exists (fresh or from
-    the store) and then run with its module sizes as reference sizes —
-    the paper's protocol, preserved across resume boundaries. *)
+    The jobs run in two waves of {!Iddq_util.Domain_pool.run} on one
+    pool.  [Standard]/[Refined_standard] jobs whose evolution
+    dependency runs in this invocation form the second wave; every
+    other job is in the first.  A second-wave job starts after the
+    first wave's barrier, with its dependency's module sizes as
+    reference sizes (a dependency satisfied by the store serves the
+    same way) — the paper's protocol, preserved across resume
+    boundaries. *)
 
 type outcome = {
   results : Job_result.t list;  (** One per job, in spec expansion order. *)
@@ -36,6 +41,12 @@ type error =
   | Pool_unavailable of string
       (** The worker pool could not be created (the runtime refused a
           domain, e.g. past its domain limit); no job ran. *)
+  | Record_failed of string
+      (** Recording a result raised — the store could not be written
+          ({!Store.append} on a closed store or a full disk) or
+          [on_result] raised; the payload is the exception text.  Jobs
+          not yet started when it happened did not run, and the store
+          holds every result recorded before it. *)
 
 val error_to_string : error -> string
 
@@ -58,7 +69,9 @@ val run :
     [option], a miss becomes the job's [Failed] record; a test hook
     and the place to plug file-loaded netlists in).  [on_result]
     observes every job outcome in completion order, including skipped
-    stored results ([fresh:false]); it is called with the scheduler
-    lock held from worker domains, so keep it brief.  An invalid spec
-    is [Error (Invalid_spec _)] and a pool the runtime cannot spawn is
-    [Error (Pool_unavailable _)] — never an exception. *)
+    stored results ([fresh:false], on the caller before any job runs).
+    A fresh result is appended to the store and passed to [on_result]
+    under one record lock, from whichever pool domain ran the job, so
+    keep it brief.  An invalid spec is [Error (Invalid_spec _)], a
+    pool the runtime cannot spawn [Error (Pool_unavailable _)] and a
+    raising record [Error (Record_failed _)] — never an exception. *)

@@ -158,6 +158,48 @@ let map_result f l =
       | Ok tl, Ok v -> Ok (v :: tl))
     l (Ok [])
 
+let set spec key values =
+  let ( let* ) = Stdlib.Result.bind in
+  let values = split_values values in
+  let one () =
+    match values with
+    | [ x ] -> Ok x
+    | _ -> Error (Printf.sprintf "%s takes one value" key)
+  in
+  match String.lowercase_ascii key with
+  | "circuits" ->
+    if values = [] then Error "circuits: empty list"
+    else
+      (* canonical (upper-case) names so job ids don't depend on the
+         spelling in the spec *)
+      Ok { spec with circuits = List.map String.uppercase_ascii values }
+  | "methods" ->
+    let* ms = map_result parse_method values in
+    Ok { spec with methods = ms }
+  | "seeds" ->
+    let* ss = map_result parse_int values in
+    Ok { spec with seeds = ss }
+  | "module-sizes" ->
+    let* zs = map_result parse_size values in
+    Ok { spec with module_sizes = zs }
+  | "max-generations" ->
+    let* x = one () in
+    let* g = parse_int x in
+    Ok { spec with max_generations = Some g }
+  | "timeout" -> begin
+    let* x = one () in
+    match float_of_string_opt x with
+    | Some f -> Ok { spec with timeout = Some f }
+    | None -> Error (Printf.sprintf "invalid timeout %S" x)
+  end
+  | "seed-reference-sizes" -> begin
+    let* x = one () in
+    match bool_of_string_opt (String.lowercase_ascii x) with
+    | Some b -> Ok { spec with seed_reference_sizes = b }
+    | None -> Error (Printf.sprintf "invalid boolean %S" x)
+  end
+  | _ -> Error (Printf.sprintf "unknown key %S" key)
+
 let parse text =
   let ( let* ) = Stdlib.Result.bind in
   let lines = String.split_on_char '\n' text in
@@ -179,52 +221,7 @@ let parse text =
           | Some i ->
             let key = strip (String.sub line 0 i) in
             let v = String.sub line (i + 1) (String.length line - i - 1) in
-            let values = split_values v in
-            let err msg = Io_error.make ~line:lineno msg in
-            let one () =
-              match values with
-              | [ x ] -> Ok x
-              | _ -> Error (err (Printf.sprintf "%s takes one value" key))
-            in
-            (match String.lowercase_ascii key with
-            | "circuits" ->
-              if values = [] then Error (err "circuits: empty list")
-              else
-                (* canonical (upper-case) names so job ids don't depend
-                   on the spelling in the spec file *)
-                Ok
-                  {
-                    spec with
-                    circuits = List.map String.uppercase_ascii values;
-                  }
-            | "methods" ->
-              let* ms =
-                Stdlib.Result.map_error err (map_result parse_method values)
-              in
-              Ok { spec with methods = ms }
-            | "seeds" ->
-              let* ss = Stdlib.Result.map_error err (map_result parse_int values) in
-              Ok { spec with seeds = ss }
-            | "module-sizes" ->
-              let* zs = Stdlib.Result.map_error err (map_result parse_size values) in
-              Ok { spec with module_sizes = zs }
-            | "max-generations" ->
-              let* x = one () in
-              let* g = Stdlib.Result.map_error err (parse_int x) in
-              Ok { spec with max_generations = Some g }
-            | "timeout" ->
-              let* x = one () in begin
-              match float_of_string_opt x with
-              | Some f -> Ok { spec with timeout = Some f }
-              | None -> Error (err (Printf.sprintf "invalid timeout %S" x))
-              end
-            | "seed-reference-sizes" ->
-              let* x = one () in begin
-              match bool_of_string_opt (String.lowercase_ascii x) with
-              | Some b -> Ok { spec with seed_reference_sizes = b }
-              | None -> Error (err (Printf.sprintf "invalid boolean %S" x))
-              end
-            | _ -> Error (err (Printf.sprintf "unknown key %S" key)))
+            Stdlib.Result.map_error (Io_error.make ~line:lineno) (set spec key v)
         end)
       (Ok default)
       (List.mapi (fun i l -> (i + 1, l)) lines)

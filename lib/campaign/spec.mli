@@ -65,6 +65,15 @@ val jobs : t -> job list
 val validate : t -> (unit, string) result
 (** Non-empty grid, every circuit known, no invalid combination. *)
 
+val set : t -> string -> string -> (t, string) result
+(** [set spec key values] applies one spec-file entry: [values] is the
+    text right of the [=], a comma-separated list.  The one value
+    syntax of every key, shared by {!parse} and the CLI grid flags
+    (circuit names are upper-cased; module size [default], [auto] or
+    [-] is the estimated default).  An unknown key, a malformed value
+    or an empty circuit list is an [Error] naming it; the result is
+    not {!validate}d. *)
+
 val parse : string -> (t, Iddq_util.Io_error.t) result
 (** Parse spec-file text (see above).  Unknown keys, unknown circuits
     or methods, and empty lists are errors carrying the offending

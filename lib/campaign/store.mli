@@ -8,7 +8,7 @@
     a failure re-run after a resume — the {e last} line wins.
 
     A store handle is not domain-safe; the campaign runner serializes
-    access under its scheduler lock. *)
+    access under its record lock. *)
 
 type t
 

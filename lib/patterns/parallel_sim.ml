@@ -39,8 +39,7 @@ let active_mask vectors ~start =
 type packed = {
   n_vectors : int;
   n_inputs : int; (* words per block *)
-  blocks : int64 array array; (* block -> one word per circuit input *)
-  words : ba; (* the same words flattened block-major: block b at b * n_inputs *)
+  words : ba; (* block-major: block b, input i at b * n_inputs + i *)
   masks : int64 array; (* block -> bits backed by real vectors *)
 }
 
@@ -48,25 +47,28 @@ let pack_all vectors =
   let n = Array.length vectors in
   let n_blocks = (n + 63) / 64 in
   let n_inputs = if n = 0 then 0 else Array.length vectors.(0) in
-  let blocks = Array.init n_blocks (fun b -> pack vectors ~start:(b * 64)) in
   let words = ba_create (n_blocks * n_inputs) in
   Array.iteri
-    (fun b block ->
+    (fun k v ->
+      if Array.length v <> n_inputs then
+        invalid_arg "Parallel_sim.pack_all: inconsistent vector widths";
+      let base = k / 64 * n_inputs and bit = Int64.shift_left 1L (k mod 64) in
       Array.iteri
-        (fun i w -> Bigarray.Array1.unsafe_set words ((b * n_inputs) + i) w)
-        block)
-    blocks;
+        (fun i x ->
+          if x then
+            Bigarray.Array1.unsafe_set words (base + i)
+              (Int64.logor (Bigarray.Array1.unsafe_get words (base + i)) bit))
+        v)
+    vectors;
   {
     n_vectors = n;
     n_inputs;
-    blocks;
     words;
     masks = Array.init n_blocks (fun b -> active_mask vectors ~start:(b * 64));
   }
 
 let n_vectors p = p.n_vectors
-let num_blocks p = Array.length p.blocks
-let block p b = p.blocks.(b)
+let num_blocks p = Array.length p.masks
 let block_mask p b = p.masks.(b)
 
 (* ------------------------------------------------------------------ *)
@@ -88,7 +90,7 @@ let seed_inputs_striped c p ~block0 ~width ~stride ~(dst : ba) =
   let ni = Circuit.num_inputs c in
   if p.n_inputs <> ni then
     invalid_arg "Parallel_sim.seed_inputs_striped: input word count mismatch";
-  let nb = Array.length p.blocks in
+  let nb = num_blocks p in
   if block0 < 0 || width < 0 || block0 + width > nb then
     invalid_arg "Parallel_sim.seed_inputs_striped: bad block range";
   if stride < block0 + width then
@@ -213,7 +215,7 @@ let min_split_width = 1024
 
 let eval_all_into ?pool ?(stripe = default_stripe) c p ~(dst : ba) =
   if stripe < 1 then invalid_arg "Parallel_sim.eval_all_into: bad stripe";
-  let nb = Array.length p.blocks in
+  let nb = num_blocks p in
   let n = Circuit.num_nodes c in
   if n * nb > Bigarray.Array1.dim dst then
     invalid_arg "Parallel_sim.eval_all_into: destination too small";

@@ -41,10 +41,6 @@ val pack_all : bool array array -> packed
 val n_vectors : packed -> int
 val num_blocks : packed -> int
 
-val block : packed -> int -> int64 array
-(** The packed input words of one block ({!pack} of its range).  The
-    returned array must not be mutated. *)
-
 val block_mask : packed -> int -> int64
 (** {!active_mask} of the block: all-ones except at the tail. *)
 

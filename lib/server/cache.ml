@@ -3,7 +3,6 @@ module Rng = Iddq_util.Rng
 module Circuit = Iddq_netlist.Circuit
 module Bench_io = Iddq_netlist.Bench_io
 module Charac = Iddq_analysis.Charac
-module Parallel_sim = Iddq_patterns.Parallel_sim
 module Atpg = Iddq_atpg.Atpg
 
 (* Size-bounded table with least-recently-used eviction.  Recency is a
@@ -60,8 +59,7 @@ type t = {
   lock : Mutex.t;
   circuits : (string, Circuit.t) Lru.t;
   characs : (string, Charac.t) Lru.t;
-  vector_sets :
-    (string * int * int, bool array array * Parallel_sim.packed) Lru.t;
+  vector_sets : (string * int * int, bool array array) Lru.t;
   diagnoses : (string, Iddq_diagnose.Diagnose.t) Lru.t;
   testsets : (string, (Atpg.set_result, Atpg.error) result) Lru.t;
 }
@@ -90,7 +88,7 @@ let locked t f =
 
 (* Memoize under the lock: a derived value is computed at most once,
    concurrent requests for the same key block on the computing one.
-   The computations (characterization, vector packing) are linear in
+   The computations (characterization, vector generation) are linear in
    the circuit, far below any request's own optimization work. *)
 let memo t table key compute =
   locked t (fun () ->
@@ -117,9 +115,7 @@ let charac t ~handle c =
 
 let vectors t ~handle ~seed ~count c =
   memo t t.vector_sets (handle, seed, count) (fun () ->
-      let rng = Rng.create seed in
-      let vs = Iddq_patterns.Pattern_gen.random ~rng c ~count in
-      (vs, Parallel_sim.pack_all vs))
+      Iddq_patterns.Pattern_gen.random ~rng:(Rng.create seed) c ~count)
 
 let diagnosis t ~key compute = memo t t.diagnoses key compute
 let testset t ~key compute = memo t t.testsets key compute

@@ -3,7 +3,7 @@
     A circuit's {e handle} is the hex digest of its canonical [.bench]
     rendering, so the same netlist loaded twice — by name, by inline
     text, by different clients — lands on one entry, and everything
-    derived from it (its {!Iddq_analysis.Charac.t}, its packed random
+    derived from it (its {!Iddq_analysis.Charac.t}, its random
     vector sets, its diagnosis engines and ATPG test sets) is computed
     once and reused across requests.
 
@@ -53,10 +53,9 @@ val vectors :
   seed:int ->
   count:int ->
   Iddq_netlist.Circuit.t ->
-  bool array array * Iddq_patterns.Parallel_sim.packed
+  bool array array
 (** [count] random vectors for the circuit drawn from a fresh
-    [Rng.create seed], together with their 64-way packed form —
-    generated and packed once per (handle, seed, count). *)
+    [Rng.create seed] — generated once per (handle, seed, count). *)
 
 val diagnosis :
   t -> key:string -> (unit -> Iddq_diagnose.Diagnose.t) -> Iddq_diagnose.Diagnose.t

@@ -156,7 +156,7 @@ let fault_sim t ~handle ~method_ ~seed ~vectors ~defects ~defect_current c =
   | Error e -> Error e
   | Ok r ->
     let vec_seed = Rng.keyed_seed ~key:(handle ^ ":vectors") ~seed in
-    let vs, _packed = Cache.vectors t.cache ~handle ~seed:vec_seed ~count:vectors c in
+    let vs = Cache.vectors t.cache ~handle ~seed:vec_seed ~count:vectors c in
     let fault_rng = Rng.create (Rng.keyed_seed ~key:(handle ^ ":faults") ~seed) in
     let faults =
       Iddq_defects.Fault.random_population ~rng:fault_rng c ~count:defects
@@ -200,9 +200,7 @@ let diagnose t ~handle ~method_ ~seed ~vectors ~defects ~defect_current
        re-entrant, so nesting the vectors lookup inside the compute
        closure would self-deadlock. *)
     let vec_seed = Rng.keyed_seed ~key:(handle ^ ":vectors") ~seed in
-    let vs, _packed =
-      Cache.vectors t.cache ~handle ~seed:vec_seed ~count:vectors c
-    in
+    let vs = Cache.vectors t.cache ~handle ~seed:vec_seed ~count:vectors c in
     let engine =
       Cache.diagnosis t.cache ~key (fun () ->
           let fault_rng =

@@ -10,9 +10,9 @@
     simulators (a chunk per fault batch — fault dropping makes
     per-fault cost uneven, so fixed ranges would idle), the offspring
     costs of one evolution-strategy generation (a pool per run, a
-    {!run} per generation), and long-lived worker crews (the campaign
-    runner and the server: one {!run} whose chunks are the worker
-    loops).
+    {!run} per generation), campaign jobs (a chunk per job, in two
+    dependency waves), and the server's long-lived worker crew (one
+    {!run} whose chunks are the worker loops).
 
     A pool is owned by one orchestrating caller: concurrent {!run}
     calls on the same pool are not allowed.  The job function must

@@ -666,6 +666,60 @@ let test_runner_rejects_invalid_spec () =
                contains 0)
           | Error e -> Alcotest.fail (Runner.error_to_string e)))
 
+(* A record that raises — a store closed under the runner, or an
+   [on_result] that throws on its first fresh result — ends the
+   campaign with [Record_failed], at one domain and at two, and within
+   a deadline: the exception neither escapes [Runner.run] nor leaves
+   the record lock held for the other domain to wait on forever. *)
+let test_runner_reports_failed_record () =
+  let spec =
+    {
+      Spec.default with
+      Spec.circuits = [ "C880" ];
+      methods = [ Pipeline.Evolution ];
+      seeds = [ 1; 2; 3; 4 ];
+      max_generations = Some 3;
+    }
+  in
+  let closed_store store = Store.close store; fun _ _ ~fresh:_ -> () in
+  let raising_observer _store =
+    fun _ _ ~fresh -> if fresh then failwith "injected on_result failure"
+  in
+  List.iter
+    (fun (name, make_observer) ->
+      List.iter
+        (fun domains ->
+          with_temp_store (fun path ->
+              let store = open_store path in
+              let on_result = make_observer store in
+              let answer = Atomic.make None in
+              let runner =
+                Domain.spawn (fun () ->
+                    Atomic.set answer
+                      (Some
+                         (try Ok (Runner.run ~domains ~on_result ~store spec)
+                          with e -> Error e)))
+              in
+              let deadline = Unix.gettimeofday () +. 120.0 in
+              while Atomic.get answer = None && Unix.gettimeofday () < deadline do
+                Unix.sleepf 0.01
+              done;
+              let what = Printf.sprintf "%s at %d domains" name domains in
+              match Atomic.get answer with
+              | None -> Alcotest.failf "%s: Runner.run did not return" what
+              | Some result -> (
+                Domain.join runner;
+                (try Store.close store with Sys_error _ -> ());
+                match result with
+                | Ok (Error (Runner.Record_failed _)) -> ()
+                | Ok (Ok _) -> Alcotest.failf "%s: answered Ok" what
+                | Ok (Error e) ->
+                  Alcotest.failf "%s: %s" what (Runner.error_to_string e)
+                | Error e ->
+                  Alcotest.failf "%s: raised %s" what (Printexc.to_string e))))
+        [ 1; 2 ])
+    [ ("closed store", closed_store); ("raising on_result", raising_observer) ]
+
 (* Legacy spelling of a canonical metrics object: the keys stores
    wrote before the counters had one registry. *)
 let legacy_keys =
@@ -764,6 +818,8 @@ let tests =
       test_runner_timeout_records_and_reruns;
     Alcotest.test_case "runner rejects invalid spec" `Quick
       test_runner_rejects_invalid_spec;
+    Alcotest.test_case "runner reports a failed record" `Slow
+      test_runner_reports_failed_record;
     Alcotest.test_case "result legacy metrics" `Quick test_result_legacy_metrics;
     Alcotest.test_case "result bad metrics" `Quick test_result_bad_metrics;
     Alcotest.test_case "runner resumes mixed-format store" `Slow

@@ -284,6 +284,84 @@ let test_generate_trajectory_pinned () =
         "d896da719f8c3ae110b46bce89e7d4e5" );
     ]
 
+(* The ATPG loop on the ISCAS85 grid the bench's [testset] experiment
+   reports (seed 11, 32 random vectors, 64 backtracks): PODEM top-up
+   never loses coverage against the random-only start, every
+   minimization strategy keeps the full set's coverage, refined is no
+   larger than greedy, minimization shrinks the set on at least 3 of
+   the 4 circuits, and a C432 re-run reproduces the set. *)
+let test_iscas_grid_gate () =
+  let seed = 11 and random_vectors = 32 and max_backtracks = 64 in
+  let config =
+    Atpg.config ~max_backtracks ~seed ~random_vectors ~strategy:Atpg.Greedy ()
+  in
+  let shrunk =
+    List.fold_left
+      (fun shrunk (name, circuit) ->
+        (* the facade seeds [Rng.create seed] and draws its random
+           vectors first, so this is exactly its random-only start *)
+        let initial =
+          Iddq_patterns.Pattern_gen.random ~rng:(Rng.create seed) circuit
+            ~count:random_vectors
+        in
+        let random_only =
+          Stuck_at.fault_simulate circuit ~vectors:initial
+            ~faults:(Stuck_at.collapsed_fault_list circuit)
+        in
+        let r = run_ok ~config circuit in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: coverage %.4f >= random-only %.4f" name
+             r.Atpg.coverage random_only.Stuck_at.coverage)
+          true
+          (r.Atpg.coverage >= random_only.Stuck_at.coverage -. 1e-9);
+        if name = "C432" then begin
+          let again = run_ok ~config circuit in
+          Alcotest.(check bool) "C432 re-run: same vectors" true
+            (again.Atpg.all_vectors = r.Atpg.all_vectors);
+          Alcotest.(check bool) "C432 re-run: same selection" true
+            (again.Atpg.selected = r.Atpg.selected);
+          Alcotest.(check (float 0.0)) "C432 re-run: same coverage"
+            r.Atpg.coverage again.Atpg.coverage
+        end;
+        let m = r.Atpg.matrix in
+        let full =
+          if Coverage.num_faults m = 0 then 1.0
+          else
+            float_of_int (Coverage.num_detectable m)
+            /. float_of_int (Coverage.num_faults m)
+        in
+        let size strategy =
+          match Atpg.minimize_result ~strategy m with
+          | Error e -> Alcotest.failf "%s: %s" name (Atpg.error_to_string e)
+          | Ok sel ->
+            Alcotest.(check (float 1e-9))
+              (Printf.sprintf "%s: %s keeps coverage" name
+                 (Testset.strategy_to_string strategy))
+              full
+              (Coverage.coverage_of_selection m sel);
+            Array.length sel
+        in
+        let sizes = List.map (fun s -> (s, size s)) Testset.strategies in
+        let greedy = List.assoc Atpg.Greedy sizes
+        and refined = List.assoc Atpg.Refined sizes in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: refined %d <= greedy %d" name refined greedy)
+          true (refined <= greedy);
+        if List.exists (fun (_, n) -> n < r.Atpg.vectors_before) sizes
+        then shrunk + 1
+        else shrunk)
+      0
+      [
+        ("C432", Iscas.c432_like ());
+        ("C880", Iscas.c880_like ());
+        ("C1908", Iscas.c1908_like ());
+        ("C3540", Iscas.c3540_like ());
+      ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "minimized set smaller on %d/4 circuits (>= 3)" shrunk)
+    true (shrunk >= 3)
+
 let tests =
   [
     Alcotest.test_case "greedy provably non-optimal matrix" `Quick
@@ -307,4 +385,5 @@ let tests =
       test_facade_matrix_matches_detects;
     Alcotest.test_case "generate trajectory pinned" `Quick
       test_generate_trajectory_pinned;
+    Alcotest.test_case "ISCAS85 grid gate" `Slow test_iscas_grid_gate;
   ]
