@@ -678,7 +678,13 @@ let campaign_cmd =
     with
     | Error e -> exit_err e
     | Ok spec ->
-      if fresh && Sys.file_exists out then Sys.remove out;
+      (* only a regular file is discarded; anything else is left for
+         [Store.open_] to refuse *)
+      if fresh then begin
+        match Unix.stat out with
+        | { Unix.st_kind = Unix.S_REG; _ } -> Sys.remove out
+        | _ | (exception Unix.Unix_error _) -> ()
+      end;
       let store =
         match Store.open_ out with
         | Ok s -> s
@@ -819,6 +825,10 @@ let serve_cmd =
 
 let client_cmd =
   let run socket =
+    (* a write to a closed server becomes an [error:] line, not a
+       silent death by SIGPIPE *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ -> ());
     match Client.connect ~socket with
     | Error e -> exit_err e
     | Ok cl ->
@@ -830,13 +840,20 @@ let client_cmd =
           match Json.parse line with
           | Error e -> exit_err (Printf.sprintf "bad request JSON: %s" e)
           | Ok j -> begin
-            Client.send cl j;
-            match Client.recv cl with
+            match Result.bind (Client.send cl j) (fun () -> Client.recv cl) with
             | Error e -> exit_err e
-            | Ok resp ->
-              print_endline (Json.to_string resp);
-              flush stdout;
-              loop ()
+            | Ok resp -> begin
+              match
+                print_endline (Json.to_string resp);
+                flush stdout
+              with
+              | () -> loop ()
+              | exception Sys_error e ->
+                (* drop the unwritable buffer, or the flush at exit
+                   raises again *)
+                close_out_noerr stdout;
+                exit_err ("stdout: " ^ e)
+            end
           end
         end
       in

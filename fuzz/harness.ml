@@ -3,12 +3,14 @@
    Every front-end parser plus the JSONL store is driven with
    thousands of corrupted variants of valid files.  The contract under
    test is the Error contract of the robustness layer: every outcome
-   is [Ok] or [Error] — never an escaped exception — and no file
+   is [Ok] or [Error] — never an escaped exception — every circuit a
+   netlist parser accepts passes [Circuit.validate], and no file
    descriptor leaks, measured by comparing the /proc/self/fd
    population before and after the run. *)
 
 module Rng = Iddq_util.Rng
 module Io = Iddq_util.Io
+module Circuit = Iddq_netlist.Circuit
 module Bench_io = Iddq_netlist.Bench_io
 module Verilog_io = Iddq_netlist.Verilog_io
 module Generator = Iddq_netlist.Generator
@@ -66,6 +68,16 @@ let circuit_corpus () =
 
 let ok b = match b with Ok _ -> true | Error _ -> false
 
+(* A circuit a netlist parser accepts must pass [Circuit.validate] —
+   its structure and the levelization built with it; one that does not
+   raises, so [run] reports it as a crash. *)
+let accepted = function
+  | Error _ -> false
+  | Ok c -> (
+    match Circuit.validate c with
+    | Ok () -> true
+    | Error e -> failwith ("accepted circuit fails Circuit.validate: " ^ e))
+
 let targets () =
   let circuits = circuit_corpus () in
   let c17 = Iscas.c17 () in
@@ -87,14 +99,14 @@ let targets () =
     {
       name = "bench";
       corpus = List.map Bench_io.to_string circuits;
-      parse = (fun s -> ok (Bench_io.parse_string s));
-      parse_path = Some (fun p -> ok (Bench_io.parse_file p));
+      parse = (fun s -> accepted (Bench_io.parse_string s));
+      parse_path = Some (fun p -> accepted (Bench_io.parse_file p));
     };
     {
       name = "verilog";
       corpus = List.map Verilog_io.to_string circuits;
-      parse = (fun s -> ok (Verilog_io.parse_string s));
-      parse_path = Some (fun p -> ok (Verilog_io.parse_file p));
+      parse = (fun s -> accepted (Verilog_io.parse_string s));
+      parse_path = Some (fun p -> accepted (Verilog_io.parse_file p));
     };
     {
       name = "library";

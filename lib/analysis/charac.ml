@@ -6,8 +6,6 @@ module Cell = Iddq_celllib.Cell
 type t = {
   circuit : Circuit.t;
   library : Library.t;
-  depth : int;
-  gate_depth : int array;
   cells : Cell.t array; (* per gate, fanin-derated *)
   times : Bytes.t array; (* per gate: bitset over slots 1..depth *)
   low_power : bool array;
@@ -22,9 +20,8 @@ let bit_set bs i =
 
 let make ~library circuit =
   let ng = Circuit.num_gates circuit in
-  let gate_depth = Graph_algo.gate_depths circuit in
-  let depth = Array.fold_left Stdlib.max 0 gate_depth in
-  let words = (depth / 8) + 1 in
+  let levels = Circuit.Csr.levels circuit in
+  let words = (Circuit.depth circuit / 8) + 1 in
   let times = Array.init ng (fun _ -> Bytes.make words '\000') in
   (* T(g) = union over fanins of (T(fanin) + 1); inputs switch at 0 *)
   let ni = Circuit.num_inputs circuit in
@@ -34,11 +31,11 @@ let make ~library circuit =
     let mine = times.(g) in
     let id = g + ni in
     for k = offsets.(id) to offsets.(id + 1) - 1 do
-      let src_g = targets.(k) - ni in
-      if src_g < 0 then bit_set mine 1
+      let src = targets.(k) in
+      if src < ni then bit_set mine 1
       else begin
-        let theirs = times.(src_g) in
-        for slot = 1 to gate_depth.(src_g) do
+        let theirs = times.(src - ni) in
+        for slot = 1 to levels.(src) do
           if bit_get theirs slot then bit_set mine (slot + 1)
         done
       end
@@ -53,8 +50,6 @@ let make ~library circuit =
   {
     circuit;
     library;
-    depth;
-    gate_depth;
     cells;
     times;
     low_power = Array.make ng false;
@@ -65,8 +60,8 @@ let circuit t = t.circuit
 let library t = t.library
 let technology t = Library.technology t.library
 let num_gates t = Array.length t.cells
-let depth t = t.depth
-let gate_depth t g = t.gate_depth.(g)
+let depth t = Circuit.depth t.circuit
+let gate_depth t g = Circuit.level t.circuit (Circuit.node_of_gate t.circuit g)
 let peak_current t g = t.cells.(g).Cell.peak_current
 let leakage t g = t.cells.(g).Cell.leakage
 let delay t g = t.cells.(g).Cell.delay
@@ -75,10 +70,10 @@ let output_capacitance t g = t.cells.(g).Cell.output_capacitance
 let rail_capacitance t g = t.cells.(g).Cell.rail_capacitance
 
 let can_switch_at t g slot =
-  slot >= 1 && slot <= t.gate_depth.(g) && bit_get t.times.(g) slot
+  slot >= 1 && slot <= gate_depth t g && bit_get t.times.(g) slot
 
 let iter_switch_slots t g f =
-  for slot = 1 to t.gate_depth.(g) do
+  for slot = 1 to gate_depth t g do
     if bit_get t.times.(g) slot then f slot
   done
 

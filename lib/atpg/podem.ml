@@ -1,6 +1,5 @@
 module Circuit = Iddq_netlist.Circuit
 module Scoap = Iddq_analysis.Scoap
-module Level_schedule = Iddq_netlist.Level_schedule
 module Stuck_at = Iddq_defects.Stuck_at
 module Rng = Iddq_util.Rng
 
@@ -101,7 +100,6 @@ let eval3 t vals id ~pin ~pin_value =
 let prepare c =
   let n = Circuit.num_nodes c and ni = Circuit.num_inputs c in
   let scoap = Scoap.compute c in
-  let sched = Level_schedule.of_circuit c in
   let outputs = Circuit.outputs c in
   let is_output = Bytes.make n '\000' in
   Array.iter (fun id -> Bytes.set is_output id '\001') outputs;
@@ -122,9 +120,9 @@ let prepare c =
       good = Bytes.make n (Char.chr vx);
       faulty = Bytes.make n (Char.chr vx);
       all_x = Bytes.make n (Char.chr vx);
-      level = Array.init n (Level_schedule.level_of_node sched);
-      q_base = Level_schedule.offsets sched;
-      q_fill = Array.make (Level_schedule.num_levels sched + 1) 0;
+      level = Circuit.Csr.levels c;
+      q_base = Circuit.Csr.level_offsets c;
+      q_fill = Array.make (Circuit.depth c + 1) 0;
       queue = Array.make (n - ni) 0;
       queued = Array.make n 0;
       q_epoch = 1;

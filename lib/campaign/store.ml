@@ -16,9 +16,16 @@ let load_line t line =
     | Error _ -> t.dropped <- t.dropped + 1
   end
 
+(* Only a regular file is read back: a FIFO would block the open until
+   a writer appears and a character device such as /dev/zero never
+   ends, so either is refused before any read. *)
 let open_ path =
   let scan =
-    if Sys.file_exists path then
+    match Unix.stat path with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ([], false)
+    | exception Unix.Unix_error (err, _, _) ->
+      Error (Iddq_util.Io_error.make ~path (Unix.error_message err))
+    | { Unix.st_kind = Unix.S_REG; _ } ->
       Iddq_util.Io.with_in path (fun ic ->
           let lines = In_channel.input_lines ic in
           (* a file not ending in '\n' was torn mid-write; the next
@@ -30,7 +37,7 @@ let open_ path =
                 input_char ic <> '\n')
           in
           (lines, torn))
-    else Ok ([], false)
+    | _ -> Error (Iddq_util.Io_error.make ~path "not a regular file")
   in
   match scan with
   | Error e -> Error e

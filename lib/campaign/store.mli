@@ -15,8 +15,10 @@ type t
 val open_ : string -> (t, Iddq_util.Io_error.t) result
 (** Load the records already at [path] (a missing file is an empty
     store) and open it for appending.  An unreadable or unwritable
-    path is an [Error] with the path — never an exception — and no
-    descriptor is leaked on the failure paths. *)
+    path, or one that exists but is not a regular file (a FIFO, a
+    device, a directory), is an [Error] with the path — never an
+    exception, never a blocking or unbounded read — and no descriptor
+    is leaked on the failure paths. *)
 
 val path : t -> string
 

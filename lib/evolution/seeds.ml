@@ -31,18 +31,20 @@ let chain_assignment ~rng ?module_size ch =
   in
   let c = Charac.circuit ch in
   let u = Charac.undirected ch in
-  let depth_of = Array.init n (Charac.gate_depth ch) in
+  let levels = Circuit.Csr.levels c in
+  let ni = Circuit.num_inputs c in
   let assignment = Array.make n (-1) in
   let free_count = ref n in
   (* free gates of minimum depth, with random tie-breaking *)
   let min_depth_free () =
     let best = ref max_int in
     for g = 0 to n - 1 do
-      if assignment.(g) < 0 && depth_of.(g) < !best then best := depth_of.(g)
+      if assignment.(g) < 0 && levels.(ni + g) < !best then
+        best := levels.(ni + g)
     done;
     let candidates = ref [] in
     for g = 0 to n - 1 do
-      if assignment.(g) < 0 && depth_of.(g) = !best then
+      if assignment.(g) < 0 && levels.(ni + g) = !best then
         candidates := g :: !candidates
     done;
     Rng.choose_list rng !candidates
@@ -71,7 +73,6 @@ let chain_assignment ~rng ?module_size ch =
       !module_members;
     match !found with [] -> None | l -> Some (Rng.choose_list rng l)
   in
-  let ni = Circuit.num_inputs c in
   let fo_off = Circuit.Csr.fanout_offsets c in
   let fo_tgt = Circuit.Csr.fanout_targets c in
   (* free fanout gates, ascending (every fanout of a node is a gate) *)

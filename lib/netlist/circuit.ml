@@ -13,6 +13,9 @@ type t = {
   fanin_targets : int array; (* concatenated fanin node ids *)
   fanout_offsets : int array; (* length n+1 *)
   fanout_targets : int array; (* concatenated fanout node ids, ascending *)
+  levels : int array; (* per node: 0 for inputs, 1 + deepest fanin for gates *)
+  level_order : int array; (* gate node ids, level-major, ascending per level *)
+  level_offsets : int array; (* length depth+1; level l spans [l-1, l) *)
   node_names : string array;
   outputs : int array;
   output_set : bool array;
@@ -45,6 +48,39 @@ let build_fanouts_csr n fanin_offsets fanin_targets =
   done;
   (fanout_offsets, fanout_targets)
 
+(* One pass in id order levels every node (fanins have smaller ids);
+   a counting sort by level then places the gates level-major, filled
+   in id order like the fanouts above so each level's ids ascend.
+   [level_offsets.(l)] first counts level [l]'s gates and the prefix
+   sum turns it into the end of level [l]. *)
+let build_levels n num_inputs fanin_offsets fanin_targets =
+  let levels = Array.make n 0 in
+  let depth = ref 0 in
+  for id = num_inputs to n - 1 do
+    let d = ref 0 in
+    for k = fanin_offsets.(id) to fanin_offsets.(id + 1) - 1 do
+      let l = levels.(fanin_targets.(k)) in
+      if l > !d then d := l
+    done;
+    levels.(id) <- !d + 1;
+    if !d + 1 > !depth then depth := !d + 1
+  done;
+  let level_offsets = Array.make (!depth + 1) 0 in
+  for id = num_inputs to n - 1 do
+    level_offsets.(levels.(id)) <- level_offsets.(levels.(id)) + 1
+  done;
+  for l = 1 to !depth do
+    level_offsets.(l) <- level_offsets.(l) + level_offsets.(l - 1)
+  done;
+  let fill = Array.sub level_offsets 0 !depth in
+  let level_order = Array.make (n - num_inputs) 0 in
+  for id = num_inputs to n - 1 do
+    let l = levels.(id) - 1 in
+    level_order.(fill.(l)) <- id;
+    fill.(l) <- fill.(l) + 1
+  done;
+  (levels, level_order, level_offsets)
+
 let lazy_name_index node_names =
   lazy
     (let index = Hashtbl.create (2 * Array.length node_names) in
@@ -59,6 +95,9 @@ let unsafe_make_csr ~name ~num_inputs ~kinds ~fanin_offsets ~fanin_targets
   let fanout_offsets, fanout_targets =
     build_fanouts_csr n fanin_offsets fanin_targets
   in
+  let levels, level_order, level_offsets =
+    build_levels n num_inputs fanin_offsets fanin_targets
+  in
   {
     name;
     num_inputs;
@@ -67,6 +106,9 @@ let unsafe_make_csr ~name ~num_inputs ~kinds ~fanin_offsets ~fanin_targets
     fanin_targets;
     fanout_offsets;
     fanout_targets;
+    levels;
+    level_order;
+    level_offsets;
     node_names;
     outputs;
     output_set;
@@ -151,6 +193,9 @@ let gate_kind c id =
     invalid_arg "Circuit.gate_kind: node is a primary input"
   else Gate.of_code code
 
+let level c id = c.levels.(id)
+let depth c = Array.length c.level_offsets - 1
+
 let node_of_gate c g = c.num_inputs + g
 let gate_of_node c id = id - c.num_inputs
 
@@ -160,6 +205,9 @@ module Csr = struct
   let fanin_targets c = c.fanin_targets
   let fanout_offsets c = c.fanout_offsets
   let fanout_targets c = c.fanout_targets
+  let levels c = c.levels
+  let level_order c = c.level_order
+  let level_offsets c = c.level_offsets
 end
 
 type stats = {
@@ -171,18 +219,8 @@ type stats = {
 }
 
 let stats c =
-  let n = num_nodes c in
-  let depth = Array.make n 0 in
-  let max_depth = ref 0 in
-  for id = c.num_inputs to n - 1 do
-    let d = ref 0 in
-    iter_fanins c id (fun src -> d := Stdlib.max !d depth.(src));
-    let d = !d + 1 in
-    depth.(id) <- d;
-    if d > !max_depth then max_depth := d
-  done;
   let counts = Array.make 8 0 in
-  for id = c.num_inputs to n - 1 do
+  for id = c.num_inputs to num_nodes c - 1 do
     let code = kind_code c id in
     counts.(code) <- counts.(code) + 1
   done;
@@ -197,7 +235,7 @@ let stats c =
     s_inputs = num_inputs c;
     s_outputs = num_outputs c;
     s_gates = num_gates c;
-    s_depth = !max_depth;
+    s_depth = depth c;
     s_kind_counts = kind_counts;
   }
 
@@ -251,6 +289,46 @@ let validate c =
       if not !monotone then err "%s offsets not monotone" label else Ok ()
     end
   in
+  (* The levelization against a recomputation from the fanins: inputs
+     at 0, every gate one above its deepest fanin, and the level-major
+     order a partition of the gates by level with ascending ids per
+     level — strictly ascending ids inside a level and the level test
+     together rule out a gate listed twice.  Both scans run downward so
+     the error kept is the lowest node or slot. *)
+  let check_levels () =
+    let ni = c.num_inputs in
+    let lo = c.level_offsets and order = c.level_order in
+    let depth = depth c in
+    let monotone = ref true in
+    for l = 1 to depth do
+      if lo.(l) < lo.(l - 1) then monotone := false
+    done;
+    if lo.(0) <> 0 || lo.(depth) <> n - ni || not !monotone then
+      err "level offsets do not partition the gates"
+    else begin
+      let bad = ref (Ok ()) in
+      for id = n - 1 downto 0 do
+        let deepest = ref (-1) in
+        if id >= ni then
+          iter_fanins c id (fun src ->
+              deepest := Stdlib.max !deepest c.levels.(src));
+        if c.levels.(id) <> !deepest + 1 then
+          bad :=
+            err "node %d at level %d, expected %d" id c.levels.(id)
+              (!deepest + 1)
+      done;
+      for l = depth downto 1 do
+        for k = lo.(l) - 1 downto lo.(l - 1) do
+          let id = order.(k) in
+          if id < ni || id >= n || c.levels.(id) <> l then
+            bad := err "level order slot %d: node %d not a level-%d gate" k id l
+          else if k > lo.(l - 1) && order.(k - 1) >= id then
+            bad := err "level %d: ids not ascending at slot %d" l k
+        done
+      done;
+      !bad
+    end
+  in
   match check_offsets c.fanin_offsets "fanin" with
   | Error e -> Error e
   | Ok () -> begin
@@ -263,6 +341,6 @@ let validate c =
         if Array.exists (fun o -> o < 0 || o >= n) c.outputs then
           err "output id out of range"
         else if Array.length c.outputs = 0 then err "circuit has no outputs"
-        else Ok ()
+        else check_levels ()
     end
   end

@@ -11,6 +11,13 @@
     gate kinds as one byte per node, fanins and fanouts as flat
     offsets+targets [int] arrays.
 
+    Construction also levelizes the circuit once: every primary input
+    sits at level 0 and every gate at one plus the deepest level of its
+    fanins, so the gates of one level are pairwise independent.  The
+    levels index the cost model's transition-time slots, seeding's
+    depth order, PODEM's event queue and the striped simulator's
+    level-parallel sweep; all of them read them here.
+
     Every pass walks the netlist one way: a
     [for id = num_inputs c to num_nodes c - 1] loop (gates in
     topological order) that reads each gate's fanins, in stored order,
@@ -75,6 +82,16 @@ val gate_kind : t -> int -> Gate.kind
 val node_of_gate : t -> int -> int
 val gate_of_node : t -> int -> int
 
+(** {1 Levelization} *)
+
+val level : t -> int -> int
+(** Level of a node id: [0] for inputs, [1 +] the deepest fanin's
+    level for gates — the longest input-to-node path, in gates. *)
+
+val depth : t -> int
+(** Number of gate levels — the circuit's logic depth; [0] for a
+    gate-free circuit. *)
+
 (** {1 Flat CSR access}
 
     The borrowed arrays are the circuit's own storage: callers MUST
@@ -108,6 +125,21 @@ module Csr : sig
 
   val fanout_targets : t -> int array
   (** Borrowed — do not mutate. *)
+
+  val levels : t -> int array
+  (** {!level} of every node, length [num_nodes].  Borrowed — do not
+      mutate. *)
+
+  val level_order : t -> int array
+  (** Every gate node id once, level-major (level 1 first), ascending
+      id within a level: a topological order whose every prefix is
+      closed under fanins.  Borrowed — do not mutate. *)
+
+  val level_offsets : t -> int array
+  (** Length [depth + 1]: level [l] ([1]-based) occupies
+      [level_order.(level_offsets.(l-1)) ..
+       level_order.(level_offsets.(l) - 1)].  Borrowed — do not
+      mutate. *)
 end
 
 (** {1 Statistics and validation} *)
@@ -116,7 +148,7 @@ type stats = {
   s_inputs : int;
   s_outputs : int;
   s_gates : int;
-  s_depth : int; (* max gate depth, inputs at depth 0 *)
+  s_depth : int; (* {!depth} *)
   s_kind_counts : (Gate.kind * int) list;
 }
 
@@ -125,8 +157,11 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val validate : t -> (unit, string) result
 (** Re-checks the structural invariants (topological fanins, arities,
-    fanout consistency, output ids in range).  Builders establish
-    them; this is used by tests and after deserialization. *)
+    fanout consistency, output ids in range) and the levelization
+    (every level recomputed from the fanins; {!Csr.level_order} and
+    {!Csr.level_offsets} a partition of the gates by level, ascending
+    within each).  Builders establish them; this is used by tests,
+    the parser fuzzer and after deserialization. *)
 
 (** {1 Construction (internal)}
 
@@ -155,4 +190,5 @@ val unsafe_make_csr :
     form: one kind-code byte per node ({!input_code} for inputs),
     fanin offsets of length [n + 1].  Takes ownership of every array
     (no copies); trusts topological order and arities like
-    {!unsafe_make}.  Fanouts are derived by counting sort. *)
+    {!unsafe_make}.  Fanouts, levels and the level-major gate order
+    are derived by counting sort. *)

@@ -1,32 +1,3 @@
-let node_depths c =
-  let n = Circuit.num_nodes c in
-  let depth = Array.make n 0 in
-  for id = Circuit.num_inputs c to n - 1 do
-    let d = ref 0 in
-    Circuit.iter_fanins c id (fun src ->
-        let ds = Array.unsafe_get depth src in
-        if ds > !d then d := ds);
-    depth.(id) <- !d + 1
-  done;
-  depth
-
-let gate_depths c =
-  let nd = node_depths c in
-  Array.init (Circuit.num_gates c) (fun g -> nd.(Circuit.node_of_gate c g))
-
-let depth c = Array.fold_left Stdlib.max 0 (gate_depths c)
-
-let gates_by_depth c =
-  let gd = gate_depths c in
-  let dmax = Array.fold_left Stdlib.max 0 gd in
-  let buckets = Array.make dmax [] in
-  (* iterate in reverse so each bucket list ends up in ascending order *)
-  for g = Array.length gd - 1 downto 0 do
-    let d = gd.(g) in
-    buckets.(d - 1) <- g :: buckets.(d - 1)
-  done;
-  Array.map Array.of_list buckets
-
 (* The undirected gate graph in the same CSR shape as the circuit:
    flat offsets + targets, one segment of sorted unique neighbours per
    gate.  A million-gate graph is two int arrays, not a million boxed

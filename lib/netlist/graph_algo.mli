@@ -4,23 +4,6 @@
     its nodes, or — for the separation metric of the paper — as the
     corresponding undirected graph. *)
 
-(** {1 Levelization} *)
-
-val node_depths : Circuit.t -> int array
-(** [node_depths c].(id) is the longest distance (in gates) from any
-    primary input to node [id]; inputs have depth 0 and a gate's depth
-    is [1 + max] over its fanins. *)
-
-val gate_depths : Circuit.t -> int array
-(** Depths indexed by gate index. *)
-
-val depth : Circuit.t -> int
-(** Maximum gate depth (the circuit's logic depth). *)
-
-val gates_by_depth : Circuit.t -> int array array
-(** [gates_by_depth c].(d) lists the gate indices at depth [d+1]
-    (slot 0 holds depth-1 gates; inputs are not listed). *)
-
 (** {1 Undirected separation (paper §3.3)} *)
 
 type undirected

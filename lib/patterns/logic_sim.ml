@@ -1,13 +1,12 @@
 module Circuit = Iddq_netlist.Circuit
 module Gate = Iddq_netlist.Gate
-module Level_schedule = Iddq_netlist.Level_schedule
 
 type values = bool array
 
 (* Straight over the CSR arrays: no per-gate fanin array, no closure —
    this is the inner loop of every scalar estimator and of the
-   vector-at-a-time oracle.  Gates are visited in the circuit's cached
-   levelized order, the same schedule the packed kernels run on. *)
+   vector-at-a-time oracle.  Gates are visited in id order, which is
+   topological. *)
 let eval c inputs =
   if Array.length inputs <> Circuit.num_inputs c then
     invalid_arg "Logic_sim.eval: input vector length mismatch";
@@ -17,9 +16,7 @@ let eval c inputs =
   let kinds = Circuit.Csr.kinds c in
   let offsets = Circuit.Csr.fanin_offsets c in
   let targets = Circuit.Csr.fanin_targets c in
-  let order = Level_schedule.order (Level_schedule.of_circuit c) in
-  for g = 0 to Array.length order - 1 do
-    let id = Array.unsafe_get order g in
+  for id = Circuit.num_inputs c to n - 1 do
     let s = Array.unsafe_get offsets id in
     let e = Array.unsafe_get offsets (id + 1) in
     if e <= s then invalid_arg "Logic_sim.eval: gate with no fanins";

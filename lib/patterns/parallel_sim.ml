@@ -1,6 +1,5 @@
 module Circuit = Iddq_netlist.Circuit
 module Gate = Iddq_netlist.Gate
-module Level_schedule = Iddq_netlist.Level_schedule
 module Domain_pool = Iddq_util.Domain_pool
 
 type ba = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -198,9 +197,9 @@ let eval_order_range_striped c ~order ~lo ~hi ~block0 ~width ~stride ~(dst : ba)
       done
   done
 
-let eval_stripe_into c sched p ~block0 ~width ~stride ~(dst : ba) =
+let eval_stripe_into c p ~block0 ~width ~stride ~(dst : ba) =
   seed_inputs_striped c p ~block0 ~width ~stride ~dst;
-  let order = Level_schedule.order sched in
+  let order = Circuit.Csr.level_order c in
   eval_order_range_striped c ~order ~lo:0 ~hi:(Array.length order) ~block0
     ~width ~stride ~dst
 
@@ -221,13 +220,12 @@ let eval_all_into ?pool ?(stripe = default_stripe) c p ~(dst : ba) =
     invalid_arg "Parallel_sim.eval_all_into: destination too small";
   if nb = 0 then ()
   else begin
-    let sched = Level_schedule.of_circuit c in
     let w = Stdlib.min stripe nb in
     let stripes = (nb + w - 1) / w in
     let eval_stripe s =
       let block0 = s * w in
       let width = Stdlib.min w (nb - block0) in
-      eval_stripe_into c sched p ~block0 ~width ~stride:nb ~dst
+      eval_stripe_into c p ~block0 ~width ~stride:nb ~dst
     in
     let psize = match pool with None -> 1 | Some t -> Domain_pool.size t in
     match pool with
@@ -247,13 +245,13 @@ let eval_all_into ?pool ?(stripe = default_stripe) c p ~(dst : ba) =
       (* Fewer stripes than domains: split inside levels instead.  A
          [Domain_pool.run] per level is the barrier; narrow levels run
          inline on the caller to dodge the publish cost. *)
-      let order = Level_schedule.order sched in
-      let offsets = Level_schedule.offsets sched in
+      let order = Circuit.Csr.level_order c in
+      let offsets = Circuit.Csr.level_offsets c in
       for s = 0 to stripes - 1 do
         let block0 = s * w in
         let width = Stdlib.min w (nb - block0) in
         seed_inputs_striped c p ~block0 ~width ~stride:nb ~dst;
-        for l = 1 to Level_schedule.num_levels sched do
+        for l = 1 to Circuit.depth c do
           let lo = offsets.(l - 1) and hi = offsets.(l) in
           let lw = hi - lo in
           if lw < min_split_width then

@@ -48,7 +48,8 @@ val block_mask : packed -> int -> int64
 
     The hot path: packed blocks live in one block-major [Bigarray] of
     [int64] words, and the striped levelized kernels below walk the
-    circuit's CSR arrays in {!Iddq_netlist.Level_schedule} order,
+    circuit's CSR arrays in its level order
+    ({!Iddq_netlist.Circuit.Csr.level_order}),
     writing node words into a caller-owned node-major [Bigarray] — a
     full evaluation allocates {e zero} minor-heap words (asserted by
     the kernel tests).  The stuck-at faulty machine
@@ -107,17 +108,14 @@ val eval_order_range_striped :
 
 val eval_stripe_into :
   Iddq_netlist.Circuit.t ->
-  Iddq_netlist.Level_schedule.t ->
   packed ->
   block0:int ->
   width:int ->
   stride:int ->
   dst:ba ->
   unit
-(** Seed the stripe's inputs and evaluate the whole circuit in level
-    order for [width] consecutive blocks.  Allocation-free (the
-    schedule comes in explicitly — resolve it once with
-    {!Iddq_netlist.Level_schedule.of_circuit} and reuse). *)
+(** Seed the stripe's inputs and evaluate the whole circuit in its
+    level order for [width] consecutive blocks.  Allocation-free. *)
 
 val eval_all_into :
   ?pool:Iddq_util.Domain_pool.t ->

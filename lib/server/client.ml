@@ -14,11 +14,19 @@ let connect ~socket =
       (Printf.sprintf "cannot connect to %s: %s" socket
          (Unix.error_message err))
 
+(* A write to a connection the server has closed fails with EPIPE
+   once SIGPIPE is ignored (the server and the CLI client ignore it);
+   it comes back as an [Error] like a failed read. *)
 let send_raw t s =
   let b = Bytes.of_string s in
   let len = Bytes.length b in
   let rec go off =
-    if off < len then go (off + Unix.write t.fd b off (len - off))
+    if off >= len then Ok ()
+    else
+      match Unix.write t.fd b off (len - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (err, _, _) ->
+        Error ("write: " ^ Unix.error_message err)
   in
   go 0
 
@@ -45,8 +53,8 @@ let recv t =
   go ()
 
 let request t ?id req =
-  send t (Protocol.request_to_json ?id req);
-  match recv t with
+  let sent = send t (Protocol.request_to_json ?id req) in
+  match Result.bind sent (fun () -> recv t) with
   | Error _ as e -> e
   | Ok resp -> (
     match Protocol.response_payload resp with

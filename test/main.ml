@@ -10,7 +10,9 @@ let () =
       ("bench-io", Test_bench_io.tests);
       ("verilog-io", Test_verilog_io.tests);
       ("graph-algo", Test_graph_algo.tests);
-      ("level-schedule", Test_level_schedule.tests);
+      (* the pool the levelized kernels split levels on keeps its
+         place in this group *)
+      ("level-schedule", Test_level_schedule.tests @ Test_domain_pool.tests);
       ("generator", Test_generator.tests);
       ("iscas", Test_iscas.tests);
       ("celllib", Test_celllib.tests);

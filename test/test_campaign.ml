@@ -406,6 +406,54 @@ let test_store_tolerates_truncation () =
       | _ -> Alcotest.fail "lost the post-tear record");
       Store.close s)
 
+(* Runs [f] while a watchdog domain guards the FIFO at [path]: past
+   [seconds] it keeps opening the FIFO read-write — on Linux that never
+   blocks and releases any open waiting for a peer — until [f] returns.
+   A hang in [f] becomes a late return; the flag reports it. *)
+let with_fifo_watchdog ?(seconds = 5.0) path f =
+  let finished = Atomic.make false and fired = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let dog =
+    Domain.spawn (fun () ->
+        while not (Atomic.get finished) do
+          Unix.sleepf 0.02;
+          if Unix.gettimeofday () > deadline then begin
+            Atomic.set fired true;
+            match Unix.openfile path [ Unix.O_RDWR; Unix.O_NONBLOCK ] 0 with
+            | fd -> Unix.close fd
+            | exception Unix.Unix_error _ -> ()
+          end
+        done)
+  in
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set finished true;
+        Domain.join dog)
+      f
+  in
+  (result, Atomic.get fired)
+
+(* A FIFO store path is refused before any read: opening it for
+   reading would wait for a writer that never comes. *)
+let test_store_refuses_fifo () =
+  let path = Filename.temp_file "iddq-campaign-fifo" ".jsonl" in
+  Sys.remove path;
+  Unix.mkfifo path 0o600;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let opened, fired = with_fifo_watchdog path (fun () -> Store.open_ path) in
+      Alcotest.(check bool) "returns before the watchdog" false fired;
+      match opened with
+      | Ok s ->
+        Store.close s;
+        Alcotest.fail "a FIFO opened as a store"
+      | Error e ->
+        Alcotest.(check string) "typed error"
+          (path ^ ": not a regular file")
+          (Iddq_util.Io_error.to_string e))
+
 let test_result_nonfinite_roundtrip () =
   (* measurements can go non-finite (a degenerate partition's cost);
      the sentinel encoding must carry them through bit-exactly *)
@@ -803,6 +851,7 @@ let tests =
     Alcotest.test_case "result non-finite roundtrip" `Quick
       test_result_nonfinite_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_store_torn_tail;
+    Alcotest.test_case "store refuses a FIFO" `Quick test_store_refuses_fifo;
     Alcotest.test_case "runner completes and resumes" `Slow
       test_runner_completes_and_resumes;
     Alcotest.test_case "runner deterministic across domains" `Slow

@@ -226,6 +226,93 @@ let test_serve_and_client_through_cli () =
       Alcotest.(check bool) "socket file removed" false
         (Sys.file_exists socket))
 
+(* [client] against a server that accepts the connection and closes it
+   before the request line arrives on stdin: the write fails, and the
+   client reports it as an [error:] line with exit status 1 instead of
+   dying of SIGPIPE. *)
+let test_client_closed_server_exit_1 () =
+  let socket = Filename.temp_file "iddq-cli-closed" ".sock" in
+  Sys.remove socket;
+  let err = Filename.temp_file "iddq-cli-closed" ".err" in
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 1;
+  let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let devnull = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  (* the client starts with SIGPIPE at its default action, as from a
+     shell: ignoring it is the client's own job.  This process ignores
+     it for its own write to the client's stdin. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let client =
+    Unix.create_process exe
+      [| exe; "client"; "--socket"; socket |]
+      stdin_r devnull err_fd
+  in
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  List.iter Unix.close [ stdin_r; err_fd; devnull ];
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill client Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] client)
+      end;
+      (try Unix.close stdin_w with Unix.Unix_error _ -> ());
+      Unix.close listener;
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ socket; err ])
+    (fun () ->
+      (match Unix.select [ listener ] [] [] 10.0 with
+      | [], _, _ -> Alcotest.fail "client never connected"
+      | _ ->
+        let peer, _ = Unix.accept ~cloexec:true listener in
+        Unix.close peer);
+      let line = "{\"op\":\"metrics\"}\n" in
+      ignore (Unix.write_substring stdin_w line 0 (String.length line));
+      Unix.close stdin_w;
+      let status = snd (Unix.waitpid [] client) in
+      reaped := true;
+      let stderr = read_file err in
+      Alcotest.(check bool)
+        (Printf.sprintf "client exits 1 (stderr %S)" stderr)
+        true
+        (status = Unix.WEXITED 1);
+      Alcotest.(check bool) "error line" true
+        (String.starts_with ~prefix:"error:" stderr))
+
+(* [campaign --out] naming a FIFO is refused before any read, with an
+   [error:] line and exit status 1; [--fresh] does not delete it. *)
+let test_campaign_fifo_store_exit_1 () =
+  let fifo = Filename.temp_file "iddq-cli-fifo" ".jsonl" in
+  Sys.remove fifo;
+  Unix.mkfifo fifo 0o600;
+  let err = Filename.temp_file "iddq-cli-fifo" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ fifo; err ])
+    (fun () ->
+      List.iter
+        (fun extra ->
+          let what = String.concat " " ("campaign" :: extra) in
+          let status, fired =
+            Test_campaign.with_fifo_watchdog fifo (fun () ->
+                Sys.command
+                  (Filename.quote_command exe ~stdout:Filename.null
+                     ~stderr:err
+                     ([
+                        "campaign"; "--circuits"; "C17"; "--methods";
+                        "standard"; "--seeds"; "1"; "--out"; fifo; "--quiet";
+                      ]
+                     @ extra)))
+          in
+          Alcotest.(check bool) (what ^ ": returns before the watchdog") false
+            fired;
+          Alcotest.(check int) (what ^ ": exit status") 1 status;
+          Alcotest.(check bool) (what ^ ": error line") true
+            (String.starts_with ~prefix:"error:" (read_file err));
+          Alcotest.(check bool) (what ^ ": FIFO kept") true
+            ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO))
+        [ []; [ "--fresh" ] ])
+
 let test_atpg_summary_single_spaced () =
   let lines = String.split_on_char '\n' (run_capture [ "atpg"; "-c"; "C17" ]) in
   Alcotest.(check (list string))
@@ -250,4 +337,8 @@ let tests =
       test_campaign_resumes_through_cli;
     Alcotest.test_case "serve and client through the CLI" `Quick
       test_serve_and_client_through_cli;
+    Alcotest.test_case "client to a closed server exits 1" `Quick
+      test_client_closed_server_exit_1;
+    Alcotest.test_case "campaign FIFO store exits 1" `Quick
+      test_campaign_fifo_store_exit_1;
   ]

@@ -1,7 +1,6 @@
 module Circuit = Iddq_netlist.Circuit
 module Gate = Iddq_netlist.Gate
 module Generator = Iddq_netlist.Generator
-module Graph_algo = Iddq_netlist.Graph_algo
 module Logic_sim = Iddq_patterns.Logic_sim
 module Rng = Iddq_util.Rng
 
@@ -14,7 +13,7 @@ let test_layered_dag_exact_counts () =
   Alcotest.(check int) "gates" 200 (Circuit.num_gates c);
   Alcotest.(check int) "inputs" 10 (Circuit.num_inputs c);
   Alcotest.(check int) "outputs" 5 (Circuit.num_outputs c);
-  Alcotest.(check int) "depth exact" 15 (Graph_algo.depth c);
+  Alcotest.(check int) "depth exact" 15 (Circuit.depth c);
   Alcotest.(check (result unit string)) "valid" (Ok ()) (Circuit.validate c)
 
 let test_layered_dag_deterministic () =
@@ -43,15 +42,15 @@ let test_cell_array_structure () =
   Alcotest.(check int) "gates" (rows * cols) (Circuit.num_gates c);
   Alcotest.(check int) "inputs" rows (Circuit.num_inputs c);
   Alcotest.(check int) "outputs" rows (Circuit.num_outputs c);
-  Alcotest.(check int) "depth = cols" cols (Graph_algo.depth c);
+  Alcotest.(check int) "depth = cols" cols (Circuit.depth c);
   (* gate-index mapping and per-column depth *)
-  let gd = Graph_algo.gate_depths c in
   for r = 0 to rows - 1 do
     for col = 0 to cols - 1 do
       let g = Generator.cell_array_gate ~rows ~cols ~r ~c:col in
       Alcotest.(check int)
         (Printf.sprintf "depth of cell (%d,%d)" r col)
-        (col + 1) gd.(g)
+        (col + 1)
+        (Circuit.level c (Circuit.node_of_gate c g))
     done
   done;
   (* cell kinds cycle with the row *)
@@ -66,11 +65,11 @@ let test_cell_array_structure () =
 let test_chain_and_tree () =
   let c = Generator.chain ~length:7 () in
   Alcotest.(check int) "chain gates" 7 (Circuit.num_gates c);
-  Alcotest.(check int) "chain depth" 7 (Graph_algo.depth c);
+  Alcotest.(check int) "chain depth" 7 (Circuit.depth c);
   let t = Generator.balanced_tree ~depth:4 () in
   Alcotest.(check int) "tree leaves" 16 (Circuit.num_inputs t);
   Alcotest.(check int) "tree gates" 15 (Circuit.num_gates t);
-  Alcotest.(check int) "tree depth" 4 (Graph_algo.depth t)
+  Alcotest.(check int) "tree depth" 4 (Circuit.depth t)
 
 let multiplier_value c a_val b_val n =
   let inputs = Array.make (2 * n) false in
@@ -116,7 +115,7 @@ let qcheck_layered_dag_wellformed =
           ~num_gates:gates ~depth ()
       in
       Circuit.num_gates c = gates
-      && Graph_algo.depth c = depth
+      && Circuit.depth c = depth
       && Circuit.validate c = Ok ())
 
 let tests =

@@ -27,25 +27,34 @@ let separations_from u ~cutoff source =
 
 let separation u ~cutoff g h = (separations_from u ~cutoff g).(h)
 
+(* Levels live on the circuit; these pin them on hand-checked shapes. *)
 let test_depths () =
   let c = diamond () in
-  let gd = Graph_algo.gate_depths c in
-  Alcotest.(check int) "g1 depth" 1 gd.(gate_of c "g1");
-  Alcotest.(check int) "g2 depth" 2 gd.(gate_of c "g2");
-  Alcotest.(check int) "g4 depth" 1 gd.(gate_of c "g4");
-  Alcotest.(check int) "g3 depth = longest" 3 gd.(gate_of c "g3");
-  Alcotest.(check int) "circuit depth" 3 (Graph_algo.depth c)
+  let level name = Circuit.level c (Option.get (Circuit.node_id_of_name c name)) in
+  Alcotest.(check int) "input level" 0 (level "a");
+  Alcotest.(check int) "g1 depth" 1 (level "g1");
+  Alcotest.(check int) "g2 depth" 2 (level "g2");
+  Alcotest.(check int) "g4 depth" 1 (level "g4");
+  Alcotest.(check int) "g3 depth = longest" 3 (level "g3");
+  Alcotest.(check int) "circuit depth" 3 (Circuit.depth c)
 
 let test_gates_by_depth () =
   let c = diamond () in
-  let buckets = Graph_algo.gates_by_depth c in
-  Alcotest.(check int) "3 levels" 3 (Array.length buckets);
-  Alcotest.(check int) "level 1 has two gates" 2 (Array.length buckets.(0));
-  Alcotest.(check int) "level 3 has g3" 1 (Array.length buckets.(2))
+  let offsets = Circuit.Csr.level_offsets c in
+  let level l =
+    Array.sub (Circuit.Csr.level_order c) offsets.(l - 1)
+      (offsets.(l) - offsets.(l - 1))
+    |> Array.map (Circuit.node_name c)
+  in
+  Alcotest.(check int) "3 levels" 3 (Array.length offsets - 1);
+  Alcotest.(check (array string)) "level 1 holds g1 and g4, by id"
+    [| "g1"; "g4" |] (level 1);
+  Alcotest.(check (array string)) "level 2 holds g2" [| "g2" |] (level 2);
+  Alcotest.(check (array string)) "level 3 holds g3" [| "g3" |] (level 3)
 
 let test_chain_depth () =
   let c = Generator.chain ~length:20 () in
-  Alcotest.(check int) "depth 20" 20 (Graph_algo.depth c)
+  Alcotest.(check int) "depth 20" 20 (Circuit.depth c)
 
 let test_undirected_symmetric () =
   let c = diamond () in

@@ -1,7 +1,6 @@
 module Circuit = Iddq_netlist.Circuit
 module Gate = Iddq_netlist.Gate
 module Iscas = Iddq_netlist.Iscas
-module Graph_algo = Iddq_netlist.Graph_algo
 module Logic_sim = Iddq_patterns.Logic_sim
 
 let test_c17_structure () =
@@ -9,7 +8,7 @@ let test_c17_structure () =
   Alcotest.(check int) "inputs" 5 (Circuit.num_inputs c);
   Alcotest.(check int) "outputs" 2 (Circuit.num_outputs c);
   Alcotest.(check int) "gates" 6 (Circuit.num_gates c);
-  Alcotest.(check int) "depth" 3 (Graph_algo.depth c);
+  Alcotest.(check int) "depth" 3 (Circuit.depth c);
   for id = Circuit.num_inputs c to Circuit.num_nodes c - 1 do
     Alcotest.(check bool) "all NAND" true (Gate.equal (Circuit.gate_kind c id) Gate.Nand)
   done
@@ -53,7 +52,7 @@ let check_suite_entry name c ~inputs ~outputs ~gates ~depth =
   Alcotest.(check int) (name ^ " inputs") inputs (Circuit.num_inputs c);
   Alcotest.(check int) (name ^ " outputs") outputs (Circuit.num_outputs c);
   Alcotest.(check int) (name ^ " gates") gates (Circuit.num_gates c);
-  Alcotest.(check int) (name ^ " depth") depth (Graph_algo.depth c);
+  Alcotest.(check int) (name ^ " depth") depth (Circuit.depth c);
   Alcotest.(check (result unit string)) (name ^ " valid") (Ok ())
     (Circuit.validate c)
 

@@ -9,7 +9,6 @@ module Bitvec = Iddq_util.Bitvec
 module Rng = Iddq_util.Rng
 module Domain_pool = Iddq_util.Domain_pool
 module Circuit = Iddq_netlist.Circuit
-module Level_schedule = Iddq_netlist.Level_schedule
 module Gate = Iddq_netlist.Gate
 module Generator = Iddq_netlist.Generator
 module Graph_algo = Iddq_netlist.Graph_algo
@@ -189,15 +188,14 @@ let test_eval_stripe_allocation_free () =
   let packed = P.pack_all vectors in
   let nb = P.num_blocks packed in
   let n = Circuit.num_nodes c in
-  let sched = Level_schedule.of_circuit c in
   let dst : P.ba =
     Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * nb)
   in
   Bigarray.Array1.fill dst 0L;
-  P.eval_stripe_into c sched packed ~block0:0 ~width:nb ~stride:nb ~dst;
+  P.eval_stripe_into c packed ~block0:0 ~width:nb ~stride:nb ~dst;
   let before = Gc.minor_words () in
   for _ = 1 to 50 do
-    P.eval_stripe_into c sched packed ~block0:0 ~width:nb ~stride:nb ~dst
+    P.eval_stripe_into c packed ~block0:0 ~width:nb ~stride:nb ~dst
   done;
   let delta = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0))
@@ -229,7 +227,12 @@ let wide_case rng =
     Generator.layered_dag ~rng ~name:"wide" ~num_inputs:32 ~num_outputs:16
       ~num_gates:3_000 ~depth:2 ()
   in
-  if Level_schedule.max_level_width (Level_schedule.of_circuit c) < 1024 then
+  let offsets = Circuit.Csr.level_offsets c in
+  let widest = ref 0 in
+  for l = 1 to Circuit.depth c do
+    widest := max !widest (offsets.(l) - offsets.(l - 1))
+  done;
+  if !widest < 1024 then
     QCheck.Test.fail_reportf "wide case: no level reaches the split width";
   (c, Pattern_gen.random ~rng c ~count:130)
 

@@ -1,14 +1,78 @@
-(* Level_schedule invariants: a valid topological levelization
-   covering every non-input gate exactly once, on random layered DAGs
-   and the ISCAS85 suite, plus the per-circuit cache and the
-   Domain_pool chunk scheduler the levelized drivers run on. *)
+(* The circuit's levelization — levels, level-major gate order and
+   level offsets, built once by [Circuit] construction — against a
+   from-scratch recomputation kept here, on every constructor: the
+   layered-DAG generator (random DAGs and the ISCAS85 stand-ins),
+   [Builder.freeze] (the structured generators), and the Bench_io and
+   Verilog_io round trips. *)
 
 module Rng = Iddq_util.Rng
-module Domain_pool = Iddq_util.Domain_pool
 module Circuit = Iddq_netlist.Circuit
 module Generator = Iddq_netlist.Generator
 module Iscas = Iddq_netlist.Iscas
-module Level_schedule = Iddq_netlist.Level_schedule
+module Bench_io = Iddq_netlist.Bench_io
+module Verilog_io = Iddq_netlist.Verilog_io
+
+(* ---------------- reference levelization ----------------------------- *)
+
+(* Longest input-to-node path by memoized recursion over the fanins —
+   no reliance on the id order being topological — and the gates
+   sorted by (level, id). *)
+let reference_levels c =
+  let n = Circuit.num_nodes c in
+  let memo = Array.make n (-1) in
+  let rec level id =
+    if memo.(id) < 0 then
+      memo.(id) <-
+        (if Circuit.is_input c id then 0
+         else
+           1 + Array.fold_left (fun d src -> max d (level src)) 0
+                 (Circuit.fanins c id));
+    memo.(id)
+  in
+  let levels = Array.init n level in
+  let gates =
+    List.init (Circuit.num_gates c) (Circuit.node_of_gate c)
+    |> List.stable_sort (fun a b -> compare levels.(a) levels.(b))
+  in
+  (levels, Array.of_list gates)
+
+(* [Ok ()] when the circuit's levelization equals the reference and
+   [Circuit.validate] accepts it. *)
+let check_levels c =
+  let levels, order = reference_levels c in
+  let depth = Array.fold_left max 0 levels in
+  let offsets = Circuit.Csr.level_offsets c in
+  let widths_ok =
+    Array.length offsets = depth + 1
+    && offsets.(0) = 0
+    && List.for_all
+         (fun l ->
+           offsets.(l) - offsets.(l - 1)
+           = Array.fold_left
+               (fun k id -> if levels.(id) = l then k + 1 else k)
+               0 order)
+         (List.init depth (fun l -> l + 1))
+  in
+  if Circuit.Csr.levels c <> levels then Error "levels differ"
+  else if Circuit.depth c <> depth then Error "depth differs"
+  else if Circuit.Csr.level_order c <> order then Error "level order differs"
+  else if not widths_ok then Error "level offsets differ"
+  else Circuit.validate c
+
+(* A circuit as built and after both netlist round trips. *)
+let constructors c =
+  let reparse what parse print =
+    match parse (print c) with
+    | Ok c' -> (what, c')
+    | Error e ->
+      QCheck.Test.fail_reportf "%s round trip: %s" what
+        (Iddq_util.Io_error.to_string e)
+  in
+  [
+    ("built", c);
+    reparse "bench" (Bench_io.parse_string ~name:"rt") Bench_io.to_string;
+    reparse "verilog" Verilog_io.parse_string Verilog_io.to_string;
+  ]
 
 (* ---------------- random layered DAGs (qcheck) ----------------------- *)
 
@@ -17,167 +81,122 @@ let dag_gen =
     ~print:(fun (g, s) -> Printf.sprintf "gates=%d seed=%d" g s)
     QCheck.Gen.(pair (int_range 10 200) (int_range 1 1_000_000))
 
+let random_dag (gates, seed) =
+  let rng = Rng.create seed in
+  Generator.layered_dag ~rng ~name:"lvl" ~num_inputs:5 ~num_outputs:3
+    ~num_gates:gates ~depth:(1 + (gates / 8)) ()
+
 let qcheck_schedule_valid =
   QCheck.Test.make ~name:"schedule is a valid topological levelization"
-    ~count:100 dag_gen (fun (gates, seed) ->
-      let rng = Rng.create seed in
-      let c =
-        Generator.layered_dag ~rng ~name:"lvl" ~num_inputs:5 ~num_outputs:3
-          ~num_gates:gates ~depth:(1 + (gates / 8)) ()
-      in
-      let s = Level_schedule.compute c in
-      match Level_schedule.validate c s with
-      | Error e -> QCheck.Test.fail_reportf "invalid schedule: %s" e
-      | Ok () ->
-        let n_gates = Circuit.num_nodes c - Circuit.num_inputs c in
-        Level_schedule.num_gates s = n_gates
-        && Array.length (Level_schedule.order s) = n_gates
-        && Array.length (Level_schedule.offsets s)
-           = Level_schedule.num_levels s + 1)
+    ~count:100 dag_gen (fun params ->
+      List.for_all
+        (fun (what, c) ->
+          match check_levels c with
+          | Ok () -> true
+          | Error e -> QCheck.Test.fail_reportf "%s: %s" what e)
+        (constructors (random_dag params)))
 
 let qcheck_schedule_order_properties =
   QCheck.Test.make
     ~name:"order: every prefix closed under fanins, ids ascend per level"
-    ~count:60 dag_gen (fun (gates, seed) ->
-      let rng = Rng.create seed in
-      let c =
-        Generator.layered_dag ~rng ~name:"lvl" ~num_inputs:5 ~num_outputs:3
-          ~num_gates:gates ~depth:(1 + (gates / 8)) ()
-      in
-      let s = Level_schedule.compute c in
-      let order = Level_schedule.order s in
-      let offsets = Level_schedule.offsets s in
-      (* topological: a gate's fanins are inputs or appear earlier *)
-      let placed = Array.make (Circuit.num_nodes c) false in
-      let topo = ref true in
-      Array.iter
-        (fun id ->
-          Circuit.iter_fanins c id (fun src ->
-              if Circuit.is_gate c src && not placed.(src) then topo := false);
-          placed.(id) <- true)
-        order;
-      (* ascending ids inside each level; widths sum to the gates *)
-      let ascending = ref true and total = ref 0 in
-      for l = 1 to Level_schedule.num_levels s do
-        let w = Level_schedule.level_width s l in
-        total := !total + w;
-        for k = offsets.(l - 1) + 1 to offsets.(l) - 1 do
-          if order.(k - 1) >= order.(k) then ascending := false
-        done;
-        if w > Level_schedule.max_level_width s then ascending := false
-      done;
-      !topo && !ascending && !total = Level_schedule.num_gates s)
+    ~count:60 dag_gen (fun params ->
+      List.for_all
+        (fun (_, c) ->
+          let order = Circuit.Csr.level_order c in
+          let offsets = Circuit.Csr.level_offsets c in
+          (* topological: a gate's fanins are inputs or appear earlier *)
+          let placed = Array.make (Circuit.num_nodes c) false in
+          let topo = ref true in
+          Array.iter
+            (fun id ->
+              Circuit.iter_fanins c id (fun src ->
+                  if Circuit.is_gate c src && not placed.(src) then
+                    topo := false);
+              placed.(id) <- true)
+            order;
+          (* ascending ids inside each level; widths sum to the gates *)
+          let ascending = ref true and total = ref 0 in
+          for l = 1 to Circuit.depth c do
+            total := !total + offsets.(l) - offsets.(l - 1);
+            for k = offsets.(l - 1) + 1 to offsets.(l) - 1 do
+              if order.(k - 1) >= order.(k) then ascending := false
+            done
+          done;
+          !topo && !ascending && !total = Circuit.num_gates c)
+        (constructors (random_dag params)))
 
-(* ---------------- ISCAS85 suite ------------------------------------- *)
+(* ---------------- ISCAS85 suite and Builder circuits ----------------- *)
 
 let test_iscas_schedules () =
+  let builder_circuits =
+    [
+      ("cell array", Generator.cell_array ~rows:4 ~cols:6);
+      ("chain", Generator.chain ~length:9 ());
+      ("tree", Generator.balanced_tree ~depth:4 ());
+      ("multiplier", Generator.multiplier_array ~n:4);
+    ]
+  in
   List.iter
     (fun (name, c) ->
-      let s = Level_schedule.of_circuit c in
-      (match Level_schedule.validate c s with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "%s: %s" name e);
-      Alcotest.(check bool)
-        (name ^ ": of_circuit memoizes on physical identity")
-        true
-        (Level_schedule.of_circuit c == s);
+      List.iter
+        (fun (what, c) ->
+          match check_levels c with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s (%s): %s" name what e)
+        (constructors c);
       (* inputs at level 0, every gate strictly above *)
       for id = 0 to Circuit.num_nodes c - 1 do
-        let l = Level_schedule.level_of_node s id in
+        let l = Circuit.level c id in
         if Circuit.is_input c id then
           Alcotest.(check int) (name ^ ": input level") 0 l
         else if l < 1 then Alcotest.failf "%s: gate %d at level %d" name id l
       done)
-    (Iscas.table1_suite ())
+    (("C17", Iscas.c17 ()) :: Iscas.table1_suite () @ builder_circuits)
 
 let test_c17_depth () =
   (* c17: NAND2 ranks {10,11} -> {16,19} -> {22,23} — logic depth 3,
      the classic sanity anchor for any levelizer *)
+  List.iter
+    (fun (what, c) ->
+      Alcotest.(check int) (what ^ ": c17 levels") 3 (Circuit.depth c);
+      Alcotest.(check int)
+        (what ^ ": c17 gates") 6
+        (Array.length (Circuit.Csr.level_order c));
+      Alcotest.(check (array int))
+        (what ^ ": c17 level offsets") [| 0; 2; 4; 6 |]
+        (Circuit.Csr.level_offsets c))
+    (constructors (Iscas.c17 ()))
+
+(* A mutated borrowed array is exactly what [Circuit.validate]'s level
+   checks exist to catch. *)
+let test_validate_catches_drift () =
   let c = Iscas.c17 () in
-  let s = Level_schedule.compute c in
-  Alcotest.(check int) "c17 levels" 3 (Level_schedule.num_levels s);
-  Alcotest.(check int) "c17 gates" 6 (Level_schedule.num_gates s)
-
-(* ---------------- Domain_pool --------------------------------------- *)
-
-let test_pool_covers_all_chunks () =
-  Domain_pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check int) "size" 3 (Domain_pool.size pool);
-      for trial = 1 to 3 do
-        let n = 1 + (trial * 17) in
-        let hits = Array.make n (Atomic.make 0) in
-        Array.iteri (fun i _ -> hits.(i) <- Atomic.make 0) hits;
-        let steals =
-          Domain_pool.run pool ~chunks:n (fun c ->
-              ignore (Atomic.fetch_and_add hits.(c) 1))
-        in
-        Array.iteri
-          (fun i h ->
-            Alcotest.(check int)
-              (Printf.sprintf "trial %d chunk %d ran once" trial i)
-              1 (Atomic.get h))
-          hits;
-        if steals < 0 then Alcotest.fail "negative steals"
-      done)
-
-let test_pool_serial_inline () =
-  let pool = Domain_pool.create ~domains:1 in
-  let sum = ref 0 in
-  let steals = Domain_pool.run pool ~chunks:10 (fun c -> sum := !sum + c) in
-  Alcotest.(check int) "all chunks on the caller" 45 !sum;
-  Alcotest.(check int) "no steals serially" 0 steals;
-  Domain_pool.shutdown pool;
-  (* run after shutdown still executes, inline *)
-  let again = Domain_pool.run pool ~chunks:3 (fun _ -> incr sum) in
-  Alcotest.(check int) "inline after shutdown" 48 !sum;
-  Alcotest.(check int) "no steals after shutdown" 0 again;
-  Domain_pool.shutdown pool
-
-exception Boom
-
-let test_pool_reraises () =
-  Domain_pool.with_pool ~domains:2 (fun pool ->
-      (match
-         Domain_pool.run pool ~chunks:8 (fun c -> if c = 5 then raise Boom)
-       with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom -> ());
-      (* the pool survives a failed job *)
-      let ran = Atomic.make 0 in
-      ignore
-        (Domain_pool.run pool ~chunks:4 (fun _ ->
-             ignore (Atomic.fetch_and_add ran 1)));
-      Alcotest.(check int) "pool reusable after exception" 4 (Atomic.get ran))
-
-(* Past the runtime's domain limit [create] fails; the workers it had
-   spawned are joined, so they do not use up the limit for later
-   pools. *)
-let test_pool_spawn_failure_joins () =
-  (match Domain_pool.create ~domains:10_000 with
-  | pool ->
-    Domain_pool.shutdown pool;
-    Alcotest.fail "10000 domains spawned"
-  | exception Failure _ -> ());
-  Domain_pool.with_pool ~domains:2 (fun pool ->
-      let ran = Atomic.make 0 in
-      ignore
-        (Domain_pool.run pool ~chunks:4 (fun _ ->
-             ignore (Atomic.fetch_and_add ran 1)));
-      Alcotest.(check int) "a 2-domain pool runs after the failure" 4
-        (Atomic.get ran))
+  let levels = Circuit.Csr.levels c in
+  let id = Circuit.node_of_gate c 3 in
+  let saved = levels.(id) in
+  levels.(id) <- saved + 1;
+  let drifted = Circuit.validate c in
+  levels.(id) <- saved;
+  (match drifted with
+  | Ok () -> Alcotest.fail "a drifted level validated"
+  | Error _ -> ());
+  let order = Circuit.Csr.level_order c in
+  let a = order.(0) in
+  order.(0) <- order.(1);
+  let swapped = Circuit.validate c in
+  order.(0) <- a;
+  (match swapped with
+  | Ok () -> Alcotest.fail "a duplicated order slot validated"
+  | Error _ -> ());
+  Alcotest.(check (result unit string)) "restored" (Ok ()) (Circuit.validate c)
 
 let tests =
   [
     QCheck_alcotest.to_alcotest qcheck_schedule_valid;
     QCheck_alcotest.to_alcotest qcheck_schedule_order_properties;
-    Alcotest.test_case "ISCAS85 schedules validate and cache" `Quick
-      test_iscas_schedules;
+    Alcotest.test_case "ISCAS85 schedules validate and match the reference"
+      `Quick test_iscas_schedules;
     Alcotest.test_case "c17 depth anchor" `Quick test_c17_depth;
-    Alcotest.test_case "pool runs every chunk exactly once" `Quick
-      test_pool_covers_all_chunks;
-    Alcotest.test_case "pool serial and post-shutdown inline" `Quick
-      test_pool_serial_inline;
-    Alcotest.test_case "pool re-raises and survives" `Quick test_pool_reraises;
-    Alcotest.test_case "pool spawn failure joins its workers" `Quick
-      test_pool_spawn_failure_joins;
+    Alcotest.test_case "validate catches a drifted levelization" `Quick
+      test_validate_catches_drift;
   ]

@@ -577,6 +577,10 @@ let connect socket =
   | Ok c -> c
   | Error e -> Alcotest.fail e
 
+(* A failed write fails the test. *)
+let send c j = Result.iter_error Alcotest.fail (Client.send c j)
+let send_raw c s = Result.iter_error Alcotest.fail (Client.send_raw c s)
+
 let request_ok c what req =
   match Client.request c req with
   | Ok p -> p
@@ -635,7 +639,7 @@ let test_two_clients_interleaved () =
       let ha = load a in
       let hb = load b in
       Alcotest.(check string) "same content, same handle" ha hb;
-      Client.send_raw b (Frame.encode_payload "]]] nope");
+      send_raw b (Frame.encode_payload "]]] nope");
       let part =
         Client.request a
           (Protocol.Partition
@@ -664,7 +668,7 @@ let test_two_clients_interleaved () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "b lost sync after malformed frame: %s" e);
       (* ...then vanishes mid-frame; a must not notice *)
-      Client.send_raw b "\x00\x00\x01\x00only the beginning";
+      send_raw b "\x00\x00\x01\x00only the beginning";
       Client.close b;
       (match Client.request a Protocol.Metrics with
       | Ok _ -> ()
@@ -675,7 +679,7 @@ let test_two_clients_interleaved () =
 let test_future_op_over_socket () =
   with_server (fun ~socket ~metrics:_ ->
       let c = connect socket in
-      Client.send c
+      send c
         (Json.Obj [ ("op", Json.String "quantum_diagnose"); ("id", Json.Int 41) ]);
       (match Client.recv c with
       | Ok resp -> begin
@@ -700,7 +704,7 @@ let test_oversized_frame_closes_connection () =
       let c = connect socket in
       (* a header declaring far more than the cap; the server answers
          with oversized_frame and closes *)
-      Client.send_raw c "\x7f\xff\xff\xff";
+      send_raw c "\x7f\xff\xff\xff";
       (match Client.recv c with
       | Ok resp -> begin
         match Protocol.response_payload resp with
@@ -846,7 +850,7 @@ let test_concurrent_clients_none_shed () =
         for round = 0 to rounds - 1 do
           let id i = (round * clients) + i in
           Array.iteri
-            (fun i c -> Client.send c (Protocol.request_to_json ~id:(id i) (pick ())))
+            (fun i c -> send c (Protocol.request_to_json ~id:(id i) (pick ())))
             conns;
           Array.iteri
             (fun i c ->
@@ -911,7 +915,7 @@ let test_slow_loris () =
       in
       String.iter
         (fun ch ->
-          Client.send_raw slow (String.make 1 ch);
+          send_raw slow (String.make 1 ch);
           (* the loop stays responsive between the trickled bytes *)
           match Client.request fast Protocol.Metrics with
           | Ok _ -> ()
@@ -938,7 +942,7 @@ let test_disconnect_before_reading_response () =
           (List.init 4 (fun i ->
                Frame.encode (Protocol.request_to_json ~id:i Protocol.Metrics)))
       in
-      Client.send_raw c burst;
+      send_raw c burst;
       (* close with every response unread: the server's writes hit a
          dead peer (EPIPE/ECONNRESET) *)
       Client.close c;
@@ -948,6 +952,32 @@ let test_disconnect_before_reading_response () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "server died with the client: %s" e);
       Client.close c2)
+
+(* The mirror image: the server has closed the connection before the
+   client writes.  With SIGPIPE ignored (as the CLI client does) the
+   write fails with EPIPE, which [Client.request] returns as an
+   [Error] — its type says so — instead of raising. *)
+let test_request_after_server_close () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let socket = Filename.temp_file "iddq-test-closed" ".sock" in
+  Sys.remove socket;
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      if Sys.file_exists socket then Sys.remove socket)
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_UNIX socket);
+      Unix.listen listener 1;
+      let c = connect socket in
+      let peer, _ = Unix.accept ~cloexec:true listener in
+      Unix.close peer;
+      (match Client.request c Protocol.Metrics with
+      | Ok _ -> Alcotest.fail "a closed connection answered"
+      | Error e ->
+        Alcotest.(check bool) ("write error: " ^ e) true
+          (String.starts_with ~prefix:"write:" e));
+      Client.close c)
 
 (* Descriptor exhaustion.  A server process under a low descriptor
    limit takes clients until accept fails with EMFILE; the refused
@@ -975,7 +1005,7 @@ let cpu_seconds pid =
 
 (* Whether a metrics request is answered within [seconds]. *)
 let ask_within seconds c =
-  Client.send c (Protocol.request_to_json Protocol.Metrics);
+  send c (Protocol.request_to_json Protocol.Metrics);
   match Unix.select [ Client.fd c ] [] [] seconds with
   | [], _, _ -> false
   | _ -> Result.is_ok (Client.recv c)
@@ -1055,7 +1085,7 @@ let test_pipelined_burst_sheds () =
       (fun () ->
         let c = connect socket in
         let n = 6 in
-        Client.send_raw c
+        send_raw c
           (String.concat ""
              (List.init n (fun i ->
                   Frame.encode (Protocol.request_to_json ~id:i Protocol.Metrics))));
@@ -1257,6 +1287,8 @@ let tests =
     Alcotest.test_case "slow-loris client" `Quick test_slow_loris;
     Alcotest.test_case "disconnect before reading response" `Quick
       test_disconnect_before_reading_response;
+    Alcotest.test_case "request after server close is an Error" `Quick
+      test_request_after_server_close;
     Alcotest.test_case "pipelined burst sheds" `Quick
       test_pipelined_burst_sheds;
     Alcotest.test_case "address in use" `Quick test_address_in_use;

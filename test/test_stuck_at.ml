@@ -156,8 +156,7 @@ let test_iscas_new_standins () =
     Alcotest.(check string) (name ^ " name") name (Circuit.name c);
     Alcotest.(check int) (name ^ " inputs") inputs (Circuit.num_inputs c);
     Alcotest.(check int) (name ^ " gates") gates (Circuit.num_gates c);
-    Alcotest.(check int) (name ^ " depth") depth
-      (Iddq_netlist.Graph_algo.depth c)
+    Alcotest.(check int) (name ^ " depth") depth (Circuit.depth c)
   in
   check "C499" (Iscas.c499_like ()) ~inputs:41 ~gates:202 ~depth:11;
   check "C880" (Iscas.c880_like ()) ~inputs:60 ~gates:383 ~depth:24;
