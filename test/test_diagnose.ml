@@ -32,9 +32,11 @@ let engine () =
     ~vectors:(Pattern_gen.exhaustive c17)
     ~faults:(some_faults ())
 
-(* A larger engine on a C432 stand-in with a k-module uniform split. *)
-let big_engine ?(seed = 7) ?(k = 4) ?(defects = 120) ?(vectors = 96) () =
-  let circuit = Iscas.c432_like () in
+(* A larger engine on a C432 stand-in (by default) with a k-module
+   uniform split. *)
+let big_engine ?(circuit = Iscas.c432_like) ?(seed = 7) ?(k = 4)
+    ?(defects = 120) ?(vectors = 96) () =
+  let circuit = circuit () in
   let ch = Charac.make ~library:Library.default circuit in
   let n = Charac.num_gates ch in
   let p = Partition.create ch ~assignment:(Array.init n (fun g -> g mod k)) in
@@ -336,6 +338,101 @@ let test_top_modules_dedup () =
       first
   | [] -> Alcotest.fail "no modules ranked"
 
+(* [rank] against its definition: every fault with its distance,
+   sorted by (distance, index), then only distance 0 kept in [Exact]. *)
+let rank_oracle mode d s =
+  let cells = float_of_int (Diagnose.num_modules d * Diagnose.num_vectors d) in
+  List.init (Diagnose.num_faults d) (fun f -> (Diagnose.distance d s f, f))
+  |> List.sort compare
+  |> List.filter (fun (dist, _) ->
+         match mode with Diagnose.Exact -> dist = 0 | Diagnose.Noisy _ -> true)
+  |> List.map (fun (dist, f) ->
+         {
+           Diagnose.fault = f;
+           class_id = Diagnose.class_of d f;
+           distance = dist;
+           log_likelihood =
+             (match mode with
+             | Diagnose.Exact -> 0.
+             | Diagnose.Noisy e ->
+               let x = float_of_int dist in
+               ((cells -. x) *. log (1. -. e)) +. (x *. log e));
+         })
+
+let qcheck_rank_matches_oracle =
+  let engines = lazy [| big_engine (); big_engine ~seed:3 ~k:8 () |] in
+  QCheck.Test.make ~name:"rank = sort-all-then-filter oracle" ~count:60
+    QCheck.(triple (int_range 1 100000) (int_range 0 3) bool)
+    (fun (seed, noise, exact) ->
+      let d = (Lazy.force engines).(seed mod 2) in
+      let rng = Rng.create seed in
+      let truth = Rng.int rng (Diagnose.num_faults d) in
+      (* noise 0 observes the prediction itself, so Exact keeps some *)
+      let obs =
+        if noise = 0 then Diagnose.predicted d truth
+        else
+          Diagnose.observe_noisy ~rng ~epsilon:(0.01 *. float_of_int noise) d
+            truth
+      in
+      let mode = if exact then Diagnose.Exact else Diagnose.Noisy 0.02 in
+      let ranked = Diagnose.rank ~mode d obs in
+      let mods = Diagnose.top_modules ~mode d obs in
+      let seen = Hashtbl.create 8 in
+      let oracle_mods =
+        List.filter_map
+          (fun (c : Diagnose.candidate) ->
+            let m = (Diagnose.module_ids d).(Diagnose.fault_module d c.fault) in
+            if Hashtbl.mem seen m then None
+            else begin
+              Hashtbl.add seen m ();
+              Some m
+            end)
+          ranked
+      in
+      ranked = rank_oracle mode d obs && mods = oracle_mods)
+
+(* [measure_accuracy] pinned on two stand-ins, two seeds, noiseless and
+   at 2% flips: the three rates as float bit patterns. *)
+let test_accuracy_pinned () =
+  let pinned =
+    [
+      ("C432", Iscas.c432_like, 1, 0.,
+        "4607182418800017408 4607182418800017408 4607182418800017408");
+      ("C432", Iscas.c432_like, 1, 0.02,
+        "4606641986844732948 4607182418800017408 4607182418800017408");
+      ("C432", Iscas.c432_like, 2, 0.,
+        "4607182418800017408 4607182418800017408 4607182418800017408");
+      ("C432", Iscas.c432_like, 2, 0.02,
+        "4607002274814922588 4607182418800017408 4607182418800017408");
+      ("C1908", Iscas.c1908_like, 1, 0.,
+        "4607182418800017408 4607182418800017408 4607182418800017408");
+      ("C1908", Iscas.c1908_like, 1, 0.02,
+        "4607002274814922588 4607002274814922588 4607182418800017408");
+      ("C1908", Iscas.c1908_like, 2, 0.,
+        "4607182418800017408 4607182418800017408 4607182418800017408");
+      ("C1908", Iscas.c1908_like, 2, 0.02,
+        "4607002274814922588 4607182418800017408 4607182418800017408")
+    ]
+  in
+  List.iter
+    (fun (name, circuit, seed, epsilon, expected) ->
+      let d =
+        big_engine ~circuit ~seed ~k:16 ~defects:200 ~vectors:8 ()
+      in
+      let a =
+        Diagnose.measure_accuracy ~rng:(Rng.create seed) ~epsilon ~trials:50 d
+      in
+      let bits x = Int64.to_string (Int64.bits_of_float x) in
+      let got =
+        String.concat " "
+          [ bits a.Diagnose.top1_class; bits a.Diagnose.top1_module;
+            bits a.Diagnose.topk_module ]
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d epsilon %g" name seed epsilon)
+        expected got)
+    pinned
+
 let tests =
   [
     Alcotest.test_case "build basics" `Quick test_build_basics;
@@ -360,4 +457,6 @@ let tests =
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "ISCAS85 grid gate" `Quick test_iscas_grid_gate;
     Alcotest.test_case "top modules dedup" `Quick test_top_modules_dedup;
+    QCheck_alcotest.to_alcotest qcheck_rank_matches_oracle;
+    Alcotest.test_case "accuracy pinned" `Quick test_accuracy_pinned;
   ]
