@@ -35,6 +35,16 @@ let partition ch ~module_sizes =
     done;
     !best
   in
+  (* near_free.(g) for free g: the sum of (cutoff - sep g h) over the
+     free h <> g in g's ball.  Every gate starts free, so one sweep
+     seeds it; each gate clustered then leaves its ball. *)
+  let near_free = Array.make n 0 in
+  Graph_algo.multi_bfs_sweep u (Graph_algo.make_multi_bfs u) ~cutoff
+    ~pass:(fun _ _ -> ())
+    (fun h d bits ->
+      if d > 0 then
+        near_free.(h) <-
+          near_free.(h) + (Graph_algo.popcount bits * (cutoff - d + 1)));
   let add_to_module m g =
     assignment.(g) <- m;
     adj.(g) <- -1;
@@ -42,22 +52,14 @@ let partition ch ~module_sizes =
     Graph_algo.bfs_from u b ~cutoff g;
     for i = 1 to Graph_algo.bfs_visited_count b - 1 do
       let h = Graph_algo.bfs_visited b i in
-      if adj.(h) >= 0 then
-        adj.(h) <- adj.(h) + cutoff - Graph_algo.bfs_visited_separation b i
+      let near = cutoff - Graph_algo.bfs_visited_separation b i in
+      near_free.(h) <- near_free.(h) - near;
+      if adj.(h) >= 0 then adj.(h) <- adj.(h) + near
     done
   in
   (* Tie-break score: summed separation from [g] to the other free
-     gates, by the same horizon identity over [g]'s ball. *)
-  let score g =
-    Graph_algo.bfs_from u b ~cutoff g;
-    let near = ref 0 in
-    for i = 1 to Graph_algo.bfs_visited_count b - 1 do
-      let h = Graph_algo.bfs_visited b i in
-      if adj.(h) >= 0 then
-        near := !near + cutoff - Graph_algo.bfs_visited_separation b i
-    done;
-    (cutoff * (!free_count - 1)) - !near
-  in
+     gates, by the same horizon identity. *)
+  let score g = (cutoff * (!free_count - 1)) - near_free.(g) in
   (* Huge tie sets arise while everything is beyond the cutoff; only
      the first [max_ties] in gate order are scored. *)
   let max_ties = 16 in

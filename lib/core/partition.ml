@@ -25,8 +25,9 @@ type t = {
    of another size comes along: the multi-source BFS plus a stamp that
    marks the gates of the batch in flight.  Partitions moved on one
    domain (ES offspring built on a pool, say) share it instead of each
-   holding their own.  Sharing is safe because a move is done with the
-   workspace before the next move starts, and no two threads run on
+   holding their own, and the S(M) sweep of [create_many] borrows its
+   BFS.  Sharing is safe because a move or a sweep is done with the
+   workspace before the next one starts, and no two threads run on
    one domain here. *)
 type move_workspace = {
   bfs : Graph_algo.multi_bfs;
@@ -37,8 +38,8 @@ type move_workspace = {
 let move_workspace : (int * move_workspace) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let workspace t =
-  let u = Charac.undirected t.ch in
+let workspace_of ch =
+  let u = Charac.undirected ch in
   let n = Graph_algo.num_gates u in
   match Domain.DLS.get move_workspace with
   | Some (size, s) when size = n -> s
@@ -90,59 +91,78 @@ let remove_gate_aggregates ch st g =
       st.count_profile.(slot) <- st.count_profile.(slot) - 1)
 
 (* Full S(M) from scratch for every module of several assignments in
-   one sweep: the truncated BFS from gate [g] depends only on the
-   graph, so one traversal per gate serves every assignment.  Any gate
-   outside the BFS horizon sits at exactly [cutoff], so the sum over
-   partners [h > g] in [g]'s module [m] is
+   one sweep of 63-source passes ({!Graph_algo.multi_bfs_sweep}): the
+   traversals depend only on the graph, so one sweep serves every
+   assignment.  Any pair beyond the BFS horizon sits at exactly
+   [cutoff], so
 
-     cutoff * |{h > g : assignment h = m}|
-       - sum over *visited* such h of (cutoff - sep h)
+     S(M) = cutoff * |M|(|M| - 1)/2 - A(M),
+     A(M) = sum over in-horizon pairs g < h of M of (cutoff - sep g h).
 
-   — identical integer arithmetic to summing [sep h] over a dense
-   array, but touching only the visited set.  [rem] counts the
-   partners still ahead of [g], maintained decrementally. *)
+   During a pass, [mask] holds per (assignment, module) the bits of
+   the pass's sources in that module.  A gate [h] reached at distance
+   [d >= 1] by the sources in [bits] adds [cutoff - (d - 1)] to A of
+   its module once per source of that module with a smaller id — the
+   pair's other end reaches it too, and only the smaller id counts.
+   The sums are integers, so the order of the passes cannot change
+   them. *)
 let separation_totals ch assignments ks =
   let u = Charac.undirected ch in
   let cutoff = Charac.separation_cutoff ch in
   let n = Charac.num_gates ch in
   let a = Array.length assignments in
-  (* gate-major module ids: the [a] ids of one gate sit side by side *)
-  let ids = Array.make (n * a) 0 in
+  (* one slot per (assignment, module): assignment [j]'s from off.(j) *)
+  let off = Array.make (a + 1) 0 in
+  Array.iteri (fun j k -> off.(j + 1) <- off.(j) + k) ks;
+  (* gate-major slots: the [a] slots of one gate sit side by side *)
+  let slot = Array.make (n * a) 0 in
   Array.iteri
-    (fun j asg -> Array.iteri (fun g m -> ids.((g * a) + j) <- m) asg)
+    (fun j asg ->
+      Array.iteri (fun g m -> slot.((g * a) + j) <- off.(j) + m) asg)
     assignments;
-  let totals = Array.map (fun k -> Array.make k 0) ks in
-  let rem = Array.map (fun k -> Array.make k 0) ks in
-  Array.iteri
-    (fun j asg -> Array.iter (fun m -> rem.(j).(m) <- rem.(j).(m) + 1) asg)
-    assignments;
-  let own = Array.make a 0 and adjust = Array.make a 0 in
-  let b = Graph_algo.make_bfs u in
-  for g = 0 to n - 1 do
-    for j = 0 to a - 1 do
-      let m = ids.((g * a) + j) in
-      own.(j) <- m;
-      adjust.(j) <- 0;
-      rem.(j).(m) <- rem.(j).(m) - 1
+  let size = Array.make off.(a) 0 in
+  Array.iter (fun s -> size.(s) <- size.(s) + 1) slot;
+  let near = Array.make off.(a) 0 and mask = Array.make off.(a) 0 in
+  let first = ref 0 and last = ref 0 in
+  let pass base len =
+    for g = !first to !last - 1 do
+      for j = 0 to a - 1 do
+        mask.(slot.((g * a) + j)) <- 0
+      done
     done;
-    Graph_algo.bfs_from u b ~cutoff g;
-    for i = 1 to Graph_algo.bfs_visited_count b - 1 do
-      let h = Graph_algo.bfs_visited b i in
-      if h > g then begin
-        let near = cutoff - Graph_algo.bfs_visited_separation b i in
-        let base = h * a in
+    first := base;
+    last := base + len;
+    for g = base to base + len - 1 do
+      let bit = 1 lsl (g - base) in
+      for j = 0 to a - 1 do
+        let s = slot.((g * a) + j) in
+        mask.(s) <- mask.(s) lor bit
+      done
+    done
+  in
+  let report h d bits =
+    if d > 0 && h > !first then begin
+      let below =
+        if h >= !last then bits else bits land ((1 lsl (h - !first)) - 1)
+      in
+      if below <> 0 then begin
+        let w = cutoff - d + 1 and base = h * a in
         for j = 0 to a - 1 do
-          if Array.unsafe_get ids (base + j) = Array.unsafe_get own j then
-            Array.unsafe_set adjust j (Array.unsafe_get adjust j + near)
+          let s = Array.unsafe_get slot (base + j) in
+          let c = Graph_algo.popcount (below land Array.unsafe_get mask s) in
+          if c > 0 then
+            Array.unsafe_set near s (Array.unsafe_get near s + (c * w))
         done
       end
-    done;
-    for j = 0 to a - 1 do
-      let m = own.(j) in
-      totals.(j).(m) <- totals.(j).(m) + (cutoff * rem.(j).(m)) - adjust.(j)
-    done
-  done;
-  totals
+    end
+  in
+  Graph_algo.multi_bfs_sweep u (workspace_of ch).bfs ~cutoff ~pass report;
+  Array.mapi
+    (fun j k ->
+      Array.init k (fun m ->
+          let s = off.(j) + m in
+          (cutoff * size.(s) * (size.(s) - 1) / 2) - near.(s)))
+    ks
 
 (* Validates one assignment and builds its modules' aggregates, all but
    S(M). *)
@@ -248,7 +268,7 @@ let move_gates t gates ~target =
       invalid_arg "Partition.move_gates: target is the source module";
     if target < 0 || target >= Array.length t.mods || not t.mods.(target).live
     then invalid_arg "Partition.move_gates: target not a live module";
-    let s = workspace t in
+    let s = workspace_of t.ch in
     s.epoch <- s.epoch + 1;
     let epoch = s.epoch in
     Array.iter

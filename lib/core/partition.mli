@@ -19,9 +19,13 @@ val create : Iddq_analysis.Charac.t -> assignment:int array -> t
 val create_many :
   Iddq_analysis.Charac.t -> assignments:int array list -> t list
 (** [create_many ch ~assignments] is [List.map (create ch) assignments]
-    in one sweep: the S(M) totals take one truncated BFS per gate
-    shared by every assignment, not one per gate and assignment.  Each
-    assignment is validated as in {!create}. *)
+    in one sweep: the S(M) totals of every assignment come from one
+    {!Iddq_netlist.Graph_algo.multi_bfs_sweep}, a multi-source
+    truncated BFS per 63 consecutive gate ids, on the workspace
+    {!move_gates} keeps per domain.  Its cost is the union of each
+    pass's balls, several times less than one BFS per gate on the
+    ISCAS85 stand-ins.  Each assignment is validated as in
+    {!create}. *)
 
 val copy : t -> t
 (** Deep copy; the copy mutates independently. *)

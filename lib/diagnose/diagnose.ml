@@ -185,37 +185,36 @@ let rank ?(mode = Exact) t s =
   (match mode with Noisy e -> check_epsilon e | Exact -> ());
   let total = Array.fold_left (fun acc r -> acc + Bitvec.count r) 0 s.fails in
   let n = Array.length t.faults in
-  let ds = Array.init n (fun f -> distance_with ~total t s f) in
-  let order = Array.init n (fun f -> f) in
-  Array.sort
-    (fun a b ->
-      let c = compare ds.(a) ds.(b) in
-      if c <> 0 then c else compare a b)
-    order;
-  let cells = float_of_int (t.n_modules * t.n_vectors) in
-  let ll d =
-    match mode with
-    | Exact -> 0.
-    | Noisy e ->
-        let d = float_of_int d in
-        ((cells -. d) *. log (1. -. e)) +. (d *. log e)
+  let candidate f d log_likelihood =
+    { fault = f; class_id = t.class_ids.(f); distance = d; log_likelihood }
   in
-  let keep f = match mode with Exact -> ds.(f) = 0 | Noisy _ -> true in
-  Array.fold_left
-    (fun acc f ->
-      if keep f then
-        {
-          fault = f;
-          class_id = t.class_ids.(f);
-          distance = ds.(f);
-          log_likelihood = ll ds.(f);
-        }
-        :: acc
-      else acc)
-    [] order
-  |> List.rev
+  match mode with
+  | Exact ->
+      (* the (distance, index) order cut to distance 0 is index order *)
+      let kept = ref [] in
+      for f = n - 1 downto 0 do
+        if distance_with ~total t s f = 0 then
+          kept := candidate f 0 0. :: !kept
+      done;
+      !kept
+  | Noisy e ->
+      let ds = Array.init n (distance_with ~total t s) in
+      let order = Array.init n Fun.id in
+      Array.sort
+        (fun a b ->
+          let c = Int.compare ds.(a) ds.(b) in
+          if c <> 0 then c else Int.compare a b)
+        order;
+      let cells = float_of_int (t.n_modules * t.n_vectors) in
+      Array.fold_right
+        (fun f acc ->
+          let d = float_of_int ds.(f) in
+          candidate f ds.(f) (((cells -. d) *. log (1. -. e)) +. (d *. log e))
+          :: acc)
+        order []
 
-let top_modules ?mode t s =
+(* Distinct module ids in first-appearance order of a ranking. *)
+let ranked_modules t ranked =
   let seen = Array.make t.n_modules false in
   List.filter_map
     (fun c ->
@@ -225,7 +224,9 @@ let top_modules ?mode t s =
         seen.(m) <- true;
         Some t.mod_ids.(m)
       end)
-    (rank ?mode t s)
+    ranked
+
+let top_modules ?mode t s = ranked_modules t (rank ?mode t s)
 
 let num_classes t = Array.length t.class_members
 let class_of t i = t.class_ids.(i)
@@ -297,11 +298,12 @@ let measure_accuracy ~rng ?(epsilon = 0.) ?(top_k = 3) ?(trials = 50) t =
         if epsilon > 0. then observe_noisy ~rng ~epsilon t truth
         else predicted t truth
       in
-      (match rank ~mode t obs with
+      let ranked = rank ~mode t obs in
+      (match ranked with
       | best :: _ when best.class_id = t.class_ids.(truth) -> incr c1
       | _ -> ());
       let true_id = t.mod_ids.(t.fault_mod.(truth)) in
-      (match top_modules ~mode t obs with
+      (match ranked_modules t ranked with
       | first :: _ as mods ->
           if first = true_id then incr m1;
           let rec within k = function

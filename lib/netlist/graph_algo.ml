@@ -274,6 +274,20 @@ let multi_bfs_from u b ~cutoff sources ~pos ~len f =
     width := !reached
   done
 
+let multi_bfs_sweep u b ~cutoff ~pass f =
+  let n = num_gates u in
+  let sources = Array.make multi_width 0 in
+  let base = ref 0 in
+  while !base < n do
+    let len = Stdlib.min multi_width (n - !base) in
+    for i = 0 to len - 1 do
+      sources.(i) <- !base + i
+    done;
+    pass !base len;
+    multi_bfs_from u b ~cutoff sources ~pos:0 ~len f;
+    base := !base + len
+  done
+
 let module_separation u ~cutoff gates =
   let k = Array.length gates in
   if k < 2 then 0

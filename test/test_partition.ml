@@ -3,6 +3,8 @@ module Partition = Iddq_core.Partition
 module Iscas = Iddq_netlist.Iscas
 module Circuit = Iddq_netlist.Circuit
 module Generator = Iddq_netlist.Generator
+module Graph_algo = Iddq_netlist.Graph_algo
+module Seeds = Iddq_evolution.Seeds
 module Library = Iddq_celllib.Library
 module Rng = Iddq_util.Rng
 
@@ -222,6 +224,58 @@ let qcheck_shared_sweep =
           && Partition.check_consistent p = Ok ())
         assignments swept)
 
+(* A dense assignment of [n] gates to [k] modules drawn at random;
+   modules [k'..k-1] get one gate each, so singletons always occur
+   when [k' < k]. *)
+let random_dense_assignment rng n k =
+  let k' = Rng.int_in_range rng ~min:1 ~max:k in
+  let a = Array.init n (fun _ -> Rng.int rng k') in
+  let order = Array.init n Fun.id in
+  Rng.shuffle_in_place rng order;
+  for m = 0 to k - 1 do
+    a.(order.(m)) <- m
+  done;
+  a
+
+(* The S(M) sweep runs in passes of 63 source ids, so the sizes sit on
+   both sides of one and two passes. *)
+let qcheck_sweep_matches_module_separation =
+  QCheck.Test.make ~name:"S(M) sweep = module_separation" ~count:40
+    QCheck.(
+      triple
+        (oneofl [ 1; 2; 62; 63; 64; 126; 127; 300 ])
+        (int_range 1 5) (int_range 1 100000))
+    (fun (gates, count, seed) ->
+      let rng = Rng.create seed in
+      let circuit =
+        Generator.layered_dag ~rng ~name:"q" ~num_inputs:6
+          ~num_outputs:(Stdlib.min 3 gates) ~num_gates:gates
+          ~depth:(Stdlib.min gates (1 + (gates / 8))) ()
+      in
+      let ch = make circuit in
+      let u = Charac.undirected ch and cutoff = Charac.separation_cutoff ch in
+      let assignments =
+        List.init count (fun _ ->
+            let k = Rng.int_in_range rng ~min:1 ~max:(Stdlib.min 40 gates) in
+            random_dense_assignment rng gates k)
+      in
+      List.for_all
+        (fun p ->
+          List.for_all
+            (fun m ->
+              Partition.separation_total p m
+              = Graph_algo.module_separation u ~cutoff (Partition.members p m))
+            (Partition.module_ids p))
+        (Partition.create_many ch ~assignments))
+
+let test_seed_population_consistent () =
+  let ch = make (Iscas.c7552_like ()) in
+  List.iter
+    (fun p ->
+      Alcotest.(check (result unit string)) "consistent" (Ok ())
+        (Partition.check_consistent p))
+    (Seeds.population ~rng:(Rng.create 5) ~count:4 ch)
+
 (* Everything a move updates, floats as their bit patterns, over every
    module id the partition started with (dead ones included). *)
 let fingerprint ch ids p =
@@ -347,6 +401,9 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_incremental_consistency;
     QCheck_alcotest.to_alcotest qcheck_cover_preserved;
     QCheck_alcotest.to_alcotest qcheck_shared_sweep;
+    QCheck_alcotest.to_alcotest qcheck_sweep_matches_module_separation;
+    Alcotest.test_case "seed population consistent (C7552)" `Quick
+      test_seed_population_consistent;
     QCheck_alcotest.to_alcotest qcheck_batched_equals_sequential;
     Alcotest.test_case "batched move empties its source" `Quick
       test_move_gates_whole_module;
