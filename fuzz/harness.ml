@@ -4,7 +4,8 @@
    thousands of corrupted variants of valid files.  The contract under
    test is the Error contract of the robustness layer: every outcome
    is [Ok] or [Error] — never an escaped exception — every circuit a
-   netlist parser accepts passes [Circuit.validate], and no file
+   netlist parser accepts passes [Circuit.validate] and characterizes
+   consistently, and no file
    descriptor leaks, measured by comparing the /proc/self/fd
    population before and after the run. *)
 
@@ -68,14 +69,44 @@ let circuit_corpus () =
 
 let ok b = match b with Ok _ -> true | Error _ -> false
 
+(* The characterization of an accepted circuit, checked through the
+   public API gate by gate: [T(g)] is the union over fanins of
+   [T(f) + 1] (slot 1 for an input), and its highest slot is the
+   gate's level.  A mismatch raises. *)
+let check_charac c =
+  let ch = Charac.make ~library:Library.default c in
+  let ni = Circuit.num_inputs c in
+  let slots = Charac.depth ch + 2 in
+  for g = 0 to Charac.num_gates ch - 1 do
+    let id = Circuit.node_of_gate c g in
+    let expected = Array.make slots false in
+    Circuit.iter_fanins c id (fun src ->
+        if src < ni then expected.(1) <- true
+        else
+          Charac.iter_switch_slots ch (src - ni) (fun s -> expected.(s + 1) <- true));
+    let highest = ref 0 in
+    for s = 0 to slots - 1 do
+      if Charac.can_switch_at ch g s <> expected.(s) then
+        failwith (Printf.sprintf "Charac: gate %d slot %d breaks T(g)'s recurrence" g s);
+      if expected.(s) then highest := s
+    done;
+    if !highest <> Circuit.level c id then
+      failwith
+        (Printf.sprintf "Charac: gate %d switches last at %d, its level is %d" g
+           !highest (Circuit.level c id))
+  done
+
 (* A circuit a netlist parser accepts must pass [Circuit.validate] —
-   its structure and the levelization built with it; one that does not
-   raises, so [run] reports it as a crash. *)
+   its structure and the levelization built with it — and characterize
+   consistently; one that does not raises, so [run] reports it as a
+   crash. *)
 let accepted = function
   | Error _ -> false
   | Ok c -> (
     match Circuit.validate c with
-    | Ok () -> true
+    | Ok () ->
+      check_charac c;
+      true
     | Error e -> failwith ("accepted circuit fails Circuit.validate: " ^ e))
 
 let targets () =

@@ -7,36 +7,41 @@ type t = {
   circuit : Circuit.t;
   library : Library.t;
   cells : Cell.t array; (* per gate, fanin-derated *)
-  times : Bytes.t array; (* per gate: bitset over slots 1..depth *)
+  words : int; (* words per transition-time set: depth / bits + 1 *)
+  times : int array; (* gate g's set: words g*words .. g*words+words-1 *)
   low_power : bool array;
   undirected : Graph_algo.undirected;
 }
 
-let bit_get bs i = Char.code (Bytes.get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let bit_set bs i =
-  let byte = i lsr 3 in
-  Bytes.set bs byte (Char.chr (Char.code (Bytes.get bs byte) lor (1 lsl (i land 7))))
+(* Slot [s] of a set is bit [s mod bits] of its word [s / bits]; every
+   bit of a native int is used, the sign bit included. *)
+let bits = Sys.int_size
 
 let make ~library circuit =
   let ng = Circuit.num_gates circuit in
-  let levels = Circuit.Csr.levels circuit in
-  let words = (Circuit.depth circuit / 8) + 1 in
-  let times = Array.init ng (fun _ -> Bytes.make words '\000') in
-  (* T(g) = union over fanins of (T(fanin) + 1); inputs switch at 0 *)
   let ni = Circuit.num_inputs circuit in
+  let words = (Circuit.depth circuit / bits) + 1 in
+  let times = Array.make (ng * words) 0 in
+  (* T(g) = union over fanins of (T(fanin) + 1); inputs switch at 0, so
+     an input fanin gives slot 1 and a gate fanin its set shifted up one
+     slot, the top bit of each word carried into the next.  A fanin's
+     slots stop at its level, below the depth, so no carry leaves the
+     last word. *)
   let offsets = Circuit.Csr.fanin_offsets circuit in
   let targets = Circuit.Csr.fanin_targets circuit in
   for g = 0 to ng - 1 do
-    let mine = times.(g) in
+    let mine = g * words in
     let id = g + ni in
     for k = offsets.(id) to offsets.(id + 1) - 1 do
       let src = targets.(k) in
-      if src < ni then bit_set mine 1
+      if src < ni then times.(mine) <- times.(mine) lor 2
       else begin
-        let theirs = times.(src - ni) in
-        for slot = 1 to levels.(src) do
-          if bit_get theirs slot then bit_set mine (slot + 1)
+        let theirs = (src - ni) * words in
+        let carry = ref 0 in
+        for j = 0 to words - 1 do
+          let x = times.(theirs + j) in
+          times.(mine + j) <- times.(mine + j) lor (x lsl 1) lor !carry;
+          carry := x lsr (bits - 1)
         done
       end
     done
@@ -51,6 +56,7 @@ let make ~library circuit =
     circuit;
     library;
     cells;
+    words;
     times;
     low_power = Array.make ng false;
     undirected = Graph_algo.undirected_of_circuit circuit;
@@ -70,16 +76,29 @@ let output_capacitance t g = t.cells.(g).Cell.output_capacitance
 let rail_capacitance t g = t.cells.(g).Cell.rail_capacitance
 
 let can_switch_at t g slot =
-  slot >= 1 && slot <= gate_depth t g && bit_get t.times.(g) slot
+  slot >= 1
+  && slot <= gate_depth t g
+  && t.times.((g * t.words) + (slot / bits)) land (1 lsl (slot mod bits)) <> 0
 
+(* Lowest set bit first: [x land (-x)] isolates it and the popcount of
+   the ones below it is its position. *)
 let iter_switch_slots t g f =
-  for slot = 1 to gate_depth t g do
-    if bit_get t.times.(g) slot then f slot
+  let base = g * t.words in
+  for j = 0 to t.words - 1 do
+    let x = ref t.times.(base + j) in
+    while !x <> 0 do
+      let low = !x land (- !x) in
+      f ((j * bits) + Graph_algo.popcount (low - 1));
+      x := !x lxor low
+    done
   done
 
 let switch_slot_count t g =
+  let base = g * t.words in
   let n = ref 0 in
-  iter_switch_slots t g (fun _ -> incr n);
+  for j = 0 to t.words - 1 do
+    n := !n + Graph_algo.popcount t.times.(base + j)
+  done;
   !n
 
 let with_low_power t ~gates =

@@ -8,7 +8,16 @@
     input-to-[g] paths.  Inputs switch at time 0, so
     [T(g) = union over fanins f of (T(f) + 1)].  The estimators
     pessimistically assume that all gates sharing a possible
-    transition time switch simultaneously. *)
+    transition time switch simultaneously.
+
+    The sets are stored as bits in one flat [int] array of [w] words
+    per gate, [w = depth / 63 + 1] on 64-bit platforms (a word holds
+    all [Sys.int_size] bits of a native int): slot [s] of gate [g] is
+    bit [s mod 63] of word [g * w + s / 63].  {!make} builds each set
+    with one OR per fanin per word — slot 1 for an input fanin, the
+    fanin's words shifted up one slot, the top bit carried into the
+    next word, for a gate fanin — in one pass over the gates in id
+    order. *)
 
 type t
 
@@ -46,6 +55,7 @@ val iter_switch_slots : t -> int -> (int -> unit) -> unit
 (** Iterate the transition times of a gate in increasing order. *)
 
 val switch_slot_count : t -> int -> int
+(** [|T(g)|]: one popcount per word. *)
 
 (** {1 Drive selection}
 

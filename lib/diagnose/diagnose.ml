@@ -198,18 +198,27 @@ let rank ?(mode = Exact) t s =
       done;
       !kept
   | Noisy e ->
+      (* a counting sort by distance, each bucket filled in index order,
+         is the (distance, index) order *)
       let ds = Array.init n (distance_with ~total t s) in
-      let order = Array.init n Fun.id in
-      Array.sort
-        (fun a b ->
-          let c = Int.compare ds.(a) ds.(b) in
-          if c <> 0 then c else Int.compare a b)
-        order;
+      let top = Array.fold_left Int.max 0 ds in
+      let starts = Array.make (top + 2) 0 in
+      Array.iter (fun d -> starts.(d + 1) <- starts.(d + 1) + 1) ds;
+      for d = 1 to top + 1 do
+        starts.(d) <- starts.(d) + starts.(d - 1)
+      done;
+      let order = Array.make n 0 in
+      Array.iteri
+        (fun f d ->
+          order.(starts.(d)) <- f;
+          starts.(d) <- starts.(d) + 1)
+        ds;
       let cells = float_of_int (t.n_modules * t.n_vectors) in
+      let log_hit = log (1. -. e) and log_flip = log e in
       Array.fold_right
         (fun f acc ->
           let d = float_of_int ds.(f) in
-          candidate f ds.(f) (((cells -. d) *. log (1. -. e)) +. (d *. log e))
+          candidate f ds.(f) (((cells -. d) *. log_hit) +. (d *. log_flip))
           :: acc)
         order []
 

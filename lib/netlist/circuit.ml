@@ -329,6 +329,28 @@ let validate c =
       !bad
     end
   in
+  (* The fanout CSR against a rebuild from the fanins: the inverse
+     adjacency, each segment ascending by sink with repeated edges
+     kept.  Runs once the fanins are known to be in range. *)
+  let check_fanouts () =
+    let offsets, targets = build_fanouts_csr n c.fanin_offsets c.fanin_targets in
+    if Array.length c.fanout_targets <> Array.length targets then
+      err "fanout targets length drifted"
+    else begin
+      let same id =
+        let e = offsets.(id + 1) in
+        let rec from k = k >= e || (c.fanout_targets.(k) = targets.(k) && from (k + 1)) in
+        c.fanout_offsets.(id) = offsets.(id) && c.fanout_offsets.(id + 1) = e
+        && from offsets.(id)
+      in
+      let rec first id =
+        if id >= n then Ok ()
+        else if same id then first (id + 1)
+        else err "node %d: fanouts are not the ascending inverse of the fanins" id
+      in
+      first 0
+    end
+  in
   match check_offsets c.fanin_offsets "fanin" with
   | Error e -> Error e
   | Ok () -> begin
@@ -341,6 +363,10 @@ let validate c =
         if Array.exists (fun o -> o < 0 || o >= n) c.outputs then
           err "output id out of range"
         else if Array.length c.outputs = 0 then err "circuit has no outputs"
-        else check_levels ()
+        else begin
+          match check_fanouts () with
+          | Error e -> Error e
+          | Ok () -> check_levels ()
+        end
     end
   end

@@ -124,7 +124,11 @@ module Csr : sig
   (** Length [num_nodes + 1].  Borrowed — do not mutate. *)
 
   val fanout_targets : t -> int array
-  (** Borrowed — do not mutate. *)
+  (** The inverse of the fanins: node [id]'s segment lists every node
+      that reads [id], ascending by sink id, a sink that reads [id]
+      more than once listed once per read (so repeats are adjacent).
+      {!Graph_algo.undirected_of_circuit} relies on this order.
+      Borrowed — do not mutate. *)
 
   val levels : t -> int array
   (** {!level} of every node, length [num_nodes].  Borrowed — do not
@@ -157,7 +161,8 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val validate : t -> (unit, string) result
 (** Re-checks the structural invariants (topological fanins, arities,
-    fanout consistency, output ids in range) and the levelization
+    the fanout CSR the ascending inverse of the fanins, output ids in
+    range) and the levelization
     (every level recomputed from the fanins; {!Csr.level_order} and
     {!Csr.level_offsets} a partition of the gates by level, ascending
     within each).  Builders establish them; this is used by tests,

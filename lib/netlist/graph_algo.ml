@@ -4,57 +4,51 @@
    neighbour arrays. *)
 type undirected = { offsets : int array; targets : int array }
 
+(* One pass in gate order, each segment written in place.  A gate's
+   fanins all have smaller ids and its fanouts larger ones, so the
+   segment is its sorted unique gate fanins followed by its unique gate
+   fanouts: the fanins go in by insertion (degrees are small), and the
+   fanout CSR is already ascending, so only adjacent repeats (a gate
+   read twice by one sink) are dropped.  Every edge lands in two
+   segments at most, which bounds the scratch array. *)
 let undirected_of_circuit c =
   let ng = Circuit.num_gates c in
   let ni = Circuit.num_inputs c in
-  (* upper-bound degrees (parallel edges still included) *)
-  let counts = Array.make (ng + 1) 0 in
-  for g = 0 to ng - 1 do
-    let id = Circuit.node_of_gate c g in
-    let d = ref 0 in
-    Circuit.iter_fanins c id (fun src ->
-        if src >= ni && src <> id then incr d);
-    Circuit.iter_fanouts c id (fun dst ->
-        if dst >= ni && dst <> id then incr d);
-    counts.(g + 1) <- !d
-  done;
-  let raw_offsets = Array.make (ng + 1) 0 in
-  for g = 0 to ng - 1 do
-    raw_offsets.(g + 1) <- raw_offsets.(g) + counts.(g + 1)
-  done;
-  let raw = Array.make raw_offsets.(ng) 0 in
-  let fill = Array.init ng (fun g -> raw_offsets.(g)) in
-  for g = 0 to ng - 1 do
-    let id = Circuit.node_of_gate c g in
-    let add other_id =
-      if other_id >= ni && other_id <> id then begin
-        raw.(fill.(g)) <- other_id - ni;
-        fill.(g) <- fill.(g) + 1
-      end
-    in
-    Circuit.iter_fanins c id add;
-    Circuit.iter_fanouts c id add
-  done;
-  (* per-segment insertion sort (degrees are small) + dedup compaction *)
+  let fi_offsets = Circuit.Csr.fanin_offsets c in
+  let fi_targets = Circuit.Csr.fanin_targets c in
+  let fo_offsets = Circuit.Csr.fanout_offsets c in
+  let fo_targets = Circuit.Csr.fanout_targets c in
   let offsets = Array.make (ng + 1) 0 in
+  let targets = Array.make (2 * Array.length fi_targets) 0 in
   let pos = ref 0 in
-  let targets = Array.make (Array.length raw) 0 in
   for g = 0 to ng - 1 do
-    offsets.(g) <- !pos;
-    let s = raw_offsets.(g) and e = raw_offsets.(g + 1) in
-    for k = s + 1 to e - 1 do
-      let v = raw.(k) in
-      let j = ref (k - 1) in
-      while !j >= s && raw.(!j) > v do
-        raw.(!j + 1) <- raw.(!j);
-        decr j
-      done;
-      raw.(!j + 1) <- v
+    let id = g + ni in
+    let s = !pos in
+    offsets.(g) <- s;
+    for k = fi_offsets.(id) to fi_offsets.(id + 1) - 1 do
+      let src = fi_targets.(k) in
+      if src >= ni then begin
+        let v = src - ni in
+        let j = ref (!pos - 1) in
+        while !j >= s && targets.(!j) > v do
+          decr j
+        done;
+        if !j < s || targets.(!j) <> v then begin
+          for i = !pos downto !j + 2 do
+            targets.(i) <- targets.(i - 1)
+          done;
+          targets.(!j + 1) <- v;
+          incr pos
+        end
+      end
     done;
-    for k = s to e - 1 do
-      if k = s || raw.(k) <> raw.(k - 1) then begin
-        targets.(!pos) <- raw.(k);
-        incr pos
+    let last = ref (-1) in
+    for k = fo_offsets.(id) to fo_offsets.(id + 1) - 1 do
+      let dst = fo_targets.(k) in
+      if dst <> !last then begin
+        targets.(!pos) <- dst - ni;
+        incr pos;
+        last := dst
       end
     done
   done;

@@ -14,6 +14,14 @@ type undirected
     arrays, not a million boxed neighbour lists. *)
 
 val undirected_of_circuit : Circuit.t -> undirected
+(** Built in one pass over the gates into one array, cut to size by a
+    final [Array.sub].  A gate's segment is its gate fanins, sorted and
+    deduplicated by insertion, followed by its gate fanouts, which have
+    larger ids and come ascending from the circuit's fanout CSR
+    ({!Circuit.Csr.fanout_targets}), so only adjacent repeats are
+    dropped.  The result is correct only for circuits whose fanout
+    segments are ascending and whose fanins precede the gate — what
+    every constructor establishes and {!Circuit.validate} checks. *)
 
 val num_gates : undirected -> int
 

@@ -111,6 +111,56 @@ let qcheck_transition_times_within_depth =
       done;
       !ok)
 
+(* The per-slot definition the word sets are checked against: one
+   [bool array] per gate, built slot by slot. *)
+let oracle_times circuit =
+  let ni = Circuit.num_inputs circuit in
+  let ng = Circuit.num_gates circuit in
+  let times = Array.init ng (fun _ -> Array.make (Circuit.depth circuit + 2) false) in
+  for g = 0 to ng - 1 do
+    Circuit.iter_fanins circuit (g + ni) (fun src ->
+        if src < ni then times.(g).(1) <- true
+        else
+          for slot = 1 to Circuit.level circuit src do
+            if times.(src - ni).(slot) then times.(g).(slot + 1) <- true
+          done)
+  done;
+  times
+
+(* Depths on both sides of every word boundary: one- to four-word sets
+   and each carry between words. *)
+let qcheck_word_sets_match_oracle =
+  QCheck.Test.make ~name:"word sets = per-slot oracle across word boundaries"
+    ~count:24
+    QCheck.(
+      triple
+        (oneofl [ 1; 62; 63; 64; 125; 126; 127; 200 ])
+        (int_range 1 3) (int_range 1 100000))
+    (fun (depth, width, seed) ->
+      let rng = Iddq_util.Rng.create seed in
+      let circuit =
+        Generator.layered_dag ~rng ~name:"w" ~num_inputs:4 ~num_outputs:2
+          ~num_gates:(depth * width) ~depth ()
+      in
+      let ch = make circuit in
+      let low = Charac.with_low_power ch ~gates:[| 0; Charac.num_gates ch - 1 |] in
+      let times = oracle_times circuit in
+      let expected g =
+        List.filter (fun s -> times.(g).(s)) (List.init (depth + 2) Fun.id)
+      in
+      let agrees ch g =
+        let want = expected g in
+        slots ch g = want
+        && Charac.switch_slot_count ch g = List.length want
+        && List.for_all
+             (fun s -> Charac.can_switch_at ch g s = times.(g).(s))
+             (List.init (depth + 2) Fun.id)
+      in
+      Charac.depth ch = depth
+      && List.for_all
+           (fun g -> agrees ch g && agrees low g)
+           (List.init (Charac.num_gates ch) Fun.id))
+
 let tests =
   [
     Alcotest.test_case "c17 transition times" `Quick test_c17_transition_times;
@@ -120,4 +170,5 @@ let tests =
     Alcotest.test_case "fanin derating" `Quick test_electrical_data_derated;
     Alcotest.test_case "undirected cached" `Quick test_undirected_cached;
     QCheck_alcotest.to_alcotest qcheck_transition_times_within_depth;
+    QCheck_alcotest.to_alcotest qcheck_word_sets_match_oracle;
   ]

@@ -3,6 +3,7 @@ module Circuit = Iddq_netlist.Circuit
 module Gate = Iddq_netlist.Gate
 module Graph_algo = Iddq_netlist.Graph_algo
 module Generator = Iddq_netlist.Generator
+module Iscas = Iddq_netlist.Iscas
 
 (* a -> g1 -> g2 -> g3 (chain) plus a parallel branch a -> g4 -> g3' *)
 let diamond () =
@@ -278,6 +279,58 @@ let test_popcount () =
     [ 0; 1; 2; 3; 255; max_int; min_int; -1; min_int + 1; 0x5555_5555;
       1 lsl 61; (1 lsl 62) lor 1; 0x0f0f_0f0f_0f0f_0f0f ]
 
+(* The undirected graph by definition: per gate, the sorted unique
+   union of its gate fanins and gate fanouts, itself excluded. *)
+let undirected_matches_oracle c =
+  let ni = Circuit.num_inputs c in
+  let u = Graph_algo.undirected_of_circuit c in
+  Graph_algo.num_gates u = Circuit.num_gates c
+  && List.for_all
+       (fun g ->
+         let id = Circuit.node_of_gate c g in
+         let ends = Array.append (Circuit.fanins c id) (Circuit.fanouts c id) in
+         let expected =
+           Array.to_list ends
+           |> List.filter (fun other -> other >= ni && other <> id)
+           |> List.map (fun other -> other - ni)
+           |> List.sort_uniq compare
+         in
+         Array.to_list (Graph_algo.neighbours u g) = expected)
+       (List.init (Circuit.num_gates c) Fun.id)
+
+let qcheck_undirected_matches_oracle =
+  QCheck.Test.make ~name:"undirected_of_circuit = fanin/fanout union oracle"
+    ~count:40
+    QCheck.(triple (int_range 10 300) (int_range 1 100000) (int_range 1 4))
+    (fun (gates, seed, fanin) ->
+      let rng = Iddq_util.Rng.create seed in
+      let c =
+        Generator.layered_dag ~rng ~name:"q" ~num_inputs:4 ~num_outputs:2
+          ~num_gates:gates ~depth:(1 + (gates / 8)) ~max_fanin:(fanin + 1) ()
+      in
+      undirected_matches_oracle c)
+
+let test_undirected_oracle_fixed () =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " = oracle") true
+        (undirected_matches_oracle (Option.get (Iscas.by_name name))))
+    Iscas.names;
+  (* g2 reads g1 twice, so g1's fanout segment holds g2 twice in a row *)
+  let b = Builder.create ~name:"twice" () in
+  Builder.add_input b "a";
+  Builder.add_input b "b";
+  Builder.add_gate b "g1" Gate.Nand [ "a"; "b" ];
+  Builder.add_gate b "g2" Gate.And [ "g1"; "g1" ];
+  Builder.add_gate b "g3" Gate.Or [ "g1"; "g2"; "g1" ];
+  Builder.add_output b "g3";
+  let c = Builder.freeze_exn b in
+  let g1 = Option.get (Circuit.node_id_of_name c "g1") in
+  Alcotest.(check int) "g1 fanout repeats" 4 (Circuit.fanout_count c g1);
+  Alcotest.(check bool) "repeated reads = oracle" true (undirected_matches_oracle c);
+  Alcotest.(check (array int)) "g1 neighbours" [| 1; 2 |]
+    (Graph_algo.neighbours (Graph_algo.undirected_of_circuit c) 0)
+
 let tests =
   [
     Alcotest.test_case "depths" `Quick test_depths;
@@ -296,4 +349,7 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_multi_bfs_matches_single;
     Alcotest.test_case "multi-source BFS bounds" `Quick test_multi_bfs_bounds;
     Alcotest.test_case "popcount" `Quick test_popcount;
+    QCheck_alcotest.to_alcotest qcheck_undirected_matches_oracle;
+    Alcotest.test_case "undirected = oracle: stand-ins, repeated reads" `Quick
+      test_undirected_oracle_fixed;
   ]

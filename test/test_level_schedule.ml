@@ -190,6 +190,30 @@ let test_validate_catches_drift () =
   | Error _ -> ());
   Alcotest.(check (result unit string)) "restored" (Ok ()) (Circuit.validate c)
 
+(* Swapping two fanouts of one node keeps the offsets and the multiset
+   of edges but breaks the ascending order the undirected graph build
+   relies on. *)
+let test_validate_catches_fanout_drift () =
+  let c = Iscas.c17 () in
+  let offsets = Circuit.Csr.fanout_offsets c in
+  let targets = Circuit.Csr.fanout_targets c in
+  let id = Option.get (Circuit.node_id_of_name c "11") in
+  let k = offsets.(id) in
+  Alcotest.(check bool) "two distinct fanouts" true
+    (offsets.(id + 1) - k >= 2 && targets.(k) < targets.(k + 1));
+  let swap () =
+    let a = targets.(k) in
+    targets.(k) <- targets.(k + 1);
+    targets.(k + 1) <- a
+  in
+  swap ();
+  let drifted = Circuit.validate c in
+  swap ();
+  (match drifted with
+  | Ok () -> Alcotest.fail "a drifted fanout segment validated"
+  | Error _ -> ());
+  Alcotest.(check (result unit string)) "restored" (Ok ()) (Circuit.validate c)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest qcheck_schedule_valid;
@@ -199,4 +223,6 @@ let tests =
     Alcotest.test_case "c17 depth anchor" `Quick test_c17_depth;
     Alcotest.test_case "validate catches a drifted levelization" `Quick
       test_validate_catches_drift;
+    Alcotest.test_case "validate catches a drifted fanout segment" `Quick
+      test_validate_catches_fanout_drift;
   ]
