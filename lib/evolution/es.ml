@@ -42,14 +42,16 @@ type generation_report = {
   population : int;
 }
 
-let check_params p =
-  if p.mu < 1 then invalid_arg "Es.run: mu < 1";
-  if p.lambda < 0 || p.chi < 0 then invalid_arg "Es.run: negative offspring";
-  if p.lambda + p.chi = 0 then invalid_arg "Es.run: no offspring at all";
-  if p.omega < 1 then invalid_arg "Es.run: omega < 1";
-  if p.m_init < 1 then invalid_arg "Es.run: m_init < 1";
-  if p.epsilon < 0.0 then invalid_arg "Es.run: epsilon < 0";
-  if p.domains < 1 then invalid_arg "Es.run: domains < 1"
+let validate p =
+  if p.mu < 1 then Error "mu < 1"
+  else if p.lambda < 0 || p.chi < 0 then Error "negative offspring"
+  else if p.lambda + p.chi = 0 then Error "no offspring at all"
+  else if p.omega < 1 then Error "omega < 1"
+  else if p.m_init < 1 then Error "m_init < 1"
+  else if p.epsilon < 0.0 then Error "epsilon < 0"
+  else if p.max_generations < 0 then Error "max_generations < 0"
+  else if p.domains < 1 then Error "domains < 1"
+  else Ok ()
 
 (* The child's step width is normally distributed around the parent's
    (variance epsilon), clipped to >= 1. *)
@@ -60,7 +62,8 @@ let child_step rng params parent_step =
   Stdlib.max 1 (int_of_float (Float.round s))
 
 let run ?(on_generation = fun _ -> ()) params rng (problem : _ problem) starts =
-  check_params params;
+  Result.iter_error (fun msg -> invalid_arg ("Es.run: " ^ msg))
+    (validate params);
   if starts = [] then invalid_arg "Es.run: no start solutions";
   let make_individual solution =
     { solution; cost = problem.cost solution; age = 0; step = params.m_init }

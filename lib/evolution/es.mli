@@ -37,6 +37,13 @@ val default_params : params
 (** μ=4, λ=7, χ=2, ω=5, m=4, ε=1.5, 500 generations max, stall 60,
     1 domain. *)
 
+val validate : params -> (unit, string) result
+(** [Ok ()] when [run] accepts the parameters, else [Error] naming the
+    first violated bound: [mu >= 1], [lambda >= 0], [chi >= 0],
+    [lambda + chi >= 1], [omega >= 1], [m_init >= 1], [epsilon >= 0],
+    [max_generations >= 0], [domains >= 1].  A population of
+    Monte-Carlo children only ([lambda = 0], [chi > 0]) is valid. *)
+
 type 'a problem = {
   copy : 'a -> 'a;
   cost : 'a -> float;
@@ -75,4 +82,6 @@ val run :
 (** [run params rng problem starts] evolves from the given start
     solutions (at least one; they are copied, the inputs are not
     mutated).  Returns the best individual ever seen and the
-    per-generation trace (oldest first). *)
+    per-generation trace (oldest first).
+    @raise Invalid_argument when {!validate} rejects [params] or
+    [starts] is empty. *)

@@ -89,7 +89,6 @@ let error_to_string = function
 (* The configuration checks made before any pass runs; the first one
    that fails is the error. *)
 let validate_config ~config method_ ch =
-  let p = config.es_params in
   let bad msg = Error (Bad_config msg) in
   let reference_sizes =
     match method_ with
@@ -97,11 +96,9 @@ let validate_config ~config method_ ch =
     | Evolution | Random | Annealing -> None
   in
   let sum = List.fold_left ( + ) 0 (Option.value reference_sizes ~default:[]) in
-  if p.Es.mu < 1 then bad "es_params.mu must be >= 1"
-  else if p.Es.lambda < 1 then bad "es_params.lambda must be >= 1"
-  else if p.Es.max_generations < 0 then
-    bad "es_params.max_generations must be >= 0"
-  else
+  match Es.validate config.es_params with
+  | Error msg -> bad ("es_params: " ^ msg)
+  | Ok () -> (
     match config.module_size, reference_sizes with
     | Some s, _ when s < 1 ->
       bad (Printf.sprintf "module size %d is not positive" s)
@@ -111,7 +108,7 @@ let validate_config ~config method_ ch =
       bad
         (Printf.sprintf "reference sizes sum to %d but the circuit has %d gates"
            sum (Charac.num_gates ch))
-    | _ -> Ok ()
+    | _ -> Ok ())
 
 let finish ~config ~method_used ~generations ch partition =
   {

@@ -80,7 +80,8 @@ type error =
   | Bad_config of string
       (** Invalid configuration: non-positive module size, reference
           sizes that are non-positive or do not sum to the gate
-          count, degenerate ES parameters. *)
+          count, ES parameters that {!Iddq_evolution.Es.validate}
+          rejects. *)
   | Characterization_failed of string
       (** [Charac.make] could not characterize the circuit against
           the configured library. *)

@@ -1,7 +1,8 @@
 (* The undirected gate graph in the same CSR shape as the circuit:
    flat offsets + targets, one segment of sorted unique neighbours per
    gate.  A million-gate graph is two int arrays, not a million boxed
-   neighbour arrays. *)
+   neighbour arrays.  [targets] may run past [offsets.(n)]: segments
+   are read only through [offsets]. *)
 type undirected = { offsets : int array; targets : int array }
 
 (* One pass in gate order, each segment written in place.  A gate's
@@ -9,8 +10,9 @@ type undirected = { offsets : int array; targets : int array }
    segment is its sorted unique gate fanins followed by its unique gate
    fanouts: the fanins go in by insertion (degrees are small), and the
    fanout CSR is already ascending, so only adjacent repeats (a gate
-   read twice by one sink) are dropped.  Every edge lands in two
-   segments at most, which bounds the scratch array. *)
+   read twice by one sink) are dropped.  Every gate-to-gate edge lands
+   in two segments at most, which bounds [targets]; it is kept at that
+   bound rather than copied down to the deduplicated length. *)
 let undirected_of_circuit c =
   let ng = Circuit.num_gates c in
   let ni = Circuit.num_inputs c in
@@ -19,7 +21,9 @@ let undirected_of_circuit c =
   let fo_offsets = Circuit.Csr.fanout_offsets c in
   let fo_targets = Circuit.Csr.fanout_targets c in
   let offsets = Array.make (ng + 1) 0 in
-  let targets = Array.make (2 * Array.length fi_targets) 0 in
+  let gate_edges = ref 0 in
+  Array.iter (fun src -> if src >= ni then incr gate_edges) fi_targets;
+  let targets = Array.make (2 * !gate_edges) 0 in
   let pos = ref 0 in
   for g = 0 to ng - 1 do
     let id = g + ni in
@@ -53,7 +57,7 @@ let undirected_of_circuit c =
     done
   done;
   offsets.(ng) <- !pos;
-  { offsets; targets = Array.sub targets 0 !pos }
+  { offsets; targets }
 
 let num_gates u = Array.length u.offsets - 1
 

@@ -14,8 +14,10 @@ type undirected
     arrays, not a million boxed neighbour lists. *)
 
 val undirected_of_circuit : Circuit.t -> undirected
-(** Built in one pass over the gates into one array, cut to size by a
-    final [Array.sub].  A gate's segment is its gate fanins, sorted and
+(** Built in one pass over the gates into one array sized for twice
+    the gate-to-gate fanin edges (input edges excluded) and never
+    copied: deduplication leaves slack at its end, which no accessor
+    reads.  A gate's segment is its gate fanins, sorted and
     deduplicated by insertion, followed by its gate fanouts, which have
     larger ids and come ascending from the circuit's fanout CSR
     ({!Circuit.Csr.fanout_targets}), so only adjacent repeats are

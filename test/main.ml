@@ -49,6 +49,7 @@ let () =
       ("misc-edges", Test_misc_edges.tests);
       ("netlist-passes", Test_netlist_passes.tests);
       ("diagnose", Test_diagnose.tests);
+      ("experiments", Test_experiments.tests);
       ("cli-usage", Test_cli_usage.tests);
       ("server", Test_server.tests);
     ]

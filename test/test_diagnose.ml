@@ -231,52 +231,32 @@ let test_noisy_accuracy_reasonable () =
   Alcotest.(check bool) "top-1 module below or equal top-3" true
     (acc.Diagnose.top1_module <= acc.Diagnose.topk_module)
 
-(* The diagnosis gate on the ISCAS85 grid (C432/C880/C1908/C3540
-   stand-ins x uniform 2/4/8/16-module partitions, 200 defects and 128
-   vectors drawn from one rng seeded 42 per cell, 40 trials of each
-   kind), the grid of bench/main.exe's [diagnose] experiment:
-   noiseless exact matching puts the true defect in the top ambiguity
-   class on every trial, and with every pass/fail cell flipped at 2%
-   the top-3 module accuracy aggregated over the grid stays >= 0.9. *)
+(* The diagnosis gate on the ISCAS85 grid of bench/main.exe's
+   [diagnose] experiment ({!Experiments.diagnose_grid}: the
+   C432/C880/C1908/C3540 stand-ins x uniform 2/4/8/16-module
+   partitions, 40 trials of each kind): noiseless exact matching puts
+   the true defect in the top ambiguity class on every trial, and with
+   every pass/fail cell flipped at 2% the top-3 module accuracy
+   aggregated over the grid stays >= 0.9. *)
 let test_iscas_grid_gate () =
-  let hits = ref 0 and trials = ref 0 in
+  let rows = Experiments.diagnose_grid () in
   List.iter
-    (fun (name, circuit) ->
-      let ch = Charac.make ~library:Library.default circuit in
-      List.iter
-        (fun k ->
-          let p = Standard.partition_uniform ch ~num_modules:k in
-          let rng = Rng.create 42 in
-          let faults =
-            Fault.random_population ~rng circuit ~count:200 ~defect_current:2e-6
-          in
-          let vectors = Pattern_gen.random ~rng circuit ~count:128 in
-          let d = Diagnose.build p ~vectors ~faults in
-          let exact = Diagnose.measure_accuracy ~rng ~top_k:3 ~trials:40 d in
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s, %d modules: noiseless top-1 class" name k)
-            1.0 exact.Diagnose.top1_class;
-          let noisy =
-            Diagnose.measure_accuracy ~rng ~epsilon:0.02 ~top_k:3 ~trials:40 d
-          in
-          hits :=
-            !hits
-            + int_of_float
-                (Float.round
-                   (noisy.Diagnose.topk_module
-                   *. float_of_int noisy.Diagnose.trials));
-          trials := !trials + noisy.Diagnose.trials)
-        [ 2; 4; 8; 16 ])
-    [
-      ("C432", Iscas.c432_like ());
-      ("C880", Iscas.c880_like ());
-      ("C1908", Iscas.c1908_like ());
-      ("C3540", Iscas.c3540_like ());
-    ];
-  let rate = float_of_int !hits /. float_of_int !trials in
+    (fun (r : Experiments.diagnose_row) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s, %d modules: noiseless top-1 class"
+           r.Experiments.circuit r.Experiments.modules)
+        1.0 r.Experiments.exact.Diagnose.top1_class)
+    rows;
+  let trials =
+    List.fold_left
+      (fun acc (r : Experiments.diagnose_row) ->
+        acc + r.Experiments.noisy.Diagnose.trials)
+      0 rows
+  in
+  let rate = Experiments.noisy_topk_rate rows in
   Alcotest.(check bool)
     (Printf.sprintf "noisy top-3 module %.3f >= 0.9 over %d trials" rate
-       !trials)
+       trials)
     true (rate >= 0.9)
 
 (* In noisy mode the log-likelihood must decrease as distance grows —

@@ -96,6 +96,21 @@ let test_param_validation () =
   Alcotest.(check bool) "no starts" true
     (try ignore (Es.run params rng toy_problem []); false with Invalid_argument _ -> true)
 
+(* [Es.validate] is the check [Es.run] makes: a Monte-Carlo-only
+   population runs, and a negative generation cap is rejected by both. *)
+let test_validate_matches_run () =
+  let rng = Rng.create 1 in
+  let mc_only = { params with Es.lambda = 0; chi = 3; max_generations = 3 } in
+  Alcotest.(check bool) "lambda = 0, chi > 0 valid" true
+    (Es.validate mc_only = Ok ());
+  ignore (Es.run mc_only rng toy_problem (start ()));
+  let negative = { params with Es.max_generations = -1 } in
+  Alcotest.(check bool) "max_generations < 0 invalid" true
+    (Result.is_error (Es.validate negative));
+  Alcotest.(check bool) "run rejects it too" true
+    (try ignore (Es.run negative rng toy_problem (start ())); false
+     with Invalid_argument _ -> true)
+
 let test_on_generation_callback () =
   let rng = Rng.create 1 in
   let calls = ref 0 in
@@ -151,6 +166,7 @@ let tests =
     Alcotest.test_case "inputs not mutated" `Quick test_inputs_not_mutated;
     Alcotest.test_case "stall stops early" `Quick test_stall_stops_early;
     Alcotest.test_case "param validation" `Quick test_param_validation;
+    Alcotest.test_case "validate = run's check" `Quick test_validate_matches_run;
     Alcotest.test_case "generation callback" `Quick test_on_generation_callback;
     Alcotest.test_case "aging turnover" `Quick test_aging_turnover;
     Alcotest.test_case "domains equivalent" `Quick test_domains_equivalent;

@@ -1,0 +1,120 @@
+(* The shape claims of EXPERIMENTS.md, each bounded on the experiment
+   function bench/main.exe prints it from.  One test per claim; the
+   claim index in EXPERIMENTS.md names each of them. *)
+
+module E = Experiments
+module Pipeline = Iddq.Pipeline
+module Cost = Iddq_core.Cost
+module Diagnose = Iddq_diagnose.Diagnose
+
+let rec strictly cmp = function
+  | a :: (b :: _ as tl) -> cmp a b && strictly cmp tl
+  | _ -> true
+
+(* Ablation A: standard is the outlier.  Every other partitioner beats
+   it both on cost and on sensor area. *)
+let test_ablation_opt () =
+  let results = E.ablation_opt () in
+  let standard = List.assoc Pipeline.Standard results in
+  List.iter
+    (fun (m, (r : Pipeline.t)) ->
+      if m <> Pipeline.Standard then begin
+        let name = Pipeline.method_to_string m in
+        let b = r.Pipeline.breakdown
+        and s = standard.Pipeline.breakdown in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s cost %.2f < standard %.2f" name b.Cost.penalized
+             s.Cost.penalized)
+          true
+          (b.Cost.penalized < s.Cost.penalized);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s area %.3e < standard %.3e" name
+             b.Cost.sensor_area s.Cost.sensor_area)
+          true
+          (b.Cost.sensor_area < s.Cost.sensor_area)
+      end)
+    results
+
+(* Granularity (paper §1) on C3540, K = 1..64: the minimum
+   discriminability rises strictly with K, and exactly K <= 2 is
+   infeasible. *)
+let test_granularity () =
+  let rows = E.tradeoff () in
+  Alcotest.(check bool) "min d rises strictly with K" true
+    (strictly
+       (fun (_, a, _) (_, b, _) ->
+         a.Cost.min_discriminability < b.Cost.min_discriminability)
+       rows);
+  Alcotest.(check (list int)) "infeasible K" [ 1; 2 ]
+    (List.filter_map
+       (fun (k, b, _) -> if b.Cost.feasible then None else Some k)
+       rows)
+
+(* Fig. 2: column-shaped groups need more sensor area than row-shaped
+   ones, and the ratio grows with the array (3x3, 6x6, 9x12). *)
+let test_fig2_ratio () =
+  let ratios =
+    List.map (fun (r : E.fig2_row) -> r.E.col_area /. r.E.row_area) (E.fig2 ())
+  in
+  Alcotest.(check int) "three arrays" 3 (List.length ratios);
+  Alcotest.(check bool) "ratio > 1" true (List.for_all (fun x -> x > 1.0) ratios);
+  Alcotest.(check bool)
+    (Printf.sprintf "ratio grows strictly: %s"
+       (String.concat ", " (List.map (Printf.sprintf "%.2f") ratios)))
+    true (strictly ( < ) ratios)
+
+(* Modules buy resolution: on each stand-in of the diagnosis grid the
+   expected ambiguity falls strictly over K = 2, 4, 8, 16.  Reads the
+   grid the test_diagnose gate already computed. *)
+let test_modules_buy_resolution () =
+  let rows = E.diagnose_grid () in
+  List.iter
+    (fun name ->
+      let cells =
+        List.filter (fun (r : E.diagnose_row) -> r.E.circuit = name) rows
+      in
+      Alcotest.(check (list int))
+        (name ^ ": module counts") [ 2; 4; 8; 16 ]
+        (List.map (fun (r : E.diagnose_row) -> r.E.modules) cells);
+      Alcotest.(check bool)
+        (name ^ ": expected ambiguity falls strictly")
+        true
+        (strictly
+           (fun (a : E.diagnose_row) (b : E.diagnose_row) ->
+             a.E.summary.Diagnose.expected_ambiguity
+             > b.E.summary.Diagnose.expected_ambiguity)
+           cells))
+    E.grid_circuits
+
+(* Sizing: sensors sized for the probabilistic expectation overshoot
+   the rail budget on every module under observed activity; sensors
+   sized from the pessimistic bound overshoot on none. *)
+let test_sizing () =
+  match E.sizing () with
+  | pessimistic :: expectation :: _ ->
+    Alcotest.(check int) "pessimistic overshoots" 0 pessimistic.E.overshoots;
+    Alcotest.(check int) "expectation overshoots every module"
+      expectation.E.modules expectation.E.overshoots;
+    Alcotest.(check bool) "modules" true (expectation.E.modules > 0)
+  | _ -> Alcotest.fail "sizing: expected the pessimistic and expectation rows"
+
+(* Figs. 3-5 on C17: the evolution ends at two 3-gate modules, with a
+   cost below the paper's grouping {(10,16,22),(11,19,23)}. *)
+let test_c17 () =
+  let r = E.c17 () in
+  Alcotest.(check (list int)) "two 3-gate modules" [ 3; 3 ]
+    (List.map (fun (_, gates) -> List.length gates) r.E.modules);
+  Alcotest.(check bool)
+    (Printf.sprintf "final %.4f < paper grouping %.4f" r.E.cost r.E.paper_cost)
+    true (r.E.cost < r.E.paper_cost)
+
+let tests =
+  [
+    Alcotest.test_case "ablation A: standard costliest" `Slow test_ablation_opt;
+    Alcotest.test_case "granularity: min d rises with K" `Slow test_granularity;
+    Alcotest.test_case "fig2: column/row area ratio grows" `Slow test_fig2_ratio;
+    Alcotest.test_case "modules buy resolution" `Slow
+      test_modules_buy_resolution;
+    Alcotest.test_case "sizing: expectation overshoots" `Slow test_sizing;
+    Alcotest.test_case "c17: two 3-gate modules" `Slow test_c17;
+  ]

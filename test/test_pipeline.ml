@@ -203,6 +203,33 @@ let test_run_result_bad_configs () =
        ~es_params:{ fast_es with Iddq_evolution.Es.mu = 0 }
        ())
 
+(* Pipeline checks ES parameters through [Es.validate], so it accepts
+   exactly what [Es.run] accepts: a Monte-Carlo-only population
+   (lambda = 0, chi > 0) runs, and no offspring at all is a
+   [Bad_config]. *)
+let test_run_result_es_params_match_es () =
+  let circuit = Iscas.c17 () in
+  let config es_params = Pipeline.config ~es_params ~seed:1 () in
+  (match
+     Pipeline.run_result
+       ~config:(config { fast_es with Es.lambda = 0; chi = 9 })
+       Pipeline.Evolution circuit
+   with
+  | Ok r ->
+    Alcotest.(check bool) "lambda = 0, chi = 9 runs" true
+      (Partition.num_modules r.Pipeline.partition >= 1)
+  | Error e -> Alcotest.failf "lambda = 0, chi = 9: %s" (Pipeline.error_to_string e));
+  match
+    Pipeline.run_result
+      ~config:(config { fast_es with Es.lambda = 0; chi = 0 })
+      Pipeline.Evolution circuit
+  with
+  | Error (Pipeline.Bad_config _) -> ()
+  | Error e ->
+    Alcotest.failf "lambda = chi = 0: expected Bad_config, got %s"
+      (Pipeline.error_to_string e)
+  | Ok _ -> Alcotest.fail "lambda = chi = 0 accepted"
+
 let test_run_result_infeasible_reported () =
   (* C17 in one module of 6 gates is produced regardless; with
      require_feasible the caller is told when constraints fail, and
@@ -239,6 +266,8 @@ let tests =
     Alcotest.test_case "run_result ok" `Slow test_run_result_ok_matches_run;
     Alcotest.test_case "run_result bad configs" `Quick
       test_run_result_bad_configs;
+    Alcotest.test_case "run_result ES params = Es.validate" `Quick
+      test_run_result_es_params_match_es;
     Alcotest.test_case "run_result require_feasible" `Slow
       test_run_result_infeasible_reported;
     Alcotest.test_case "compare_methods_result" `Slow

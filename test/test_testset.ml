@@ -285,37 +285,27 @@ let test_generate_trajectory_pinned () =
     ]
 
 (* The ATPG loop on the ISCAS85 grid the bench's [testset] experiment
-   reports (seed 11, 32 random vectors, 64 backtracks): PODEM top-up
-   never loses coverage against the random-only start, every
-   minimization strategy keeps the full set's coverage, refined is no
-   larger than greedy, minimization shrinks the set on at least 3 of
-   the 4 circuits, and a C432 re-run reproduces the set. *)
+   reports ({!Experiments.testset_grid}: seed 11, 32 random vectors,
+   64 backtracks): PODEM top-up never loses coverage against the
+   random-only start, every minimization strategy keeps the full set's
+   coverage, refined is no larger than greedy, minimization shrinks
+   the set on at least 3 of the 4 circuits, and a C432 re-run
+   reproduces the set. *)
 let test_iscas_grid_gate () =
-  let seed = 11 and random_vectors = 32 and max_backtracks = 64 in
-  let config =
-    Atpg.config ~max_backtracks ~seed ~random_vectors ~strategy:Atpg.Greedy ()
-  in
   let shrunk =
     List.fold_left
-      (fun shrunk (name, circuit) ->
-        (* the facade seeds [Rng.create seed] and draws its random
-           vectors first, so this is exactly its random-only start *)
-        let initial =
-          Iddq_patterns.Pattern_gen.random ~rng:(Rng.create seed) circuit
-            ~count:random_vectors
-        in
-        let random_only =
-          Stuck_at.fault_simulate circuit ~vectors:initial
-            ~faults:(Stuck_at.collapsed_fault_list circuit)
-        in
-        let r = run_ok ~config circuit in
+      (fun shrunk (row : Experiments.testset_row) ->
+        let name = row.Experiments.circuit and r = row.Experiments.result in
+        let random_only = row.Experiments.random_only in
         Alcotest.(check bool)
           (Printf.sprintf "%s: coverage %.4f >= random-only %.4f" name
              r.Atpg.coverage random_only.Stuck_at.coverage)
           true
           (r.Atpg.coverage >= random_only.Stuck_at.coverage -. 1e-9);
         if name = "C432" then begin
-          let again = run_ok ~config circuit in
+          let again =
+            run_ok ~config:Experiments.testset_config (Iscas.c432_like ())
+          in
           Alcotest.(check bool) "C432 re-run: same vectors" true
             (again.Atpg.all_vectors = r.Atpg.all_vectors);
           Alcotest.(check bool) "C432 re-run: same selection" true
@@ -330,18 +320,17 @@ let test_iscas_grid_gate () =
             float_of_int (Coverage.num_detectable m)
             /. float_of_int (Coverage.num_faults m)
         in
-        let size strategy =
-          match Atpg.minimize_result ~strategy m with
-          | Error e -> Alcotest.failf "%s: %s" name (Atpg.error_to_string e)
-          | Ok sel ->
-            Alcotest.(check (float 1e-9))
-              (Printf.sprintf "%s: %s keeps coverage" name
-                 (Testset.strategy_to_string strategy))
-              full
-              (Coverage.coverage_of_selection m sel);
-            Array.length sel
+        let sizes =
+          List.map
+            (fun (strategy, sel) ->
+              Alcotest.(check (float 1e-9))
+                (Printf.sprintf "%s: %s keeps coverage" name
+                   (Testset.strategy_to_string strategy))
+                full
+                (Coverage.coverage_of_selection m sel);
+              (strategy, Array.length sel))
+            row.Experiments.minimized
         in
-        let sizes = List.map (fun s -> (s, size s)) Testset.strategies in
         let greedy = List.assoc Atpg.Greedy sizes
         and refined = List.assoc Atpg.Refined sizes in
         Alcotest.(check bool)
@@ -350,13 +339,7 @@ let test_iscas_grid_gate () =
         if List.exists (fun (_, n) -> n < r.Atpg.vectors_before) sizes
         then shrunk + 1
         else shrunk)
-      0
-      [
-        ("C432", Iscas.c432_like ());
-        ("C880", Iscas.c880_like ());
-        ("C1908", Iscas.c1908_like ());
-        ("C3540", Iscas.c3540_like ());
-      ]
+      0 (Experiments.testset_grid ())
   in
   Alcotest.(check bool)
     (Printf.sprintf "minimized set smaller on %d/4 circuits (>= 3)" shrunk)
