@@ -432,9 +432,11 @@ let run_cooptimize () =
          ])
        (E.cooptimize ()));
   Printf.printf
-    "\nEach pass keeps helping: drive selection flattens the peaks the\n\
-     current partition exposes, and re-partitioning then regroups around\n\
-     the new current profile - the paper's 6 loop, closed.\n"
+    "\nThe weighted cost falls at every step, and the sensor area at every\n\
+     step but the last re-partition, which trades a little area for the\n\
+     other cost terms: drive selection flattens the peaks the current\n\
+     partition exposes, and re-partitioning then regroups around the new\n\
+     current profile - the paper's 6 loop, closed.\n"
 
 (* ------------------------------------------------------------------ *)
 (* The ISCAS85 grids: diagnosis and ATPG test sets                     *)

@@ -21,6 +21,8 @@ module Library_io = Iddq_celllib.Library_io
 module Charac = Iddq_analysis.Charac
 module Partition = Iddq_core.Partition
 module Partition_io = Iddq_core.Partition_io
+module Seeds = Iddq_evolution.Seeds
+module Standard = Iddq_baseline.Standard
 module Pattern_io = Iddq_patterns.Pattern_io
 module Spec = Iddq_campaign.Spec
 module Store = Iddq_campaign.Store
@@ -72,7 +74,7 @@ let ok b = match b with Ok _ -> true | Error _ -> false
 (* The characterization of an accepted circuit, checked through the
    public API gate by gate: [T(g)] is the union over fanins of
    [T(f) + 1] (slot 1 for an input), and its highest slot is the
-   gate's level.  A mismatch raises. *)
+   gate's level.  A mismatch raises; the characterization is returned. *)
 let check_charac c =
   let ch = Charac.make ~library:Library.default c in
   let ni = Circuit.num_inputs c in
@@ -94,18 +96,41 @@ let check_charac c =
       failwith
         (Printf.sprintf "Charac: gate %d switches last at %d, its level is %d" g
            !highest (Circuit.level c id))
-  done
+  done;
+  ch
+
+(* Both partition builders on a characterized circuit with a gate: a
+   chain partition keeps every module within its 3-gate cap, the
+   standard partitioner builds exactly the requested near-equal sizes,
+   and both are consistent.  A violation raises. *)
+let check_partitions ch =
+  let n = Charac.num_gates ch in
+  let check what p bad =
+    (match Partition.check_consistent p with
+    | Ok () -> ()
+    | Error e -> failwith (what ^ ": " ^ e));
+    if bad (List.map (Partition.size p) (Partition.module_ids p)) then
+      failwith (what ^ ": module sizes out of contract")
+  in
+  check "Seeds.chain_partition"
+    (Seeds.chain_partition ~rng:(Rng.create 1) ~module_size:3 ch)
+    (List.exists (fun s -> s > 3));
+  let k = Stdlib.min 3 n in
+  check "Standard.partition_uniform"
+    (Standard.partition_uniform ch ~num_modules:k)
+    (( <> ) (List.init k (fun i -> (n / k) + if i < n mod k then 1 else 0)))
 
 (* A circuit a netlist parser accepts must pass [Circuit.validate] —
-   its structure and the levelization built with it — and characterize
-   consistently; one that does not raises, so [run] reports it as a
-   crash. *)
+   its structure and the levelization built with it — characterize
+   consistently and, if it has a gate, partition within contract; one
+   that does not raises, so [run] reports it as a crash. *)
 let accepted = function
   | Error _ -> false
   | Ok c -> (
     match Circuit.validate c with
     | Ok () ->
-      check_charac c;
+      let ch = check_charac c in
+      if Charac.num_gates ch > 0 then check_partitions ch;
       true
     | Error e -> failwith ("accepted circuit fails Circuit.validate: " ^ e))
 

@@ -10,7 +10,13 @@
     closed when it reaches the target size, and a new chain seed
     prefers free gates adjacent to the open module so modules stay
     connected.  Different random tie-breaking yields the different
-    start partitions of the population. *)
+    start partitions of the population.
+
+    Each random choice is one [Rng.int] over the candidate count,
+    picking the candidate a list in the walk's fixed order would hold
+    at that index; Fenwick trees over the open module's members and
+    over the level-major gate order find it, so a placement costs
+    O(degree * log n) and the walk never scans all gates. *)
 
 val target_module_size :
   ?margin:float -> Iddq_analysis.Charac.t -> int

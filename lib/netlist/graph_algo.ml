@@ -76,17 +76,14 @@ let exists_neighbour u g f =
   scan u.offsets.(g)
 
 (* Reusable truncated-BFS workspace.  Visited marks are epoch stamps,
-   so starting a new traversal is O(1) — no clearing pass; the queue
-   array doubles as the visited list in discovery order.  One
+   so starting a new traversal is O(1) — no clearing pass.  One
    workspace per owner: traversals from two domains (or two partitions)
    must not share one. *)
 type bfs = {
   stamp : int array; (* stamp.(g) = epoch when g was last discovered *)
   dist : int array; (* BFS distance, valid where stamp.(g) = epoch *)
-  queue : int array; (* discovery order; doubles as the visited list *)
-  queue_dist : int array; (* queue_dist.(i) = dist.(queue.(i)) *)
+  queue : int array; (* discovery order *)
   mutable epoch : int;
-  mutable n_visited : int;
 }
 
 let make_bfs u =
@@ -95,9 +92,7 @@ let make_bfs u =
     stamp = Array.make n 0;
     dist = Array.make n 0;
     queue = Array.make (Stdlib.max n 1) 0;
-    queue_dist = Array.make (Stdlib.max n 1) 0;
     epoch = 0;
-    n_visited = 0;
   }
 
 (* BFS truncated at [cutoff] intermediate nodes.  The separation of a
@@ -109,18 +104,16 @@ let bfs_from u b ~cutoff source =
     invalid_arg "Graph_algo.bfs_from: workspace sized for another graph";
   b.epoch <- b.epoch + 1;
   let epoch = b.epoch in
-  let stamp = b.stamp and dist = b.dist in
-  let queue = b.queue and queue_dist = b.queue_dist in
+  let stamp = b.stamp and dist = b.dist and queue = b.queue in
   let offsets = u.offsets and targets = u.targets in
   stamp.(source) <- epoch;
   dist.(source) <- 0;
   queue.(0) <- source;
-  queue_dist.(0) <- 0;
   let tail = ref 1 in
   let head = ref 0 in
   while !head < !tail do
     let v = Array.unsafe_get queue !head in
-    let d = Array.unsafe_get queue_dist !head in
+    let d = Array.unsafe_get dist v in
     incr head;
     (* a node at BFS distance d+1 has separation d; only expand while
        the next separation would still be below the cutoff *)
@@ -131,22 +124,10 @@ let bfs_from u b ~cutoff source =
           Array.unsafe_set stamp w epoch;
           Array.unsafe_set dist w (d + 1);
           Array.unsafe_set queue !tail w;
-          Array.unsafe_set queue_dist !tail (d + 1);
           incr tail
         end
       done
-  done;
-  b.n_visited <- !tail
-
-let bfs_visited_count b = b.n_visited
-let bfs_visited b i = b.queue.(i)
-
-(* Every visited gate lies within the horizon, so its separation is
-   its distance less one (the source's is 0); read in discovery order,
-   with no lookup by gate. *)
-let[@inline] bfs_visited_separation b i =
-  let d = b.queue_dist.(i) in
-  if d = 0 then 0 else d - 1
+  done
 
 let bfs_separation b ~cutoff g =
   if b.stamp.(g) = b.epoch then begin
@@ -154,6 +135,41 @@ let bfs_separation b ~cutoff g =
     if d = 0 then 0 else Stdlib.min cutoff (d - 1)
   end
   else cutoff
+
+(* The same traversal, level-synchronous: the queue segment of one
+   distance is expanded before the next begins, so the distance is a
+   loop counter rather than a per-gate array, and each finished level
+   is handed over as a queue range.  No call sits inside the edge
+   loop.  The closing epoch bump leaves the workspace with no
+   traversal to read. *)
+let bfs_levels u b ~cutoff source f =
+  if Array.length b.stamp <> num_gates u then
+    invalid_arg "Graph_algo.bfs_levels: workspace sized for another graph";
+  b.epoch <- b.epoch + 1;
+  let epoch = b.epoch in
+  let stamp = b.stamp and queue = b.queue in
+  let offsets = u.offsets and targets = u.targets in
+  stamp.(source) <- epoch;
+  queue.(0) <- source;
+  let head = ref 0 and tail = ref 1 and d = ref 0 in
+  while !head < !tail && !d < cutoff do
+    let level_start = !tail in
+    while !head < level_start do
+      let v = Array.unsafe_get queue !head in
+      incr head;
+      for k = Array.unsafe_get offsets v to Array.unsafe_get offsets (v + 1) - 1 do
+        let w = Array.unsafe_get targets k in
+        if Array.unsafe_get stamp w <> epoch then begin
+          Array.unsafe_set stamp w epoch;
+          Array.unsafe_set queue !tail w;
+          incr tail
+        end
+      done
+    done;
+    incr d;
+    f queue level_start !tail !d
+  done;
+  b.epoch <- b.epoch + 1
 
 (* Multi-source truncated BFS (Then et al., "The More the Merrier",
    VLDB 2014): up to [multi_width] traversals run as one, source [i]

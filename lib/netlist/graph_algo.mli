@@ -40,9 +40,8 @@ val exists_neighbour : undirected -> int -> (int -> bool) -> bool
 
     Separation queries from a source are truncated BFS traversals.
     The workspace below makes each traversal O(visited): visited marks
-    are epoch stamps (starting a traversal clears nothing) and the
-    discovery queue doubles as the visited list, which is what lets
-    S(M) sweeps touch only the BFS horizon instead of every gate.
+    are epoch stamps (starting a traversal clears nothing), so a
+    traversal touches only the BFS horizon instead of every gate.
     One workspace per owner — never share across concurrent users. *)
 
 type bfs
@@ -57,22 +56,26 @@ val bfs_from : undirected -> bfs -> cutoff:int -> int -> unit
     [Invalid_argument] if the workspace was sized for a different
     graph. *)
 
-val bfs_visited_count : bfs -> int
-val bfs_visited : bfs -> int -> int
-(** The gates discovered by the last {!bfs_from}, in discovery order
-    ([bfs_visited b 0] is the source). *)
-
-val bfs_visited_separation : bfs -> int -> int
-(** [bfs_visited_separation b i] is the separation from the source to
-    [bfs_visited b i] — what {!bfs_separation} returns for that gate,
-    read in discovery order without a lookup by gate. *)
-
 val bfs_separation : bfs -> cutoff:int -> int -> int
 (** Separation from the last traversal's source to a gate: the
     paper's [S(g_i,g_j)] — intermediate-node count on a shortest
     undirected path, 0 for the source itself and for adjacent gates,
     the forced value [cutoff] beyond the horizon.  Every gate {e not}
     in the visited set is at [cutoff]. *)
+
+val bfs_levels :
+  undirected -> bfs -> cutoff:int -> int -> (int array -> int -> int -> int -> unit) -> unit
+(** [bfs_levels u b ~cutoff source f] runs the truncated BFS of
+    {!bfs_from} level by level.  After each level it calls
+    [f queue first stop d]: [queue.(first) .. queue.(stop - 1)] are
+    the gates at BFS distance [d >= 1] from the source, in discovery
+    order (the separation is [d - 1]), the distance {!bfs_from} would
+    find.  [queue] is the workspace's own array, borrowed: read it
+    only during the call, never write it.  The traversal writes only
+    the visited stamps and the queue, so it leaves none behind: after
+    it {!bfs_separation} reads [cutoff] for every gate.  Raises
+    [Invalid_argument] if the workspace was sized for a different
+    graph. *)
 
 (** {2 Multi-source truncated BFS}
 

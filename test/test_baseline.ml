@@ -175,6 +175,28 @@ let qcheck_standard_matches_oracle =
       && Partition.assignment (Standard.partition ch ~module_sizes)
          = standard_oracle ch ~module_sizes)
 
+(* Disjoint unions of small DAGs split into modules, many of one
+   gate: a module larger than what its balls reach sees the horizon
+   empty, so the next gate is the first free id. *)
+let qcheck_standard_empty_frontier =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 100000 >>= fun seed ->
+      list_size (int_range 2 6) (int_range 1 9) >>= fun components ->
+      let ch = make (Test_seeds_mutation.disjoint_dags ~rng:(Rng.create seed) components) in
+      size_split_gen (Charac.num_gates ch) ~max_k:(Charac.num_gates ch) >|= fun sizes ->
+      (seed, components, ch, sizes))
+  in
+  let print (seed, components, _, sizes) =
+    let ints l = String.concat "; " (List.map string_of_int l) in
+    Printf.sprintf "seed %d components [%s] sizes [%s]" seed (ints components) (ints sizes)
+  in
+  QCheck.Test.make ~name:"standard = oracle, empty horizon" ~count:60
+    (QCheck.make ~print gen)
+    (fun (_, _, ch, module_sizes) ->
+      Partition.assignment (Standard.partition ch ~module_sizes)
+      = standard_oracle ch ~module_sizes)
+
 let test_random_partition () =
   let rng = Rng.create 17 in
   let ch = make (Iscas.c432_like ()) in
@@ -309,6 +331,7 @@ let tests =
     Alcotest.test_case "standard deterministic" `Quick test_standard_deterministic;
     Alcotest.test_case "standard uniform" `Quick test_standard_uniform;
     QCheck_alcotest.to_alcotest qcheck_standard_matches_oracle;
+    QCheck_alcotest.to_alcotest qcheck_standard_empty_frontier;
     Alcotest.test_case "standard clusters connected" `Quick
       test_standard_clusters_connected_gates;
     Alcotest.test_case "random partition" `Quick test_random_partition;

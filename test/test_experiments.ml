@@ -108,6 +108,18 @@ let test_c17 () =
     (Printf.sprintf "final %.4f < paper grouping %.4f" r.E.cost r.E.paper_cost)
     true (r.E.cost < r.E.paper_cost)
 
+(* Seed stability on C1908: evolution needs less sensor area than the
+   standard partitioner under every one of the five optimizer seeds. *)
+let test_stability () =
+  let overheads = List.map snd (E.stability ()) in
+  Alcotest.(check int) "five seeds" 5 (List.length overheads);
+  List.iter
+    (fun o ->
+      Alcotest.(check bool)
+        (Printf.sprintf "standard over evolution %.1f%% > 0" o)
+        true (o > 0.0))
+    overheads
+
 let tests =
   [
     Alcotest.test_case "ablation A: standard costliest" `Slow test_ablation_opt;
@@ -117,4 +129,5 @@ let tests =
       test_modules_buy_resolution;
     Alcotest.test_case "sizing: expectation overshoots" `Slow test_sizing;
     Alcotest.test_case "c17: two 3-gate modules" `Slow test_c17;
+    Alcotest.test_case "stability: evolution wins on every seed" `Slow test_stability;
   ]

@@ -181,19 +181,33 @@ let multi_triples u b ~cutoff sources =
   done;
   List.sort compare !out
 
-(* The same triples from one single-source [bfs_from] per source. *)
+(* The same triples from one single-source [bfs_from] per source:
+   the gates within the horizon are the source and those below
+   separation [cutoff]. *)
 let single_triples u ~cutoff sources =
+  let out = ref [] in
+  Array.iteri
+    (fun i s ->
+      Array.iteri
+        (fun g sep ->
+          if g = s then out := (i, g, 0) :: !out
+          else if sep < cutoff then out := (i, g, sep + 1) :: !out)
+        (separations_from u ~cutoff s))
+    sources;
+  List.sort compare !out
+
+(* The same triples from one level-synchronous [bfs_levels] per
+   source, on one workspace, which reports all but the source. *)
+let level_triples u ~cutoff sources =
   let b = Graph_algo.make_bfs u in
   let out = ref [] in
   Array.iteri
     (fun i s ->
-      Graph_algo.bfs_from u b ~cutoff s;
-      for j = 0 to Graph_algo.bfs_visited_count b - 1 do
-        let g = Graph_algo.bfs_visited b j in
-        let sep = Graph_algo.bfs_visited_separation b j in
-        let d = if g = s then 0 else sep + 1 in
-        out := (i, g, d) :: !out
-      done)
+      out := (i, s, 0) :: !out;
+      Graph_algo.bfs_levels u b ~cutoff s (fun queue first stop d ->
+          for j = first to stop - 1 do
+            out := (i, queue.(j), d) :: !out
+          done))
     sources;
   List.sort compare !out
 
@@ -235,8 +249,11 @@ let qcheck_multi_bfs_matches_single =
       let n = Graph_algo.num_gates u in
       let first = draw_sources rng u n count in
       let second = draw_sources rng u n count in
-      (* the second call on the same workspace sees no stale bits *)
-      multi_triples u b ~cutoff first = single_triples u ~cutoff first
+      (* the second call on the same workspace sees no stale bits;
+         [bfs_levels] reports the same triples as well *)
+      let single = single_triples u ~cutoff first in
+      multi_triples u b ~cutoff first = single
+      && level_triples u ~cutoff first = single
       && multi_triples u b ~cutoff second = single_triples u ~cutoff second)
 
 let test_multi_bfs_bounds () =

@@ -8,6 +8,10 @@ module Iscas = Iddq_netlist.Iscas
 module Generator = Iddq_netlist.Generator
 module Library = Iddq_celllib.Library
 module Rng = Iddq_util.Rng
+module Circuit = Iddq_netlist.Circuit
+module Graph_algo = Iddq_netlist.Graph_algo
+module Builder = Iddq_netlist.Builder
+module Gate = Iddq_netlist.Gate
 
 let make circuit = Charac.make ~library:Library.default circuit
 
@@ -254,6 +258,150 @@ let qcheck_seed_feasibility =
       let p = Seeds.chain_partition ~rng ch in
       Constraints.satisfied p)
 
+(* The chain walk as first written: each draw builds its candidate
+   list — by scanning every gate (closest to the inputs), every member
+   of the open module (adjacent to it) or the fanout segment — and
+   picks from it with [Rng.choose_list].  Oracle for
+   [Seeds.chain_assignment], which must make the same draws and picks. *)
+let chain_assignment_oracle ~rng ?module_size ch =
+  let n = Charac.num_gates ch in
+  let size_cap =
+    match module_size with Some s -> Stdlib.max 1 s | None -> Seeds.target_module_size ch
+  in
+  let c = Charac.circuit ch in
+  let u = Charac.undirected ch in
+  let levels = Circuit.Csr.levels c in
+  let ni = Circuit.num_inputs c in
+  let assignment = Array.make n (-1) in
+  let free_count = ref n in
+  (* free gates of minimum depth, with random tie-breaking *)
+  let min_depth_free () =
+    let best = ref max_int in
+    for g = 0 to n - 1 do
+      if assignment.(g) < 0 && levels.(ni + g) < !best then
+        best := levels.(ni + g)
+    done;
+    let candidates = ref [] in
+    for g = 0 to n - 1 do
+      if assignment.(g) < 0 && levels.(ni + g) = !best then
+        candidates := g :: !candidates
+    done;
+    Rng.choose_list rng !candidates
+  in
+  let module_id = ref (-1) in
+  let module_members = ref [] in
+  let module_count = ref 0 in
+  let open_module () =
+    incr module_id;
+    module_members := [];
+    module_count := 0
+  in
+  let claim g =
+    assignment.(g) <- !module_id;
+    module_members := g :: !module_members;
+    incr module_count;
+    decr free_count
+  in
+  (* a free gate adjacent (undirected) to the open module, if any *)
+  let adjacent_free () =
+    let found = ref [] in
+    List.iter
+      (fun g ->
+        Graph_algo.iter_neighbours u g (fun h ->
+            if assignment.(h) < 0 then found := h :: !found))
+      !module_members;
+    match !found with [] -> None | l -> Some (Rng.choose_list rng l)
+  in
+  let fo_off = Circuit.Csr.fanout_offsets c in
+  let fo_tgt = Circuit.Csr.fanout_targets c in
+  (* free fanout gates, ascending (every fanout of a node is a gate) *)
+  let free_fanout g =
+    let options = ref [] in
+    for k = fo_off.(g + ni + 1) - 1 downto fo_off.(g + ni) do
+      let h = fo_tgt.(k) - ni in
+      if assignment.(h) < 0 then options := h :: !options
+    done;
+    match !options with [] -> None | l -> Some (Rng.choose_list rng l)
+  in
+  open_module ();
+  while !free_count > 0 do
+    if !module_count >= size_cap then open_module ();
+    (* seed a chain *)
+    let seed =
+      if !module_count = 0 then min_depth_free ()
+      else begin
+        match adjacent_free () with
+        | Some g -> g
+        | None -> min_depth_free ()
+      end
+    in
+    claim seed;
+    (* follow free fanouts toward a primary output *)
+    let rec follow g =
+      if !module_count < size_cap then begin
+        match free_fanout g with
+        | None -> ()
+        | Some next ->
+          claim next;
+          follow next
+      end
+    in
+    follow seed
+  done;
+  assignment
+
+(* A disjoint union of small random DAGs, one per entry of [sizes]
+   (its gate count).  A gate reads one or two earlier nodes of its own
+   component only, so no path joins two components; each component's
+   last gate is an output. *)
+let disjoint_dags ~rng sizes =
+  let b = Builder.create ~name:"union" () in
+  List.iteri
+    (fun ci gates ->
+      let name j = Printf.sprintf "c%d_%d" ci j in
+      let inputs = 1 + Rng.int rng 3 in
+      for j = 0 to inputs - 1 do
+        Builder.add_input b (name j)
+      done;
+      for j = inputs to inputs + gates - 1 do
+        let a = name (Rng.int rng j) and a' = name (Rng.int rng j) in
+        if a = a' then Builder.add_gate b (name j) Gate.Not [ a ]
+        else Builder.add_gate b (name j) Gate.Nand [ a; a' ]
+      done;
+      Builder.add_output b (name (inputs + gates - 1)))
+    sizes;
+  Builder.freeze_exn b
+
+(* Module sizes that exercise every branch of the walk: single-gate
+   modules (no adjacency draw), tiny ones, the estimated size and one
+   module holding every gate. *)
+let walk_sizes ch =
+  let n = Charac.num_gates ch in
+  [ Some 1; Some 2; Some 7; None; Some n ]
+
+let qcheck_chain_walk_matches_oracle =
+  (* two components of 4 and 6 gates: a 7-gate module takes all of
+     one, the adjacency runs dry, and the walk reseeds in the other *)
+  let two = make (disjoint_dags ~rng:(Rng.create 3) [ 4; 6 ]) in
+  QCheck.Test.make ~name:"chain walk = list-based oracle" ~count:40
+    QCheck.(triple (int_range 1 100000) (int_range 1 160) (int_range 1 12))
+    (fun (seed, gates, depth) ->
+      let depth = Stdlib.min depth gates in
+      let circuit =
+        Generator.layered_dag ~rng:(Rng.create seed) ~name:"q" ~num_inputs:6
+          ~num_outputs:3 ~num_gates:gates ~depth ()
+      in
+      List.for_all
+        (fun ch ->
+          List.for_all
+            (fun module_size ->
+              let rng = Rng.create seed and oracle_rng = Rng.create seed in
+              let p = Seeds.chain_partition ~rng ?module_size ch in
+              let expected = chain_assignment_oracle ~rng:oracle_rng ?module_size ch in
+              Partition.assignment p = expected && Rng.bits64 rng = Rng.bits64 oracle_rng)
+            (walk_sizes ch))
+        [ make circuit; two ])
+
 let tests =
   [
     Alcotest.test_case "target module size" `Quick test_target_module_size;
@@ -269,6 +417,7 @@ let tests =
     Alcotest.test_case "optimize feasible" `Slow test_optimize_feasible_result;
     QCheck_alcotest.to_alcotest qcheck_seed_feasibility;
     QCheck_alcotest.to_alcotest qcheck_plan_matches_in_place;
+    QCheck_alcotest.to_alcotest qcheck_chain_walk_matches_oracle;
     Alcotest.test_case "seed population pinned" `Quick test_seed_population_pinned;
     Alcotest.test_case "ES trajectory pinned" `Quick test_es_trajectory_pinned;
     Alcotest.test_case "domains equivalent" `Quick test_optimize_domains_equivalent;
