@@ -148,6 +148,65 @@ let test_fd_stable_across_failures () =
     | None -> Alcotest.fail "/proc/self/fd vanished mid-test")
 
 (* ------------------------------------------------------------------ *)
+(* Line numbering of the line-oriented formats                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Each document puts its bad line after a comment-only line, a blank
+   line, a good line with a trailing comment and a whitespace-only
+   line, so a reader that miscounts any of them names the wrong line.
+   The file variant must put the path in front. *)
+let test_line_numbers_past_comments () =
+  let c17 = Iddq_netlist.Iscas.c17 () in
+  let ch = Iddq_analysis.Charac.make ~library:Library.default c17 in
+  let preamble good = "# header comment\n\n" ^ good ^ "   # trailing note\n \t  \n" in
+  let cases =
+    [
+      ( "bench",
+        preamble "INPUT(1)" ^ "10 = FROB(1, 3)\n",
+        "line 5: unknown gate kind \"FROB\"",
+        (fun s -> Result.map ignore (Bench_io.parse_string s)),
+        fun p -> Result.map ignore (Bench_io.parse_file p) );
+      ( "pattern",
+        preamble "101" ^ "1x1\n",
+        "line 5: bad character 'x'",
+        (fun s -> Result.map ignore (Pattern_io.of_string ~expected_width:3 s)),
+        fun p -> Result.map ignore (Pattern_io.read_file ~expected_width:3 p) );
+      ( "partition",
+        preamble "module 0: 10 16" ^ "module 2: 11 19 22 23\n",
+        "line 5: module ids must be dense and in order",
+        (fun s -> Result.map ignore (Iddq_core.Partition_io.of_string ch s)),
+        fun p -> Result.map ignore (Iddq_core.Partition_io.read_file ch p) );
+      ( "library",
+        preamble "[technology]" ^ "vdd 3.3\n",
+        "line 5: expected 'key = value'",
+        (fun s -> Result.map ignore (Library_io.parse_string s)),
+        fun p -> Result.map ignore (Library_io.parse_file p) );
+      ( "spec",
+        preamble "circuits = C17" ^ "seeds = 1, x\n",
+        "line 5: invalid integer \"x\"",
+        (fun s -> Result.map ignore (Iddq_campaign.Spec.parse s)),
+        fun p -> Result.map ignore (Iddq_campaign.Spec.parse_file p) );
+    ]
+  in
+  List.iter
+    (fun (what, doc, expected, parse, parse_file) ->
+      let got = function
+        | Ok () -> Alcotest.failf "%s: malformed document accepted" what
+        | Error e -> Io_error.to_string e
+      in
+      Alcotest.(check string) what expected (got (parse doc));
+      let path = tmp_path ("iddq-line-pin-" ^ what ^ ".txt") in
+      (match Io.write_file_atomic path doc with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: write: %s" what (Io_error.to_string e));
+      let from_file = got (parse_file path) in
+      Sys.remove path;
+      Alcotest.(check string) (what ^ " (file)")
+        (path ^ ":" ^ String.sub expected 5 (String.length expected - 5))
+        from_file)
+    cases
+
+(* ------------------------------------------------------------------ *)
 (* Round-trip properties                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -226,6 +285,8 @@ let tests =
       test_atomic_missing_dir;
     Alcotest.test_case "no fd leak across failing reads" `Quick
       test_fd_stable_across_failures;
+    Alcotest.test_case "line formats number lines past comments" `Quick
+      test_line_numbers_past_comments;
     QCheck_alcotest.to_alcotest qcheck_bench_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_verilog_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_pattern_roundtrip;
