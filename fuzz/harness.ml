@@ -5,12 +5,14 @@
    test is the Error contract of the robustness layer: every outcome
    is [Ok] or [Error] — never an escaped exception — every circuit a
    netlist parser accepts passes [Circuit.validate] and characterizes
-   consistently, and no file
+   consistently, every [Error] of a line-oriented format names a line
+   of its input or none, and no file
    descriptor leaks, measured by comparing the /proc/self/fd
    population before and after the run. *)
 
 module Rng = Iddq_util.Rng
 module Io = Iddq_util.Io
+module Io_error = Iddq_util.Io_error
 module Circuit = Iddq_netlist.Circuit
 module Bench_io = Iddq_netlist.Bench_io
 module Verilog_io = Iddq_netlist.Verilog_io
@@ -70,6 +72,19 @@ let circuit_corpus () =
   [ Iscas.c17 (); gen ~gates:24 ~seed:11; gen ~gates:60 ~seed:12 ]
 
 let ok b = match b with Ok _ -> true | Error _ -> false
+
+(* The result of a line-oriented parser on [input], after checking
+   that an [Error] names no line or one of [input]'s lines, numbered
+   from 1 as [Io.iter_lines] numbers them.  A line out of range
+   raises. *)
+let numbered input r =
+  (match r with
+  | Error { Io_error.line = Some l; _ } ->
+    let lines = List.length (String.split_on_char '\n' input) in
+    if l < 1 || l > lines then
+      failwith (Printf.sprintf "Error names line %d of a %d-line input" l lines)
+  | Ok _ | Error _ -> ());
+  r
 
 (* The characterization of an accepted circuit, checked through the
    public API gate by gate: [T(g)] is the union over fanins of
@@ -155,7 +170,7 @@ let targets () =
     {
       name = "bench";
       corpus = List.map Bench_io.to_string circuits;
-      parse = (fun s -> accepted (Bench_io.parse_string s));
+      parse = (fun s -> accepted (numbered s (Bench_io.parse_string s)));
       parse_path = Some (fun p -> accepted (Bench_io.parse_file p));
     };
     {
@@ -167,25 +182,26 @@ let targets () =
     {
       name = "library";
       corpus = [ Library_io.to_string Library.default ];
-      parse = (fun s -> ok (Library_io.parse_string s));
+      parse = (fun s -> ok (numbered s (Library_io.parse_string s)));
       parse_path = Some (fun p -> ok (Library_io.parse_file p));
     };
     {
       name = "pattern";
       corpus = [ Pattern_io.to_string vectors ];
-      parse = (fun s -> ok (Pattern_io.of_string ~expected_width:5 s));
+      parse =
+        (fun s -> ok (numbered s (Pattern_io.of_string ~expected_width:5 s)));
       parse_path = Some (fun p -> ok (Pattern_io.read_file ~expected_width:5 p));
     };
     {
       name = "partition";
       corpus = [ Partition_io.to_string partition ];
-      parse = (fun s -> ok (Partition_io.of_string ch s));
+      parse = (fun s -> ok (numbered s (Partition_io.of_string ch s)));
       parse_path = Some (fun p -> ok (Partition_io.read_file ch p));
     };
     {
       name = "spec";
       corpus = [ Spec.to_string Spec.default ];
-      parse = (fun s -> ok (Spec.parse s));
+      parse = (fun s -> ok (numbered s (Spec.parse s)));
       parse_path = Some (fun p -> ok (Spec.parse_file p));
     };
     {

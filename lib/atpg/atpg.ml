@@ -1,4 +1,3 @@
-module Circuit = Iddq_netlist.Circuit
 module Stuck_at = Iddq_defects.Stuck_at
 module Coverage = Iddq_defects.Coverage
 module Rng = Iddq_util.Rng
@@ -83,41 +82,11 @@ let validate_config cfg =
                 cfg.random_vectors))
       else Ok ()
 
-(* Reject anything Podem/the simulators would raise on: stem ids out
-   of range, pin faults that do not name a gate input. *)
-let validate_fault c fault =
-  let n = Circuit.num_nodes c in
-  match fault with
-  | Stuck_at.Stem (id, _) ->
-    if id < 0 || id >= n then
-      Error
-        (Fault_mismatch
-           (Printf.sprintf "stem fault on node %d, circuit has %d nodes" id n))
-    else Ok ()
-  | Stuck_at.Pin { gate; pin; _ } ->
-    if gate < 0 || gate >= n then
-      Error
-        (Fault_mismatch
-           (Printf.sprintf "pin fault on node %d, circuit has %d nodes" gate n))
-    else if not (Circuit.is_gate c gate) then
-      Error
-        (Fault_mismatch
-           (Printf.sprintf "pin fault on node %d, which is a primary input"
-              gate))
-    else
-      let arity = Circuit.fanin_count c gate in
-      if pin < 0 || pin >= arity then
-        Error
-          (Fault_mismatch
-             (Printf.sprintf "pin %d of gate node %d, which has %d fanins" pin
-                gate arity))
-      else Ok ()
-
 let rec validate_faults c = function
   | [] -> Ok ()
   | f :: rest -> begin
-    match validate_fault c f with
-    | Error _ as e -> e
+    match Stuck_at.validate_fault c f with
+    | Error m -> Error (Fault_mismatch m)
     | Ok () -> validate_faults c rest
   end
 

@@ -18,6 +18,7 @@ let xnor = 5
 let not_ = 6
 
 type t = {
+  circuit : Circuit.t;
   n : int;
   ni : int;
   kinds : Bytes.t;
@@ -105,6 +106,7 @@ let prepare c =
   Array.iter (fun id -> Bytes.set is_output id '\001') outputs;
   let t =
     {
+      circuit = c;
       n;
       ni;
       kinds = Circuit.Csr.kinds c;
@@ -158,17 +160,15 @@ type decoded = {
 }
 
 let decode t fault =
+  Result.iter_error
+    (fun m -> invalid_arg ("Podem: " ^ m))
+    (Stuck_at.validate_fault t.circuit fault);
   match fault with
   | Stuck_at.Stem (id, v) ->
-    if id < 0 || id >= t.n then invalid_arg "Podem: stem fault out of range";
     let stuck = if v then v1 else v0 in
     { stem = id; gate = -1; pin = -1; stuck; site = id; site_value = 1 - stuck }
   | Stuck_at.Pin { gate; pin; value } ->
-    if gate < 0 || gate >= t.n then invalid_arg "Podem: pin fault out of range";
-    if gate < t.ni then invalid_arg "Podem: pin fault on an input node";
     let s = t.fi_off.(gate) in
-    if pin < 0 || s + pin >= t.fi_off.(gate + 1) then
-      invalid_arg "Podem: pin fault on a missing pin";
     let stuck = if value then v1 else v0 in
     {
       stem = -1;

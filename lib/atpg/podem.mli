@@ -40,8 +40,7 @@ val prepare : Iddq_netlist.Circuit.t -> t
 
 val generate : ?max_backtracks:int -> t -> Iddq_defects.Stuck_at.fault -> result
 (** Default backtrack limit: 2000.  Raises [Invalid_argument] on a
-    fault naming a node out of range, a pin fault on an input node or
-    a pin the gate does not have. *)
+    fault that fails {!Iddq_defects.Stuck_at.validate_fault}. *)
 
 val generate_checked :
   ?max_backtracks:int ->

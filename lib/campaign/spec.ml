@@ -202,38 +202,23 @@ let set spec key values =
 
 let parse text =
   let ( let* ) = Stdlib.Result.bind in
-  let lines = String.split_on_char '\n' text in
-  let result =
-    List.fold_left
-      (fun acc (lineno, line) ->
-        let* spec = acc in
-        let line =
-          match String.index_opt line '#' with
-          | Some i -> String.sub line 0 i
-          | None -> line
-        in
-        let line = strip line in
-        if line = "" then Ok spec
-        else begin
-          match String.index_opt line '=' with
-          | None ->
-            Error (Io_error.make ~line:lineno "expected key = values")
-          | Some i ->
-            let key = strip (String.sub line 0 i) in
-            let v = String.sub line (i + 1) (String.length line - i - 1) in
-            Stdlib.Result.map_error (Io_error.make ~line:lineno) (set spec key v)
-        end)
-      (Ok default)
-      (List.mapi (fun i l -> (i + 1, l)) lines)
+  let spec = ref default in
+  let parse_line _ line =
+    match String.index_opt line '=' with
+    | None -> Io.reject "expected key = values"
+    | Some i -> begin
+      let key = strip (String.sub line 0 i) in
+      let v = String.sub line (i + 1) (String.length line - i - 1) in
+      match set !spec key v with
+      | Ok s -> spec := s
+      | Error m -> Io.reject m
+    end
   in
-  let* spec = result in
-  let* () = Stdlib.Result.map_error (fun m -> Io_error.make m) (validate spec) in
-  Ok spec
+  let* () = Io.iter_lines text parse_line in
+  let* () = Stdlib.Result.map_error (fun m -> Io_error.make m) (validate !spec) in
+  Ok !spec
 
-let parse_file path =
-  match Io.read_file path with
-  | Error e -> Error e
-  | Ok text -> Stdlib.Result.map_error (Io_error.with_path path) (parse text)
+let parse_file path = Io.parse_file path parse
 
 let to_string t =
   let b = Buffer.create 256 in

@@ -4,49 +4,40 @@ module Io_error = Iddq_util.Io_error
 
 (* line-oriented INI subset: [section] headers and key = value pairs *)
 let parse_sections text =
-  let exception Bad of int * string in
-  try
-    let sections = ref [] in
-    (* (name, (key, value) list) in reverse order *)
-    let current = ref None in
-    let close () =
-      match !current with
-      | None -> ()
-      | Some (name, entries) -> sections := (name, List.rev entries) :: !sections
-    in
-    List.iteri
-      (fun i raw ->
-        let lineno = i + 1 in
-        let line =
-          match String.index_opt raw '#' with
-          | None -> String.trim raw
-          | Some j -> String.trim (String.sub raw 0 j)
+  let sections = ref [] in
+  (* (name, (key, value) list) in reverse order *)
+  let current = ref None in
+  let close () =
+    match !current with
+    | None -> ()
+    | Some (name, entries) -> sections := (name, List.rev entries) :: !sections
+  in
+  let parse_line lineno line =
+    if line.[0] = '[' then begin
+      if line.[String.length line - 1] <> ']' then
+        Io.reject "unterminated section header";
+      close ();
+      current := Some (String.trim (String.sub line 1 (String.length line - 2)), [])
+    end
+    else begin
+      match String.index_opt line '=' with
+      | None -> Io.reject "expected 'key = value'"
+      | Some eq -> begin
+        let key = String.trim (String.sub line 0 eq) in
+        let value =
+          String.trim (String.sub line (eq + 1) (String.length line - eq - 1))
         in
-        if line <> "" then begin
-          if line.[0] = '[' then begin
-            if line.[String.length line - 1] <> ']' then
-              raise (Bad (lineno, "unterminated section header"));
-            close ();
-            current := Some (String.trim (String.sub line 1 (String.length line - 2)), [])
-          end
-          else begin
-            match String.index_opt line '=' with
-            | None -> raise (Bad (lineno, "expected 'key = value'"))
-            | Some eq -> begin
-              let key = String.trim (String.sub line 0 eq) in
-              let value =
-                String.trim (String.sub line (eq + 1) (String.length line - eq - 1))
-              in
-              match !current with
-              | None -> raise (Bad (lineno, "entry before any [section]"))
-              | Some (name, entries) -> current := Some (name, (key, lineno, value) :: entries)
-            end
-          end
-        end)
-      (String.split_on_char '\n' text);
-    close ();
-    Ok (List.rev !sections)
-  with Bad (lineno, m) -> Error (Io_error.make ~line:lineno m)
+        match !current with
+        | None -> Io.reject "entry before any [section]"
+        | Some (name, entries) -> current := Some (name, (key, lineno, value) :: entries)
+      end
+    end
+  in
+  Result.map
+    (fun () ->
+      close ();
+      List.rev !sections)
+    (Io.iter_lines text parse_line)
 
 let float_field entries section key =
   match List.find_opt (fun (k, _, _) -> k = key) entries with
@@ -140,13 +131,8 @@ let parse_string ?(name = "library") text =
     (Library.make ~name ~technology ~cells ())
 
 let parse_file path =
-  match Io.read_file path with
-  | Error e -> Error e
-  | Ok text ->
-    Result.map_error (Io_error.with_path path)
-      (parse_string
-         ~name:(Filename.remove_extension (Filename.basename path))
-         text)
+  let name = Filename.remove_extension (Filename.basename path) in
+  Io.parse_file path (parse_string ~name)
 
 let to_string lib =
   let buf = Buffer.create 2048 in

@@ -24,78 +24,53 @@ let of_string ch text =
   let c = Charac.circuit ch in
   let n = Charac.num_gates ch in
   let assignment = Array.make n (-1) in
-  let exception Bad of int option * string in
-  try
-    let module_count = ref 0 in
-    List.iteri
-      (fun i raw ->
-        let lineno = i + 1 in
-        let line =
-          match String.index_opt raw '#' with
-          | None -> String.trim raw
-          | Some j -> String.trim (String.sub raw 0 j)
-        in
-        if line <> "" then begin
-          match String.index_opt line ':' with
-          | None -> raise (Bad (Some lineno, "expected 'module K: nets'"))
-          | Some colon ->
-            let header = String.trim (String.sub line 0 colon) in
-            (match String.split_on_char ' ' header with
-            | [ "module"; k ] when int_of_string_opt k = Some !module_count -> ()
-            | [ "module"; _ ] ->
-              raise (Bad (Some lineno, "module ids must be dense and in order"))
-            | _ ->
-              raise
-                (Bad
-                   (Some lineno, Printf.sprintf "bad module header %S" header)));
-            let m = !module_count in
-            incr module_count;
-            let nets =
-              String.sub line (colon + 1) (String.length line - colon - 1)
-              |> String.split_on_char ' '
-              |> List.map String.trim
-              |> List.filter (fun s -> s <> "")
-            in
-            if nets = [] then raise (Bad (Some lineno, "empty module"));
-            List.iter
-              (fun net ->
-                match Circuit.node_id_of_name c net with
-                | None ->
-                  raise
-                    (Bad (Some lineno, Printf.sprintf "unknown net %S" net))
-                | Some id ->
-                  if not (Circuit.is_gate c id) then
-                    raise
-                      (Bad
-                         ( Some lineno,
-                           Printf.sprintf "%S is a primary input" net ));
-                  let g = Circuit.gate_of_node c id in
-                  if assignment.(g) >= 0 then
-                    raise
-                      (Bad (Some lineno, Printf.sprintf "%S listed twice" net));
-                  assignment.(g) <- m)
-              nets
-        end)
-      (String.split_on_char '\n' text);
-    if !module_count = 0 then raise (Bad (None, "no modules"));
-    (match
-       Array.to_seq assignment
-       |> Seq.mapi (fun g m -> (g, m))
-       |> Seq.find (fun (_, m) -> m < 0)
-     with
-    | Some (g, _) ->
-      raise
-        (Bad
-           ( None,
-             Printf.sprintf "gate %S is not assigned to any module"
-               (Circuit.node_name c (Circuit.node_of_gate c g)) ))
-    | None -> ());
-    Ok (Partition.create ch ~assignment)
-  with Bad (line, msg) -> Error (Io_error.make ?line msg)
+  let module_count = ref 0 in
+  let parse_line _ line =
+    match String.index_opt line ':' with
+    | None -> Io.reject "expected 'module K: nets'"
+    | Some colon ->
+      let header = String.trim (String.sub line 0 colon) in
+      (match String.split_on_char ' ' header with
+      | [ "module"; k ] when int_of_string_opt k = Some !module_count -> ()
+      | [ "module"; _ ] -> Io.reject "module ids must be dense and in order"
+      | _ -> Io.reject (Printf.sprintf "bad module header %S" header));
+      let m = !module_count in
+      incr module_count;
+      let nets =
+        String.sub line (colon + 1) (String.length line - colon - 1)
+        |> String.split_on_char ' '
+        |> List.map String.trim
+        |> List.filter (fun s -> s <> "")
+      in
+      if nets = [] then Io.reject "empty module";
+      List.iter
+        (fun net ->
+          match Circuit.node_id_of_name c net with
+          | None -> Io.reject (Printf.sprintf "unknown net %S" net)
+          | Some id ->
+            if not (Circuit.is_gate c id) then
+              Io.reject (Printf.sprintf "%S is a primary input" net);
+            let g = Circuit.gate_of_node c id in
+            if assignment.(g) >= 0 then
+              Io.reject (Printf.sprintf "%S listed twice" net);
+            assignment.(g) <- m)
+        nets
+  in
+  Result.bind (Io.iter_lines text parse_line) (fun () ->
+      if !module_count = 0 then Error (Io_error.make "no modules")
+      else
+        match
+          Array.to_seq assignment
+          |> Seq.mapi (fun g m -> (g, m))
+          |> Seq.find (fun (_, m) -> m < 0)
+        with
+        | Some (g, _) ->
+          Error
+            (Io_error.make
+               (Printf.sprintf "gate %S is not assigned to any module"
+                  (Circuit.node_name c (Circuit.node_of_gate c g))))
+        | None -> Ok (Partition.create ch ~assignment))
 
 let write_file path p = Io.write_file_atomic path (to_string p)
 
-let read_file ch path =
-  match Io.read_file path with
-  | Error e -> Error e
-  | Ok text -> Result.map_error (Io_error.with_path path) (of_string ch text)
+let read_file ch path = Io.parse_file path (of_string ch)

@@ -1,6 +1,5 @@
 module Circuit = Iddq_netlist.Circuit
 module Charac = Iddq_analysis.Charac
-module Technology = Iddq_celllib.Technology
 module Logic_sim = Iddq_patterns.Logic_sim
 module P = Iddq_patterns.Parallel_sim
 module Partition = Iddq_core.Partition
@@ -18,10 +17,10 @@ let equal a b =
 let measurable p (inj : Fault.injected) =
   let ch = Partition.charac p in
   let c = Charac.circuit ch in
-  let tech = Charac.technology ch in
   let m = Partition.module_of_gate p (Fault.location c inj.Fault.fault) in
-  Partition.leakage p m +. inj.Fault.defect_current
-  >= tech.Technology.iddq_threshold
+  Iddq_bic.Detection.strobe (Charac.technology ch)
+    ~measured_current:(Partition.leakage p m +. inj.Fault.defect_current)
+  = Iddq_bic.Detection.Fail
 
 (* Good-machine words for every block in one flat GC-opaque buffer,
    {e node-major}: node [id]'s word for block [b] at

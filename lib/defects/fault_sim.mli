@@ -45,7 +45,8 @@ val equal : matrix -> matrix -> bool
 val measurable : Iddq_core.Partition.t -> Fault.injected -> bool
 (** Does the defect current, on top of its module's fault-free
     leakage, reach the technology's IDDQ threshold at that module's
-    sensor? *)
+    sensor?  The sensor's verdict is {!Iddq_bic.Detection.strobe} on
+    that sum: [Fail] is a detection. *)
 
 val good_values :
   ?metrics:Metrics.t ->

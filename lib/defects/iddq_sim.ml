@@ -58,14 +58,13 @@ let run_partitioned ?domains ?metrics p ~vectors ~faults =
     test_time;
   }
 
-let run_single_sensor ?(guard_band = 2.0) ?domains ?metrics ch ~vectors ~faults
-    =
+let run_single_sensor ?domains ?metrics ch ~vectors ~faults =
   let c = Charac.circuit ch in
   let tech = Charac.technology ch in
   let all_gates = Array.init (Charac.num_gates ch) Fun.id in
   let total_leak = Iddq_analysis.Switching.leakage ch all_gates in
   let threshold =
-    Stdlib.max tech.Technology.iddq_threshold (guard_band *. total_leak)
+    Stdlib.max tech.Technology.iddq_threshold (2.0 *. total_leak)
   in
   let measurable (inj : Fault.injected) =
     total_leak +. inj.Fault.defect_current >= threshold

@@ -39,7 +39,6 @@ val run_partitioned :
     pool, [metrics] receives the engine's block counters. *)
 
 val run_single_sensor :
-  ?guard_band:float ->
   ?domains:int ->
   ?metrics:Iddq_util.Metrics.t ->
   Iddq_analysis.Charac.t ->
@@ -47,5 +46,5 @@ val run_single_sensor :
   faults:Fault.injected list ->
   result
 (** Whole-CUT measurement with one external sensor whose threshold is
-    [max I_th (guard_band * total leakage)] (default guard band 2.0) —
+    [max I_th (2 * total leakage)] (a guard band of 2) —
     a defect is caught only if leakage + defect current crosses it. *)

@@ -248,15 +248,26 @@ let diff_into k fault blk (dst : P.ba) at =
     done
   end
 
-let check_fault c = function
+let validate_fault c fault =
+  let n = Circuit.num_nodes c in
+  match fault with
   | Stem (id, _) ->
-    if id < 0 || id >= Circuit.num_nodes c then
-      invalid_arg "Stuck_at: stem fault on a node out of range"
+    if id < 0 || id >= n then
+      Error (Printf.sprintf "stem fault on node %d, circuit has %d nodes" id n)
+    else Ok ()
   | Pin { gate; pin; _ } ->
-    if gate < 0 || gate >= Circuit.num_nodes c || not (Circuit.is_gate c gate)
-    then invalid_arg "Stuck_at: pin fault off a gate";
-    if pin < 0 || pin >= Circuit.fanin_count c gate then
-      invalid_arg "Stuck_at: pin fault on a missing pin"
+    if gate < 0 || gate >= n then
+      Error (Printf.sprintf "pin fault on node %d, circuit has %d nodes" gate n)
+    else if not (Circuit.is_gate c gate) then
+      Error
+        (Printf.sprintf "pin fault on node %d, which is a primary input" gate)
+    else
+      let arity = Circuit.fanin_count c gate in
+      if pin < 0 || pin >= arity then
+        Error
+          (Printf.sprintf "pin %d of gate node %d, which has %d fanins" pin gate
+             arity)
+      else Ok ()
 
 (* Bit-parallel (64 vectors per pass) serial fault simulation: the
    vector set is packed once, the node-major good machine is built
@@ -268,7 +279,12 @@ let check_fault c = function
 let simulate ?(domains = 1) ?metrics c ~vectors ~faults visit =
   let module Metrics = Iddq_util.Metrics in
   let faults = Array.of_list faults in
-  Array.iter (check_fault c) faults;
+  Array.iter
+    (fun f ->
+      Result.iter_error
+        (fun m -> invalid_arg ("Stuck_at: " ^ m))
+        (validate_fault c f))
+    faults;
   Iddq_util.Domain_pool.with_pool ~domains @@ fun pool ->
   let packed = P.pack_all vectors in
   let nb = P.num_blocks packed in

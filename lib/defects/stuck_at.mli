@@ -21,6 +21,13 @@ type fault =
 
 val pp_fault : Iddq_netlist.Circuit.t -> Format.formatter -> fault -> unit
 
+val validate_fault : Iddq_netlist.Circuit.t -> fault -> (unit, string) result
+(** [Ok ()] when the fault fits the circuit: a stem fault names a node
+    in range; a pin fault names a gate (not a primary input) and one of
+    its existing input pins.  Otherwise [Error] says which part does
+    not fit.  The one rule the simulators, PODEM and the ATPG facade
+    check faults by. *)
+
 val full_fault_list : Iddq_netlist.Circuit.t -> fault list
 (** Two stem faults per node and two pin faults per gate input. *)
 
@@ -64,8 +71,7 @@ val fault_simulate :
     n-word [Bigarray] and one [int] stamp array, used by one fault
     chunk at a time and reused by the next; a sweep makes at most one
     per pool participant and allocates a few words per fault.  Raises
-    [Invalid_argument] on a fault naming a node out of range, a pin
-    fault off a gate, or a pin the gate does not have. *)
+    [Invalid_argument] on a fault that fails {!validate_fault}. *)
 
 val undetected :
   ?domains:int ->

@@ -253,7 +253,3 @@ let test_time (r : t) ~vectors =
   let tech = Charac.technology r.charac in
   Iddq_bic.Test_time.total tech ~d_bic:r.breakdown.Cost.bic_delay ~vectors
     (List.map snd r.sensors)
-
-let c4_of_vectors r ~vectors =
-  let t = test_time r ~vectors in
-  if t <= 0.0 then 0.0 else log (t /. 1.0e-9)

@@ -147,8 +147,3 @@ val test_time : t -> vectors:int -> float
 (** Total test-application time (s) for a [vectors]-vector set:
     [vectors * (D_BIC + max_i Delta(tau_i))]
     ({!Iddq_bic.Test_time.total} on this run's sensors). *)
-
-val c4_of_vectors : t -> vectors:int -> float
-(** The c4-style log-scaled cost of that time,
-    [log (test_time / 1ns)] ([0.] when the time is non-positive) —
-    comparable across vector counts on one design. *)

@@ -13,10 +13,9 @@ let escape name =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-let of_circuit ?module_of_gate ?title c =
+let of_circuit ?module_of_gate c =
   let buf = Buffer.create 4096 in
-  let title = Option.value ~default:(Circuit.name c) title in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" (escape title));
+  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" (escape (Circuit.name c)));
   Buffer.add_string buf "  rankdir=LR;\n  node [fontname=\"monospace\"];\n";
   let node_decl id =
     let name = Circuit.node_name c id in
@@ -78,5 +77,5 @@ let of_circuit ?module_of_gate ?title c =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_file ?module_of_gate ?title path c =
-  Iddq_util.Io.write_file_atomic path (of_circuit ?module_of_gate ?title c)
+let write_file ?module_of_gate path c =
+  Iddq_util.Io.write_file_atomic path (of_circuit ?module_of_gate c)

@@ -208,10 +208,7 @@ let parse_string text =
   | Lex_error (line, m) | Parse_error (line, m) ->
     Error (Io_error.make ~line m)
 
-let parse_file path =
-  match Io.read_file path with
-  | Error e -> Error e
-  | Ok text -> Result.map_error (Io_error.with_path path) (parse_string text)
+let parse_file path = Io.parse_file path parse_string
 
 let valid_ident s =
   s <> ""

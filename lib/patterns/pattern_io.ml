@@ -1,5 +1,4 @@
 module Io = Iddq_util.Io
-module Io_error = Iddq_util.Io_error
 
 let to_string vectors =
   let buf = Buffer.create (Array.length vectors * 16) in
@@ -11,43 +10,26 @@ let to_string vectors =
   Buffer.contents buf
 
 let of_string ~expected_width text =
-  let exception Bad of int * string in
-  try
-    let vectors = ref [] in
-    List.iteri
-      (fun i raw ->
-        let lineno = i + 1 in
-        let line =
-          match String.index_opt raw '#' with
-          | None -> String.trim raw
-          | Some j -> String.trim (String.sub raw 0 j)
-        in
-        if line <> "" then begin
-          if String.length line <> expected_width then
-            raise
-              (Bad
-                 ( lineno,
-                   Printf.sprintf "expected %d bits, got %d" expected_width
-                     (String.length line) ));
-          let v =
-            Array.init expected_width (fun j ->
-                match line.[j] with
-                | '1' -> true
-                | '0' -> false
-                | ch ->
-                  raise
-                    (Bad (lineno, Printf.sprintf "bad character %C" ch)))
-          in
-          vectors := v :: !vectors
-        end)
-      (String.split_on_char '\n' text);
-    Ok (Array.of_list (List.rev !vectors))
-  with Bad (lineno, m) -> Error (Io_error.make ~line:lineno m)
+  let vectors = ref [] in
+  let parse_line _ line =
+    if String.length line <> expected_width then
+      Io.reject
+        (Printf.sprintf "expected %d bits, got %d" expected_width
+           (String.length line));
+    let v =
+      Array.init expected_width (fun j ->
+          match line.[j] with
+          | '1' -> true
+          | '0' -> false
+          | ch -> Io.reject (Printf.sprintf "bad character %C" ch))
+    in
+    vectors := v :: !vectors
+  in
+  Result.map
+    (fun () -> Array.of_list (List.rev !vectors))
+    (Io.iter_lines text parse_line)
 
 let write_file path vectors = Io.write_file_atomic path (to_string vectors)
 
 let read_file ~expected_width path =
-  match Io.read_file path with
-  | Error e -> Error e
-  | Ok text ->
-    Result.map_error (Io_error.with_path path) (of_string ~expected_width text)
+  Io.parse_file path (of_string ~expected_width)

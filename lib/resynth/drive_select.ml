@@ -28,7 +28,7 @@ let worst_peak p =
            acc)
     None (Partition.module_ids p)
 
-let optimize ?weights ?(max_swaps = 64) ?(slack_margin = 1.0) start =
+let optimize ?weights ?(max_swaps = 64) start =
   let assignment = Partition.assignment start in
   let rec loop ch p swaps budget best_cost =
     if budget = 0 then (ch, p, swaps)
@@ -44,7 +44,7 @@ let optimize ?weights ?(max_swaps = 64) ?(slack_margin = 1.0) start =
           |> List.filter (fun g ->
                  Charac.can_switch_at ch g slot
                  && (not (Charac.is_low_power ch g))
-                 && Charac.delay ch g *. 0.5 <= slack_margin *. slacks.(g))
+                 && Charac.delay ch g *. 0.5 <= slacks.(g))
         in
         (* try the highest-current candidates first; evaluating the
            full cost per candidate is cheap at bench sizes, but cap

@@ -31,12 +31,10 @@ type result = {
 val optimize :
   ?weights:Iddq_core.Cost.weights ->
   ?max_swaps:int ->
-  ?slack_margin:float ->
   Iddq_core.Partition.t ->
   result
 (** [optimize p] runs the greedy pass on a partitioned design.
     [max_swaps] bounds the number of re-mapped gates (default 64).
-    [slack_margin] (default 1.0) scales how much of a gate's slack
-    the swap may consume: the low-drive delay increase must be at
-    most [slack_margin *. slack g].  The input partition is not
+    A swap may consume at most the gate's slack: the low-drive delay
+    increase must be at most [slack g].  The input partition is not
     modified. *)

@@ -4,8 +4,7 @@ type t = {
   mutable tail : int;  (* one past the last valid byte *)
 }
 
-let create ?(capacity = 256) () =
-  { buf = Bytes.create (max 16 capacity); head = 0; tail = 0 }
+let create () = { buf = Bytes.create 256; head = 0; tail = 0 }
 
 let length t = t.tail - t.head
 let is_empty t = t.tail = t.head

@@ -16,9 +16,9 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** An empty buffer with the given initial capacity (default 256;
-    grows by doubling). *)
+val create : unit -> t
+(** An empty buffer of initial capacity 256 bytes; grows by
+    doubling. *)
 
 val length : t -> int
 (** Unconsumed bytes. *)

@@ -48,7 +48,6 @@ type t = {
   max_frame : int;
   max_pipeline : int;
   max_queue : int;
-  drain_timeout : float;
   pool : Domain_pool.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -67,6 +66,9 @@ let service t = t.service
 
 let default_max_pipeline = 8
 let default_max_queue = 256
+
+(* How long shutdown waits for unread responses, in seconds. *)
+let drain_timeout = 5.0
 
 (* ------------------------------------------------------------------ *)
 (* create: probe-then-bind                                             *)
@@ -89,7 +91,7 @@ let probe_live socket =
 
 let create ~socket ?(max_frame = Frame.default_max_frame) ?(workers = 2)
     ?(max_pipeline = default_max_pipeline) ?(max_queue = default_max_queue)
-    ?(drain_timeout = 5.0) ?budget ?metrics ?cache_entries () =
+    ?budget ?metrics ?cache_entries () =
   if Sys.file_exists socket && probe_live socket then
     Error (Address_in_use socket)
   else
@@ -128,7 +130,6 @@ let create ~socket ?(max_frame = Frame.default_max_frame) ?(workers = 2)
             max_frame;
             max_pipeline = Stdlib.max 1 max_pipeline;
             max_queue = Stdlib.max 1 max_queue;
-            drain_timeout;
             pool;
             wake_r;
             wake_w;
@@ -496,7 +497,7 @@ let run t =
       in
       let timeout =
         if st.stopping then
-          let left = t.drain_timeout -. Clock.seconds_since st.drain_started in
+          let left = drain_timeout -. Clock.seconds_since st.drain_started in
           Stdlib.max 0.01 (Stdlib.min 0.1 left)
         else if st.starved then starved_retry
         else -1.0
@@ -522,7 +523,7 @@ let run t =
         readable;
       if listening && List.memq t.listen_fd readable then accept_all t st;
       (* a client that never reads must not wedge shutdown *)
-      if st.stopping && Clock.seconds_since st.drain_started > t.drain_timeout
+      if st.stopping && Clock.seconds_since st.drain_started > drain_timeout
       then begin
         let snapshot = Hashtbl.fold (fun _ c acc -> c :: acc) st.conns [] in
         List.iter (fun conn -> kill t st conn) snapshot

@@ -73,7 +73,6 @@ val create :
   ?workers:int ->
   ?max_pipeline:int ->
   ?max_queue:int ->
-  ?drain_timeout:float ->
   ?budget:float ->
   ?metrics:Iddq_util.Metrics.t ->
   ?cache_entries:int ->
@@ -86,11 +85,10 @@ val create :
     [max_frame] caps frame payloads ({!Frame.default_max_frame});
     [workers] sizes the execution crew (default 2, min 1);
     [max_pipeline] (default 8) and [max_queue] (default 256) are the
-    admission limits above; [drain_timeout] (default 5 s) bounds how
-    long shutdown waits for unread responses before dropping the
-    connections that own them; [budget], [metrics] and
-    [cache_entries] (per-table session-cache bound, LRU eviction)
-    configure the {!Service}. *)
+    admission limits above; shutdown waits at most 5 s for unread
+    responses before dropping the connections that own them; [budget],
+    [metrics] and [cache_entries] (per-table session-cache bound, LRU
+    eviction) configure the {!Service}. *)
 
 val service : t -> Service.t
 

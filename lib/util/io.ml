@@ -10,6 +10,29 @@ let with_in path f =
 let read_file path =
   with_in path (fun ic -> really_input_string ic (in_channel_length ic))
 
+exception Rejected of string
+
+let reject message = raise (Rejected message)
+
+let iter_lines text f =
+  let lineno = ref 0 in
+  let visit raw =
+    incr lineno;
+    let line =
+      match String.index_opt raw '#' with
+      | None -> String.trim raw
+      | Some i -> String.trim (String.sub raw 0 i)
+    in
+    if line <> "" then f !lineno line
+  in
+  match List.iter visit (String.split_on_char '\n' text) with
+  | () -> Ok ()
+  | exception Rejected message -> Error (Io_error.make ~line:!lineno message)
+
+let parse_file path parse =
+  Result.bind (read_file path) (fun text ->
+      Result.map_error (Io_error.with_path path) (parse text))
+
 (* Distinct temp names per call so two writers racing on the same
    target never share a scratch file; within one process the counter
    suffices, across processes the rename still keeps the target

@@ -1,11 +1,10 @@
 type t = {
   path : string option;
   line : int option;
-  offset : int option;
   message : string;
 }
 
-let make ?path ?line ?offset message = { path; line; offset; message }
+let make ?path ?line message = { path; line; message }
 
 let with_path path e =
   match e.path with None -> { e with path = Some path } | Some _ -> e
@@ -24,13 +23,11 @@ let of_sys_error ~path message =
 
 let to_string e =
   let where =
-    match e.path, e.line, e.offset with
-    | Some p, Some l, _ -> Printf.sprintf "%s:%d: " p l
-    | Some p, None, Some o -> Printf.sprintf "%s: offset %d: " p o
-    | Some p, None, None -> p ^ ": "
-    | None, Some l, _ -> Printf.sprintf "line %d: " l
-    | None, None, Some o -> Printf.sprintf "offset %d: " o
-    | None, None, None -> ""
+    match e.path, e.line with
+    | Some p, Some l -> Printf.sprintf "%s:%d: " p l
+    | Some p, None -> p ^ ": "
+    | None, Some l -> Printf.sprintf "line %d: " l
+    | None, None -> ""
   in
   where ^ e.message
 

@@ -3,17 +3,15 @@
     Every parser and file reader/writer at the persistence boundary
     reports failures as a value of this type instead of raising, so a
     malformed or unreadable input degrades into a diagnosable [Error]
-    that pinpoints where it happened: which file, which line, which
-    byte offset. *)
+    that pinpoints where it happened: which file and which line. *)
 
 type t = {
   path : string option;  (** The file involved, when one is. *)
   line : int option;  (** 1-based line of the offending input. *)
-  offset : int option;  (** Byte offset (or column) when line-less. *)
   message : string;
 }
 
-val make : ?path:string -> ?line:int -> ?offset:int -> string -> t
+val make : ?path:string -> ?line:int -> string -> t
 
 val with_path : string -> t -> t
 (** Attach a path to an error produced while parsing in-memory text;
@@ -25,6 +23,6 @@ val of_sys_error : path:string -> string -> t
 
 val to_string : t -> string
 (** ["path:line: message"], degrading gracefully when components are
-    absent (["line 3: ..."], ["offset 17: ..."], or the bare message). *)
+    absent (["path: ..."], ["line 3: ..."], or the bare message). *)
 
 val pp : Format.formatter -> t -> unit
