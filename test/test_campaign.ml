@@ -833,6 +833,141 @@ let test_runner_resumes_mixed_format_store () =
         (signature first.Runner.results)
         (signature again.Runner.results))
 
+(* A C17 store in the format the campaign store has written since the
+   metrics registry: one Done, one failed and one timed-out record,
+   byte for byte.  Resuming it must adopt the Done record with its
+   measurements as written and re-run the other two. *)
+let pinned_c17_lines =
+  [
+    "{\"job\":\"C17:evolution:s1:m3\",\"circuit\":\"C17\",\
+     \"method\":\"evolution\",\"seed\":1,\
+     \"derived_seed\":3247821329290974644,\"module_size\":3,\
+     \"status\":\"ok\",\"elapsed\":0.001785738,\"modules\":1,\
+     \"generations\":20,\"module_sizes\":[6],\
+     \"cost\":144.98022975658031,\"feasible\":true,\"area\":140000.0,\
+     \"nominal_delay\":2.4000000000000004e-09,\
+     \"bic_delay\":2.4005824832922974e-09,\
+     \"test_time\":4.16391581662563e-09,\
+     \"min_disc\":1388.8888888888889,\"metrics\":{\"full_evals\":5,\
+     \"delta_evals\":36,\"eval_cache_hits\":684,\"moves\":63,\
+     \"gates_full\":30,\"gates_delta\":216,\"seconds_full\":5.4865e-05,\
+     \"seconds_delta\":0.0001382,\"sim_blocks\":0,\
+     \"sim_fault_blocks\":0,\"sim_faults_dropped\":0,\"sim_steals\":0,\
+     \"requests\":0,\"requests_failed\":0,\"seconds_requests\":0.0,\
+     \"cache_hits\":0,\"cache_misses\":0,\"cache_evictions\":0,\
+     \"sheds\":0,\"queue_peak\":0,\"wbuf_peak\":0}}";
+    "{\"job\":\"C17:standard:s1:m3\",\"circuit\":\"C17\",\
+     \"method\":\"standard\",\"seed\":1,\
+     \"derived_seed\":2555741442153596899,\"module_size\":3,\
+     \"status\":\"failed\",\
+     \"error\":\"Failure(\\\"injected resolver crash\\\")\",\
+     \"elapsed\":3.5e-07,\"modules\":0,\"generations\":0,\
+     \"module_sizes\":[],\"cost\":0.0,\"feasible\":false,\"area\":0.0,\
+     \"nominal_delay\":0.0,\"bic_delay\":0.0,\"test_time\":0.0,\
+     \"min_disc\":0.0,\"metrics\":{\"full_evals\":0,\"delta_evals\":0,\
+     \"eval_cache_hits\":0,\"moves\":0,\"gates_full\":0,\
+     \"gates_delta\":0,\"seconds_full\":0.0,\"seconds_delta\":0.0,\
+     \"sim_blocks\":0,\"sim_fault_blocks\":0,\"sim_faults_dropped\":0,\
+     \"sim_steals\":0,\"requests\":0,\"requests_failed\":0,\
+     \"seconds_requests\":0.0,\"cache_hits\":0,\"cache_misses\":0,\
+     \"cache_evictions\":0,\"sheds\":0,\"queue_peak\":0,\
+     \"wbuf_peak\":0}}";
+    "{\"job\":\"C17:annealing:s1:m3\",\"circuit\":\"C17\",\
+     \"method\":\"annealing\",\"seed\":1,\
+     \"derived_seed\":4411771995284001281,\"module_size\":3,\
+     \"status\":\"timeout\",\"timeout_s\":0.0,\"elapsed\":0.042971936,\
+     \"modules\":0,\"generations\":0,\"module_sizes\":[],\"cost\":0.0,\
+     \"feasible\":false,\"area\":0.0,\"nominal_delay\":0.0,\
+     \"bic_delay\":0.0,\"test_time\":0.0,\"min_disc\":0.0,\
+     \"metrics\":{\"full_evals\":2,\"delta_evals\":19924,\
+     \"eval_cache_hits\":0,\"moves\":39840,\"gates_full\":12,\
+     \"gates_delta\":119544,\"seconds_full\":2.583e-06,\
+     \"seconds_delta\":0.019718952,\"sim_blocks\":0,\
+     \"sim_fault_blocks\":0,\"sim_faults_dropped\":0,\"sim_steals\":0,\
+     \"requests\":0,\"requests_failed\":0,\"seconds_requests\":0.0,\
+     \"cache_hits\":0,\"cache_misses\":0,\"cache_evictions\":0,\
+     \"sheds\":0,\"queue_peak\":0,\"wbuf_peak\":0}}";
+  ]
+
+let pinned_c17_spec =
+  {
+    Spec.default with
+    Spec.circuits = [ "C17" ];
+    methods = [ Pipeline.Evolution; Pipeline.Standard; Pipeline.Annealing ];
+    seeds = [ 1 ];
+    module_sizes = [ Some 3 ];
+    max_generations = Some 20;
+  }
+
+let test_runner_resumes_pinned_store () =
+  with_temp_store (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) pinned_c17_lines);
+      let adopted = ref [] and ran = ref [] in
+      let on_result (job : Spec.job) _ ~fresh =
+        if fresh then ran := job.Spec.id :: !ran
+        else adopted := job.Spec.id :: !adopted
+      in
+      let store = open_store path in
+      let outcome =
+        Fun.protect
+          ~finally:(fun () -> Store.close store)
+          (fun () ->
+            match Runner.run ~on_result ~store pinned_c17_spec with
+            | Ok o -> o
+            | Error e -> Alcotest.fail (Runner.error_to_string e))
+      in
+      Alcotest.(check (list string)) "the Done job is adopted"
+        [ "C17:evolution:s1:m3" ] !adopted;
+      Alcotest.(check (list string)) "the failed and timed-out jobs re-run"
+        [ "C17:annealing:s1:m3"; "C17:standard:s1:m3" ]
+        (List.sort compare !ran);
+      Alcotest.(check int) "skipped" 1 outcome.Runner.skipped;
+      Alcotest.(check int) "executed" 2 outcome.Runner.executed;
+      Alcotest.(check int) "all ok" 3 outcome.Runner.ok;
+      let stored =
+        match Json.parse (List.hd pinned_c17_lines) with
+        | Ok j -> j
+        | Error e -> Alcotest.fail e
+      in
+      let num key =
+        match Option.bind (Json.member key stored) Json.to_float with
+        | Some v -> v
+        | None -> Alcotest.failf "pinned line lacks %S" key
+      in
+      let agg m =
+        List.find
+          (fun (a : Summary.method_agg) -> a.Summary.method_ = m)
+          (Summary.by_method outcome.Runner.results)
+      in
+      let evo = agg Pipeline.Evolution in
+      let close label want got =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.17g = %.17g" label want got)
+          true
+          (Float.abs (got -. want) <= 1e-12 *. Float.abs want)
+      in
+      Alcotest.(check (float 0.0)) "modules as written" (num "modules")
+        evo.Summary.mean_modules;
+      Alcotest.(check (float 0.0)) "cost as written" (num "cost")
+        evo.Summary.mean_cost;
+      Alcotest.(check (float 0.0)) "area as written" (num "area")
+        evo.Summary.mean_area;
+      Alcotest.(check (float 0.0)) "elapsed as written" (num "elapsed")
+        evo.Summary.mean_elapsed;
+      let nominal = num "nominal_delay" in
+      close "delay overhead as written"
+        (100.0 *. (num "bic_delay" -. nominal) /. nominal)
+        evo.Summary.mean_delay_overhead_pct;
+      close "test overhead as written"
+        (100.0 *. (num "test_time" -. nominal) /. nominal)
+        evo.Summary.mean_test_overhead_pct;
+      (* the re-run standard job takes the stored evolution's one
+         6-gate module as its reference, not the two 3-gate modules of
+         the default sizes *)
+      Alcotest.(check (float 0.0)) "standard at the stored sizes" 1.0
+        (agg Pipeline.Standard).Summary.mean_modules)
+
 let tests =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -873,4 +1008,6 @@ let tests =
     Alcotest.test_case "result bad metrics" `Quick test_result_bad_metrics;
     Alcotest.test_case "runner resumes mixed-format store" `Slow
       test_runner_resumes_mixed_format_store;
+    Alcotest.test_case "runner resumes a pinned C17 store" `Quick
+      test_runner_resumes_pinned_store;
   ]
