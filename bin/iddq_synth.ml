@@ -702,10 +702,10 @@ let campaign_cmd =
         if not quiet then begin
           let what =
             match r.Job_result.status with
-            | Job_result.Done when not fresh -> "stored (skipped)"
-            | Job_result.Done ->
+            | Job_result.Done _ when not fresh -> "stored (skipped)"
+            | Job_result.Done run ->
               Printf.sprintf "ok    %d modules  cost %.2f  %.1fs"
-                r.Job_result.num_modules r.Job_result.cost r.Job_result.elapsed
+                run.Report.modules run.Report.cost r.Job_result.elapsed
             | Job_result.Failed msg -> "FAILED " ^ msg
             | Job_result.Timeout l -> Printf.sprintf "TIMEOUT > %.1fs" l
           in

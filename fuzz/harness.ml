@@ -160,12 +160,39 @@ let targets () =
   let vectors =
     Array.init 24 (fun _ -> Array.init 5 (fun _ -> Rng.bool vec_rng))
   in
+  let job = List.hd (Spec.jobs { Spec.default with Spec.circuits = [ "C17" ] }) in
+  let metrics = Iddq_util.Metrics.(snapshot (create ())) in
   let record =
-    let job = List.hd (Spec.jobs { Spec.default with Spec.circuits = [ "C17" ] }) in
-    let metrics = Iddq_util.Metrics.(snapshot (create ())) in
     Job_result.failure ~job ~derived_seed:7 ~elapsed:0.5 ~metrics "fuzz seed"
   in
   let record_line = Job_result.to_line record in
+  let done_line =
+    match Iddq.Pipeline.run_result Iddq.Pipeline.Standard c17 with
+    | Ok r ->
+      Job_result.to_line
+        (Job_result.of_run ~job ~derived_seed:7 ~elapsed:0.5 ~metrics r)
+    | Error e -> failwith (Iddq.Pipeline.error_to_string e)
+  in
+  (* a failure record as older stores wrote it: zero measurements
+     under the run's short keys (area, test_time, min_disc) *)
+  let zeroed_failure_line =
+    "{\"job\":\"C17:standard:s1:m3\",\"circuit\":\"C17\",\
+     \"method\":\"standard\",\"seed\":1,\
+     \"derived_seed\":2555741442153596899,\"module_size\":3,\
+     \"status\":\"failed\",\
+     \"error\":\"Failure(\\\"injected resolver crash\\\")\",\
+     \"elapsed\":3.5e-07,\"modules\":0,\"generations\":0,\
+     \"module_sizes\":[],\"cost\":0.0,\"feasible\":false,\"area\":0.0,\
+     \"nominal_delay\":0.0,\"bic_delay\":0.0,\"test_time\":0.0,\
+     \"min_disc\":0.0,\"metrics\":{\"full_evals\":0,\"delta_evals\":0,\
+     \"eval_cache_hits\":0,\"moves\":0,\"gates_full\":0,\
+     \"gates_delta\":0,\"seconds_full\":0.0,\"seconds_delta\":0.0,\
+     \"sim_blocks\":0,\"sim_fault_blocks\":0,\"sim_faults_dropped\":0,\
+     \"sim_steals\":0,\"requests\":0,\"requests_failed\":0,\
+     \"seconds_requests\":0.0,\"cache_hits\":0,\"cache_misses\":0,\
+     \"cache_evictions\":0,\"sheds\":0,\"queue_peak\":0,\
+     \"wbuf_peak\":0}}"
+  in
   [
     {
       name = "bench";
@@ -319,7 +346,11 @@ let targets () =
     {
       name = "jsonl-store";
       corpus =
-        [ record_line ^ "\n" ^ record_line ^ "\n" ^ record_line ^ "\n" ];
+        [
+          record_line ^ "\n" ^ record_line ^ "\n" ^ record_line ^ "\n";
+          done_line ^ "\n";
+          zeroed_failure_line ^ "\n";
+        ];
       parse = (fun s -> ok (Job_result.of_line s));
       parse_path =
         Some

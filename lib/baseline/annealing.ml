@@ -61,7 +61,7 @@ let optimize ?weights ?(params = default_params) ?(full_eval = false) ?metrics
   let cost () =
     match eval with
     | Some e -> Cost_eval.penalized e
-    | None -> (Cost.evaluate ?weights current).Cost.penalized
+    | None -> (Cost.evaluate ?weights ?metrics current).Cost.penalized
   in
   let current_cost = ref (cost ()) in
   let best = ref (Partition.copy current) in
@@ -93,4 +93,4 @@ let optimize ?weights ?(params = default_params) ?(full_eval = false) ?metrics
         apply gate src);
     temperature := !temperature *. params.cooling
   done;
-  (!best, Cost.evaluate ?weights !best)
+  (!best, Cost.evaluate ?weights ?metrics !best)

@@ -37,8 +37,7 @@ val optimize :
     [full_eval] (default [false]) bypasses the incremental evaluator
     and runs a complete {!Iddq_core.Cost.evaluate} per proposal — the
     slow reference path; with the same [rng] it visits the same states
-    and returns the same result.  [metrics] receives the evaluator's
-    counters (default {!Iddq_util.Metrics.global}; full-mode
-    evaluations always land in the global instance).  [on_move] is
-    called for every {e proposed} move with its acceptance verdict; a
-    proposal never has [src = target]. *)
+    and returns the same result.  [metrics] receives every
+    evaluation's counters (default {!Iddq_util.Metrics.global}).
+    [on_move] is called for every {e proposed} move with its acceptance
+    verdict; a proposal never has [src = target]. *)

@@ -1,5 +1,4 @@
 module Partition = Iddq_core.Partition
-module Cost = Iddq_core.Cost
 module Cost_eval = Iddq_core.Cost_eval
 
 let optimize ?weights ?metrics ?(max_passes = 20) start =
@@ -33,4 +32,4 @@ let optimize ?weights ?metrics ?(max_passes = 20) start =
           (Partition.boundary_gates p m))
       (Partition.module_ids p)
   done;
-  (p, Cost.evaluate ?weights p)
+  (p, Cost_eval.breakdown eval)

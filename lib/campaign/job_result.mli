@@ -1,5 +1,6 @@
-(** One job's durable result: identity, status, measurements, and the
-    job's own cost-evaluation counters, as one JSONL line.
+(** One job's durable result: identity, status, the run's measurements
+    when it finished, and the job's own cost-evaluation counters, as
+    one JSONL line.
 
     Every numeric measurement is a pure function of the job identity
     (circuit, method, derived seed, configuration), so two runs of the
@@ -9,7 +10,10 @@
     comparisons. *)
 
 type status =
-  | Done
+  | Done of Iddq.Report.run
+      (** Finished; the measurements, encoded by
+          {!Iddq.Report.run_fields} as the service's [partition] reply
+          encodes them. *)
   | Failed of string  (** The job raised; the payload is the exception text. *)
   | Timeout of float  (** Exceeded the wall-clock budget (seconds). *)
 
@@ -22,25 +26,16 @@ type t = {
   module_size : int option;
   status : status;
   elapsed : float;  (** Wall-clock seconds (timing field). *)
-  num_modules : int;
-  generations : int;
-  module_sizes : int list;
-      (** Final module sizes in ascending module-id order; what seeds
-          a dependent standard job's reference sizes on resume. *)
-  cost : float;  (** Penalized cost. *)
-  feasible : bool;
-  sensor_area : float;
-  nominal_delay : float;
-  bic_delay : float;
-  test_time_per_vector : float;
-  min_discriminability : float;
   metrics : Iddq_util.Metrics.snapshot;
       (** This job's counters (the [Seconds] ones are timing
           fields). *)
 }
 
 val is_ok : t -> bool
-(** [true] iff [status = Done]. *)
+(** [true] iff the status is [Done]. *)
+
+val run : t -> Iddq.Report.run option
+(** The measurements of a [Done] record. *)
 
 val of_run :
   job:Spec.job ->
@@ -66,20 +61,17 @@ val timed_out :
   limit:float ->
   t
 
-val delay_overhead_percent : t -> float
-(** [100 · (D_BIC − D) / D] — Table 1's delay row. *)
-
-val test_time_overhead_percent : t -> float
-(** Per-vector test-time increase over the sensor-less delay, percent. *)
-
 val strip_timing : t -> t
 (** Zero [elapsed] and the metrics seconds; everything left is
     deterministic for a given job. *)
 
 val to_json : t -> Iddq_util.Json.t
-val of_json : Iddq_util.Json.t -> (t, string) result
 
 val to_line : t -> string
-(** One newline-free JSON object (a JSONL record). *)
+(** One newline-free JSON object (a JSONL record).  A failed or
+    timed-out record carries no measurements. *)
 
 val of_line : string -> (t, string) result
+(** Decodes what {!to_line} writes, and the lines older stores wrote:
+    the legacy keys {!Iddq.Report.run_of_json} reads, and failure
+    records with zero measurements, which are ignored. *)

@@ -3,6 +3,7 @@ module Metrics = Iddq_util.Metrics
 module Clock = Iddq_util.Clock
 module Domain_pool = Iddq_util.Domain_pool
 module Pipeline = Iddq.Pipeline
+module Report = Iddq.Report
 module Es = Iddq_evolution.Es
 
 type outcome = {
@@ -66,9 +67,9 @@ let reference_sizes_of results (job : Spec.job) =
   match job.Spec.depends_on with
   | None -> None
   | Some dep -> begin
-    match Hashtbl.find_opt results dep with
-    | Some r when Job_result.is_ok r && r.Job_result.module_sizes <> [] ->
-      Some r.Job_result.module_sizes
+    match Option.bind (Hashtbl.find_opt results dep) Job_result.run with
+    | Some run when run.Report.module_sizes <> [] ->
+      Some run.Report.module_sizes
     | _ -> None  (* dependency failed: fall back to the default sizes *)
   end
 
@@ -161,7 +162,7 @@ let run_validated ~domains ~resolve ~on_result ~store spec =
         results;
         executed = !executed;
         skipped = !skipped;
-        ok = count (( = ) Job_result.Done);
+        ok = List.length (List.filter Job_result.is_ok results);
         failed = count (function Job_result.Failed _ -> true | _ -> false);
         timed_out = count (function Job_result.Timeout _ -> true | _ -> false);
       }

@@ -35,27 +35,19 @@ let by_method results =
     (fun m ->
       let of_m = List.filter (fun (r : Job_result.t) -> r.Job_result.method_ = m) results in
       let done_ = List.filter Job_result.is_ok of_m in
-      let count p = List.length (List.filter p of_m) in
+      let runs = List.filter_map Job_result.run of_m in
+      let count p = List.length (List.filter (fun r -> p r.Job_result.status) of_m) in
       {
         method_ = m;
         runs = List.length of_m;
         ok = List.length done_;
-        failed =
-          count (fun r ->
-              match r.Job_result.status with
-              | Job_result.Failed _ -> true
-              | _ -> false);
-        timed_out =
-          count (fun r ->
-              match r.Job_result.status with
-              | Job_result.Timeout _ -> true
-              | _ -> false);
-        mean_modules =
-          mean (fun (r : Job_result.t) -> float_of_int r.Job_result.num_modules) done_;
-        mean_cost = mean (fun (r : Job_result.t) -> r.Job_result.cost) done_;
-        mean_area = mean (fun (r : Job_result.t) -> r.Job_result.sensor_area) done_;
-        mean_delay_overhead_pct = mean Job_result.delay_overhead_percent done_;
-        mean_test_overhead_pct = mean Job_result.test_time_overhead_percent done_;
+        failed = count (function Job_result.Failed _ -> true | _ -> false);
+        timed_out = count (function Job_result.Timeout _ -> true | _ -> false);
+        mean_modules = mean (fun r -> float_of_int r.Report.modules) runs;
+        mean_cost = mean (fun r -> r.Report.cost) runs;
+        mean_area = mean (fun r -> r.Report.sensor_area) runs;
+        mean_delay_overhead_pct = mean Report.delay_overhead_percent runs;
+        mean_test_overhead_pct = mean Report.test_time_overhead_percent runs;
         mean_elapsed = mean (fun (r : Job_result.t) -> r.Job_result.elapsed) done_;
       })
     (appearance_order (fun (r : Job_result.t) -> r.Job_result.method_) results)
@@ -98,49 +90,19 @@ let table1_rows results =
   let circuits = appearance_order (fun (r : Job_result.t) -> r.Job_result.circuit) results in
   List.filter_map
     (fun circuit ->
-      let done_of m =
-        List.filter
+      let runs_of m =
+        List.filter_map
           (fun (r : Job_result.t) ->
-            r.Job_result.circuit = circuit
-            && r.Job_result.method_ = m
-            && Job_result.is_ok r)
+            if r.Job_result.circuit = circuit && r.Job_result.method_ = m then
+              Job_result.run r
+            else None)
           results
       in
-      let evolution = done_of Pipeline.Evolution in
-      let standard = done_of Pipeline.Standard in
-      if evolution = [] || standard = [] then None
-      else begin
-        let area_e = mean (fun (r : Job_result.t) -> r.Job_result.sensor_area) evolution in
-        let area_s = mean (fun (r : Job_result.t) -> r.Job_result.sensor_area) standard in
-        let modules l =
-          int_of_float
-            (Float.round
-               (mean (fun (r : Job_result.t) -> float_of_int r.Job_result.num_modules) l))
-        in
-        Some
-          {
-            Report.circuit_name = circuit;
-            num_modules_standard = modules standard;
-            num_modules_evolution = modules evolution;
-            area_standard = area_s;
-            area_evolution = area_e;
-            area_overhead_percent =
-              (if area_e > 0.0 then 100.0 *. (area_s -. area_e) /. area_e
-               else 0.0);
-            delay_overhead_standard_percent =
-              mean Job_result.delay_overhead_percent standard;
-            delay_overhead_evolution_percent =
-              mean Job_result.delay_overhead_percent evolution;
-            test_time_overhead_standard_percent =
-              mean Job_result.test_time_overhead_percent standard;
-            test_time_overhead_evolution_percent =
-              mean Job_result.test_time_overhead_percent evolution;
-          }
-      end)
+      match (runs_of Pipeline.Standard, runs_of Pipeline.Evolution) with
+      | [], _ | _, [] -> None
+      | standard, evolution ->
+        Some (Report.row_of_runs ~circuit_name:circuit ~standard ~evolution))
     circuits
-
-let failures results =
-  List.filter (fun r -> not (Job_result.is_ok r)) results
 
 let pp fmt results =
   let aggs = by_method results in
@@ -152,17 +114,15 @@ let pp fmt results =
     Format.fprintf fmt
       "@.Table-1 comparison (means over seeds and module sizes):@.%s@."
       (Table.render (Report.table rows)));
-  match failures results with
+  let not_completed (r : Job_result.t) =
+    match r.Job_result.status with
+    | Job_result.Done _ -> None
+    | Job_result.Failed msg -> Some (r.Job_result.job_id, "failed: " ^ msg)
+    | Job_result.Timeout l ->
+      Some (r.Job_result.job_id, Printf.sprintf "timeout (> %.1f s)" l)
+  in
+  match List.filter_map not_completed results with
   | [] -> ()
   | fs ->
     Format.fprintf fmt "@.%d job(s) not completed:@." (List.length fs);
-    List.iter
-      (fun (r : Job_result.t) ->
-        let what =
-          match r.Job_result.status with
-          | Job_result.Failed msg -> "failed: " ^ msg
-          | Job_result.Timeout l -> Printf.sprintf "timeout (> %.1f s)" l
-          | Job_result.Done -> assert false
-        in
-        Format.fprintf fmt "  %s  %s@." r.Job_result.job_id what)
-      fs
+    List.iter (fun (id, what) -> Format.fprintf fmt "  %s  %s@." id what) fs

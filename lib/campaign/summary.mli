@@ -24,16 +24,11 @@ val by_method : Job_result.t list -> method_agg list
 (** One aggregate per method present, in first-appearance order.
     Means are over [Done] runs only (0 when there are none). *)
 
-val method_table : method_agg list -> Iddq_util.Table.t
-
 val table1_rows : Job_result.t list -> Iddq.Report.row list
 (** One {!Iddq.Report.row} per circuit that has at least one [Done]
     evolution and one [Done] standard result; measurements are means
     over those runs, module counts the rounded means.  Circuits appear
     in first-appearance order. *)
-
-val failures : Job_result.t list -> Job_result.t list
-(** The records whose status is not [Done]. *)
 
 val pp : Format.formatter -> Job_result.t list -> unit
 (** Method table, Table-1 table (when derivable) and failure list —

@@ -50,6 +50,10 @@ let infeasibility_penalty = 1.0e7
 (* log clipped away from -inf for degenerate (empty/zero) values *)
 let safe_log x = if x <= 0.0 then 0.0 else log x
 
+let relative_delay ~nominal_delay ~bic_delay =
+  if nominal_delay > 0.0 then (bic_delay -. nominal_delay) /. nominal_delay
+  else 0.0
+
 (* Assembly of the breakdown from the expensive pieces (the sensor
    list and the two delays).  Shared — with identical operation order —
    by the full [evaluate] below and the incremental [Cost_eval], so a
@@ -62,10 +66,7 @@ let of_components ?(weights = paper_weights) ~sensors ~bic_delay ~nominal_delay
     List.fold_left (fun acc (_, s) -> acc +. s.Sensor.area) 0.0 sensors
   in
   let c1_area = safe_log sensor_area in
-  let c2_delay =
-    if nominal_delay > 0.0 then (bic_delay -. nominal_delay) /. nominal_delay
-    else 0.0
-  in
+  let c2_delay = relative_delay ~nominal_delay ~bic_delay in
   let separation_sum =
     List.fold_left
       (fun acc m -> acc +. float_of_int (Partition.separation_total p m))

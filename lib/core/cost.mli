@@ -54,6 +54,9 @@ val evaluate :
     {!paper_weights}.  Records one full evaluation in [metrics]
     (default {!Iddq_util.Metrics.global}). *)
 
+val relative_delay : nominal_delay:float -> bic_delay:float -> float
+(** [c2 = (D_BIC − D) / D], 0 when [D = 0]. *)
+
 val of_components :
   ?weights:weights ->
   sensors:(int * Iddq_bic.Sensor.t) list ->

@@ -20,6 +20,13 @@ let to_string p =
     (Partition.module_ids p);
   Buffer.contents buf
 
+(* the words of [s], separated by runs of the blanks [String.trim]
+   strips (space, tab, CR, form feed) *)
+let words s =
+  String.map (function '\t' | '\r' | '\012' -> ' ' | ch -> ch) s
+  |> String.split_on_char ' '
+  |> List.filter (fun w -> w <> "")
+
 let of_string ch text =
   let c = Charac.circuit ch in
   let n = Charac.num_gates ch in
@@ -30,17 +37,14 @@ let of_string ch text =
     | None -> Io.reject "expected 'module K: nets'"
     | Some colon ->
       let header = String.trim (String.sub line 0 colon) in
-      (match String.split_on_char ' ' header with
+      (match words header with
       | [ "module"; k ] when int_of_string_opt k = Some !module_count -> ()
       | [ "module"; _ ] -> Io.reject "module ids must be dense and in order"
       | _ -> Io.reject (Printf.sprintf "bad module header %S" header));
       let m = !module_count in
       incr module_count;
       let nets =
-        String.sub line (colon + 1) (String.length line - colon - 1)
-        |> String.split_on_char ' '
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
+        words (String.sub line (colon + 1) (String.length line - colon - 1))
       in
       if nets = [] then Io.reject "empty module";
       List.iter

@@ -45,7 +45,7 @@ let run_partitioned ?domains ?metrics p ~vectors ~faults =
         })
       faults
   in
-  let breakdown = Cost.evaluate p in
+  let breakdown = Cost.evaluate ?metrics p in
   let sensors = List.map snd (Partition.sensors p) in
   let test_time =
     Test_time.total tech ~d_bic:breakdown.Cost.bic_delay

@@ -36,7 +36,8 @@ val run_partitioned :
 
     Runs on the 64-way packed {!Fault_sim} engine with fault dropping;
     [domains] (default 1) distributes fault chunks over a [Domain]
-    pool, [metrics] receives the engine's block counters. *)
+    pool, [metrics] receives the engine's block counters and the one
+    cost evaluation that sizes the test time. *)
 
 val run_single_sensor :
   ?domains:int ->

@@ -353,8 +353,8 @@ let fault_simulate ?domains ?metrics c ~vectors ~faults =
     first_vector;
   }
 
-let undetected ?domains ?metrics c ~vectors ~faults =
-  let r = fault_simulate ?domains ?metrics c ~vectors ~faults in
+let undetected c ~vectors ~faults =
+  let r = fault_simulate c ~vectors ~faults in
   List.filteri (fun f _ -> r.first_vector.(f) < 0) faults
 
 (* The full matrix (no dropping — every detecting vector of every

@@ -74,12 +74,12 @@ val fault_simulate :
     [Invalid_argument] on a fault that fails {!validate_fault}. *)
 
 val undetected :
-  ?domains:int ->
-  ?metrics:Iddq_util.Metrics.t ->
   Iddq_netlist.Circuit.t ->
   vectors:bool array array ->
   faults:fault list ->
   fault list
+(** The faults no vector detects, in order: {!fault_simulate} on one
+    domain, recording no counters. *)
 
 val detection_matrix :
   ?domains:int ->

@@ -1,4 +1,47 @@
-(** Table-1-style reporting: the rows of the paper's evaluation. *)
+(** Table-1-style reporting: the measurements of one partition run,
+    their one JSON encoding, and the rows of the paper's evaluation. *)
+
+(** {1 The run record} *)
+
+type run = {
+  modules : int;
+  module_sizes : int list;
+      (** Final module sizes in ascending module-id order; what seeds
+          a dependent standard job's reference sizes. *)
+  generations : int;  (** ES generations run (0 for one-shot methods). *)
+  cost : float;  (** The penalized cost. *)
+  feasible : bool;
+  sensor_area : float;
+  nominal_delay : float;
+  bic_delay : float;
+  test_time_per_vector : float;
+  min_discriminability : float;
+}
+(** What one partition run measured: every figure the service's
+    [partition] reply, the campaign store and Table 1 report.  The
+    names after [generations] are those of {!Iddq_core.Cost.breakdown}. *)
+
+val run_of : Pipeline.t -> run
+
+val run_fields : run -> (string * Iddq_util.Json.t) list
+(** The one encoding of a run: one JSON member per field, under the
+    field's name, in declaration order. *)
+
+val run_of_json : Iddq_util.Json.t -> (run, string) result
+(** Reads the members {!run_fields} writes from an object, which may
+    hold other members too.  [sensor_area], [test_time_per_vector] and
+    [min_discriminability] are also read under the keys older campaign
+    stores used ([area], [test_time], [min_disc]). *)
+
+val delay_overhead_percent : run -> float
+(** BIC-induced slowdown [100 * (D_BIC - D) / D], computed as
+    {!Iddq_core.Cost.relative_delay} computes [c2]. *)
+
+val test_time_overhead_percent : run -> float
+(** Per-vector test-time increase over the sensor-less delay, percent
+    (0 when [D = 0]). *)
+
+(** {1 Table 1} *)
 
 type row = {
   circuit_name : string;
@@ -18,7 +61,13 @@ type row = {
   test_time_overhead_evolution_percent : float;
 }
 
+val row_of_runs : circuit_name:string -> standard:run list -> evolution:run list -> row
+(** Means over the runs of each method (0 for an empty list); module
+    counts are rounded means, and the area overhead is 0 when the
+    evolution area is. *)
+
 val row_of_results : circuit_name:string -> standard:Pipeline.t -> evolution:Pipeline.t -> row
+(** [row_of_runs] over the two runs. *)
 
 val table : row list -> Iddq_util.Table.t
 (** Renders rows in the layout of the paper's Table 1. *)

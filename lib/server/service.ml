@@ -7,8 +7,8 @@ module Circuit = Iddq_netlist.Circuit
 module Bench_io = Iddq_netlist.Bench_io
 module Iscas = Iddq_netlist.Iscas
 module Partition = Iddq_core.Partition
-module Cost = Iddq_core.Cost
 module Pipeline = Iddq.Pipeline
+module Report = Iddq.Report
 module Spec = Iddq_campaign.Spec
 module Store = Iddq_campaign.Store
 module Runner = Iddq_campaign.Runner
@@ -67,26 +67,9 @@ let circuit_payload ~handle c =
     ]
 
 let partition_payload (r : Pipeline.t) =
-  let sizes =
-    List.map
-      (fun id -> Partition.size r.Pipeline.partition id)
-      (Partition.module_ids r.Pipeline.partition)
-  in
-  let b = r.Pipeline.breakdown in
   Json.Obj
-    [
-      ("method", Json.String (Pipeline.method_to_string r.Pipeline.method_used));
-      ("modules", Json.Int (Partition.num_modules r.Pipeline.partition));
-      ("module_sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
-      ("generations", Json.Int r.Pipeline.generations);
-      ("cost", Json.Float b.Cost.penalized);
-      ("feasible", Json.Bool b.Cost.feasible);
-      ("sensor_area", Json.Float b.Cost.sensor_area);
-      ("nominal_delay", Json.Float b.Cost.nominal_delay);
-      ("bic_delay", Json.Float b.Cost.bic_delay);
-      ("test_time_per_vector", Json.Float b.Cost.test_time_per_vector);
-      ("min_discriminability", Json.Float b.Cost.min_discriminability);
-    ]
+    (("method", Json.String (Pipeline.method_to_string r.Pipeline.method_used))
+    :: Report.run_fields (Report.run_of r))
 
 let sim_payload (r : Iddq_defects.Iddq_sim.result) =
   Json.Obj

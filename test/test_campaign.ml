@@ -459,13 +459,25 @@ let test_result_nonfinite_roundtrip () =
      the sentinel encoding must carry them through bit-exactly *)
   let job = sample_job () in
   let metrics = sample_metrics () in
+  let run =
+    {
+      Iddq.Report.modules = 2;
+      module_sizes = [ 3; 3 ];
+      generations = 0;
+      cost = Float.nan;
+      feasible = false;
+      sensor_area = Float.infinity;
+      nominal_delay = Float.neg_infinity;
+      bic_delay = 0.0;
+      test_time_per_vector = 0.0;
+      min_discriminability = 0.0;
+    }
+  in
   let r =
     {
       (Job_result.failure ~job ~derived_seed:3 ~elapsed:0.0 ~metrics "nf")
       with
-      Job_result.cost = Float.nan;
-      sensor_area = Float.infinity;
-      nominal_delay = Float.neg_infinity;
+      Job_result.status = Job_result.Done run;
     }
   in
   match Job_result.of_line (Job_result.to_line r) with
@@ -601,11 +613,13 @@ let test_runner_seeds_standard_from_evolution () =
             && r.Job_result.seed = 1)
           outcome.Runner.results
       in
-      let evo = find Pipeline.Evolution "C432" in
-      let std = find Pipeline.Standard "C432" in
+      let sizes method_ =
+        match Job_result.run (find method_ "C432") with
+        | Some run -> List.sort compare run.Iddq.Report.module_sizes
+        | None -> Alcotest.fail "job did not finish"
+      in
       Alcotest.(check (list int)) "standard runs at evolution's sizes"
-        (List.sort compare evo.Job_result.module_sizes)
-        (List.sort compare std.Job_result.module_sizes))
+        (sizes Pipeline.Evolution) (sizes Pipeline.Standard))
 
 let test_runner_derived_seeds () =
   let jobs = Spec.jobs tiny_spec in

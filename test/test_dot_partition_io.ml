@@ -89,6 +89,26 @@ let test_partition_io_file () =
       | Ok q -> Alcotest.(check int) "modules" 2 (Partition.num_modules q)
       | Error e -> Alcotest.failf "read_file: %s" (Io_error.to_string e))
 
+(* Tabs separate like spaces: the file [to_string] writes, with every
+   space turned into a tab or a run of blanks, parses to the same
+   assignment. *)
+let test_partition_io_tabs () =
+  let c = Iscas.c17 () in
+  let ch = Charac.make ~library:Library.default c in
+  let p = Partition.create ch ~assignment:[| 0; 1; 0; 1; 0; 1 |] in
+  let text = Partition_io.to_string p in
+  let respaced sep =
+    String.concat sep (String.split_on_char ' ' text)
+  in
+  List.iter
+    (fun (label, sep) ->
+      match Partition_io.of_string ch (respaced sep) with
+      | Error e -> Alcotest.failf "%s: %s" label (Io_error.to_string e)
+      | Ok q ->
+        Alcotest.(check (array int)) label (Partition.assignment p)
+          (Partition.assignment q))
+    [ ("tabs", "\t"); ("blank runs", " \t  \t") ]
+
 let tests =
   [
     Alcotest.test_case "dot plain" `Quick test_dot_plain;
@@ -98,4 +118,5 @@ let tests =
     Alcotest.test_case "partition io comments" `Quick
       test_partition_io_comments_tolerated;
     Alcotest.test_case "partition io file" `Quick test_partition_io_file;
+    Alcotest.test_case "partition io tabs" `Quick test_partition_io_tabs;
   ]

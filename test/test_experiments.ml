@@ -120,6 +120,18 @@ let test_stability () =
         true (o > 0.0))
     overheads
 
+(* Co-optimization on C1908: the penalized cost falls strictly from
+   each row to the next, drive selection and re-partition alike. *)
+let test_cooptimize () =
+  let rows = E.cooptimize () in
+  Alcotest.(check int) "five rows" 5 (List.length rows);
+  let costs = List.map (fun (_, b, _) -> b.Cost.penalized) rows in
+  Alcotest.(check bool)
+    (Printf.sprintf "costs %s fall strictly"
+       (String.concat " > " (List.map (Printf.sprintf "%.2f") costs)))
+    true
+    (strictly ( > ) costs)
+
 let tests =
   [
     Alcotest.test_case "ablation A: standard costliest" `Slow test_ablation_opt;
@@ -130,4 +142,5 @@ let tests =
     Alcotest.test_case "sizing: expectation overshoots" `Slow test_sizing;
     Alcotest.test_case "c17: two 3-gate modules" `Slow test_c17;
     Alcotest.test_case "stability: evolution wins on every seed" `Slow test_stability;
+    Alcotest.test_case "cooptimize: cost falls at every step" `Slow test_cooptimize;
   ]

@@ -259,6 +259,46 @@ let test_compare_methods_result_ok () =
       [ "standard"; "evolution" ]
       (List.map (fun (m, _) -> Pipeline.method_to_string m) results)
 
+(* Every cost evaluation of a run is recorded in the metrics its caller
+   passed: the global instance does not move. *)
+let test_private_metrics_leave_global () =
+  let module Metrics = Iddq_util.Metrics in
+  let unchanged what f =
+    let before = Metrics.snapshot Metrics.global in
+    f ();
+    Alcotest.(check bool)
+      (what ^ ": global metrics unchanged")
+      true
+      (Metrics.snapshot Metrics.global = before)
+  in
+  let c17 = Iscas.c17 () in
+  List.iter
+    (fun m ->
+      let metrics = Metrics.create () in
+      unchanged (Pipeline.method_to_string m) (fun () ->
+          ignore (ok (Pipeline.run_result ~config:(Pipeline.config ~metrics ()) m c17)));
+      Alcotest.(check bool)
+        (Pipeline.method_to_string m ^ ": private metrics recorded")
+        true
+        (Metrics.get (Metrics.snapshot metrics) Metrics.full_evals > 0))
+    [ Pipeline.Refined_standard; Pipeline.Annealing ];
+  let r = ok (Pipeline.run_result Pipeline.Standard c17) in
+  let rng = Iddq_util.Rng.create 3 in
+  let vectors =
+    Array.init 16 (fun _ -> Array.init 5 (fun _ -> Iddq_util.Rng.bool rng))
+  in
+  let faults =
+    Iddq_defects.Fault.random_population ~rng c17 ~count:12
+      ~defect_current:1e-5
+  in
+  let metrics = Metrics.create () in
+  unchanged "Iddq_sim.run_partitioned" (fun () ->
+      ignore
+        (Iddq_defects.Iddq_sim.run_partitioned ~metrics r.Pipeline.partition
+           ~vectors ~faults));
+  Alcotest.(check int) "Iddq_sim: its evaluation is private" 1
+    (Metrics.get (Metrics.snapshot metrics) Metrics.full_evals)
+
 let tests =
   [
     Alcotest.test_case "method strings" `Quick test_method_string_roundtrip;
@@ -283,4 +323,6 @@ let tests =
       test_compare_methods_equals_seeded_run;
     Alcotest.test_case "deterministic" `Slow test_deterministic_given_seed;
     Alcotest.test_case "module size config" `Quick test_module_size_config;
+    Alcotest.test_case "private metrics leave the global ones" `Quick
+      test_private_metrics_leave_global;
   ]

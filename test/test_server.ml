@@ -12,6 +12,9 @@ module Server = Iddq_server.Server
 module Client = Iddq_server.Client
 module Iscas = Iddq_netlist.Iscas
 module Pipeline = Iddq.Pipeline
+module Spec = Iddq_campaign.Spec
+module Store = Iddq_campaign.Store
+module Runner = Iddq_campaign.Runner
 
 let json = Alcotest.testable (fun fmt j -> Format.pp_print_string fmt (Json.to_string j)) ( = )
 
@@ -325,6 +328,68 @@ let test_service_cache_hits () =
     (Metrics.get s2 Metrics.requests >= 3
     && Metrics.seconds s2 Metrics.seconds_requests >= 0.0);
   Service.stop service
+
+(* The partition reply and a campaign record encode a run's
+   measurements one way: for a C17 standard run (which no seed
+   changes) the reply's members after "method" are the record's
+   measurement members, with equal values, in the same order. *)
+let test_partition_reply_matches_campaign_record () =
+  let service = Service.create () in
+  let handle = load_c17 service in
+  let reply =
+    ask_ok "partition" service
+      (Protocol.Partition
+         {
+           handle;
+           method_ = Pipeline.Standard;
+           seed = 5;
+           module_size = None;
+           require_feasible = false;
+         })
+  in
+  Service.stop service;
+  let spec =
+    {
+      Spec.default with
+      Spec.circuits = [ "C17" ];
+      methods = [ Pipeline.Standard ];
+      seeds = [ 1 ];
+    }
+  in
+  let path = Filename.temp_file "iddq-reply-record" ".jsonl" in
+  let record =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let store = Result.get_ok (Store.open_ path) in
+        (match Runner.run ~store spec with
+        | Ok o -> Alcotest.(check int) "job ok" 1 o.Runner.ok
+        | Error e -> Alcotest.fail (Runner.error_to_string e));
+        Store.close store;
+        match Json.parse (String.trim (In_channel.with_open_bin path In_channel.input_all)) with
+        | Ok j -> j
+        | Error e -> Alcotest.fail e)
+  in
+  let members = function
+    | Json.Obj kvs -> kvs
+    | _ -> Alcotest.fail "not an object"
+  in
+  let measured =
+    List.filter (fun (k, _) -> k <> "method") (members reply)
+  in
+  let identity =
+    [ "job"; "circuit"; "method"; "seed"; "derived_seed"; "module_size";
+      "status"; "elapsed"; "metrics" ]
+  in
+  let recorded =
+    List.filter (fun (k, _) -> not (List.mem k identity)) (members record)
+  in
+  Alcotest.(check int) "ten measurements" 10 (List.length measured);
+  Alcotest.(check (list string)) "same measurement keys"
+    (List.map fst measured) (List.map fst recorded);
+  List.iter
+    (fun (k, v) -> Alcotest.check json k v (List.assoc k recorded))
+    measured
 
 (* The benchmark reads the [metrics] reply's counters by name and takes
    a missing one as 0, so a rename would pass every other test: the
@@ -1252,6 +1317,8 @@ let qcheck_cursor_decoder_equivalent =
 let tests =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
+    Alcotest.test_case "partition reply = campaign record" `Quick
+      test_partition_reply_matches_campaign_record;
     QCheck_alcotest.to_alcotest qcheck_frame_split_boundaries;
     Alcotest.test_case "frame malformed stays in sync" `Quick
       test_frame_malformed_stays_in_sync;
