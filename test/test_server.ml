@@ -1317,8 +1317,6 @@ let qcheck_cursor_decoder_equivalent =
 let tests =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
-    Alcotest.test_case "partition reply = campaign record" `Quick
-      test_partition_reply_matches_campaign_record;
     QCheck_alcotest.to_alcotest qcheck_frame_split_boundaries;
     Alcotest.test_case "frame malformed stays in sync" `Quick
       test_frame_malformed_stays_in_sync;
@@ -1363,4 +1361,6 @@ let tests =
       test_emfile_no_busy_spin;
     QCheck_alcotest.to_alcotest qcheck_cursor_decoder_equivalent;
     Alcotest.test_case "metrics wire names" `Quick test_metrics_wire_names;
+    Alcotest.test_case "partition reply = campaign record" `Quick
+      test_partition_reply_matches_campaign_record;
   ]
