@@ -19,13 +19,14 @@ let out_of_order ~where ~gate ~neighbour =
 
 (* Every pass reads fanins (or fanouts) straight from the CSR arrays,
    in stored order: [critical_path] keeps the first latest fanin on a
-   tie. *)
-let arrival_times ch ~gate_delay =
+   tie.  The arrival pass reads one delay per gate from a float array
+   and writes into [arr], so a caller that owns both allocates
+   nothing. *)
+let fill_arrivals ch delays arr =
   let c = Charac.circuit ch in
   let ni = Circuit.num_inputs c in
   let offsets = Circuit.Csr.fanin_offsets c in
   let targets = Circuit.Csr.fanin_targets c in
-  let arr = Array.make (Charac.num_gates ch) 0.0 in
   for id = ni to Circuit.num_nodes c - 1 do
     let g = id - ni in
     let latest = ref 0.0 in
@@ -36,20 +37,53 @@ let arrival_times ch ~gate_delay =
         if not (!latest >= arr.(h)) then latest := arr.(h)
       end
     done;
-    arr.(g) <- !latest +. gate_delay g
-  done;
+    arr.(g) <- !latest +. delays.(g)
+  done
+
+let delays_of ch gate_delay = Array.init (Charac.num_gates ch) gate_delay
+
+let arrival_times ch ~gate_delay =
+  let arr = Array.make (Charac.num_gates ch) 0.0 in
+  fill_arrivals ch (delays_of ch gate_delay) arr;
   arr
 
 (* Latest arrival over the primary outputs that are gates. *)
 let latest_output c arr =
-  Array.fold_left
-    (fun acc id ->
-      if Circuit.is_gate c id then Stdlib.max acc arr.(Circuit.gate_of_node c id)
-      else acc)
-    0.0 (Circuit.outputs c)
+  let outputs = Circuit.Csr.outputs c in
+  let latest = ref 0.0 in
+  for i = 0 to Array.length outputs - 1 do
+    let id = outputs.(i) in
+    if Circuit.is_gate c id then begin
+      let a = arr.(Circuit.gate_of_node c id) in
+      if not (!latest >= a) then latest := a
+    end
+  done;
+  !latest
+
+(* The arrivals of [longest_path_of_delays], one buffer per domain,
+   grown to the largest circuit seen: evaluators on distinct domains
+   run at once, and one domain runs one pass at a time. *)
+let arrival_buffer : float array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> [||])
+
+let longest_path_of_delays ch delays =
+  let n = Charac.num_gates ch in
+  if Array.length delays <> n then
+    invalid_arg "Timing.longest_path_of_delays: one delay per gate expected";
+  let arr =
+    let b = Domain.DLS.get arrival_buffer in
+    if Array.length b >= n then b
+    else begin
+      let b = Array.make n 0.0 in
+      Domain.DLS.set arrival_buffer b;
+      b
+    end
+  in
+  fill_arrivals ch delays arr;
+  latest_output (Charac.circuit ch) arr
 
 let longest_path ch ~gate_delay =
-  latest_output (Charac.circuit ch) (arrival_times ch ~gate_delay)
+  longest_path_of_delays ch (delays_of ch gate_delay)
 
 let nominal_delay ch = longest_path ch ~gate_delay:(Charac.delay ch)
 
@@ -117,7 +151,9 @@ let slacks ch ~gate_delay =
         total -. arr.(g)
       else required.(g) -. arr.(g))
 
-let degradation_factor ~vdd ~rs ~cs ~rg ~cg ~transient_current =
+(* Inlined, so a per-gate caller passes and gets back unboxed floats:
+   the incremental evaluator calls it once per recomputed gate. *)
+let[@inline] degradation_factor ~vdd ~rs ~cs ~rg ~cg ~transient_current =
   let bounce = rs *. transient_current in
   let tau_s = rs *. cs and tau_g = rg *. cg in
   let overlap =

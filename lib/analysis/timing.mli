@@ -38,7 +38,17 @@ val arrival_times : Charac.t -> gate_delay:(int -> float) -> float array
     [Invalid_argument] instead of returning silently wrong delays. *)
 
 val longest_path : Charac.t -> gate_delay:(int -> float) -> float
-(** Maximum arrival over the primary outputs. *)
+(** Maximum arrival over the primary outputs: the delays are read into
+    an array, then {!longest_path_of_delays}. *)
+
+val longest_path_of_delays : Charac.t -> float array -> float
+(** [longest_path_of_delays ch delays] is {!longest_path} with gate
+    [g]'s delay [delays.(g)]: the same pass and comparisons, so the
+    same float.  The arrivals go to a buffer kept per domain, so the
+    call allocates nothing once the buffer has grown to the circuit —
+    the pass an incremental evaluator reruns after every move.
+    Raises [Invalid_argument] unless [delays] has one entry per
+    gate. *)
 
 val nominal_delay : Charac.t -> float
 (** [longest_path] with the nominal cell delays: the paper's [D]. *)

@@ -17,7 +17,13 @@ module Partition = Iddq_core.Partition
    frontier — can beat [adj] 0, and no step scans all n gates: the
    next gate comes from the frontier, or, when it is empty, from the
    first free ids (a path-compressed next-free array); seeds come from
-   the level-major gate order. *)
+   the level-major gate order.
+
+   The same balls price the finished modules: a member's ball reaching
+   an earlier member of the open module adds [cutoff - sep] to the
+   module's in-horizon closeness A(M), each pair once, from its later
+   end.  So S(M) comes out of the clustering and the partition is
+   built with no S(M) sweep of its own. *)
 let partition ch ~module_sizes =
   let n = Charac.num_gates ch in
   if List.exists (fun s -> s <= 0) module_sizes then
@@ -65,10 +71,14 @@ let partition ch ~module_sizes =
   let near_free = Array.make n 0 in
   Graph_algo.multi_bfs_sweep u (Graph_algo.make_multi_bfs u) ~cutoff
     ~pass:(fun _ _ -> ())
-    (fun h d bits ->
+    (fun h d lo hi ->
       if d > 0 then
         near_free.(h) <-
-          near_free.(h) + (Graph_algo.popcount bits * (cutoff - d + 1)));
+          near_free.(h)
+          + ((Graph_algo.popcount lo + Graph_algo.popcount hi) * (cutoff - d + 1)));
+  (* A(M) of every module; the open one's accumulates as it grows *)
+  let near_module = Array.make (List.length module_sizes) 0 in
+  let open_module = ref 0 in
   (* the gates of one BFS level, at distance d: separation d - 1 *)
   let reach queue first stop d =
     let near = cutoff - d + 1 in
@@ -82,9 +92,14 @@ let partition ch ~module_sizes =
         end;
         adj.(h) <- a + near
       end
+      else begin
+        let m = !open_module in
+        if assignment.(h) = m then near_module.(m) <- near_module.(m) + near
+      end
     done
   in
   let add_to_module m g =
+    open_module := m;
     assignment.(g) <- m;
     adj.(g) <- -1;
     next_free.(g) <- g + 1;
@@ -171,7 +186,7 @@ let partition ch ~module_sizes =
       done;
       close_module ())
     module_sizes;
-  Partition.create ch ~assignment
+  Partition.create_with_near ch ~assignment ~near:near_module
 
 let partition_uniform ch ~num_modules =
   let n = Charac.num_gates ch in

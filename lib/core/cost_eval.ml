@@ -111,7 +111,7 @@ let refresh t =
       t.gate_delay.(g) <- Charac.delay ch g *. delta
     end
   done;
-  let bic_delay = Timing.longest_path ch ~gate_delay:(Array.get t.gate_delay) in
+  let bic_delay = Timing.longest_path_of_delays ch t.gate_delay in
   let sensors =
     List.map
       (fun m ->

@@ -22,17 +22,17 @@ type t = {
 }
 
 (* One batched-move workspace per domain, replaced only when a circuit
-   of another size comes along: the multi-source BFS plus a stamp that
-   marks the gates of the batch in flight.  Partitions moved on one
-   domain (ES offspring built on a pool, say) share it instead of each
-   holding their own, and the S(M) sweep of [create_many] borrows its
-   BFS.  Sharing is safe because a move or a sweep is done with the
-   workspace before the next one starts, and no two threads run on
-   one domain here. *)
+   of another size comes along: the multi-source BFS plus the per-module
+   tally a batch's reports add into.  Partitions moved on one domain
+   (ES offspring built on a pool, say) share it instead of each holding
+   their own, and the S(M) sweep of [create_many] borrows its BFS.
+   Sharing is safe because a move or a sweep is done with the workspace
+   before the next one starts, and no two threads run on one domain
+   here.  A partition has at most one module per gate, so [n + 1]
+   tally slots cover every module id and the batch's phantom one. *)
 type move_workspace = {
   bfs : Graph_algo.multi_bfs;
-  batch : int array; (* batch.(g) = epoch while g is being moved *)
-  mutable epoch : int;
+  tally : int array; (* per module id, then the phantom id *)
 }
 
 let move_workspace : (int * move_workspace) option Domain.DLS.key =
@@ -44,9 +44,7 @@ let workspace_of ch =
   match Domain.DLS.get move_workspace with
   | Some (size, s) when size = n -> s
   | _ ->
-    let s =
-      { bfs = Graph_algo.make_multi_bfs u; batch = Array.make n 0; epoch = 0 }
-    in
+    let s = { bfs = Graph_algo.make_multi_bfs u; tally = Array.make (n + 1) 0 } in
     Domain.DLS.set move_workspace (Some (n, s));
     s
 
@@ -90,27 +88,30 @@ let remove_gate_aggregates ch st g =
       st.current_profile.(slot) <- st.current_profile.(slot) -. ipk;
       st.count_profile.(slot) <- st.count_profile.(slot) - 1)
 
-(* Full S(M) from scratch for every module of several assignments in
-   one sweep of 63-source passes ({!Graph_algo.multi_bfs_sweep}): the
-   traversals depend only on the graph, so one sweep serves every
-   assignment.  Any pair beyond the BFS horizon sits at exactly
-   [cutoff], so
+(* Any pair beyond the BFS horizon sits at exactly [cutoff], so a
+   module's S(M) is [cutoff] times its pair count less its in-horizon
+   closeness
 
-     S(M) = cutoff * |M|(|M| - 1)/2 - A(M),
      A(M) = sum over in-horizon pairs g < h of M of (cutoff - sep g h).
 
-   During a pass, [mask] holds per (assignment, module) the bits of
-   the pass's sources in that module.  A gate [h] reached at distance
-   [d >= 1] by the sources in [bits] adds [cutoff - (d - 1)] to A of
-   its module once per source of that module with a smaller id — the
-   pair's other end reaches it too, and only the smaller id counts.
-   The sums are integers, so the order of the passes cannot change
-   them. *)
-let separation_totals ch assignments ks =
+   [near_totals] computes A(M) from scratch for every module of several
+   assignments in one sweep of 126-source passes
+   ({!Graph_algo.multi_bfs_sweep}): the traversals depend only on the
+   graph, so one sweep serves every assignment.
+
+   During a pass, [mask] holds per (assignment, module) the two-word
+   mask of the pass's sources in that module.  A gate [h] reached at
+   distance [d >= 1] by the sources in [lo], [hi] adds [cutoff - (d -
+   1)] to A of its module once per source of that module with a
+   smaller id — the pair's other end reaches it too, and only the
+   smaller id counts.  The sums are integers, so the order of the
+   passes cannot change them. *)
+let near_totals ch assignments ks =
   let u = Charac.undirected ch in
   let cutoff = Charac.separation_cutoff ch in
   let n = Charac.num_gates ch in
   let a = Array.length assignments in
+  let word = Sys.int_size in
   (* one slot per (assignment, module): assignment [j]'s from off.(j) *)
   let off = Array.make (a + 1) 0 in
   Array.iteri (fun j k -> off.(j + 1) <- off.(j) + k) ks;
@@ -120,36 +121,49 @@ let separation_totals ch assignments ks =
     (fun j asg ->
       Array.iteri (fun g m -> slot.((g * a) + j) <- off.(j) + m) asg)
     assignments;
-  let size = Array.make off.(a) 0 in
-  Array.iter (fun s -> size.(s) <- size.(s) + 1) slot;
-  let near = Array.make off.(a) 0 and mask = Array.make off.(a) 0 in
+  (* slot [s]'s mask in words [2s] (sources 0..62) and [2s + 1] *)
+  let near = Array.make off.(a) 0 and mask = Array.make (2 * off.(a)) 0 in
   let first = ref 0 and last = ref 0 in
   let pass base len =
     for g = !first to !last - 1 do
       for j = 0 to a - 1 do
-        mask.(slot.((g * a) + j)) <- 0
+        let x = 2 * slot.((g * a) + j) in
+        mask.(x) <- 0;
+        mask.(x + 1) <- 0
       done
     done;
     first := base;
     last := base + len;
     for g = base to base + len - 1 do
-      let bit = 1 lsl (g - base) in
+      let i = g - base in
+      let high = if i < word then 0 else 1 in
+      let bit = 1 lsl (i - (high * word)) in
       for j = 0 to a - 1 do
-        let s = slot.((g * a) + j) in
-        mask.(s) <- mask.(s) lor bit
+        let x = (2 * slot.((g * a) + j)) + high in
+        mask.(x) <- mask.(x) lor bit
       done
     done
   in
-  let report h d bits =
+  let report h d lo hi =
     if d > 0 && h > !first then begin
-      let below =
-        if h >= !last then bits else bits land ((1 lsl (h - !first)) - 1)
+      (* the sources with ids below [h]: all of them past the pass *)
+      let i = h - !first in
+      let below_lo =
+        if h >= !last || i >= word then lo else lo land ((1 lsl i) - 1)
+      and below_hi =
+        if h >= !last then hi
+        else if i < word then 0
+        else hi land ((1 lsl (i - word)) - 1)
       in
-      if below <> 0 then begin
+      if below_lo lor below_hi <> 0 then begin
         let w = cutoff - d + 1 and base = h * a in
         for j = 0 to a - 1 do
           let s = Array.unsafe_get slot (base + j) in
-          let c = Graph_algo.popcount (below land Array.unsafe_get mask s) in
+          let c =
+            Graph_algo.popcount (below_lo land Array.unsafe_get mask (2 * s))
+            + Graph_algo.popcount
+                (below_hi land Array.unsafe_get mask ((2 * s) + 1))
+          in
           if c > 0 then
             Array.unsafe_set near s (Array.unsafe_get near s + (c * w))
         done
@@ -157,12 +171,7 @@ let separation_totals ch assignments ks =
     end
   in
   Graph_algo.multi_bfs_sweep u (workspace_of ch).bfs ~cutoff ~pass report;
-  Array.mapi
-    (fun j k ->
-      Array.init k (fun m ->
-          let s = off.(j) + m in
-          (cutoff * size.(s) * (size.(s) - 1) / 2) - near.(s)))
-    ks
+  Array.mapi (fun j k -> Array.sub near off.(j) k) ks
 
 (* Validates one assignment and builds its modules' aggregates, all but
    S(M). *)
@@ -188,28 +197,36 @@ let modules_of ch assignment =
     invalid_arg "Partition.create: module ids must be dense (no empty id)";
   mods
 
+(* The partition of validated [mods], each module's S(M) from its
+   A(M) [near.(m)]. *)
+let of_near ch assignment mods ~near =
+  if Array.length near <> Array.length mods then
+    invalid_arg "Partition.create_with_near: one sum per module";
+  let cutoff = Charac.separation_cutoff ch in
+  Array.iteri
+    (fun m st ->
+      let k = st.gate_count in
+      st.sep_total <- (cutoff * k * (k - 1) / 2) - near.(m))
+    mods;
+  { ch; assignment; mods; live_count = Array.length mods }
+
 let create_many ch ~assignments =
   let assignments = Array.of_list (List.map Array.copy assignments) in
   let mods = Array.map (modules_of ch) assignments in
-  let totals =
-    separation_totals ch assignments (Array.map Array.length mods)
-  in
+  let near = near_totals ch assignments (Array.map Array.length mods) in
   Array.to_list
     (Array.mapi
-       (fun j assignment ->
-         Array.iteri (fun m s -> mods.(j).(m).sep_total <- s) totals.(j);
-         {
-           ch;
-           assignment;
-           mods = mods.(j);
-           live_count = Array.length mods.(j);
-         })
+       (fun j assignment -> of_near ch assignment mods.(j) ~near:near.(j))
        assignments)
 
 let create ch ~assignment =
   match create_many ch ~assignments:[ assignment ] with
   | [ t ] -> t
   | _ -> assert false
+
+let create_with_near ch ~assignment ~near =
+  let assignment = Array.copy assignment in
+  of_near ch assignment (modules_of ch assignment) ~near
 
 let copy t =
   {
@@ -246,15 +263,21 @@ let members t m =
      S(A) by -(cross(S, A \ S) + S(S))     S(B) by +(cross(S, B) + S(S))
 
    where cross(X, Y) sums the separations of the pairs between X and Y.
-   Every sum uses the out-of-horizon identity of [separation_totals]:
+   Every sum uses the out-of-horizon identity of [near_totals]:
    partners beyond the horizon sit at exactly [cutoff], so each sum is
    [cutoff] times its pair count less a correction over the pairs the
    BFS reached.  One multi-source pass serves up to [multi_width] gates
-   of [S]; a gate reached at distance [d] by the sources in [bits]
-   corrects by [popcount bits * (cutoff - (d - 1))].  Pairs within [S]
-   are reached from both ends, hence the halving.  The result is the
-   integer sequential moves would reach, and the float aggregates are
-   updated gate by gate in batch order, as sequential moves do. *)
+   of [S]; a gate reached at distance [d] by the sources in [lo], [hi]
+   corrects by [popcount * (cutoff - (d - 1))].  While the passes run,
+   the gates of [S] sit in a phantom module, the id one past the last,
+   so every report adds its correction to the tally of the reached
+   gate's module with no test of which module that is: the tallies of
+   [A] and [B] are the corrections of cross(S, A \ S) and cross(S, B),
+   and the phantom's, less the [cutoff + 1] each source adds for
+   itself at distance 0, that of S(S), whose pairs are reached from
+   both ends, hence the halving.  The result is the integer sequential
+   moves would reach, and the float aggregates are updated gate by gate
+   in batch order, as sequential moves do. *)
 let move_gates t gates ~target =
   let k = Array.length gates in
   if k > 0 then begin
@@ -268,29 +291,29 @@ let move_gates t gates ~target =
       invalid_arg "Partition.move_gates: target is the source module";
     if target < 0 || target >= Array.length t.mods || not t.mods.(target).live
     then invalid_arg "Partition.move_gates: target not a live module";
+    let assignment = t.assignment in
+    let phantom = Array.length t.mods in
+    for i = 0 to k - 1 do
+      let g = gates.(i) in
+      if assignment.(g) = phantom then begin
+        (* a duplicate: put the batch back before rejecting it *)
+        for j = 0 to i - 1 do
+          assignment.(gates.(j)) <- src
+        done;
+        invalid_arg "Partition.move_gates: duplicate gate"
+      end;
+      assignment.(g) <- phantom
+    done;
     let s = workspace_of t.ch in
-    s.epoch <- s.epoch + 1;
-    let epoch = s.epoch in
-    Array.iter
-      (fun g ->
-        if s.batch.(g) = epoch then
-          invalid_arg "Partition.move_gates: duplicate gate";
-        s.batch.(g) <- epoch)
-      gates;
+    let tally = s.tally in
+    Array.fill tally 0 (phantom + 1) 0;
     let u = Charac.undirected t.ch in
     let cutoff = Charac.separation_cutoff t.ch in
-    let adj_rest = ref 0 and adj_batch = ref 0 and adj_target = ref 0 in
-    let report h d bits =
-      if d > 0 then begin
-        let near = Graph_algo.popcount bits * (cutoff - d + 1) in
-        if Array.unsafe_get s.batch h = epoch then
-          adj_batch := !adj_batch + near
-        else begin
-          let m = Array.unsafe_get t.assignment h in
-          if m = src then adj_rest := !adj_rest + near
-          else if m = target then adj_target := !adj_target + near
-        end
-      end
+    let report h d lo hi =
+      let m = Array.unsafe_get assignment h in
+      Array.unsafe_set tally m
+        (Array.unsafe_get tally m
+        + ((Graph_algo.popcount lo + Graph_algo.popcount hi) * (cutoff - d + 1)))
     in
     (* the sums do not depend on which gates share a pass, but the
        cost does: gates close in id order tend to be close in the
@@ -311,15 +334,16 @@ let move_gates t gates ~target =
       Graph_algo.multi_bfs_from u s.bfs ~cutoff sources ~pos:!pos ~len report;
       pos := !pos + len
     done;
+    let adj_batch = tally.(phantom) - (k * (cutoff + 1)) in
     let src_st = t.mods.(src) and tgt_st = t.mods.(target) in
-    let within = ((cutoff * k * (k - 1)) - !adj_batch) / 2 in
-    let lost = (cutoff * k * (src_st.gate_count - k)) - !adj_rest + within in
-    let gained = (cutoff * k * tgt_st.gate_count) - !adj_target + within in
+    let within = ((cutoff * k * (k - 1)) - adj_batch) / 2 in
+    let lost = (cutoff * k * (src_st.gate_count - k)) - tally.(src) + within in
+    let gained = (cutoff * k * tgt_st.gate_count) - tally.(target) + within in
     Array.iter
       (fun g ->
         remove_gate_aggregates t.ch src_st g;
         add_gate_aggregates t.ch tgt_st g;
-        t.assignment.(g) <- target)
+        assignment.(g) <- target)
       gates;
     src_st.sep_total <- src_st.sep_total - lost;
     tgt_st.sep_total <- tgt_st.sep_total + gained;
@@ -363,12 +387,22 @@ let neighbour_modules ?module_of t g =
 
 let leakage t m = t.mods.(m).m_leakage
 
+(* [Stdlib.max]'s comparison in a float loop, which boxes nothing:
+   the incremental evaluator sizes a sensor from it on every refresh *)
 let max_transient_current t m =
-  Array.fold_left Stdlib.max 0.0 t.mods.(m).current_profile
+  let profile = t.mods.(m).current_profile in
+  let peak = ref 0.0 in
+  for slot = 0 to Array.length profile - 1 do
+    let x = profile.(slot) in
+    if not (!peak >= x) then peak := x
+  done;
+  !peak
 
 let current_profile t m = Array.copy t.mods.(m).current_profile
 let activity t m slot = t.mods.(m).count_profile.(slot)
-let transient_at t m slot = t.mods.(m).current_profile.(slot)
+(* Inlined, so the incremental evaluator's per-gate loop reads the
+   float unboxed. *)
+let[@inline] transient_at t m slot = t.mods.(m).current_profile.(slot)
 let rail_capacitance t m = t.mods.(m).m_rail_cap
 let separation_total t m = t.mods.(m).sep_total
 

@@ -21,11 +21,22 @@ val create_many :
 (** [create_many ch ~assignments] is [List.map (create ch) assignments]
     in one sweep: the S(M) totals of every assignment come from one
     {!Iddq_netlist.Graph_algo.multi_bfs_sweep}, a multi-source
-    truncated BFS per 63 consecutive gate ids, on the workspace
+    truncated BFS per 126 consecutive gate ids, on the workspace
     {!move_gates} keeps per domain.  Its cost is the union of each
     pass's balls, several times less than one BFS per gate on the
     ISCAS85 stand-ins.  Each assignment is validated as in
     {!create}. *)
+
+val create_with_near :
+  Iddq_analysis.Charac.t -> assignment:int array -> near:int array -> t
+(** [create_with_near ch ~assignment ~near] is {!create} for a caller
+    that already holds each module's in-horizon closeness
+    [near.(m) = A(M)], the sum of [cutoff - S(g, h)] over the pairs of
+    [M] within the separation horizon: S(M) is then
+    [cutoff * |M|(|M| - 1)/2 - A(M)] with no BFS at all.  The
+    assignment is validated as in {!create}; [near] is trusted (a
+    wrong sum shows in {!check_consistent}).  Raises
+    [Invalid_argument] unless [near] has one entry per module. *)
 
 val copy : t -> t
 (** Deep copy; the copy mutates independently. *)
@@ -58,7 +69,9 @@ val move_gates : t -> int array -> target:int -> unit
     order) all match bit for bit.  [A] dies when the batch empties it.
     The S(M) deltas take one multi-source truncated BFS
     ({!Iddq_netlist.Graph_algo.multi_bfs_from}) per
-    {!Iddq_netlist.Graph_algo.multi_width} gates, on a workspace kept
+    {!Iddq_netlist.Graph_algo.multi_width} gates, whose reports add
+    into a per-module tally with the batch standing in a phantom
+    module id meanwhile, on a workspace kept
     per domain: distinct partitions may move on distinct domains at
     once, but not from two threads of one domain.  An empty batch is
     a no-op.  Raises [Invalid_argument], before any state changes, on

@@ -17,7 +17,7 @@
     move through {!Iddq_core.Cost_eval.move}; a Monte-Carlo journal
     (gates of one module into one target) replays as one
     {!Iddq_core.Cost_eval.move_gates} batch, one multi-source
-    separation BFS per 63 moved gates.  A child's cost is a delta
+    separation BFS per 126 moved gates.  A child's cost is a delta
     evaluation touching only the modules its moves changed (one
     refresh per child, however many gates moved) instead of a full
     {!Iddq_core.Cost.evaluate}.  Offspring evaluators are fully

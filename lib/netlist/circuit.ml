@@ -208,6 +208,7 @@ module Csr = struct
   let levels c = c.levels
   let level_order c = c.level_order
   let level_offsets c = c.level_offsets
+  let outputs c = c.outputs
 end
 
 type stats = {

@@ -144,6 +144,10 @@ module Csr : sig
       [level_order.(level_offsets.(l-1)) ..
        level_order.(level_offsets.(l) - 1)].  Borrowed — do not
       mutate. *)
+
+  val outputs : t -> int array
+  (** The {!outputs} array itself, for allocation-free passes.
+      Borrowed — do not mutate. *)
 end
 
 (** {1 Statistics and validation} *)

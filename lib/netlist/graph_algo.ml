@@ -173,21 +173,25 @@ let bfs_levels u b ~cutoff source f =
 
 (* Multi-source truncated BFS (Then et al., "The More the Merrier",
    VLDB 2014): up to [multi_width] traversals run as one, source [i]
-   owning bit [i] of a native int.  Per gate, [seen] holds the bits of
-   every source that reached it, [frontier] the bits that reached it
-   at the current level and [next] those reaching it at the next one;
-   a level ORs each frontier gate's bits into its neighbours.  A gate
-   is listed once per level it receives new bits on, so a pass costs
-   the union of the balls, not their sum.  [touched] lists every gate
-   with a nonzero [seen]; the next traversal clears exactly those.
+   owning bit [i] of a two-word mask — bits 0..62 in the low word,
+   63..125 in the high one.  Per gate, [seen] holds the bits of every
+   source that reached it, [frontier] the bits that reached it at the
+   current level and [next] those reaching it at the next one; a level
+   ORs each frontier gate's bits into its neighbours.  The two words of
+   a gate sit side by side ([2g], [2g + 1]), so a gate's mask is read
+   in one place, not from two arrays.  A gate is listed once per level it receives new bits
+   on, so a pass costs the union of the balls, not their sum.
+   [touched] lists every gate with a nonzero [seen]; the next traversal
+   clears exactly those, [next] included: a level drains every [next]
+   it sets, but a callback that raises mid-level leaves the rest set.
    [frontier] needs no clearing: a gate's entry is written whenever it
    joins a level list, and read only while it is on one. *)
-let multi_width = Sys.int_size
+let multi_width = 2 * Sys.int_size
 
 type multi_bfs = {
-  seen : int array;
-  frontier : int array;
-  next : int array;
+  seen : int array; (* two words per gate *)
+  frontier : int array; (* two words per gate *)
+  next : int array; (* two words per gate *)
   level : int array; (* gates with frontier bits *)
   next_level : int array; (* gates with next bits *)
   touched : int array;
@@ -197,9 +201,9 @@ type multi_bfs = {
 let make_multi_bfs u =
   let n = num_gates u in
   {
-    seen = Array.make n 0;
-    frontier = Array.make n 0;
-    next = Array.make n 0;
+    seen = Array.make (2 * n) 0;
+    frontier = Array.make (2 * n) 0;
+    next = Array.make (2 * n) 0;
     level = Array.make n 0;
     next_level = Array.make n 0;
     touched = Array.make n 0;
@@ -216,16 +220,18 @@ let[@inline] popcount x =
   (x * 0x0101_0101_0101_0101) lsr 56
 
 let multi_bfs_from u b ~cutoff sources ~pos ~len f =
-  if Array.length b.seen <> num_gates u then
+  if Array.length b.level <> num_gates u then
     invalid_arg "Graph_algo.multi_bfs_from: workspace sized for another graph";
   if len < 0 || len > multi_width || pos < 0 || pos > Array.length sources - len
   then invalid_arg "Graph_algo.multi_bfs_from: bad source range";
   let seen = b.seen and frontier = b.frontier and next = b.next in
   let touched = b.touched in
   for i = 0 to b.n_touched - 1 do
-    let g = Array.unsafe_get touched i in
-    Array.unsafe_set seen g 0;
-    Array.unsafe_set next g 0
+    let x = 2 * Array.unsafe_get touched i in
+    Array.unsafe_set seen x 0;
+    Array.unsafe_set seen (x + 1) 0;
+    Array.unsafe_set next x 0;
+    Array.unsafe_set next (x + 1) 0
   done;
   b.n_touched <- 0;
   let offsets = u.offsets and targets = u.targets in
@@ -234,19 +240,23 @@ let multi_bfs_from u b ~cutoff sources ~pos ~len f =
   let width = ref 0 in
   for i = 0 to len - 1 do
     let g = sources.(pos + i) in
-    if seen.(g) = 0 then begin
+    let x = 2 * g in
+    if seen.(x) lor seen.(x + 1) = 0 then begin
       touched.(!nt) <- g;
       incr nt;
       !level.(!width) <- g;
       incr width
     end;
-    seen.(g) <- seen.(g) lor (1 lsl i);
-    frontier.(g) <- seen.(g)
+    if i < Sys.int_size then seen.(x) <- seen.(x) lor (1 lsl i)
+    else seen.(x + 1) <- seen.(x + 1) lor (1 lsl (i - Sys.int_size))
   done;
   b.n_touched <- !nt;
   for i = 0 to !width - 1 do
     let g = !level.(i) in
-    f g 0 frontier.(g)
+    let x = 2 * g in
+    frontier.(x) <- seen.(x);
+    frontier.(x + 1) <- seen.(x + 1);
+    f g 0 seen.(x) seen.(x + 1)
   done;
   let d = ref 0 in
   while !width > 0 && !d < cutoff do
@@ -254,23 +264,27 @@ let multi_bfs_from u b ~cutoff sources ~pos ~len f =
     let reached = ref 0 in
     for i = 0 to !width - 1 do
       let v = Array.unsafe_get cur i in
-      let bits = Array.unsafe_get frontier v in
+      let lo = Array.unsafe_get frontier (2 * v)
+      and hi = Array.unsafe_get frontier ((2 * v) + 1) in
       for k = Array.unsafe_get offsets v to Array.unsafe_get offsets (v + 1) - 1 do
         let w = Array.unsafe_get targets k in
-        let sw = Array.unsafe_get seen w in
-        let fresh = bits land lnot sw in
-        if fresh <> 0 then begin
-          if sw = 0 then begin
+        let x = 2 * w in
+        let slo = Array.unsafe_get seen x and shi = Array.unsafe_get seen (x + 1) in
+        let flo = lo land lnot slo and fhi = hi land lnot shi in
+        if flo lor fhi <> 0 then begin
+          if slo lor shi = 0 then begin
             Array.unsafe_set touched !nt w;
             incr nt
           end;
-          let nw = Array.unsafe_get next w in
-          if nw = 0 then begin
+          let nlo = Array.unsafe_get next x and nhi = Array.unsafe_get next (x + 1) in
+          if nlo lor nhi = 0 then begin
             Array.unsafe_set nxt !reached w;
             incr reached
           end;
-          Array.unsafe_set seen w (sw lor fresh);
-          Array.unsafe_set next w (nw lor fresh)
+          Array.unsafe_set seen x (slo lor flo);
+          Array.unsafe_set seen (x + 1) (shi lor fhi);
+          Array.unsafe_set next x (nlo lor flo);
+          Array.unsafe_set next (x + 1) (nhi lor fhi)
         end
       done
     done;
@@ -278,10 +292,13 @@ let multi_bfs_from u b ~cutoff sources ~pos ~len f =
     incr d;
     for i = 0 to !reached - 1 do
       let w = Array.unsafe_get nxt i in
-      let bits = Array.unsafe_get next w in
-      Array.unsafe_set next w 0;
-      Array.unsafe_set frontier w bits;
-      f w !d bits
+      let x = 2 * w in
+      let lo = Array.unsafe_get next x and hi = Array.unsafe_get next (x + 1) in
+      Array.unsafe_set next x 0;
+      Array.unsafe_set next (x + 1) 0;
+      Array.unsafe_set frontier x lo;
+      Array.unsafe_set frontier (x + 1) hi;
+      f w !d lo hi
     done;
     level := nxt;
     next_level := cur;

@@ -80,8 +80,8 @@ val bfs_levels :
 (** {2 Multi-source truncated BFS}
 
     Up to {!multi_width} truncated traversals in one pass, one source
-    per bit of a native int (Then et al., "The More the Merrier",
-    VLDB 2014).  Each gate keeps the bitmask of the sources that have
+    per bit of a two-word mask (Then et al., "The More the Merrier",
+    VLDB 2014).  Each gate keeps the mask of the sources that have
     reached it; a level ORs each frontier gate's new bits over its
     neighbours, so sources with overlapping balls share the work and
     a pass costs O(union of the balls).  The workspace clears only
@@ -89,12 +89,16 @@ val bfs_levels :
     for {!bfs}. *)
 
 val multi_width : int
-(** Sources per pass: the bits of a native int (63 on 64-bit
-    platforms). *)
+(** Sources per pass: the bits of two native ints (126 on 64-bit
+    platforms).  Source [i] owns bit [i] of the low word for
+    [i < Sys.int_size], bit [i - Sys.int_size] of the high word
+    otherwise. *)
 
 type multi_bfs
-(** A reusable multi-source BFS workspace sized for one graph: six
-    int arrays of one word per gate. *)
+(** A reusable multi-source BFS workspace sized for one graph: nine
+    words per gate — the seen, frontier and next masks at two
+    interleaved words each, plus two level lists and the touched
+    list. *)
 
 val make_multi_bfs : undirected -> multi_bfs
 
@@ -105,20 +109,21 @@ val multi_bfs_from :
   int array ->
   pos:int ->
   len:int ->
-  (int -> int -> int -> unit) ->
+  (int -> int -> int -> int -> unit) ->
   unit
 (** [multi_bfs_from u b ~cutoff sources ~pos ~len f] runs the
     truncated BFS of {!bfs_from} from each of [sources.(pos) ..
-    sources.(pos + len - 1)] at once; source [pos + i] owns bit [i].
-    Every time a gate is reached by sources that had not reached it
-    before, [f gate distance bits] is called with the BFS distance
-    (0 for the sources themselves) and the bitmask of those sources —
-    so each (source, gate) pair within the horizon is reported
-    exactly once, at the distance {!bfs_from} would find, and the
-    separation is [distance - 1] for [distance >= 1].  Gates are
-    reported level by level.  Duplicate sources share a gate and are
-    reported together at distance 0.  Raises [Invalid_argument] if
-    the workspace was sized for a different graph, or the range is
+    sources.(pos + len - 1)] at once; source [pos + i] owns bit [i]
+    of the two-word mask (see {!multi_width}).  Every time a gate is
+    reached by sources that had not reached it before,
+    [f gate distance lo hi] is called with the BFS distance (0 for
+    the sources themselves) and the mask of those sources, low word
+    then high word — so each (source, gate) pair within the horizon
+    is reported exactly once, at the distance {!bfs_from} would find,
+    and the separation is [distance - 1] for [distance >= 1].  Gates
+    are reported level by level.  Duplicate sources share a gate and
+    are reported together at distance 0.  Raises [Invalid_argument]
+    if the workspace was sized for a different graph, or the range is
     out of bounds or wider than {!multi_width}. *)
 
 val multi_bfs_sweep :
@@ -126,20 +131,21 @@ val multi_bfs_sweep :
   multi_bfs ->
   cutoff:int ->
   pass:(int -> int -> unit) ->
-  (int -> int -> int -> unit) ->
+  (int -> int -> int -> int -> unit) ->
   unit
 (** [multi_bfs_sweep u b ~cutoff ~pass f] runs {!multi_bfs_from} from
     every gate: the sources are the gate ids in ascending order, in
     consecutive passes of {!multi_width} ids.  Before each pass,
     [pass base len] names its sources [base .. base + len - 1]; source
-    [base + i] owns bit [i] of the [bits] that [f] then receives.  The
-    whole sweep costs the sum over passes of the union of the pass's
-    balls: ids close in order tend to be close in the graph, so on the
-    ISCAS85 stand-ins at cutoff 6 that is several times less than one
-    {!bfs_from} per gate. *)
+    [base + i] owns bit [i] of the mask [lo], [hi] that [f] then
+    receives.  The whole sweep costs the sum over passes of the union
+    of the pass's balls: ids close in order tend to be close in the
+    graph, so on the ISCAS85 stand-ins at cutoff 6 that is several
+    times less than one {!bfs_from} per gate. *)
 
 val popcount : int -> int
-(** Number of set bits of a native int (all 63 of them). *)
+(** Number of set bits of a native int (all 63 of them): a two-word
+    mask counts as [popcount lo + popcount hi]. *)
 
 val module_separation : undirected -> cutoff:int -> int array -> int
 (** [module_separation u ~cutoff gates] is [S(M)]: the sum of

@@ -20,9 +20,13 @@ let expected_commands =
     "client";
   ]
 
-(* dune runs the suite with cwd _build/default/test; the binary is a
-   declared dep of the test stanza. *)
-let exe = Filename.concat ".." (Filename.concat "bin" "iddq_synth.exe")
+(* The binary sits beside the suite's own in the build tree (a
+   declared dep of the test stanza), found from the running executable
+   rather than the cwd, so the suite runs from any directory. *)
+let exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "iddq_synth.exe")
 
 let run_capture args =
   let cmd = Filename.quote_command exe args ^ " 2>&1" in

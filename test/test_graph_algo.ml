@@ -173,9 +173,12 @@ let multi_triples u b ~cutoff sources =
     let len = Stdlib.min Graph_algo.multi_width (k - !pos) in
     let base = !pos in
     Graph_algo.multi_bfs_from u b ~cutoff sources ~pos:base ~len
-      (fun g d bits ->
+      (fun g d lo hi ->
         for i = 0 to len - 1 do
-          if bits land (1 lsl i) <> 0 then out := (base + i, g, d) :: !out
+          let word, bit =
+            if i < Sys.int_size then (lo, i) else (hi, i - Sys.int_size)
+          in
+          if word land (1 lsl bit) <> 0 then out := (base + i, g, d) :: !out
         done);
     pos := !pos + len
   done;
@@ -236,7 +239,7 @@ let qcheck_multi_bfs_matches_single =
     QCheck.(
       triple
         (pair (int_range 10 200) (int_range 1 100000))
-        (oneofl [ 1; 62; 63; 64; 130 ])
+        (oneofl [ 1; 62; 63; 64; 125; 126; 130 ])
         (int_range 1 6))
     (fun ((gates, seed), count, cutoff) ->
       let rng = Iddq_util.Rng.create seed in
@@ -263,21 +266,25 @@ let test_multi_bfs_bounds () =
   let sources = Array.make (Graph_algo.multi_width + 1) 0 in
   let rejected ~pos ~len =
     try
-      Graph_algo.multi_bfs_from u b ~cutoff:3 sources ~pos ~len (fun _ _ _ -> ());
+      Graph_algo.multi_bfs_from u b ~cutoff:3 sources ~pos ~len
+        (fun _ _ _ _ -> ());
       false
     with Invalid_argument _ -> true
   in
-  Alcotest.(check bool) "wider than a word" true
+  Alcotest.(check int) "two words of sources" (2 * Sys.int_size)
+    Graph_algo.multi_width;
+  Alcotest.(check bool) "wider than two words" true
     (rejected ~pos:0 ~len:(Graph_algo.multi_width + 1));
+  Alcotest.(check bool) "127 sources" true (rejected ~pos:0 ~len:127);
   Alcotest.(check bool) "past the end" true (rejected ~pos:2 ~len:Graph_algo.multi_width);
   Alcotest.(check bool) "negative position" true (rejected ~pos:(-1) ~len:1);
-  Alcotest.(check bool) "a full word fits" false
+  Alcotest.(check bool) "a full pass fits" false
     (rejected ~pos:1 ~len:Graph_algo.multi_width);
   let other = Graph_algo.undirected_of_circuit (Generator.chain ~length:7 ()) in
   Alcotest.(check bool) "workspace of another graph" true
     (try
        Graph_algo.multi_bfs_from other b ~cutoff:3 [| 0 |] ~pos:0 ~len:1
-         (fun _ _ _ -> ());
+         (fun _ _ _ _ -> ());
        false
      with Invalid_argument _ -> true)
 

@@ -237,13 +237,13 @@ let random_dense_assignment rng n k =
   done;
   a
 
-(* The S(M) sweep runs in passes of 63 source ids, so the sizes sit on
-   both sides of one and two passes. *)
+(* The S(M) sweep runs in passes of 126 source ids, two words of 63,
+   so the sizes sit on both sides of a word, a pass and two passes. *)
 let qcheck_sweep_matches_module_separation =
   QCheck.Test.make ~name:"S(M) sweep = module_separation" ~count:40
     QCheck.(
       triple
-        (oneofl [ 1; 2; 62; 63; 64; 126; 127; 300 ])
+        (oneofl [ 1; 2; 62; 63; 64; 125; 126; 127; 252; 253; 300 ])
         (int_range 1 5) (int_range 1 100000))
     (fun (gates, count, seed) ->
       let rng = Rng.create seed in
@@ -295,7 +295,8 @@ let fingerprint ch ids p =
       ids )
 
 (* A random subset of a live module, in random order: sizes around the
-   63-gate word of the multi-source BFS, or the whole module. *)
+   63-gate word and the 126-gate pass of the multi-source BFS, or the
+   whole module. *)
 let draw_batch rng p =
   let src = Rng.choose_list rng (Partition.module_ids p) in
   let members = Partition.members p src in
@@ -303,7 +304,7 @@ let draw_batch rng p =
   let count =
     match Rng.int rng 4 with
     | 0 -> n
-    | 1 -> Stdlib.min n (Rng.choose rng [| 62; 63; 64; 65; 126; 127 |])
+    | 1 -> Stdlib.min n (Rng.choose rng [| 62; 63; 64; 65; 125; 126; 127; 252; 253 |])
     | _ -> 1 + Rng.int rng n
   in
   let target =
@@ -385,6 +386,34 @@ let test_move_gates_rejects () =
   rejected "duplicate gate" [| 0; 1; 0 |] 1;
   rejected "gate out of range" [| 0; 6 |] 1
 
+(* A partition built from the in-horizon sums A(M) equals [create]'s:
+   the sums here come back out of [create]'s own S(M). *)
+let test_create_with_near () =
+  let ch = make (Iscas.c432_like ()) in
+  let cutoff = Charac.separation_cutoff ch in
+  let n = Charac.num_gates ch in
+  let assignment = Array.init n (fun g -> g * 5 / n) in
+  let p = Partition.create ch ~assignment in
+  let ids = Partition.module_ids p in
+  let near =
+    Array.of_list
+      (List.map
+         (fun m ->
+           let k = Partition.size p m in
+           (cutoff * k * (k - 1) / 2) - Partition.separation_total p m)
+         ids)
+  in
+  let q = Partition.create_with_near ch ~assignment ~near in
+  Alcotest.(check bool) "same state as create" true
+    (fingerprint ch ids q = fingerprint ch ids p);
+  Alcotest.(check (result unit string)) "consistent" (Ok ())
+    (Partition.check_consistent q);
+  Alcotest.(check bool) "one sum per module" true
+    (try
+       ignore (Partition.create_with_near ch ~assignment ~near:[| 0 |]);
+       false
+     with Invalid_argument _ -> true)
+
 let tests =
   [
     Alcotest.test_case "create basic" `Quick test_create_basic;
@@ -409,4 +438,6 @@ let tests =
       test_move_gates_whole_module;
     Alcotest.test_case "batched move rejects before moving" `Quick
       test_move_gates_rejects;
+    Alcotest.test_case "create from in-horizon sums = create" `Quick
+      test_create_with_near;
   ]

@@ -1078,7 +1078,7 @@ let ask_within seconds c =
 let test_emfile_no_busy_spin () =
   let socket = Filename.temp_file "iddq-test-emfile" ".sock" in
   Sys.remove socket;
-  let exe = Filename.concat ".." (Filename.concat "bin" "iddq_synth.exe") in
+  let exe = Test_cli_usage.exe in
   let script =
     Printf.sprintf
       "ulimit -n 12; exec %s serve --socket %s --workers 1 >/dev/null 2>&1"
