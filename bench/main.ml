@@ -37,19 +37,6 @@ let pct_e2 x = Printf.sprintf "%.2e" (100.0 *. x)
 (* Table 1: standard vs evolution on the ISCAS85 suite                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The paper's Table 1 numbers, for side-by-side reference.  Delay and
-   test-time rows are only partially legible in the source scan; the
-   legible values are ~5.9e-2 % for both methods. *)
-let paper_table1 =
-  [
-    ("C1908", 2, 30.6);
-    ("C2670", 3, 14.5);
-    ("C3540", 4, 22.9);
-    ("C5315", 6, 25.3);
-    ("C6288", 5, 25.9);
-    ("C7552", 6, 19.7);
-  ]
-
 let run_table1 names =
   section "Table 1: sensor area, delay and test time - standard vs evolution";
   let rows =
@@ -72,7 +59,9 @@ let run_table1 names =
     ]
     (List.filter_map
        (fun (r : Report.row) ->
-         List.find_opt (fun (n, _, _) -> n = r.Report.circuit_name) paper_table1
+         List.find_opt
+           (fun (n, _, _) -> n = r.Report.circuit_name)
+           E.paper_table1
          |> Option.map (fun (_, k_paper, ovh_paper) ->
                 [
                   r.Report.circuit_name;

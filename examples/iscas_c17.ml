@@ -67,8 +67,9 @@ let () =
       show_partition circuit p)
     starts;
   let best, trace =
-    Iddq_evolution.Part_iddq.optimize ~params:config.Iddq.Pipeline.es_params
-      ~rng ~starts ()
+    Iddq_evolution.Part_iddq.optimize
+      ~metrics:(Iddq_util.Metrics.create ())
+      ~params:config.Iddq.Pipeline.es_params ~rng ~starts ()
   in
   Format.printf "@.evolution trace (first 10 generations):@.";
   List.iteri

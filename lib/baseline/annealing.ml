@@ -46,12 +46,12 @@ let propose rng p =
     try_module 8
   end
 
-let optimize ?weights ?(params = default_params) ?(full_eval = false) ?metrics
+let optimize ?weights ?(params = default_params) ?(full_eval = false) ~metrics
     ?on_move ~rng start =
   check_params params;
   let current = Partition.copy start in
   let eval =
-    if full_eval then None else Some (Cost_eval.create ?weights ?metrics current)
+    if full_eval then None else Some (Cost_eval.create ?weights ~metrics current)
   in
   let apply g target =
     match eval with
@@ -61,7 +61,7 @@ let optimize ?weights ?(params = default_params) ?(full_eval = false) ?metrics
   let cost () =
     match eval with
     | Some e -> Cost_eval.penalized e
-    | None -> (Cost.evaluate ?weights ?metrics current).Cost.penalized
+    | None -> (Cost.evaluate ?weights ~metrics current).Cost.penalized
   in
   let current_cost = ref (cost ()) in
   let best = ref (Partition.copy current) in
@@ -93,4 +93,4 @@ let optimize ?weights ?(params = default_params) ?(full_eval = false) ?metrics
         apply gate src);
     temperature := !temperature *. params.cooling
   done;
-  (!best, Cost.evaluate ?weights ?metrics !best)
+  (!best, Cost.evaluate ?weights ~metrics !best)

@@ -25,7 +25,7 @@ val optimize :
   ?weights:Iddq_core.Cost.weights ->
   ?params:params ->
   ?full_eval:bool ->
-  ?metrics:Iddq_util.Metrics.t ->
+  metrics:Iddq_util.Metrics.t ->
   ?on_move:
     (step:int -> gate:int -> src:int -> target:int -> accepted:bool -> unit) ->
   rng:Iddq_util.Rng.t ->
@@ -37,7 +37,7 @@ val optimize :
     [full_eval] (default [false]) bypasses the incremental evaluator
     and runs a complete {!Iddq_core.Cost.evaluate} per proposal — the
     slow reference path; with the same [rng] it visits the same states
-    and returns the same result.  [metrics] receives every
-    evaluation's counters (default {!Iddq_util.Metrics.global}).
+    and returns the same result.  Every evaluation, the final one
+    included, records into the caller's [metrics].
     [on_move] is called for every {e proposed} move with its acceptance
     verdict; a proposal never has [src = target]. *)

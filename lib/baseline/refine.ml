@@ -1,8 +1,8 @@
 module Partition = Iddq_core.Partition
 module Cost_eval = Iddq_core.Cost_eval
 
-let optimize ?weights ?metrics ?(max_passes = 20) start =
-  let eval = Cost_eval.create ?weights ?metrics (Partition.copy start) in
+let optimize ?weights ~metrics ?(max_passes = 20) start =
+  let eval = Cost_eval.create ?weights ~metrics (Partition.copy start) in
   let p = Cost_eval.partition eval in
   let current = ref (Cost_eval.penalized eval) in
   let improved = ref true in

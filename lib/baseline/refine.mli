@@ -11,10 +11,9 @@
 
 val optimize :
   ?weights:Iddq_core.Cost.weights ->
-  ?metrics:Iddq_util.Metrics.t ->
+  metrics:Iddq_util.Metrics.t ->
   ?max_passes:int ->
   Iddq_core.Partition.t ->
   Iddq_core.Partition.t * Iddq_core.Cost.breakdown
 (** Deterministic.  Default [max_passes] is 20.  Works on a copy.
-    [metrics] receives the evaluation counters (default
-    {!Iddq_util.Metrics.global}). *)
+    Every evaluation records into the caller's [metrics]. *)

@@ -102,7 +102,7 @@ let of_components ?(weights = paper_weights) ~sensors ~bic_delay ~nominal_delay
     min_discriminability = Partition.min_discriminability p;
   }
 
-let evaluate ?weights ?(metrics = Iddq_util.Metrics.global) p =
+let evaluate ?weights ?metrics p =
   let t0 = Iddq_util.Clock.now_ns () in
   let ch = Partition.charac p in
   let sensors = Partition.sensors p in
@@ -126,8 +126,11 @@ let evaluate ?weights ?(metrics = Iddq_util.Metrics.global) p =
       ~module_current:(fun m slot -> Partition.transient_at p m slot)
   in
   let b = of_components ?weights ~sensors ~bic_delay ~nominal_delay p in
-  Iddq_util.Metrics.record_full metrics ~gates:(Charac.num_gates ch)
-    ~seconds:(Iddq_util.Clock.seconds_since t0);
+  Option.iter
+    (fun m ->
+      Iddq_util.Metrics.record_full m ~gates:(Charac.num_gates ch)
+        ~seconds:(Iddq_util.Clock.seconds_since t0))
+    metrics;
   b
 
 let pp_breakdown fmt b =

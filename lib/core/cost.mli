@@ -51,8 +51,8 @@ val evaluate :
 (** Cost of a partition.  Uses only the partition's incrementally
     maintained aggregates plus one longest-path pass, so it is cheap
     enough for the optimizer's inner loop.  Default weights:
-    {!paper_weights}.  Records one full evaluation in [metrics]
-    (default {!Iddq_util.Metrics.global}). *)
+    {!paper_weights}.  Records one full evaluation in [metrics] when
+    one is given, and nowhere otherwise. *)
 
 val relative_delay : nominal_delay:float -> bic_delay:float -> float
 (** [c2 = (D_BIC − D) / D], 0 when [D = 0]. *)

@@ -17,7 +17,7 @@ type t = {
   mutable cached : Cost.breakdown option;
 }
 
-let create ?(weights = Cost.paper_weights) ?(metrics = Metrics.global) p =
+let create ?(weights = Cost.paper_weights) ~metrics p =
   let ch = Partition.charac p in
   let n = Charac.num_gates ch in
   (* Dead module ids are never reused and no new ids appear, so the

@@ -33,12 +33,13 @@
 type t
 
 val create :
-  ?weights:Cost.weights -> ?metrics:Iddq_util.Metrics.t -> Partition.t -> t
+  ?weights:Cost.weights -> metrics:Iddq_util.Metrics.t -> Partition.t -> t
 (** Wrap a partition.  The evaluator takes ownership: mutating [p]
     behind its back invalidates the cache silently (use {!invalidate}
     or go through {!move}).  The nominal delay — move-invariant — is
-    computed once here.  Defaults: {!Cost.paper_weights},
-    {!Iddq_util.Metrics.global}. *)
+    computed once here.  Default weights: {!Cost.paper_weights}.
+    Every evaluation records into the caller's [metrics]; the
+    {!self_check} oracle records nowhere. *)
 
 val partition : t -> Partition.t
 (** The wrapped partition (not a copy — read-only access intended;

@@ -85,11 +85,11 @@ let problem () =
       (fun rng e -> replay_batch (monte_carlo rng (Cost_eval.partition e)));
   }
 
-let optimize ?weights ?metrics ?(params = Es.default_params) ?on_generation
+let optimize ?weights ~metrics ?(params = Es.default_params) ?on_generation
     ~rng ~starts () =
   let eval_starts =
     List.map
-      (fun p -> Cost_eval.create ?weights ?metrics (Partition.copy p))
+      (fun p -> Cost_eval.create ?weights ~metrics (Partition.copy p))
       starts
   in
   let best, trace =

@@ -52,7 +52,7 @@ val problem : unit -> Iddq_core.Cost_eval.t Es.problem
 
 val optimize :
   ?weights:Iddq_core.Cost.weights ->
-  ?metrics:Iddq_util.Metrics.t ->
+  metrics:Iddq_util.Metrics.t ->
   ?params:Es.params ->
   ?on_generation:(Es.generation_report -> unit) ->
   rng:Iddq_util.Rng.t ->
@@ -61,5 +61,5 @@ val optimize :
   Iddq_core.Partition.t Es.individual * Es.generation_report list
 (** Runs the ES over partitions from the given start population (the
     inputs are copied, not mutated) and returns the best individual
-    with its solution converted back to a plain partition.  [metrics]
-    defaults to {!Iddq_util.Metrics.global}. *)
+    with its solution converted back to a plain partition.  Every
+    evaluation records into the caller's [metrics]. *)

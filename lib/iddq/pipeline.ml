@@ -44,7 +44,7 @@ type config = {
   seed : int;
   module_size : int option;
   reference_sizes : int list option;
-  metrics : Iddq_util.Metrics.t;
+  metrics : Iddq_util.Metrics.t option;
 }
 
 let default_config =
@@ -55,13 +55,13 @@ let default_config =
     seed = 42;
     module_size = None;
     reference_sizes = None;
-    metrics = Iddq_util.Metrics.global;
+    metrics = None;
   }
 
 let config ?(library = default_config.library)
     ?(weights = default_config.weights)
     ?(es_params = default_config.es_params) ?(seed = default_config.seed)
-    ?module_size ?reference_sizes ?(metrics = default_config.metrics) () =
+    ?module_size ?reference_sizes ?metrics () =
   { library; weights; es_params; seed; module_size; reference_sizes; metrics }
 
 (* ------------------------------------------------------------------ *)
@@ -110,12 +110,11 @@ let validate_config ~config method_ ch =
            sum (Charac.num_gates ch))
     | _ -> Ok ())
 
-let finish ~config ~method_used ~generations ch partition =
+let finish ~config ~metrics ~method_used ~generations ch partition =
   {
     charac = ch;
     partition;
-    breakdown =
-      Cost.evaluate ~weights:config.weights ~metrics:config.metrics partition;
+    breakdown = Cost.evaluate ~weights:config.weights ~metrics partition;
     sensors = Partition.sensors partition;
     method_used;
     generations;
@@ -142,6 +141,13 @@ let standard_sizes ~config ch =
 
 let run_charac_exn ~config method_ ch =
   let rng = Rng.create config.seed in
+  (* without the caller's registry the run records into one of its own *)
+  let metrics =
+    match config.metrics with
+    | Some m -> m
+    | None -> Iddq_util.Metrics.create ()
+  in
+  let finish = finish ~config ~metrics in
   match method_ with
   | Evolution ->
     let starts =
@@ -149,33 +155,28 @@ let run_charac_exn ~config method_ ch =
         ~count:config.es_params.Es.mu ch
     in
     let best, trace =
-      Part_iddq.optimize ~weights:config.weights ~metrics:config.metrics
+      Part_iddq.optimize ~weights:config.weights ~metrics
         ~params:config.es_params ~rng ~starts ()
     in
-    finish ~config ~method_used:Evolution ~generations:(List.length trace) ch
+    finish ~method_used:Evolution ~generations:(List.length trace) ch
       best.Es.solution
   | Standard ->
     let p = Standard.partition ch ~module_sizes:(standard_sizes ~config ch) in
-    finish ~config ~method_used:Standard ~generations:0 ch p
+    finish ~method_used:Standard ~generations:0 ch p
   | Random ->
     let k = implied_module_count ~config ch in
     let p = Random_part.partition ~rng ch ~num_modules:k in
-    finish ~config ~method_used:Random ~generations:0 ch p
+    finish ~method_used:Random ~generations:0 ch p
   | Annealing ->
     let start = Seeds.chain_partition ~rng ?module_size:config.module_size ch in
-    let p, _ =
-      Annealing.optimize ~weights:config.weights ~metrics:config.metrics ~rng
-        start
-    in
-    finish ~config ~method_used:Annealing ~generations:0 ch p
+    let p, _ = Annealing.optimize ~weights:config.weights ~metrics ~rng start in
+    finish ~method_used:Annealing ~generations:0 ch p
   | Refined_standard ->
     let start =
       Standard.partition ch ~module_sizes:(standard_sizes ~config ch)
     in
-    let p, _ =
-      Refine.optimize ~weights:config.weights ~metrics:config.metrics start
-    in
-    finish ~config ~method_used:Refined_standard ~generations:0 ch p
+    let p, _ = Refine.optimize ~weights:config.weights ~metrics start in
+    finish ~method_used:Refined_standard ~generations:0 ch p
 
 let check_feasible ~require_feasible method_ (r : t) =
   if require_feasible && not r.breakdown.Cost.feasible then

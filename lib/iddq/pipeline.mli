@@ -46,11 +46,11 @@ type config = private {
       (** Module sizes for [Standard] ("we take the numbers obtained
           by the evolution based algorithm"); [None] = near-equal
           sizes at the estimated module count. *)
-  metrics : Iddq_util.Metrics.t;
-      (** Where the run's cost-evaluation counters are recorded
-          (default {!Iddq_util.Metrics.global}).  Give each job of a
-          concurrent campaign its own instance so its counters are not
-          polluted by jobs running in other domains. *)
+  metrics : Iddq_util.Metrics.t option;
+      (** Where the run's cost-evaluation counters are recorded: the
+          optimizer's evaluations and the final one.  [None] (the
+          default) gives each run a registry of its own that nobody
+          reads; no two runs share one unless the caller passes it. *)
 }
 (** Read-only outside this module: build one with the {!val-config}
     builder, which keeps every omitted field at its default. *)

@@ -66,8 +66,7 @@ type t = {
 
 let default_max_entries = 256
 
-let create ?(metrics = Metrics.global)
-    ?(library = Iddq_celllib.Library.default)
+let create ~metrics ?(library = Iddq_celllib.Library.default)
     ?(max_entries = default_max_entries) () =
   {
     metrics;

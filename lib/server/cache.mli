@@ -24,13 +24,13 @@ val default_max_entries : int
 (** 256. *)
 
 val create :
-  ?metrics:Iddq_util.Metrics.t ->
+  metrics:Iddq_util.Metrics.t ->
   ?library:Iddq_celllib.Library.t ->
   ?max_entries:int ->
   unit ->
   t
-(** [metrics] defaults to {!Iddq_util.Metrics.global}; [library] (used
-    by {!charac}) to the built-in default.  [max_entries] (default
+(** Lookups record into the caller's [metrics]; [library] (used by
+    {!charac}) defaults to the built-in one.  [max_entries] (default
     {!default_max_entries}, clamped to at least 1) bounds {e each}
     table independently. *)
 

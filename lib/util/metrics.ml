@@ -8,8 +8,8 @@ type counter = {
       (* the key an older campaign store wrote this counter under *)
 }
 
-(* Declaration order is registry order: the order of [to_json], [pp]
-   and [counters].  Only this module declares. *)
+(* Declaration order is registry order: the order of [to_json] and
+   [counters].  Only this module declares. *)
 let declared = ref []
 
 let declare ?legacy name kind =
@@ -56,7 +56,6 @@ let kind c = c.kind
 type t = int Atomic.t array
 
 let create () = Array.map (fun _ -> Atomic.make 0) registry
-let global = create ()
 let add (t : t) c n = ignore (Atomic.fetch_and_add t.(c.index) n)
 
 (* lock-free max for the high-water marks *)
@@ -91,8 +90,6 @@ let record_request t ~ok ~seconds =
   if not ok then add t requests_failed 1;
   add t seconds_requests (ns_of_seconds seconds)
 
-let reset (t : t) = Array.iter (fun cell -> Atomic.set cell 0) t
-
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -102,15 +99,6 @@ type snapshot = int array
 let snapshot (t : t) : snapshot = Array.map Atomic.get t
 let get (s : snapshot) c = s.(c.index)
 let seconds s c = float_of_int (get s c) /. 1e9
-
-let diff after before : snapshot =
-  Array.map
-    (fun c ->
-      match c.kind with
-      | Count | Seconds -> get after c - get before c
-      (* a high-water mark is not an increment: the later mark is the answer *)
-      | Peak -> get after c)
-    registry
 
 let strip_timing s : snapshot =
   Array.map (fun c -> if c.kind = Seconds then 0 else get s c) registry
@@ -171,18 +159,3 @@ let equivalent_evals s =
     if gates_per_full <= 0.0 then float_of_int (full + delta)
     else float_of_int full +. (float_of_int (get s gates_delta) /. gates_per_full)
   end
-
-let speedup s =
-  let eq = equivalent_evals s in
-  if eq <= 0.0 then 1.0 else float_of_int (evaluations s) /. eq
-
-let pp fmt s =
-  Format.fprintf fmt
-    "evaluations=%d@ evaluate-equivalents=%.1f (%.1fx fewer than naive)"
-    (evaluations s) (equivalent_evals s) (speedup s);
-  List.iter
-    (fun c ->
-      match c.kind with
-      | Count | Peak -> Format.fprintf fmt "@ %s=%d" c.name (get s c)
-      | Seconds -> Format.fprintf fmt "@ %s=%.3fs" c.name (seconds s c))
-    counters

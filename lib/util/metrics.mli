@@ -10,10 +10,14 @@
 
     Each counter is declared once, in this module, with its canonical
     name and a {!kind}; everything else — {!create}, {!snapshot},
-    {!diff}, {!strip_timing}, {!pp} and the {!to_json}/{!of_json}
-    codec — is a loop over the registry, so adding a counter is one
-    declaration.  The canonical names are the keys of the service's
-    [metrics] reply and of the campaign store's ["metrics"] object.
+    {!strip_timing} and the {!to_json}/{!of_json} codec — is a loop
+    over the registry, so adding a counter is one declaration.  The
+    canonical names are the keys of the service's [metrics] reply and
+    of the campaign store's ["metrics"] object.
+
+    There is no shared instance: whoever runs a campaign job, a service
+    or a pipeline run makes one registry for it, and every evaluator
+    and optimizer takes it as [~metrics].
 
     Cells are {!Stdlib.Atomic} integers: evaluators running in
     parallel [Domain]s (the ES offspring evaluation) may record into
@@ -28,7 +32,7 @@ type kind =
   | Seconds
       (** A duration, stored as integer nanoseconds and encoded as
           seconds; summed, and zeroed by {!strip_timing}. *)
-  | Peak  (** A high-water mark; {!diff} keeps the later value. *)
+  | Peak  (** A high-water mark, raised by {!peak}. *)
 
 type counter
 (** One declared counter. *)
@@ -122,11 +126,6 @@ type t
 val create : unit -> t
 (** A fresh counter set, all zeros. *)
 
-val global : t
-(** The shared default instance.  {!val-Iddq_core.Cost.evaluate} and
-    (unless given an explicit instance) [Iddq_core.Cost_eval] record
-    here, so snapshots around a phase measure the whole library. *)
-
 val add : t -> counter -> int -> unit
 (** [add t c n] adds [n] to a [Count] counter ([n] nanoseconds to a
     [Seconds] one). *)
@@ -155,8 +154,6 @@ val record_request : t -> ok:bool -> seconds:float -> unit
 (** One service request: outcome and latency.  [ok] is false for
     requests answered with a protocol error. *)
 
-val reset : t -> unit
-
 (** {1 Snapshots} *)
 
 type snapshot
@@ -172,11 +169,6 @@ val get : snapshot -> counter -> int
 
 val seconds : snapshot -> counter -> float
 (** A [Seconds] counter's value in seconds. *)
-
-val diff : snapshot -> snapshot -> snapshot
-(** [diff after before] — counter increments between two snapshots of
-    the same instance.  [Peak] counters are not increments; the diff
-    carries [after]'s mark. *)
 
 val strip_timing : snapshot -> snapshot
 (** Every [Seconds] counter zeroed; what is left is deterministic for a
@@ -207,12 +199,3 @@ val equivalent_evals : snapshot -> float
     when no full evaluation was recorded the delta work cannot be
     normalized and every delta evaluation is counted as a full one
     (a pessimistic upper bound). *)
-
-val speedup : snapshot -> float
-(** [evaluations / equivalent_evals]: how many times fewer
-    full-evaluation equivalents were performed than a
-    recompute-everything evaluator answering the same queries. *)
-
-val pp : Format.formatter -> snapshot -> unit
-(** One-paragraph summary of a snapshot: the derived measures, then
-    every counter as [name=value]. *)

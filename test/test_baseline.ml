@@ -226,7 +226,9 @@ let test_annealing_improves () =
   let start = Random_part.partition ~rng ch ~num_modules:4 in
   let start_cost = (Cost.evaluate start).Cost.penalized in
   let params = { Annealing.default_params with Annealing.steps = 2000 } in
-  let best, breakdown = Annealing.optimize ~params ~rng start in
+  let best, breakdown =
+    Annealing.optimize ~metrics:(Metrics.create ()) ~params ~rng start
+  in
   Alcotest.(check bool)
     (Printf.sprintf "%.2f -> %.2f" start_cost breakdown.Cost.penalized)
     true
@@ -242,7 +244,9 @@ let test_annealing_param_validation () =
   let ch = make (Iscas.c17 ()) in
   let p = Partition.create ch ~assignment:[| 0; 1; 0; 1; 0; 1 |] in
   let bad params =
-    try ignore (Annealing.optimize ~params ~rng p); false
+    try
+      ignore (Annealing.optimize ~metrics:(Metrics.create ()) ~params ~rng p);
+      false
     with Invalid_argument _ -> true
   in
   Alcotest.(check bool) "T0 <= 0" true
@@ -265,7 +269,9 @@ let test_annealing_no_self_moves () =
     incr proposals;
     if src = target then incr self_moves
   in
-  let _ = Annealing.optimize ~params ~on_move ~rng start in
+  let _ =
+    Annealing.optimize ~metrics:(Metrics.create ()) ~params ~on_move ~rng start
+  in
   Alcotest.(check bool) "some proposals made" true (!proposals > 0);
   Alcotest.(check int) "no src = target in the move trace" 0 !self_moves
 
@@ -275,21 +281,23 @@ let test_annealing_delta_equals_full_eval () =
      work each mode accounts (Metrics.equivalent_evals, in units of
      one full evaluation) is where they differ *)
   let run ~full_eval ~params ~seed start =
-    let before = Metrics.snapshot Metrics.global in
+    let metrics = Metrics.create () in
     let _, best =
-      Annealing.optimize ~params ~full_eval ~rng:(Rng.create seed) start
+      Annealing.optimize ~metrics ~params ~full_eval ~rng:(Rng.create seed)
+        start
     in
-    let work =
-      Metrics.equivalent_evals
-        (Metrics.diff (Metrics.snapshot Metrics.global) before)
-    in
-    (best.Cost.penalized, work)
+    let s = Metrics.snapshot metrics in
+    (best.Cost.penalized, Metrics.evaluations s, Metrics.equivalent_evals s)
   in
   let check name ~start ~steps ~seed ~min_speedup =
     let params = { Annealing.default_params with Annealing.steps } in
-    let full, full_work = run ~full_eval:true ~params ~seed start in
-    let delta, delta_work = run ~full_eval:false ~params ~seed start in
+    let full, full_evals, full_work = run ~full_eval:true ~params ~seed start in
+    let delta, delta_evals, delta_work =
+      run ~full_eval:false ~params ~seed start
+    in
     Alcotest.(check (float 0.0)) (name ^ ": identical final cost") full delta;
+    (* the same states visited: the same cost queries answered *)
+    Alcotest.(check int) (name ^ ": same evaluations") full_evals delta_evals;
     Option.iter
       (fun min_speedup ->
         Alcotest.(check bool)
@@ -316,7 +324,9 @@ let test_refine_monotone () =
   let ch = make (Iscas.c432_like ()) in
   let start = Random_part.partition ~rng ch ~num_modules:4 in
   let start_cost = (Cost.evaluate start).Cost.penalized in
-  let refined, breakdown = Refine.optimize ~max_passes:3 start in
+  let refined, breakdown =
+    Refine.optimize ~metrics:(Metrics.create ()) ~max_passes:3 start
+  in
   Alcotest.(check bool)
     (Printf.sprintf "%.2f -> %.2f" start_cost breakdown.Cost.penalized)
     true
@@ -328,8 +338,9 @@ let test_refine_fixpoint_idempotent () =
   let rng = Rng.create 31 in
   let ch = make (Iscas.c17 ()) in
   let start = Random_part.partition ~rng ch ~num_modules:2 in
-  let once, b1 = Refine.optimize ~max_passes:50 start in
-  let _, b2 = Refine.optimize ~max_passes:50 once in
+  let metrics = Metrics.create () in
+  let once, b1 = Refine.optimize ~metrics ~max_passes:50 start in
+  let _, b2 = Refine.optimize ~metrics ~max_passes:50 once in
   Alcotest.(check (float 1e-9)) "already at a local optimum"
     b1.Cost.penalized b2.Cost.penalized
 

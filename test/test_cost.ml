@@ -158,7 +158,7 @@ let qcheck_incremental_cost_equals_fresh =
 let test_cost_eval_matches_evaluate () =
   let ch = make (Iscas.c17 ()) in
   let p = Partition.create ch ~assignment:[| 0; 1; 0; 1; 0; 1 |] in
-  let eval = Cost_eval.create p in
+  let eval = Cost_eval.create ~metrics:(Metrics.create ()) p in
   let d = Cost_eval.breakdown eval in
   let f = Cost.evaluate p in
   Alcotest.(check (float 0.0)) "penalized exact" f.Cost.penalized d.Cost.penalized;

@@ -132,6 +132,24 @@ let test_cooptimize () =
     true
     (strictly ( > ) costs)
 
+(* Sensing-device variants on the evolved C1908 partition: the bypassed
+   MOS sensor costs over 100x the pn-junction sensor's area, and the
+   unbypassed pn junction costs 10-20x the bypassed sensor's delay
+   overhead (145x and 14.7x as measured). *)
+let test_variants () =
+  let rows = E.variants () in
+  let bypass = List.assoc Iddq_bic.Variants.Bypass_mos rows
+  and pn = List.assoc Iddq_bic.Variants.Pn_junction rows in
+  let area = bypass.Cost.sensor_area /. pn.Cost.sensor_area
+  and delay = pn.Cost.c2_delay /. bypass.Cost.c2_delay in
+  Alcotest.(check bool)
+    (Printf.sprintf "bypass/pn sensor area %.1fx > 100x" area)
+    true (area > 100.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "pn/bypass delay overhead %.1fx in [10, 20]x" delay)
+    true
+    (delay >= 10.0 && delay <= 20.0)
+
 let tests =
   [
     Alcotest.test_case "ablation A: standard costliest" `Slow test_ablation_opt;
@@ -143,4 +161,5 @@ let tests =
     Alcotest.test_case "c17: two 3-gate modules" `Slow test_c17;
     Alcotest.test_case "stability: evolution wins on every seed" `Slow test_stability;
     Alcotest.test_case "cooptimize: cost falls at every step" `Slow test_cooptimize;
+    Alcotest.test_case "variants: area and delay ratios" `Slow test_variants;
   ]

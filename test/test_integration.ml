@@ -127,10 +127,13 @@ let test_placement_of_pipeline_modules () =
    stand-ins the evolution strategy needs less BIC sensor area than
    standard partitioning, while the sensors' delay overhead is tiny and
    about equal for both methods and their test-time overhead is about
-   a percent for both.  Checked at 10 ES generations over seeds 1-3.
+   a percent for both; both methods use within one module of the
+   paper's count.  Checked at 10 ES generations over seeds 1-3.
    The bounds leave headroom over what that setting gives: delay at
    most ~2e-3 %, test time 0.16-1.13 %, and the two methods within a
-   factor 2.3 of each other on both. *)
+   factor 2.3 of each other on both.  The module counts read 2/2/2,
+   2/3/2, 4/4/3, 5/5/5, 5/5/5 and 7/7/7 against the paper's
+   2, 3, 4, 6, 5 and 6. *)
 let test_table1_headline () =
   let max_delay_percent = 1e-2
   and max_test_time_percent = 2.0
@@ -147,6 +150,19 @@ let test_table1_headline () =
               && Float.max std evo <= max_method_ratio *. Float.min std evo)
       then fail "%s overhead %g / %g %% not about equal" what std evo
     in
+    let _, paper_modules, _ =
+      List.find
+        (fun (n, _, _) -> n = r.Report.circuit_name)
+        Experiments.paper_table1
+    in
+    List.iter
+      (fun (what, k) ->
+        if abs (k - paper_modules) > 1 then
+          fail "%s uses %d modules, the paper %d" what k paper_modules)
+      [
+        ("evolution", r.Report.num_modules_evolution);
+        ("standard", r.Report.num_modules_standard);
+      ];
     if not (r.Report.area_evolution < r.Report.area_standard) then
       fail "evolution area %g not below standard %g" r.Report.area_evolution
         r.Report.area_standard;

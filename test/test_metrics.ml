@@ -28,9 +28,7 @@ let test_equivalent_evals () =
   let s = Metrics.snapshot m in
   (* 1 full + 50 delta-gates at 100 gates per full = 1.5 *)
   Alcotest.(check (float 1e-12)) "normalized by mean full size" 1.5
-    (Metrics.equivalent_evals s);
-  Alcotest.(check (float 1e-12)) "speedup = evaluations / equivalents" 2.0
-    (Metrics.speedup s)
+    (Metrics.equivalent_evals s)
 
 let test_equivalent_evals_no_full () =
   (* with no full evaluation there is no normalizer: every delta
@@ -41,21 +39,6 @@ let test_equivalent_evals_no_full () =
   let s = Metrics.snapshot m in
   Alcotest.(check (float 1e-12)) "pessimistic fallback" 2.0
     (Metrics.equivalent_evals s)
-
-let test_diff_and_reset () =
-  let m = Metrics.create () in
-  Metrics.record_full m ~gates:5 ~seconds:0.0;
-  let before = Metrics.snapshot m in
-  Metrics.record_delta m ~gates:2 ~seconds:0.0;
-  Metrics.add m Metrics.eval_cache_hits 1;
-  let d = Metrics.diff (Metrics.snapshot m) before in
-  Alcotest.(check int) "full increment" 0 (Metrics.get d Metrics.full_evals);
-  Alcotest.(check int) "delta increment" 1 (Metrics.get d Metrics.delta_evals);
-  Alcotest.(check int) "hit increment" 1 (Metrics.get d Metrics.eval_cache_hits);
-  Metrics.reset m;
-  let z = Metrics.snapshot m in
-  Alcotest.(check int) "reset evals" 0 (Metrics.evaluations z);
-  Alcotest.(check int) "reset gates" 0 (Metrics.get z Metrics.gates_full)
 
 let test_domain_safe_recording () =
   (* concurrent recording from several domains loses nothing *)
@@ -80,14 +63,6 @@ let test_domain_safe_recording () =
   Alcotest.(check (float 1e-9)) "all seconds accumulated"
     (4.0e-6 *. float_of_int per_domain)
     (Metrics.seconds s Metrics.seconds_delta)
-
-let test_pp_smoke () =
-  let m = Metrics.create () in
-  Metrics.record_full m ~gates:10 ~seconds:0.1;
-  let s = Metrics.snapshot m in
-  let str = Format.asprintf "%a" Metrics.pp s in
-  Alcotest.(check bool) "mentions evaluations" true
-    (String.length str > 0 && String.index_opt str '=' <> None)
 
 (* One recording step: a registry counter bumped directly, or one of
    the helpers that tie several counters together.  Timings are whole
@@ -136,15 +111,13 @@ let ops_arb =
         map4 (fun a b c d -> Fault_sim (a, b, c, d)) small small small small;
       ]
   in
-  QCheck.make
-    ~print:QCheck.Print.(pair (list print_op) (list print_op))
-    (pair (list_size (int_bound 30) op) (list_size (int_bound 30) op))
+  QCheck.make ~print:(QCheck.Print.list print_op) (list_size (int_bound 60) op)
 
 let qcheck_codec_roundtrip =
   QCheck.Test.make ~name:"of_json (to_json s) = Ok s" ~count:300 ops_arb
-    (fun (first, second) ->
+    (fun ops ->
       let m = Metrics.create () in
-      List.iter (apply m) (first @ second);
+      List.iter (apply m) ops;
       let s = Metrics.snapshot m in
       let through_text =
         Result.bind
@@ -152,25 +125,6 @@ let qcheck_codec_roundtrip =
           Metrics.of_json
       in
       Metrics.of_json (Metrics.to_json s) = Ok s && through_text = Ok s)
-
-let qcheck_diff_law =
-  QCheck.Test.make ~name:"diff after before = the second half alone" ~count:300
-    ops_arb (fun (first, second) ->
-      let m = Metrics.create () in
-      List.iter (apply m) first;
-      let before = Metrics.snapshot m in
-      List.iter (apply m) second;
-      let after = Metrics.snapshot m in
-      let d = Metrics.diff after before in
-      let fresh = Metrics.create () in
-      List.iter (apply fresh) second;
-      let alone = Metrics.snapshot fresh in
-      List.for_all
-        (fun c ->
-          match Metrics.kind c with
-          | Metrics.Count | Metrics.Seconds -> Metrics.get d c = Metrics.get alone c
-          | Metrics.Peak -> Metrics.get d c = Metrics.get after c)
-        Metrics.counters)
 
 let test_strip_timing () =
   let m = Metrics.create () in
@@ -193,10 +147,7 @@ let tests =
     Alcotest.test_case "equivalent evals" `Quick test_equivalent_evals;
     Alcotest.test_case "equivalent evals without full" `Quick
       test_equivalent_evals_no_full;
-    Alcotest.test_case "diff and reset" `Quick test_diff_and_reset;
     Alcotest.test_case "domain-safe recording" `Quick test_domain_safe_recording;
-    Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
     QCheck_alcotest.to_alcotest qcheck_codec_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_diff_law;
     Alcotest.test_case "strip timing" `Quick test_strip_timing;
   ]

@@ -259,29 +259,29 @@ let test_compare_methods_result_ok () =
       [ "standard"; "evolution" ]
       (List.map (fun (m, _) -> Pipeline.method_to_string m) results)
 
-(* Every cost evaluation of a run is recorded in the metrics its caller
-   passed: the global instance does not move. *)
-let test_private_metrics_leave_global () =
+(* Every cost evaluation of a run is recorded in the registry its
+   caller passed, and nowhere else: the counts are exact, so a path that
+   records into any other registry comes up short. *)
+let test_run_metrics_are_the_callers () =
   let module Metrics = Iddq_util.Metrics in
-  let unchanged what f =
-    let before = Metrics.snapshot Metrics.global in
-    f ();
-    Alcotest.(check bool)
-      (what ^ ": global metrics unchanged")
-      true
-      (Metrics.snapshot Metrics.global = before)
-  in
   let c17 = Iscas.c17 () in
-  List.iter
-    (fun m ->
-      let metrics = Metrics.create () in
-      unchanged (Pipeline.method_to_string m) (fun () ->
-          ignore (ok (Pipeline.run_result ~config:(Pipeline.config ~metrics ()) m c17)));
-      Alcotest.(check bool)
-        (Pipeline.method_to_string m ^ ": private metrics recorded")
-        true
-        (Metrics.get (Metrics.snapshot metrics) Metrics.full_evals > 0))
-    [ Pipeline.Refined_standard; Pipeline.Annealing ];
+  let ch =
+    Iddq_analysis.Charac.make ~library:Iddq_celllib.Library.default c17
+  in
+  let rng = Iddq_util.Rng.create 5 in
+  let start = Iddq_evolution.Seeds.chain_partition ~rng ~module_size:3 ch in
+  let metrics = Metrics.create () in
+  let proposals = ref 0 in
+  let on_move ~step:_ ~gate:_ ~src:_ ~target:_ ~accepted:_ = incr proposals in
+  ignore
+    (Iddq_baseline.Annealing.optimize ~metrics ~on_move ~rng
+       ~params:{ Iddq_baseline.Annealing.default_params with steps = 300 }
+       start);
+  Alcotest.(check bool) "annealing proposed moves" true (!proposals > 0);
+  (* one query per proposal, plus the start and the best *)
+  Alcotest.(check int) "annealing: every evaluation is the caller's"
+    (!proposals + 2)
+    (Metrics.evaluations (Metrics.snapshot metrics));
   let r = ok (Pipeline.run_result Pipeline.Standard c17) in
   let rng = Iddq_util.Rng.create 3 in
   let vectors =
@@ -292,12 +292,18 @@ let test_private_metrics_leave_global () =
       ~defect_current:1e-5
   in
   let metrics = Metrics.create () in
-  unchanged "Iddq_sim.run_partitioned" (fun () ->
-      ignore
-        (Iddq_defects.Iddq_sim.run_partitioned ~metrics r.Pipeline.partition
-           ~vectors ~faults));
-  Alcotest.(check int) "Iddq_sim: its evaluation is private" 1
-    (Metrics.get (Metrics.snapshot metrics) Metrics.full_evals)
+  ignore
+    (Iddq_defects.Iddq_sim.run_partitioned ~metrics r.Pipeline.partition
+       ~vectors ~faults);
+  Alcotest.(check int) "Iddq_sim: its one evaluation is the caller's" 1
+    (Metrics.get (Metrics.snapshot metrics) Metrics.full_evals);
+  let metrics = Metrics.create () in
+  ignore
+    (ok
+       (Pipeline.run_result ~config:(Pipeline.config ~metrics ())
+          Pipeline.Refined_standard c17));
+  Alcotest.(check bool) "refined-standard: recorded in the caller's" true
+    (Metrics.evaluations (Metrics.snapshot metrics) > 0)
 
 let tests =
   [
@@ -323,6 +329,6 @@ let tests =
       test_compare_methods_equals_seeded_run;
     Alcotest.test_case "deterministic" `Slow test_deterministic_given_seed;
     Alcotest.test_case "module size config" `Quick test_module_size_config;
-    Alcotest.test_case "private metrics leave the global ones" `Quick
-      test_private_metrics_leave_global;
+    Alcotest.test_case "run metrics are the caller's" `Quick
+      test_run_metrics_are_the_callers;
   ]

@@ -8,6 +8,7 @@ module Iscas = Iddq_netlist.Iscas
 module Generator = Iddq_netlist.Generator
 module Library = Iddq_celllib.Library
 module Rng = Iddq_util.Rng
+module Metrics = Iddq_util.Metrics
 module Circuit = Iddq_netlist.Circuit
 module Graph_algo = Iddq_netlist.Graph_algo
 module Builder = Iddq_netlist.Builder
@@ -142,7 +143,9 @@ let test_optimize_improves () =
   let params =
     { Es.default_params with Es.max_generations = 60; stall_generations = 60 }
   in
-  let best, trace = Part_iddq.optimize ~params ~rng ~starts () in
+  let best, trace =
+    Part_iddq.optimize ~metrics:(Metrics.create ()) ~params ~rng ~starts ()
+  in
   Alcotest.(check bool)
     (Printf.sprintf "improved %.2f -> %.2f" start_cost best.Es.cost)
     true
@@ -158,7 +161,9 @@ let test_optimize_feasible_result () =
   let params =
     { Es.default_params with Es.max_generations = 40; stall_generations = 40 }
   in
-  let best, _ = Part_iddq.optimize ~params ~rng ~starts () in
+  let best, _ =
+    Part_iddq.optimize ~metrics:(Metrics.create ()) ~params ~rng ~starts ()
+  in
   Alcotest.(check bool) "feasible" true (Constraints.satisfied best.Es.solution)
 
 let assignment_digest p =
@@ -202,7 +207,10 @@ let test_es_trajectory_pinned () =
           let params =
             { Es.default_params with Es.max_generations = 8; stall_generations = 8; domains }
           in
-          let best, trace = Part_iddq.optimize ~params ~rng ~starts () in
+          let best, trace =
+            Part_iddq.optimize ~metrics:(Metrics.create ()) ~params ~rng
+              ~starts ()
+          in
           let label = Printf.sprintf "%s domains=%d" name domains in
           Alcotest.(check (list string)) (label ^ " best cost per generation") best_costs
             (List.map (fun (r : Es.generation_report) -> Printf.sprintf "%h" r.Es.best_cost) trace);
@@ -236,7 +244,9 @@ let test_optimize_domains_equivalent () =
     let params =
       { Es.default_params with Es.max_generations = 6; stall_generations = 6; domains }
     in
-    let best, trace = Part_iddq.optimize ~params ~rng ~starts () in
+    let best, trace =
+      Part_iddq.optimize ~metrics:(Metrics.create ()) ~params ~rng ~starts ()
+    in
     (best.Es.cost, Partition.assignment best.Es.solution, trace)
   in
   let c1, a1, t1 = run 1 and c3, a3, t3 = run 3 in
