@@ -257,7 +257,8 @@ let ablation_resynth () =
   List.map
     (fun name ->
       ( name,
-        Drive_select.optimize ~max_swaps:128 (evolved name).Pipeline.partition ))
+        Drive_select.optimize ~max_swaps:128 ~metrics:(Metrics.create ())
+          (evolved name).Pipeline.partition ))
     [ "C432"; "C1908" ]
 
 (* Validation: the pessimistic i_DD,max estimate of each evolved
@@ -516,7 +517,9 @@ let cooptimize () =
   in
   record "0: partition (ES)";
   for round = 1 to 2 do
-    p := (Drive_select.optimize ~max_swaps:96 !p).Drive_select.partition;
+    p :=
+      (Drive_select.optimize ~max_swaps:96 ~metrics:(Metrics.create ()) !p)
+        .Drive_select.partition;
     record (Printf.sprintf "%d: + drive selection" round);
     (* re-partition the re-characterized netlist, seeded from the
        current grouping *)

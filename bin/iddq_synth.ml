@@ -134,7 +134,11 @@ let partition_cmd =
       Format.printf "%a" Report.pp_pipeline result;
       let final_partition =
         if resynth then begin
-          let r = Iddq_resynth.Drive_select.optimize result.Pipeline.partition in
+          let r =
+            Iddq_resynth.Drive_select.optimize
+              ~metrics:(Iddq_util.Metrics.create ())
+              result.Pipeline.partition
+          in
           let before = r.Iddq_resynth.Drive_select.before in
           let after = r.Iddq_resynth.Drive_select.after in
           Format.printf

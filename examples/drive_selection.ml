@@ -27,7 +27,10 @@ let () =
   Format.printf "partitioned: %d modules, sensor area %.4e@."
     (Partition.num_modules result.Iddq.Pipeline.partition)
     result.Iddq.Pipeline.breakdown.Cost.sensor_area;
-  let r = Drive_select.optimize ~max_swaps:96 result.Iddq.Pipeline.partition in
+  let r =
+    Drive_select.optimize ~max_swaps:96 ~metrics:(Iddq_util.Metrics.create ())
+      result.Iddq.Pipeline.partition
+  in
   let before = r.Drive_select.before and after = r.Drive_select.after in
   Format.printf "@.drive selection: %d gates re-mapped to the low-drive variant@."
     (List.length r.Drive_select.swaps);

@@ -5,8 +5,9 @@
    test is the Error contract of the robustness layer: every outcome
    is [Ok] or [Error] — never an escaped exception — every circuit a
    netlist parser accepts passes [Circuit.validate] and characterizes
-   consistently, every [Error] of a line-oriented format names a line
-   of its input or none, and no file
+   consistently and implies as PODEM's whole-circuit oracle does,
+   every [Error] of a line-oriented format names a line of its input
+   or none, and no file
    descriptor leaks, measured by comparing the /proc/self/fd
    population before and after the run. *)
 
@@ -29,6 +30,8 @@ module Pattern_io = Iddq_patterns.Pattern_io
 module Spec = Iddq_campaign.Spec
 module Store = Iddq_campaign.Store
 module Job_result = Iddq_campaign.Job_result
+module Stuck_at = Iddq_defects.Stuck_at
+module Podem = Iddq_atpg.Podem
 module Frame = Iddq_server.Frame
 module Protocol = Iddq_server.Protocol
 
@@ -135,16 +138,33 @@ let check_partitions ch =
     (Standard.partition_uniform ch ~num_modules:k)
     (( <> ) (List.init k (fun i -> (n / k) + if i < n mod k then 1 else 0)))
 
+(* PODEM's event-driven implication against its whole-circuit oracle
+   ({!Podem.generate_checked}) on the first 64 faults of the full list,
+   at 4 backtracks: parser-accepted shapes the generator never makes —
+   repeated fanins, buffer and inverter chains, outputs that are
+   inputs — reach every evaluation rule.  A mismatch raises. *)
+let check_implication c =
+  let podem = Podem.prepare c in
+  List.iteri
+    (fun i fault ->
+      if i < 64 then
+        match Podem.generate_checked ~max_backtracks:4 podem fault with
+        | Ok _ -> ()
+        | Error m -> failwith ("Podem implication: " ^ m))
+    (Stuck_at.full_fault_list c)
+
 (* A circuit a netlist parser accepts must pass [Circuit.validate] —
    its structure and the levelization built with it — characterize
-   consistently and, if it has a gate, partition within contract; one
-   that does not raises, so [run] reports it as a crash. *)
+   consistently, imply as PODEM's oracle does and, if it has a gate,
+   partition within contract; one that does not raises, so [run]
+   reports it as a crash. *)
 let accepted = function
   | Error _ -> false
   | Ok c -> (
     match Circuit.validate c with
     | Ok () ->
       let ch = check_charac c in
+      check_implication c;
       if Charac.num_gates ch > 0 then check_partitions ch;
       true
     | Error e -> failwith ("accepted circuit fails Circuit.validate: " ^ e))

@@ -5,10 +5,21 @@ module Rng = Iddq_util.Rng
 
 type result = Test of bool option array | Untestable | Aborted
 
-(* Three-valued node values, one byte each. *)
+(* Three-valued values: the oracle's node values and the input
+   assignment, one byte each. *)
 let v0 = 0
 let v1 = 1
 let vx = 2
+
+(* Two-rail values: three-valued [v] is the two bits [v + 1] — bit 0
+   "can be 0", bit 1 "can be 1", so X = 0b11.  A node's byte holds the
+   good machine in bits 0-1 and the faulty machine in bits 2-3. *)
+let rx = 0b11
+let[@inline] good_rail b = b land 0b0011
+let[@inline] faulty_rail b = b lsr 2
+
+(* The byte of a node whose two machines both carry [v]. *)
+let[@inline] both v = (v + 1) * 0b0101
 
 (* Kind codes ({!Iddq_netlist.Gate.code}). *)
 let nand = 1
@@ -30,10 +41,9 @@ type t = {
   is_output : Bytes.t;
   cc0 : int array;
   cc1 : int array;
-  assignment : Bytes.t; (* per primary input *)
-  good : Bytes.t;
-  faulty : Bytes.t;
-  all_x : Bytes.t; (* good values under the all-X assignment *)
+  assignment : Bytes.t; (* per primary input, three-valued *)
+  gf : Bytes.t; (* per node, two-rail: good and faulty machine *)
+  all_x : Bytes.t; (* [gf] under the all-X assignment, no fault *)
   level : int array; (* per node; inputs at 0 *)
   q_base : int array; (* level [l] queues into [queue] from [q_base.(l - 1)] *)
   q_fill : int array; (* per level: gates queued *)
@@ -57,8 +67,9 @@ let[@inline] get b i = Char.code (Bytes.unsafe_get b i)
 let[@inline] set b i v = Bytes.unsafe_set b i (Char.unsafe_chr v)
 let[@inline] not3 v = if v = vx then vx else 1 - v
 
-(* Gate [id] over the values in [vals], with fanin slot [pin] (a CSR
-   index; [-1] for none) reading [pin_value] instead. *)
+(* Gate [id] over the three-valued values in [vals], with fanin slot
+   [pin] (a CSR index; [-1] for none) reading [pin_value] instead: the
+   scalar evaluation of the whole-circuit oracle. *)
 let eval3 t vals id ~pin ~pin_value =
   let s = Array.unsafe_get t.fi_off id in
   let e = Array.unsafe_get t.fi_off (id + 1) in
@@ -98,6 +109,53 @@ let eval3 t vals id ~pin ~pin_value =
   if code = nand || code = nor || code = xnor || code = not_ then not3 !r
   else !r
 
+(* Kind codes whose output inverts: Nand, Nor, Xnor, Not. *)
+let inverting = 0b0110_1010
+
+(* Fanin slot [k]'s two-rail byte in [gf], its faulty rail forced to
+   [forced] (a faulty rail shifted into bits 2-3) when [k] is the
+   faulty pin [pin]. *)
+let[@inline] fanin t k ~pin ~forced =
+  let b = get t.gf (Array.unsafe_get t.fi_tgt k) in
+  if k = pin then good_rail b lor forced else b
+
+(* Gate [id]'s two-rail byte over [gf]: both machines from one load
+   per fanin, with no branch on the values.  And/Or keep a running AND
+   and OR of the fanin bytes — an And can be 1 when every fanin can,
+   and can be 0 when some fanin can; Or is the mirror image.  A parity
+   rail is X when some fanin's rail is, else the parity of the fanins'
+   can-be-1 bits.  Inversion swaps each rail's two bits. *)
+let eval2 t id ~pin ~forced =
+  let s = Array.unsafe_get t.fi_off id in
+  let e = Array.unsafe_get t.fi_off (id + 1) in
+  let code = Char.code (Bytes.unsafe_get t.kinds id) in
+  let r =
+    if code >= not_ then fanin t s ~pin ~forced
+    else if code < 4 then begin
+      let a = ref 0b1111 and o = ref 0 in
+      for k = s to e - 1 do
+        let b = fanin t k ~pin ~forced in
+        a := !a land b;
+        o := !o lor b
+      done;
+      if code < or_ then (!a land 0b1010) lor (!o land 0b0101)
+      else (!o land 0b1010) lor (!a land 0b0101)
+    end
+    else begin
+      let p = ref 0 and x = ref 0 in
+      for k = s to e - 1 do
+        let b = fanin t k ~pin ~forced in
+        p := !p lxor b;
+        x := !x lor (b land (b lsr 1))
+      done;
+      (* per rail: parity bit [p] as the rail [p + 1], or X *)
+      let p = (!p lsr 1) land 0b0101 and x = !x land 0b0101 in
+      (p lsl 1) lor (p lxor 0b0101) lor x lor (x lsl 1)
+    end
+  in
+  if (inverting lsr code) land 1 = 0 then r
+  else ((r land 0b0101) lsl 1) lor ((r lsr 1) land 0b0101)
+
 let prepare c =
   let n = Circuit.num_nodes c and ni = Circuit.num_inputs c in
   let scoap = Scoap.compute c in
@@ -119,9 +177,8 @@ let prepare c =
       cc0 = Array.init n (Scoap.cc0 scoap);
       cc1 = Array.init n (Scoap.cc1 scoap);
       assignment = Bytes.make ni (Char.chr vx);
-      good = Bytes.make n (Char.chr vx);
-      faulty = Bytes.make n (Char.chr vx);
-      all_x = Bytes.make n (Char.chr vx);
+      gf = Bytes.make n (Char.chr (both vx));
+      all_x = Bytes.create n;
       level = Circuit.Csr.levels c;
       q_base = Circuit.Csr.level_offsets c;
       q_fill = Array.make (Circuit.depth c + 1) 0;
@@ -142,19 +199,21 @@ let prepare c =
     }
   in
   for id = ni to n - 1 do
-    set t.all_x id (eval3 t t.all_x id ~pin:(-1) ~pin_value:0)
+    set t.gf id (eval2 t id ~pin:(-1) ~forced:0)
   done;
+  Bytes.blit t.gf 0 t.all_x 0 n;
   t
 
 (* The fault, decoded once: the stuck stem ([stem], [-1] for a pin
    fault) or the faulty pin's CSR slot ([pin], [-1] for a stem fault)
-   of reading gate [gate]; the activation objective is [site] carrying
-   [site_value]. *)
+   of reading gate [gate]; [forced] is the stuck value as a faulty
+   rail; the activation objective is [site] carrying [site_value]. *)
 type decoded = {
   stem : int;
   gate : int;
   pin : int;
   stuck : int;
+  forced : int;
   site : int;
   site_value : int;
 }
@@ -166,7 +225,8 @@ let decode t fault =
   match fault with
   | Stuck_at.Stem (id, v) ->
     let stuck = if v then v1 else v0 in
-    { stem = id; gate = -1; pin = -1; stuck; site = id; site_value = 1 - stuck }
+    let forced = (stuck + 1) lsl 2 in
+    { stem = id; gate = -1; pin = -1; stuck; forced; site = id; site_value = 1 - stuck }
   | Stuck_at.Pin { gate; pin; value } ->
     let s = t.fi_off.(gate) in
     let stuck = if value then v1 else v0 in
@@ -175,6 +235,7 @@ let decode t fault =
       gate;
       pin = s + pin;
       stuck;
+      forced = (stuck + 1) lsl 2;
       site = t.fi_tgt.(s + pin);
       site_value = 1 - stuck;
     }
@@ -222,11 +283,10 @@ let enqueue_fanouts t id =
    cone (the only ones that can see an error on a fanin) listed in
    ascending id order. *)
 let start t d =
-  Bytes.blit t.all_x 0 t.good 0 t.n;
-  Bytes.blit t.all_x 0 t.faulty 0 t.n;
+  Bytes.blit t.all_x 0 t.gf 0 t.n;
   let root =
     if d.stem >= 0 then begin
-      set t.faulty d.stem d.stuck;
+      set t.gf d.stem (good_rail (get t.gf d.stem) lor d.forced);
       enqueue_fanouts t d.stem;
       d.stem
     end
@@ -256,17 +316,19 @@ let start t d =
     incr id
   done
 
-(* Event-driven good and faulty implication of the current assignment:
-   the inputs that changed since the last call queue their fanouts, and
-   the queue drains level by level, a gate queueing its fanouts only
-   when its good or faulty value changes.  Three-valued evaluation
-   reads only fanin values, so every node ends equal to {!imply_full}. *)
+(* Event-driven two-rail implication of the current assignment: the
+   inputs that changed since the last call queue their fanouts, and the
+   queue drains level by level, a gate queueing its fanouts only when
+   its byte — good or faulty machine — changes.  The stuck stem's
+   faulty rail stays forced, and the reading gate of a pin fault reads
+   its faulty pin's faulty rail forced.  Evaluation reads only fanin
+   values, so every node ends equal to {!imply_full}. *)
 let imply t d =
   for i = 0 to t.ni - 1 do
-    let a = get t.assignment i in
-    if a <> get t.good i then begin
-      set t.good i a;
-      if i <> d.stem then set t.faulty i a;
+    let b = both (get t.assignment i) in
+    let b = if i = d.stem then good_rail b lor d.forced else b in
+    if b <> get t.gf i then begin
+      set t.gf i b;
       enqueue_fanouts t i
     end
   done;
@@ -275,11 +337,11 @@ let imply t d =
     let base = Array.unsafe_get t.q_base (!l - 1) in
     for k = base to base + Array.unsafe_get t.q_fill !l - 1 do
       let id = Array.unsafe_get t.queue k in
-      let g = eval3 t t.good id ~pin:(-1) ~pin_value:0 in
-      let f = faulty_value t d t.faulty id in
-      if g <> get t.good id || f <> get t.faulty id then begin
-        set t.good id g;
-        set t.faulty id f;
+      let pin = if id = d.gate then d.pin else -1 in
+      let b = eval2 t id ~pin ~forced:d.forced in
+      let b = if id = d.stem then good_rail b lor d.forced else b in
+      if b <> get t.gf id then begin
+        set t.gf id b;
         enqueue_fanouts t id
       end
     done;
@@ -290,11 +352,17 @@ let imply t d =
   t.q_hi <- 0;
   t.q_epoch <- t.q_epoch + 1
 
-let[@inline] combined_x t id = get t.good id = vx || get t.faulty id = vx
+(* Some machine's rail is X. *)
+let[@inline] combined_x t id =
+  let b = get t.gf id in
+  b land (b lsr 1) land 0b0101 <> 0
 
+(* Both rails binary and different: one reads 0b01, the other 0b10. *)
 let[@inline] error_at t id =
-  let g = get t.good id and f = get t.faulty id in
-  g <> vx && f <> vx && g <> f
+  let b = get t.gf id in
+  good_rail (b lxor faulty_rail b) = 0b11
+
+let[@inline] good_x t id = good_rail (get t.gf id) = rx
 
 let error_at_output t =
   let found = ref false and o = ref 0 in
@@ -362,7 +430,7 @@ let frontier_objective t d =
       if !pick < 0 then begin
         let e = Array.unsafe_get t.fi_off (g + 1) in
         let k = ref (Array.unsafe_get t.fi_off g) in
-        while !k < e && get t.good (Array.unsafe_get t.fi_tgt !k) <> vx do
+        while !k < e && not (good_x t (Array.unsafe_get t.fi_tgt !k)) do
           incr k
         done;
         if !k < e then begin
@@ -387,7 +455,7 @@ let backtrace t objective =
   while !result = -2 do
     let g = !id in
     if g < t.ni then
-      result := if get t.good g = vx then (g lsl 1) lor !value else -1
+      result := if good_x t g then (g lsl 1) lor !value else -1
     else begin
       let code = Char.code (Bytes.unsafe_get t.kinds g) in
       if code = nand || code = nor || code = not_ || code = xnor then
@@ -397,7 +465,7 @@ let backtrace t objective =
       for k = Array.unsafe_get t.fi_off g to Array.unsafe_get t.fi_off (g + 1) - 1
       do
         let src = Array.unsafe_get t.fi_tgt k in
-        if get t.good src = vx && Array.unsafe_get cost src < !best_cost then begin
+        if good_x t src && Array.unsafe_get cost src < !best_cost then begin
           best := src;
           best_cost := Array.unsafe_get cost src
         end
@@ -445,10 +513,10 @@ let search ~max_backtracks ~after_imply t fault =
       (* "excited": the site carries the activating good value (for a
          stem fault the site itself then carries the error; for a pin
          fault the error is born in the reading gate) *)
-      let g = get t.good d.site in
+      let g = good_rail (get t.gf d.site) in
       let objective =
-        if g = vx then (d.site lsl 1) lor d.site_value
-        else if g <> d.site_value then -1
+        if g = rx then (d.site lsl 1) lor d.site_value
+        else if g <> d.site_value + 1 then -1
         else frontier_objective t d
       in
       let decision = if objective < 0 then -1 else backtrace t objective in
@@ -470,14 +538,16 @@ let generate ?(max_backtracks = 2000) t fault =
 let generate_checked ?(max_backtracks = 2000) t fault =
   let good = Bytes.create t.n and faulty = Bytes.create t.n in
   let step = ref 0 and mismatch = ref None in
+  let fast_good id = good_rail (get t.gf id) - 1
+  and fast_faulty id = faulty_rail (get t.gf id) - 1 in
   let after_imply d =
     if Option.is_none !mismatch then begin
       imply_full t d ~good ~faulty;
       let id = ref 0 in
       while
         !id < t.n
-        && get good !id = get t.good !id
-        && get faulty !id = get t.faulty !id
+        && get good !id = fast_good !id
+        && get faulty !id = fast_faulty !id
       do
         incr id
       done;
@@ -487,7 +557,7 @@ let generate_checked ?(max_backtracks = 2000) t fault =
             (Printf.sprintf
                "implication %d, node %d: good %d (full %d), faulty %d (full \
                 %d)"
-               !step !id (get t.good !id) (get good !id) (get t.faulty !id)
+               !step !id (fast_good !id) (get good !id) (fast_faulty !id)
                (get faulty !id))
     end;
     incr step

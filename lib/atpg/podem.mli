@@ -11,7 +11,8 @@
 
     Values are the classical five: 0, 1, X, D (good 1 / faulty 0) and
     D̄ — represented as a pair of three-valued simulations sharing the
-    input assignment. *)
+    input assignment, both held in one byte per node (two rails, see
+    {!t}). *)
 
 type result =
   | Test of bool option array
@@ -22,16 +23,23 @@ type result =
 type t
 (** A circuit prepared for PODEM: SCOAP controllabilities and node
     levels computed once as flat arrays, the circuit's CSR views
-    borrowed, the good machine's values under the all-X assignment
-    (one full pass), and the search's scratch owned — good/faulty
-    three-valued node values, the level-bucketed implication queue and
-    its enqueue stamps, the fault's fanout-cone list and marks, the
-    X-path DFS marks and stack, the decision stack.
+    borrowed, both machines' values under the all-X assignment (one
+    full pass), and the search's scratch owned — the two-rail node
+    values, the level-bucketed implication queue and its enqueue
+    stamps, the fault's fanout-cone list and marks, the X-path DFS
+    marks and stack, the decision stack.
+
+    Node values are two-rail: a three-valued value v is the two bits
+    v + 1 ("can be 0", "can be 1"; X = 0b11), and one byte per node
+    holds the good machine in bits 0-1 and the faulty machine in bits
+    2-3.  A gate's byte comes from one pass over its fanins — a running
+    AND and OR of their bytes for And/Or, parity and X bits for Xor —
+    with no branch on the values, both machines at once.
 
     Implication is event-driven: a fault starts from the all-X image
     with the fault forced, and each implication re-evaluates, level by
     level, only the gates downstream of an input the search changed,
-    stopping where neither machine's value changes.  The D-frontier is
+    stopping where a gate's byte does not change.  The D-frontier is
     scanned over the fault's fanout cone only.  Every {!generate} call
     reuses the scratch, so a [t] must not be shared across domains:
     prepare one per domain. *)
@@ -49,7 +57,9 @@ val generate_checked :
   (result, string) Stdlib.result
 (** {!generate}, with the good and faulty values compared after every
     implication step — decisions and backtracks included — against a
-    whole-circuit re-implication of the same assignment.  [Ok] carries
+    whole-circuit re-implication of the same assignment by scalar
+    three-valued evaluation, an implementation independent of the
+    two-rail one.  [Ok] carries
     {!generate}'s verdict; [Error] names the first step and node where
     the two differ.  Test hook; runs a full implication per step. *)
 

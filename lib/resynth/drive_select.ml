@@ -9,6 +9,7 @@ type result = {
   charac : Charac.t;
   partition : Partition.t;
   swaps : swap list;
+  priced : int;
   before : Cost.breakdown;
   after : Cost.breakdown;
 }
@@ -28,8 +29,9 @@ let worst_peak p =
            acc)
     None (Partition.module_ids p)
 
-let optimize ?weights ?(max_swaps = 64) start =
+let optimize ?weights ?(max_swaps = 64) ~metrics start =
   let assignment = Partition.assignment start in
+  let priced = ref 0 in
   let rec loop ch p swaps budget best_cost =
     if budget = 0 then (ch, p, swaps)
     else begin
@@ -63,7 +65,8 @@ let optimize ?weights ?(max_swaps = 64) start =
         let attempt g =
           let ch' = Charac.with_low_power ch ~gates:[| g |] in
           let p' = Partition.create ch' ~assignment in
-          let cost = (Cost.evaluate ?weights p').Cost.penalized in
+          incr priced;
+          let cost = (Cost.evaluate ?weights ~metrics p').Cost.penalized in
           (g, ch', p', cost)
         in
         let attempts = List.map attempt (take 6 ranked) in
@@ -84,7 +87,7 @@ let optimize ?weights ?(max_swaps = 64) start =
     end
   in
   let ch0 = Partition.charac start in
-  let before = Cost.evaluate ?weights start in
+  let before = Cost.evaluate ?weights ~metrics start in
   let ch, p, swaps =
     loop ch0 (Partition.copy start) [] max_swaps before.Cost.penalized
   in
@@ -92,6 +95,7 @@ let optimize ?weights ?(max_swaps = 64) start =
     charac = ch;
     partition = p;
     swaps = List.rev swaps;
+    priced = !priced;
     before;
-    after = Cost.evaluate ?weights p;
+    after = Cost.evaluate ?weights ~metrics p;
   }

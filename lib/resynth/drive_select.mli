@@ -24,6 +24,7 @@ type result = {
   charac : Iddq_analysis.Charac.t;  (** Re-characterized circuit. *)
   partition : Iddq_core.Partition.t;  (** Same assignment, new charac. *)
   swaps : swap list;  (** Applied swaps, in order. *)
+  priced : int;  (** Candidate swaps priced with a full cost evaluation. *)
   before : Iddq_core.Cost.breakdown;
   after : Iddq_core.Cost.breakdown;
 }
@@ -31,10 +32,13 @@ type result = {
 val optimize :
   ?weights:Iddq_core.Cost.weights ->
   ?max_swaps:int ->
+  metrics:Iddq_util.Metrics.t ->
   Iddq_core.Partition.t ->
   result
 (** [optimize p] runs the greedy pass on a partitioned design.
     [max_swaps] bounds the number of re-mapped gates (default 64).
     A swap may consume at most the gate's slack: the low-drive delay
     increase must be at most [slack g].  The input partition is not
-    modified. *)
+    modified.  Every full cost evaluation — the start, each priced
+    candidate swap and the final design — records into the caller's
+    [metrics]. *)

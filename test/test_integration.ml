@@ -58,7 +58,11 @@ let test_pipeline_schedule_consistent () =
 
 let test_resynth_composes_with_pipeline () =
   let r = run Pipeline.Evolution (Iscas.c432_like ()) in
-  let res = Iddq_resynth.Drive_select.optimize ~max_swaps:8 r.Pipeline.partition in
+  let res =
+    Iddq_resynth.Drive_select.optimize ~max_swaps:8
+      ~metrics:(Iddq_util.Metrics.create ())
+      r.Pipeline.partition
+  in
   (* the re-characterized partition still passes every invariant *)
   Alcotest.(check (result unit string)) "consistent" (Ok ())
     (Partition.check_consistent res.Iddq_resynth.Drive_select.partition);

@@ -164,6 +164,22 @@ let qcheck_event_driven_imply_matches_full =
             (Stuck_at.full_fault_list c))
         [ 1; 2; 3; 5; 8; 13; 20 ])
 
+(* The same oracle check on two ISCAS85 stand-ins, every fault of the
+   full list at the workload's 16-backtrack limit.  The XOR-heavy C499
+   stand-in drives multi-fanin parity gates with X fanins through the
+   two-rail parity rule, which the random DAGs above seldom reach. *)
+let test_imply_matches_full_iscas () =
+  List.iter
+    (fun (name, c) ->
+      let podem = Podem.prepare c in
+      List.iter
+        (fun fault ->
+          match Podem.generate_checked ~max_backtracks:16 podem fault with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "%s: %s" name m)
+        (Stuck_at.full_fault_list c))
+    [ ("c432_like", Iscas.c432_like ()); ("c499_like", Iscas.c499_like ()) ]
+
 (* Complete test sets: the Atpg facade's generation loop (random
    vectors, PODEM top-up, fault dropping) over these PODEM cubes. *)
 
@@ -232,4 +248,6 @@ let tests =
     Alcotest.test_case "complete set c17" `Quick test_atpg_set_c17;
     Alcotest.test_case "complete set top-up" `Slow test_atpg_set_tops_up_random;
     Alcotest.test_case "complete set empty" `Quick test_atpg_set_empty_faults;
+    Alcotest.test_case "implication = full re-implication on C432/C499"
+      `Quick test_imply_matches_full_iscas;
   ]

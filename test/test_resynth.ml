@@ -9,6 +9,7 @@ module Iscas = Iddq_netlist.Iscas
 module Generator = Iddq_netlist.Generator
 module Gate = Iddq_netlist.Gate
 module Rng = Iddq_util.Rng
+module Metrics = Iddq_util.Metrics
 
 let make circuit = Charac.make ~library:Library.default circuit
 
@@ -85,7 +86,7 @@ let run_resynth () =
   let ch = make (Iscas.c432_like ()) in
   let n = Charac.num_gates ch in
   let p = Partition.create ch ~assignment:(Array.init n (fun g -> g mod 2)) in
-  (p, Drive_select.optimize ~max_swaps:24 p)
+  (p, Drive_select.optimize ~max_swaps:24 ~metrics:(Metrics.create ()) p)
 
 let test_resynth_never_worsens_cost () =
   let _, r = run_resynth () in
@@ -111,7 +112,7 @@ let test_resynth_respects_budget () =
   let ch = make (Iscas.c432_like ()) in
   let n = Charac.num_gates ch in
   let p = Partition.create ch ~assignment:(Array.init n (fun g -> g mod 2)) in
-  let r = Drive_select.optimize ~max_swaps:3 p in
+  let r = Drive_select.optimize ~max_swaps:3 ~metrics:(Metrics.create ()) p in
   Alcotest.(check bool) "at most 3 swaps" true
     (List.length r.Drive_select.swaps <= 3)
 
@@ -131,6 +132,20 @@ let test_resynth_swaps_are_low_power () =
         (Charac.is_low_power r.Drive_select.charac s.Drive_select.gate))
     r.Drive_select.swaps
 
+(* Every full evaluation lands in the caller's registry: the start,
+   each priced candidate and the final design, and nothing else. *)
+let test_resynth_records_evaluations () =
+  let ch = make (Iscas.c432_like ()) in
+  let n = Charac.num_gates ch in
+  let p = Partition.create ch ~assignment:(Array.init n (fun g -> g mod 2)) in
+  let metrics = Metrics.create () in
+  let r = Drive_select.optimize ~max_swaps:24 ~metrics p in
+  let s = Metrics.snapshot metrics in
+  Alcotest.(check bool) "some swap priced" true (r.Drive_select.priced > 0);
+  Alcotest.(check int) "full evals = 2 + priced" (2 + r.Drive_select.priced)
+    (Metrics.get s Metrics.full_evals);
+  Alcotest.(check int) "no delta evals" 0 (Metrics.get s Metrics.delta_evals)
+
 let tests =
   [
     Alcotest.test_case "low power variant" `Quick test_low_power_variant_properties;
@@ -147,4 +162,6 @@ let tests =
     Alcotest.test_case "resynth budget" `Quick test_resynth_respects_budget;
     Alcotest.test_case "resynth input untouched" `Quick test_resynth_input_untouched;
     Alcotest.test_case "resynth swaps flagged" `Quick test_resynth_swaps_are_low_power;
+    Alcotest.test_case "resynth records its evaluations" `Quick
+      test_resynth_records_evaluations;
   ]
