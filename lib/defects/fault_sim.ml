@@ -23,54 +23,57 @@ let measurable p (inj : Fault.injected) =
   = Iddq_bic.Detection.Fail
 
 (* Good-machine words for every block in one flat GC-opaque buffer,
-   {e node-major}: node [id]'s word for block [b] at
-   [id * num_blocks + b].  The striped levelized kernel fills it [W]
-   consecutive blocks per gate visit; the layout also makes every
+   row-major: node [id]'s word for block [b] at
+   [rows.(id) * num_blocks + b].  The striped levelized kernel fills it
+   [W] consecutive blocks per gate visit; the layout also makes every
    fault sweep below a contiguous per-row scan.  Stripes (and level
-   slices) write disjoint regions — the shared buffer is each
-   domain's scratch. *)
-let good_values ?metrics ~pool c packed =
+   slices) write disjoint regions — the shared buffer is each domain's
+   scratch. *)
+let good_machine ?metrics ~pool c packed (rows : P.row_map) =
   let nb = P.num_blocks packed in
   let goods : P.ba =
-    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
-      (nb * Circuit.num_nodes c)
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (nb * rows.n_rows)
   in
-  P.eval_all_into ~pool c packed ~dst:goods;
+  P.eval_all_into ~pool c packed ~rows ~dst:goods;
   Option.iter
     (fun m -> Metrics.record_fault_sim m ~blocks:nb ~fault_blocks:0 ~dropped:0)
     metrics;
   goods
 
+let good_values ?metrics ~pool c packed =
+  good_machine ?metrics ~pool c packed (P.all_rows c)
+
 (* One fault's activation word for block [b], phrased so every load,
    [Int64] op and store fuses into a single expression — the fault
    sweep allocates nothing on the minor heap.  The good machine is
-   node-major, so each sweep reads one or two contiguous [nb]-word
-   rows.  [mask] is the block's active mask, which also maintains the
-   rows' tail-bit invariant. *)
+   row-major, so each sweep reads one or two contiguous [nb]-word
+   rows, [ra]/[rb]/[r] being row numbers (not node ids).  [mask] is
+   the block's active mask, which also maintains the rows' tail-bit
+   invariant. *)
 
-let sweep_bridge_row row goods ~nb ~masks ~a ~b =
+let sweep_bridge_row row goods ~nb ~masks ~ra ~rb =
   for blk = 0 to nb - 1 do
     Bigarray.Array1.unsafe_set row blk
       (Int64.logand
          (Int64.logxor
-            (Bigarray.Array1.unsafe_get goods ((a * nb) + blk))
-            (Bigarray.Array1.unsafe_get goods ((b * nb) + blk)))
+            (Bigarray.Array1.unsafe_get goods ((ra * nb) + blk))
+            (Bigarray.Array1.unsafe_get goods ((rb * nb) + blk)))
          (Array.unsafe_get masks blk))
   done
 
-let sweep_gos_row row goods ~nb ~masks ~id ~polarity =
+let sweep_gos_row row goods ~nb ~masks ~r ~polarity =
   if polarity then
     for blk = 0 to nb - 1 do
       Bigarray.Array1.unsafe_set row blk
         (Int64.logand
-           (Bigarray.Array1.unsafe_get goods ((id * nb) + blk))
+           (Bigarray.Array1.unsafe_get goods ((r * nb) + blk))
            (Array.unsafe_get masks blk))
     done
   else
     for blk = 0 to nb - 1 do
       Bigarray.Array1.unsafe_set row blk
         (Int64.logand
-           (Int64.lognot (Bigarray.Array1.unsafe_get goods ((id * nb) + blk)))
+           (Int64.lognot (Bigarray.Array1.unsafe_get goods ((r * nb) + blk)))
            (Array.unsafe_get masks blk))
     done
 
@@ -92,19 +95,60 @@ let run_fault_chunks pool nf f =
       let lo = ch * fault_chunk in
       f lo (Stdlib.min nf (lo + fault_chunk)))
 
+(* The nodes an IDDQ sweep reads: both ends of a bridge, the site of a
+   gate-oxide short.  A floating gate reads none. *)
+let fault_sites faults =
+  let sites = ref [] in
+  Array.iter
+    (fun (inj : Fault.injected) ->
+      match inj.Fault.fault with
+      | Fault.Bridge (a, b) -> sites := a :: b :: !sites
+      | Fault.Gate_oxide_short (id, _) -> sites := id :: !sites
+      | Fault.Floating_gate _ -> ())
+    faults;
+  Array.of_list !sites
+
+(* What both IDDQ sweeps start from: the pool, the packed vectors'
+   block masks, and the good machine in live rows — only the fault
+   sites keep their words to the end, every other node's row is
+   recycled once its last reader is evaluated, so the buffer holds
+   [n_rows] rows rather than one per node.  [row_of] maps a site to
+   its row of [goods]. *)
+type sweep = {
+  pool : Domain_pool.t;
+  faults : Fault.injected array;
+  nb : int;
+  nv : int;
+  masks : int64 array;
+  goods : P.ba;
+  row_of : int array;
+}
+
+let with_sweep ?(domains = 1) ?metrics c ~vectors ~faults f =
+  Domain_pool.with_pool ~domains @@ fun pool ->
+  let packed = P.pack_all vectors in
+  let faults = Array.of_list faults in
+  let map = P.live_rows c ~keep:(fault_sites faults) in
+  let goods = good_machine ?metrics ~pool c packed map in
+  let nb = P.num_blocks packed in
+  f
+    {
+      pool;
+      faults;
+      nb;
+      nv = P.n_vectors packed;
+      masks = Array.init nb (fun b -> P.block_mask packed b);
+      goods;
+      row_of = map.P.rows;
+    }
+
 (* Full matrix: every measurable fault visits every block (no
    dropping — callers want the complete detection sets).  Writes are
    disjoint per fault, so the fault chunks need no synchronization. *)
-let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
-    ~faults =
-  Domain_pool.with_pool ~domains @@ fun pool ->
-  let packed = P.pack_all vectors in
-  let goods = good_values ?metrics ~pool c packed in
-  let faults = Array.of_list faults in
+let detection_matrix_with ?domains ?metrics c ~measurable ~vectors ~faults =
+  with_sweep ?domains ?metrics c ~vectors ~faults
+  @@ fun { pool; faults; nb; nv; masks; goods; row_of } ->
   let nf = Array.length faults in
-  let nb = P.num_blocks packed in
-  let nv = P.n_vectors packed in
-  let masks = Array.init nb (fun b -> P.block_mask packed b) in
   let rows = Array.init nf (fun _ -> Bitvec.create nv) in
   let fault_blocks = Atomic.make 0 in
   let steals =
@@ -115,9 +159,11 @@ let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
           if measurable inj then begin
             let row = Bitvec.unsafe_words rows.(f) in
             (match inj.Fault.fault with
-            | Fault.Bridge (a, b) -> sweep_bridge_row row goods ~nb ~masks ~a ~b
+            | Fault.Bridge (a, b) ->
+              sweep_bridge_row row goods ~nb ~masks ~ra:row_of.(a)
+                ~rb:row_of.(b)
             | Fault.Gate_oxide_short (id, polarity) ->
-              sweep_gos_row row goods ~nb ~masks ~id ~polarity
+              sweep_gos_row row goods ~nb ~masks ~r:row_of.(id) ~polarity
             | Fault.Floating_gate _ -> sweep_floating_row row ~nb ~masks);
             fb := !fb + nb
           end
@@ -134,31 +180,27 @@ let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
 (* First detections only: fault dropping — a detected fault never
    touches another block.  The activation word is recomputed once more
    on the (rare) detecting block so the scan itself stays unboxed. *)
-let first_detections_with ?(domains = 1) ?metrics c ~measurable ~vectors
-    ~faults =
-  Domain_pool.with_pool ~domains @@ fun pool ->
-  let packed = P.pack_all vectors in
-  let goods = good_values ?metrics ~pool c packed in
-  let faults = Array.of_list faults in
+let first_detections_with ?domains ?metrics c ~measurable ~vectors ~faults =
+  with_sweep ?domains ?metrics c ~vectors ~faults
+  @@ fun { pool; faults; nb; masks; goods; row_of; _ } ->
   let nf = Array.length faults in
-  let nb = P.num_blocks packed in
-  let masks = Array.init nb (fun b -> P.block_mask packed b) in
   let act_word blk (fault : Fault.t) =
     match fault with
     | Fault.Bridge (a, b) ->
       Int64.logand
         (Int64.logxor
-           (Bigarray.Array1.unsafe_get goods ((a * nb) + blk))
-           (Bigarray.Array1.unsafe_get goods ((b * nb) + blk)))
+           (Bigarray.Array1.unsafe_get goods ((row_of.(a) * nb) + blk))
+           (Bigarray.Array1.unsafe_get goods ((row_of.(b) * nb) + blk)))
         (Array.unsafe_get masks blk)
     | Fault.Gate_oxide_short (id, polarity) ->
       if polarity then
         Int64.logand
-          (Bigarray.Array1.unsafe_get goods ((id * nb) + blk))
+          (Bigarray.Array1.unsafe_get goods ((row_of.(id) * nb) + blk))
           (Array.unsafe_get masks blk)
       else
         Int64.logand
-          (Int64.lognot (Bigarray.Array1.unsafe_get goods ((id * nb) + blk)))
+          (Int64.lognot
+             (Bigarray.Array1.unsafe_get goods ((row_of.(id) * nb) + blk)))
           (Array.unsafe_get masks blk)
     | Fault.Floating_gate _ -> Array.unsafe_get masks blk
   in

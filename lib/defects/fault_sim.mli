@@ -10,8 +10,13 @@
     - the vector set is packed {e once} into 64-wide blocks
       ({!Iddq_patterns.Parallel_sim.pack_all});
     - the {e good machine} is evaluated once for all blocks by the
-      striped levelized kernel into one node-major buffer
-      ({!good_values}) and shared across all faults — IDDQ activation
+      striped levelized kernel into one row-major buffer and shared
+      across all faults.  The sweeps read only the fault sites, so
+      they evaluate under {!Iddq_patterns.Parallel_sim.live_rows}:
+      the sites keep their rows, every other node's row is recycled
+      once its last reader is evaluated, and the buffer holds the
+      nodes live across a level boundary (~8% of the nodes of the
+      1M-gate benchmark DAG) rather than every node.  IDDQ activation
       needs no faulty re-simulation, every defect model reduces to
       pure [Int64] word operations over good-machine node words (a
       bridge activates where the two nets differ: one [XOR]; a
@@ -54,13 +59,16 @@ val good_values :
   Iddq_netlist.Circuit.t ->
   Iddq_patterns.Parallel_sim.packed ->
   Iddq_patterns.Parallel_sim.ba
-(** The good machine: one GC-opaque {e node-major} buffer holding
-    node [id]'s word for block [b] at [id * num_blocks + b], filled by
-    the striped levelized kernel
+(** The full good machine: one GC-opaque {e node-major} buffer
+    holding {e every} node [id]'s word for block [b] at
+    [id * num_blocks + b] (the {!Iddq_patterns.Parallel_sim.all_rows}
+    map), filled by the striped levelized kernel
     ({!Iddq_patterns.Parallel_sim.eval_all_into}, levels or stripes
-    split over [pool]).  The layout makes every fault sweep a
-    contiguous per-node row scan.  What {!detection_matrix},
-    {!first_detections} and {!Stuck_at.fault_simulate} run on. *)
+    split over [pool]).  What {!Stuck_at.fault_simulate} runs on: its
+    cone kernel reads any node.  The IDDQ sweeps
+    ({!detection_matrix}, {!first_detections} and their [_with]
+    forms) evaluate the same kernel under a live-row map instead and
+    never build this buffer. *)
 
 val run_fault_chunks :
   Iddq_util.Domain_pool.t -> int -> (int -> int -> unit) -> int

@@ -74,8 +74,9 @@ let block_mask p b = p.masks.(b)
 (* Flat striped levelized evaluation (hot path)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Node-major striping: the value matrix holds [stride] consecutive
-   block words per node ([dst.(id * stride + blk)]), and one gate
+(* Row-major striping: the value matrix holds [stride] consecutive
+   block words per row, node [id] in row [rows.(id)]
+   ([dst.(rows.(id) * stride + blk)]), and one gate
    visit evaluates [width] consecutive blocks.  One CSR traversal —
    dispatch byte, fanin indices, bounds — is amortized over [width]
    words, and every fanin read is a contiguous [width]-word run: at
@@ -85,7 +86,102 @@ let block_mask p b = p.masks.(b)
    non-flambda compiler that is what keeps every intermediate word
    unboxed, so an evaluation costs zero minor words. *)
 
-let seed_inputs_striped c p ~block0 ~width ~stride ~(dst : ba) =
+(* Row maps: the kernel stores node [id]'s words in matrix row
+   [rows.(id)].  The identity map gives every node its own row; the
+   live map recycles the row of a node whose last reader has been
+   evaluated, so the matrix holds only the nodes live across one level
+   boundary (plus the kept ones). *)
+
+type row_map = { rows : int array; n_rows : int }
+
+let all_rows c =
+  let n = Circuit.num_nodes c in
+  { rows = Array.init n Fun.id; n_rows = n }
+
+(* Two linear passes over the level order.  Pass 1 records, for every
+   node, the level of its last reader ([-1]: none): levels ascend, so
+   the last value written is the maximum.  Pass 2 hands each level's
+   gates rows off a free stack, then puts back the rows whose last
+   reader sits at that level, and those of gates nobody reads.  A row
+   freed after level [l] is handed out only at a level above [l], and
+   every driver below finishes a level (per stripe, or behind a pool
+   barrier) before starting the next, so no reader sees its row
+   overwritten.  Kept nodes are marked [max_int], a level no reader
+   reaches: their rows are never put back.  Inputs hold rows
+   [0 .. ni-1].
+
+   The put-back loop is branch-free: it stores every visited fanin's
+   row at the top of the stack and advances the top only on a last
+   read, which also marks the node [-2] so a second read at the same
+   level does not put it back twice.  Whether a read is the last one
+   is data-dependent, and a branch on it mispredicts often enough to
+   double the pass.  The speculative store stays in bounds: a level's
+   gates hold rows while the loop runs, so fewer than [n_rows] rows are
+   free, and the stack is grown to [n_rows] after every level's
+   hand-out. *)
+let live_rows c ~keep =
+  let n = Circuit.num_nodes c and ni = Circuit.num_inputs c in
+  let order = Circuit.Csr.level_order c in
+  let level_offsets = Circuit.Csr.level_offsets c in
+  let levels = Circuit.Csr.levels c in
+  let offsets = Circuit.Csr.fanin_offsets c in
+  let targets = Circuit.Csr.fanin_targets c in
+  let last = Array.make n (-1) in
+  for j = 0 to Array.length order - 1 do
+    let g = Array.unsafe_get order j in
+    let l = Array.unsafe_get levels g in
+    for k = Array.unsafe_get offsets g to Array.unsafe_get offsets (g + 1) - 1 do
+      Array.unsafe_set last (Array.unsafe_get targets k) l
+    done
+  done;
+  Array.iter
+    (fun id ->
+      if id < 0 || id >= n then invalid_arg "Parallel_sim.live_rows: bad keep id";
+      last.(id) <- max_int)
+    keep;
+  let rows = Array.make n 0 in
+  for i = 0 to ni - 1 do
+    rows.(i) <- i
+  done;
+  let n_rows = ref ni in
+  let free = ref [||] and top = ref 0 in
+  for l = 1 to Array.length level_offsets - 1 do
+    let lo = level_offsets.(l - 1) and hi = level_offsets.(l) in
+    for j = lo to hi - 1 do
+      let g = Array.unsafe_get order j in
+      if !top > 0 then begin
+        decr top;
+        Array.unsafe_set rows g (Array.unsafe_get !free !top)
+      end
+      else begin
+        Array.unsafe_set rows g !n_rows;
+        incr n_rows
+      end
+    done;
+    if Array.length !free < !n_rows then begin
+      let bigger = Array.make (Stdlib.max !n_rows (2 * Array.length !free)) 0 in
+      Array.blit !free 0 bigger 0 !top;
+      free := bigger
+    end;
+    let free = !free in
+    for j = lo to hi - 1 do
+      let g = Array.unsafe_get order j in
+      for k = Array.unsafe_get offsets g to Array.unsafe_get offsets (g + 1) - 1
+      do
+        let f = Array.unsafe_get targets k in
+        let lf = Array.unsafe_get last f in
+        let put = Bool.to_int (lf = l) in
+        Array.unsafe_set last f (lf - (put * (lf + 2)));
+        Array.unsafe_set free !top (Array.unsafe_get rows f);
+        top := !top + put
+      done;
+      Array.unsafe_set free !top (Array.unsafe_get rows g);
+      top := !top + Bool.to_int (Array.unsafe_get last g = -1)
+    done
+  done;
+  { rows; n_rows = !n_rows }
+
+let seed_inputs_striped c p ~rows ~block0 ~width ~stride ~(dst : ba) =
   let ni = Circuit.num_inputs c in
   if p.n_inputs <> ni then
     invalid_arg "Parallel_sim.seed_inputs_striped: input word count mismatch";
@@ -94,11 +190,14 @@ let seed_inputs_striped c p ~block0 ~width ~stride ~(dst : ba) =
     invalid_arg "Parallel_sim.seed_inputs_striped: bad block range";
   if stride < block0 + width then
     invalid_arg "Parallel_sim.seed_inputs_striped: stride below block range";
-  if Circuit.num_nodes c * stride > Bigarray.Array1.dim dst then
+  if Array.length rows.rows <> Circuit.num_nodes c then
+    invalid_arg "Parallel_sim.seed_inputs_striped: row map of another circuit";
+  if rows.n_rows * stride > Bigarray.Array1.dim dst then
     invalid_arg "Parallel_sim.seed_inputs_striped: destination too small";
   let words = p.words in
   (* packed words are block-major (block b, input i at b*ni + i);
-     transpose the stripe into node-major rows *)
+     transpose the stripe into matrix rows — input [i] holds row [i]
+     under every map *)
   for i = 0 to ni - 1 do
     for w = 0 to width - 1 do
       Bigarray.Array1.unsafe_set dst ((i * stride) + block0 + w)
@@ -112,14 +211,18 @@ let seed_inputs_striped c p ~block0 ~width ~stride ~(dst : ba) =
    under levels qualifies, which is what the level barriers in
    [eval_all_into] provide.  Allocation-free (the schedule arrays come
    in as plain [int array]s; no closures, no boxed intermediates). *)
-let eval_order_range_striped c ~order ~lo ~hi ~block0 ~width ~stride ~(dst : ba)
-    =
+let eval_order_range_striped c ~rows ~order ~lo ~hi ~block0 ~width ~stride
+    ~(dst : ba) =
   if lo < 0 || hi > Array.length order || lo > hi then
     invalid_arg "Parallel_sim.eval_order_range_striped: bad order range";
   if block0 < 0 || width < 0 || stride < block0 + width then
     invalid_arg "Parallel_sim.eval_order_range_striped: bad stripe";
-  if Circuit.num_nodes c * stride > Bigarray.Array1.dim dst then
+  if Array.length rows.rows <> Circuit.num_nodes c then
+    invalid_arg
+      "Parallel_sim.eval_order_range_striped: row map of another circuit";
+  if rows.n_rows * stride > Bigarray.Array1.dim dst then
     invalid_arg "Parallel_sim.eval_order_range_striped: destination too small";
+  let rows = rows.rows in
   let kinds = Circuit.Csr.kinds c in
   let offsets = Circuit.Csr.fanin_offsets c in
   let targets = Circuit.Csr.fanin_targets c in
@@ -130,8 +233,10 @@ let eval_order_range_striped c ~order ~lo ~hi ~block0 ~width ~stride ~(dst : ba)
     let code = Char.code (Bytes.unsafe_get kinds id) in
     if e <= s then
       invalid_arg "Parallel_sim.eval_order_range_striped: gate with no fanins";
-    let row = (id * stride) + block0 in
-    let f0 = (Array.unsafe_get targets s * stride) + block0 in
+    let row = (Array.unsafe_get rows id * stride) + block0 in
+    let f0 =
+      (Array.unsafe_get rows (Array.unsafe_get targets s) * stride) + block0
+    in
     (match code with
     | 0 | 1 ->
       (* And / Nand *)
@@ -140,7 +245,9 @@ let eval_order_range_striped c ~order ~lo ~hi ~block0 ~width ~stride ~(dst : ba)
           (Bigarray.Array1.unsafe_get dst (f0 + w))
       done;
       for k = s + 1 to e - 1 do
-        let fk = (Array.unsafe_get targets k * stride) + block0 in
+        let fk =
+          (Array.unsafe_get rows (Array.unsafe_get targets k) * stride) + block0
+        in
         for w = 0 to width - 1 do
           Bigarray.Array1.unsafe_set dst (row + w)
             (Int64.logand
@@ -155,7 +262,9 @@ let eval_order_range_striped c ~order ~lo ~hi ~block0 ~width ~stride ~(dst : ba)
           (Bigarray.Array1.unsafe_get dst (f0 + w))
       done;
       for k = s + 1 to e - 1 do
-        let fk = (Array.unsafe_get targets k * stride) + block0 in
+        let fk =
+          (Array.unsafe_get rows (Array.unsafe_get targets k) * stride) + block0
+        in
         for w = 0 to width - 1 do
           Bigarray.Array1.unsafe_set dst (row + w)
             (Int64.logor
@@ -170,7 +279,9 @@ let eval_order_range_striped c ~order ~lo ~hi ~block0 ~width ~stride ~(dst : ba)
           (Bigarray.Array1.unsafe_get dst (f0 + w))
       done;
       for k = s + 1 to e - 1 do
-        let fk = (Array.unsafe_get targets k * stride) + block0 in
+        let fk =
+          (Array.unsafe_get rows (Array.unsafe_get targets k) * stride) + block0
+        in
         for w = 0 to width - 1 do
           Bigarray.Array1.unsafe_set dst (row + w)
             (Int64.logxor
@@ -197,11 +308,11 @@ let eval_order_range_striped c ~order ~lo ~hi ~block0 ~width ~stride ~(dst : ba)
       done
   done
 
-let eval_stripe_into c p ~block0 ~width ~stride ~(dst : ba) =
-  seed_inputs_striped c p ~block0 ~width ~stride ~dst;
+let eval_stripe_into c p ~rows ~block0 ~width ~stride ~(dst : ba) =
+  seed_inputs_striped c p ~rows ~block0 ~width ~stride ~dst;
   let order = Circuit.Csr.level_order c in
-  eval_order_range_striped c ~order ~lo:0 ~hi:(Array.length order) ~block0
-    ~width ~stride ~dst
+  eval_order_range_striped c ~rows ~order ~lo:0 ~hi:(Array.length order)
+    ~block0 ~width ~stride ~dst
 
 (* Words evaluated per gate visit unless overridden: one cache line. *)
 let default_stripe = 8
@@ -212,11 +323,10 @@ let default_stripe = 8
    level carries roughly a thousand gate visits of real work. *)
 let min_split_width = 1024
 
-let eval_all_into ?pool ?(stripe = default_stripe) c p ~(dst : ba) =
+let eval_all_into ?pool ?(stripe = default_stripe) c p ~rows ~(dst : ba) =
   if stripe < 1 then invalid_arg "Parallel_sim.eval_all_into: bad stripe";
   let nb = num_blocks p in
-  let n = Circuit.num_nodes c in
-  if n * nb > Bigarray.Array1.dim dst then
+  if rows.n_rows * nb > Bigarray.Array1.dim dst then
     invalid_arg "Parallel_sim.eval_all_into: destination too small";
   if nb = 0 then ()
   else begin
@@ -225,7 +335,7 @@ let eval_all_into ?pool ?(stripe = default_stripe) c p ~(dst : ba) =
     let eval_stripe s =
       let block0 = s * w in
       let width = Stdlib.min w (nb - block0) in
-      eval_stripe_into c p ~block0 ~width ~stride:nb ~dst
+      eval_stripe_into c p ~rows ~block0 ~width ~stride:nb ~dst
     in
     let psize = match pool with None -> 1 | Some t -> Domain_pool.size t in
     match pool with
@@ -250,13 +360,13 @@ let eval_all_into ?pool ?(stripe = default_stripe) c p ~(dst : ba) =
       for s = 0 to stripes - 1 do
         let block0 = s * w in
         let width = Stdlib.min w (nb - block0) in
-        seed_inputs_striped c p ~block0 ~width ~stride:nb ~dst;
+        seed_inputs_striped c p ~rows ~block0 ~width ~stride:nb ~dst;
         for l = 1 to Circuit.depth c do
           let lo = offsets.(l - 1) and hi = offsets.(l) in
           let lw = hi - lo in
           if lw < min_split_width then
-            eval_order_range_striped c ~order ~lo ~hi ~block0 ~width ~stride:nb
-              ~dst
+            eval_order_range_striped c ~rows ~order ~lo ~hi ~block0 ~width
+              ~stride:nb ~dst
           else begin
             let per = (lw + psize - 1) / psize in
             ignore
@@ -264,8 +374,8 @@ let eval_all_into ?pool ?(stripe = default_stripe) c p ~(dst : ba) =
                    let clo = lo + (k * per) in
                    let chi = Stdlib.min hi (clo + per) in
                    if clo < chi then
-                     eval_order_range_striped c ~order ~lo:clo ~hi:chi ~block0
-                       ~width ~stride:nb ~dst))
+                     eval_order_range_striped c ~rows ~order ~lo:clo ~hi:chi
+                       ~block0 ~width ~stride:nb ~dst))
           end
         done
       done

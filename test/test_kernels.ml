@@ -192,14 +192,30 @@ let test_eval_stripe_allocation_free () =
     Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * nb)
   in
   Bigarray.Array1.fill dst 0L;
-  P.eval_stripe_into c packed ~block0:0 ~width:nb ~stride:nb ~dst;
+  let rows = P.all_rows c in
+  P.eval_stripe_into c packed ~rows ~block0:0 ~width:nb ~stride:nb ~dst;
   let before = Gc.minor_words () in
   for _ = 1 to 50 do
-    P.eval_stripe_into c packed ~block0:0 ~width:nb ~stride:nb ~dst
+    P.eval_stripe_into c packed ~rows ~block0:0 ~width:nb ~stride:nb ~dst
   done;
   let delta = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0))
-    "minor words allocated across 50 striped full-matrix evals" 0.0 delta
+    "minor words allocated across 50 striped full-matrix evals" 0.0 delta;
+  (* the same under recycled rows: the row indirection allocates
+     nothing either *)
+  let live = P.live_rows c ~keep:[| n - 1 |] in
+  Alcotest.(check bool) "the live map reuses rows" true (live.P.n_rows < n);
+  let dst : P.ba =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (live.P.n_rows * nb)
+  in
+  P.eval_stripe_into c packed ~rows:live ~block0:0 ~width:nb ~stride:nb ~dst;
+  let before = Gc.minor_words () in
+  for _ = 1 to 50 do
+    P.eval_stripe_into c packed ~rows:live ~block0:0 ~width:nb ~stride:nb ~dst
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0))
+    "minor words allocated across 50 striped live-row evals" 0.0 delta
 
 (* ---------------- striped / domain kernels vs Logic_sim.eval -------- *)
 
@@ -262,7 +278,7 @@ let striped_eval_ok c vectors =
     List.for_all
       (fun w ->
         Bigarray.Array1.fill dst Int64.minus_one;
-        P.eval_all_into ~stripe:w c p ~dst;
+        P.eval_all_into ~stripe:w c p ~rows:(P.all_rows c) ~dst;
         nb = 0 || matches ())
       [ 1; 2; 3; 8 ]
   in
@@ -273,7 +289,7 @@ let striped_eval_ok c vectors =
         List.for_all
           (fun w ->
             Bigarray.Array1.fill dst Int64.minus_one;
-            P.eval_all_into ~pool ~stripe:w c p ~dst;
+            P.eval_all_into ~pool ~stripe:w c p ~rows:(P.all_rows c) ~dst;
             nb = 0 || matches ())
           [ 1; Stdlib.max 1 nb ])
   in
@@ -326,6 +342,61 @@ let qcheck_domain_faultsim_matches_scalar =
       let narrow_ok = domain_faultsim_ok ~rng c vectors in
       let wide, wide_vectors = wide_case rng in
       narrow_ok && domain_faultsim_ok ~rng wide wide_vectors)
+
+(* A wide {e and} deep circuit: at least three levels of at least 1024
+   gates, so with 3 blocks (one stripe) under a 3-domain pool every
+   such level is split across the pool behind a barrier, and the live
+   good machine hands rows freed after one level to the gates of a
+   later one.  Both IDDQ sweeps, at 1 and 3 domains, must match the
+   scalar oracle. *)
+let test_wide_deep_live_rows () =
+  let rng = Rng.create 2024 in
+  let c =
+    Generator.layered_dag ~rng ~name:"widedeep" ~num_inputs:32 ~num_outputs:16
+      ~num_gates:6_000 ~depth:4 ()
+  in
+  let offsets = Circuit.Csr.level_offsets c in
+  let wide = ref 0 in
+  for l = 1 to Circuit.depth c do
+    if offsets.(l) - offsets.(l - 1) >= 1024 then incr wide
+  done;
+  Alcotest.(check bool) "three levels reach the split width" true (!wide >= 3);
+  let vectors = Pattern_gen.random ~rng c ~count:130 in
+  let faults = Fault.random_population ~rng c ~count:60 ~defect_current:2e-6 in
+  let keep =
+    Array.of_list
+      (List.concat_map
+         (fun (inj : Fault.injected) ->
+           match inj.Fault.fault with
+           | Fault.Bridge (a, b) -> [ a; b ]
+           | Fault.Gate_oxide_short (id, _) -> [ id ]
+           | Fault.Floating_gate _ -> [])
+         faults)
+  in
+  let live = P.live_rows c ~keep in
+  Alcotest.(check bool) "the live map has fewer rows than nodes" true
+    (live.P.n_rows < Circuit.num_nodes c);
+  let measurable _ = true in
+  let scalar =
+    Fault_sim.detection_matrix_scalar_with c ~measurable ~vectors ~faults
+  in
+  List.iter
+    (fun domains ->
+      let flat =
+        Fault_sim.detection_matrix_with ~domains c ~measurable ~vectors ~faults
+      in
+      let first =
+        Fault_sim.first_detections_with ~domains c ~measurable ~vectors ~faults
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "matrix = scalar oracle at %d domains" domains)
+        true
+        (Fault_sim.equal flat scalar);
+      Alcotest.(check (array int))
+        (Printf.sprintf "first detections = scalar oracle at %d domains" domains)
+        (Array.map Bitvec.first_set scalar.Fault_sim.rows)
+        first)
+    [ 1; 3 ]
 
 (* ---------------- flat engine vs scalar oracle (qcheck) -------------- *)
 
@@ -443,4 +514,6 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_flat_matches_scalar;
     QCheck_alcotest.to_alcotest qcheck_stuck_at_matches_detects;
     QCheck_alcotest.to_alcotest qcheck_incremental_c3_exact;
+    Alcotest.test_case "wide and deep live rows = scalar oracle" `Quick
+      test_wide_deep_live_rows;
   ]

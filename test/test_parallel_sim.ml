@@ -4,6 +4,7 @@ module Pattern_gen = Iddq_patterns.Pattern_gen
 module Stuck_at = Iddq_defects.Stuck_at
 module Iscas = Iddq_netlist.Iscas
 module Circuit = Iddq_netlist.Circuit
+module Gate = Iddq_netlist.Gate
 module Generator = Iddq_netlist.Generator
 module Rng = Iddq_util.Rng
 
@@ -17,7 +18,7 @@ let striped_equals_scalar c vectors =
   let dst : P.ba =
     Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (Circuit.num_nodes c * nb)
   in
-  P.eval_all_into c p ~dst;
+  P.eval_all_into c p ~rows:(P.all_rows c) ~dst;
   let ok = ref true in
   Array.iteri
     (fun v inputs ->
@@ -154,8 +155,8 @@ let test_zero_fanin_rejected () =
         (Printf.sprintf "striped %s with no fanins rejected" name)
         true
         (raises (fun () ->
-             P.eval_order_range_striped c ~order:[| 1 |] ~lo:0 ~hi:1 ~block0:0 ~width:1
-               ~stride:1 ~dst));
+             P.eval_order_range_striped c ~rows:(P.all_rows c) ~order:[| 1 |] ~lo:0 ~hi:1
+               ~block0:0 ~width:1 ~stride:1 ~dst));
       Alcotest.(check bool)
         (Printf.sprintf "Logic_sim %s with no fanins rejected" name)
         true
@@ -230,6 +231,113 @@ let test_empty_vector_set_is_noop () =
   Alcotest.(check bool) "start past the end rejected" true
     (raises (fun () -> P.active_mask vectors ~start:3))
 
+(* Row maps against a brute-force liveness oracle.  Random DAGs with
+   repeated fanins (an [XOR(a, a)] reads [a] twice at one level) and
+   random [keep] sets.  A node is live from its own level to the level
+   of its last reader (its own level when nobody reads it; forever
+   when kept): two nodes whose live ranges overlap must not share a
+   row, and a kept node's row goes to no later node.  The kept nodes'
+   words after a live-row evaluation equal the all-rows matrix. *)
+let random_dag rng =
+  let ni = 1 + Rng.int rng 6 and ng = 1 + Rng.int rng 60 in
+  let n = ni + ng in
+  let nodes =
+    Array.init n (fun id ->
+        if id < ni then Circuit.Input
+        else begin
+          let arity = 1 + Rng.int rng 3 in
+          let fanins = Array.init arity (fun _ -> Rng.int rng id) in
+          let kind =
+            if arity = 1 then if Rng.bool rng then Gate.Not else Gate.Buff
+            else Rng.choose rng Gate.[| And; Nand; Or; Nor; Xor; Xnor |]
+          in
+          Circuit.Gate (kind, fanins)
+        end)
+  in
+  Circuit.unsafe_make ~name:"rows" ~nodes
+    ~node_names:(Array.init n (Printf.sprintf "n%d"))
+    ~num_inputs:ni ~outputs:[| n - 1 |]
+
+let row_map_ok c ~keep (m : P.row_map) =
+  let n = Circuit.num_nodes c in
+  let kept id = Array.mem id keep in
+  let birth id = Circuit.level c id in
+  let death id =
+    if kept id then max_int
+    else
+      Array.fold_left
+        (fun d r -> Stdlib.max d (Circuit.level c r))
+        (birth id) (Circuit.fanouts c id)
+  in
+  let ok = ref (m.P.n_rows <= n && Array.length m.P.rows = n) in
+  for i = 0 to Circuit.num_inputs c - 1 do
+    if m.P.rows.(i) <> i then ok := false
+  done;
+  for u = 0 to n - 1 do
+    let ru = m.P.rows.(u) in
+    if ru < 0 || ru >= m.P.n_rows then ok := false;
+    for v = u + 1 to n - 1 do
+      if m.P.rows.(v) = ru then begin
+        (* overlapping live ranges *)
+        if not (death u < birth v || death v < birth u) then ok := false;
+        (* a kept row handed to a node born no earlier *)
+        if (kept u && birth v >= birth u) || (kept v && birth u >= birth v)
+        then ok := false
+      end
+    done
+  done;
+  !ok
+
+let qcheck_row_map_oracle =
+  QCheck.Test.make ~name:"row maps = brute-force liveness" ~count:200
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let c = random_dag rng in
+      let n = Circuit.num_nodes c in
+      let keep =
+        Array.of_list
+          (List.filter (fun _ -> Rng.int rng 8 = 0) (List.init n Fun.id))
+      in
+      let live = P.live_rows c ~keep in
+      let all = P.all_rows c in
+      let identity_ok =
+        all.P.n_rows = n && all.P.rows = Array.init n Fun.id
+      in
+      let raises f =
+        try ignore (f ()); false with Invalid_argument _ -> true
+      in
+      let bad_keep_ok =
+        raises (fun () -> P.live_rows c ~keep:[| n |])
+        && raises (fun () -> P.live_rows c ~keep:[| -1 |])
+      in
+      let vectors = Pattern_gen.random ~rng c ~count:70 in
+      let p = P.pack_all vectors in
+      let nb = P.num_blocks p in
+      let eval (m : P.row_map) =
+        let dst : P.ba =
+          Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
+            (m.P.n_rows * nb)
+        in
+        P.eval_all_into ~stripe:1 c p ~rows:m ~dst;
+        dst
+      in
+      let full = eval all and recycled = eval live in
+      let kept_ok =
+        Array.for_all
+          (fun id ->
+            List.for_all
+              (fun b ->
+                Bigarray.Array1.get full ((id * nb) + b)
+                = Bigarray.Array1.get recycled
+                    ((live.P.rows.(id) * nb) + b))
+              (List.init nb Fun.id))
+          keep
+      in
+      identity_ok && bad_keep_ok && row_map_ok c ~keep live
+      && row_map_ok c ~keep:[||] (P.live_rows c ~keep:[||])
+      && kept_ok)
+
 let tests =
   [
     Alcotest.test_case "pack/unpack" `Quick test_pack_unpack;
@@ -246,4 +354,5 @@ let tests =
       test_fault_simulate_matches_scalar_detects;
     QCheck_alcotest.to_alcotest qcheck_parallel_equals_scalar;
     QCheck_alcotest.to_alcotest qcheck_partial_blocks_equal_scalar;
+    QCheck_alcotest.to_alcotest qcheck_row_map_oracle;
   ]
