@@ -61,6 +61,9 @@ type t = {
   dfs : int array;
   decisions : int array; (* assigned primary inputs, oldest first *)
   flipped : Bytes.t; (* per decision: alternative already tried *)
+  marks : int array; (* per decision: [log_len] before its implication *)
+  mutable log : int array; (* changed bytes, oldest first: [id lsl 4 lor old] *)
+  mutable log_len : int;
 }
 
 let[@inline] get b i = Char.code (Bytes.unsafe_get b i)
@@ -196,6 +199,9 @@ let prepare c =
       dfs = Array.make n 0;
       decisions = Array.make ni 0;
       flipped = Bytes.make ni '\000';
+      marks = Array.make ni 0;
+      log = Array.make n 0;
+      log_len = 0;
     }
   in
   for id = ni to n - 1 do
@@ -316,22 +322,44 @@ let start t d =
     incr id
   done
 
-(* Event-driven two-rail implication of the current assignment: the
-   inputs that changed since the last call queue their fanouts, and the
-   queue drains level by level, a gate queueing its fanouts only when
-   its byte — good or faulty machine — changes.  The stuck stem's
-   faulty rail stays forced, and the reading gate of a pin fault reads
-   its faulty pin's faulty rail forced.  Evaluation reads only fanin
-   values, so every node ends equal to {!imply_full}. *)
-let imply t d =
-  for i = 0 to t.ni - 1 do
-    let b = both (get t.assignment i) in
-    let b = if i = d.stem then good_rail b lor d.forced else b in
-    if b <> get t.gf i then begin
-      set t.gf i b;
-      enqueue_fanouts t i
-    end
+(* Set node [id]'s byte to [b], logging the old one so a backtrack
+   can restore it.  The log only grows past its capacity when a search
+   changes more bytes than any before it on this context. *)
+let change t id b =
+  if t.log_len = Array.length t.log then begin
+    let bigger = Array.make (2 * t.log_len + 16) 0 in
+    Array.blit t.log 0 bigger 0 t.log_len;
+    t.log <- bigger
+  end;
+  Array.unsafe_set t.log t.log_len ((id lsl 4) lor get t.gf id);
+  t.log_len <- t.log_len + 1;
+  set t.gf id b
+
+(* Restore every byte logged since [mark], newest first. *)
+let undo t mark =
+  for k = t.log_len - 1 downto mark do
+    let e = Array.unsafe_get t.log k in
+    set t.gf (e lsr 4) (e land 0b1111)
   done;
+  t.log_len <- mark
+
+(* Event-driven two-rail implication after input [pi] changed ([-1]:
+   none, only the gates {!start} queued): the input queues its fanouts,
+   and the queue drains level by level, a gate queueing its fanouts
+   only when its byte — good or faulty machine — changes.  The stuck
+   stem's faulty rail stays forced, and the reading gate of a pin
+   fault reads its faulty pin's faulty rail forced.  Evaluation reads
+   only fanin values, so every node ends equal to {!imply_full}.
+   Every byte changed is logged. *)
+let imply t d pi =
+  if pi >= 0 then begin
+    let b = both (get t.assignment pi) in
+    let b = if pi = d.stem then good_rail b lor d.forced else b in
+    if b <> get t.gf pi then begin
+      change t pi b;
+      enqueue_fanouts t pi
+    end
+  end;
   let l = ref t.q_lo in
   while !l <= t.q_hi do
     let base = Array.unsafe_get t.q_base (!l - 1) in
@@ -341,7 +369,7 @@ let imply t d =
       let b = eval2 t id ~pin ~forced:d.forced in
       let b = if id = d.stem then good_rail b lor d.forced else b in
       if b <> get t.gf id then begin
-        set t.gf id b;
+        change t id b;
         enqueue_fanouts t id
       end
     done;
@@ -475,14 +503,19 @@ let backtrace t objective =
   done;
   !result
 
-(* The search, calling [after_imply d] after every implication. *)
+(* The search, calling [after_imply d] after every implication.  Each
+   decision marks the log before its implication; a flip restores the
+   flipped decision's mark — the implication of the decisions before
+   it — and implies only the flipped input, so no gate is re-evaluated
+   to rebuild values the search already had. *)
 let search ~max_backtracks ~after_imply t fault =
   let d = decode t fault in
   Bytes.fill t.assignment 0 t.ni (Char.chr vx);
   start t d;
-  let depth = ref 0 and backtracks = ref 0 in
+  t.log_len <- 0;
+  let depth = ref 0 and backtracks = ref 0 and changed = ref (-1) in
   let outcome = ref None in
-  (* Undo exhausted decisions and flip the newest open one. *)
+  (* Drop exhausted decisions and flip the newest open one. *)
   let backtrack () =
     incr backtracks;
     if !backtracks > max_backtracks then outcome := Some Aborted
@@ -494,13 +527,15 @@ let search ~max_backtracks ~after_imply t fault =
       if !depth = 0 then outcome := Some Untestable
       else begin
         let pi = t.decisions.(!depth - 1) in
+        undo t t.marks.(!depth - 1);
         set t.assignment pi (1 - get t.assignment pi);
-        Bytes.set t.flipped (!depth - 1) '\001'
+        Bytes.set t.flipped (!depth - 1) '\001';
+        changed := pi
       end
     end
   in
   while Option.is_none !outcome do
-    imply t d;
+    imply t d !changed;
     after_imply d;
     if error_at_output t then
       outcome :=
@@ -525,8 +560,10 @@ let search ~max_backtracks ~after_imply t fault =
         let pi = decision lsr 1 in
         set t.assignment pi (decision land 1);
         t.decisions.(!depth) <- pi;
+        t.marks.(!depth) <- t.log_len;
         Bytes.set t.flipped !depth '\000';
-        incr depth
+        incr depth;
+        changed := pi
       end
     end
   done;

@@ -27,7 +27,8 @@ type t
     full pass), and the search's scratch owned — the two-rail node
     values, the level-bucketed implication queue and its enqueue
     stamps, the fault's fanout-cone list and marks, the X-path DFS
-    marks and stack, the decision stack.
+    marks and stack, the decision stack, and the undo log with one
+    mark per decision.
 
     Node values are two-rail: a three-valued value v is the two bits
     v + 1 ("can be 0", "can be 1"; X = 0b11), and one byte per node
@@ -37,12 +38,21 @@ type t
     with no branch on the values, both machines at once.
 
     Implication is event-driven: a fault starts from the all-X image
-    with the fault forced, and each implication re-evaluates, level by
-    level, only the gates downstream of an input the search changed,
-    stopping where a gate's byte does not change.  The D-frontier is
-    scanned over the fault's fanout cone only.  Every {!generate} call
-    reuses the scratch, so a [t] must not be shared across domains:
-    prepare one per domain. *)
+    with the fault forced, and each implication starts from the one
+    input that changed — a decision, or a flipped decision — and
+    re-evaluates, level by level, only the gates downstream of it,
+    stopping where a gate's byte does not change.  Every byte it
+    changes is logged (node and old byte, in one [int]) in a growable
+    array, and each decision marks the log before its implication.  A
+    backtrack restores the log to the mark of the decision it flips —
+    the implication of the decisions before it — and implies only the
+    flipped input, from X, so the search is the one a full
+    re-implication would make.  The log holds at most two changes per
+    node, so it stops growing after the first searches and a search
+    allocates nothing per change.  The D-frontier is scanned over the
+    fault's fanout cone only.  Every {!generate} call reuses the
+    scratch, so a [t] must not be shared across domains: prepare one
+    per domain. *)
 
 val prepare : Iddq_netlist.Circuit.t -> t
 

@@ -39,38 +39,63 @@ type gen = {
    already catches (packed, {!Stuck_at.fault_simulate} under
    {!Stuck_at.undetected}), then PODEM each survivor on one prepared
    context; every generated cube is concretized and the {e concrete}
-   vector re-simulated against the whole remaining list (the same
-   packed path, one vector), so one vector can drop many faults
-   beyond its target. *)
+   vector joins the pending block — the vectors since the last sweep,
+   at most one packed block of 64.  A fault reaching the head of the
+   live list is first checked against the pending block
+   ({!Stuck_at.Block}) and dropped if some vector detects it; when the
+   block fills, one sweep drops what it detects from the rest of the
+   list and a new block starts.  So a fault is targeted exactly when
+   no earlier vector detects it, as if each vector were swept at
+   once. *)
+(* One packed block: the most vectors {!Stuck_at.Block} holds. *)
+let block_vectors = 64
+
 let generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
     faults =
   let podem = Podem.prepare c in
+  let block = Stuck_at.Block.create c in
   let live = ref (Stuck_at.undetected c ~vectors:initial ~faults) in
-  let added = ref [] in
+  let added = ref [] and pending = ref [] and n_pending = ref 0 in
   let generated = ref 0
   and untestable = ref 0
   and aborted = ref 0
   and targeted = ref 0 in
+  let sweep () =
+    if !n_pending > 0 then begin
+      live :=
+        Stuck_at.undetected c
+          ~vectors:(Array.of_list (List.rev !pending))
+          ~faults:!live;
+      pending := [];
+      n_pending := 0
+    end
+  in
   let rec work () =
     match !live with
     | [] -> ()
-    | _ when !targeted >= budget -> ()
+    | _ when !targeted >= budget -> sweep ()
+    | fault :: rest
+      when !n_pending > 0 && Stuck_at.Block.detects block fault ->
+      live := rest;
+      work ()
     | fault :: rest -> begin
       incr targeted;
+      live := rest;
       match Podem.generate ?max_backtracks podem fault with
       | Podem.Untestable ->
         incr untestable;
-        live := rest;
         work ()
       | Podem.Aborted ->
         incr aborted;
-        live := rest;
         work ()
       | Podem.Test cube ->
         let vector = Podem.concretize ~rng cube in
         incr generated;
         added := vector :: !added;
-        live := Stuck_at.undetected c ~vectors:[| vector |] ~faults:rest;
+        pending := vector :: !pending;
+        incr n_pending;
+        if !n_pending = block_vectors then sweep ()
+        else Stuck_at.Block.load block (Array.of_list (List.rev !pending));
         work ()
     end
   in

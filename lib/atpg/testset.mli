@@ -10,11 +10,17 @@
     vectors first (cheap coverage), PODEM targeting each fault the
     random set leaves undetected, and {e fault dropping} throughout —
     the packed {!Iddq_defects.Stuck_at.fault_simulate} drops what the
-    initial set catches, and each concretized PODEM vector is
-    re-simulated against the whole remaining list (the same packed
-    simulator on a one-vector set) so one vector can drop many
-    faults.  PODEM runs on one {!Podem.prepare}d context per call.  Minimization then operates on the packed
-    stuck-at detection matrix
+    initial set catches, and the concretized PODEM vectors drop what
+    they detect a packed block at a time.  The vectors generated since
+    the last sweep (at most 64) form the pending block: a fault that
+    comes up for targeting is first checked against it
+    ({!Iddq_defects.Stuck_at.Block}), and when the block fills, one
+    sweep ({!Iddq_defects.Stuck_at.undetected}) drops what it detects
+    from the rest of the list.  A fault is targeted exactly when no
+    earlier vector detects it, so one vector can drop many faults and
+    the result equals sweeping each vector against the whole list at
+    once.  PODEM runs on one {!Podem.prepare}d context per call.
+    Minimization then operates on the packed stuck-at detection matrix
     ({!Iddq_defects.Stuck_at.detection_matrix}) via the bit-parallel
     {!Iddq_defects.Coverage} minimizers. *)
 
@@ -67,7 +73,8 @@ val generate :
   gen
 (** The generation loop.  [budget] (default: unlimited) caps the
     number of PODEM target attempts; when it runs out the loop stops
-    with [remaining > 0] and the result covers what was built so far.
+    with [remaining > 0] (the faults no vector detects, the pending
+    block swept first) and the result covers what was built so far.
     [max_backtracks] is the per-target PODEM limit
     ({!Podem.generate}).  May raise on malformed faults
     ([Invalid_argument], e.g. a pin fault naming an input node) — the

@@ -94,10 +94,13 @@ type sim_result = {
 }
 
 (* The cone-restricted faulty machine's scratch, used by one fault
-   chunk at a time.  For the current (fault, block), a node stamped with [epoch] carries its
-   faulty word in [bad]; every other node reads its good word from the
-   node-major [goods] (node [id], block [b] at [id * nb + b]).  The
-   stamps make resetting free: a new (fault, block) bumps [epoch]. *)
+   chunk at a time.  A walk covers [w <= cap] consecutive blocks from
+   [blk0]; for the current (fault, walk), a node stamped with [epoch]
+   carries its faulty words in [bad] (node [id], block [blk0 + b] at
+   [id * w + b]); every other node reads its
+   good words from the node-major [goods] (node [id], block [b] at
+   [id * nb + b]).  The stamps make resetting free: a new walk bumps
+   [epoch]. *)
 type cone = {
   kinds : Bytes.t;
   fi_off : int array;
@@ -108,13 +111,14 @@ type cone = {
   goods : P.ba;
   nb : int;
   masks : int64 array;
+  cap : int;
   bad : P.ba;
   stamp : int array;
   mutable epoch : int;
   word : P.ba; (* one-word result slot for dropping scans *)
 }
 
-let cone c ~goods ~nb ~masks ~outputs =
+let cone c ~goods ~nb ~masks ~outputs ~cap =
   let n = Circuit.num_nodes c in
   {
     kinds = Circuit.Csr.kinds c;
@@ -126,60 +130,89 @@ let cone c ~goods ~nb ~masks ~outputs =
     goods;
     nb;
     masks;
-    bad = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n;
+    cap;
+    bad = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * cap);
     stamp = Array.make n 0;
     epoch = 0;
     word = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1;
   }
 
 (* The word fanin slot [slot] (a CSR index) feeds its reader in block
-   [blk]: the stuck value on the overridden [pin] slot, the faulty word
-   of a stamped node, the good word otherwise. *)
-let[@inline] fanin_word k blk ~pin ~value slot =
+   [blk0 + b] of a walk [w] blocks wide: the stuck value on the
+   overridden [pin] slot, the faulty word of a stamped node, the good
+   word otherwise. *)
+let[@inline] fanin_word k ~blk0 ~w b ~pin ~value slot =
   if slot = pin then if value then Int64.minus_one else 0L
   else
     let src = Array.unsafe_get k.fi_tgt slot in
     if Array.unsafe_get k.stamp src = k.epoch then
-      Bigarray.Array1.unsafe_get k.bad src
-    else Bigarray.Array1.unsafe_get k.goods ((src * k.nb) + blk)
+      Bigarray.Array1.unsafe_get k.bad ((src * w) + b)
+    else Bigarray.Array1.unsafe_get k.goods ((src * k.nb) + blk0 + b)
 
-(* Evaluate gate [id] into [bad.{id}].  Every load, [Int64] op and
-   store is one expression, so nothing is boxed. *)
-let eval_gate k blk id ~pin ~value =
+(* Evaluate gate [id] into its [w] words of [bad].  Every load,
+   [Int64] op and store is one expression, so nothing is boxed. *)
+let eval_gate k ~blk0 ~w id ~pin ~value =
   let s = Array.unsafe_get k.fi_off id in
   let e = Array.unsafe_get k.fi_off (id + 1) in
   let code = Char.code (Bytes.unsafe_get k.kinds id) in
-  Bigarray.Array1.unsafe_set k.bad id (fanin_word k blk ~pin ~value s);
-  for slot = s + 1 to e - 1 do
-    Bigarray.Array1.unsafe_set k.bad id
-      (match code with
-      | 0 | 1 ->
-        Int64.logand
-          (Bigarray.Array1.unsafe_get k.bad id)
-          (fanin_word k blk ~pin ~value slot)
-      | 2 | 3 ->
-        Int64.logor
-          (Bigarray.Array1.unsafe_get k.bad id)
-          (fanin_word k blk ~pin ~value slot)
-      | _ ->
-        Int64.logxor
-          (Bigarray.Array1.unsafe_get k.bad id)
-          (fanin_word k blk ~pin ~value slot))
+  let base = id * w in
+  for b = 0 to w - 1 do
+    Bigarray.Array1.unsafe_set k.bad (base + b)
+      (fanin_word k ~blk0 ~w b ~pin ~value s)
   done;
+  (match code with
+  | 0 | 1 ->
+    for slot = s + 1 to e - 1 do
+      for b = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set k.bad (base + b)
+          (Int64.logand
+             (Bigarray.Array1.unsafe_get k.bad (base + b))
+             (fanin_word k ~blk0 ~w b ~pin ~value slot))
+      done
+    done
+  | 2 | 3 ->
+    for slot = s + 1 to e - 1 do
+      for b = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set k.bad (base + b)
+          (Int64.logor
+             (Bigarray.Array1.unsafe_get k.bad (base + b))
+             (fanin_word k ~blk0 ~w b ~pin ~value slot))
+      done
+    done
+  | _ ->
+    for slot = s + 1 to e - 1 do
+      for b = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set k.bad (base + b)
+          (Int64.logxor
+             (Bigarray.Array1.unsafe_get k.bad (base + b))
+             (fanin_word k ~blk0 ~w b ~pin ~value slot))
+      done
+    done);
   match code with
   | 1 | 3 | 5 | 6 ->
-    Bigarray.Array1.unsafe_set k.bad id
-      (Int64.lognot (Bigarray.Array1.unsafe_get k.bad id))
+    for b = 0 to w - 1 do
+      Bigarray.Array1.unsafe_set k.bad (base + b)
+        (Int64.lognot (Bigarray.Array1.unsafe_get k.bad (base + b)))
+    done
   | _ -> ()
 
-(* Does [bad.{id}] differ from the good word on a real vector? *)
-let[@inline] differs k blk id =
+(* Node [id]'s faulty and good words in block [blk0 + b], XORed and
+   masked to the block's real vectors. *)
+let[@inline] diff_word k ~blk0 ~w id b =
   Int64.logand
     (Int64.logxor
-       (Bigarray.Array1.unsafe_get k.bad id)
-       (Bigarray.Array1.unsafe_get k.goods ((id * k.nb) + blk)))
-    (Array.unsafe_get k.masks blk)
-  <> 0L
+       (Bigarray.Array1.unsafe_get k.bad ((id * w) + b))
+       (Bigarray.Array1.unsafe_get k.goods ((id * k.nb) + blk0 + b)))
+    (Array.unsafe_get k.masks (blk0 + b))
+
+(* Do [id]'s faulty words differ from the good ones on a real vector
+   of some block of the walk? *)
+let differs k ~blk0 ~w id =
+  let b = ref 0 in
+  while !b < w && diff_word k ~blk0 ~w id !b = 0L do
+    incr b
+  done;
+  !b < w
 
 (* Largest fanout id of [id] (fanout lists are ascending), or [id]. *)
 let last_fanout k id =
@@ -198,36 +231,44 @@ let has_stamped_fanin k id =
   done;
   !slot < e
 
-(* Fault [fault]'s output-difference word in block [blk], masked to
-   the block's real vectors, into [dst.{at}].  The site word comes
-   first (the stuck value of a stem, or the reading gate evaluated
-   with only its faulty pin overridden); an unactivated fault stops
-   there.  Otherwise the walk visits ids upward from the site,
+(* Fault [fault]'s output-difference words in blocks [blk0 .. blk0 +
+   width - 1] ([width <= cap]), masked to the blocks' real vectors,
+   into [dst.{at .. at + width - 1}].  The site words come first (the
+   stuck value of a stem, or the reading gate evaluated with only its
+   faulty pin overridden); a fault activated in none of the blocks
+   stops there.  Otherwise one walk visits ids upward from the site,
    re-evaluating only gates with a stamped fanin and stamping those
-   whose word differs, until it passes the last fanout of every
-   stamped node. *)
-let diff_into k fault blk (dst : P.ba) at =
+   whose words differ in some block, until it passes the last fanout
+   of every stamped node.  Lanes are independent, so a node stamped
+   for one block carries exact faulty words in the others too. *)
+let diff_into k fault ~blk0 ~width:w (dst : P.ba) at =
   k.epoch <- k.epoch + 1;
   let site =
     match fault with
     | Stem (node, value) ->
-      Bigarray.Array1.unsafe_set k.bad node
-        (if value then Int64.minus_one else 0L);
+      for b = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set k.bad ((node * w) + b)
+          (if value then Int64.minus_one else 0L)
+      done;
       node
     | Pin { gate; pin; value } ->
-      eval_gate k blk gate ~pin:(Array.unsafe_get k.fi_off gate + pin) ~value;
+      eval_gate k ~blk0 ~w gate
+        ~pin:(Array.unsafe_get k.fi_off gate + pin)
+        ~value;
       gate
   in
-  Bigarray.Array1.unsafe_set dst at 0L;
-  if differs k blk site then begin
+  for b = 0 to w - 1 do
+    Bigarray.Array1.unsafe_set dst (at + b) 0L
+  done;
+  if differs k ~blk0 ~w site then begin
     Array.unsafe_set k.stamp site k.epoch;
     let last = ref (last_fanout k site) in
     let id = ref (site + 1) in
     while !id <= !last do
       let i = !id in
       if has_stamped_fanin k i then begin
-        eval_gate k blk i ~pin:(-1) ~value:false;
-        if differs k blk i then begin
+        eval_gate k ~blk0 ~w i ~pin:(-1) ~value:false;
+        if differs k ~blk0 ~w i then begin
           Array.unsafe_set k.stamp i k.epoch;
           last := Stdlib.max !last (last_fanout k i)
         end
@@ -237,14 +278,12 @@ let diff_into k fault blk (dst : P.ba) at =
     for o = 0 to Array.length k.outputs - 1 do
       let id = Array.unsafe_get k.outputs o in
       if Array.unsafe_get k.stamp id = k.epoch then
-        Bigarray.Array1.unsafe_set dst at
-          (Int64.logor
-             (Bigarray.Array1.unsafe_get dst at)
-             (Int64.logand
-                (Int64.logxor
-                   (Bigarray.Array1.unsafe_get k.bad id)
-                   (Bigarray.Array1.unsafe_get k.goods ((id * k.nb) + blk)))
-                (Array.unsafe_get k.masks blk)))
+        for b = 0 to w - 1 do
+          Bigarray.Array1.unsafe_set dst (at + b)
+            (Int64.logor
+               (Bigarray.Array1.unsafe_get dst (at + b))
+               (diff_word k ~blk0 ~w id b))
+        done
     done
   end
 
@@ -269,22 +308,23 @@ let validate_fault c fault =
              arity)
       else Ok ()
 
+let check_fault c f =
+  Result.iter_error
+    (fun m -> invalid_arg ("Stuck_at: " ^ m))
+    (validate_fault c f)
+
 (* Bit-parallel (64 vectors per pass) serial fault simulation: the
    vector set is packed once, the node-major good machine is built
    once on the pool ({!Fault_sim.good_values}) and shared read-only,
    and fault chunks are claimed off the same pool
-   ({!Fault_sim.run_fault_chunks}), each running on an idle {!cone}.
-   [visit k f] walks fault [f]'s blocks through {!diff_into} and
-   returns the blocks it visited and whether it dropped the fault. *)
-let simulate ?(domains = 1) ?metrics c ~vectors ~faults visit =
+   ({!Fault_sim.run_fault_chunks}), each running on an idle {!cone}
+   whose walks span up to [cap] blocks.  [visit k f] walks fault [f]'s
+   blocks through {!diff_into} and returns the blocks it visited and
+   whether it dropped the fault. *)
+let simulate ?(domains = 1) ?metrics ~cap c ~vectors ~faults visit =
   let module Metrics = Iddq_util.Metrics in
   let faults = Array.of_list faults in
-  Array.iter
-    (fun f ->
-      Result.iter_error
-        (fun m -> invalid_arg ("Stuck_at: " ^ m))
-        (validate_fault c f))
-    faults;
+  Array.iter (check_fault c) faults;
   Iddq_util.Domain_pool.with_pool ~domains @@ fun pool ->
   let packed = P.pack_all vectors in
   let nb = P.num_blocks packed in
@@ -297,7 +337,7 @@ let simulate ?(domains = 1) ?metrics c ~vectors ~faults visit =
   let idle = Atomic.make [] in
   let rec take () =
     match Atomic.get idle with
-    | [] -> cone c ~goods ~nb ~masks ~outputs
+    | [] -> cone c ~goods ~nb ~masks ~outputs ~cap:(Stdlib.min cap nb)
     | k :: rest as l -> if Atomic.compare_and_set idle l rest then k else take ()
   in
   let rec give k =
@@ -324,15 +364,16 @@ let simulate ?(domains = 1) ?metrics c ~vectors ~faults visit =
         ~fault_blocks:(Atomic.get fault_blocks) ~dropped:(Atomic.get dropped))
     metrics
 
-(* Fault dropping: stop at the first detecting block. *)
+(* Fault dropping: one block per walk, stopping at the first detecting
+   block. *)
 let fault_simulate ?domains ?metrics c ~vectors ~faults =
   let nf = List.length faults in
   let first_vector = Array.make nf (-1) in
-  simulate ?domains ?metrics c ~vectors ~faults (fun k f fault ->
+  simulate ?domains ?metrics ~cap:1 c ~vectors ~faults (fun k f fault ->
       let rec scan b =
         if b >= k.nb then (k.nb, false)
         else begin
-          diff_into k fault b k.word 0;
+          diff_into k fault ~blk0:b ~width:1 k.word 0;
           if Bigarray.Array1.unsafe_get k.word 0 <> 0L then begin
             first_vector.(f) <-
               (b * 64)
@@ -357,19 +398,60 @@ let undetected c ~vectors ~faults =
   let r = fault_simulate c ~vectors ~faults in
   List.filteri (fun f _ -> r.first_vector.(f) < 0) faults
 
+module Block = struct
+  type t = { circuit : Circuit.t; rows : P.row_map; k : cone }
+
+  (* One block's good machine and the cone scratch over it, allocated
+     once; a load overwrites the good words and the block mask. *)
+  let create c =
+    let goods =
+      Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
+        (Circuit.num_nodes c)
+    in
+    {
+      circuit = c;
+      rows = P.all_rows c;
+      k =
+        cone c ~goods ~nb:1 ~masks:[| 0L |] ~outputs:(Circuit.outputs c)
+          ~cap:1;
+    }
+
+  let load t vectors =
+    let nv = Array.length vectors in
+    if nv < 1 || nv > 64 then
+      invalid_arg
+        (Printf.sprintf "Stuck_at.Block.load: %d vectors, want 1 to 64" nv);
+    let packed = P.pack_all vectors in
+    P.eval_stripe_into t.circuit packed ~rows:t.rows ~block0:0 ~width:1
+      ~stride:1 ~dst:t.k.goods;
+    t.k.masks.(0) <- P.block_mask packed 0
+
+  let detects t fault =
+    check_fault t.circuit fault;
+    diff_into t.k fault ~blk0:0 ~width:1 t.k.word 0;
+    Bigarray.Array1.unsafe_get t.k.word 0 <> 0L
+end
+
 (* The full matrix (no dropping — every detecting vector of every
    fault), the stuck-at counterpart of {!Fault_sim.detection_matrix}:
-   what the test-set minimizers ({!Coverage}) run on.  Each block's
-   difference word lands straight in the fault's row. *)
+   what the test-set minimizers ({!Coverage}) run on.  One walk per
+   fault covers up to [matrix_walk] blocks, their difference words
+   landing straight in the fault's row. *)
+let matrix_walk = 8
+
 let detection_matrix ?domains ?metrics c ~vectors ~faults =
   let nv = Array.length vectors in
   let rows =
     Array.of_list (List.map (fun _ -> Iddq_util.Bitvec.create nv) faults)
   in
-  simulate ?domains ?metrics c ~vectors ~faults (fun k f fault ->
+  simulate ?domains ?metrics ~cap:matrix_walk c ~vectors ~faults
+    (fun k f fault ->
       let row = Iddq_util.Bitvec.unsafe_words rows.(f) in
-      for b = 0 to k.nb - 1 do
-        diff_into k fault b row b
+      let b = ref 0 in
+      while !b < k.nb do
+        let width = Stdlib.min k.cap (k.nb - !b) in
+        diff_into k fault ~blk0:!b ~width row !b;
+        b := !b + width
       done;
       (k.nb, false));
   { Fault_sim.n_vectors = nv; rows }

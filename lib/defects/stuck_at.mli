@@ -61,16 +61,20 @@ val fault_simulate :
     faults, fault chunks claimed over a [domains]-wide (default 1)
     {!Iddq_util.Domain_pool}.
 
-    The faulty machine is cone-restricted.  Per (fault, block) it
-    computes the site word (the stuck value of a stem, or the reading
-    gate with only the faulty pin overridden) and stops at once when
-    that word equals the good one on every real vector.  Otherwise it
-    re-evaluates, in ascending id order, only the gates with a fanin
-    whose faulty word differs, up to the last fanout of any differing
-    node, and ORs the differences at the outputs.  Its scratch is one
-    n-word [Bigarray] and one [int] stamp array, used by one fault
-    chunk at a time and reused by the next; a sweep makes at most one
-    per pool participant and allocates a few words per fault.  Raises
+    The faulty machine is cone-restricted, and one walk of a fault's
+    cone covers a range of consecutive blocks — one block here, where
+    a fault stops at its first detecting block, up to 8 in
+    {!detection_matrix}.  A walk computes the site words (the stuck
+    value of a stem, or the reading gate with only the faulty pin
+    overridden) and stops at once when they equal the good ones on
+    every real vector of the range.  Otherwise it re-evaluates, in
+    ascending id order, only the gates with a fanin whose faulty words
+    differ on some block of the range, up to the last fanout of any
+    differing node, and ORs the differences at the outputs, one word
+    per block.  Its scratch is an n-word [Bigarray] per block of the
+    range and one [int] stamp array, used by one fault chunk at a time
+    and reused by the next; a sweep makes at most one per pool
+    participant and allocates a few words per fault.  Raises
     [Invalid_argument] on a fault that fails {!validate_fault}. *)
 
 val undetected :
@@ -80,6 +84,33 @@ val undetected :
   fault list
 (** The faults no vector detects, in order: {!fault_simulate} on one
     domain, recording no counters. *)
+
+(** A reusable one-block detector: a vector set of 1 to 64 vectors
+    (one packed block) checked one fault at a time.  The ATPG loop
+    checks each fault against the vectors generated since its last
+    sweep when the fault comes up for targeting, rather than sweeping
+    the whole remaining list after every vector. *)
+module Block : sig
+  type t
+  (** One block's node-major good machine and a {!fault_simulate}
+      cone scratch over it (width 1), allocated once per circuit.
+      Holds no vector until the first {!load}.  Not for sharing across
+      domains. *)
+
+  val create : Iddq_netlist.Circuit.t -> t
+
+  val load : t -> bool array array -> unit
+  (** Pack the vectors into the block and evaluate its good machine,
+      replacing the previous load.  Raises [Invalid_argument] on an
+      empty set, more than 64 vectors, or vectors of the wrong
+      width. *)
+
+  val detects : t -> fault -> bool
+  (** Does some loaded vector detect the fault?  The same cone kernel
+      as {!fault_simulate}, so [detects t f] is [true] exactly when
+      {!fault_simulate} over the loaded vectors detects [f].  Raises
+      [Invalid_argument] on a fault that fails {!validate_fault}. *)
+end
 
 val detection_matrix :
   ?domains:int ->
@@ -91,7 +122,11 @@ val detection_matrix :
 (** The {e full} packed detection matrix (no dropping — every
     detecting vector of every fault, one {!Iddq_util.Bitvec} row per
     fault in list order).  The stuck-at counterpart of
-    {!Fault_sim.detection_matrix}: because {!Coverage.detection_matrix}
+    {!Fault_sim.detection_matrix}, walking each fault's cone once per
+    8 blocks (lanes are independent, so a node that differs on one
+    block of a walk carries exact faulty words on the others, and the
+    output differences stay masked to the real vectors).  Because
+    {!Coverage.detection_matrix}
     is publicly equal to {!Fault_sim.matrix}, every {!Coverage} query
     and minimizer runs on this matrix unchanged — it is what the ATPG
     test-set minimization stage ({!val-Coverage.compact},

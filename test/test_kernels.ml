@@ -465,6 +465,32 @@ let qcheck_stuck_at_matches_detects =
                faults))
         [ 1; 3 ])
 
+(* The matrix walks a fault's cone once per 8 blocks: at 600 vectors
+   (10 blocks, the last one partial) every fault takes a full walk and
+   a 2-block one, which the qcheck above (at most 3 blocks) never
+   reaches. *)
+let test_stuck_at_matrix_multi_walk () =
+  let rng = Rng.create 2024 in
+  let c =
+    Generator.layered_dag ~rng ~name:"w" ~num_inputs:8 ~num_outputs:3
+      ~num_gates:40 ~depth:7 ()
+  in
+  let vectors = Pattern_gen.random ~rng c ~count:600 in
+  let faults = Stuck_at.full_fault_list c in
+  List.iter
+    (fun domains ->
+      let m = Stuck_at.detection_matrix ~domains c ~vectors ~faults in
+      List.iteri
+        (fun f fault ->
+          let row = m.Fault_sim.rows.(f) in
+          Array.iteri
+            (fun v vector ->
+              if Bitvec.get row v <> Stuck_at.detects c fault vector then
+                Alcotest.failf "domains %d, fault %d, vector %d" domains f v)
+            vectors)
+        faults)
+    [ 1; 3 ]
+
 (* ---------------- incremental c3 vs full recomputation --------------- *)
 
 let qcheck_incremental_c3_exact =
@@ -516,4 +542,6 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_incremental_c3_exact;
     Alcotest.test_case "wide and deep live rows = scalar oracle" `Quick
       test_wide_deep_live_rows;
+    Alcotest.test_case "stuck-at matrix over several walks = scalar detects"
+      `Quick test_stuck_at_matrix_multi_walk;
   ]

@@ -180,6 +180,34 @@ let test_imply_matches_full_iscas () =
         (Stuck_at.full_fault_list c))
     [ ("c432_like", Iscas.c432_like ()); ("c499_like", Iscas.c499_like ()) ]
 
+(* The search's scratch — the undo log and its marks included — lives
+   in the prepared context: after a warm-up pass has grown the log, a
+   search allocates a few words of its own plus the cube of a test,
+   not a word per logged change.  Over C880's live faults at the
+   workload's 16-backtrack limit. *)
+let test_generate_allocation () =
+  let c = Iscas.c880_like () in
+  let initial =
+    Iddq_patterns.Pattern_gen.random ~rng:(Rng.create 42) c ~count:32
+  in
+  let live =
+    Stuck_at.undetected c ~vectors:initial
+      ~faults:(Stuck_at.collapsed_fault_list c)
+  in
+  let podem = Podem.prepare c in
+  let pass () =
+    List.iter (fun f -> ignore (Podem.generate ~max_backtracks:16 podem f)) live
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let per_call =
+    (Gc.minor_words () -. before) /. float_of_int (List.length live)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per generate < 64" per_call)
+    true (per_call < 64.0)
+
 (* Complete test sets: the Atpg facade's generation loop (random
    vectors, PODEM top-up, fault dropping) over these PODEM cubes. *)
 
@@ -250,4 +278,6 @@ let tests =
     Alcotest.test_case "complete set empty" `Quick test_atpg_set_empty_faults;
     Alcotest.test_case "implication = full re-implication on C432/C499"
       `Quick test_imply_matches_full_iscas;
+    Alcotest.test_case "generate allocation per call" `Quick
+      test_generate_allocation;
   ]

@@ -230,6 +230,59 @@ let test_malformed_faults_rejected () =
       ("missing pin", Stuck_at.Pin { gate = node "22"; pin = 2; value = true });
     ]
 
+(* The one-block detector the ATPG loop checks each fault with,
+   against scalar [detects] on sets of 1, 63 and 64 vectors: a fault
+   is detected when some vector of the last load detects it. *)
+let test_block_detector () =
+  let c = Iscas.c432_like () in
+  let faults = Stuck_at.collapsed_fault_list c in
+  let pool = Pattern_gen.random ~rng:(Rng.create 9) c ~count:64 in
+  let block = Stuck_at.Block.create c in
+  List.iter
+    (fun count ->
+      let vectors = Array.sub pool (64 - count) count in
+      Stuck_at.Block.load block vectors;
+      List.iteri
+        (fun f fault ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d vectors, fault %d" count f)
+            (Array.exists (Stuck_at.detects c fault) vectors)
+            (Stuck_at.Block.detects block fault))
+        faults)
+    [ 64; 1; 63 ];
+  (* a second load replaces the first: after loading one vector, a
+     fault only the earlier 63 detect is no longer detected *)
+  Stuck_at.Block.load block (Array.sub pool 1 63);
+  Stuck_at.Block.load block [| pool.(0) |];
+  let dropped =
+    List.filter
+      (fun fault ->
+        (not (Stuck_at.detects c fault pool.(0)))
+        && Array.exists (Stuck_at.detects c fault) (Array.sub pool 1 63))
+      faults
+  in
+  Alcotest.(check bool) "some fault only the first load detects" true
+    (dropped <> []);
+  List.iter
+    (fun fault ->
+      Alcotest.(check bool) "replaced load" false
+        (Stuck_at.Block.detects block fault))
+    dropped;
+  let raises what f =
+    Alcotest.(check bool) what true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  raises "empty load" (fun () -> Stuck_at.Block.load block [||]);
+  raises "65 vectors" (fun () ->
+      Stuck_at.Block.load block (Array.append pool [| pool.(0) |]));
+  raises "malformed fault" (fun () ->
+      ignore
+        (Stuck_at.Block.detects block
+           (Stuck_at.Stem (Circuit.num_nodes c, true))))
+
 let tests =
   [
     Alcotest.test_case "fault list sizes" `Quick test_fault_list_sizes;
@@ -252,4 +305,6 @@ let tests =
     Alcotest.test_case "malformed faults rejected" `Quick
       test_malformed_faults_rejected;
     QCheck_alcotest.to_alcotest qcheck_logic_implies_iddq;
+    Alcotest.test_case "one-block detector = detects" `Quick
+      test_block_detector;
   ]

@@ -345,6 +345,133 @@ let test_iscas_grid_gate () =
     (Printf.sprintf "minimized set smaller on %d/4 circuits (>= 3)" shrunk)
     true (shrunk >= 3)
 
+(* The loop as it was before dropping waited for a full block, kept
+   verbatim as the oracle: every concretized vector is swept against
+   the whole remaining list at once. *)
+let eager_generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
+    faults =
+  let module Podem = Iddq_atpg.Podem in
+  let podem = Podem.prepare c in
+  let live = ref (Stuck_at.undetected c ~vectors:initial ~faults) in
+  let added = ref [] in
+  let generated = ref 0
+  and untestable = ref 0
+  and aborted = ref 0
+  and targeted = ref 0 in
+  let rec work () =
+    match !live with
+    | [] -> ()
+    | _ when !targeted >= budget -> ()
+    | fault :: rest -> begin
+      incr targeted;
+      match Podem.generate ?max_backtracks podem fault with
+      | Podem.Untestable ->
+        incr untestable;
+        live := rest;
+        work ()
+      | Podem.Aborted ->
+        incr aborted;
+        live := rest;
+        work ()
+      | Podem.Test cube ->
+        let vector = Podem.concretize ~rng cube in
+        incr generated;
+        added := vector :: !added;
+        live := Stuck_at.undetected c ~vectors:[| vector |] ~faults:rest;
+        work ()
+    end
+  in
+  work ();
+  let vector_arr = Array.append initial (Array.of_list (List.rev !added)) in
+  let total = List.length faults in
+  let matrix = Stuck_at.detection_matrix c ~vectors:vector_arr ~faults in
+  let detected = Coverage.num_detectable matrix in
+  {
+    Testset.vectors = vector_arr;
+    matrix;
+    coverage =
+      (if total = 0 then 1.0 else float_of_int detected /. float_of_int total);
+    efficiency =
+      (if total = 0 then 1.0
+       else float_of_int (detected + !untestable) /. float_of_int total);
+    stats =
+      {
+        random = Array.length initial;
+        generated = !generated;
+        untestable = !untestable;
+        aborted = !aborted;
+        targeted = !targeted;
+      };
+    remaining = List.length !live;
+  }
+
+(* Both loops from the same rng state: equal vectors, stats,
+   [remaining] and matrix rows, and the rng left at the same draw.
+   Returns the number of vectors. *)
+let same_as_eager ~what ?budget ~max_backtracks ~seed ~random c =
+  let run gen =
+    let rng = Rng.create seed in
+    let initial = Iddq_patterns.Pattern_gen.random ~rng c ~count:random in
+    let g =
+      gen ~max_backtracks ?budget ~rng ~initial c
+        (Stuck_at.collapsed_fault_list c)
+    in
+    (g, Rng.int rng 1_000_000)
+  in
+  let lazy_, next_lazy =
+    run (fun ~max_backtracks ?budget ~rng ~initial ->
+        Testset.generate ~max_backtracks ?budget ~rng ~initial)
+  and eager, next_eager =
+    run (fun ~max_backtracks ?budget ~rng ~initial ->
+        eager_generate ~max_backtracks ?budget ~rng ~initial)
+  in
+  let fail field = QCheck.Test.fail_reportf "%s: %s differ" what field in
+  if lazy_.Testset.vectors <> eager.Testset.vectors then fail "vectors";
+  if lazy_.Testset.stats <> eager.Testset.stats then fail "stats";
+  if lazy_.Testset.remaining <> eager.Testset.remaining then fail "remaining";
+  if not (Fault_sim.equal lazy_.Testset.matrix eager.Testset.matrix) then
+    fail "matrices";
+  if next_lazy <> next_eager then fail "rng states";
+  Array.length lazy_.Testset.vectors
+
+(* The C1355 stand-in generates more than one block of vectors, so the
+   loop crosses a block sweep; checked once, on the first case. *)
+let c1355_crosses_a_sweep =
+  lazy
+    (let n =
+       same_as_eager ~what:"c1355_like" ~max_backtracks:16 ~seed:42 ~random:32
+         (Iscas.c1355_like ())
+     in
+     if n - 32 <= 64 then
+       QCheck.Test.fail_reportf "c1355_like: only %d generated" (n - 32))
+
+let qcheck_lazy_dropping_matches_eager =
+  QCheck.Test.make ~name:"lazy dropping = eager loop" ~count:12
+    QCheck.(
+      quad (int_range 20 40) (int_range 40 160) (int_range 0 8)
+        (int_range 1 100000))
+    (fun (num_inputs, gates, random, seed) ->
+      Lazy.force c1355_crosses_a_sweep;
+      let rng = Rng.create seed in
+      let c =
+        Iddq_netlist.Generator.layered_dag ~rng ~name:"q" ~num_inputs
+          ~num_outputs:(1 + (gates mod 5)) ~num_gates:gates
+          ~depth:(2 + (gates / 10)) ()
+      in
+      List.iter
+        (fun max_backtracks ->
+          List.iter
+            (fun budget ->
+              ignore
+                (same_as_eager
+                   ~what:
+                     (Printf.sprintf "%d backtracks, budget %s" max_backtracks
+                        (Option.fold ~none:"none" ~some:string_of_int budget))
+                   ?budget ~max_backtracks ~seed ~random c))
+            [ None; Some 1; Some 7; Some 64; Some 65 ])
+        [ 4; 16 ];
+      true)
+
 let tests =
   [
     Alcotest.test_case "greedy provably non-optimal matrix" `Quick
@@ -369,4 +496,5 @@ let tests =
     Alcotest.test_case "generate trajectory pinned" `Quick
       test_generate_trajectory_pinned;
     Alcotest.test_case "ISCAS85 grid gate" `Slow test_iscas_grid_gate;
+    QCheck_alcotest.to_alcotest qcheck_lazy_dropping_matches_eager;
   ]
