@@ -46,24 +46,11 @@ let propose rng p =
     try_module 8
   end
 
-let optimize ?weights ?(params = default_params) ?(full_eval = false) ~metrics
-    ?on_move ~rng start =
+let optimize ?weights ?(params = default_params) ~metrics ?on_move ~rng start =
   check_params params;
   let current = Partition.copy start in
-  let eval =
-    if full_eval then None else Some (Cost_eval.create ?weights ~metrics current)
-  in
-  let apply g target =
-    match eval with
-    | Some e -> Cost_eval.move e ~gate:g ~target
-    | None -> Partition.move_gate current g target
-  in
-  let cost () =
-    match eval with
-    | Some e -> Cost_eval.penalized e
-    | None -> (Cost.evaluate ?weights ~metrics current).Cost.penalized
-  in
-  let current_cost = ref (cost ()) in
+  let eval = Cost_eval.create ?weights ~metrics current in
+  let current_cost = ref (Cost_eval.penalized eval) in
   let best = ref (Partition.copy current) in
   let best_cost = ref !current_cost in
   let temperature = ref params.initial_temperature in
@@ -71,8 +58,8 @@ let optimize ?weights ?(params = default_params) ?(full_eval = false) ~metrics
     (match propose rng current with
     | None -> ()
     | Some { gate; src; target } ->
-      apply gate target;
-      let candidate_cost = cost () in
+      Cost_eval.move eval ~gate ~target;
+      let candidate_cost = Cost_eval.penalized eval in
       let delta = candidate_cost -. !current_cost in
       let accepted =
         delta <= 0.0
@@ -90,7 +77,7 @@ let optimize ?weights ?(params = default_params) ?(full_eval = false) ~metrics
       end
       else
         (* undo; the proposal never empties the source, so it is alive *)
-        apply gate src);
+        Cost_eval.move eval ~gate ~target:src);
     temperature := !temperature *. params.cooling
   done;
   (!best, Cost.evaluate ?weights ~metrics !best)

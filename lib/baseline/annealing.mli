@@ -4,13 +4,10 @@
     boundary-gate transfers (the same neighbourhood as the ES
     mutation); acceptance follows Metropolis with geometric cooling.
 
-    Cost queries go through the incremental
-    {!Iddq_core.Cost_eval} by default: each proposal re-evaluates only
-    the two modules it touches instead of the whole circuit.  Because
-    delta evaluation reproduces {!Iddq_core.Cost.evaluate} exactly,
-    the search trajectory for a given rng is identical in both
-    modes — [full_eval] exists as the checked fallback and for
-    measuring the speedup. *)
+    Cost queries go through the incremental {!Iddq_core.Cost_eval}:
+    each proposal re-evaluates only the two modules it touches instead
+    of the whole circuit, reproducing {!Iddq_core.Cost.evaluate}
+    exactly. *)
 
 type params = {
   initial_temperature : float;
@@ -24,7 +21,6 @@ val default_params : params
 val optimize :
   ?weights:Iddq_core.Cost.weights ->
   ?params:params ->
-  ?full_eval:bool ->
   metrics:Iddq_util.Metrics.t ->
   ?on_move:
     (step:int -> gate:int -> src:int -> target:int -> accepted:bool -> unit) ->
@@ -32,12 +28,7 @@ val optimize :
   Iddq_core.Partition.t ->
   Iddq_core.Partition.t * Iddq_core.Cost.breakdown
 (** Starts from a copy of the given partition; returns the best
-    visited partition and its cost breakdown.
-
-    [full_eval] (default [false]) bypasses the incremental evaluator
-    and runs a complete {!Iddq_core.Cost.evaluate} per proposal — the
-    slow reference path; with the same [rng] it visits the same states
-    and returns the same result.  Every evaluation, the final one
-    included, records into the caller's [metrics].
+    visited partition and its cost breakdown.  Every evaluation, the
+    final one included, records into the caller's [metrics].
     [on_move] is called for every {e proposed} move with its acceptance
     verdict; a proposal never has [src = target]. *)

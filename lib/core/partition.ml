@@ -416,33 +416,6 @@ let min_discriminability t =
     (fun acc m -> Stdlib.min acc (discriminability t m))
     infinity (module_ids t)
 
-let module_components t m =
-  let u = Charac.undirected t.ch in
-  let gates = members t m in
-  let index = Hashtbl.create (Array.length gates) in
-  Array.iteri (fun i g -> Hashtbl.replace index g i) gates;
-  let seen = Array.make (Array.length gates) false in
-  let components = ref 0 in
-  Array.iteri
-    (fun i g ->
-      if not seen.(i) then begin
-        incr components;
-        let q = Queue.create () in
-        seen.(i) <- true;
-        Queue.add g q;
-        while not (Queue.is_empty q) do
-          let v = Queue.pop q in
-          Graph_algo.iter_neighbours u v (fun w ->
-              match Hashtbl.find_opt index w with
-              | Some j when not seen.(j) ->
-                seen.(j) <- true;
-                Queue.add w q
-              | Some _ | None -> ())
-        done
-      end)
-    gates;
-  !components
-
 let sensors t =
   List.map
     (fun m ->

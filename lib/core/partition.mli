@@ -127,11 +127,6 @@ val discriminability : t -> int -> float
 val min_discriminability : t -> float
 (** Minimum over live modules; [infinity] when no module. *)
 
-val module_components : t -> int -> int
-(** Number of connected components the module's gates form in the
-    undirected circuit graph — 1 for a layout-friendly, contiguous
-    module.  (The ES's separation cost c3 pushes toward 1; this is
-    the report-side check.) *)
 
 (** {1 Whole-partition helpers} *)
 

@@ -1,5 +1,6 @@
-(** Fault-simulation utilities on top of {!Iddq_sim}: coverage growth
-    curves, fault dropping, and greedy test-set compaction.
+(** Queries on the detection matrix: coverage growth curves, first
+    detections (what {!Iddq_sim} reports), and greedy test-set
+    compaction.
 
     The paper assumes "a precomputed test vector set"; these tools
     build and trim such sets for the IDDQ defect models — the test

@@ -83,9 +83,9 @@ let sweep_floating_row row ~nb ~masks =
   done
 
 (* Faults are scheduled as round-robin chunks over the pool rather
-   than fixed per-domain ranges: fault dropping (and the measurable
-   filter) makes per-fault cost wildly uneven, and a domain whose
-   static range emptied early would idle.  Chunks small enough to
+   than fixed per-domain ranges: stuck-at fault dropping (and the IDDQ
+   measurable filter) makes per-fault cost wildly uneven, and a domain
+   whose static range emptied early would idle.  Chunks small enough to
    rebalance, large enough that one atomic claim amortizes. *)
 let fault_chunk = 64
 
@@ -108,46 +108,23 @@ let fault_sites faults =
     faults;
   Array.of_list !sites
 
-(* What both IDDQ sweeps start from: the pool, the packed vectors'
-   block masks, and the good machine in live rows — only the fault
-   sites keep their words to the end, every other node's row is
-   recycled once its last reader is evaluated, so the buffer holds
-   [n_rows] rows rather than one per node.  [row_of] maps a site to
-   its row of [goods]. *)
-type sweep = {
-  pool : Domain_pool.t;
-  faults : Fault.injected array;
-  nb : int;
-  nv : int;
-  masks : int64 array;
-  goods : P.ba;
-  row_of : int array;
-}
-
-let with_sweep ?(domains = 1) ?metrics c ~vectors ~faults f =
+(* Full matrix: every measurable fault visits every block.  The good
+   machine sits in live rows — only the fault sites keep their words
+   to the end, every other node's row is recycled once its last reader
+   is evaluated, so the buffer holds [n_rows] rows rather than one per
+   node; [row_of] maps a site to its row of [goods].  Writes are
+   disjoint per fault, so the fault chunks need no synchronization. *)
+let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
+    ~faults =
   Domain_pool.with_pool ~domains @@ fun pool ->
   let packed = P.pack_all vectors in
   let faults = Array.of_list faults in
   let map = P.live_rows c ~keep:(fault_sites faults) in
   let goods = good_machine ?metrics ~pool c packed map in
+  let row_of = map.P.rows in
   let nb = P.num_blocks packed in
-  f
-    {
-      pool;
-      faults;
-      nb;
-      nv = P.n_vectors packed;
-      masks = Array.init nb (fun b -> P.block_mask packed b);
-      goods;
-      row_of = map.P.rows;
-    }
-
-(* Full matrix: every measurable fault visits every block (no
-   dropping — callers want the complete detection sets).  Writes are
-   disjoint per fault, so the fault chunks need no synchronization. *)
-let detection_matrix_with ?domains ?metrics c ~measurable ~vectors ~faults =
-  with_sweep ?domains ?metrics c ~vectors ~faults
-  @@ fun { pool; faults; nb; nv; masks; goods; row_of } ->
+  let nv = P.n_vectors packed in
+  let masks = Array.init nb (P.block_mask packed) in
   let nf = Array.length faults in
   let rows = Array.init nf (fun _ -> Bitvec.create nv) in
   let fault_blocks = Atomic.make 0 in
@@ -177,65 +154,6 @@ let detection_matrix_with ?domains ?metrics c ~measurable ~vectors ~faults =
     metrics;
   { n_vectors = nv; rows }
 
-(* First detections only: fault dropping — a detected fault never
-   touches another block.  The activation word is recomputed once more
-   on the (rare) detecting block so the scan itself stays unboxed. *)
-let first_detections_with ?domains ?metrics c ~measurable ~vectors ~faults =
-  with_sweep ?domains ?metrics c ~vectors ~faults
-  @@ fun { pool; faults; nb; masks; goods; row_of; _ } ->
-  let nf = Array.length faults in
-  let act_word blk (fault : Fault.t) =
-    match fault with
-    | Fault.Bridge (a, b) ->
-      Int64.logand
-        (Int64.logxor
-           (Bigarray.Array1.unsafe_get goods ((row_of.(a) * nb) + blk))
-           (Bigarray.Array1.unsafe_get goods ((row_of.(b) * nb) + blk)))
-        (Array.unsafe_get masks blk)
-    | Fault.Gate_oxide_short (id, polarity) ->
-      if polarity then
-        Int64.logand
-          (Bigarray.Array1.unsafe_get goods ((row_of.(id) * nb) + blk))
-          (Array.unsafe_get masks blk)
-      else
-        Int64.logand
-          (Int64.lognot
-             (Bigarray.Array1.unsafe_get goods ((row_of.(id) * nb) + blk)))
-          (Array.unsafe_get masks blk)
-    | Fault.Floating_gate _ -> Array.unsafe_get masks blk
-  in
-  let first = Array.make nf (-1) in
-  let fault_blocks = Atomic.make 0 and dropped = Atomic.make 0 in
-  let steals =
-    run_fault_chunks pool nf (fun lo hi ->
-        let fb = ref 0 and dr = ref 0 in
-        for f = lo to hi - 1 do
-          let inj = faults.(f) in
-          if measurable inj then begin
-            let rec scan b =
-              if b < nb then begin
-                incr fb;
-                if act_word b inj.Fault.fault <> 0L then begin
-                  first.(f) <-
-                    (b * 64) + Bitvec.ctz64 (act_word b inj.Fault.fault);
-                  incr dr
-                end
-                else scan (b + 1)
-              end
-            in
-            scan 0
-          end
-        done;
-        ignore (Atomic.fetch_and_add fault_blocks !fb);
-        ignore (Atomic.fetch_and_add dropped !dr))
-  in
-  Option.iter
-    (fun m ->
-      Metrics.record_fault_sim ~steals m ~blocks:0
-        ~fault_blocks:(Atomic.get fault_blocks) ~dropped:(Atomic.get dropped))
-    metrics;
-  first
-
 (* The original vector-at-a-time path, verbatim semantics: one full
    logic simulation per vector, one activation query per (fault,
    vector).  The differential tests pin the packed engine to this. *)
@@ -257,8 +175,4 @@ let circuit_of p = Charac.circuit (Partition.charac p)
 
 let detection_matrix ?domains ?metrics p ~vectors ~faults =
   detection_matrix_with ?domains ?metrics (circuit_of p)
-    ~measurable:(measurable p) ~vectors ~faults
-
-let first_detections ?domains ?metrics p ~vectors ~faults =
-  first_detections_with ?domains ?metrics (circuit_of p)
     ~measurable:(measurable p) ~vectors ~faults

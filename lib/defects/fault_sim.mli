@@ -23,15 +23,15 @@
       gate-oxide short where the node carries the short's polarity:
       the node word or its complement; a floating gate everywhere: the
       block mask);
-    - {e fault dropping}: a detected fault never touches another
-      block;
     - fault chunks are claimed round-robin off one atomic index by a
-      reusable {!Iddq_util.Domain_pool} (work stealing: dropping makes
-      per-fault cost uneven — the rebalanced chunks are counted as
-      [steals] in {!Metrics}), the good machine being shared
-      read-only.
+      reusable {!Iddq_util.Domain_pool} (work stealing: the
+      measurability filter makes per-fault cost uneven — the
+      rebalanced chunks are counted as [steals] in {!Metrics}), the
+      good machine being shared read-only.
 
-    This flat engine is the only packed one.  The vector-at-a-time
+    This flat engine is the only packed one, and it builds one thing:
+    the full detection matrix.  First detections, coverage and
+    compaction are queries on it ({!Coverage}).  The vector-at-a-time
     path survives as {!detection_matrix_scalar_with}, the reference
     oracle for the differential tests. *)
 
@@ -65,10 +65,9 @@ val good_values :
     map), filled by the striped levelized kernel
     ({!Iddq_patterns.Parallel_sim.eval_all_into}, levels or stripes
     split over [pool]).  What {!Stuck_at.fault_simulate} runs on: its
-    cone kernel reads any node.  The IDDQ sweeps
-    ({!detection_matrix}, {!first_detections} and their [_with]
-    forms) evaluate the same kernel under a live-row map instead and
-    never build this buffer. *)
+    cone kernel reads any node.  The IDDQ sweep ({!detection_matrix}
+    and {!detection_matrix_with}) evaluates the same kernel under a
+    live-row map instead and never builds this buffer. *)
 
 val run_fault_chunks :
   Iddq_util.Domain_pool.t -> int -> (int -> int -> unit) -> int
@@ -91,18 +90,7 @@ val detection_matrix :
   faults:Fault.injected list ->
   matrix
 (** The {e full} matrix (no dropping — every detecting vector of every
-    fault), for coverage curves and compaction. *)
-
-val first_detections :
-  ?domains:int ->
-  ?metrics:Metrics.t ->
-  Iddq_core.Partition.t ->
-  vectors:bool array array ->
-  faults:Fault.injected list ->
-  int array
-(** Per fault, the index of its first detecting vector ([-1] when
-    undetected) — with fault dropping, so a detected fault never
-    touches another block. *)
+    fault), for first detections, coverage curves and compaction. *)
 
 (** {1 Custom-threshold entry points}
 
@@ -118,15 +106,6 @@ val detection_matrix_with :
   vectors:bool array array ->
   faults:Fault.injected list ->
   matrix
-
-val first_detections_with :
-  ?domains:int ->
-  ?metrics:Metrics.t ->
-  Iddq_netlist.Circuit.t ->
-  measurable:(Fault.injected -> bool) ->
-  vectors:bool array array ->
-  faults:Fault.injected list ->
-  int array
 
 (** {1 Reference oracle} *)
 

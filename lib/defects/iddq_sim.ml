@@ -31,7 +31,10 @@ let run_partitioned ?domains ?metrics p ~vectors ~faults =
   let ch = Partition.charac p in
   let c = Charac.circuit ch in
   let tech = Charac.technology ch in
-  let first = Fault_sim.first_detections ?domains ?metrics p ~vectors ~faults in
+  let first =
+    Coverage.first_detection
+      (Fault_sim.detection_matrix ?domains ?metrics p ~vectors ~faults)
+  in
   let detections =
     List.mapi
       (fun f (inj : Fault.injected) ->
@@ -70,8 +73,9 @@ let run_single_sensor ?domains ?metrics ch ~vectors ~faults =
     total_leak +. inj.Fault.defect_current >= threshold
   in
   let first =
-    Fault_sim.first_detections_with ?domains ?metrics c ~measurable ~vectors
-      ~faults
+    Coverage.first_detection
+      (Fault_sim.detection_matrix_with ?domains ?metrics c ~measurable ~vectors
+         ~faults)
   in
   let detections =
     List.mapi

@@ -34,7 +34,9 @@ val run_partitioned :
     a vector detects it when the defect is activated and the module
     sensor's measured current reaches the technology threshold.
 
-    Runs on the 64-way packed {!Fault_sim} engine with fault dropping;
+    Runs on the 64-way packed {!Fault_sim} engine: each defect's
+    detecting vector is the first set bit of its row of the full
+    {!Fault_sim.detection_matrix} ({!Coverage.first_detection}).
     [domains] (default 1) distributes fault chunks over a [Domain]
     pool, [metrics] receives the engine's block counters and the one
     cost evaluation that sizes the test time. *)

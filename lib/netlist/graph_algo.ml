@@ -357,37 +357,3 @@ let reachable_from c seeds =
         end)
   done;
   seen
-
-let connected_components u =
-  let n = num_gates u in
-  let label = Array.make n (-1) in
-  let next = ref 0 in
-  let q = Queue.create () in
-  for g = 0 to n - 1 do
-    if label.(g) < 0 then begin
-      let l = !next in
-      incr next;
-      label.(g) <- l;
-      Queue.add g q;
-      while not (Queue.is_empty q) do
-        let v = Queue.pop q in
-        iter_neighbours u v (fun w ->
-            if label.(w) < 0 then begin
-              label.(w) <- l;
-              Queue.add w q
-            end)
-      done
-    end
-  done;
-  label
-
-let transitive_fanin_count c id =
-  let seen = Hashtbl.create 64 in
-  let rec visit v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.replace seen v ();
-      Circuit.iter_fanins c v visit
-    end
-  in
-  Circuit.iter_fanins c id visit;
-  Hashtbl.length seen

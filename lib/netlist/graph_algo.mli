@@ -151,14 +151,7 @@ val module_separation : undirected -> cutoff:int -> int array -> int
 (** [module_separation u ~cutoff gates] is [S(M)]: the sum of
     pairwise separations over all unordered gate pairs of the module. *)
 
-(** {1 Reachability and components} *)
+(** {1 Reachability} *)
 
 val reachable_from : Circuit.t -> int array -> bool array
 (** Forward reachability over node ids from a seed set. *)
-
-val connected_components : undirected -> int array
-(** Component label per gate index (labels are dense from 0). *)
-
-val transitive_fanin_count : Circuit.t -> int -> int
-(** Number of nodes (inputs and gates) in the transitive fanin cone of
-    a node id, the node itself excluded. *)

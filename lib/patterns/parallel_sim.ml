@@ -9,30 +9,10 @@ let ba_create n : ba =
   Bigarray.Array1.fill a 0L;
   a
 
-let pack vectors ~start =
-  let n = Array.length vectors in
-  if start < 0 || start > n then invalid_arg "Parallel_sim.pack: bad start";
-  (* [start = n] (in particular an empty vector set): a valid empty
-     block.  The vector width — the word count — comes from any
-     vector when one exists, and degenerates to 0 words otherwise. *)
-  let width = if n = 0 then 0 else Array.length vectors.(0) in
-  let count = Stdlib.min 64 (n - start) in
-  Array.init width (fun i ->
-      let word = ref 0L in
-      for k = 0 to count - 1 do
-        let v = vectors.(start + k) in
-        if Array.length v <> width then
-          invalid_arg "Parallel_sim.pack: inconsistent vector widths";
-        if v.(i) then word := Int64.logor !word (Int64.shift_left 1L k)
-      done;
-      !word)
-
-let active_mask vectors ~start =
-  let n = Array.length vectors in
-  if start < 0 || start > n then
-    invalid_arg "Parallel_sim.active_mask: bad start";
-  let count = Stdlib.min 64 (n - start) in
-  if count = 64 then Int64.minus_one
+(* Bits backed by real vectors in the block of [count] vectors:
+   all-ones except at the tail. *)
+let active_mask count =
+  if count >= 64 then Int64.minus_one
   else Int64.sub (Int64.shift_left 1L count) 1L
 
 type packed = {
@@ -63,7 +43,7 @@ let pack_all vectors =
     n_vectors = n;
     n_inputs;
     words;
-    masks = Array.init n_blocks (fun b -> active_mask vectors ~start:(b * 64));
+    masks = Array.init n_blocks (fun b -> active_mask (n - (b * 64)));
   }
 
 let n_vectors p = p.n_vectors

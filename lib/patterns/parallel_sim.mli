@@ -7,23 +7,6 @@
     vector-at-a-time simulation ({!Iddq_defects.Stuck_at} uses this
     internally). *)
 
-val pack : bool array array -> start:int -> int64 array
-(** [pack vectors ~start] packs vectors [start .. start+63] (fewer at
-    the tail) into one word per circuit input: bit [k] of word [i] is
-    input [i] of vector [start + k].
-
-    [start] may equal the vector count: the block is empty and every
-    word is [0L] — in particular, packing an empty vector set at
-    [start = 0] is a valid no-op returning [[||]], so zero-pattern
-    simulation needs no special-casing in callers.  Raises
-    [Invalid_argument] if [start < 0], [start] exceeds the vector
-    count, or the vectors have inconsistent widths. *)
-
-val active_mask : bool array array -> start:int -> int64
-(** Bits corresponding to real vectors in the packed block (all-ones
-    except at the tail; [0L] for an empty block — same [start] range
-    as {!pack}). *)
-
 (** {1 Whole-set packing}
 
     Fault simulation re-reads the same vector set once per fault (or
@@ -42,7 +25,8 @@ val n_vectors : packed -> int
 val num_blocks : packed -> int
 
 val block_mask : packed -> int -> int64
-(** {!active_mask} of the block: all-ones except at the tail. *)
+(** Bits backed by real vectors in block [b]: all-ones except at the
+    tail. *)
 
 (** {1 Flat GC-free kernel}
 
@@ -109,23 +93,6 @@ val live_rows : Iddq_netlist.Circuit.t -> keep:int array -> row_map
     a node the earlier level still reads; {!eval_stripe_into} and
     {!eval_all_into} keep that order. *)
 
-val seed_inputs_striped :
-  Iddq_netlist.Circuit.t ->
-  packed ->
-  rows:row_map ->
-  block0:int ->
-  width:int ->
-  stride:int ->
-  dst:ba ->
-  unit
-(** Transpose the packed input words of blocks
-    [block0 .. block0 + width - 1] into the matrix rows of [dst]
-    ([input i, block b] at [i * stride + b]: inputs hold rows
-    [0 .. num_inputs - 1] under either map).  Allocation-free.  Raises
-    [Invalid_argument] on a bad block range, an input-width mismatch,
-    a stride smaller than [block0 + width], a map of another circuit,
-    or a destination smaller than [rows.n_rows * stride]. *)
-
 val eval_order_range_striped :
   Iddq_netlist.Circuit.t ->
   rows:row_map ->
@@ -156,8 +123,13 @@ val eval_stripe_into :
   stride:int ->
   dst:ba ->
   unit
-(** Seed the stripe's inputs and evaluate the whole circuit in its
-    level order for [width] consecutive blocks.  Allocation-free. *)
+(** Seed the stripe's inputs (input [i], block [b] at
+    [i * stride + b]: inputs hold rows [0 .. num_inputs - 1] under
+    either map) and evaluate the whole circuit in its level order for
+    [width] consecutive blocks.  Allocation-free.  Raises
+    [Invalid_argument] on a bad block range, an input-width mismatch,
+    a stride smaller than [block0 + width], a map of another circuit,
+    or a destination smaller than [rows.n_rows * stride]. *)
 
 val eval_all_into :
   ?pool:Iddq_util.Domain_pool.t ->

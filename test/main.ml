@@ -1,6 +1,5 @@
-let () =
-  Alcotest.run "iddq"
-    [
+let suites =
+  [
       ("rng", Test_rng.tests);
       ("metrics", Test_metrics.tests);
       ("stats", Test_stats.tests);
@@ -53,3 +52,7 @@ let () =
       ("cli-usage", Test_cli_usage.tests);
       ("server", Test_server.tests);
     ]
+
+(* Last, reading the names of every group above. *)
+let () =
+  Alcotest.run "iddq" (suites @ [ ("claim-index", Test_claim_index.tests suites) ])

@@ -275,50 +275,6 @@ let test_annealing_no_self_moves () =
   Alcotest.(check bool) "some proposals made" true (!proposals > 0);
   Alcotest.(check int) "no src = target in the move trace" 0 !self_moves
 
-let test_annealing_delta_equals_full_eval () =
-  (* the incremental evaluator reproduces Cost.evaluate exactly, so
-     both modes follow the same trajectory from the same rng seed; the
-     work each mode accounts (Metrics.equivalent_evals, in units of
-     one full evaluation) is where they differ *)
-  let run ~full_eval ~params ~seed start =
-    let metrics = Metrics.create () in
-    let _, best =
-      Annealing.optimize ~metrics ~params ~full_eval ~rng:(Rng.create seed)
-        start
-    in
-    let s = Metrics.snapshot metrics in
-    (best.Cost.penalized, Metrics.evaluations s, Metrics.equivalent_evals s)
-  in
-  let check name ~start ~steps ~seed ~min_speedup =
-    let params = { Annealing.default_params with Annealing.steps } in
-    let full, full_evals, full_work = run ~full_eval:true ~params ~seed start in
-    let delta, delta_evals, delta_work =
-      run ~full_eval:false ~params ~seed start
-    in
-    Alcotest.(check (float 0.0)) (name ^ ": identical final cost") full delta;
-    (* the same states visited: the same cost queries answered *)
-    Alcotest.(check int) (name ^ ": same evaluations") full_evals delta_evals;
-    Option.iter
-      (fun min_speedup ->
-        Alcotest.(check bool)
-          (Printf.sprintf
-             "%s: evaluate-equivalents full %.1f, delta %.1f (>= %.0fx fewer)"
-             name full_work delta_work min_speedup)
-          true
-          (full_work >= min_speedup *. delta_work))
-      min_speedup
-  in
-  let ch = make (Iscas.c432_like ()) in
-  check "C432"
-    ~start:(Random_part.partition ~rng:(Rng.create 43) ch ~num_modules:5)
-    ~steps:1000 ~seed:5 ~min_speedup:None;
-  (* the C7552 stand-in cut into 8-gate chain modules: a delta step
-     re-evaluates two small modules of a large circuit *)
-  let ch = make (Iscas.c7552_like ()) in
-  check "C7552"
-    ~start:(Seeds.chain_partition ~rng:(Rng.create 42) ~module_size:8 ch)
-    ~steps:2000 ~seed:7 ~min_speedup:(Some 5.0)
-
 let test_refine_monotone () =
   let rng = Rng.create 29 in
   let ch = make (Iscas.c432_like ()) in
@@ -358,8 +314,6 @@ let tests =
     Alcotest.test_case "annealing improves" `Slow test_annealing_improves;
     Alcotest.test_case "annealing validation" `Quick test_annealing_param_validation;
     Alcotest.test_case "annealing no self moves" `Slow test_annealing_no_self_moves;
-    Alcotest.test_case "annealing delta = full eval" `Slow
-      test_annealing_delta_equals_full_eval;
     Alcotest.test_case "refine monotone" `Slow test_refine_monotone;
     Alcotest.test_case "refine idempotent" `Quick test_refine_fixpoint_idempotent;
   ]

@@ -1,0 +1,90 @@
+(* EXPERIMENTS.md's claim index names the test bounding each claim as
+   `group` "case" (several cases may follow one group).  Every such
+   pair must be a case the suite registers, so renaming or deleting a
+   case cannot silently orphan the claim that cites it. *)
+
+(* The file sits at the root of the build tree (a declared dep of the
+   test stanza), found from the running executable; from a source
+   checkout the working directory's copy serves. *)
+let experiments_md () =
+  let beside_build =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "EXPERIMENTS.md"
+  in
+  List.find Sys.file_exists [ beside_build; "EXPERIMENTS.md" ]
+
+let read_lines path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | line -> go (line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+(* The table rows of the "## Claim index" section, up to the next
+   section heading. *)
+let index_rows lines =
+  let starts_with p l =
+    String.length l >= String.length p && String.sub l 0 (String.length p) = p
+  in
+  let rec skip = function
+    | [] -> []
+    | l :: tl -> if starts_with "## Claim index" l then take [] tl else skip tl
+  and take acc = function
+    | l :: tl when not (starts_with "## " l) ->
+      take (if starts_with "|" l then l :: acc else acc) tl
+    | _ -> List.rev acc
+  in
+  skip lines
+
+(* The last cell of a row, tokenized: a backticked span opens a group,
+   and each double-quoted span after it is one of that group's cases.
+   A backticked span no quote follows (a file, a workload) names no
+   case. *)
+let pairs_of_row row =
+  let cells = List.filter (fun c -> String.trim c <> "") (String.split_on_char '|' row) in
+  let cell = match List.rev cells with [] -> "" | last :: _ -> last in
+  let n = String.length cell in
+  let span i close =
+    match String.index_from_opt cell (i + 1) close with
+    | Some j -> Some (String.sub cell (i + 1) (j - i - 1), j + 1)
+    | None -> None
+  in
+  let rec scan i group acc =
+    if i >= n then List.rev acc
+    else
+      match cell.[i] with
+      | '`' -> (
+        match span i '`' with
+        | Some (g, k) -> scan k (Some g) acc
+        | None -> List.rev acc)
+      | '"' -> (
+        match (span i '"', group) with
+        | Some (case, k), Some g -> scan k group ((g, case) :: acc)
+        | Some (_, k), None -> scan k group acc
+        | None, _ -> List.rev acc)
+      | _ -> scan (i + 1) group acc
+  in
+  scan 0 None []
+
+let tests suites =
+  let registered =
+    List.concat_map
+      (fun (group, cases) -> List.map (fun (case, _, _) -> (group, case)) cases)
+      suites
+  in
+  let check () =
+    let pairs =
+      List.concat_map pairs_of_row (index_rows (read_lines (experiments_md ())))
+    in
+    Alcotest.(check bool) "the claim index names some cases" true (pairs <> []);
+    Alcotest.(check (list (pair string string)))
+      "named cases the suite does not register" []
+      (List.filter (fun pair -> not (List.mem pair registered)) pairs)
+  in
+  [ Alcotest.test_case "every named case is registered" `Quick check ]

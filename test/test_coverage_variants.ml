@@ -236,27 +236,6 @@ let test_library_with_technology () =
       (Library.technology lib').Technology.rail_budget
   | Error e -> Alcotest.failf "with_technology: %s" e
 
-let test_module_components () =
-  (* output cones are connected; a scattered module is not *)
-  let p_cones =
-    let a = Array.make 6 0 in
-    (* {10,16,22} vs {11,19,23} by name *)
-    Array.iteri
-      (fun g _ ->
-        let name = Circuit.node_name c17 (Circuit.node_of_gate c17 g) in
-        if List.mem name [ "11"; "19"; "23" ] then a.(g) <- 1)
-      a;
-    Partition.create ch ~assignment:a
-  in
-  Alcotest.(check int) "cone connected" 1 (Partition.module_components p_cones 0);
-  (* {10, 23} have no undirected edge between them *)
-  let p_scatter =
-    let a = [| 0; 1; 1; 1; 1; 0 |] in
-    Partition.create ch ~assignment:a
-  in
-  Alcotest.(check int) "scattered module" 2
-    (Partition.module_components p_scatter 0)
-
 let tests =
   [
     Alcotest.test_case "matrix basics" `Quick test_matrix_basics;
@@ -276,5 +255,4 @@ let tests =
     Alcotest.test_case "variants named" `Quick test_variants_all_named;
     Alcotest.test_case "library with technology" `Quick
       test_library_with_technology;
-    Alcotest.test_case "module components" `Quick test_module_components;
   ]

@@ -62,15 +62,55 @@ let test_matrix_domains_invariant () =
       true (Fault_sim.equal one three)
   done
 
-let test_first_detections_match_matrix () =
+(* Both IDDQ runs read each defect's detecting vector off the full
+   matrix: it must be the first set bit of that defect's row of the
+   scalar oracle's matrix, at one domain and at several.  The
+   single-sensor oracle measures against the documented threshold,
+   [max I_th (2 * total leakage)]. *)
+let test_detecting_vectors_match_matrix () =
+  let detecting (r : Iddq_sim.result) =
+    Array.of_list
+      (List.map
+         (fun (d : Iddq_sim.detection) ->
+           Option.value d.Iddq_sim.detecting_vector ~default:(-1))
+         r.Iddq_sim.detections)
+  in
+  let oracle c ~measurable ~vectors ~faults =
+    Coverage.first_detection
+      (Fault_sim.detection_matrix_scalar_with c ~measurable ~vectors ~faults)
+  in
   for seed = 1 to 8 do
-    let _, p, vectors, faults = random_case seed in
-    let m = Fault_sim.detection_matrix p ~vectors ~faults in
-    let from_matrix = Coverage.first_detection m in
-    let dropped = Fault_sim.first_detections ~domains:2 p ~vectors ~faults in
-    Alcotest.(check (array int))
-      (Printf.sprintf "seed %d: dropping = matrix scan" seed)
-      from_matrix dropped
+    let c, p, vectors, faults = random_case seed in
+    let ch = Partition.charac p in
+    let partitioned =
+      oracle c ~measurable:(Fault_sim.measurable p) ~vectors ~faults
+    in
+    let leak =
+      Iddq_analysis.Switching.leakage ch (Array.init (Charac.num_gates ch) Fun.id)
+    in
+    let threshold =
+      Stdlib.max (Charac.technology ch).Iddq_celllib.Technology.iddq_threshold
+        (2.0 *. leak)
+    in
+    let single =
+      oracle c
+        ~measurable:(fun (inj : Fault.injected) ->
+          leak +. inj.Fault.defect_current >= threshold)
+        ~vectors ~faults
+    in
+    List.iter
+      (fun domains ->
+        Alcotest.(check (array int))
+          (Printf.sprintf "seed %d, %d domains: run_partitioned = oracle" seed
+             domains)
+          partitioned
+          (detecting (Iddq_sim.run_partitioned ~domains p ~vectors ~faults));
+        Alcotest.(check (array int))
+          (Printf.sprintf "seed %d, %d domains: run_single_sensor = oracle"
+             seed domains)
+          single
+          (detecting (Iddq_sim.run_single_sensor ~domains ch ~vectors ~faults)))
+      [ 1; 2 ]
   done
 
 (* The original boxed-bool greedy loop, reproduced as the compaction
@@ -127,7 +167,7 @@ let test_compact_matches_naive_greedy () =
       (Coverage.coverage_of_selection m packed)
   done
 
-let test_curve_matches_first_detections () =
+let test_curve_matches_first_detection () =
   let _, p, vectors, faults = random_case 5 in
   let m = Fault_sim.detection_matrix p ~vectors ~faults in
   let nf = Coverage.num_faults m in
@@ -183,14 +223,19 @@ let test_metrics_counters () =
     (Metrics.get s Metrics.sim_fault_blocks > 0);
   Alcotest.(check int) "full matrix never drops" 0
     (Metrics.get s Metrics.sim_faults_dropped);
-  let metrics = Metrics.create () in
-  let first = Fault_sim.first_detections ~metrics p ~vectors ~faults in
-  let s = Metrics.snapshot metrics in
-  let detected =
-    Array.fold_left (fun a v -> if v >= 0 then a + 1 else a) 0 first
-  in
-  Alcotest.(check int) "dropped = detected" detected
-    (Metrics.get s Metrics.sim_faults_dropped)
+  (* an IDDQ run builds the same matrix: the same block counters, no
+     dropped faults *)
+  let run = Metrics.create () in
+  ignore (Iddq_sim.run_partitioned ~metrics:run p ~vectors ~faults);
+  let r = Metrics.snapshot run in
+  List.iter
+    (fun (name, counter) ->
+      Alcotest.(check int) name (Metrics.get s counter) (Metrics.get r counter))
+    [
+      ("run: good-machine blocks", Metrics.sim_blocks);
+      ("run: fault-block passes", Metrics.sim_fault_blocks);
+      ("run: no dropped faults", Metrics.sim_faults_dropped);
+    ]
 
 let test_empty_cases () =
   let _, p, vectors, _ = random_case 2 in
@@ -203,8 +248,15 @@ let test_empty_cases () =
   ignore c;
   let m = Fault_sim.detection_matrix p ~vectors:[||] ~faults in
   Alcotest.(check int) "no detectable" 0 (Coverage.num_detectable m);
-  let first = Fault_sim.first_detections p ~vectors:[||] ~faults in
-  Array.iter (fun v -> Alcotest.(check int) "all -1" (-1) v) first
+  Array.iter
+    (fun v -> Alcotest.(check int) "all -1" (-1) v)
+    (Coverage.first_detection m);
+  let r = Iddq_sim.run_partitioned p ~vectors:[||] ~faults in
+  List.iter
+    (fun (d : Iddq_sim.detection) ->
+      Alcotest.(check (option int)) "no detecting vector" None
+        d.Iddq_sim.detecting_vector)
+    r.Iddq_sim.detections
 
 (* Bitvec unit checks: the word primitives the engine leans on. *)
 let test_bitvec_primitives () =
@@ -247,11 +299,11 @@ let tests =
     Alcotest.test_case "matrix domain-pool invariant" `Quick
       test_matrix_domains_invariant;
     Alcotest.test_case "first detections = matrix" `Quick
-      test_first_detections_match_matrix;
+      test_detecting_vectors_match_matrix;
     Alcotest.test_case "compact = naive greedy" `Quick
       test_compact_matches_naive_greedy;
     Alcotest.test_case "curve = first detections" `Quick
-      test_curve_matches_first_detections;
+      test_curve_matches_first_detection;
     Alcotest.test_case "run_partitioned domain invariant" `Quick
       test_run_partitioned_domains_invariant;
     Alcotest.test_case "stuck-at domain invariant" `Quick

@@ -30,16 +30,44 @@ let striped_equals_scalar c vectors =
     vectors;
   !ok
 
+(* A two-input circuit whose input rows, after an all-rows
+   evaluation, hold the packed words exactly as the kernel seeds them:
+   input [i]'s word of block [b] at [i * num_blocks + b]. *)
+let two_inputs () =
+  Circuit.unsafe_make ~name:"two" ~num_inputs:2
+    ~nodes:[| Circuit.Input; Circuit.Input; Circuit.Gate (Gate.And, [| 0; 1 |]) |]
+    ~node_names:[| "a"; "b"; "g" |] ~outputs:[| 2 |]
+
+let input_word c p ~input ~block =
+  let nb = P.num_blocks p in
+  let dst : P.ba =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (Circuit.num_nodes c * nb)
+  in
+  P.eval_all_into c p ~rows:(P.all_rows c) ~dst;
+  Bigarray.Array1.get dst ((input * nb) + block)
+
 let test_pack_unpack () =
+  let c = two_inputs () in
   let vectors = [| [| true; false |]; [| false; true |]; [| true; true |] |] in
-  let packed = P.pack vectors ~start:0 in
-  Alcotest.(check int) "one word per input" 2 (Array.length packed);
-  Alcotest.(check bool) "v0 i0" true (bit packed.(0) 0);
-  Alcotest.(check bool) "v1 i0" false (bit packed.(0) 1);
-  Alcotest.(check bool) "v1 i1" true (bit packed.(1) 1);
-  Alcotest.(check bool) "v2 i0" true (bit packed.(0) 2);
-  Alcotest.(check int64) "mask covers 3" 7L (P.active_mask vectors ~start:0);
-  Alcotest.(check int64) "tail mask" 1L (P.active_mask vectors ~start:2)
+  let packed = P.pack_all vectors in
+  Alcotest.(check int) "three vectors" 3 (P.n_vectors packed);
+  Alcotest.(check int) "one block" 1 (P.num_blocks packed);
+  let w i = input_word c packed ~input:i ~block:0 in
+  Alcotest.(check bool) "v0 i0" true (bit (w 0) 0);
+  Alcotest.(check bool) "v1 i0" false (bit (w 0) 1);
+  Alcotest.(check bool) "v1 i1" true (bit (w 1) 1);
+  Alcotest.(check bool) "v2 i0" true (bit (w 0) 2);
+  Alcotest.(check int64) "mask covers 3" 7L (P.block_mask packed 0);
+  Alcotest.(check int64) "no bits past the mask" 0L
+    (Int64.logand (Int64.logor (w 0) (w 1)) (Int64.lognot 7L));
+  (* 65 vectors: one full block, then a one-vector tail *)
+  let long = P.pack_all (Array.init 65 (fun k -> vectors.(k mod 3))) in
+  Alcotest.(check int) "two blocks" 2 (P.num_blocks long);
+  Alcotest.(check int64) "full mask" Int64.minus_one (P.block_mask long 0);
+  Alcotest.(check int64) "tail mask" 1L (P.block_mask long 1);
+  (* vector 64 is vectors.(1) = [false; true] *)
+  Alcotest.(check int64) "tail i0" 0L (input_word c long ~input:0 ~block:1);
+  Alcotest.(check int64) "tail i1" 1L (input_word c long ~input:1 ~block:1)
 
 let test_eval_matches_scalar_c17 () =
   let c = Iscas.c17 () in
@@ -104,7 +132,7 @@ let test_stuck_output_word () =
     vectors;
   Alcotest.(check int64) "no padding bits" 0L
     (Int64.logand (Iddq_util.Bitvec.word row 0)
-       (Int64.lognot (P.active_mask vectors ~start:0)))
+       (Int64.lognot (P.block_mask (P.pack_all vectors) 0)))
 
 let test_fault_simulate_matches_scalar_detects () =
   (* the packed fault simulator agrees with per-vector detection *)
@@ -209,27 +237,29 @@ let test_empty_vector_set_is_noop () =
   (* zero-pattern simulation: packing an empty set is a valid no-op,
      not a crash *)
   let empty : bool array array = [||] in
-  Alcotest.(check int) "no words" 0 (Array.length (P.pack empty ~start:0));
-  Alcotest.(check int64) "no active bits" 0L (P.active_mask empty ~start:0);
-  (* fault simulation over zero vectors detects nothing and survives *)
+  let p = P.pack_all empty in
+  Alcotest.(check int) "no vectors" 0 (P.n_vectors p);
+  Alcotest.(check int) "no blocks" 0 (P.num_blocks p);
+  (* evaluating zero blocks writes nothing, so an empty buffer does *)
   let c = Iscas.c17 () in
+  P.eval_all_into c p ~rows:(P.all_rows c)
+    ~dst:(Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 0);
+  (* fault simulation over zero vectors detects nothing and survives *)
   let report =
     Stuck_at.fault_simulate c ~vectors:empty
       ~faults:(Stuck_at.collapsed_fault_list c)
   in
   Alcotest.(check int) "nothing detected" 0 report.Stuck_at.detected;
-  (* start may equal the vector count: an empty tail block *)
-  let vectors = [| [| true; false |]; [| false; true |] |] in
-  let tail = P.pack vectors ~start:2 in
-  Alcotest.(check int) "tail block keeps the width" 2 (Array.length tail);
-  Array.iter (fun w -> Alcotest.(check int64) "tail words zero" 0L w) tail;
-  Alcotest.(check int64) "tail mask zero" 0L (P.active_mask vectors ~start:2);
-  (* out-of-range starts still rejected *)
+  (* a set that fills its last block packs no empty tail block *)
+  let full = P.pack_all (Array.make 64 [| true; false |]) in
+  Alcotest.(check int) "one block" 1 (P.num_blocks full);
+  Alcotest.(check int64) "full mask" Int64.minus_one (P.block_mask full 0);
+  (* blocks past the end and ragged sets rejected *)
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "negative start rejected" true
-    (raises (fun () -> P.pack vectors ~start:(-1)));
-  Alcotest.(check bool) "start past the end rejected" true
-    (raises (fun () -> P.active_mask vectors ~start:3))
+  Alcotest.(check bool) "block past the end rejected" true
+    (raises (fun () -> P.block_mask full 1));
+  Alcotest.(check bool) "inconsistent widths rejected" true
+    (raises (fun () -> P.pack_all [| [| true |]; [| true; false |] |]))
 
 (* Row maps against a brute-force liveness oracle.  Random DAGs with
    repeated fanins (an [XOR(a, a)] reads [a] twice at one level) and
