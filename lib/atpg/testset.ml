@@ -35,18 +35,17 @@ type gen = {
   remaining : int;
 }
 
-(* The fault-dropping generation loop: simulate what the current set
-   already catches (packed, {!Stuck_at.fault_simulate} under
-   {!Stuck_at.undetected}), then PODEM each survivor on one prepared
-   context; every generated cube is concretized and the {e concrete}
-   vector joins the pending block — the vectors since the last sweep,
-   at most one packed block of 64.  A fault reaching the head of the
-   live list is first checked against the pending block
-   ({!Stuck_at.Block}) and dropped if some vector detects it; when the
-   block fills, one sweep drops what it detects from the rest of the
-   list and a new block starts.  So a fault is targeted exactly when
-   no earlier vector detects it, as if each vector were swept at
-   once. *)
+(* The fault-dropping generation loop, on one {!Stuck_at.Block}: the
+   initial vectors are loaded 64 at a time and each load drops what it
+   detects from the live list; then PODEM targets each survivor on one
+   prepared context.  Every generated cube is concretized and the
+   {e concrete} vector joins the pending block — the vectors since the
+   last sweep, at most one packed block of 64, which the block holds.
+   A fault reaching the head of the live list is first checked against
+   the pending block and dropped if some vector detects it; when the
+   block fills, the rest of the list is filtered through it and a new
+   block starts.  So a fault is targeted exactly when no earlier
+   vector detects it, as if each vector were swept at once. *)
 (* One packed block: the most vectors {!Stuck_at.Block} holds. *)
 let block_vectors = 64
 
@@ -54,7 +53,17 @@ let generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
     faults =
   let podem = Podem.prepare c in
   let block = Stuck_at.Block.create c in
-  let live = ref (Stuck_at.undetected c ~vectors:initial ~faults) in
+  let live = ref faults in
+  let drop () =
+    live := List.filter (fun f -> not (Stuck_at.Block.detects block f)) !live
+  in
+  let n_initial = Array.length initial in
+  for b = 0 to ((n_initial + block_vectors - 1) / block_vectors) - 1 do
+    let lo = b * block_vectors in
+    Stuck_at.Block.load block
+      (Array.sub initial lo (Stdlib.min block_vectors (n_initial - lo)));
+    drop ()
+  done;
   let added = ref [] and pending = ref [] and n_pending = ref 0 in
   let generated = ref 0
   and untestable = ref 0
@@ -62,10 +71,7 @@ let generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
   and targeted = ref 0 in
   let sweep () =
     if !n_pending > 0 then begin
-      live :=
-        Stuck_at.undetected c
-          ~vectors:(Array.of_list (List.rev !pending))
-          ~faults:!live;
+      drop ();
       pending := [];
       n_pending := 0
     end
@@ -94,8 +100,8 @@ let generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
         added := vector :: !added;
         pending := vector :: !pending;
         incr n_pending;
-        if !n_pending = block_vectors then sweep ()
-        else Stuck_at.Block.load block (Array.of_list (List.rev !pending));
+        Stuck_at.Block.load block (Array.of_list (List.rev !pending));
+        if !n_pending = block_vectors then sweep ();
         work ()
     end
   in

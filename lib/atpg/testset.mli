@@ -8,18 +8,18 @@
 
     The loop implements the classic recipe the ROADMAP names: random
     vectors first (cheap coverage), PODEM targeting each fault the
-    random set leaves undetected, and {e fault dropping} throughout —
-    the packed {!Iddq_defects.Stuck_at.fault_simulate} drops what the
-    initial set catches, and the concretized PODEM vectors drop what
-    they detect a packed block at a time.  The vectors generated since
-    the last sweep (at most 64) form the pending block: a fault that
-    comes up for targeting is first checked against it
-    ({!Iddq_defects.Stuck_at.Block}), and when the block fills, one
-    sweep ({!Iddq_defects.Stuck_at.undetected}) drops what it detects
-    from the rest of the list.  A fault is targeted exactly when no
-    earlier vector detects it, so one vector can drop many faults and
-    the result equals sweeping each vector against the whole list at
-    once.  PODEM runs on one {!Podem.prepare}d context per call.
+    random set leaves undetected, and {e fault dropping} throughout,
+    all through one {!Iddq_defects.Stuck_at.Block}: the initial set is
+    loaded 64 vectors at a time and each load drops what it detects,
+    and the concretized PODEM vectors drop what they detect a packed
+    block at a time.  The vectors generated since the last sweep (at
+    most 64) form the pending block, which the block holds: a fault
+    that comes up for targeting is first checked against it, and when
+    the block fills the rest of the list is filtered through it.  A
+    fault is targeted exactly when no earlier vector detects it, so
+    one vector can drop many faults and the result equals sweeping
+    each vector against the whole list at once.  PODEM runs on one
+    {!Podem.prepare}d context per call.
     Minimization then operates on the packed stuck-at detection matrix
     ({!Iddq_defects.Stuck_at.detection_matrix}) via the bit-parallel
     {!Iddq_defects.Coverage} minimizers. *)

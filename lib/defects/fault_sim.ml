@@ -22,27 +22,6 @@ let measurable p (inj : Fault.injected) =
     ~measured_current:(Partition.leakage p m +. inj.Fault.defect_current)
   = Iddq_bic.Detection.Fail
 
-(* Good-machine words for every block in one flat GC-opaque buffer,
-   row-major: node [id]'s word for block [b] at
-   [rows.(id) * num_blocks + b].  The striped levelized kernel fills it
-   [W] consecutive blocks per gate visit; the layout also makes every
-   fault sweep below a contiguous per-row scan.  Stripes (and level
-   slices) write disjoint regions — the shared buffer is each domain's
-   scratch. *)
-let good_machine ?metrics ~pool c packed (rows : P.row_map) =
-  let nb = P.num_blocks packed in
-  let goods : P.ba =
-    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (nb * rows.n_rows)
-  in
-  P.eval_all_into ~pool c packed ~rows ~dst:goods;
-  Option.iter
-    (fun m -> Metrics.record_fault_sim m ~blocks:nb ~fault_blocks:0 ~dropped:0)
-    metrics;
-  goods
-
-let good_values ?metrics ~pool c packed =
-  good_machine ?metrics ~pool c packed (P.all_rows c)
-
 (* One fault's activation word for block [b], phrased so every load,
    [Int64] op and store fuses into a single expression — the fault
    sweep allocates nothing on the minor heap.  The good machine is
@@ -83,10 +62,10 @@ let sweep_floating_row row ~nb ~masks =
   done
 
 (* Faults are scheduled as round-robin chunks over the pool rather
-   than fixed per-domain ranges: stuck-at fault dropping (and the IDDQ
-   measurable filter) makes per-fault cost wildly uneven, and a domain
-   whose static range emptied early would idle.  Chunks small enough to
-   rebalance, large enough that one atomic claim amortizes. *)
+   than fixed per-domain ranges: the measurable filter makes per-fault
+   cost uneven, and a domain whose static range emptied early would
+   idle.  Chunks small enough to rebalance, large enough that one
+   atomic claim amortizes. *)
 let fault_chunk = 64
 
 let run_fault_chunks pool nf f =
@@ -109,20 +88,27 @@ let fault_sites faults =
   Array.of_list !sites
 
 (* Full matrix: every measurable fault visits every block.  The good
-   machine sits in live rows — only the fault sites keep their words
-   to the end, every other node's row is recycled once its last reader
-   is evaluated, so the buffer holds [n_rows] rows rather than one per
-   node; [row_of] maps a site to its row of [goods].  Writes are
-   disjoint per fault, so the fault chunks need no synchronization. *)
+   machine's words for every block sit in one flat GC-opaque buffer,
+   row-major (node [id]'s word for block [b] at [row_of.(id) * nb +
+   b]), filled by the striped levelized kernel [W] consecutive blocks
+   per gate visit, so every fault sweep is a contiguous per-row scan.
+   The rows are live rows: only the fault sites keep their words to
+   the end, every other node's row is recycled once its last reader is
+   evaluated, so the buffer holds [n_rows] rows rather than one per
+   node.  Writes are disjoint per fault, so the fault chunks need no
+   synchronization. *)
 let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
     ~faults =
   Domain_pool.with_pool ~domains @@ fun pool ->
   let packed = P.pack_all vectors in
   let faults = Array.of_list faults in
   let map = P.live_rows c ~keep:(fault_sites faults) in
-  let goods = good_machine ?metrics ~pool c packed map in
-  let row_of = map.P.rows in
   let nb = P.num_blocks packed in
+  let goods : P.ba =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (nb * map.P.n_rows)
+  in
+  P.eval_all_into ~pool c packed ~rows:map ~dst:goods;
+  let row_of = map.P.rows in
   let nv = P.n_vectors packed in
   let masks = Array.init nb (P.block_mask packed) in
   let nf = Array.length faults in
@@ -149,7 +135,7 @@ let detection_matrix_with ?(domains = 1) ?metrics c ~measurable ~vectors
   in
   Option.iter
     (fun m ->
-      Metrics.record_fault_sim ~steals m ~blocks:0
+      Metrics.record_fault_sim ~steals m ~blocks:nb
         ~fault_blocks:(Atomic.get fault_blocks) ~dropped:0)
     metrics;
   { n_vectors = nv; rows }

@@ -53,30 +53,6 @@ val measurable : Iddq_core.Partition.t -> Fault.injected -> bool
     sensor?  The sensor's verdict is {!Iddq_bic.Detection.strobe} on
     that sum: [Fail] is a detection. *)
 
-val good_values :
-  ?metrics:Metrics.t ->
-  pool:Iddq_util.Domain_pool.t ->
-  Iddq_netlist.Circuit.t ->
-  Iddq_patterns.Parallel_sim.packed ->
-  Iddq_patterns.Parallel_sim.ba
-(** The full good machine: one GC-opaque {e node-major} buffer
-    holding {e every} node [id]'s word for block [b] at
-    [id * num_blocks + b] (the {!Iddq_patterns.Parallel_sim.all_rows}
-    map), filled by the striped levelized kernel
-    ({!Iddq_patterns.Parallel_sim.eval_all_into}, levels or stripes
-    split over [pool]).  What {!Stuck_at.fault_simulate} runs on: its
-    cone kernel reads any node.  The IDDQ sweep ({!detection_matrix}
-    and {!detection_matrix_with}) evaluates the same kernel under a
-    live-row map instead and never builds this buffer. *)
-
-val run_fault_chunks :
-  Iddq_util.Domain_pool.t -> int -> (int -> int -> unit) -> int
-(** [run_fault_chunks pool n f] runs [f lo hi] over [0 .. n - 1] cut
-    into fixed-size fault chunks claimed round-robin by [pool]'s
-    participants, and returns {!Iddq_util.Domain_pool.run}'s steal
-    count.  [f] must only write state disjoint per chunk.  The fault
-    scheduler of this module and of {!Stuck_at}. *)
-
 (** {1 Partition-thresholded entry points}
 
     These mirror the scalar {!Iddq_sim.run_partitioned} semantics:

@@ -27,13 +27,13 @@ let coverage_of detections =
     let hit = List.length (List.filter (fun d -> d.detected) l) in
     float_of_int hit /. float_of_int (List.length l)
 
-let run_partitioned ?domains ?metrics p ~vectors ~faults =
+let run_partitioned ?metrics p ~vectors ~faults =
   let ch = Partition.charac p in
   let c = Charac.circuit ch in
   let tech = Charac.technology ch in
   let first =
     Coverage.first_detection
-      (Fault_sim.detection_matrix ?domains ?metrics p ~vectors ~faults)
+      (Fault_sim.detection_matrix ?metrics p ~vectors ~faults)
   in
   let detections =
     List.mapi
@@ -61,7 +61,7 @@ let run_partitioned ?domains ?metrics p ~vectors ~faults =
     test_time;
   }
 
-let run_single_sensor ?domains ?metrics ch ~vectors ~faults =
+let run_single_sensor ?metrics ch ~vectors ~faults =
   let c = Charac.circuit ch in
   let tech = Charac.technology ch in
   let all_gates = Array.init (Charac.num_gates ch) Fun.id in
@@ -74,8 +74,7 @@ let run_single_sensor ?domains ?metrics ch ~vectors ~faults =
   in
   let first =
     Coverage.first_detection
-      (Fault_sim.detection_matrix_with ?domains ?metrics c ~measurable ~vectors
-         ~faults)
+      (Fault_sim.detection_matrix_with ?metrics c ~measurable ~vectors ~faults)
   in
   let detections =
     List.mapi

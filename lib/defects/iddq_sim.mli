@@ -24,7 +24,6 @@ type result = {
 }
 
 val run_partitioned :
-  ?domains:int ->
   ?metrics:Iddq_util.Metrics.t ->
   Iddq_core.Partition.t ->
   vectors:bool array array ->
@@ -36,13 +35,11 @@ val run_partitioned :
 
     Runs on the 64-way packed {!Fault_sim} engine: each defect's
     detecting vector is the first set bit of its row of the full
-    {!Fault_sim.detection_matrix} ({!Coverage.first_detection}).
-    [domains] (default 1) distributes fault chunks over a [Domain]
-    pool, [metrics] receives the engine's block counters and the one
-    cost evaluation that sizes the test time. *)
+    {!Fault_sim.detection_matrix} ({!Coverage.first_detection}), on
+    the caller's domain.  [metrics] receives the engine's block
+    counters and the one cost evaluation that sizes the test time. *)
 
 val run_single_sensor :
-  ?domains:int ->
   ?metrics:Iddq_util.Metrics.t ->
   Iddq_analysis.Charac.t ->
   vectors:bool array array ->

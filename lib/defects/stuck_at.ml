@@ -1,6 +1,8 @@
 module Circuit = Iddq_netlist.Circuit
 module Gate = Iddq_netlist.Gate
 module P = Iddq_patterns.Parallel_sim
+module Bitvec = Iddq_util.Bitvec
+module Metrics = Iddq_util.Metrics
 
 type fault =
   | Stem of int * bool
@@ -93,11 +95,10 @@ type sim_result = {
   first_vector : int array;
 }
 
-(* The cone-restricted faulty machine's scratch, used by one fault
-   chunk at a time.  A walk covers [w <= cap] consecutive blocks from
-   [blk0]; for the current (fault, walk), a node stamped with [epoch]
-   carries its faulty words in [bad] (node [id], block [blk0 + b] at
-   [id * w + b]); every other node reads its
+(* The cone-restricted faulty machine's scratch.  A walk covers [w <=
+   cap] consecutive blocks from [blk0]; for the current (fault, walk),
+   a node stamped with [epoch] carries its faulty words in [bad] (node
+   [id], block [blk0 + b] at [id * w + b]); every other node reads its
    good words from the node-major [goods] (node [id], block [b] at
    [id * nb + b]).  The stamps make resetting free: a new walk bumps
    [epoch]. *)
@@ -115,7 +116,6 @@ type cone = {
   bad : P.ba;
   stamp : int array;
   mutable epoch : int;
-  word : P.ba; (* one-word result slot for dropping scans *)
 }
 
 let cone c ~goods ~nb ~masks ~outputs ~cap =
@@ -134,7 +134,6 @@ let cone c ~goods ~nb ~masks ~outputs ~cap =
     bad = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * cap);
     stamp = Array.make n 0;
     epoch = 0;
-    word = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1;
   }
 
 (* The word fanin slot [slot] (a CSR index) feeds its reader in block
@@ -313,93 +312,8 @@ let check_fault c f =
     (fun m -> invalid_arg ("Stuck_at: " ^ m))
     (validate_fault c f)
 
-(* Bit-parallel (64 vectors per pass) serial fault simulation: the
-   vector set is packed once, the node-major good machine is built
-   once on the pool ({!Fault_sim.good_values}) and shared read-only,
-   and fault chunks are claimed off the same pool
-   ({!Fault_sim.run_fault_chunks}), each running on an idle {!cone}
-   whose walks span up to [cap] blocks.  [visit k f] walks fault [f]'s
-   blocks through {!diff_into} and returns the blocks it visited and
-   whether it dropped the fault. *)
-let simulate ?(domains = 1) ?metrics ~cap c ~vectors ~faults visit =
-  let module Metrics = Iddq_util.Metrics in
-  let faults = Array.of_list faults in
-  Array.iter (check_fault c) faults;
-  Iddq_util.Domain_pool.with_pool ~domains @@ fun pool ->
-  let packed = P.pack_all vectors in
-  let nb = P.num_blocks packed in
-  let goods = Fault_sim.good_values ?metrics ~pool c packed in
-  let masks = Array.init nb (P.block_mask packed) in
-  let outputs = Circuit.outputs c in
-  (* Idle cones: a chunk takes one (or makes one) and hands it back,
-     so a sweep makes at most one per participant, and no cone is
-     used by two chunks at once. *)
-  let idle = Atomic.make [] in
-  let rec take () =
-    match Atomic.get idle with
-    | [] -> cone c ~goods ~nb ~masks ~outputs ~cap:(Stdlib.min cap nb)
-    | k :: rest as l -> if Atomic.compare_and_set idle l rest then k else take ()
-  in
-  let rec give k =
-    let l = Atomic.get idle in
-    if not (Atomic.compare_and_set idle l (k :: l)) then give k
-  in
-  let fault_blocks = Atomic.make 0 and dropped = Atomic.make 0 in
-  let steals =
-    Fault_sim.run_fault_chunks pool (Array.length faults) (fun lo hi ->
-        let k = take () in
-        let fb = ref 0 and dr = ref 0 in
-        for f = lo to hi - 1 do
-          let visited, drop = visit k f faults.(f) in
-          fb := !fb + visited;
-          if drop then incr dr
-        done;
-        give k;
-        ignore (Atomic.fetch_and_add fault_blocks !fb);
-        ignore (Atomic.fetch_and_add dropped !dr))
-  in
-  Option.iter
-    (fun m ->
-      Metrics.record_fault_sim ~steals m ~blocks:0
-        ~fault_blocks:(Atomic.get fault_blocks) ~dropped:(Atomic.get dropped))
-    metrics
-
-(* Fault dropping: one block per walk, stopping at the first detecting
-   block. *)
-let fault_simulate ?domains ?metrics c ~vectors ~faults =
-  let nf = List.length faults in
-  let first_vector = Array.make nf (-1) in
-  simulate ?domains ?metrics ~cap:1 c ~vectors ~faults (fun k f fault ->
-      let rec scan b =
-        if b >= k.nb then (k.nb, false)
-        else begin
-          diff_into k fault ~blk0:b ~width:1 k.word 0;
-          if Bigarray.Array1.unsafe_get k.word 0 <> 0L then begin
-            first_vector.(f) <-
-              (b * 64)
-              + Iddq_util.Bitvec.ctz64 (Bigarray.Array1.unsafe_get k.word 0);
-            (b + 1, true)
-          end
-          else scan (b + 1)
-        end
-      in
-      scan 0);
-  let detected =
-    Array.fold_left (fun acc v -> if v >= 0 then acc + 1 else acc) 0 first_vector
-  in
-  {
-    total = nf;
-    detected;
-    coverage = (if nf = 0 then 1.0 else float_of_int detected /. float_of_int nf);
-    first_vector;
-  }
-
-let undetected c ~vectors ~faults =
-  let r = fault_simulate c ~vectors ~faults in
-  List.filteri (fun f _ -> r.first_vector.(f) < 0) faults
-
 module Block = struct
-  type t = { circuit : Circuit.t; rows : P.row_map; k : cone }
+  type t = { circuit : Circuit.t; rows : P.row_map; k : cone; word : P.ba }
 
   (* One block's good machine and the cone scratch over it, allocated
      once; a load overwrites the good words and the block mask. *)
@@ -414,6 +328,7 @@ module Block = struct
       k =
         cone c ~goods ~nb:1 ~masks:[| 0L |] ~outputs:(Circuit.outputs c)
           ~cap:1;
+      word = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1;
     }
 
   let load t vectors =
@@ -426,32 +341,101 @@ module Block = struct
       ~stride:1 ~dst:t.k.goods;
     t.k.masks.(0) <- P.block_mask packed 0
 
-  let detects t fault =
+  let first_lane t fault =
     check_fault t.circuit fault;
-    diff_into t.k fault ~blk0:0 ~width:1 t.k.word 0;
-    Bigarray.Array1.unsafe_get t.k.word 0 <> 0L
+    diff_into t.k fault ~blk0:0 ~width:1 t.word 0;
+    let w = Bigarray.Array1.unsafe_get t.word 0 in
+    if w = 0L then -1 else Bitvec.ctz64 w
+
+  let detects t fault = first_lane t fault >= 0
 end
+
+(* Fault dropping, block by block: the faults still undetected are
+   checked against each block of 64 vectors in turn through one
+   {!Block}, and a fault leaves the live set at its first detecting
+   block.  Every fault is validated before any block is loaded. *)
+let fault_simulate ?metrics c ~vectors ~faults =
+  let faults = Array.of_list faults in
+  Array.iter (check_fault c) faults;
+  let nf = Array.length faults and nv = Array.length vectors in
+  let nb = (nv + 63) / 64 in
+  let first_vector = Array.make nf (-1) in
+  let live = Array.init nf Fun.id and n_live = ref nf in
+  let fault_blocks = ref 0 in
+  let block = Block.create c in
+  for b = 0 to nb - 1 do
+    if !n_live > 0 then begin
+      Block.load block
+        (Array.sub vectors (b * 64) (Stdlib.min 64 (nv - (b * 64))));
+      fault_blocks := !fault_blocks + !n_live;
+      let kept = ref 0 in
+      for i = 0 to !n_live - 1 do
+        let f = live.(i) in
+        let lane = Block.first_lane block faults.(f) in
+        if lane >= 0 then first_vector.(f) <- (b * 64) + lane
+        else begin
+          live.(!kept) <- f;
+          incr kept
+        end
+      done;
+      n_live := !kept
+    end
+  done;
+  let detected = nf - !n_live in
+  Option.iter
+    (fun m ->
+      Metrics.record_fault_sim m ~blocks:nb ~fault_blocks:!fault_blocks
+        ~dropped:detected)
+    metrics;
+  {
+    total = nf;
+    detected;
+    coverage =
+      (if nf = 0 then 1.0 else float_of_int detected /. float_of_int nf);
+    first_vector;
+  }
 
 (* The full matrix (no dropping — every detecting vector of every
    fault), the stuck-at counterpart of {!Fault_sim.detection_matrix}:
-   what the test-set minimizers ({!Coverage}) run on.  One walk per
+   what the test-set minimizers ({!Coverage}) run on.  The node-major
+   good machine of every block is evaluated once, and one walk per
    fault covers up to [matrix_walk] blocks, their difference words
    landing straight in the fault's row. *)
 let matrix_walk = 8
 
-let detection_matrix ?domains ?metrics c ~vectors ~faults =
-  let nv = Array.length vectors in
-  let rows =
-    Array.of_list (List.map (fun _ -> Iddq_util.Bitvec.create nv) faults)
+let detection_matrix ?metrics c ~vectors ~faults =
+  let faults = Array.of_list faults in
+  Array.iter (check_fault c) faults;
+  let packed = P.pack_all vectors in
+  let nb = P.num_blocks packed and nv = P.n_vectors packed in
+  let goods =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
+      (Circuit.num_nodes c * nb)
   in
-  simulate ?domains ?metrics ~cap:matrix_walk c ~vectors ~faults
-    (fun k f fault ->
-      let row = Iddq_util.Bitvec.unsafe_words rows.(f) in
-      let b = ref 0 in
-      while !b < k.nb do
-        let width = Stdlib.min k.cap (k.nb - !b) in
-        diff_into k fault ~blk0:!b ~width row !b;
-        b := !b + width
-      done;
-      (k.nb, false));
+  P.eval_all_into c packed ~rows:(P.all_rows c) ~dst:goods;
+  let k =
+    cone c ~goods ~nb
+      ~masks:(Array.init nb (P.block_mask packed))
+      ~outputs:(Circuit.outputs c)
+      ~cap:(Stdlib.min matrix_walk nb)
+  in
+  let rows =
+    Array.map
+      (fun fault ->
+        let row = Bitvec.create nv in
+        let words = Bitvec.unsafe_words row in
+        let b = ref 0 in
+        while !b < nb do
+          let width = Stdlib.min k.cap (nb - !b) in
+          diff_into k fault ~blk0:!b ~width words !b;
+          b := !b + width
+        done;
+        row)
+      faults
+  in
+  Option.iter
+    (fun m ->
+      Metrics.record_fault_sim m ~blocks:nb
+        ~fault_blocks:(Array.length faults * nb) ~dropped:0)
+    metrics;
   { Fault_sim.n_vectors = nv; rows }

@@ -41,61 +41,29 @@ val faulty_eval :
 val detects : Iddq_netlist.Circuit.t -> fault -> bool array -> bool
 (** Does the vector expose the fault at some primary output? *)
 
-type sim_result = {
-  total : int;
-  detected : int;
-  coverage : float;
-  first_vector : int array;  (** Per fault, first detecting vector or -1. *)
-}
-
-val fault_simulate :
-  ?domains:int ->
-  ?metrics:Iddq_util.Metrics.t ->
-  Iddq_netlist.Circuit.t ->
-  vectors:bool array array ->
-  faults:fault list ->
-  sim_result
-(** 64-way bit-parallel serial fault simulation with fault dropping (a
-    detected fault is not re-simulated): vectors packed once, the
-    node-major good machine ({!Fault_sim.good_values}) shared across
-    faults, fault chunks claimed over a [domains]-wide (default 1)
-    {!Iddq_util.Domain_pool}.
-
-    The faulty machine is cone-restricted, and one walk of a fault's
-    cone covers a range of consecutive blocks — one block here, where
-    a fault stops at its first detecting block, up to 8 in
-    {!detection_matrix}.  A walk computes the site words (the stuck
-    value of a stem, or the reading gate with only the faulty pin
-    overridden) and stops at once when they equal the good ones on
-    every real vector of the range.  Otherwise it re-evaluates, in
-    ascending id order, only the gates with a fanin whose faulty words
-    differ on some block of the range, up to the last fanout of any
-    differing node, and ORs the differences at the outputs, one word
-    per block.  Its scratch is an n-word [Bigarray] per block of the
-    range and one [int] stamp array, used by one fault chunk at a time
-    and reused by the next; a sweep makes at most one per pool
-    participant and allocates a few words per fault.  Raises
-    [Invalid_argument] on a fault that fails {!validate_fault}. *)
-
-val undetected :
-  Iddq_netlist.Circuit.t ->
-  vectors:bool array array ->
-  faults:fault list ->
-  fault list
-(** The faults no vector detects, in order: {!fault_simulate} on one
-    domain, recording no counters. *)
-
 (** A reusable one-block detector: a vector set of 1 to 64 vectors
-    (one packed block) checked one fault at a time.  The ATPG loop
-    checks each fault against the vectors generated since its last
-    sweep when the fault comes up for targeting, rather than sweeping
-    the whole remaining list after every vector. *)
+    (one packed block) checked one fault at a time — the one
+    fault-dropping primitive.  {!fault_simulate} walks a vector set
+    through one block at a time; the ATPG loop drops its initial
+    vectors the same way, checks each fault against the vectors
+    generated since its last sweep when the fault comes up for
+    targeting, and sweeps the remaining list through the block when
+    it fills.
+
+    The faulty machine is cone-restricted.  A walk computes the site
+    words (the stuck value of a stem, or the reading gate with only
+    the faulty pin overridden) and stops at once when they equal the
+    good ones on every real vector of the block.  Otherwise it
+    re-evaluates, in ascending id order, only the gates with a fanin
+    whose faulty words differ, up to the last fanout of any differing
+    node, and ORs the differences at the outputs.  Its scratch is an
+    n-word [Bigarray] and one [int] stamp array, allocated once per
+    detector; a query allocates nothing of its own. *)
 module Block : sig
   type t
-  (** One block's node-major good machine and a {!fault_simulate}
-      cone scratch over it (width 1), allocated once per circuit.
-      Holds no vector until the first {!load}.  Not for sharing across
-      domains. *)
+  (** One block's node-major good machine and the cone scratch over
+      it, allocated once per circuit.  Holds no vector until the first
+      {!load}.  Not for sharing across domains. *)
 
   val create : Iddq_netlist.Circuit.t -> t
 
@@ -105,15 +73,39 @@ module Block : sig
       empty set, more than 64 vectors, or vectors of the wrong
       width. *)
 
-  val detects : t -> fault -> bool
-  (** Does some loaded vector detect the fault?  The same cone kernel
-      as {!fault_simulate}, so [detects t f] is [true] exactly when
-      {!fault_simulate} over the loaded vectors detects [f].  Raises
+  val first_lane : t -> fault -> int
+  (** The first loaded vector (its index in the last {!load}) that
+      detects the fault, or [-1] when none does.  Raises
       [Invalid_argument] on a fault that fails {!validate_fault}. *)
+
+  val detects : t -> fault -> bool
+  (** [first_lane t f >= 0]: does some loaded vector detect the
+      fault? *)
 end
 
+type sim_result = {
+  total : int;
+  detected : int;
+  coverage : float;
+  first_vector : int array;  (** Per fault, first detecting vector or -1. *)
+}
+
+val fault_simulate :
+  ?metrics:Iddq_util.Metrics.t ->
+  Iddq_netlist.Circuit.t ->
+  vectors:bool array array ->
+  faults:fault list ->
+  sim_result
+(** 64-way bit-parallel serial fault simulation with fault dropping,
+    on the caller's domain: the vector set is walked 64 vectors at a
+    time through one {!Block}, and a fault detected in one block is
+    not checked against later ones.  [metrics] receives the block
+    count ([sim_blocks]), one fault-block per (live fault, block)
+    check ([sim_fault_blocks]) and the detected count
+    ([sim_faults_dropped]).  Raises [Invalid_argument] on a fault that
+    fails {!validate_fault}, before any block is loaded. *)
+
 val detection_matrix :
-  ?domains:int ->
   ?metrics:Iddq_util.Metrics.t ->
   Iddq_netlist.Circuit.t ->
   vectors:bool array array ->
@@ -122,10 +114,14 @@ val detection_matrix :
 (** The {e full} packed detection matrix (no dropping — every
     detecting vector of every fault, one {!Iddq_util.Bitvec} row per
     fault in list order).  The stuck-at counterpart of
-    {!Fault_sim.detection_matrix}, walking each fault's cone once per
-    8 blocks (lanes are independent, so a node that differs on one
-    block of a walk carries exact faulty words on the others, and the
-    output differences stay masked to the real vectors).  Because
+    {!Fault_sim.detection_matrix}, on the caller's domain: the
+    node-major good machine of every block is evaluated once
+    ({!Iddq_patterns.Parallel_sim.eval_all_into} under
+    {!Iddq_patterns.Parallel_sim.all_rows}), and each fault's cone is
+    walked as in {!Block}, once per 8 blocks (lanes are independent,
+    so a node that differs on one block of a walk carries exact faulty
+    words on the others, and the output differences stay masked to
+    the real vectors).  Because
     {!Coverage.detection_matrix}
     is publicly equal to {!Fault_sim.matrix}, every {!Coverage} query
     and minimizer runs on this matrix unchanged — it is what the ATPG

@@ -39,7 +39,7 @@ val block_mask : packed -> int -> int64
     {e zero} minor-heap words (asserted by the kernel tests).  The
     stuck-at faulty machine ({!Iddq_defects.Stuck_at}) reads the
     good matrix under {!all_rows} and re-evaluates only a fault's
-    differing cone in per-chunk [Bigarray] scratch; the IDDQ sweeps
+    differing cone in preallocated [Bigarray] scratch; the IDDQ sweeps
     evaluate under {!live_rows}.  The kernels are tested bit by bit
     against {!Logic_sim.eval}, one vector at a time: the one logic
     reference. *)
@@ -61,7 +61,7 @@ type row_map = private {
 val all_rows : Iddq_netlist.Circuit.t -> row_map
 (** The identity map: node [id] in row [id], [num_nodes] rows.  Every
     node's words survive the evaluation — what a reader of arbitrary
-    nodes (the stuck-at cone kernel, {!Iddq_defects.Fault_sim.good_values})
+    nodes (the stuck-at cone kernel of {!Iddq_defects.Stuck_at})
     needs. *)
 
 val live_rows : Iddq_netlist.Circuit.t -> keep:int array -> row_map

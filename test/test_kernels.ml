@@ -235,9 +235,10 @@ let striped_gen =
 (* A wide, shallow circuit: its levels hold well over
    [Parallel_sim]'s 1024-gate split threshold, so with fewer stripes
    than domains each level is cut across the pool behind a barrier —
-   the path multi-domain [Fault_sim.good_values] takes on large
-   circuits.  130 vectors are 3 blocks: one stripe at the default
-   width, under the 3-domain pools below. *)
+   the path a multi-domain IDDQ matrix
+   ([Fault_sim.detection_matrix_with]) takes on large circuits.  130
+   vectors are 3 blocks: one stripe at the default width, under the
+   3-domain pools below. *)
 let wide_case rng =
   let c =
     Generator.layered_dag ~rng ~name:"wide" ~num_inputs:32 ~num_outputs:16
@@ -422,22 +423,19 @@ let qcheck_stuck_at_matches_detects =
       let faults =
         List.filteri (fun i _ -> i mod 5 = 0) (Stuck_at.full_fault_list c)
       in
-      List.for_all
-        (fun domains ->
-          let m = Stuck_at.detection_matrix ~domains c ~vectors ~faults in
-          let sim = Stuck_at.fault_simulate ~domains c ~vectors ~faults in
-          List.for_all Fun.id
-            (List.mapi
-               (fun f fault ->
-                 let row = m.Fault_sim.rows.(f) in
-                 sim.Stuck_at.first_vector.(f) = Bitvec.first_set row
-                 && Array.for_all Fun.id
-                      (Array.mapi
-                         (fun v vector ->
-                           Bitvec.get row v = Stuck_at.detects c fault vector)
-                         vectors))
-               faults))
-        [ 1; 3 ])
+      let m = Stuck_at.detection_matrix c ~vectors ~faults in
+      let sim = Stuck_at.fault_simulate c ~vectors ~faults in
+      List.for_all Fun.id
+        (List.mapi
+           (fun f fault ->
+             let row = m.Fault_sim.rows.(f) in
+             sim.Stuck_at.first_vector.(f) = Bitvec.first_set row
+             && Array.for_all Fun.id
+                  (Array.mapi
+                     (fun v vector ->
+                       Bitvec.get row v = Stuck_at.detects c fault vector)
+                     vectors))
+           faults))
 
 (* The matrix walks a fault's cone once per 8 blocks: at 600 vectors
    (10 blocks, the last one partial) every fault takes a full walk and
@@ -451,19 +449,16 @@ let test_stuck_at_matrix_multi_walk () =
   in
   let vectors = Pattern_gen.random ~rng c ~count:600 in
   let faults = Stuck_at.full_fault_list c in
-  List.iter
-    (fun domains ->
-      let m = Stuck_at.detection_matrix ~domains c ~vectors ~faults in
-      List.iteri
-        (fun f fault ->
-          let row = m.Fault_sim.rows.(f) in
-          Array.iteri
-            (fun v vector ->
-              if Bitvec.get row v <> Stuck_at.detects c fault vector then
-                Alcotest.failf "domains %d, fault %d, vector %d" domains f v)
-            vectors)
-        faults)
-    [ 1; 3 ]
+  let m = Stuck_at.detection_matrix c ~vectors ~faults in
+  List.iteri
+    (fun f fault ->
+      let row = m.Fault_sim.rows.(f) in
+      Array.iteri
+        (fun v vector ->
+          if Bitvec.get row v <> Stuck_at.detects c fault vector then
+            Alcotest.failf "fault %d, vector %d" f v)
+        vectors)
+    faults
 
 (* ---------------- incremental c3 vs full recomputation --------------- *)
 

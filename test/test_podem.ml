@@ -190,9 +190,12 @@ let test_generate_allocation () =
   let initial =
     Iddq_patterns.Pattern_gen.random ~rng:(Rng.create 42) c ~count:32
   in
+  let faults = Stuck_at.collapsed_fault_list c in
+  let m = Stuck_at.detection_matrix c ~vectors:initial ~faults in
   let live =
-    Stuck_at.undetected c ~vectors:initial
-      ~faults:(Stuck_at.collapsed_fault_list c)
+    List.filteri
+      (fun f _ -> Iddq_util.Bitvec.is_empty m.Iddq_defects.Fault_sim.rows.(f))
+      faults
   in
   let podem = Podem.prepare c in
   let pass () =

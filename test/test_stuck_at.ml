@@ -106,9 +106,11 @@ let test_undetectable_fault () =
     Stuck_at.fault_simulate c ~vectors ~faults:[ Stuck_at.Stem (y, true) ]
   in
   Alcotest.(check int) "undetectable" 0 r.Stuck_at.detected;
-  Alcotest.(check int) "one undetected" 1
-    (List.length
-       (Stuck_at.undetected c ~vectors ~faults:[ Stuck_at.Stem (y, true) ]))
+  let m =
+    Stuck_at.detection_matrix c ~vectors ~faults:[ Stuck_at.Stem (y, true) ]
+  in
+  Alcotest.(check bool) "empty matrix row" true
+    (Iddq_util.Bitvec.is_empty m.Iddq_defects.Fault_sim.rows.(0))
 
 (* ---------------- bridge logic ---------------- *)
 
@@ -216,19 +218,58 @@ let test_detection_matrix_allocation () =
 (* The packed kernels index CSR arrays unchecked, so a fault naming
    a node or pin the circuit does not have is rejected up front. *)
 let test_malformed_faults_rejected () =
-  let vectors = Pattern_gen.exhaustive c17 in
   List.iter
     (fun (what, fault) ->
-      Alcotest.(check bool) what true
-        (try
-           ignore (Stuck_at.fault_simulate c17 ~vectors ~faults:[ fault ]);
-           false
-         with Invalid_argument _ -> true))
+      List.iter
+        (fun vectors ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d vectors" what (Array.length vectors))
+            true
+            (try
+               ignore (Stuck_at.fault_simulate c17 ~vectors ~faults:[ fault ]);
+               false
+             with Invalid_argument _ -> true))
+        [ Pattern_gen.exhaustive c17; [||] ])
     [
       ("stem out of range", Stuck_at.Stem (Circuit.num_nodes c17, true));
       ("pin on an input", Stuck_at.Pin { gate = node "3"; pin = 0; value = true });
       ("missing pin", Stuck_at.Pin { gate = node "22"; pin = 2; value = true });
     ]
+
+(* [fault_simulate]'s counters on a 130-vector set (three blocks, the
+   last one partial) follow from its first vectors: each fault is
+   checked against the blocks up to its first detecting one, or all
+   of them when none detects it, and never against a later block. *)
+let test_fault_simulate_counters () =
+  let c = Iscas.c432_like () in
+  let vectors = Pattern_gen.random ~rng:(Rng.create 17) c ~count:130 in
+  let faults = Stuck_at.collapsed_fault_list c in
+  let metrics = Iddq_util.Metrics.create () in
+  let r = Stuck_at.fault_simulate ~metrics c ~vectors ~faults in
+  let s = Iddq_util.Metrics.snapshot metrics in
+  let get = Iddq_util.Metrics.get s in
+  let blocks = 3 in
+  let expected_fault_blocks =
+    Array.fold_left
+      (fun acc v -> acc + if v >= 0 then (v / 64) + 1 else blocks)
+      0 r.Stuck_at.first_vector
+  in
+  (* the counts are not trivial: faults drop in the first and second
+     blocks, and some stay live through all three *)
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "a fault drops in block %d" b)
+        true
+        (Array.exists (fun v -> v >= 0 && v / 64 = b) r.Stuck_at.first_vector))
+    [ 0; 1 ];
+  Alcotest.(check bool) "some fault undetected" true
+    (r.Stuck_at.detected < r.Stuck_at.total);
+  Alcotest.(check int) "sim_blocks" blocks (get Iddq_util.Metrics.sim_blocks);
+  Alcotest.(check int) "sim_fault_blocks" expected_fault_blocks
+    (get Iddq_util.Metrics.sim_fault_blocks);
+  Alcotest.(check int) "sim_faults_dropped" r.Stuck_at.detected
+    (get Iddq_util.Metrics.sim_faults_dropped)
 
 (* The one-block detector the ATPG loop checks each fault with,
    against scalar [detects] on sets of 1, 63 and 64 vectors: a fault
@@ -294,6 +335,8 @@ let tests =
     Alcotest.test_case "collapsed coverage" `Quick
       test_collapsed_coverage_equals_full;
     Alcotest.test_case "fault dropping" `Quick test_fault_dropping_first_vector;
+    Alcotest.test_case "fault_simulate counters = first vectors" `Quick
+      test_fault_simulate_counters;
     Alcotest.test_case "undetectable fault" `Quick test_undetectable_fault;
     Alcotest.test_case "feedback detection" `Quick test_feedback_detection;
     Alcotest.test_case "bridge logic vs iddq" `Quick test_bridge_logic_vs_iddq;

@@ -345,14 +345,21 @@ let test_iscas_grid_gate () =
     (Printf.sprintf "minimized set smaller on %d/4 circuits (>= 3)" shrunk)
     true (shrunk >= 3)
 
+(* The faults no vector detects, in order, read off the full detection
+   matrix: a path that shares no code with the dropping
+   [Stuck_at.Block]. *)
+let undetected c ~vectors ~faults =
+  let m = Stuck_at.detection_matrix c ~vectors ~faults in
+  List.filteri (fun f _ -> Bitvec.is_empty m.Fault_sim.rows.(f)) faults
+
 (* The loop as it was before dropping waited for a full block, kept
-   verbatim as the oracle: every concretized vector is swept against
-   the whole remaining list at once. *)
+   as the oracle: every concretized vector is swept against the whole
+   remaining list at once. *)
 let eager_generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
     faults =
   let module Podem = Iddq_atpg.Podem in
   let podem = Podem.prepare c in
-  let live = ref (Stuck_at.undetected c ~vectors:initial ~faults) in
+  let live = ref (undetected c ~vectors:initial ~faults) in
   let added = ref [] in
   let generated = ref 0
   and untestable = ref 0
@@ -377,7 +384,7 @@ let eager_generate ?max_backtracks ?(budget = max_int) ~rng ?(initial = [||]) c
         let vector = Podem.concretize ~rng cube in
         incr generated;
         added := vector :: !added;
-        live := Stuck_at.undetected c ~vectors:[| vector |] ~faults:rest;
+        live := undetected c ~vectors:[| vector |] ~faults:rest;
         work ()
     end
   in
@@ -458,18 +465,25 @@ let qcheck_lazy_dropping_matches_eager =
           ~num_outputs:(1 + (gates mod 5)) ~num_gates:gates
           ~depth:(2 + (gates / 10)) ()
       in
+      (* 100 and 130 initial vectors drop through two and three
+         blocks *)
       List.iter
-        (fun max_backtracks ->
+        (fun random ->
           List.iter
-            (fun budget ->
-              ignore
-                (same_as_eager
-                   ~what:
-                     (Printf.sprintf "%d backtracks, budget %s" max_backtracks
-                        (Option.fold ~none:"none" ~some:string_of_int budget))
-                   ?budget ~max_backtracks ~seed ~random c))
-            [ None; Some 1; Some 7; Some 64; Some 65 ])
-        [ 4; 16 ];
+            (fun max_backtracks ->
+              List.iter
+                (fun budget ->
+                  ignore
+                    (same_as_eager
+                       ~what:
+                         (Printf.sprintf "%d random, %d backtracks, budget %s"
+                            random max_backtracks
+                            (Option.fold ~none:"none" ~some:string_of_int
+                               budget))
+                       ?budget ~max_backtracks ~seed ~random c))
+                [ None; Some 1; Some 7; Some 64; Some 65 ])
+            [ 4; 16 ])
+        (List.sort_uniq compare [ random; 0; 100; 130 ]);
       true)
 
 let tests =
