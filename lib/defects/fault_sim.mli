@@ -10,8 +10,10 @@
     - the vector set is packed {e once} into 64-wide blocks
       ({!Iddq_patterns.Parallel_sim.pack_all});
     - the {e good machine} is evaluated once for all blocks by the
-      striped levelized kernel into one row-major buffer and shared
-      across all faults.  The sweeps read only the fault sites, so
+      striped levelized kernel
+      ({!Iddq_patterns.Parallel_sim.eval_all_into}: stripes of up to 8
+      blocks, the chunks of one pool run) into one row-major buffer
+      and shared across all faults.  The sweeps read only the fault sites, so
       they evaluate under {!Iddq_patterns.Parallel_sim.live_rows}:
       the sites keep their rows, every other node's row is recycled
       once its last reader is evaluated, and the buffer holds the
@@ -23,8 +25,8 @@
       gate-oxide short where the node carries the short's polarity:
       the node word or its complement; a floating gate everywhere: the
       block mask);
-    - fault chunks are claimed round-robin off one atomic index by a
-      reusable {!Iddq_util.Domain_pool} (work stealing: the
+    - fault chunks are claimed round-robin off one atomic index by
+      the same {!Iddq_util.Domain_pool} (work stealing: the
       measurability filter makes per-fault cost uneven — the
       rebalanced chunks are counted as [steals] in {!Metrics}), the
       good machine being shared read-only.

@@ -337,8 +337,7 @@ module Block = struct
       invalid_arg
         (Printf.sprintf "Stuck_at.Block.load: %d vectors, want 1 to 64" nv);
     let packed = P.pack_all vectors in
-    P.eval_stripe_into t.circuit packed ~rows:t.rows ~block0:0 ~width:1
-      ~stride:1 ~dst:t.k.goods;
+    P.eval_all_into t.circuit packed ~rows:t.rows ~dst:t.k.goods;
     t.k.masks.(0) <- P.block_mask packed 0
 
   let first_lane t fault =

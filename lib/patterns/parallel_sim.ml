@@ -84,11 +84,10 @@ let all_rows c =
    gates rows off a free stack, then puts back the rows whose last
    reader sits at that level, and those of gates nobody reads.  A row
    freed after level [l] is handed out only at a level above [l], and
-   every driver below finishes a level (per stripe, or behind a pool
-   barrier) before starting the next, so no reader sees its row
-   overwritten.  Kept nodes are marked [max_int], a level no reader
-   reaches: their rows are never put back.  Inputs hold rows
-   [0 .. ni-1].
+   the kernel below walks one stripe's gates in level order, so no
+   reader sees its row overwritten.  Kept nodes are marked [max_int], a
+   level no reader reaches: their rows are never put back.  Inputs hold
+   rows [0 .. ni-1].
 
    The put-back loop is branch-free: it stores every visited fanin's
    row at the top of the stack and advances the top only on a last
@@ -161,23 +160,11 @@ let live_rows c ~keep =
   done;
   { rows; n_rows = !n_rows }
 
-let seed_inputs_striped c p ~rows ~block0 ~width ~stride ~(dst : ba) =
-  let ni = Circuit.num_inputs c in
-  if p.n_inputs <> ni then
-    invalid_arg "Parallel_sim.seed_inputs_striped: input word count mismatch";
-  let nb = num_blocks p in
-  if block0 < 0 || width < 0 || block0 + width > nb then
-    invalid_arg "Parallel_sim.seed_inputs_striped: bad block range";
-  if stride < block0 + width then
-    invalid_arg "Parallel_sim.seed_inputs_striped: stride below block range";
-  if Array.length rows.rows <> Circuit.num_nodes c then
-    invalid_arg "Parallel_sim.seed_inputs_striped: row map of another circuit";
-  if rows.n_rows * stride > Bigarray.Array1.dim dst then
-    invalid_arg "Parallel_sim.seed_inputs_striped: destination too small";
-  let words = p.words in
-  (* packed words are block-major (block b, input i at b*ni + i);
-     transpose the stripe into matrix rows — input [i] holds row [i]
-     under every map *)
+(* Seed one stripe's inputs: packed words are block-major (block b,
+   input i at b*ni + i); transpose the stripe into matrix rows — input
+   [i] holds row [i] under every map. *)
+let seed_inputs p ~block0 ~width ~stride ~(dst : ba) =
+  let ni = p.n_inputs and words = p.words in
   for i = 0 to ni - 1 do
     for w = 0 to width - 1 do
       Bigarray.Array1.unsafe_set dst ((i * stride) + block0 + w)
@@ -185,34 +172,27 @@ let seed_inputs_striped c p ~rows ~block0 ~width ~stride ~(dst : ba) =
     done
   done
 
-(* The striped gate kernel over one contiguous slice of the level
-   order.  The caller guarantees every fanin row of the slice is
-   already computed for the same stripe: any [lo, hi) prefix-closed
-   under levels qualifies, which is what the level barriers in
-   [eval_all_into] provide.  Allocation-free (the schedule arrays come
-   in as plain [int array]s; no closures, no boxed intermediates). *)
-let eval_order_range_striped c ~rows ~order ~lo ~hi ~block0 ~width ~stride
-    ~(dst : ba) =
-  if lo < 0 || hi > Array.length order || lo > hi then
-    invalid_arg "Parallel_sim.eval_order_range_striped: bad order range";
-  if block0 < 0 || width < 0 || stride < block0 + width then
-    invalid_arg "Parallel_sim.eval_order_range_striped: bad stripe";
-  if Array.length rows.rows <> Circuit.num_nodes c then
-    invalid_arg
-      "Parallel_sim.eval_order_range_striped: row map of another circuit";
-  if rows.n_rows * stride > Bigarray.Array1.dim dst then
-    invalid_arg "Parallel_sim.eval_order_range_striped: destination too small";
+(* The striped gate kernel over the whole level order of one stripe,
+   whose inputs are seeded.  Level order is topological, so every
+   fanin row is computed before its reader, and under {!live_rows} a
+   row is handed out only after its last reader.  Allocation-free (the
+   schedule arrays come in as plain [int array]s; no closures, no
+   boxed intermediates).  Kept apart from [seed_inputs]: fused into one
+   function the two lost 30-50% of serial speed at 100k gates on the
+   non-flambda 5.1 compiler (register pressure). *)
+let eval_gates c ~rows ~block0 ~width ~stride ~(dst : ba) =
+  let order = Circuit.Csr.level_order c in
   let rows = rows.rows in
   let kinds = Circuit.Csr.kinds c in
   let offsets = Circuit.Csr.fanin_offsets c in
   let targets = Circuit.Csr.fanin_targets c in
-  for g = lo to hi - 1 do
+  for g = 0 to Array.length order - 1 do
     let id = Array.unsafe_get order g in
     let s = Array.unsafe_get offsets id in
     let e = Array.unsafe_get offsets (id + 1) in
     let code = Char.code (Bytes.unsafe_get kinds id) in
     if e <= s then
-      invalid_arg "Parallel_sim.eval_order_range_striped: gate with no fanins";
+      invalid_arg "Parallel_sim.eval_all_into: gate with no fanins";
     let row = (Array.unsafe_get rows id * stride) + block0 in
     let f0 =
       (Array.unsafe_get rows (Array.unsafe_get targets s) * stride) + block0
@@ -288,75 +268,32 @@ let eval_order_range_striped c ~rows ~order ~lo ~hi ~block0 ~width ~stride
       done
   done
 
-let eval_stripe_into c p ~rows ~block0 ~width ~stride ~(dst : ba) =
-  seed_inputs_striped c p ~rows ~block0 ~width ~stride ~dst;
-  let order = Circuit.Csr.level_order c in
-  eval_order_range_striped c ~rows ~order ~lo:0 ~hi:(Array.length order)
-    ~block0 ~width ~stride ~dst
+(* Blocks per stripe: at 8 words a gate visit reads one cache line
+   per fanin. *)
+let stripe = 8
 
-(* Words evaluated per gate visit unless overridden: one cache line. *)
-let default_stripe = 8
-
-(* Below this many gates a level is evaluated inline by the caller:
-   publishing a pool job (mutex + broadcast + atomic claims) costs on
-   the order of a few microseconds, which only pays for itself once a
-   level carries roughly a thousand gate visits of real work. *)
-let min_split_width = 1024
-
-let eval_all_into ?pool ?(stripe = default_stripe) c p ~rows ~(dst : ba) =
-  if stripe < 1 then invalid_arg "Parallel_sim.eval_all_into: bad stripe";
+let eval_stripe c p ~rows ~(dst : ba) s =
   let nb = num_blocks p in
+  let block0 = s * stripe in
+  let width = Stdlib.min stripe (nb - block0) in
+  seed_inputs p ~block0 ~width ~stride:nb ~dst;
+  eval_gates c ~rows ~block0 ~width ~stride:nb ~dst
+
+let eval_all_into ?pool c p ~rows ~(dst : ba) =
+  let nb = num_blocks p in
+  if Array.length rows.rows <> Circuit.num_nodes c then
+    invalid_arg "Parallel_sim.eval_all_into: row map of another circuit";
   if rows.n_rows * nb > Bigarray.Array1.dim dst then
     invalid_arg "Parallel_sim.eval_all_into: destination too small";
-  if nb = 0 then ()
-  else begin
-    let w = Stdlib.min stripe nb in
-    let stripes = (nb + w - 1) / w in
-    let eval_stripe s =
-      let block0 = s * w in
-      let width = Stdlib.min w (nb - block0) in
-      eval_stripe_into c p ~rows ~block0 ~width ~stride:nb ~dst
-    in
-    let psize = match pool with None -> 1 | Some t -> Domain_pool.size t in
-    match pool with
-    | None ->
-      for s = 0 to stripes - 1 do
-        eval_stripe s
-      done
-    | Some _ when psize <= 1 ->
-      for s = 0 to stripes - 1 do
-        eval_stripe s
-      done
-    | Some pool when stripes >= psize ->
-      (* Whole stripes are the coarsest independent unit: each chunk
-         seeds and evaluates disjoint columns, no barrier needed. *)
-      ignore (Domain_pool.run pool ~chunks:stripes eval_stripe)
-    | Some pool ->
-      (* Fewer stripes than domains: split inside levels instead.  A
-         [Domain_pool.run] per level is the barrier; narrow levels run
-         inline on the caller to dodge the publish cost. *)
-      let order = Circuit.Csr.level_order c in
-      let offsets = Circuit.Csr.level_offsets c in
-      for s = 0 to stripes - 1 do
-        let block0 = s * w in
-        let width = Stdlib.min w (nb - block0) in
-        seed_inputs_striped c p ~rows ~block0 ~width ~stride:nb ~dst;
-        for l = 1 to Circuit.depth c do
-          let lo = offsets.(l - 1) and hi = offsets.(l) in
-          let lw = hi - lo in
-          if lw < min_split_width then
-            eval_order_range_striped c ~rows ~order ~lo ~hi ~block0 ~width
-              ~stride:nb ~dst
-          else begin
-            let per = (lw + psize - 1) / psize in
-            ignore
-              (Domain_pool.run pool ~chunks:psize (fun k ->
-                   let clo = lo + (k * per) in
-                   let chi = Stdlib.min hi (clo + per) in
-                   if clo < chi then
-                     eval_order_range_striped c ~rows ~order ~lo:clo ~hi:chi
-                       ~block0 ~width ~stride:nb ~dst))
-          end
-        done
-      done
-  end
+  (* an empty set packs to zero blocks of width 0 *)
+  if nb > 0 && p.n_inputs <> Circuit.num_inputs c then
+    invalid_arg "Parallel_sim.eval_all_into: input width mismatch";
+  let stripes = (nb + stripe - 1) / stripe in
+  match pool with
+  | None ->
+    for s = 0 to stripes - 1 do
+      eval_stripe c p ~rows ~dst s
+    done
+  | Some pool ->
+    (* each stripe seeds and evaluates its own columns: no barrier *)
+    ignore (Domain_pool.run pool ~chunks:stripes (eval_stripe c p ~rows ~dst))

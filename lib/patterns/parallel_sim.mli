@@ -31,8 +31,8 @@ val block_mask : packed -> int -> int64
 (** {1 Flat GC-free kernel}
 
     The hot path: packed blocks live in one block-major [Bigarray] of
-    [int64] words, and the striped levelized kernels below walk the
-    circuit's CSR arrays in its level order
+    [int64] words, and the striped levelized kernel ({!eval_all_into})
+    walks the circuit's CSR arrays in its level order
     ({!Iddq_netlist.Circuit.Csr.level_order}),
     writing node words into a caller-owned row-major [Bigarray] whose
     rows a {!row_map} assigns to nodes — a full evaluation allocates
@@ -40,7 +40,7 @@ val block_mask : packed -> int -> int64
     stuck-at faulty machine ({!Iddq_defects.Stuck_at}) reads the
     good matrix under {!all_rows} and re-evaluates only a fault's
     differing cone in preallocated [Bigarray] scratch; the IDDQ sweeps
-    evaluate under {!live_rows}.  The kernels are tested bit by bit
+    evaluate under {!live_rows}.  The kernel is tested bit by bit
     against {!Logic_sim.eval}, one vector at a time: the one logic
     reference. *)
 
@@ -78,62 +78,19 @@ val live_rows : Iddq_netlist.Circuit.t -> keep:int array -> row_map
     general.  Raises [Invalid_argument] on a [keep] id out of
     range. *)
 
-(** {1 Striped levelized kernels}
+(** {1 Striped levelized evaluation}
 
-    The multi-word evaluation engine: row-major value matrices hold
-    [stride] consecutive block words per row ([rows.(id) * stride +
-    blk]), and one gate visit evaluates [width] consecutive blocks —
+    The evaluation engine: row-major value matrices hold [stride]
+    consecutive block words per row ([rows.(id) * stride + blk]), and
+    one gate visit evaluates a stripe of up to 8 consecutive blocks —
     one CSR traversal (dispatch byte, fanin indices) amortized over
-    [width] words, every fanin read a contiguous run (at width 8,
-    exactly one fully-used 64-byte cache line).  Independent stripes,
-    and independent gates of one level within a stripe, may evaluate
-    on different domains concurrently: all writes are disjoint.  Under
-    {!live_rows} a level must be complete before any gate of a higher
-    level of the same stripe runs, since that gate may take the row of
-    a node the earlier level still reads; {!eval_stripe_into} and
-    {!eval_all_into} keep that order. *)
-
-val eval_order_range_striped :
-  Iddq_netlist.Circuit.t ->
-  rows:row_map ->
-  order:int array ->
-  lo:int ->
-  hi:int ->
-  block0:int ->
-  width:int ->
-  stride:int ->
-  dst:ba ->
-  unit
-(** Evaluate gates [order.(lo) .. order.(hi - 1)] over blocks
-    [block0 .. block0 + width - 1] of the matrix [dst], node [id] in
-    row [rows.(id)].  The caller guarantees every fanin of the slice
-    already holds its value for the same blocks — any slice of a
-    topological [order] whose prefix is complete qualifies (whole
-    prefixes, or one level's sub-range once all earlier levels are
-    done).  Allocation-free.  Raises [Invalid_argument] on bad ranges,
-    a map of another circuit, a destination smaller than
-    [rows.n_rows * stride], or a zero-fanin gate. *)
-
-val eval_stripe_into :
-  Iddq_netlist.Circuit.t ->
-  packed ->
-  rows:row_map ->
-  block0:int ->
-  width:int ->
-  stride:int ->
-  dst:ba ->
-  unit
-(** Seed the stripe's inputs (input [i], block [b] at
-    [i * stride + b]: inputs hold rows [0 .. num_inputs - 1] under
-    either map) and evaluate the whole circuit in its level order for
-    [width] consecutive blocks.  Allocation-free.  Raises
-    [Invalid_argument] on a bad block range, an input-width mismatch,
-    a stride smaller than [block0 + width], a map of another circuit,
-    or a destination smaller than [rows.n_rows * stride]. *)
+    the stripe's words, every fanin read a contiguous run (at 8 words,
+    exactly one fully-used 64-byte cache line).  A stripe seeds its
+    inputs and walks the whole level order; stripes write disjoint
+    columns, so they evaluate on different domains with no barrier. *)
 
 val eval_all_into :
   ?pool:Iddq_util.Domain_pool.t ->
-  ?stripe:int ->
   Iddq_netlist.Circuit.t ->
   packed ->
   rows:row_map ->
@@ -141,13 +98,10 @@ val eval_all_into :
   unit
 (** Evaluate {e every} packed block into the matrix [dst] (node [id],
     block [b] at [rows.(id) * num_blocks p + b]; [dst] must hold
-    [rows.n_rows * num_blocks] words).  Work is cut into stripes of
-    [stripe] blocks (clamped to the block count; default [8], one
-    cache line of words per gate visit).  Without a [pool] (or with a
-    1-domain pool) the stripes evaluate serially on the caller.  With a
-    pool, whole stripes are distributed when there are at least as many
-    stripes as domains; otherwise each level of each stripe is split
-    across the pool with a barrier per level, narrow levels (under ~1k
-    gates) running inline because the job-publish cost would dominate.
-    Raises [Invalid_argument] on a bad [stripe], a too-small [dst], or
-    a zero-fanin gate. *)
+    [rows.n_rows * num_blocks] words).  The blocks are cut into
+    stripes of at most 8; without a [pool] they evaluate serially on
+    the caller, allocating nothing, and with one they are the chunks of
+    one {!Iddq_util.Domain_pool.run}.  Raises [Invalid_argument] on a
+    map of another circuit, a too-small [dst], an input-width mismatch
+    (checked only when there are blocks: an empty set packs to zero
+    blocks of width 0), or a zero-fanin gate. *)

@@ -4,11 +4,11 @@
     The pool spawns its workers {e once}; each {!run} publishes a job
     of [chunks] indivisible chunks that the caller and every worker
     claim round-robin off one [Atomic] index until none remain.  That
-    one primitive serves every parallel loop: the per-level barrier of
-    the levelized good machine (a {!run} per level), the
-    work-stealing fault scheduler of the IDDQ and stuck-at fault
-    simulators (a chunk per fault batch — fault dropping makes
-    per-fault cost uneven, so fixed ranges would idle), the offspring
+    one primitive serves every parallel loop: the striped good machine
+    of the IDDQ matrix (a chunk per stripe of blocks, one {!run} per
+    evaluation), its work-stealing fault scheduler (a chunk per fault
+    batch — the measurability filter makes per-fault cost uneven, so
+    fixed ranges would idle), the offspring
     costs of one evolution-strategy generation (a pool per run, a
     {!run} per generation), campaign jobs (a chunk per job, in two
     dependency waves), and the server's long-lived worker crew (one

@@ -9,7 +9,7 @@ let suites =
       ("bench-io", Test_bench_io.tests);
       ("verilog-io", Test_verilog_io.tests);
       ("graph-algo", Test_graph_algo.tests);
-      (* the pool the levelized kernels split levels on keeps its
+      (* the pool the striped kernel runs its stripes on keeps its
          place in this group *)
       ("level-schedule", Test_level_schedule.tests @ Test_domain_pool.tests);
       ("generator", Test_generator.tests);

@@ -1,5 +1,5 @@
 (* Domain_pool, the one chunk scheduler every parallel pass runs on
-   (the striped simulator's per-level splits among them). *)
+   (the striped simulator's stripes among them). *)
 
 module Domain_pool = Iddq_util.Domain_pool
 

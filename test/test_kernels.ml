@@ -184,7 +184,8 @@ let test_eval_stripe_allocation_free () =
     Generator.layered_dag ~rng ~name:"salloc" ~num_inputs:32 ~num_outputs:16
       ~num_gates:2_000 ~depth:30 ()
   in
-  let vectors = Pattern_gen.random ~rng c ~count:256 in
+  (* 10 blocks: the serial loop runs two stripes *)
+  let vectors = Pattern_gen.random ~rng c ~count:600 in
   let packed = P.pack_all vectors in
   let nb = P.num_blocks packed in
   let n = Circuit.num_nodes c in
@@ -193,10 +194,10 @@ let test_eval_stripe_allocation_free () =
   in
   Bigarray.Array1.fill dst 0L;
   let rows = P.all_rows c in
-  P.eval_stripe_into c packed ~rows ~block0:0 ~width:nb ~stride:nb ~dst;
+  P.eval_all_into c packed ~rows ~dst;
   let before = Gc.minor_words () in
   for _ = 1 to 50 do
-    P.eval_stripe_into c packed ~rows ~block0:0 ~width:nb ~stride:nb ~dst
+    P.eval_all_into c packed ~rows ~dst
   done;
   let delta = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0))
@@ -208,10 +209,10 @@ let test_eval_stripe_allocation_free () =
   let dst : P.ba =
     Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (live.P.n_rows * nb)
   in
-  P.eval_stripe_into c packed ~rows:live ~block0:0 ~width:nb ~stride:nb ~dst;
+  P.eval_all_into c packed ~rows:live ~dst;
   let before = Gc.minor_words () in
   for _ = 1 to 50 do
-    P.eval_stripe_into c packed ~rows:live ~block0:0 ~width:nb ~stride:nb ~dst
+    P.eval_all_into c packed ~rows:live ~dst
   done;
   let delta = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0))
@@ -221,8 +222,11 @@ let test_eval_stripe_allocation_free () =
 
 (* The vector counts cover the edge geometry: an empty set (zero
    blocks), exactly one full block, one block plus a one-vector tail,
-   and a len mod 64 <> 0 multi-block set. *)
-let stripe_vec_counts = [| 0; 1; 64; 65; 130 |]
+   a len mod 64 <> 0 multi-block set, and, at 8 blocks per stripe, two
+   stripes with a ragged tail (600 vectors, 10 blocks) and three
+   stripes, one per domain of a 3-domain pool (1100 vectors, 18
+   blocks). *)
+let stripe_vec_counts = [| 0; 1; 64; 65; 130; 600; 1100 |]
 
 let striped_gen =
   QCheck.make
@@ -232,25 +236,14 @@ let striped_gen =
       triple (int_range 10 120) (int_range 1 1_000_000)
         (int_range 0 (Array.length stripe_vec_counts - 1)))
 
-(* A wide, shallow circuit: its levels hold well over
-   [Parallel_sim]'s 1024-gate split threshold, so with fewer stripes
-   than domains each level is cut across the pool behind a barrier —
-   the path a multi-domain IDDQ matrix
-   ([Fault_sim.detection_matrix_with]) takes on large circuits.  130
-   vectors are 3 blocks: one stripe at the default width, under the
-   3-domain pools below. *)
+(* A wide, shallow circuit with levels of over a thousand gates.  130
+   vectors are 3 blocks: one stripe, fewer stripes than the 3-domain
+   pools below have domains. *)
 let wide_case rng =
   let c =
     Generator.layered_dag ~rng ~name:"wide" ~num_inputs:32 ~num_outputs:16
       ~num_gates:3_000 ~depth:2 ()
   in
-  let offsets = Circuit.Csr.level_offsets c in
-  let widest = ref 0 in
-  for l = 1 to Circuit.depth c do
-    widest := max !widest (offsets.(l) - offsets.(l - 1))
-  done;
-  if !widest < 1024 then
-    QCheck.Test.fail_reportf "wide case: no level reaches the split width";
   (c, Pattern_gen.random ~rng c ~count:130)
 
 let striped_eval_ok c vectors =
@@ -274,25 +267,17 @@ let striped_eval_ok c vectors =
       reference;
     !ok
   in
-  (* serial striping at widths dividing and not dividing nb *)
+  (* serially on the caller, then as the chunks of a 3-domain pool *)
   let serial_ok =
-    List.for_all
-      (fun w ->
-        Bigarray.Array1.fill dst Int64.minus_one;
-        P.eval_all_into ~stripe:w c p ~rows:(P.all_rows c) ~dst;
-        nb = 0 || matches ())
-      [ 1; 2; 3; 8 ]
+    Bigarray.Array1.fill dst Int64.minus_one;
+    P.eval_all_into c p ~rows:(P.all_rows c) ~dst;
+    nb = 0 || matches ()
   in
-  (* domain paths: more stripes than domains (whole-stripe chunks)
-     and fewer (per-level splitting) *)
   let domain_ok =
     Domain_pool.with_pool ~domains:3 (fun pool ->
-        List.for_all
-          (fun w ->
-            Bigarray.Array1.fill dst Int64.minus_one;
-            P.eval_all_into ~pool ~stripe:w c p ~rows:(P.all_rows c) ~dst;
-            nb = 0 || matches ())
-          [ 1; Stdlib.max 1 nb ])
+        Bigarray.Array1.fill dst Int64.minus_one;
+        P.eval_all_into ~pool c p ~rows:(P.all_rows c) ~dst;
+        nb = 0 || matches ())
   in
   serial_ok && domain_ok
 
@@ -335,25 +320,21 @@ let qcheck_domain_faultsim_matches_scalar =
       let wide, wide_vectors = wide_case rng in
       narrow_ok && domain_faultsim_ok ~rng wide wide_vectors)
 
-(* A wide {e and} deep circuit: at least three levels of at least 1024
-   gates, so with 3 blocks (one stripe) under a 3-domain pool every
-   such level is split across the pool behind a barrier, and the live
-   good machine hands rows freed after one level to the gates of a
-   later one.  The IDDQ matrix, at 1 and 3 domains, must match the
-   scalar oracle. *)
+(* A wide {e and} deep circuit: 1025 vectors are 17 blocks, three
+   stripes of at most 8, so a 3-domain pool evaluates them
+   concurrently while the live good machine hands rows freed after one
+   level to the gates of a later one.  The IDDQ matrix, at 1 and 3
+   domains, must match the scalar oracle. *)
 let test_wide_deep_live_rows () =
   let rng = Rng.create 2024 in
   let c =
     Generator.layered_dag ~rng ~name:"widedeep" ~num_inputs:32 ~num_outputs:16
       ~num_gates:6_000 ~depth:4 ()
   in
-  let offsets = Circuit.Csr.level_offsets c in
-  let wide = ref 0 in
-  for l = 1 to Circuit.depth c do
-    if offsets.(l) - offsets.(l - 1) >= 1024 then incr wide
-  done;
-  Alcotest.(check bool) "three levels reach the split width" true (!wide >= 3);
-  let vectors = Pattern_gen.random ~rng c ~count:130 in
+  let vectors = Pattern_gen.random ~rng c ~count:1025 in
+  let stripes = (P.num_blocks (P.pack_all vectors) + 7) / 8 in
+  Alcotest.(check bool) "at least as many stripes as domains" true
+    (stripes >= 3);
   let faults = Fault.random_population ~rng c ~count:60 ~defect_current:2e-6 in
   let keep =
     Array.of_list

@@ -183,8 +183,8 @@ let test_zero_fanin_rejected () =
         (Printf.sprintf "striped %s with no fanins rejected" name)
         true
         (raises (fun () ->
-             P.eval_order_range_striped c ~rows:(P.all_rows c) ~order:[| 1 |] ~lo:0 ~hi:1
-               ~block0:0 ~width:1 ~stride:1 ~dst));
+             P.eval_all_into c (P.pack_all [| [| true |] |]) ~rows:(P.all_rows c)
+               ~dst));
       Alcotest.(check bool)
         (Printf.sprintf "Logic_sim %s with no fanins rejected" name)
         true
@@ -341,7 +341,8 @@ let qcheck_row_map_oracle =
         raises (fun () -> P.live_rows c ~keep:[| n |])
         && raises (fun () -> P.live_rows c ~keep:[| -1 |])
       in
-      let vectors = Pattern_gen.random ~rng c ~count:70 in
+      (* 10 blocks: a full stripe and a ragged one *)
+      let vectors = Pattern_gen.random ~rng c ~count:600 in
       let p = P.pack_all vectors in
       let nb = P.num_blocks p in
       let eval (m : P.row_map) =
@@ -349,7 +350,7 @@ let qcheck_row_map_oracle =
           Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
             (m.P.n_rows * nb)
         in
-        P.eval_all_into ~stripe:1 c p ~rows:m ~dst;
+        P.eval_all_into c p ~rows:m ~dst;
         dst
       in
       let full = eval all and recycled = eval live in
