@@ -5,8 +5,8 @@
    test is the Error contract of the robustness layer: every outcome
    is [Ok] or [Error] — never an escaped exception — every circuit a
    netlist parser accepts passes [Circuit.validate] and characterizes
-   consistently and implies as PODEM's whole-circuit oracle does,
-   every [Error] of a line-oriented format names a line of its input
+   consistently, implies as PODEM's whole-circuit oracle does and
+   fault-simulates as the scalar stuck-at oracle does, every [Error] of a line-oriented format names a line of its input
    or none, and no file
    descriptor leaks, measured by comparing the /proc/self/fd
    population before and after the run. *)
@@ -18,6 +18,8 @@ module Circuit = Iddq_netlist.Circuit
 module Bench_io = Iddq_netlist.Bench_io
 module Verilog_io = Iddq_netlist.Verilog_io
 module Generator = Iddq_netlist.Generator
+module Builder = Iddq_netlist.Builder
+module Gate = Iddq_netlist.Gate
 module Iscas = Iddq_netlist.Iscas
 module Library = Iddq_celllib.Library
 module Library_io = Iddq_celllib.Library_io
@@ -72,7 +74,24 @@ let circuit_corpus () =
     Generator.layered_dag ~rng ~name:"fuzz" ~num_inputs:6 ~num_outputs:3
       ~num_gates:gates ~depth:(1 + (gates / 8)) ()
   in
-  [ Iscas.c17 (); gen ~gates:24 ~seed:11; gen ~gates:60 ~seed:12 ]
+  (* the stuck-at region roots the generator never makes: [g] read on
+     both pins of its one reader, an output that fans out, an input
+     that is an output *)
+  let roots =
+    let b = Builder.create ~name:"roots" () in
+    List.iter (Builder.add_input b) [ "a"; "b"; "c" ];
+    List.iter
+      (fun (name, kind, fanins) -> Builder.add_gate b name kind fanins)
+      [
+        ("g", Gate.And, [ "a"; "b" ]);
+        ("h", Gate.Nand, [ "g"; "g" ]);
+        ("o", Gate.Or, [ "h"; "c" ]);
+        ("p", Gate.Xor, [ "o"; "a" ]);
+      ];
+    List.iter (Builder.add_output b) [ "o"; "p"; "a" ];
+    Builder.freeze_exn b
+  in
+  [ Iscas.c17 (); gen ~gates:24 ~seed:11; gen ~gates:60 ~seed:12; roots ]
 
 let ok b = match b with Ok _ -> true | Error _ -> false
 
@@ -153,11 +172,45 @@ let check_implication c =
         | Error m -> failwith ("Podem implication: " ^ m))
     (Stuck_at.full_fault_list c)
 
+(* The stuck-at fault simulators' fanout-free regions against the
+   scalar [Stuck_at.detects] on the first 64 faults of the full list
+   over 5 random vectors: every matrix bit, and every fault's first
+   lane in one loaded {!Stuck_at.Block}.  Parser-accepted shapes —
+   repeated fanins, outputs that are inputs, gates nobody reads — are
+   exactly the region-root cases.  A mismatch raises. *)
+let check_fault_sim c =
+  let rng = Rng.create 5 in
+  let vectors =
+    Array.init 5 (fun _ -> Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng))
+  in
+  let faults = List.filteri (fun i _ -> i < 64) (Stuck_at.full_fault_list c) in
+  let m = Stuck_at.detection_matrix c ~vectors ~faults in
+  let block = Stuck_at.Block.create c in
+  Stuck_at.Block.load block vectors;
+  List.iteri
+    (fun i fault ->
+      let first = ref (-1) in
+      Array.iteri
+        (fun v vector ->
+          let d = Stuck_at.detects c fault vector in
+          if d && !first < 0 then first := v;
+          if Iddq_util.Bitvec.get m.Iddq_defects.Fault_sim.rows.(i) v <> d then
+            failwith
+              (Format.asprintf "Stuck_at.detection_matrix: %a, vector %d"
+                 (Stuck_at.pp_fault c) fault v))
+        vectors;
+      if Stuck_at.Block.first_lane block fault <> !first then
+        failwith
+          (Format.asprintf "Stuck_at.Block.first_lane: %a" (Stuck_at.pp_fault c)
+             fault))
+    faults
+
 (* A circuit a netlist parser accepts must pass [Circuit.validate] —
    its structure and the levelization built with it — characterize
-   consistently, imply as PODEM's oracle does and, if it has a gate,
-   partition within contract; one that does not raises, so [run]
-   reports it as a crash. *)
+   consistently, imply as PODEM's oracle does, fault-simulate as the
+   scalar oracle does and, if it has a gate, partition within
+   contract; one that does not raises, so [run] reports it as a
+   crash. *)
 let accepted = function
   | Error _ -> false
   | Ok c -> (
@@ -165,6 +218,7 @@ let accepted = function
     | Ok () ->
       let ch = check_charac c in
       check_implication c;
+      check_fault_sim c;
       if Charac.num_gates ch > 0 then check_partitions ch;
       true
     | Error e -> failwith ("accepted circuit fails Circuit.validate: " ^ e))

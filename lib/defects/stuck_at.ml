@@ -96,12 +96,20 @@ type sim_result = {
 }
 
 (* The cone-restricted faulty machine's scratch.  A walk covers [w <=
-   cap] consecutive blocks from [blk0]; for the current (fault, walk),
-   a node stamped with [epoch] carries its faulty words in [bad] (node
-   [id], block [blk0 + b] at [id * w + b]); every other node reads its
-   good words from the node-major [goods] (node [id], block [b] at
-   [id * nb + b]).  The stamps make resetting free: a new walk bumps
-   [epoch]. *)
+   cap] consecutive blocks from [blk0]; for the current walk, a node
+   stamped with [epoch] carries its faulty words in [bad] (node [id],
+   block [blk0 + b] at [id * w + b]); every other node reads its good
+   words from the node-major [goods] (node [id], block [b] at [id * nb
+   + b]).  The stamps make resetting free: a new walk bumps [epoch].
+
+   The circuit is cut into fanout-free regions.  [reader.(id)] is the
+   one fanin slot (a CSR index) reading node [id], or [-1] when [id]
+   is a region root: a primary output, or a node read by a number of
+   slots other than one (a gate reading it on two pins counts twice).
+   [slot_gate] maps a slot to the gate it feeds.  [obs] memoizes each
+   root's observability words (root [r], block [blk0 + b] at [r * cap
+   + b]); they are valid while [obs_stamp.(r) = obs_epoch], and a new
+   good machine or walk group bumps [obs_epoch]. *)
 type cone = {
   kinds : Bytes.t;
   fi_off : int array;
@@ -109,6 +117,8 @@ type cone = {
   fo_off : int array;
   fo_tgt : int array;
   outputs : int array;
+  reader : int array;
+  slot_gate : int array;
   goods : P.ba;
   nb : int;
   masks : int64 array;
@@ -116,17 +126,37 @@ type cone = {
   bad : P.ba;
   stamp : int array;
   mutable epoch : int;
+  obs : P.ba;
+  obs_stamp : int array;
+  mutable obs_epoch : int;
 }
 
-let cone c ~goods ~nb ~masks ~outputs ~cap =
+let cone c ~goods ~nb ~masks ~cap =
   let n = Circuit.num_nodes c in
+  let fi_off = Circuit.Csr.fanin_offsets c in
+  let fi_tgt = Circuit.Csr.fanin_targets c in
+  let outputs = Circuit.outputs c in
+  let reads = Array.make n 0 and reader = Array.make n (-1) in
+  let slot_gate = Array.make fi_off.(n) 0 in
+  for id = 0 to n - 1 do
+    for slot = fi_off.(id) to fi_off.(id + 1) - 1 do
+      let src = fi_tgt.(slot) in
+      slot_gate.(slot) <- id;
+      reads.(src) <- reads.(src) + 1;
+      reader.(src) <- slot
+    done
+  done;
+  Array.iteri (fun id r -> if r <> 1 then reader.(id) <- -1) reads;
+  Array.iter (fun id -> reader.(id) <- -1) outputs;
   {
     kinds = Circuit.Csr.kinds c;
-    fi_off = Circuit.Csr.fanin_offsets c;
-    fi_tgt = Circuit.Csr.fanin_targets c;
+    fi_off;
+    fi_tgt;
     fo_off = Circuit.Csr.fanout_offsets c;
     fo_tgt = Circuit.Csr.fanout_targets c;
     outputs;
+    reader;
+    slot_gate;
     goods;
     nb;
     masks;
@@ -134,7 +164,14 @@ let cone c ~goods ~nb ~masks ~outputs ~cap =
     bad = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * cap);
     stamp = Array.make n 0;
     epoch = 0;
+    obs = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout (n * cap);
+    obs_stamp = Array.make n 0;
+    obs_epoch = 1;
   }
+
+(* The good machine, or the walk group, changed: every memoized
+   observability is stale. *)
+let forget_observability k = k.obs_epoch <- k.obs_epoch + 1
 
 (* The word fanin slot [slot] (a CSR index) feeds its reader in block
    [blk0 + b] of a walk [w] blocks wide: the stuck value on the
@@ -213,6 +250,14 @@ let differs k ~blk0 ~w id =
   done;
   !b < w
 
+(* Is some word of [dst.{at .. at + w - 1}] nonzero? *)
+let any_set (dst : P.ba) at w =
+  let b = ref 0 in
+  while !b < w && Bigarray.Array1.unsafe_get dst (at + !b) = 0L do
+    incr b
+  done;
+  !b < w
+
 (* Largest fanout id of [id] (fanout lists are ascending), or [id]. *)
 let last_fanout k id =
   let e = Array.unsafe_get k.fo_off (id + 1) in
@@ -230,39 +275,29 @@ let has_stamped_fanin k id =
   done;
   !slot < e
 
-(* Fault [fault]'s output-difference words in blocks [blk0 .. blk0 +
-   width - 1] ([width <= cap]), masked to the blocks' real vectors,
-   into [dst.{at .. at + width - 1}].  The site words come first (the
-   stuck value of a stem, or the reading gate evaluated with only its
-   faulty pin overridden); a fault activated in none of the blocks
-   stops there.  Otherwise one walk visits ids upward from the site,
+(* Root [r]'s observability in blocks [blk0 .. blk0 + w - 1]: the
+   output differences, masked to the real vectors, of complementing
+   [r] in every lane.  One walk visits ids upward from [r],
    re-evaluating only gates with a stamped fanin and stamping those
    whose words differ in some block, until it passes the last fanout
    of every stamped node.  Lanes are independent, so a node stamped
-   for one block carries exact faulty words in the others too. *)
-let diff_into k fault ~blk0 ~width:w (dst : P.ba) at =
-  k.epoch <- k.epoch + 1;
-  let site =
-    match fault with
-    | Stem (node, value) ->
-      for b = 0 to w - 1 do
-        Bigarray.Array1.unsafe_set k.bad ((node * w) + b)
-          (if value then Int64.minus_one else 0L)
-      done;
-      node
-    | Pin { gate; pin; value } ->
-      eval_gate k ~blk0 ~w gate
-        ~pin:(Array.unsafe_get k.fi_off gate + pin)
-        ~value;
-      gate
-  in
-  for b = 0 to w - 1 do
-    Bigarray.Array1.unsafe_set dst (at + b) 0L
-  done;
-  if differs k ~blk0 ~w site then begin
-    Array.unsafe_set k.stamp site k.epoch;
-    let last = ref (last_fanout k site) in
-    let id = ref (site + 1) in
+   for one block carries exact faulty words in the others too.  The
+   words are memoized until {!forget_observability}; the offset of
+   [r]'s words in [obs] is returned. *)
+let observe k ~blk0 ~w r =
+  let at = r * k.cap in
+  if Array.unsafe_get k.obs_stamp r <> k.obs_epoch then begin
+    Array.unsafe_set k.obs_stamp r k.obs_epoch;
+    k.epoch <- k.epoch + 1;
+    for b = 0 to w - 1 do
+      Bigarray.Array1.unsafe_set k.bad ((r * w) + b)
+        (Int64.lognot
+           (Bigarray.Array1.unsafe_get k.goods ((r * k.nb) + blk0 + b)));
+      Bigarray.Array1.unsafe_set k.obs (at + b) 0L
+    done;
+    Array.unsafe_set k.stamp r k.epoch;
+    let last = ref (last_fanout k r) in
+    let id = ref (r + 1) in
     while !id <= !last do
       let i = !id in
       if has_stamped_fanin k i then begin
@@ -278,13 +313,104 @@ let diff_into k fault ~blk0 ~width:w (dst : P.ba) at =
       let id = Array.unsafe_get k.outputs o in
       if Array.unsafe_get k.stamp id = k.epoch then
         for b = 0 to w - 1 do
-          Bigarray.Array1.unsafe_set dst (at + b)
+          Bigarray.Array1.unsafe_set k.obs (at + b)
             (Int64.logor
-               (Bigarray.Array1.unsafe_get dst (at + b))
+               (Bigarray.Array1.unsafe_get k.obs (at + b))
                (diff_word k ~blk0 ~w id b))
         done
     done
-  end
+  end;
+  at
+
+(* AND the difference words [dst.{at .. at + w - 1}] on fanin slot
+   [skip] of gate [g] with what lets them through [g]: the good words
+   of the other fanins for AND/NAND, their complements for OR/NOR.
+   XOR, XNOR, NOT and BUFF pass every difference. *)
+let sensitize k ~blk0 ~w g skip (dst : P.ba) at =
+  let s = Array.unsafe_get k.fi_off g in
+  let e = Array.unsafe_get k.fi_off (g + 1) in
+  match Char.code (Bytes.unsafe_get k.kinds g) with
+  | 0 | 1 ->
+    for slot = s to e - 1 do
+      if slot <> skip then begin
+        let src = (Array.unsafe_get k.fi_tgt slot * k.nb) + blk0 in
+        for b = 0 to w - 1 do
+          Bigarray.Array1.unsafe_set dst (at + b)
+            (Int64.logand
+               (Bigarray.Array1.unsafe_get dst (at + b))
+               (Bigarray.Array1.unsafe_get k.goods (src + b)))
+        done
+      end
+    done
+  | 2 | 3 ->
+    for slot = s to e - 1 do
+      if slot <> skip then begin
+        let src = (Array.unsafe_get k.fi_tgt slot * k.nb) + blk0 in
+        for b = 0 to w - 1 do
+          Bigarray.Array1.unsafe_set dst (at + b)
+            (Int64.logand
+               (Bigarray.Array1.unsafe_get dst (at + b))
+               (Int64.lognot (Bigarray.Array1.unsafe_get k.goods (src + b))))
+        done
+      end
+    done
+  | _ -> ()
+
+(* Fault [fault]'s output-difference words in blocks [blk0 .. blk0 +
+   width - 1] ([width <= cap]), masked to the blocks' real vectors,
+   into [dst.{at .. at + width - 1}].  The site difference comes
+   first (the stuck value of a stem, or the reading gate evaluated
+   with only its faulty pin overridden, against the good words).
+   Inside the site's fanout-free region the effect has one path, to
+   the region's root, so the difference climbs it gate by gate,
+   ANDed with each gate's side-input sensitization, and stops as soon
+   as it is zero.  In every lane where it reaches the root, the
+   faulty machine is the good one with the root complemented, so the
+   row is the difference at the root ANDed with the root's memoized
+   observability. *)
+let diff_into k fault ~blk0 ~width:w (dst : P.ba) at =
+  let site =
+    match fault with
+    | Stem (node, value) ->
+      for b = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set dst (at + b)
+          (Int64.logand
+             (Int64.logxor
+                (Bigarray.Array1.unsafe_get k.goods ((node * k.nb) + blk0 + b))
+                (if value then Int64.minus_one else 0L))
+             (Array.unsafe_get k.masks (blk0 + b)))
+      done;
+      node
+    | Pin { gate; pin; value } ->
+      (* a fresh epoch: no stamp of an earlier walk feeds the gate *)
+      k.epoch <- k.epoch + 1;
+      eval_gate k ~blk0 ~w gate
+        ~pin:(Array.unsafe_get k.fi_off gate + pin)
+        ~value;
+      for b = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set dst (at + b) (diff_word k ~blk0 ~w gate b)
+      done;
+      gate
+  in
+  let node = ref site in
+  while !node >= 0 && any_set dst at w do
+    let slot = Array.unsafe_get k.reader !node in
+    if slot < 0 then begin
+      let o = observe k ~blk0 ~w !node in
+      for b = 0 to w - 1 do
+        Bigarray.Array1.unsafe_set dst (at + b)
+          (Int64.logand
+             (Bigarray.Array1.unsafe_get dst (at + b))
+             (Bigarray.Array1.unsafe_get k.obs (o + b)))
+      done;
+      node := -1
+    end
+    else begin
+      let g = Array.unsafe_get k.slot_gate slot in
+      sensitize k ~blk0 ~w g slot dst at;
+      node := g
+    end
+  done
 
 let validate_fault c fault =
   let n = Circuit.num_nodes c in
@@ -325,9 +451,7 @@ module Block = struct
     {
       circuit = c;
       rows = P.all_rows c;
-      k =
-        cone c ~goods ~nb:1 ~masks:[| 0L |] ~outputs:(Circuit.outputs c)
-          ~cap:1;
+      k = cone c ~goods ~nb:1 ~masks:[| 0L |] ~cap:1;
       word = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1;
     }
 
@@ -338,13 +462,27 @@ module Block = struct
         (Printf.sprintf "Stuck_at.Block.load: %d vectors, want 1 to 64" nv);
     let packed = P.pack_all vectors in
     P.eval_all_into t.circuit packed ~rows:t.rows ~dst:t.k.goods;
-    t.k.masks.(0) <- P.block_mask packed 0
+    t.k.masks.(0) <- P.block_mask packed 0;
+    forget_observability t.k
 
   let first_lane t fault =
     check_fault t.circuit fault;
     diff_into t.k fault ~blk0:0 ~width:1 t.word 0;
-    let w = Bigarray.Array1.unsafe_get t.word 0 in
-    if w = 0L then -1 else Bitvec.ctz64 w
+    if Bigarray.Array1.unsafe_get t.word 0 = 0L then -1
+    else begin
+      (* the lowest set bit, found by shifting rather than by a call
+         that would box the word *)
+      let lane = ref 0 in
+      while
+        Int64.logand
+          (Int64.shift_right_logical (Bigarray.Array1.unsafe_get t.word 0) !lane)
+          1L
+        = 0L
+      do
+        incr lane
+      done;
+      !lane
+    end
 
   let detects t fault = first_lane t fault >= 0
 end
@@ -397,9 +535,10 @@ let fault_simulate ?metrics c ~vectors ~faults =
 (* The full matrix (no dropping — every detecting vector of every
    fault), the stuck-at counterpart of {!Fault_sim.detection_matrix}:
    what the test-set minimizers ({!Coverage}) run on.  The node-major
-   good machine of every block is evaluated once, and one walk per
-   fault covers up to [matrix_walk] blocks, their difference words
-   landing straight in the fault's row. *)
+   good machine of every block is evaluated once; the blocks are then
+   taken in walk groups of up to [matrix_walk], and within a group
+   every fault's difference words land straight in its row, each
+   region root walked at most once per group. *)
 let matrix_walk = 8
 
 let detection_matrix ?metrics c ~vectors ~faults =
@@ -415,23 +554,19 @@ let detection_matrix ?metrics c ~vectors ~faults =
   let k =
     cone c ~goods ~nb
       ~masks:(Array.init nb (P.block_mask packed))
-      ~outputs:(Circuit.outputs c)
       ~cap:(Stdlib.min matrix_walk nb)
   in
-  let rows =
-    Array.map
-      (fun fault ->
-        let row = Bitvec.create nv in
-        let words = Bitvec.unsafe_words row in
-        let b = ref 0 in
-        while !b < nb do
-          let width = Stdlib.min k.cap (nb - !b) in
-          diff_into k fault ~blk0:!b ~width words !b;
-          b := !b + width
-        done;
-        row)
-      faults
-  in
+  let rows = Array.map (fun _ -> Bitvec.create nv) faults in
+  let b = ref 0 in
+  while !b < nb do
+    let blk0 = !b and width = Stdlib.min k.cap (nb - !b) in
+    forget_observability k;
+    Array.iteri
+      (fun i fault ->
+        diff_into k fault ~blk0 ~width (Bitvec.unsafe_words rows.(i)) blk0)
+      faults;
+    b := blk0 + width
+  done;
   Option.iter
     (fun m ->
       Metrics.record_fault_sim m ~blocks:nb

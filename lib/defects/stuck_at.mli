@@ -50,15 +50,26 @@ val detects : Iddq_netlist.Circuit.t -> fault -> bool array -> bool
     targeting, and sweeps the remaining list through the block when
     it fills.
 
-    The faulty machine is cone-restricted.  A walk computes the site
-    words (the stuck value of a stem, or the reading gate with only
-    the faulty pin overridden) and stops at once when they equal the
-    good ones on every real vector of the block.  Otherwise it
-    re-evaluates, in ascending id order, only the gates with a fanin
-    whose faulty words differ, up to the last fanout of any differing
-    node, and ORs the differences at the outputs.  Its scratch is an
-    n-word [Bigarray] and one [int] stamp array, allocated once per
-    detector; a query allocates nothing of its own. *)
+    The faulty machine works by fanout-free regions.  A region root
+    is a primary output, or a node read by a number of fanin slots
+    other than one (a gate reading a net on two pins counts twice);
+    every other node has one reader, and the fault's effect can leave
+    its region only through the root.  A query computes the site
+    difference (the stuck value of a stem, or the reading gate with
+    only the faulty pin overridden, against the good words, masked to
+    the real vectors) and climbs it to the root, ANDing it at each
+    gate with the side inputs' good sensitization; it stops with no
+    detection as soon as the difference is zero.  Otherwise the answer
+    is the difference at the root ANDed with the root's
+    observability: the output difference of complementing the root in
+    every lane, found by one cone walk (re-evaluating, in ascending id
+    order, only the gates with a fanin whose faulty words differ, up
+    to the last fanout of any differing node) and memoized per root
+    until the next {!Block.load}.  So a root is walked at most once
+    per load, however many faults its region holds.  The scratch (an
+    n-word [Bigarray] of faulty words, an n-word root memo and their
+    [int] stamp arrays) is allocated once per detector; a query
+    allocates nothing. *)
 module Block : sig
   type t
   (** One block's node-major good machine and the cone scratch over
@@ -69,13 +80,15 @@ module Block : sig
 
   val load : t -> bool array array -> unit
   (** Pack the vectors into the block and evaluate its good machine,
-      replacing the previous load.  Raises [Invalid_argument] on an
+      replacing the previous load and forgetting every memoized root
+      observability.  Raises [Invalid_argument] on an
       empty set, more than 64 vectors, or vectors of the wrong
       width. *)
 
   val first_lane : t -> fault -> int
   (** The first loaded vector (its index in the last {!load}) that
-      detects the fault, or [-1] when none does.  Raises
+      detects the fault, or [-1] when none does.  Walks the fault's
+      region root only if no earlier query since the load did.  Raises
       [Invalid_argument] on a fault that fails {!validate_fault}. *)
 
   val detects : t -> fault -> bool
@@ -96,10 +109,12 @@ val fault_simulate :
   vectors:bool array array ->
   faults:fault list ->
   sim_result
-(** 64-way bit-parallel serial fault simulation with fault dropping,
+(** 64-way bit-parallel single-fault propagation with fault dropping,
     on the caller's domain: the vector set is walked 64 vectors at a
     time through one {!Block}, and a fault detected in one block is
-    not checked against later ones.  [metrics] receives the block
+    not checked against later ones.  Within a block, each live fault
+    climbs its fanout-free region and each region root reached is
+    walked once.  [metrics] receives the block
     count ([sim_blocks]), one fault-block per (live fault, block)
     check ([sim_fault_blocks]) and the detected count
     ([sim_faults_dropped]).  Raises [Invalid_argument] on a fault that
@@ -117,11 +132,14 @@ val detection_matrix :
     {!Fault_sim.detection_matrix}, on the caller's domain: the
     node-major good machine of every block is evaluated once
     ({!Iddq_patterns.Parallel_sim.eval_all_into} under
-    {!Iddq_patterns.Parallel_sim.all_rows}), and each fault's cone is
-    walked as in {!Block}, once per 8 blocks (lanes are independent,
-    so a node that differs on one block of a walk carries exact faulty
-    words on the others, and the output differences stay masked to
-    the real vectors).  Because
+    {!Iddq_patterns.Parallel_sim.all_rows}).  The blocks are then
+    taken in walk groups of up to 8, group-major: within a group every
+    fault climbs its fanout-free region as in {!Block}, and each
+    region root reached is walked once for the whole group and
+    memoized until the next group (lanes are independent, so a node
+    that differs on one block of a walk carries exact faulty words on
+    the others, and the output differences stay masked to the real
+    vectors).  Because
     {!Coverage.detection_matrix}
     is publicly equal to {!Fault_sim.matrix}, every {!Coverage} query
     and minimizer runs on this matrix unchanged — it is what the ATPG

@@ -324,6 +324,109 @@ let test_block_detector () =
         (Stuck_at.Block.detects block
            (Stuck_at.Stem (Circuit.num_nodes c, true))))
 
+(* The fanout-free-region engine against the scalar oracle on a
+   circuit built to hit every root case: [g1] is read on both pins of
+   [g2] (a root whose reader's pin faults are in the list), [g3] is an
+   output that also fans out, input [a] is an output, [dead] is read
+   by nobody and is not an output, and [g2 .. n5] is a NOT, BUFF, XOR,
+   NAND, NOR chain inside one region that also takes in the
+   single-reader input [f].  Every fault of the full list, on the
+   exhaustive set twice over plus a 7-vector tail (three blocks, the
+   last one partial): each matrix row, each first vector of
+   [fault_simulate] and each per-block [Block.first_lane] is what
+   [detects] says, vector by vector. *)
+let test_regions_vs_detects () =
+  let b = Builder.create () in
+  List.iter (Builder.add_input b) [ "a"; "b"; "c"; "d"; "e"; "f" ];
+  List.iter
+    (fun (name, kind, fanins) -> Builder.add_gate b name kind fanins)
+    [
+      ("g1", Gate.And, [ "a"; "b" ]);
+      ("g2", Gate.Nand, [ "g1"; "g1" ]);
+      ("n1", Gate.Not, [ "g2" ]);
+      ("n2", Gate.Buff, [ "n1" ]);
+      ("n3", Gate.Xor, [ "n2"; "c" ]);
+      ("n4", Gate.Nand, [ "n3"; "d" ]);
+      ("n5", Gate.Nor, [ "n4"; "f" ]);
+      ("g3", Gate.Or, [ "c"; "d" ]);
+      ("y", Gate.And, [ "n5"; "g3" ]);
+      ("z", Gate.Xnor, [ "g3"; "e" ]);
+      ("dead", Gate.Nor, [ "b"; "c" ]);
+    ];
+  List.iter (Builder.add_output b) [ "y"; "z"; "g3"; "a" ];
+  let c = Builder.freeze_exn b in
+  let exhaustive = Pattern_gen.exhaustive c in
+  let vectors =
+    Array.concat [ exhaustive; exhaustive; Array.sub exhaustive 9 7 ]
+  in
+  let nv = Array.length vectors in
+  let faults = Stuck_at.full_fault_list c in
+  let oracle =
+    List.map (fun f -> Array.map (Stuck_at.detects c f) vectors) faults
+  in
+  let first_true a lo hi =
+    let rec go i = if i >= hi then -1 else if a.(i) then i - lo else go (i + 1) in
+    go lo
+  in
+  let m = Stuck_at.detection_matrix c ~vectors ~faults in
+  let r = Stuck_at.fault_simulate c ~vectors ~faults in
+  let block = Stuck_at.Block.create c in
+  List.iteri
+    (fun i (fault, want) ->
+      let name = Format.asprintf "%a" (Stuck_at.pp_fault c) fault in
+      let row = m.Iddq_defects.Fault_sim.rows.(i) in
+      Array.iteri
+        (fun v d ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: matrix vector %d" name v)
+            d
+            (Iddq_util.Bitvec.get row v))
+        want;
+      Alcotest.(check int)
+        (name ^ ": first vector")
+        (first_true want 0 nv) r.Stuck_at.first_vector.(i))
+    (List.combine faults oracle);
+  (* one load per block, every fault checked after each: a load must
+     replace what the previous one left behind *)
+  for blk = 0 to ((nv + 63) / 64) - 1 do
+    let lo = blk * 64 in
+    let hi = Stdlib.min nv (lo + 64) in
+    Stuck_at.Block.load block (Array.sub vectors lo (hi - lo));
+    List.iter2
+      (fun fault want ->
+        Alcotest.(check int)
+          (Format.asprintf "block %d, %a: first lane" blk (Stuck_at.pp_fault c)
+             fault)
+          (first_true want lo hi)
+          (Stuck_at.Block.first_lane block fault))
+      faults oracle
+  done;
+  (* the regions are not trivially empty: some fault is detected, and
+     some is not (the dead gate's) *)
+  Alcotest.(check bool) "some fault detected" true (r.Stuck_at.detected > 0);
+  Alcotest.(check bool) "some fault undetected" true
+    (r.Stuck_at.detected < r.Stuck_at.total)
+
+(* After a load, a query allocates nothing: the root observability
+   memo and the walk scratch are allocated once, by [Block.create]. *)
+let test_block_query_allocation () =
+  let c = Iscas.c432_like () in
+  let faults = Array.of_list (Stuck_at.collapsed_fault_list c) in
+  let block = Stuck_at.Block.create c in
+  Stuck_at.Block.load block
+    (Pattern_gen.random ~rng:(Rng.create 21) c ~count:64);
+  let detected = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length faults - 1 do
+    if Stuck_at.Block.first_lane block faults.(i) >= 0 then incr detected
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check bool) "some fault detected" true (!detected > 0);
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "minor words across %d first_lane calls"
+       (Array.length faults))
+    0.0 delta
+
 let tests =
   [
     Alcotest.test_case "fault list sizes" `Quick test_fault_list_sizes;
@@ -350,4 +453,8 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_logic_implies_iddq;
     Alcotest.test_case "one-block detector = detects" `Quick
       test_block_detector;
+    Alcotest.test_case "fanout-free regions = detects" `Quick
+      test_regions_vs_detects;
+    Alcotest.test_case "block query allocation-free" `Quick
+      test_block_query_allocation;
   ]
