@@ -19,8 +19,8 @@ bench-quick:
 	dune exec bench/main.exe -- quick
 
 # Bounded mutation-fuzz pass (fixed seed): >= 10k corrupted variants
-# of valid files through the six text parsers (bench, Verilog, cell
-# library, patterns, partitions, campaign specs) plus the server frame
+# of valid files through the five text parsers (bench, cell library,
+# patterns, partitions, campaign specs) plus the server frame
 # decoder, the ATPG facade and the JSONL store; every outcome must be
 # Ok/Error -- no exception, no descriptor leak, and an Error of a
 # line-oriented format names one of the input's lines or none.

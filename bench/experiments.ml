@@ -15,7 +15,6 @@ module Activity = Iddq_analysis.Activity
 module Partition = Iddq_core.Partition
 module Cost = Iddq_core.Cost
 module Sensor = Iddq_bic.Sensor
-module Schedule = Iddq_bic.Schedule
 module Es = Iddq_evolution.Es
 module Seeds = Iddq_evolution.Seeds
 module Part_iddq = Iddq_evolution.Part_iddq
@@ -26,7 +25,6 @@ module Bridge_logic = Iddq_defects.Bridge_logic
 module Drive_select = Iddq_resynth.Drive_select
 module Diagnose = Iddq_diagnose.Diagnose
 module Atpg = Iddq_atpg.Atpg
-module Placement = Iddq_layout.Placement
 module Pipeline = Iddq.Pipeline
 
 let bench_es_params =
@@ -220,37 +218,46 @@ let ablation_opt () =
       Pipeline.Annealing; Pipeline.Random;
     ]
 
-(* Ablation B: cost-weight sensitivity on the C1908 stand-in. *)
-let ablation_weights () =
-  let circuit = circuit "C1908" in
-  List.map
-    (fun (label, weights) ->
-      let config = Pipeline.config ~es_params:bench_es_params ~weights () in
-      (label, ok_or_fail (Pipeline.run_result ~config Pipeline.Evolution circuit)))
-    [
-      ("paper (9,1e5,1,1,10)", Cost.paper_weights);
-      ("equal (1,1,1,1,1)", Cost.equal_weights);
-      ("area-only", { Cost.equal_weights with Cost.w_area = 100.0; w_delay = 0.0 });
-      ("delay-heavy", { Cost.paper_weights with Cost.w_delay = 1.0e7 });
-      ("few-modules", { Cost.paper_weights with Cost.w_module_count = 1000.0 });
-    ]
+(* Ablation B: cost-weight sensitivity on the C1908 stand-in.  The
+   paper mix is [bench_config]'s, so its row is [evolved "C1908"]; the
+   other mixes run by label. *)
+let weight_mixes =
+  [
+    ("equal (1,1,1,1,1)", Cost.equal_weights);
+    ("area-only", { Cost.equal_weights with Cost.w_area = 100.0; w_delay = 0.0 });
+    ("delay-heavy", { Cost.paper_weights with Cost.w_delay = 1.0e7 });
+    ("few-modules", { Cost.paper_weights with Cost.w_module_count = 1000.0 });
+  ]
 
-(* Ablation C: ES control parameters on the C1908 stand-in. *)
-let ablation_es () =
-  let circuit = circuit "C1908" in
+let weight_run label =
+  let config =
+    Pipeline.config ~es_params:bench_es_params
+      ~weights:(List.assoc label weight_mixes) ()
+  in
+  ok_or_fail (Pipeline.run_result ~config Pipeline.Evolution (circuit "C1908"))
+
+let ablation_weights () =
+  ("paper (9,1e5,1,1,10)", evolved "C1908")
+  :: List.map (fun (label, _) -> (label, weight_run label)) weight_mixes
+
+(* Ablation C: ES control parameters on the C1908 stand-in, each
+   setting run by label. *)
+let es_settings =
   let base = { bench_es_params with Es.max_generations = 150 } in
-  List.map
-    (fun (label, es_params) ->
-      let config = Pipeline.config ~es_params () in
-      (label, ok_or_fail (Pipeline.run_result ~config Pipeline.Evolution circuit)))
-    [
-      ("mu=4 lambda=7 chi=2 (default)", base);
-      ("mu=1 lambda=7 chi=2", { base with Es.mu = 1 });
-      ("mu=8 lambda=14 chi=4", { base with Es.mu = 8; lambda = 14; chi = 4 });
-      ("no Monte-Carlo (chi=0)", { base with Es.chi = 0 });
-      ("only Monte-Carlo (lambda=0)", { base with Es.lambda = 0; chi = 9 });
-      ("short lifetime (omega=2)", { base with Es.omega = 2 });
-    ]
+  [
+    ("mu=4 lambda=7 chi=2 (default)", base);
+    ("mu=1 lambda=7 chi=2", { base with Es.mu = 1 });
+    ("mu=8 lambda=14 chi=4", { base with Es.mu = 8; lambda = 14; chi = 4 });
+    ("no Monte-Carlo (chi=0)", { base with Es.chi = 0 });
+    ("only Monte-Carlo (lambda=0)", { base with Es.lambda = 0; chi = 9 });
+    ("short lifetime (omega=2)", { base with Es.omega = 2 });
+  ]
+
+let es_run label =
+  let config = Pipeline.config ~es_params:(List.assoc label es_settings) () in
+  ok_or_fail (Pipeline.run_result ~config Pipeline.Evolution (circuit "C1908"))
+
+let ablation_es () = List.map (fun (label, _) -> (label, es_run label)) es_settings
 
 (* Ablation D: drive selection after partitioning (paper §6). *)
 let ablation_resynth () =
@@ -374,45 +381,6 @@ let logic_vs_iddq () =
         iddq_only = count (fun (l, i) -> i && not l);
       })
     [ "C432"; "C1908" ]
-
-(* Measurement scheduling of a uniform 8-module C3540 partition, the
-   paper's all-parallel model first. *)
-let schedule () =
-  let ch = Charac.make ~library:Library.default (circuit "C3540") in
-  let p = Standard.partition_uniform ch ~num_modules:8 in
-  let d_bic = (Cost.evaluate p).Cost.bic_delay in
-  let sensors = Partition.sensors p in
-  let technology = Charac.technology ch in
-  let worst_peak =
-    List.fold_left
-      (fun acc (_, s) -> Stdlib.max acc s.Sensor.peak_current)
-      0.0 sensors
-  in
-  (("parallel (paper model)", Schedule.parallel ~technology ~d_bic sensors)
-   :: List.map
-        (fun scale ->
-          ( Printf.sprintf "budget = %.1fx worst module" scale,
-            Schedule.schedule ~technology ~d_bic ~budget:(scale *. worst_peak)
-              sensors ))
-        [ 2.0; 1.0 ])
-  @ [ ("serial", Schedule.serial ~technology ~d_bic sensors) ]
-
-(* Routing (paper §5): sum S(M), placed rail length and sensor-chain
-   length of the evolution and standard partitions of C1908. *)
-let routing () =
-  let placement = Placement.place (circuit "C1908") in
-  List.map
-    (fun (m, (r : Pipeline.t)) ->
-      let p = r.Pipeline.partition in
-      let ids = Partition.module_ids p in
-      let modules = List.map (Partition.members p) ids in
-      ( m,
-        List.fold_left (fun acc id -> acc + Partition.separation_total p id) 0 ids,
-        List.fold_left
-          (fun acc gates -> acc +. Placement.module_rail_length placement gates)
-          0.0 modules,
-        Placement.sensor_chain_length placement modules ))
-    (compare_methods "C1908" [ Pipeline.Evolution; Pipeline.Standard ])
 
 (* Sizing policy: the evolved C1908 modules sized from three current
    bases, and how many would bounce the rail past its budget under the

@@ -17,7 +17,6 @@ module Cost = Iddq_core.Cost
 module Es = Iddq_evolution.Es
 module Pipeline = Iddq.Pipeline
 module Report = Iddq.Report
-module Schedule = Iddq_bic.Schedule
 module Diagnose = Iddq_diagnose.Diagnose
 module Atpg = Iddq_atpg.Atpg
 module E = Experiments
@@ -322,47 +321,6 @@ let run_logic_vs_iddq () =
         (pct r.E.both) (pct r.E.iddq_only))
     (E.logic_vs_iddq ())
 
-let run_schedule () =
-  section "Measurement scheduling: parallel vs budgeted vs serial strobes";
-  let policies = E.schedule () in
-  let parallel = (snd (List.hd policies)).Schedule.vector_time in
-  table
-    [
-      ("policy", Table.Left); ("sessions", Table.Right);
-      ("vector time (s)", Table.Right); ("vs parallel", Table.Right);
-    ]
-    (List.map
-       (fun (label, (s : Schedule.t)) ->
-         [
-           label;
-           string_of_int (List.length s.Schedule.sessions);
-           e3 s.Schedule.vector_time;
-           Printf.sprintf "%.2fx" (s.Schedule.vector_time /. parallel);
-         ])
-       policies)
-
-let run_routing () =
-  section
-    "Routing check (paper 5: wiring deferred, costs 'not expected to \
-     differ'): placed wire lengths per partition";
-  table
-    [
-      ("method", Table.Left); ("sum S(M)", Table.Right);
-      ("rail length (pitches)", Table.Right);
-      ("sensor chain (pitches)", Table.Right);
-    ]
-    (List.map
-       (fun (m, sep, rail, chain) ->
-         [
-           Pipeline.method_to_string m; string_of_int sep;
-           Printf.sprintf "%.1f" rail; Printf.sprintf "%.1f" chain;
-         ])
-       (E.routing ()));
-  Printf.printf
-    "\nBoth partitions route comparably - the paper's expectation when the\n\
-     module counts match; at equal rail lengths the sensor area is what\n\
-     separates the methods.\n"
-
 let run_sizing () =
   section
     "Sensor sizing policy: pessimistic bound vs probabilistic vs realized \
@@ -516,8 +474,6 @@ let experiments =
     ("tradeoff", run_tradeoff);
     ("variants", run_variants);
     ("logic-vs-iddq", run_logic_vs_iddq);
-    ("schedule", run_schedule);
-    ("routing", run_routing);
     ("testset", run_testset);
     ("sizing", run_sizing);
     ("stability", run_stability);

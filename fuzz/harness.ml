@@ -16,7 +16,6 @@ module Io = Iddq_util.Io
 module Io_error = Iddq_util.Io_error
 module Circuit = Iddq_netlist.Circuit
 module Bench_io = Iddq_netlist.Bench_io
-module Verilog_io = Iddq_netlist.Verilog_io
 module Generator = Iddq_netlist.Generator
 module Builder = Iddq_netlist.Builder
 module Gate = Iddq_netlist.Gate
@@ -273,12 +272,6 @@ let targets () =
       corpus = List.map Bench_io.to_string circuits;
       parse = (fun s -> accepted (numbered s (Bench_io.parse_string s)));
       parse_path = Some (fun p -> accepted (Bench_io.parse_file p));
-    };
-    {
-      name = "verilog";
-      corpus = List.map Verilog_io.to_string circuits;
-      parse = (fun s -> accepted (Verilog_io.parse_string s));
-      parse_path = Some (fun p -> accepted (Verilog_io.parse_file p));
     };
     {
       name = "library";

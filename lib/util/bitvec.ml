@@ -65,7 +65,7 @@ let set_word t w bits =
 
 let unsafe_words t = t.words
 
-let popcount64 x =
+let[@inline] popcount64 x =
   let open Int64 in
   let m1 = 0x5555555555555555L in
   let m2 = 0x3333333333333333L in
@@ -75,7 +75,7 @@ let popcount64 x =
   let x = logand (add x (shift_right_logical x 4)) m4 in
   to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
 
-let ctz64 x =
+let[@inline] ctz64 x =
   if x = 0L then 64
   else popcount64 (Int64.sub (Int64.logand x (Int64.neg x)) 1L)
 
@@ -93,16 +93,16 @@ let is_empty t =
   in
   scan 0
 
+(* A plain loop with no closure, and [ctz64] inlined so the word is
+   never boxed: a call allocates nothing, and the matrix readers make
+   one per row. *)
 let first_set t =
   let n = num_words t in
-  let rec scan w =
-    if w >= n then -1
-    else begin
-      let bits = Bigarray.Array1.unsafe_get t.words w in
-      if bits = 0L then scan (w + 1) else (w * 64) + ctz64 bits
-    end
-  in
-  scan 0
+  let w = ref 0 in
+  while !w < n && Bigarray.Array1.unsafe_get t.words !w = 0L do
+    incr w
+  done;
+  if !w = n then -1 else (!w * 64) + ctz64 (Bigarray.Array1.unsafe_get t.words !w)
 
 let equal a b =
   a.len = b.len

@@ -7,7 +7,6 @@ let suites =
       ("gate", Test_gate.tests);
       ("builder", Test_builder.tests);
       ("bench-io", Test_bench_io.tests);
-      ("verilog-io", Test_verilog_io.tests);
       ("graph-algo", Test_graph_algo.tests);
       (* the pool the striped kernel runs its stripes on keeps its
          place in this group *)
@@ -34,10 +33,8 @@ let suites =
       ("scoap-probability", Test_scoap_probability.tests);
       ("coverage-variants", Test_coverage_variants.tests);
       ("stuck-at", Test_stuck_at.tests);
-      ("schedule", Test_schedule.tests);
       ("podem", Test_podem.tests);
       ("testset", Test_testset.tests);
-      ("layout", Test_layout.tests);
       ("io-extras", Test_io_extras.tests);
       ("io-robust", Test_io_robust.tests);
       ("integration", Test_integration.tests);

@@ -1,7 +1,8 @@
 (* EXPERIMENTS.md's claim index names the test bounding each claim as
    `group` "case" (several cases may follow one group).  Every such
    pair must be a case the suite registers, so renaming or deleting a
-   case cannot silently orphan the claim that cites it. *)
+   case cannot silently orphan the claim that cites it, and no row may
+   say its claim is "not yet checked". *)
 
 (* The file sits at the root of the build tree (a declared dep of the
    test stanza), found from the running executable; from a source
@@ -42,13 +43,16 @@ let index_rows lines =
   in
   skip lines
 
+let last_cell row =
+  let cells = List.filter (fun c -> String.trim c <> "") (String.split_on_char '|' row) in
+  match List.rev cells with [] -> "" | last :: _ -> last
+
 (* The last cell of a row, tokenized: a backticked span opens a group,
    and each double-quoted span after it is one of that group's cases.
    A backticked span no quote follows (a file, a workload) names no
    case. *)
 let pairs_of_row row =
-  let cells = List.filter (fun c -> String.trim c <> "") (String.split_on_char '|' row) in
-  let cell = match List.rev cells with [] -> "" | last :: _ -> last in
+  let cell = last_cell row in
   let n = String.length cell in
   let span i close =
     match String.index_from_opt cell (i + 1) close with
@@ -72,19 +76,34 @@ let pairs_of_row row =
   in
   scan 0 None []
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let tests suites =
+  let index () = index_rows (read_lines (experiments_md ())) in
   let registered =
     List.concat_map
       (fun (group, cases) -> List.map (fun (case, _, _) -> (group, case)) cases)
       suites
   in
   let check () =
-    let pairs =
-      List.concat_map pairs_of_row (index_rows (read_lines (experiments_md ())))
-    in
+    let pairs = List.concat_map pairs_of_row (index ()) in
     Alcotest.(check bool) "the claim index names some cases" true (pairs <> []);
     Alcotest.(check (list (pair string string)))
       "named cases the suite does not register" []
       (List.filter (fun pair -> not (List.mem pair registered)) pairs)
   in
-  [ Alcotest.test_case "every named case is registered" `Quick check ]
+  (* A claim stays in the index only with a test that bounds it. *)
+  let unchecked () =
+    Alcotest.(check (list string))
+      "rows whose test reads \"not yet checked\"" []
+      (List.filter
+         (fun row -> contains ~sub:"not yet checked" (last_cell row))
+         (index ()))
+  in
+  [
+    Alcotest.test_case "every named case is registered" `Quick check;
+    Alcotest.test_case "no claim is unchecked" `Quick unchecked;
+  ]

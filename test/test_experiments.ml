@@ -35,6 +35,37 @@ let test_ablation_opt () =
       end)
     results
 
+(* Ablation B: the delay-heavy mix (w2 = 1e7) buys a lower delay
+   overhead than the paper mix, paid for in sensor area (9.6e-5 % at
+   2.162e7 against 1.33e-3 % at 1.376e7 as measured).  The paper row
+   is the shared evolved C1908 run, so one new ES run. *)
+let test_ablation_weights () =
+  let paper = (E.evolved "C1908").Pipeline.breakdown
+  and heavy = (E.weight_run "delay-heavy").Pipeline.breakdown in
+  Alcotest.(check bool)
+    (Printf.sprintf "delay-heavy delay overhead %.3e < paper %.3e"
+       heavy.Cost.c2_delay paper.Cost.c2_delay)
+    true
+    (heavy.Cost.c2_delay < paper.Cost.c2_delay);
+  Alcotest.(check bool)
+    (Printf.sprintf "delay-heavy area %.4e > paper %.4e" heavy.Cost.sensor_area
+       paper.Cost.sensor_area)
+    true
+    (heavy.Cost.sensor_area > paper.Cost.sensor_area)
+
+(* Ablation C at 150 generations: pure Monte-Carlo search (lambda = 0,
+   chi = 9) ends costlier than the default mu=4 lambda=7 chi=2 (187.91
+   against 187.69 as measured).  The two independent runs share no
+   state, so the second one runs on its own domain. *)
+let test_ablation_es () =
+  let cost label = (E.es_run label).Pipeline.breakdown.Cost.penalized in
+  let other = Domain.spawn (fun () -> cost "only Monte-Carlo (lambda=0)") in
+  let default = cost "mu=4 lambda=7 chi=2 (default)" in
+  let monte_carlo = Domain.join other in
+  Alcotest.(check bool)
+    (Printf.sprintf "lambda=0 cost %.2f > default %.2f" monte_carlo default)
+    true (monte_carlo > default)
+
 (* Granularity (paper §1) on C3540, K = 1..64: the minimum
    discriminability rises strictly with K, and exactly K <= 2 is
    infeasible. *)
@@ -172,6 +203,10 @@ let test_logic_vs_iddq () =
 let tests =
   [
     Alcotest.test_case "ablation A: standard costliest" `Slow test_ablation_opt;
+    Alcotest.test_case "ablation B: delay-heavy trades area for delay" `Slow
+      test_ablation_weights;
+    Alcotest.test_case "ablation C: lambda=0 costlier than default" `Slow
+      test_ablation_es;
     Alcotest.test_case "granularity: min d rises with K" `Slow test_granularity;
     Alcotest.test_case "fig2: column/row area ratio grows" `Slow test_fig2_ratio;
     Alcotest.test_case "modules buy resolution" `Slow

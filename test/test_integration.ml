@@ -43,19 +43,6 @@ let test_pipeline_dot_renders () =
   Alcotest.(check bool) "clusters present" true
     (String.length dot > 100)
 
-let test_pipeline_schedule_consistent () =
-  (* the schedule's parallel policy must reproduce the cost model's
-     per-vector test time *)
-  let r = run Pipeline.Standard (Iscas.c432_like ()) in
-  let tech = Charac.technology r.Pipeline.charac in
-  let sched =
-    Iddq_bic.Schedule.parallel ~technology:tech
-      ~d_bic:r.Pipeline.breakdown.Cost.bic_delay r.Pipeline.sensors
-  in
-  Alcotest.(check (float 1e-15)) "parallel schedule = cost model"
-    r.Pipeline.breakdown.Cost.test_time_per_vector
-    sched.Iddq_bic.Schedule.vector_time
-
 let test_resynth_composes_with_pipeline () =
   let r = run Pipeline.Evolution (Iscas.c432_like ()) in
   let res =
@@ -99,33 +86,6 @@ let test_atpg_vectors_feed_iddq_sim () =
   in
   Alcotest.(check (float 0.0)) "floating gate caught by the ATPG set" 1.0
     r.Iddq_defects.Iddq_sim.coverage
-
-let test_verilog_bench_pipeline_agree () =
-  (* the same circuit through either netlist format synthesizes to the
-     same cost *)
-  let c_bench = Iscas.c17 () in
-  let v_text = Iddq_netlist.Verilog_io.to_string c_bench in
-  let c_verilog =
-    match Iddq_netlist.Verilog_io.parse_string v_text with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "verilog: %s" (Iddq_util.Io_error.to_string e)
-  in
-  let cost c =
-    (run Pipeline.Standard c).Pipeline.breakdown.Cost.penalized
-  in
-  Alcotest.(check (float 1e-9)) "same cost" (cost c_bench) (cost c_verilog)
-
-let test_placement_of_pipeline_modules () =
-  let circuit = Iscas.c432_like () in
-  let r = run Pipeline.Standard circuit in
-  let placement = Iddq_layout.Placement.place circuit in
-  List.iter
-    (fun m ->
-      let gates = Partition.members r.Pipeline.partition m in
-      let rail = Iddq_layout.Placement.module_rail_length placement gates in
-      Alcotest.(check bool) "rail finite and positive" true
-        (rail >= 0.0 && Float.is_finite rail))
-    (Partition.module_ids r.Pipeline.partition)
 
 (* The paper's headline (EXPERIMENTS "Table 1"): on all six Table-1
    stand-ins the evolution strategy needs less BIC sensor area than
@@ -201,15 +161,9 @@ let tests =
     Alcotest.test_case "pipeline -> partition_io -> cost" `Quick
       test_pipeline_partition_io_cost_stable;
     Alcotest.test_case "pipeline -> dot" `Quick test_pipeline_dot_renders;
-    Alcotest.test_case "pipeline -> schedule" `Quick
-      test_pipeline_schedule_consistent;
     Alcotest.test_case "pipeline -> resynth" `Quick
       test_resynth_composes_with_pipeline;
     Alcotest.test_case "atpg -> iddq sim" `Quick test_atpg_vectors_feed_iddq_sim;
-    Alcotest.test_case "verilog = bench pipeline" `Quick
-      test_verilog_bench_pipeline_agree;
-    Alcotest.test_case "pipeline -> placement" `Quick
-      test_placement_of_pipeline_modules;
     Alcotest.test_case "paper headline: Table 1 shape" `Slow
       test_table1_headline;
   ]

@@ -6,7 +6,6 @@ module Io = Iddq_util.Io
 module Io_error = Iddq_util.Io_error
 module Rng = Iddq_util.Rng
 module Bench_io = Iddq_netlist.Bench_io
-module Verilog_io = Iddq_netlist.Verilog_io
 module Generator = Iddq_netlist.Generator
 module Circuit = Iddq_netlist.Circuit
 module Library = Iddq_celllib.Library
@@ -136,7 +135,6 @@ let test_fd_stable_across_failures () =
     for _ = 1 to 50 do
       ignore (Bench_io.parse_file missing);
       ignore (Bench_io.parse_file corrupt);
-      ignore (Verilog_io.parse_file corrupt);
       ignore (Library_io.parse_file corrupt);
       ignore (Pattern_io.read_file ~expected_width:4 corrupt);
       ignore (Iddq_campaign.Spec.parse_file corrupt)
@@ -225,16 +223,6 @@ let qcheck_bench_roundtrip =
       | Error _ -> false
       | Ok c' -> Bench_io.to_string c' = text)
 
-let qcheck_verilog_roundtrip =
-  QCheck.Test.make ~name:"verilog print/parse is a fixpoint" ~count:25
-    QCheck.(pair (int_range 10 80) (int_range 1 100000))
-    (fun (gates, seed) ->
-      let c = make_circuit ~gates ~seed in
-      let text = Verilog_io.to_string c in
-      match Verilog_io.parse_string text with
-      | Error _ -> false
-      | Ok c' -> Verilog_io.to_string c' = text)
-
 let qcheck_pattern_roundtrip =
   QCheck.Test.make ~name:"pattern set survives print/parse" ~count:40
     QCheck.(pair (int_range 1 16) (pair (int_range 1 40) (int_range 1 100000)))
@@ -288,7 +276,6 @@ let tests =
     Alcotest.test_case "line formats number lines past comments" `Quick
       test_line_numbers_past_comments;
     QCheck_alcotest.to_alcotest qcheck_bench_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_verilog_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_pattern_roundtrip;
     Alcotest.test_case "library print/parse fixpoint" `Quick
       test_library_roundtrip;

@@ -126,6 +126,22 @@ let qcheck_bitvec_set_word_roundtrip =
       done;
       !ok && Bitvec.count v <= len)
 
+(* [first_set] runs once per matrix row in the coverage readers, so a
+   call must not allocate: no closure, no boxed word. *)
+let test_first_set_allocation_free () =
+  let v = Bitvec.create 1000 in
+  Bitvec.set v 700;
+  Bitvec.set v 999;
+  let sum = ref (Bitvec.first_set v) in
+  let before = Gc.minor_words () in
+  for _ = 1 to 2_000 do
+    sum := !sum + Bitvec.first_set v
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check int) "lowest set bit" (700 * 2_001) !sum;
+  Alcotest.(check (float 0.0))
+    "minor words allocated across 2000 first_set calls" 0.0 delta
+
 (* ---------------- CSR circuit vs its boxed view (qcheck) ------------- *)
 
 let dag_gen =
@@ -480,6 +496,8 @@ let tests =
       test_word_bounds_multiple_of_64;
     Alcotest.test_case "bitvec set_word masks tail" `Quick
       test_set_word_masks_tail;
+    Alcotest.test_case "bitvec first_set allocation-free" `Quick
+      test_first_set_allocation_free;
     Alcotest.test_case "eval_stripe allocation-free" `Quick
       test_eval_stripe_allocation_free;
     QCheck_alcotest.to_alcotest qcheck_bitvec_matches_model;

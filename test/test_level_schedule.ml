@@ -2,15 +2,14 @@
    level offsets, built once by [Circuit] construction — against a
    from-scratch recomputation kept here, on every constructor: the
    layered-DAG generator (random DAGs and the ISCAS85 stand-ins),
-   [Builder.freeze] (the structured generators), and the Bench_io and
-   Verilog_io round trips. *)
+   [Builder.freeze] (the structured generators), and the Bench_io
+   round trip. *)
 
 module Rng = Iddq_util.Rng
 module Circuit = Iddq_netlist.Circuit
 module Generator = Iddq_netlist.Generator
 module Iscas = Iddq_netlist.Iscas
 module Bench_io = Iddq_netlist.Bench_io
-module Verilog_io = Iddq_netlist.Verilog_io
 
 (* ---------------- reference levelization ----------------------------- *)
 
@@ -59,7 +58,7 @@ let check_levels c =
   else if not widths_ok then Error "level offsets differ"
   else Circuit.validate c
 
-(* A circuit as built and after both netlist round trips. *)
+(* A circuit as built and after the netlist round trip. *)
 let constructors c =
   let reparse what parse print =
     match parse (print c) with
@@ -71,7 +70,6 @@ let constructors c =
   [
     ("built", c);
     reparse "bench" (Bench_io.parse_string ~name:"rt") Bench_io.to_string;
-    reparse "verilog" Verilog_io.parse_string Verilog_io.to_string;
   ]
 
 (* ---------------- random layered DAGs (qcheck) ----------------------- *)

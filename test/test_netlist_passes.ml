@@ -1,7 +1,7 @@
 (* Digests of every pass that walks the netlist gate by gate: timing,
    SCOAP, signal probabilities, characterization, realized activity,
-   the stuck-at fault list, bridge re-propagation, wirelength and the
-   three writers.  Floats are recorded through [Int64.bits_of_float],
+   the stuck-at fault list, bridge re-propagation and the two
+   writers.  Floats are recorded through [Int64.bits_of_float],
    so a pass that visits fanins in a different order (and so folds
    floats differently, or breaks a tie on another fanin) changes its
    digest. *)
@@ -10,7 +10,6 @@ module Circuit = Iddq_netlist.Circuit
 module Iscas = Iddq_netlist.Iscas
 module Generator = Iddq_netlist.Generator
 module Bench_io = Iddq_netlist.Bench_io
-module Verilog_io = Iddq_netlist.Verilog_io
 module Dot = Iddq_netlist.Dot
 module Charac = Iddq_analysis.Charac
 module Timing = Iddq_analysis.Timing
@@ -19,7 +18,6 @@ module Probability = Iddq_analysis.Probability
 module Activity = Iddq_analysis.Activity
 module Stuck_at = Iddq_defects.Stuck_at
 module Bridge_logic = Iddq_defects.Bridge_logic
-module Placement = Iddq_layout.Placement
 module Library = Iddq_celllib.Library
 module Rng = Iddq_util.Rng
 
@@ -100,9 +98,7 @@ let pass_digests c =
               | None -> Buffer.add_string b "feedback;"
               | Some values -> Array.iter (add_bool b) values; Buffer.add_char b ';')
             bridge_pairs) );
-    ("hpwl", floats [| Placement.hpwl (Placement.random ~rng:(Rng.create 2) c) |]);
     ("bench", Digest.to_hex (Digest.string (Bench_io.to_string c)));
-    ("verilog", Digest.to_hex (Digest.string (Verilog_io.to_string c)));
     ("dot", Digest.to_hex (Digest.string (Dot.of_circuit c)));
     ( "dot_modules",
       Digest.to_hex (Digest.string (Dot.of_circuit ~module_of_gate:(fun g -> g mod 5) c)) );
@@ -127,9 +123,7 @@ let test_netlist_passes_pinned () =
           ("activity", "5f0f3da8d60b88202efd8e4b8642df80");
           ("stuck_at", "d284e7b5a7218b6c76dfa2a02031d059");
           ("bridge", "0a2ff91443e8f5e4c3855d5475e6f21e");
-          ("hpwl", "89caae6a0b8b40fca99857b1ac30a20d");
           ("bench", "0aa593b59f9978e765072b869fd72d6f");
-          ("verilog", "f2f7711ed7bf49f17dd1b6d24c67a768");
           ("dot", "083b43842dcf75679d51ce541cfae4d0");
           ("dot_modules", "ad81d202f1aaaa60de2e1ec60093bc43");
         ] );
@@ -146,9 +140,7 @@ let test_netlist_passes_pinned () =
           ("activity", "f91991704042114e3d7d00d63b90c365");
           ("stuck_at", "cb9880d4f07cdb2b0d9f5c34868be4c6");
           ("bridge", "56440bea122449fe5438281e7a6a2e5e");
-          ("hpwl", "ad524369b3cb6d955b21e1a944fddb8b");
           ("bench", "454b38da4eeb4cf5843386113954a469");
-          ("verilog", "9ece6f0682198e480150962b1e3a0b96");
           ("dot", "20e0243420cd710c21b9e824ed12a44a");
           ("dot_modules", "848dad175a7d38ecb81fe49b86edb728");
         ] );
@@ -165,9 +157,7 @@ let test_netlist_passes_pinned () =
           ("activity", "b56f49750974da43be76422cd73b397b");
           ("stuck_at", "2056685da7957e03e15a7ca9d74a8f77");
           ("bridge", "c0740db8a9b7c38aede15e298b9ac2ed");
-          ("hpwl", "7b4f47de71b8c5bce8a43276e61cb3c2");
           ("bench", "3e7332c2b86deeb36181ef8585dafe4f");
-          ("verilog", "ba75701e3855cae8870f382f6312fb53");
           ("dot", "ebb0e03b725bec772ca4c61c92db2936");
           ("dot_modules", "acc80e1a6503c69cb1bc5ba04b3f7668");
         ] );
@@ -185,9 +175,7 @@ let test_netlist_passes_pinned () =
           ("activity", "347a717eb296fb45ef898036fedefddd");
           ("stuck_at", "b720266c41f65bfe704d44a2f49dd65b");
           ("bridge", "4685b439e048bbae54fc30ed2944de77");
-          ("hpwl", "102791253e52b58a0862d1265fd2707c");
           ("bench", "c78bb9f67a2096fa14245e5c7499790c");
-          ("verilog", "cec8a130a974fa7096336996f0a31479");
           ("dot", "0a80bdaf4eaf3df8e2f8272e9119c73e");
           ("dot_modules", "36644ca61cf20fa324c9af541c913725");
         ] );

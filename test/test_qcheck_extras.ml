@@ -4,7 +4,6 @@ module Partition = Iddq_core.Partition
 module Partition_io = Iddq_core.Partition_io
 module Charac = Iddq_analysis.Charac
 module Standard = Iddq_baseline.Standard
-module Schedule = Iddq_bic.Schedule
 module Sensor = Iddq_bic.Sensor
 module Generator = Iddq_netlist.Generator
 module Library = Iddq_celllib.Library
@@ -49,26 +48,6 @@ let qcheck_standard_sizes_exact =
       let p = Standard.partition ch ~module_sizes:sizes in
       List.map (Partition.size p) (Partition.module_ids p) = sizes)
 
-let qcheck_schedule_covers_all_modules =
-  QCheck.Test.make
-    ~name:"budgeted schedule measures every module exactly once" ~count:100
-    QCheck.(pair (list_of_size Gen.(int_range 1 12) (float_range 0.001 0.05))
-              (float_range 0.01 0.2))
-    (fun (peaks, budget) ->
-      let tech = Technology.default in
-      let sensors =
-        List.mapi
-          (fun i p ->
-            (i, Sensor.size ~technology:tech ~peak_current:p ~module_rail_capacitance:1e-12))
-          peaks
-      in
-      let sched = Schedule.schedule ~technology:tech ~d_bic:5e-8 ~budget sensors in
-      let all =
-        List.concat_map (fun s -> s.Schedule.members) sched.Schedule.sessions
-        |> List.sort compare
-      in
-      all = List.init (List.length peaks) Fun.id)
-
 let qcheck_sensor_area_antitone_in_rs =
   QCheck.Test.make ~name:"sensor area decreases with rail budget" ~count:100
     QCheck.(pair (float_range 1e-4 0.1) (pair (float_range 0.05 0.3) (float_range 0.05 0.3)))
@@ -97,7 +76,6 @@ let tests =
   [
     QCheck_alcotest.to_alcotest qcheck_partition_io_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_standard_sizes_exact;
-    QCheck_alcotest.to_alcotest qcheck_schedule_covers_all_modules;
     QCheck_alcotest.to_alcotest qcheck_sensor_area_antitone_in_rs;
     QCheck_alcotest.to_alcotest qcheck_chain_seed_sizes_bounded;
   ]
