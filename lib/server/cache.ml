@@ -4,6 +4,7 @@ module Circuit = Iddq_netlist.Circuit
 module Bench_io = Iddq_netlist.Bench_io
 module Charac = Iddq_analysis.Charac
 module Atpg = Iddq_atpg.Atpg
+module Pipeline = Iddq.Pipeline
 
 (* Size-bounded table with least-recently-used eviction.  Recency is a
    global insertion/access tick per cell; eviction scans for the
@@ -60,6 +61,7 @@ type t = {
   circuits : (string, Circuit.t) Lru.t;
   characs : (string, Charac.t) Lru.t;
   vector_sets : (string * int * int, bool array array) Lru.t;
+  partitions : (string, (Pipeline.t, Pipeline.error) result) Lru.t;
   diagnoses : (string, Iddq_diagnose.Diagnose.t) Lru.t;
   testsets : (string, (Atpg.set_result, Atpg.error) result) Lru.t;
 }
@@ -75,6 +77,7 @@ let create ~metrics ?(library = Iddq_celllib.Library.default)
     circuits = Lru.create max_entries;
     characs = Lru.create max_entries;
     vector_sets = Lru.create max_entries;
+    partitions = Lru.create max_entries;
     diagnoses = Lru.create max_entries;
     testsets = Lru.create max_entries;
   }
@@ -85,22 +88,26 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Memoize under the lock: a derived value is computed at most once,
-   concurrent requests for the same key block on the computing one.
-   The computations (characterization, vector generation) are linear in
-   the circuit, far below any request's own optimization work. *)
+(* Look up under the lock, compute outside it, insert under it: a miss
+   never holds up another request's lookups, however long it runs (an
+   ATPG generation takes seconds on the larger circuits).  Two requests
+   missing one key at once both compute; the values are equal (every
+   computation is a function of its key), and the first one stored
+   stays, so every caller gets the same physical value. *)
 let memo t table key compute =
-  locked t (fun () ->
-      match Lru.find_opt table key with
-      | Some v ->
-        Metrics.add t.metrics Metrics.cache_hits 1;
-        v
-      | None ->
-        Metrics.add t.metrics Metrics.cache_misses 1;
-        let v = compute () in
-        let evicted = Lru.insert table key v in
-        Metrics.add t.metrics Metrics.cache_evictions evicted;
-        v)
+  match locked t (fun () -> Lru.find_opt table key) with
+  | Some v ->
+    Metrics.add t.metrics Metrics.cache_hits 1;
+    v
+  | None ->
+    Metrics.add t.metrics Metrics.cache_misses 1;
+    let v = compute () in
+    locked t (fun () ->
+        match Lru.find_opt table key with
+        | Some first -> first
+        | None ->
+          Metrics.add t.metrics Metrics.cache_evictions (Lru.insert table key v);
+          v)
 
 let add_circuit t c =
   let handle = handle_of_circuit c in
@@ -116,6 +123,7 @@ let vectors t ~handle ~seed ~count c =
   memo t t.vector_sets (handle, seed, count) (fun () ->
       Iddq_patterns.Pattern_gen.random ~rng:(Rng.create seed) c ~count)
 
+let partition t ~key compute = memo t t.partitions key compute
 let diagnosis t ~key compute = memo t t.diagnoses key compute
 let testset t ~key compute = memo t t.testsets key compute
 
@@ -123,6 +131,7 @@ type stats = {
   circuits : int;
   characs : int;
   vector_sets : int;
+  partitions : int;
   diagnoses : int;
   testsets : int;
 }
@@ -133,6 +142,7 @@ let stats t =
         circuits = Lru.length t.circuits;
         characs = Lru.length t.characs;
         vector_sets = Lru.length t.vector_sets;
+        partitions = Lru.length t.partitions;
         diagnoses = Lru.length t.diagnoses;
         testsets = Lru.length t.testsets;
       })

@@ -3,9 +3,11 @@
     A circuit's {e handle} is the hex digest of its canonical [.bench]
     rendering, so the same netlist loaded twice — by name, by inline
     text, by different clients — lands on one entry, and everything
-    derived from it (its {!Iddq_analysis.Charac.t}, its random
-    vector sets, its diagnosis engines and ATPG test sets) is computed
-    once and reused across requests.
+    derived from it (its {!Iddq_analysis.Charac.t}, its partition runs,
+    its random vector sets, its diagnosis engines and ATPG test sets)
+    is computed once and reused across requests.  The [partition],
+    [fault_sim] and [diagnose] requests share one partition run per
+    key.
 
     Every table is {e size-bounded} with least-recently-used eviction
     ([max_entries] per table, default 256), so a long-lived server fed
@@ -14,8 +16,16 @@
     service's metrics ({!Iddq_util.Metrics.cache_evictions}); an
     evicted entry is simply recomputed on next use.
 
-    All operations are domain-safe (one lock); derived-value lookups
-    record hit/miss into the service's {!Iddq_util.Metrics.t}
+    All operations are domain-safe (one lock), and a miss computes
+    {e outside} the lock: it is looked up under the lock, computed
+    without it, then inserted under it again.  So a long computation
+    (a diagnosis engine, an ATPG run) never delays another request's
+    lookups, and a compute function may itself use the cache.  Two
+    requests that miss one key at once both compute it; the first
+    value stored wins and is the one both get back.  Cached values are
+    shared between requests and domains: callers only read them.
+    Derived-value lookups record hit/miss into the service's
+    {!Iddq_util.Metrics.t}
     ({!Iddq_util.Metrics.cache_hits}/{!Iddq_util.Metrics.cache_misses}). *)
 
 type t
@@ -57,6 +67,17 @@ val vectors :
 (** [count] random vectors for the circuit drawn from a fresh
     [Rng.create seed] — generated once per (handle, seed, count). *)
 
+val partition :
+  t ->
+  key:string ->
+  (unit -> (Iddq.Pipeline.t, Iddq.Pipeline.error) result) ->
+  (Iddq.Pipeline.t, Iddq.Pipeline.error) result
+(** Memoized partition run ({!Iddq.Pipeline.run_charac_result}: a full
+    partitioner run and its cost).  The caller's [key] must capture
+    every input of the run — handle, method, module size, seed and
+    [require_feasible].  Structured errors are cached too: they are
+    deterministic for their key. *)
+
 val diagnosis :
   t -> key:string -> (unit -> Iddq_diagnose.Diagnose.t) -> Iddq_diagnose.Diagnose.t
 (** Memoized diagnosis engine ({!Iddq_diagnose.Diagnose.build} is a
@@ -85,6 +106,7 @@ type stats = {
   circuits : int;
   characs : int;
   vector_sets : int;
+  partitions : int;
   diagnoses : int;
   testsets : int;
 }

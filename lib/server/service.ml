@@ -127,9 +127,14 @@ let run_partition t ~handle ~method_ ~seed ~module_size ~require_feasible c =
       ~seed:(Rng.keyed_seed ~key ~seed)
       ?module_size ~metrics:t.metrics ()
   in
-  let ch = Cache.charac t.cache ~handle c in
+  let run () =
+    Pipeline.run_charac_result ~config ~require_feasible method_
+      (Cache.charac t.cache ~handle c)
+  in
   Result.map_error Protocol.of_pipeline_error
-    (Pipeline.run_charac_result ~config ~require_feasible method_ ch)
+    (Cache.partition t.cache
+       ~key:(Printf.sprintf "%s:%d:%b" key seed require_feasible)
+       run)
 
 let fault_sim t ~handle ~method_ ~seed ~vectors ~defects ~defect_current c =
   match
@@ -179,13 +184,12 @@ let diagnose t ~handle ~method_ ~seed ~vectors ~defects ~defect_current
         (Pipeline.method_to_string method_)
         seed vectors defects defect_current
     in
-    (* Fetched before the diagnosis memo: the cache mutex is not
-       re-entrant, so nesting the vectors lookup inside the compute
-       closure would self-deadlock. *)
-    let vec_seed = Rng.keyed_seed ~key:(handle ^ ":vectors") ~seed in
-    let vs = Cache.vectors t.cache ~handle ~seed:vec_seed ~count:vectors c in
     let engine =
       Cache.diagnosis t.cache ~key (fun () ->
+          let vec_seed = Rng.keyed_seed ~key:(handle ^ ":vectors") ~seed in
+          let vs =
+            Cache.vectors t.cache ~handle ~seed:vec_seed ~count:vectors c
+          in
           let fault_rng =
             Rng.create (Rng.keyed_seed ~key:(handle ^ ":faults") ~seed)
           in
@@ -398,6 +402,7 @@ let metrics_payload t =
             ("circuits", Json.Int s.Cache.circuits);
             ("characs", Json.Int s.Cache.characs);
             ("vector_sets", Json.Int s.Cache.vector_sets);
+            ("partitions", Json.Int s.Cache.partitions);
             ("diagnoses", Json.Int s.Cache.diagnoses);
             ("testsets", Json.Int s.Cache.testsets);
           ] );

@@ -4,16 +4,24 @@
    case cannot silently orphan the claim that cites it, and no row may
    say its claim is "not yet checked". *)
 
-(* The file sits at the root of the build tree (a declared dep of the
-   test stanza), found from the running executable; from a source
-   checkout the working directory's copy serves. *)
-let experiments_md () =
-  let beside_build =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      "EXPERIMENTS.md"
+(* The executable sits in a dune build tree, [<root>/_build/<context>/
+   test/main.exe].  The build tree's copy of the file is a declared dep
+   of the test stanza, fresh under [dune runtest] but stale after an
+   edit when the executable is run directly ([dune exec] builds the
+   executable, not the test's deps), so the source copy at [<root>]
+   wins whenever there is one.  A sandboxed run finds no [_build]
+   parent and reads its own fresh dep; outside any build tree the
+   working directory's copy serves. *)
+let experiments_md ?(exe = Sys.executable_name) () =
+  let context = Filename.dirname (Filename.dirname exe) in
+  let build = Filename.dirname context in
+  let source =
+    if Filename.basename build = "_build" then
+      [ Filename.concat (Filename.dirname build) "EXPERIMENTS.md" ]
+    else []
   in
-  List.find Sys.file_exists [ beside_build; "EXPERIMENTS.md" ]
+  List.find Sys.file_exists
+    (source @ [ Filename.concat context "EXPERIMENTS.md"; "EXPERIMENTS.md" ])
 
 let read_lines path =
   let ic = open_in path in
@@ -103,7 +111,25 @@ let tests suites =
          (fun row -> contains ~sub:"not yet checked" (last_cell row))
          (index ()))
   in
+  (* An edited source copy is read, not the build tree's older one. *)
+  let source_wins () =
+    let root = Filename.temp_dir "iddq-claim-index" "" in
+    let context = Filename.concat (Filename.concat root "_build") "default" in
+    let dirs = [ root; Filename.concat root "_build"; context ] in
+    let copies =
+      [ Filename.concat root "EXPERIMENTS.md"; Filename.concat context "EXPERIMENTS.md" ]
+    in
+    List.iter (fun d -> if d <> root then Sys.mkdir d 0o755) dirs;
+    List.iter (fun f -> Out_channel.with_open_bin f ignore) copies;
+    let found =
+      experiments_md ~exe:(Filename.concat context "test/main.exe") ()
+    in
+    List.iter Sys.remove copies;
+    List.iter Sys.rmdir (List.rev dirs);
+    Alcotest.(check string) "the source copy" (List.hd copies) found
+  in
   [
     Alcotest.test_case "every named case is registered" `Quick check;
     Alcotest.test_case "no claim is unchecked" `Quick unchecked;
+    Alcotest.test_case "a stale build copy is never read" `Quick source_wins;
   ]

@@ -10,6 +10,7 @@ module Protocol = Iddq_server.Protocol
 module Service = Iddq_server.Service
 module Server = Iddq_server.Server
 module Client = Iddq_server.Client
+module Cache = Iddq_server.Cache
 module Iscas = Iddq_netlist.Iscas
 module Pipeline = Iddq.Pipeline
 module Spec = Iddq_campaign.Spec
@@ -319,11 +320,15 @@ let test_service_cache_hits () =
   let hits_before = Metrics.get s1 Metrics.cache_hits in
   let p2 = partition () in
   let s2 = Metrics.snapshot metrics in
-  Alcotest.(check bool) "second partition hits the charac cache" true
+  Alcotest.(check bool) "second partition hits the partition cache" true
     (Metrics.get s2 Metrics.cache_hits > hits_before);
   Alcotest.(check int) "no new cache entries on the second partition"
     (Metrics.get s1 Metrics.cache_misses) (Metrics.get s2 Metrics.cache_misses);
   Alcotest.check json "cached answers are identical" p1 p2;
+  Alcotest.(check (option int)) "one cached partition run" (Some 1)
+    (Option.bind
+       (Json.member "cache" (ask_ok "metrics" service Protocol.Metrics))
+       (fun c -> Option.bind (Json.member "partitions" c) Json.to_int));
   Alcotest.(check bool) "request latency recorded" true
     (Metrics.get s2 Metrics.requests >= 3
     && Metrics.seconds s2 Metrics.seconds_requests >= 0.0);
@@ -618,6 +623,148 @@ let test_service_deterministic_across_instances () =
   in
   Alcotest.(check string) "same answer from a fresh service" (answer ())
     (answer ())
+
+(* Cache transparency: for every request kind the first miss, a
+   repeated hit and a miss after eviction answer byte-identical JSON.
+   At one entry per table, the second handle's load and request evict
+   the first handle's circuit and every value derived from it, so the
+   third answer is recomputed from a reloaded circuit; at 256 nothing
+   is evicted and it is a hit. *)
+let test_cache_transparency cache_entries () =
+  let metrics = Metrics.create () in
+  let service = Service.create ~metrics ~cache_entries () in
+  (* a second circuit, whose requests evict the first one's entries *)
+  let load_tiny () =
+    let bench =
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\nn1 = NAND(a, b)\n\
+       n2 = NOR(b, c)\ny = AND(n1, n2)\nz = XOR(n1, c)\n"
+    in
+    let p =
+      ask_ok "load_circuit" service
+        (Protocol.Load_circuit { name = None; bench = Some bench })
+    in
+    Option.get (Option.bind (Json.member "handle" p) Json.to_str)
+  in
+  let kinds =
+    [
+      ( "partition standard",
+        fun handle ->
+          Protocol.Partition
+            {
+              handle;
+              method_ = Pipeline.Standard;
+              seed = 3;
+              module_size = None;
+              require_feasible = false;
+            } );
+      ( "partition evolution",
+        fun handle ->
+          Protocol.Partition
+            {
+              handle;
+              method_ = Pipeline.Evolution;
+              seed = 7;
+              module_size = None;
+              require_feasible = false;
+            } );
+      ( "diagnose",
+        fun handle ->
+          Protocol.Diagnose
+            {
+              handle;
+              method_ = Pipeline.Standard;
+              seed = 2;
+              vectors = 16;
+              defects = 12;
+              defect_current = 2.0e-6;
+              epsilon = 0.05;
+              trials = 8;
+              top_k = 2;
+            } );
+      ( "fault_sim",
+        fun handle ->
+          Protocol.Fault_sim
+            {
+              handle;
+              method_ = Pipeline.Standard;
+              seed = 4;
+              vectors = 16;
+              defects = 12;
+              defect_current = 2.0e-6;
+            } );
+      ( "testset",
+        fun handle ->
+          Protocol.Testset
+            {
+              handle;
+              seed = 4;
+              random_vectors = 8;
+              max_backtracks = 200;
+              budget = None;
+              strategy = Iddq_atpg.Atpg.Refined;
+            } );
+    ]
+  in
+  List.iter
+    (fun (what, req) ->
+      let answer handle = Json.to_string (ask_ok what service (req handle)) in
+      let misses () = Metrics.get (Metrics.snapshot metrics) Metrics.cache_misses in
+      let handle = load_c17 service in
+      let first = answer handle in
+      let hit = answer handle in
+      ignore (ask_ok what service (req (load_tiny ())));
+      Alcotest.(check string) "reloading keeps the handle" handle
+        (load_c17 service);
+      let misses_before = misses () in
+      let after = answer handle in
+      if cache_entries = 1 then
+        Alcotest.(check bool) (what ^ ": recomputed after eviction") true
+          (misses () > misses_before);
+      Alcotest.(check string) (what ^ ": hit = first miss") first hit;
+      Alcotest.(check string) (what ^ ": after eviction = first miss") first
+        after)
+    kinds;
+  Service.stop service
+
+(* A miss computes outside the cache lock: while one domain's compute
+   closure runs, another domain's lookups return.  The closure waits
+   (at most ~5 s) for a flag the other domain sets only once its
+   circuit lookup and characterization hit have returned; had the
+   closure held the lock, those lookups would have blocked until the
+   wait timed out. *)
+let test_no_compute_under_lock () =
+  let cache = Cache.create ~metrics:(Metrics.create ()) () in
+  let c = Option.get (Iscas.by_name "C17") in
+  let handle = Cache.add_circuit cache c in
+  ignore (Cache.charac cache ~handle c);
+  let computing = Atomic.make false and released = Atomic.make false in
+  let await flag =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get flag
+  in
+  let miss =
+    Domain.spawn (fun () ->
+        let released_in_time = ref false in
+        ignore
+          (Cache.testset cache ~key:"slow" (fun () ->
+               Atomic.set computing true;
+               released_in_time := await released;
+               Error (Iddq_atpg.Atpg.Bad_config "never used")));
+        !released_in_time)
+  in
+  let lookups_done =
+    await computing
+    && Cache.find_circuit cache handle <> None
+    && Iddq_analysis.Charac.num_gates (Cache.charac cache ~handle c) > 0
+  in
+  Atomic.set released true;
+  let released_in_time = Domain.join miss in
+  Alcotest.(check bool) "lookups returned" true lookups_done;
+  Alcotest.(check bool) "lookups returned while the miss computed" true
+    released_in_time
 
 (* ------------------------------------------------------------------ *)
 (* Socket transport: concurrent clients, one of them hostile           *)
@@ -1335,6 +1482,12 @@ let tests =
       test_service_cache_eviction;
     Alcotest.test_case "service future op typed" `Quick
       test_service_future_op_typed;
+    Alcotest.test_case "cache transparency, 1 entry" `Quick
+      (test_cache_transparency 1);
+    Alcotest.test_case "cache transparency, 256 entries" `Quick
+      (test_cache_transparency 256);
+    Alcotest.test_case "no compute under the cache lock" `Quick
+      test_no_compute_under_lock;
     Alcotest.test_case "service deterministic" `Quick
       test_service_deterministic_across_instances;
     Alcotest.test_case "two clients interleaved" `Quick
