@@ -1461,6 +1461,8 @@ let qcheck_cursor_decoder_equivalent =
       ignore (drain_both ());
       true)
 
+(* New cases go at the end: a case's index is printed with its name,
+   so inserting one renumbers every case after it. *)
 let tests =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -1482,12 +1484,6 @@ let tests =
       test_service_cache_eviction;
     Alcotest.test_case "service future op typed" `Quick
       test_service_future_op_typed;
-    Alcotest.test_case "cache transparency, 1 entry" `Quick
-      (test_cache_transparency 1);
-    Alcotest.test_case "cache transparency, 256 entries" `Quick
-      (test_cache_transparency 256);
-    Alcotest.test_case "no compute under the cache lock" `Quick
-      test_no_compute_under_lock;
     Alcotest.test_case "service deterministic" `Quick
       test_service_deterministic_across_instances;
     Alcotest.test_case "two clients interleaved" `Quick
@@ -1516,4 +1512,10 @@ let tests =
     Alcotest.test_case "metrics wire names" `Quick test_metrics_wire_names;
     Alcotest.test_case "partition reply = campaign record" `Quick
       test_partition_reply_matches_campaign_record;
+    Alcotest.test_case "cache transparency, 1 entry" `Quick
+      (test_cache_transparency 1);
+    Alcotest.test_case "cache transparency, 256 entries" `Quick
+      (test_cache_transparency 256);
+    Alcotest.test_case "no compute under the cache lock" `Quick
+      test_no_compute_under_lock;
   ]
